@@ -79,7 +79,7 @@ module Caps : sig
   (** [2^26].  Group-size cap of [Coset_state.sampler] on the sparse
       and symbolic backends ({!Coset_state.max_group_size_sparse}): the
       amplitudes stay O(|coset|), so the bound is only the flat
-      tag/bucket tables of the shared O(|A|) prep pass.  Beyond it, use
+      bucket tables of the shared O(|A|) prep pass.  Beyond it, use
       [Coset_state.sampler_with_support] or the symbolic
       [Coset_state.sampler_with_subgroup], which have no cap. *)
 

@@ -208,35 +208,33 @@ let apply_dft t ~wire ~inverse =
   (* Every length-d fibre of the register is transformed, populated or
      not: total/d fibres — the dense cost the sparse backend avoids. *)
   Metrics.add_dft_fibres (total / d);
-  if d > 4 then begin
-    (* FFT fast path: fibre (b, off) for block b and in-block offset
-       off; flattening the two loops into one index range [0,
-       total/d) gives the domain pool an even split. *)
-    let str = (Backend.strides t.dims).(wire) in
-    let block = str * d in
-    let out_re = Array.make total 0.0 and out_im = Array.make total 0.0 in
-    let src_re = t.re and src_im = t.im in
-    Parallel.parallel_for 0 (total / d) (fun plo phi ->
-        let buf = Array.make d Cx.zero in
-        for p = plo to phi - 1 do
-          let base = p / str * block and off = p mod str in
-          for k = 0 to d - 1 do
-            let j = base + off + (k * str) in
-            buf.(k) <- Cx.make (Array.unsafe_get src_re j) (Array.unsafe_get src_im j)
-          done;
-          Fft.dft_any ~inverse buf;
-          for k = 0 to d - 1 do
-            let j = base + off + (k * str) in
-            let z = buf.(k) in
-            Array.unsafe_set out_re j z.Complex.re;
-            Array.unsafe_set out_im j z.Complex.im
-          done
-        done);
-    { t with re = out_re; im = out_im }
-  end
-  else
-    let m = Cmat.dft d in
-    apply_wire t ~wire (if inverse then Cmat.adjoint m else m)
+  (* Fibre (b, off) for block b and in-block offset off; flattening the
+     two loops into one index range [0, total/d) gives the domain pool
+     an even split.  One plan serves every chunk read-only; each chunk
+     gathers into its own fibre planes and scratch. *)
+  let plan = Fft.plan d in
+  let str = (Backend.strides t.dims).(wire) in
+  let block = str * d in
+  let out_re = Array.make total 0.0 and out_im = Array.make total 0.0 in
+  let src_re = t.re and src_im = t.im in
+  Parallel.parallel_for 0 (total / d) (fun plo phi ->
+      let scratch = Fft.scratch plan in
+      let f_re = Array.make d 0.0 and f_im = Array.make d 0.0 in
+      for p = plo to phi - 1 do
+        let j0 = (p / str * block) + (p mod str) in
+        for k = 0 to d - 1 do
+          let j = j0 + (k * str) in
+          Array.unsafe_set f_re k (Array.unsafe_get src_re j);
+          Array.unsafe_set f_im k (Array.unsafe_get src_im j)
+        done;
+        Fft.exec plan ~inverse scratch f_re f_im;
+        for k = 0 to d - 1 do
+          let j = j0 + (k * str) in
+          Array.unsafe_set out_re j (Array.unsafe_get f_re k);
+          Array.unsafe_set out_im j (Array.unsafe_get f_im k)
+        done
+      done);
+  { t with re = out_re; im = out_im }
 
 let apply_basis_map t f =
   let total = Array.length t.re in
@@ -357,6 +355,37 @@ let measure rng t ~wires =
   let s = 1.0 /. nrm in
   Parallel.parallel_for 0 total (fun lo hi -> Cvec.scale_planes s ~re:out_re ~im:out_im ~lo ~hi);
   (outcome, { t with re = out_re; im = out_im })
+
+(* Measuring every wire draws one basis index with probability |a|^2.
+   [measure ~wires:all] feeds Backend.sample_discrete a probability
+   array whose entries are exactly x*x + y*y in index order, so this
+   scan over the planes — same single uniform draw, same running sum,
+   same last-index-with-mass fallback, same zero-norm check on the
+   collapsed amplitude — returns the same outcome and leaves the RNG in
+   the same state, without building the probabilities or the collapsed
+   state. *)
+let measure_all rng t =
+  let re = t.re and im = t.im in
+  let total = Array.length re in
+  let r = Random.State.float rng 1.0 in
+  let acc = ref 0.0 and chosen = ref (-1) and last_nonzero = ref (-1) and i = ref 0 in
+  while !chosen < 0 && !i < total do
+    let x = Array.unsafe_get re !i and y = Array.unsafe_get im !i in
+    let p = (x *. x) +. (y *. y) in
+    if p > 0.0 then last_nonzero := !i;
+    acc := !acc +. p;
+    if r < !acc then chosen := !i;
+    incr i
+  done;
+  let i =
+    if !chosen >= 0 then !chosen
+    else if !last_nonzero >= 0 then !last_nonzero
+    else invalid_arg "Backend.sample_discrete: zero distribution"
+  in
+  let x = re.(i) and y = im.(i) in
+  if sqrt ((x *. x) +. (y *. y)) < Cvec.zero_norm_floor then
+    invalid_arg "Cvec.normalize: zero vector";
+  Backend.decode t.dims i
 
 let norm t = sqrt (norm2_planes ~re:t.re ~im:t.im (Array.length t.re))
 

@@ -18,6 +18,12 @@ val of_indices : int array -> int array -> t
 
 val apply_wire : t -> wire:int -> Linalg.Cmat.t -> t
 
+val measure_all : Random.State.t -> t -> int array
+(** The outcome of [measure ~wires:all], drawn straight off the
+    amplitude planes: same outcome, same RNG consumption (one
+    [Random.State.float]), same exceptions, but no probability array
+    and no collapsed state. *)
+
 val run_plan : Circuit_plan.t -> t -> t
 (** Execute a fused circuit plan in place over Bigarray staging planes
     (one copy in, one out; see {!Circuit_plan.run_planes}).  The input

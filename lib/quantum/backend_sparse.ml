@@ -562,28 +562,30 @@ let apply_dft t ~wire ~inverse =
   (* Only populated fibres are transformed — the count the dense
      backend's total/d upper-bounds. *)
   Metrics.add_dft_fibres nruns;
+  let plan = Fft.plan d in
   let eps2 = t.eps *. t.eps in
   let src_re = t.re and src_im = t.im in
   let nchunks = Parallel.reduction_chunks ~slot_words:1 nruns in
   let bufs =
     Parallel.map_chunks ~chunks:nchunks 0 nruns (fun rlo rhi ->
         let out = Ebuf.create (min ((rhi - rlo) * d) (1 lsl 16)) in
-        (* chunk-local scratch fibre for Fft.dft_any (its interface is
-           a boxed Cx array, same as the dense backend's FFT path) *)
-        let buf = Array.make d Cx.zero in
+        (* chunk-local fibre planes and scratch; the plan is shared *)
+        let scratch = Fft.scratch plan in
+        let f_re = Array.make d 0.0 and f_im = Array.make d 0.0 in
         for r = rlo to rhi - 1 do
-          Array.fill buf 0 d Cx.zero;
+          Array.fill f_re 0 d 0.0;
+          Array.fill f_im 0 d 0.0;
           let b = base.(perm.(starts.(r))) in
           for p = starts.(r) to starts.(r + 1) - 1 do
             let e = perm.(p) in
-            buf.(sub.(e)) <- Cx.make src_re.(e) src_im.(e)
+            f_re.(sub.(e)) <- src_re.(e);
+            f_im.(sub.(e)) <- src_im.(e)
           done;
-          Fft.dft_any ~inverse buf;
+          Fft.exec plan ~inverse scratch f_re f_im;
           (* k ascending and stride > 0: each run emits in increasing
              index order *)
           for k = 0 to d - 1 do
-            let z = buf.(k) in
-            let x = z.Complex.re and y = z.Complex.im in
+            let x = f_re.(k) and y = f_im.(k) in
             if keeps ~eps2 x y then Ebuf.push out (b + (k * stride)) x y
             else if is_nonzero x y then Metrics.record_pruned ()
           done

@@ -17,28 +17,37 @@ let total_of dims = check_total ~cap:max_group_size (Array.fold_left ( * ) 1 dim
 (* ------------------------------------------------------------------ *)
 
 (* The expensive, reusable artifact of [sampler]: the oracle expanded
-   classically ONCE into CSR coset buckets.  [members.(starts.(c) ..
-   starts.(c+1)-1)] lists coset [c]'s basis indices in increasing
-   order.  The pass is O(|A|), shared by all samples drawn from the
-   prep (ledger: sampler_preps stays at 1 per oracle) and charged to
-   "sample-prep"; after it, one sample touches only its own bucket —
-   O(|coset|), never O(|A|) again.  Keeping the prep first-class lets
-   the service layer cache it across requests, so the O(|A|) pass is
-   paid once per oracle, not once per request. *)
+   classically ONCE into CSR coset buckets.  Coset [c]'s basis indices
+   are [members] positions [starts.(c) .. starts.(c+1)-1], in
+   increasing order.  The pass is O(|A|), shared by all samples drawn
+   from the prep (ledger: sampler_preps stays at 1 per oracle) and
+   charged to "sample-prep"; after it, one sample touches only its own
+   bucket — O(|coset|), never O(|A|) again.  Keeping the prep
+   first-class lets the service layer cache it across requests, so the
+   O(|A|) pass is paid once per oracle, not once per request.
+
+   [members] holds one int32 per group element in a [Bytes] (|A| is
+   capped at 2^26, and the GC never scans bytes); [starts] holds one
+   word per coset.  A draw needs no per-element tag table: a uniform
+   position in [members] lands in coset c with probability |c| / |A|,
+   and a binary search over [starts] finds c. *)
+type tables = { starts : int array; members : Bytes.t }
+
 type prep = {
   pdims : int array;
   pbackend : Backend.choice;  (* resolved amplitude backend, never Auto *)
   ptotal : int;
   pwires : int list;
-  ptables : (int array * int array * int array) Lazy.t;
-      (* (tag_id, starts, members), built on first use *)
+  ptables : tables Lazy.t;  (* built on first use *)
 }
+
+let member members i = Int32.to_int (Bytes.get_int32_ne members (4 * i))
 
 let prep ?backend ~dims ~f () =
   let total = Backend.total_of dims in
   (* The Fourier/measure pipeline never materialises O(|A|) amplitudes
      on the sparse backend, so the cap is the flat-array bound for the
-     tag/bucket tables, not the dense amplitude ceiling. *)
+     bucket tables, not the dense amplitude ceiling. *)
   let resolved = Backend.resolve ?backend ~total () in
   let cap =
     match resolved with
@@ -51,33 +60,41 @@ let prep ?backend ~dims ~f () =
     lazy
       ( Metrics.phase "sample-prep" @@ fun () ->
         Metrics.record_sampler_prep ();
+        (* pass 1 tags every element with its coset id (int32, dropped
+           once the buckets are filled); pass 2 counting-sorts *)
         let ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
-        let tag_id =
-          Array.init total (fun idx ->
-              let t = f (State.decode dims idx) in
-              match Hashtbl.find_opt ids t with
-              | Some id -> id
-              | None ->
-                  let id = Hashtbl.length ids in
-                  Hashtbl.add ids t id;
-                  id)
-        in
+        let tag_id = Bytes.create (4 * total) in
+        for idx = 0 to total - 1 do
+          let t = f (State.decode dims idx) in
+          let id =
+            match Hashtbl.find_opt ids t with
+            | Some id -> id
+            | None ->
+                let id = Hashtbl.length ids in
+                Hashtbl.add ids t id;
+                id
+          in
+          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int id)
+        done;
         let k = Hashtbl.length ids in
         let starts = Array.make (k + 1) 0 in
-        Array.iter (fun id -> starts.(id + 1) <- starts.(id + 1) + 1) tag_id;
+        for idx = 0 to total - 1 do
+          let id = member tag_id idx in
+          starts.(id + 1) <- starts.(id + 1) + 1
+        done;
         for c = 0 to k - 1 do
           starts.(c + 1) <- starts.(c + 1) + starts.(c)
         done;
         let fill = Array.sub starts 0 k in
-        let members = Array.make total 0 in
+        let members = Bytes.create (4 * total) in
         (* ascending idx: every bucket comes out sorted, ready to be
            adopted directly as a sparse segment *)
         for idx = 0 to total - 1 do
-          let id = tag_id.(idx) in
-          members.(fill.(id)) <- idx;
+          let id = member tag_id idx in
+          Bytes.set_int32_ne members (4 * fill.(id)) (Int32.of_int idx);
           fill.(id) <- fill.(id) + 1
         done;
-        (tag_id, starts, members) )
+        { starts; members } )
   in
   {
     pdims = dims;
@@ -90,43 +107,50 @@ let prep ?backend ~dims ~f () =
 let prep_force p = ignore (Lazy.force p.ptables)
 let prep_dims p = Array.copy p.pdims
 let prep_backend p = p.pbackend
-
-let prep_cosets p =
-  let _, starts, _ = Lazy.force p.ptables in
-  Array.length starts - 1
+let prep_cosets p = Array.length (Lazy.force p.ptables).starts - 1
 
 let prep_bytes p =
-  (* Approximate heap footprint in bytes: the three flat int tables
-     dominate (one word each per entry), plus a small fixed overhead
-     for the record and dims.  Used by the service cache's byte
-     accounting, so it only needs to be proportionally honest. *)
+  (* Heap footprint in bytes of the prep's tables plus a small fixed
+     overhead for the record and dims — the unit of the service cache's
+     byte budget: 4 bytes per group element for [members], one word
+     per coset for [starts], and each block's header. *)
   let word = Sys.word_size / 8 in
-  let tables =
-    if Lazy.is_val p.ptables then
-      let tag_id, starts, members = Lazy.force p.ptables in
-      Array.length tag_id + Array.length starts + Array.length members
-    else
-      (* unforced: report the size the tables will have once built *)
-      (2 * p.ptotal) + 2
+  let starts_words =
+    if Lazy.is_val p.ptables then Array.length (Lazy.force p.ptables).starts
+    else 2 (* unforced: the coset count is not known yet; at least one *)
   in
-  word * (tables + Array.length p.pdims + 16)
+  (4 * p.ptotal) + (word * (starts_words + Array.length p.pdims + 16))
+
+(* The coset holding position [x] of [members]: the last c with
+   starts.(c) <= x, found by binary search. *)
+let coset_at starts x =
+  let lo = ref 0 and hi = ref (Array.length starts - 1) in
+  (* invariant: starts.(lo) <= x < starts.(hi) *)
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if starts.(mid) <= x then lo := mid else hi := mid
+  done;
+  !lo
 
 let sampler_of_prep p ~queries () =
   fun rng ->
     Query.tick queries;
-    let tag_id, starts, members = Lazy.force p.ptables in
+    let { starts; members } = Lazy.force p.ptables in
     (* Measure the function register first: the outcome is f(x) for a
        uniform x, i.e. a coset chosen with probability |coset| / |A|.
-       Drawing a uniform basis index and taking its bucket implements
-       exactly that. *)
-    let x0 = Random.State.int rng p.ptotal in
-    let id = tag_id.(x0) in
-    let lo = starts.(id) in
-    let count = starts.(id + 1) - lo in
+       Drawing a uniform position in the concatenated buckets and
+       taking its bucket implements exactly that. *)
+    let c = coset_at starts (Random.State.int rng p.ptotal) in
+    let lo = starts.(c) in
+    let count = starts.(c + 1) - lo in
     Metrics.add_coset_visits count;
     let st =
       Metrics.phase "sample-prep" @@ fun () ->
-      State.of_indices ~backend:p.pbackend p.pdims (Array.sub members lo count)
+      let idxs = Array.make count 0 in
+      for i = 0 to count - 1 do
+        idxs.(i) <- member members (lo + i)
+      done;
+      State.of_indices ~backend:p.pbackend p.pdims idxs
     in
     let st = Metrics.phase "fourier" (fun () -> Qft.forward st ~wires:p.pwires) in
     let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in

@@ -57,7 +57,7 @@ val max_group_size : int
 val max_group_size_sparse : int
 (** Group-size cap of {!sampler} on the sparse and symbolic backends:
     the amplitudes stay O(|coset|), so the bound is only the flat
-    tag/bucket tables of the shared prep pass.  Alias of
+    bucket tables of the shared prep pass.  Alias of
     {!Backend.Caps.coset_sparse} (2^26). *)
 
 val sample :
@@ -126,10 +126,12 @@ val prep_cosets : prep -> int
     tables. *)
 
 val prep_bytes : prep -> int
-(** Approximate heap footprint in bytes (the flat bucket tables
-    dominate) — the unit of the service cache's byte budget.  Does not
-    force the tables: an unforced prep reports its post-expansion
-    size. *)
+(** Heap footprint in bytes — the unit of the service cache's byte
+    budget: 4 bytes per group element for the int32 bucket members,
+    one word per coset for the bucket starts, plus a small fixed
+    overhead (held within 10% of [Obj.reachable_words] by the test
+    suite).  Does not force the tables: an unforced prep reports its
+    post-expansion size as if it had a single coset. *)
 
 val sampler_of_prep :
   prep -> queries:Query.t -> unit -> Random.State.t -> int array

@@ -307,8 +307,13 @@ let measure rng t ~wires =
         (outcome, Sparse post)
 
 let measure_all rng t =
-  let outcome, _ = measure rng t ~wires:(List.init (num_wires t) (fun i -> i)) in
-  outcome
+  match t with
+  | Dense d ->
+      Metrics.record_measurement ();
+      Backend_dense.measure_all rng d
+  | Sparse _ | Symbolic _ ->
+      let outcome, _ = measure rng t ~wires:(List.init (num_wires t) (fun i -> i)) in
+      outcome
 
 let norm = function
   | Dense d -> Backend_dense.norm d

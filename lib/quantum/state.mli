@@ -167,11 +167,12 @@ val run_plan : Circuit_plan.t -> t -> t option
 
 val apply_dft : t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
-    fibre (radix-2 or Bluestein FFT, by dimension) on the amplitude
-    backends.  On a symbolic state the wire is marked pending and the
-    closed-form rewrite [(H, c, p) -> (H^perp, -p, c)] fires once every
-    wire is marked — a full {!Qft.forward} pass costs one annihilator
-    solve however large the group. *)
+    fibre on the amplitude backends (one {!Linalg.Fft.plan} per call:
+    radix-2, a direct sum for small [d], or Bluestein).  On a symbolic
+    state the wire is marked pending and the closed-form rewrite
+    [(H, c, p) -> (H^perp, -p, c)] fires once every wire is marked — a
+    full {!Qft.forward} pass costs one annihilator solve however large
+    the group. *)
 
 val apply_basis_map : t -> (int array -> int array) -> t
 (** Relabel basis states by a bijection on tuples (a classical
@@ -198,6 +199,9 @@ val measure : Random.State.t -> t -> wires:int list -> int array * t
     [Z_2^200]) and demotes for partial measurement. *)
 
 val measure_all : Random.State.t -> t -> int array
+(** The outcome of [measure ~wires:(all wires)], post-state discarded.
+    A dense state draws it straight off its amplitude planes, with the
+    same outcome and RNG consumption as the full measurement. *)
 
 val norm : t -> float
 

@@ -142,6 +142,85 @@ let test_bluestein_matches_dft () =
       checkb (Printf.sprintf "inverse %d" n) true (Cvec.approx_equal ~eps:1e-8 inv v))
     [ 1; 2; 3; 5; 6; 7; 12; 17; 30; 100; 255 ]
 
+(* Fft.plan on split float planes, against the dense unitary DFT.  The
+   reference for lengths past 256 multiplies row by row with the same
+   entries Cmat.dft builds (materialising a 1600 x 1600 boxed matrix
+   would cost ~80 MB). *)
+let dense_dft ?(inverse = false) v =
+  let n = Array.length v in
+  if n <= 256 then
+    let m = Cmat.dft n in
+    Cmat.apply (if inverse then Cmat.adjoint m else m) v
+  else
+    let s = 1.0 /. sqrt (float_of_int n) in
+    Array.init n (fun j ->
+        let acc = ref Cx.zero in
+        Array.iteri
+          (fun k x ->
+            let w = Cx.root_of_unity n (j * k) in
+            acc := Cx.add !acc (Cx.mul (if inverse then Cx.conj w else w) x))
+          v;
+        Cx.scale s !acc)
+
+let random_vec rng n =
+  let u () = Random.State.float rng 2.0 -. 1.0 in
+  Array.init n (fun _ ->
+      let re = u () in
+      Cx.make re (u ()))
+
+(* Run a plan over planes two entries longer than the plan, holding
+   sentinels that exec must leave alone. *)
+let plan_apply p ~inverse v =
+  let n = Array.length v in
+  let re = Array.make (n + 2) 7.0 and im = Array.make (n + 2) (-7.0) in
+  Array.iteri
+    (fun i z ->
+      re.(i) <- z.Complex.re;
+      im.(i) <- z.Complex.im)
+    v;
+  Fft.exec p ~inverse (Fft.scratch p) re im;
+  if re.(n) <> 7.0 || im.(n + 1) <> -7.0 then Alcotest.failf "exec %d wrote past the plan" n;
+  Array.init n (fun i -> Cx.make re.(i) im.(i))
+
+let max_err a b =
+  let e = ref 0.0 in
+  Array.iteri (fun i z -> e := Float.max !e (Cx.abs (Cx.sub z b.(i)))) a;
+  !e
+
+let plan_lengths = List.init 70 (fun i -> i + 1) @ [ 100; 120; 196; 1024; 1600 ]
+
+let test_plan_matches_dft () =
+  let rng = Random.State.make [| 11 |] in
+  List.iter
+    (fun n ->
+      let p = Fft.plan n in
+      let v = random_vec rng n in
+      let tol = 1e-10 *. sqrt (float_of_int n) in
+      List.iter
+        (fun inverse ->
+          let e = max_err (plan_apply p ~inverse v) (dense_dft ~inverse v) in
+          if e > tol then
+            Alcotest.failf "n=%d inverse=%b: error %.3g exceeds %.3g" n inverse e tol)
+        [ false; true ];
+      (* F and F* coincide only for n <= 2: an ignored ~inverse flag
+         must show here *)
+      if n >= 3 then begin
+        let e = max_err (plan_apply p ~inverse:false v) (plan_apply p ~inverse:true v) in
+        if e < 1e-3 then Alcotest.failf "n=%d: forward and inverse agree (%.3g)" n e
+      end)
+    plan_lengths
+
+let test_plan_rejects () =
+  Alcotest.check_raises "length 0" (Invalid_argument "Fft.plan: length < 1") (fun () ->
+      ignore (Fft.plan 0));
+  let p = Fft.plan 5 in
+  Alcotest.check_raises "short planes" (Invalid_argument "Fft.exec: planes shorter than the plan")
+    (fun () -> Fft.exec p ~inverse:false (Fft.scratch p) (Array.make 4 0.0) (Array.make 5 0.0));
+  Alcotest.check_raises "foreign scratch" (Invalid_argument "Fft.exec: scratch of a smaller plan")
+    (fun () ->
+      Fft.exec (Fft.plan 17) ~inverse:false (Fft.scratch p) (Array.make 17 0.0)
+        (Array.make 17 0.0))
+
 (* ------------------------------------------------------------------ *)
 (* Gf2                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -221,6 +300,13 @@ let qcheck_props =
     Test.make ~name:"gf2 dot bilinear" ~count:200
       (make Gen.(triple (vec 5) (vec 5) (vec 5)))
       (fun (a, b, c) -> Gf2.dot (Gf2.add a b) c = (Gf2.dot a c + Gf2.dot b c) land 1);
+    Test.make ~name:"fft plan: inverse . forward = id" ~count:200
+      (make Gen.(pair (int_range 1 300) int))
+      (fun (n, seed) ->
+        let v = random_vec (Random.State.make [| seed |]) n in
+        let p = Fft.plan n in
+        max_err (plan_apply p ~inverse:true (plan_apply p ~inverse:false v)) v
+        <= 1e-10 *. sqrt (float_of_int n));
     Test.make ~name:"rref idempotent and span-preserving" ~count:200
       (make Gen.(list_size (int_range 1 4) (vec 5)))
       (fun rows ->
@@ -256,6 +342,8 @@ let () =
           Alcotest.test_case "inverse roundtrip" `Quick test_fft_inverse;
           Alcotest.test_case "rejects non-pow2" `Quick test_fft_rejects_non_pow2;
           Alcotest.test_case "bluestein any length" `Quick test_bluestein_matches_dft;
+          Alcotest.test_case "plan matches dense dft" `Quick test_plan_matches_dft;
+          Alcotest.test_case "plan argument checks" `Quick test_plan_rejects;
         ] );
       ( "gf2",
         [

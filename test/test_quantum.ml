@@ -117,6 +117,57 @@ let test_probabilities_marginal () =
   let p = State.probabilities st ~wires:[ 1 ] in
   Array.iter (fun x -> checkb "1/3 each" true (Float.abs (x -. (1.0 /. 3.0)) < 1e-9)) p
 
+(* Dense measure_all draws straight off the planes; it must agree with
+   the full measurement bit for bit: same outcome, same RNG stream. *)
+let check_measure_all_matches st =
+  let all = List.init (State.num_wires st) (fun i -> i) in
+  for seed = 1 to 1000 do
+    let r1 = Random.State.make [| seed |] and r2 = Random.State.make [| seed |] in
+    let a = State.measure_all r1 st in
+    let b, _ = State.measure r2 st ~wires:all in
+    if a <> b then Alcotest.failf "seed %d: measure_all and measure disagree" seed;
+    checki "same rng stream" (Random.State.bits r2) (Random.State.bits r1)
+  done
+
+let dense_of_amps dims amps = State.of_amplitudes ~backend:Backend.Dense dims amps
+
+let test_measure_all_fast_path () =
+  let rng = rng () in
+  let dims = [| 3; 4; 5 |] in
+  let amps =
+    Array.init 60 (fun _ ->
+        Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
+  in
+  let st = dense_of_amps dims amps in
+  checkb "dense" true (State.backend st = Backend.Dense);
+  check_measure_all_matches st;
+  (* Trailing zero mass, and total mass 1/4 (a non-unitary diagonal):
+     three draws in four overshoot the running sum, so the fallback —
+     the last index carrying mass, never a trailing zero — decides. *)
+  let amps =
+    Array.init 8 (fun i -> if i < 5 then Cx.make (float_of_int (i + 1)) 0.5 else Cx.zero)
+  in
+  let half = Cmat.init 8 8 (fun i j -> if i = j then Cx.re 0.5 else Cx.zero) in
+  let st = State.apply_wire (dense_of_amps [| 8 |] amps) ~wire:0 half in
+  check_measure_all_matches st;
+  let fallbacks = ref 0 in
+  for seed = 1 to 1000 do
+    let o = State.measure_all (Random.State.make [| seed |]) st in
+    if o.(0) >= 5 then Alcotest.failf "seed %d: zero-mass outcome %d" seed o.(0);
+    if o.(0) = 4 then incr fallbacks
+  done;
+  checkb "fallback exercised" true (!fallbacks > 600);
+  (* a zero state raises, exactly as the full measurement does *)
+  let zero = Cmat.init 8 8 (fun _ _ -> Cx.zero) in
+  let st = State.apply_wire st ~wire:0 zero in
+  let raises f =
+    Alcotest.check_raises "zero state"
+      (Invalid_argument "Backend.sample_discrete: zero distribution") (fun () ->
+        ignore (f (Random.State.make [| 1 |])))
+  in
+  raises (fun r -> State.measure_all r st);
+  raises (fun r -> State.measure r st ~wires:[ 0 ])
+
 let test_register_too_large () =
   Alcotest.check_raises "guard" (Invalid_argument "State: register too large to simulate")
     (fun () -> ignore (State.create ~backend:Backend.Dense (Array.make 30 4)));
@@ -354,6 +405,73 @@ let test_coset_sampler_size_guard () =
            trips whatever backend HSP_BACKEND selects *)
         (Coset_state.sample rng ~dims:(Array.make 27 2) ~f:(fun _ -> 0) ~queries))
 
+(* The prep's coset draw, checked exactly: a tag function with unequal
+   fibres (sizes 3, 6, 15 over Z_4 x Z_6, interleaved in index order)
+   is no hiding function, so the Fourier outcome law is the mixture
+   P(y) = sum_c (|c| / |A|) |<chi_y | c>|^2 = sum_c |sum_{x in c} chi_y(x)|^2 / |A|^2,
+   which pins the |c| / |A| weight of every coset.  On 40,000 draws a
+   uniform choice of coset scores ~5000 on the chi-squared statistic,
+   and a bucket start assigned to the previous coset ~150; the gate is
+   50 (19 degrees of freedom). *)
+let test_coset_draw_law () =
+  let dims = [| 4; 6 |] in
+  let total = 24 in
+  let tag idx = match idx mod 8 with 0 -> 0 | 1 | 2 -> 1 | _ -> 2 in
+  let f x = tag (State.encode dims x) in
+  let exact = Array.make total 0.0 in
+  for y = 0 to total - 1 do
+    let yv = State.decode dims y in
+    let sums = Array.make 3 Cx.zero in
+    for x = 0 to total - 1 do
+      sums.(tag x) <- Cx.add sums.(tag x) (Qft.character ~dims yv (State.decode dims x))
+    done;
+    exact.(y) <-
+      Array.fold_left (fun acc z -> acc +. Cx.norm2 z) 0.0 sums /. float_of_int (total * total)
+  done;
+  let n = 40_000 in
+  List.iter
+    (fun backend ->
+      let draw = Coset_state.sampler ~backend ~dims ~f ~queries:(Query.create ()) () in
+      let rng = Random.State.make [| 0xc05e7 |] in
+      let counts = Array.make total 0 in
+      for _ = 1 to n do
+        let y = State.encode dims (draw rng) in
+        counts.(y) <- counts.(y) + 1
+      done;
+      let stat = ref 0.0 in
+      Array.iteri
+        (fun y p ->
+          if p < 1e-12 then begin
+            if counts.(y) > 0 then Alcotest.failf "outcome %d has probability 0" y
+          end
+          else
+            let e = float_of_int n *. p in
+            let d = float_of_int counts.(y) -. e in
+            stat := !stat +. (d *. d /. e))
+        exact;
+      if !stat > 50.0 then
+        Alcotest.failf "%s: chi2 %.1f exceeds 50" (Backend.choice_to_string backend) !stat)
+    [ Backend.Dense; Backend.Sparse ]
+
+(* The service cache budgets preps by prep_bytes; it must track the
+   real heap footprint of the forced tables. *)
+let test_prep_bytes () =
+  List.iter
+    (fun (backend, dims, moduli) ->
+      let f x = State.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
+      let p = Coset_state.prep ~backend ~dims ~f () in
+      Coset_state.prep_force p;
+      checki "cosets" (Array.fold_left ( * ) 1 moduli) (Coset_state.prep_cosets p);
+      let heap = Sys.word_size / 8 * Obj.reachable_words (Obj.repr p) in
+      let reported = Coset_state.prep_bytes p in
+      let ratio = float_of_int reported /. float_of_int heap in
+      if Float.abs (ratio -. 1.0) > 0.1 then
+        Alcotest.failf "prep_bytes %d vs reachable %d bytes" reported heap)
+    [
+      (Backend.Dense, [| 64; 64 |], [| 4; 8 |]);
+      (Backend.Sparse, [| 256; 256 |], [| 16; 64 |]);
+    ]
+
 let test_state_valued_sampler () =
   (* Lemma 9: a hiding function returning unit vectors instead of
      tags; outcome distribution must match the tag-based sampler *)
@@ -520,6 +638,7 @@ let () =
           Alcotest.test_case "measure statistics" `Quick test_measure_statistics;
           Alcotest.test_case "marginals" `Quick test_probabilities_marginal;
           Alcotest.test_case "size guard" `Quick test_register_too_large;
+          Alcotest.test_case "dense measure_all = measure" `Quick test_measure_all_fast_path;
         ] );
       ( "circuit",
         [
@@ -548,6 +667,8 @@ let () =
           Alcotest.test_case "phase estimation rejects" `Quick test_phase_estimation_rejects;
           Alcotest.test_case "size guard" `Quick test_coset_sampler_size_guard;
           Alcotest.test_case "state-valued oracle (lemma 9)" `Quick test_state_valued_sampler;
+          Alcotest.test_case "coset draw law (chi-squared)" `Quick test_coset_draw_law;
+          Alcotest.test_case "prep_bytes = heap footprint" `Quick test_prep_bytes;
         ] );
       ( "shor",
         [
