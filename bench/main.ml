@@ -942,8 +942,9 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 (* E13: symbolic coset-state backend (cryptographic group sizes).     *)
 (*   a. scaling ladder Z_2^k, k = 20..120 — wall clock per sample and *)
-(*      the symbolic ledger counters; every outcome is checked to     *)
-(*      annihilate the hidden subgroup.                               *)
+(*      the symbolic ledger counters (gated: 2 solves, 0 demotions,   *)
+(*      one rewrite and one draw per sample); every outcome is        *)
+(*      checked to annihilate the hidden subgroup.                    *)
 (*   b. differential gate — symbolic vs dense Fourier-sample          *)
 (*      frequencies on small groups, two-sample chi-squared; any      *)
 (*      divergence is a claim violation (nonzero exit).               *)
@@ -994,6 +995,22 @@ let e13 () =
       if not annihilates then begin
         incr claim_violations;
         Printf.printf "claim violation: E13a Z_2^%d symbolic sample outside the H-annihilator\n" k
+      end;
+      (* One canonicalisation and one memoised dual per oracle, one
+         rewrite and one draw per sample: a per-round solve or a
+         demotion is a cost regression. *)
+      let ledger_ok =
+        Quantum.Metrics.(
+          m.symbolic_solves = 2 && m.symbolic_demotions = 0 && m.symbolic_rewrites = n
+          && m.symbolic_samples = n)
+      in
+      if not ledger_ok then begin
+        incr claim_violations;
+        Printf.printf
+          "claim violation: E13a Z_2^%d ledger %d solves / %d demotions / %d rewrites / %d \
+           draws, want 2 / 0 / %d / %d\n"
+          k m.Quantum.Metrics.symbolic_solves m.Quantum.Metrics.symbolic_demotions
+          m.Quantum.Metrics.symbolic_rewrites m.Quantum.Metrics.symbolic_samples n n
       end;
       row
         [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_i n;

@@ -5,9 +5,9 @@ open Groups
     The standard quantum algorithm: repeat Fourier sampling over
     [A ~ Z_{d_1} x ... x Z_{d_r}] to draw uniform elements of the
     annihilator [H^perp]; recover [H] as the joint kernel of the
-    sampled characters (exact integer computation via Smith normal
-    form); verify the candidate generators with classical queries and
-    resample on failure.
+    sampled characters (exact integer computation: the HNF dual of the
+    samples' HNF basis); verify the candidate generators with classical
+    queries and resample on failure.
 
     The verification makes the procedure Las Vegas: the kernel of any
     character sample set *contains* [H], and every returned generator

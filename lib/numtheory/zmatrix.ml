@@ -257,66 +257,66 @@ let hnf_basis ~dims gens =
   List.iter
     (fun g -> if Array.length g <> r then invalid_arg "Zmatrix.hnf_basis: generator arity")
     gens;
-  let reduce_tail row lo =
-    for j = lo to r - 1 do
-      row.(j) <- Arith.emod row.(j) dims.(j)
-    done
+  (* Invariant: every entry right of the current column lies in
+     [0, d_j), so a row operation re-reduces only the entries where the
+     subtracted row is nonzero. *)
+  let nonzero_from row lo =
+    let rec go j = j < r && (row.(j) <> 0 || go (j + 1)) in
+    go lo
   in
   let active = ref [] in
   List.iter
     (fun g ->
-      let row = Array.copy g in
-      reduce_tail row 0;
-      if Array.exists (fun x -> x <> 0) row then active := row :: !active)
+      let row = Array.mapi (fun j x -> Arith.emod x dims.(j)) g in
+      if nonzero_from row 0 then active := row :: !active)
     gens;
   let basis = Array.make r [||] in
   for c = 0 to r - 1 do
-    (* Fresh diag generator: guarantees a pivot exists and h_cc | d_c. *)
+    (* Fresh diag generator: guarantees a pivot exists and h_cc | d_c.
+       Column-c entries stay nonnegative through Euclid below. *)
     let pivot = ref (Array.init r (fun j -> if j = c then dims.(c) else 0)) in
     let rest = ref [] in
     List.iter
       (fun row ->
-        if row.(c) = 0 then begin
-          if Array.exists (fun x -> x <> 0) row then rest := row :: !rest
-        end
+        if row.(c) = 0 then rest := row :: !rest
         else begin
           (* Euclid on column c between the accumulated pivot and row. *)
           let a = ref !pivot and b = ref row in
           while !b.(c) <> 0 do
-            let q = !a.(c) / !b.(c) in
-            if q <> 0 then
-              for j = c to r - 1 do
-                !a.(j) <- !a.(j) - (q * !b.(j))
-              done;
-            let t = !a in
-            a := !b;
-            b := t
+            let a' = !a and b' = !b in
+            let q = a'.(c) / b'.(c) in
+            a'.(c) <- a'.(c) - (q * b'.(c));
+            for j = c + 1 to r - 1 do
+              let x = b'.(j) in
+              if x <> 0 then a'.(j) <- Arith.emod (a'.(j) - (q * x)) dims.(j)
+            done;
+            a := b';
+            b := a'
           done;
-          reduce_tail !a (c + 1);
-          reduce_tail !b (c + 1);
           pivot := !a;
-          if Array.exists (fun x -> x <> 0) !b then rest := !b :: !rest
+          if nonzero_from !b (c + 1) then rest := !b :: !rest
         end)
       !active;
-    let p = !pivot in
-    if p.(c) < 0 then
-      for j = c to r - 1 do
-        p.(j) <- -p.(j)
-      done;
-    reduce_tail p (c + 1);
-    basis.(c) <- p;
+    basis.(c) <- !pivot;
     active := !rest
   done;
-  (* Canonicalise: above-diagonal entries into [0, h_cc). *)
+  (* Canonicalise: above-diagonal entries into [0, h_cc).  Entries
+     right of column c are re-reduced mod the dims (a legal step, as
+     above); left unreduced they can grow by a factor of ~d per column
+     and overflow at large r. *)
   for c = 1 to r - 1 do
-    let h = basis.(c).(c) in
+    let pc = basis.(c) in
+    let h = pc.(c) in
     for i = 0 to c - 1 do
-      let x = basis.(i).(c) in
-      let q = (x - Arith.emod x h) / h in
-      if q <> 0 then
-        for j = c to r - 1 do
-          basis.(i).(j) <- basis.(i).(j) - (q * basis.(c).(j))
+      let bi = basis.(i) in
+      let q = bi.(c) / h in
+      if q <> 0 then begin
+        bi.(c) <- bi.(c) - (q * h);
+        for j = c + 1 to r - 1 do
+          let y = pc.(j) in
+          if y <> 0 then bi.(j) <- Arith.emod (bi.(j) - (q * y)) dims.(j)
         done
+      end
     done
   done;
   basis
@@ -350,66 +350,47 @@ let hnf_order_int ~dims basis =
     dims;
   !acc
 
-let hnf_mem ~dims basis x =
-  check_hnf ~dims basis;
-  let r = Array.length dims in
-  if Array.length x <> r then invalid_arg "Zmatrix.hnf_mem: arity mismatch";
-  let t = Array.init r (fun i -> Arith.emod x.(i) dims.(i)) in
-  let ok = ref true in
-  (try
-     for i = 0 to r - 1 do
-       let h = basis.(i).(i) in
-       if t.(i) mod h <> 0 then begin
-         ok := false;
-         raise Exit
-       end;
-       let q = t.(i) / h in
-       if q <> 0 then
-         for j = i to r - 1 do
-           t.(j) <- t.(j) - (q * basis.(i).(j))
-         done;
-       (* Keep entries small: reduction mod dims preserves the coset. *)
-       for j = i + 1 to r - 1 do
-         t.(j) <- Arith.emod t.(j) dims.(j)
-       done
-     done
-   with Exit -> ());
-  !ok
-
 let hnf_reduce ~dims basis x =
   check_hnf ~dims basis;
   let r = Array.length dims in
   if Array.length x <> r then invalid_arg "Zmatrix.hnf_reduce: arity mismatch";
+  (* [t] stays reduced modulo the dims throughout, so a row with
+     quotient 0 leaves it untouched and a subtraction needs to
+     re-reduce only the entries where the basis row is nonzero. *)
   let t = Array.init r (fun i -> Arith.emod x.(i) dims.(i)) in
   for i = 0 to r - 1 do
-    let h = basis.(i).(i) in
-    let rem = Arith.emod t.(i) h in
-    let q = (t.(i) - rem) / h in
-    if q <> 0 then
-      for j = i to r - 1 do
-        t.(j) <- t.(j) - (q * basis.(i).(j))
-      done;
-    for j = i + 1 to r - 1 do
-      t.(j) <- Arith.emod t.(j) dims.(j)
-    done
+    let row = basis.(i) in
+    let q = t.(i) / row.(i) in
+    if q <> 0 then begin
+      t.(i) <- t.(i) - (q * row.(i));
+      for j = i + 1 to r - 1 do
+        let b = row.(j) in
+        if b <> 0 then t.(j) <- Arith.emod (t.(j) - (q * b)) dims.(j)
+      done
+    end
   done;
   t
+
+(* x is in the subgroup iff it lies in the coset of 0, whose canonical
+   representative is 0. *)
+let hnf_mem ~dims basis x = Array.for_all (fun v -> v = 0) (hnf_reduce ~dims basis x)
 
 let hnf_sample rng ~dims basis =
   check_hnf ~dims basis;
   let r = Array.length dims in
+  (* One draw per row, rows with a single choice included.  Rows
+     below i never touch x_i, so each coordinate is final once its own
+     row is done. *)
   let x = Array.make r 0 in
   for i = 0 to r - 1 do
-    let n = dims.(i) / basis.(i).(i) in
-    let c = Random.State.int rng n in
+    let row = basis.(i) in
+    let c = Random.State.int rng (dims.(i) / row.(i)) in
     if c <> 0 then
-      for j = i to r - 1 do
-        x.(j) <- x.(j) + (c * basis.(i).(j))
+      for j = i + 1 to r - 1 do
+        let b = row.(j) in
+        if b <> 0 then x.(j) <- x.(j) + (c * b)
       done;
-    x.(i) <- Arith.emod x.(i) dims.(i)
-  done;
-  for j = 0 to r - 1 do
-    x.(j) <- Arith.emod x.(j) dims.(j)
+    x.(i) <- Arith.emod (x.(i) + (c * row.(i))) dims.(i)
   done;
   x
 
@@ -443,10 +424,40 @@ let hnf_dual ~dims basis =
   check_hnf ~dims basis;
   let r = Array.length dims in
   let l = Array.fold_left Arith.lcm 1 dims in
-  (* y annihilates the subgroup iff sum_i y_i * b_k(i) * (l / d_i) = 0
-     (mod l) for every basis row b_k. *)
-  let a = Array.init r (fun k -> Array.init r (fun i -> basis.(k).(i) * (l / dims.(i)))) in
-  let gens = kernel_mod ~moduli:(Array.make r l) a in
+  (* y annihilates the subgroup iff S_k = sum_i b_ki y_i (l / d_i) = 0
+     (mod l) for every basis row b_k.  The rows are triangular, so for
+     each j a generator y^(j) with y_j = d_j / h_jj and y_i = 0 for
+     i > j is found by back-substitution: row k < j fixes y_k modulo
+     d_k / h_kk once y_{k+1..j} are chosen (its coefficient on y_k is
+     g = h_kk (l / d_k), which divides l).  A solution always exists,
+     because the annihilator projects onto the trailing coordinates as
+     the annihilator of the trailing rows.  y_j is the least positive
+     j-th coordinate of an annihilator element vanishing beyond j, so
+     the y^(j) generate the annihilator; [hnf_basis] canonicalises
+     them.  Every S_k is kept reduced mod l, so entries stay below
+     [l * max dims]. *)
+  let gens =
+    List.init r (fun j ->
+        let y = Array.make r 0 in
+        let s = Array.make r 0 in
+        let set k v =
+          y.(k) <- v;
+          let w = l / dims.(k) in
+          for i = 0 to k - 1 do
+            let b = basis.(i).(k) in
+            if b <> 0 then s.(i) <- (s.(i) + (Arith.emod (b * v) dims.(k) * w)) mod l
+          done
+        in
+        set j (dims.(j) / basis.(j).(j));
+        for k = j - 1 downto 0 do
+          let g = basis.(k).(k) * (l / dims.(k)) in
+          let need = Arith.emod (-s.(k)) l in
+          if need mod g <> 0 then invalid_arg "Zmatrix.hnf_dual: not an HNF subgroup basis";
+          let v = need / g in
+          if v <> 0 then set k v
+        done;
+        y)
+  in
   hnf_basis ~dims gens
 
 let solve_mod ~moduli a b =

@@ -106,4 +106,6 @@ val hnf_dual : dims:int array -> t -> t
     [{ y : sum_i y_i x_i / dims.(i) in Z  for all subgroup x }], i.e.
     the characters trivial on the subgroup, as a canonical HNF basis.
     [|H| * |H^dual| = prod dims]; the dual of the dual is [H].
-    Exact integer computation via {!kernel_mod} over [lcm dims]. *)
+    One back-substitution along the triangular basis per coordinate
+    (arithmetic mod [lcm dims]) gives [r] generators, which
+    {!hnf_basis} canonicalises: O(r^3), no Smith normal form. *)

@@ -91,13 +91,19 @@ module Subgroup = struct
         d
 end
 
+module Wires = Set.Make (Int)
+
+(* The wires DFT'd so far in the current sweep, all in one direction.
+   States are values, so each mark builds a new sweep: a persistent set
+   plus its size keeps that O(log r). *)
+type sweep = { marked : Wires.t; count : int; inverse : bool }
+
 type t = {
   sub : Subgroup.t;
   rep : int array;  (* canonical: Subgroup.reduce applied *)
   phase : int array;  (* p, componentwise in [0, dims.(i)) *)
   gphase : Cx.t;
-  pending : bool array option;  (* wires DFT'd so far in the current sweep *)
-  pending_inverse : bool;
+  pending : sweep option;
 }
 
 let dims st = Subgroup.dims st.sub
@@ -134,7 +140,7 @@ let of_coset ?(phase = [||]) ?(gphase = Cx.one) sub rep =
      amplitude by chi_p(c - c')... it does not — chi_p is evaluated at
      absolute x, so the stored rep only selects the coset.  Reduction
      is purely for equality of representations. *)
-  { sub; rep = Subgroup.reduce sub rep; phase; gphase; pending = None; pending_inverse = false }
+  { sub; rep = Subgroup.reduce sub rep; phase; gphase; pending = None }
 
 let of_basis dims x =
   Array.iteri
@@ -188,20 +194,13 @@ let demote st =
   let sp = Backend_sparse.of_support dims !entries in
   match st.pending with
   | None -> sp
-  | Some marks ->
-      let acc = ref sp in
-      Array.iteri
-        (fun w marked ->
-          if marked then acc := Backend_sparse.apply_dft !acc ~wire:w ~inverse:st.pending_inverse)
-        marks;
-      !acc
+  | Some { marked; inverse; _ } ->
+      Wires.fold (fun wire acc -> Backend_sparse.apply_dft acc ~wire ~inverse) marked sp
 
-let can_apply_dft st ~wire:_ ~inverse =
+let can_apply_dft st ~wire ~inverse =
   match st.pending with
   | None -> true
-  | Some marks -> Bool.equal inverse st.pending_inverse && Array.exists not marks
-
-let all_marked marks = Array.for_all (fun b -> b) marks
+  | Some sw -> Bool.equal inverse sw.inverse && not (Wires.mem wire sw.marked)
 
 (* The closed-form rewrite; fires when every wire has been marked. *)
 let rewrite st ~inverse =
@@ -223,17 +222,15 @@ let rewrite st ~inverse =
 let apply_dft st ~wire ~inverse =
   let n = num_wires st in
   if wire < 0 || wire >= n then invalid_arg "Backend_symbolic.apply_dft: wire out of range";
-  let marks, ok =
-    match st.pending with
-    | None -> (Array.make n false, true)
-    | Some marks -> (Array.copy marks, Bool.equal inverse st.pending_inverse && not marks.(wire))
-  in
-  if not ok then
+  if not (can_apply_dft st ~wire ~inverse) then
     invalid_arg
       "Backend_symbolic: unsupported per-wire DFT pattern (demote to an amplitude backend)";
-  marks.(wire) <- true;
-  if all_marked marks then rewrite { st with pending = None } ~inverse
-  else { st with pending = Some marks; pending_inverse = inverse }
+  (* [wire] is unmarked, so the sweep is complete once [n] wires are *)
+  let marked, count =
+    match st.pending with None -> (Wires.empty, 0) | Some sw -> (sw.marked, sw.count)
+  in
+  if count + 1 = n then rewrite { st with pending = None } ~inverse
+  else { st with pending = Some { marked = Wires.add wire marked; count = count + 1; inverse } }
 
 let tensor a b =
   if has_pending a || has_pending b then
@@ -262,18 +259,29 @@ let can_measure st ~wires =
   let n = num_wires st in
   let seen = Array.make n false in
   List.iter (fun w -> if w >= 0 && w < n then seen.(w) <- true) wires;
-  all_marked seen
+  Array.for_all Fun.id seen
+
+(* A uniform point of the coset: rep + h for one uniform h in H. *)
+let draw rng st =
+  let h = Subgroup.sample rng st.sub in
+  Array.mapi (fun i d -> (st.rep.(i) + h.(i)) mod d) (dims st)
 
 let measure rng st ~wires =
   if not (can_measure st ~wires) then
     invalid_arg
       "Backend_symbolic.measure: only full-register measurement is symbolic (State demotes \
        partial measurements)";
-  let dims = dims st in
-  let h = Subgroup.sample rng st.sub in
-  let x = Array.init (Array.length dims) (fun i -> (st.rep.(i) + h.(i)) mod dims.(i)) in
+  let x = draw rng st in
   let outcome = Array.of_list (List.map (fun w -> x.(w)) wires) in
-  (outcome, of_basis dims x)
+  (outcome, of_basis (dims st) x)
+
+(* [measure ~wires:all] without the post-state: the same single draw,
+   so the same outcome and RNG stream, but no basis state and hence no
+   trivial-subgroup solve per round. *)
+let measure_all rng st =
+  if has_pending st then
+    invalid_arg "Backend_symbolic.measure_all: partially Fourier-transformed state";
+  draw rng st
 
 (* Coset recognition: adopt a sorted encoded-index segment iff it is
    exactly a coset x0 + H (which is how Coset_state's bucket tables

@@ -131,8 +131,8 @@ val can_apply_dft : t -> wire:int -> inverse:bool -> bool
     already marked in this sweep or the direction flips mid-sweep. *)
 
 val apply_dft : t -> wire:int -> inverse:bool -> t
-(** Mark one wire; when every wire is marked the closed-form rewrite
-    fires (ledger: [symbolic_rewrites]).
+(** Mark one wire in O(log r); when every wire is marked the
+    closed-form rewrite fires (ledger: [symbolic_rewrites]).
     @raise Invalid_argument where {!can_apply_dft} is false. *)
 
 val can_measure : t -> wires:int list -> bool
@@ -141,6 +141,12 @@ val can_measure : t -> wires:int list -> bool
 val measure : Random.State.t -> t -> wires:int list -> int array * t
 (** Full-register measurement: uniform coset draw, basis post-state.
     @raise Invalid_argument where {!can_measure} is false. *)
+
+val measure_all : Random.State.t -> t -> int array
+(** [fst (measure rng st ~wires:[0; ...; r-1])] with the same RNG use,
+    but no post-state, so no normal-form solve (ledger:
+    [symbolic_samples] only).
+    @raise Invalid_argument mid-sweep. *)
 
 val norm : t -> float
 (** Always [1.0] — symbolic states are unit by construction. *)

@@ -348,27 +348,11 @@ let sample_full rng ?backend ~dims ~f ~queries () =
   outcome
 
 let annihilator_subgroup ~dims ys =
-  let r = Array.length dims in
-  let l = Array.fold_left Numtheory.Arith.lcm 1 dims in
-  let rows = List.map (fun y -> Array.init r (fun i -> y.(i) * (l / dims.(i)))) ys in
-  let m = Array.of_list rows in
-  let gens =
-    if Array.length m = 0 then List.init r (fun i -> Array.init r (fun j -> if i = j then 1 else 0))
-    else
-      Numtheory.Zmatrix.kernel_mod ~moduli:(Array.make (Array.length m) l) m
-  in
-  let reduced =
-    List.map (fun g -> Array.init r (fun i -> Numtheory.Arith.emod g.(i) dims.(i))) gens
-  in
-  (* Drop duplicates and the zero vector for tidiness. *)
-  let seen = Hashtbl.create 16 in
-  List.filter
-    (fun g ->
-      let key = Array.to_list g in
-      let zero = Array.for_all (fun v -> Int.equal v 0) g in
-      if zero || Hashtbl.mem seen key then false
-      else begin
-        Hashtbl.add seen key ();
-        true
-      end)
-    reduced
+  (* The samples generate a subgroup Y; its annihilator is the dual of
+     Y's canonical HNF basis.  The basis rows come out reduced, and a
+     row is zero mod dims only on a d_i = h_ii wire, where it is just
+     d_i e_i. *)
+  let module Zm = Numtheory.Zmatrix in
+  Zm.hnf_dual ~dims (Zm.hnf_basis ~dims ys)
+  |> Array.to_list
+  |> List.filter (fun g -> not (Array.for_all2 (fun x d -> x mod d = 0) g dims))

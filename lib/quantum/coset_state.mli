@@ -249,5 +249,7 @@ val sampler_state_valued :
 val annihilator_subgroup : dims:int array -> int array list -> int array list
 (** [annihilator_subgroup ~dims ys] recovers generators of
     [H = { x : chi_y(x) = 1 for all sampled y }] — the classical
-    post-processing of Fourier sampling.  Exact integer computation via
-    Smith normal form. *)
+    post-processing of Fourier sampling.  The generators are the
+    nonzero rows of {!Numtheory.Zmatrix.hnf_dual} of the samples' HNF
+    basis: a canonical generating set, reduced mod [dims], so equal
+    subgroups give equal lists. *)

@@ -72,7 +72,7 @@ type snapshot = {
       (** uniform subgroup-element draws performed by the symbolic
           backend's measurement (one per measured state) *)
   symbolic_solves : int;
-      (** Hermite/Smith normal-form computations charged to the
+      (** Hermite normal-form computations charged to the
           symbolic backend: subgroup canonicalisation and annihilator
           (dual) solves *)
   symbolic_demotions : int;

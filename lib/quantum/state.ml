@@ -311,6 +311,9 @@ let measure_all rng t =
   | Dense d ->
       Metrics.record_measurement ();
       Backend_dense.measure_all rng d
+  | Symbolic s when not (Backend_symbolic.has_pending s) ->
+      Metrics.record_measurement ();
+      Backend_symbolic.measure_all rng s
   | Sparse _ | Symbolic _ ->
       let outcome, _ = measure rng t ~wires:(List.init (num_wires t) (fun i -> i)) in
       outcome

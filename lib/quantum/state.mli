@@ -200,8 +200,10 @@ val measure : Random.State.t -> t -> wires:int list -> int array * t
 
 val measure_all : Random.State.t -> t -> int array
 (** The outcome of [measure ~wires:(all wires)], post-state discarded.
-    A dense state draws it straight off its amplitude planes, with the
-    same outcome and RNG consumption as the full measurement. *)
+    A dense state draws it straight off its amplitude planes, and a
+    symbolic state (not mid-sweep) takes one subgroup draw without
+    building the basis post-state; both give the same outcome and RNG
+    consumption as the full measurement. *)
 
 val norm : t -> float
 

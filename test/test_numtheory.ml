@@ -467,6 +467,50 @@ let test_hnf_large () =
   let d = Zmatrix.hnf_dual ~dims b in
   checkb "dual order log2 = 100" true (Float.abs (Zmatrix.hnf_order_log2 ~dims d -. 100.) < 1e-9)
 
+(* Large rank with non-coprime mixed dims: the canonicalisation and
+   the dual must keep every entry reduced, or entries grow by a factor
+   of ~d per column and overflow.  Checked against properties that need
+   no second implementation: the basis is closed and holds every
+   generator, the dual annihilates it with the complementary order,
+   and both maps are involutive / idempotent. *)
+let test_hnf_large_mixed () =
+  let rng = Random.State.make [| 400 |] in
+  let pool = [| 1; 2; 3; 4; 5; 6; 8; 9; 12; 36; 120 |] in
+  for _ = 1 to 3 do
+    let r = 60 + Random.State.int rng 40 in
+    let dims = Array.init r (fun _ -> pool.(Random.State.int rng (Array.length pool))) in
+    let gens =
+      List.init (r / 2) (fun _ ->
+          Array.map (fun d -> if Random.State.int rng 3 = 0 then 0 else Random.State.int rng d) dims)
+    in
+    let b = Zmatrix.hnf_basis ~dims gens in
+    checkb "generators are members" true (List.for_all (Zmatrix.hnf_mem ~dims b) gens);
+    let closed = ref true and reduced = ref true in
+    Array.iteri
+      (fun i row ->
+        let m = dims.(i) / row.(i) in
+        if not (Zmatrix.hnf_mem ~dims b (Array.map (fun x -> m * x) row)) then closed := false;
+        Array.iteri (fun j x -> if x < 0 || x > dims.(j) || (x = dims.(j) && j <> i) then reduced := false) row)
+      b;
+    checkb "basis closed" true !closed;
+    checkb "entries reduced" true !reduced;
+    checkb "idempotent" true (Zmatrix.equal (Zmatrix.hnf_basis ~dims (Array.to_list b)) b);
+    let d = Zmatrix.hnf_dual ~dims b in
+    let l = Array.fold_left Arith.lcm 1 dims in
+    let pairing y h =
+      let s = ref 0 in
+      Array.iteri (fun i hi -> s := (!s + (hi * y.(i) mod dims.(i) * (l / dims.(i)))) mod l) h;
+      !s
+    in
+    checkb "dual annihilates" true
+      (Array.for_all (fun y -> Array.for_all (fun h -> pairing y h = 0) b) d);
+    let log2_total = Array.fold_left (fun a x -> a +. (log (float_of_int x) /. log 2.)) 0. dims in
+    checkb "order product" true
+      (Float.abs (Zmatrix.hnf_order_log2 ~dims b +. Zmatrix.hnf_order_log2 ~dims d -. log2_total)
+       < 1e-6);
+    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual ~dims d) b)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -572,6 +616,7 @@ let () =
           Alcotest.test_case "sample uniform" `Quick test_hnf_sample_uniform;
           Alcotest.test_case "dual" `Quick test_hnf_dual;
           Alcotest.test_case "Z_2^200 scale" `Quick test_hnf_large;
+          Alcotest.test_case "large mixed dims" `Quick test_hnf_large_mixed;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

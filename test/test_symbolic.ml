@@ -1,8 +1,9 @@
 (* Tests for the symbolic coset-state backend and the subgroup-level
    sampling pipeline: closed-form DFT rewrite vs the dense backend,
-   coset recognition, demotion equivalence, annihilator_subgroup edge
-   cases, and the chi-squared differential gate between symbolic and
-   amplitude-level sampling. *)
+   sweep marks, coset recognition, demotion equivalence, the
+   measure_all fast path, annihilator_subgroup against the Smith
+   normal-form route and its edge cases, and the chi-squared
+   differential gate between symbolic and amplitude-level sampling. *)
 
 open Quantum
 
@@ -58,6 +59,87 @@ let test_subgroup_basics () =
   checkb "dual involutive" true
     (Backend_symbolic.Subgroup.equal (Backend_symbolic.Subgroup.dual (Backend_symbolic.Subgroup.dual sub)) sub)
 
+(* The plain reduction loop, re-reducing every trailing entry after
+   every row: the oracle for the lean [Zmatrix.hnf_reduce]. *)
+let reference_hnf_reduce ~dims basis x =
+  let emod = Numtheory.Arith.emod in
+  let r = Array.length dims in
+  let t = Array.init r (fun i -> emod x.(i) dims.(i)) in
+  for i = 0 to r - 1 do
+    let h = basis.(i).(i) in
+    let q = (t.(i) - emod t.(i) h) / h in
+    if q <> 0 then
+      for j = i to r - 1 do
+        t.(j) <- t.(j) - (q * basis.(i).(j))
+      done;
+    for j = i + 1 to r - 1 do
+      t.(j) <- emod t.(j) dims.(j)
+    done
+  done;
+  t
+
+(* Random dims (d = 1 wires and non-coprime mixed dims included) and a
+   random generator list over them. *)
+let gen_dims_gens =
+  let open QCheck.Gen in
+  let* dims =
+    oneof
+      [
+        return [| 36; 120 |];
+        return [| 4; 6; 8 |];
+        (let* r = int_range 1 5 in
+         array_repeat r (oneofl [ 1; 2; 3; 4; 6; 8; 9; 12 ]));
+      ]
+  in
+  let* k = int_range 0 4 in
+  let* gens =
+    list_repeat k (array_size (return (Array.length dims)) (int_range (-200) 200))
+  in
+  return (dims, gens)
+
+let print_dims_gens (dims, gens) =
+  let arr a = "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "]" in
+  Printf.sprintf "dims=%s gens=%s" (arr dims) (String.concat " " (List.map arr gens))
+
+let qcheck_reduce_vs_reference =
+  QCheck.Test.make ~name:"lean hnf_reduce = reference loop" ~count:300
+    (QCheck.make ~print:print_dims_gens gen_dims_gens)
+    (fun (dims, gens) ->
+      let basis = Numtheory.Zmatrix.hnf_basis ~dims gens in
+      let st = Random.State.make [| List.length gens; Array.fold_left ( + ) 0 dims |] in
+      List.for_all
+        (fun _ ->
+          let x = Array.map (fun d -> Random.State.int st (4 * d) - (2 * d)) dims in
+          Numtheory.Zmatrix.hnf_reduce ~dims basis x = reference_hnf_reduce ~dims basis x)
+        (List.init 20 Fun.id))
+
+let test_reduce_coset_invariant () =
+  (* reduce is a canonical coset label: idempotent, and constant on
+     x + H for every h in H.  Large ranks included, where the
+     subgroup is far too big to enumerate. *)
+  let st = rng () in
+  let cases =
+    [ Array.make 128 2; Array.make 80 3; Array.make 60 4; [| 4; 6; 8 |]; [| 36; 120; 1 |] ]
+  in
+  List.iter
+    (fun dims ->
+      let r = Array.length dims in
+      let gens =
+        List.init (max 1 (r / 2)) (fun _ -> Array.map (fun d -> Random.State.int st d) dims)
+      in
+      let sub = Backend_symbolic.Subgroup.of_gens ~dims gens in
+      for _ = 1 to 50 do
+        let x = Array.map (fun d -> Random.State.int st d) dims in
+        let rx = Backend_symbolic.Subgroup.reduce sub x in
+        checkb "idempotent" true (Backend_symbolic.Subgroup.reduce sub rx = rx);
+        let h = Backend_symbolic.Subgroup.sample st sub in
+        let xh = Array.init r (fun i -> x.(i) + h.(i)) in
+        checkb "constant on the coset" true (Backend_symbolic.Subgroup.reduce sub xh = rx);
+        let diff = Array.init r (fun i -> rx.(i) - x.(i)) in
+        checkb "stays in the coset" true (Backend_symbolic.Subgroup.mem sub diff)
+      done)
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Closed-form DFT rewrite vs the dense backend                       *)
 (* ------------------------------------------------------------------ *)
@@ -96,6 +178,68 @@ let test_rewrite_ledger () =
   let snap = Metrics.snapshot () in
   checki "one rewrite per full sweep" 1 snap.Metrics.symbolic_rewrites;
   checkb "no demotion" true (snap.Metrics.symbolic_demotions = 0)
+
+(* A sweep accepts each wire once, in one direction.  The backend
+   rejects a repeated wire or a direction change mid-sweep; the State
+   dispatcher then demotes and the result still matches dense. *)
+let test_sweep_rejections () =
+  let dims = [| 4; 6; 3 |] in
+  let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 3; 0 |]; [| 0; 2; 1 |] ] in
+  let rep = [| 1; 4; 2 |] in
+  let sym = Backend_symbolic.of_coset sub rep in
+  let marked = Backend_symbolic.apply_dft sym ~wire:1 ~inverse:false in
+  checkb "mid-sweep" true (Backend_symbolic.has_pending marked);
+  checkb "fresh wire accepted" true (Backend_symbolic.can_apply_dft marked ~wire:0 ~inverse:false);
+  checkb "repeated wire rejected" false
+    (Backend_symbolic.can_apply_dft marked ~wire:1 ~inverse:false);
+  checkb "direction change rejected" false
+    (Backend_symbolic.can_apply_dft marked ~wire:0 ~inverse:true);
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  checkb "repeated wire raises" true
+    (raises (fun () -> Backend_symbolic.apply_dft marked ~wire:1 ~inverse:false));
+  checkb "direction change raises" true
+    (raises (fun () -> Backend_symbolic.apply_dft marked ~wire:0 ~inverse:true));
+  checkb "wire out of range raises" true
+    (raises (fun () -> Backend_symbolic.apply_dft marked ~wire:3 ~inverse:false));
+  (* wire order is free: the rewrite fires on the last unmarked wire *)
+  let done_ =
+    List.fold_left (fun st w -> Backend_symbolic.apply_dft st ~wire:w ~inverse:false) marked [ 2; 0 ]
+  in
+  checkb "sweep complete" false (Backend_symbolic.has_pending done_);
+  let sym_s = State.of_coset ~backend:Backend.Symbolic sub ~rep in
+  let den_s = State.of_coset ~backend:Backend.Dense sub ~rep in
+  checkb "out-of-order sweep agrees" true
+    (State.approx_equal ~eps:1e-9 (Qft.forward sym_s ~wires:[ 2; 0; 1 ])
+       (Qft.forward den_s ~wires:[ 2; 0; 1 ]));
+  let through_state sym den f =
+    Metrics.reset ();
+    let a = f sym and b = f den in
+    checkb "demoted" true ((Metrics.snapshot ()).Metrics.symbolic_demotions >= 1);
+    checkb "not symbolic" true (State.backend a <> Backend.Symbolic);
+    checkb "matches dense" true (State.approx_equal ~eps:1e-9 a b)
+  in
+  through_state sym_s den_s (fun st -> Qft.forward st ~wires:[ 1; 0; 1 ]);
+  through_state sym_s den_s (fun st ->
+      Qft.backward (Qft.forward st ~wires:[ 1; 2 ]) ~wires:[ 0 ])
+
+(* Demotion after a partial sweep replays the marked wires, whatever
+   subset and order they were marked in. *)
+let test_partial_sweep_demotion_random () =
+  let st = rng () in
+  for _ = 1 to 20 do
+    let r = 2 + Random.State.int st 2 in
+    let dims = Array.init r (fun _ -> [| 2; 3; 4; 6 |].(Random.State.int st 4)) in
+    let sub = Backend_symbolic.Subgroup.of_gens ~dims (random_gens st ~dims ~count:2) in
+    let rep = Array.map (fun d -> Random.State.int st d) dims in
+    let wires = List.filter (fun _ -> Random.State.bool st) (List.init r Fun.id) in
+    let wires = if List.length wires = r then List.tl wires else wires in
+    let wires = List.rev wires in
+    let inverse = Random.State.bool st in
+    let sweep s = if inverse then Qft.backward s ~wires else Qft.forward s ~wires in
+    let sym = sweep (State.of_coset ~backend:Backend.Symbolic sub ~rep) in
+    let den = sweep (State.of_coset ~backend:Backend.Dense sub ~rep) in
+    checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym den)
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Coset recognition (of_indices)                                     *)
@@ -175,6 +319,64 @@ let test_measure_deterministic () =
   ignore diff;
   let d = Array.init 3 (fun i -> (a.(i) + dims.(i) - [| 2; 1; 3 |].(i)) mod dims.(i)) in
   checkb "outcome in coset" true (Backend_symbolic.Subgroup.mem sub d)
+
+(* The measure_all fast path against the full measurement it stands
+   for: the same outcome and the same next RNG state on every seed, on
+   coset states (nonzero representatives) and on their Fourier images
+   and back, at cryptographic rank and on a mixed register. *)
+let test_measure_all_fast_path () =
+  let st = rng () in
+  let registers =
+    [ Array.make 128 2; Array.make 80 3; Array.make 60 4; [| 4; 6; 8 |] ]
+  in
+  List.iter
+    (fun dims ->
+      let r = Array.length dims in
+      let wires = all_wires dims in
+      let gens = random_gens st ~dims ~count:(max 1 (r / 2)) in
+      let sub = Backend_symbolic.Subgroup.of_gens ~dims gens in
+      let x0 = Array.map (fun d -> Random.State.int st d) dims in
+      let coset = State.of_coset ~backend:Backend.Symbolic sub ~rep:x0 in
+      let fourier = Qft.forward coset ~wires in
+      (* supports: x0 + H, then H^perp, then -x0 + H *)
+      let states =
+        [
+          (coset, sub, fun y -> Array.init r (fun i -> y.(i) - x0.(i)));
+          (fourier, Backend_symbolic.Subgroup.dual sub, Fun.id);
+          (Qft.forward fourier ~wires, sub, fun y -> Array.init r (fun i -> y.(i) + x0.(i)));
+        ]
+      in
+      List.iter (fun (s, _, _) -> checkb "symbolic" true (State.backend s = Backend.Symbolic)) states;
+      for seed = 1 to 1000 do
+        let s, support, shift = List.nth states (seed mod 3) in
+        let a = Random.State.make [| seed |] and b = Random.State.make [| seed |] in
+        let fast = State.measure_all a s in
+        let full, _ = State.measure b s ~wires in
+        if fast <> full then Alcotest.failf "outcome differs at seed %d on rank %d" seed r;
+        if Random.State.bits a <> Random.State.bits b then
+          Alcotest.failf "RNG stream differs at seed %d on rank %d" seed r;
+        if not (Backend_symbolic.Subgroup.mem support (shift fast)) then
+          Alcotest.failf "outcome outside the support at seed %d on rank %d" seed r
+      done;
+      (* one measurement and one draw on the ledger, no normal form *)
+      Metrics.reset ();
+      ignore (State.measure_all st fourier);
+      let m = Metrics.snapshot () in
+      checki "one measurement" 1 m.Metrics.measurements;
+      checki "one draw" 1 m.Metrics.symbolic_samples;
+      checki "no solve" 0 m.Metrics.symbolic_solves)
+    registers;
+  (* a mid-sweep state still demotes, and its outcome has mass *)
+  let dims = [| 4; 6; 8 |] in
+  let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 0; 0 |]; [| 0; 3; 4 |] ] in
+  let partial st = Qft.forward st ~wires:[ 0; 2 ] in
+  let sym = partial (State.of_coset ~backend:Backend.Symbolic sub ~rep:[| 1; 2; 3 |]) in
+  let den = partial (State.of_coset ~backend:Backend.Dense sub ~rep:[| 1; 2; 3 |]) in
+  Metrics.reset ();
+  let y = State.measure_all (Random.State.make [| 5 |]) sym in
+  checki "demoted once" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+  checkb "outcome in the support" true
+    (Linalg.Cx.norm2 (State.amp_at den (State.encode dims y)) > 1e-12)
 
 (* Exact-frequency comparison of the measurement distribution on a
    small group: symbolic Fourier sampling vs the dense pipeline, same
@@ -338,6 +540,33 @@ let test_annihilator_character_agreement () =
       ys
   done
 
+(* The Smith-normal-form route to the annihilator, the integer kernel
+   of [Y diag(l/d) | l I]: the oracle for annihilator_subgroup.  The
+   two return different generating sets of the same subgroup, so they
+   are compared by canonical HNF. *)
+let snf_annihilator ~dims ys =
+  let r = Array.length dims in
+  let l = Array.fold_left Numtheory.Arith.lcm 1 dims in
+  match ys with
+  | [] -> List.init r (fun i -> Array.init r (fun j -> if i = j then 1 else 0))
+  | _ ->
+      let m = Array.of_list (List.map (fun y -> Array.init r (fun i -> y.(i) * (l / dims.(i)))) ys) in
+      Numtheory.Zmatrix.kernel_mod ~moduli:(Array.make (Array.length m) l) m
+
+let qcheck_annihilator_vs_snf =
+  QCheck.Test.make ~name:"annihilator = SNF route (canonical HNF)" ~count:300
+    (QCheck.make ~print:print_dims_gens gen_dims_gens)
+    (fun (dims, ys) ->
+      let gens = Coset_state.annihilator_subgroup ~dims ys in
+      let hnf = Numtheory.Zmatrix.hnf_basis ~dims in
+      Numtheory.Zmatrix.equal (hnf gens) (hnf (snf_annihilator ~dims ys))
+      && List.for_all
+           (fun g ->
+             Array.length g = Array.length dims
+             && Array.exists2 (fun x d -> x mod d <> 0) g dims
+             && List.for_all (fun y -> Qft.character_is_trivial_on ~dims y g) ys)
+           gens)
+
 (* ------------------------------------------------------------------ *)
 (* Cryptographic scale                                                *)
 (* ------------------------------------------------------------------ *)
@@ -376,6 +605,7 @@ let () =
       ( "subgroup",
         [
           Alcotest.test_case "basics and dual" `Quick test_subgroup_basics;
+          Alcotest.test_case "reduce is a coset label" `Quick test_reduce_coset_invariant;
         ] );
       ( "rewrite",
         [
@@ -390,10 +620,13 @@ let () =
         [
           Alcotest.test_case "amplitude ops agree" `Quick test_demotion_equivalence;
           Alcotest.test_case "mid-sweep replay" `Quick test_mid_sweep_demotion;
+          Alcotest.test_case "partial sweeps vs dense" `Quick test_partial_sweep_demotion_random;
+          Alcotest.test_case "sweep rejections" `Quick test_sweep_rejections;
         ] );
       ( "measurement",
         [
           Alcotest.test_case "deterministic per seed" `Quick test_measure_deterministic;
+          Alcotest.test_case "measure_all fast path" `Quick test_measure_all_fast_path;
           Alcotest.test_case "differential vs dense" `Quick test_sampler_differential;
         ] );
       ( "annihilator",
@@ -407,5 +640,7 @@ let () =
         [
           Alcotest.test_case "Z_4^60 recovery" `Quick test_large_group_sampling;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest qcheck_differential ]);
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_differential; qcheck_reduce_vs_reference; qcheck_annihilator_vs_snf ] );
     ]
