@@ -12,8 +12,9 @@
    sends one request and prints the reply.  [smoke] hosts a daemon on a
    temporary socket and drives the CI scenario against it: one request
    per backend route including a 2^120 symbolic instance, cache-hit
-   assertions on a second pass, malformed-input survival, clean
-   shutdown. *)
+   assertions on a second pass (whose metrics delta must not charge a
+   prep), no zero field in any reply's metrics delta, malformed-input
+   survival, clean shutdown. *)
 
 open Hsp_service
 open Cmdliner
@@ -125,6 +126,26 @@ let smoke_cmd =
     in
     let is_ok reply = bool_at [ "ok" ] reply = Some true in
     let cache_hit reply = bool_at [ "cache"; "hit" ] reply = Some true in
+    (* replies send only the metrics fields a request moved *)
+    let zero_fields = ref [] in
+    let metric reply k = Option.bind (Jsonv.member "metrics" reply) (Jsonv.member k) in
+    let note_zero_fields reply =
+      match Jsonv.member "metrics" reply with
+      | Some (Jsonv.Obj fields) ->
+          List.iter
+            (fun (k, v) ->
+              match v with
+              | Jsonv.Int 0 -> zero_fields := k :: !zero_fields
+              | Jsonv.Float f when Float.equal f 0.0 -> zero_fields := k :: !zero_fields
+              | _ -> ())
+            fields
+      | _ -> ()
+    in
+    let request fd req =
+      let reply = Server.request fd req in
+      note_zero_fields reply;
+      reply
+    in
     let fd = Server.connect ~socket_path:socket in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -147,12 +168,12 @@ let smoke_cmd =
         List.iter
           (fun (name, inst) ->
             let reply =
-              Server.request fd (obj (("op", str "check-circuit") :: inst))
+              request fd (obj (("op", str "check-circuit") :: inst))
             in
             check (name ^ " check-circuit ok") (is_ok reply))
           [ ("dense", dense); ("sparse", sparse); ("symbolic", symbolic) ];
         (* symbolic route must resolve for the >= 2^100 instance *)
-        let reply = Server.request fd (obj (("op", str "check-circuit") :: symbolic)) in
+        let reply = request fd (obj (("op", str "check-circuit") :: symbolic)) in
         check "2^120 routes symbolic"
           (match Jsonv.member "route" reply with
           | Some (Jsonv.String "symbolic") -> true
@@ -161,15 +182,16 @@ let smoke_cmd =
         List.iter
           (fun (name, inst) ->
             let req = obj (("op", str "sample") :: ("count", Jsonv.Int 4) :: inst) in
-            let cold = Server.request fd req in
+            let cold = request fd req in
             check (name ^ " sample ok") (is_ok cold);
             check (name ^ " cold pass misses cache") (not (cache_hit cold));
-            let warm = Server.request fd req in
-            check (name ^ " warm pass hits cache") (is_ok warm && cache_hit warm))
+            let warm = request fd req in
+            check (name ^ " warm pass hits cache") (is_ok warm && cache_hit warm);
+            check (name ^ " warm delta charges no prep") (metric warm "sampler_preps" = None))
           [ ("dense", dense); ("sparse", sparse); ("symbolic", symbolic) ];
         (* solve on the symbolic instance, verified in closed form *)
         let reply =
-          Server.request fd (obj (("op", str "solve") :: ("seed", Jsonv.Int 5) :: symbolic))
+          request fd (obj (("op", str "solve") :: ("seed", Jsonv.Int 5) :: symbolic))
         in
         check "2^120 solve verified" (is_ok reply && bool_at [ "verified" ] reply = Some true);
         (* malformed requests get structured errors; connection survives *)
@@ -181,10 +203,10 @@ let smoke_cmd =
               | Ok reply -> bool_at [ "ok" ] reply = Some false
               | Error _ -> false)
         | None -> check "malformed JSON -> structured error" false);
-        let reply = Server.request fd (obj [ ("op", str "frobnicate") ]) in
+        let reply = request fd (obj [ ("op", str "frobnicate") ]) in
         check "unknown op -> structured error, connection alive" (not (is_ok reply));
         let reply =
-          Server.request fd
+          request fd
             (obj
                [ ("op", str "sample");
                  ("dims", Jsonv.List [ Jsonv.Int 8 ]);
@@ -198,7 +220,7 @@ let smoke_cmd =
               | _ -> false)
           | None -> false);
         (* stats: cache populated, hits recorded *)
-        let reply = Server.request fd (obj [ ("op", str "stats") ]) in
+        let reply = request fd (obj [ ("op", str "stats") ]) in
         let stat_int path =
           let rec go v = function
             | [] -> Jsonv.to_int_opt v
@@ -206,10 +228,18 @@ let smoke_cmd =
           in
           go reply path
         in
-        check "stats: 3 cached artifacts" (stat_int [ "cache"; "entries" ] = Some 3);
+        (* one artifact per sample route, plus the QFT plan check-circuit
+           compiled for the 16-qubit sparse register *)
+        check "stats: 4 cached artifacts" (stat_int [ "cache"; "entries" ] = Some 4);
         check "stats: cache hits recorded"
           (match stat_int [ "cache"; "hits" ] with Some h -> h >= 3 | None -> false);
-        let reply = Server.request fd (obj [ ("op", str "shutdown") ]) in
+        check "no reply carries a zero metrics field"
+          (match !zero_fields with
+          | [] -> true
+          | ks ->
+              Printf.printf "zero fields: %s\n" (String.concat ", " (List.rev ks));
+              false);
+        let reply = request fd (obj [ ("op", str "shutdown") ]) in
         check "shutdown acknowledged" (is_ok reply));
     Thread.join server_thread;
     check "socket removed on shutdown" (not (Sys.file_exists socket));

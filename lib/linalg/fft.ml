@@ -163,6 +163,28 @@ let plan n =
   in
   { n; kind }
 
+let length p = p.n
+
+let plan_or_build p n =
+  match p with
+  | None -> plan n
+  | Some p ->
+      if p.n <> n then invalid_arg "Fft.plan_or_build: plan of another length";
+      p
+
+let plan_bytes p =
+  (* header + fields of every block the plan owns *)
+  let word = Sys.word_size / 8 in
+  let floats a = word * (Array.length a + 1) in
+  let radix2_bytes r = (word * (Array.length r.rev + 6)) + floats r.tw_re + floats r.tw_im in
+  (word * 3)
+  +
+  match p.kind with
+  | Radix2 r -> word * 2 + radix2_bytes r
+  | Direct { w_re; w_im } -> (word * 3) + floats w_re + floats w_im
+  | Bluestein { sub; c_re; c_im; k_re; k_im } ->
+      (word * 6) + radix2_bytes sub + floats c_re + floats c_im + floats k_re + floats k_im
+
 let scratch_len p = match p.kind with Radix2 _ -> 0 | Direct _ -> p.n | Bluestein b -> b.sub.rn
 
 let scratch p =

@@ -11,7 +11,8 @@
 
     Plans are immutable once built and safe to share across domains;
     each concurrent caller brings its own {!scratch}.  There is no plan
-    cache: a caller that wants reuse keeps its plan. *)
+    cache: a caller that wants reuse keeps its plan (the coset
+    samplers keep one per wire dimension with their prep). *)
 
 type plan
 (** The transform of one length [n]: radix-2 butterflies when [n] is a
@@ -24,6 +25,16 @@ type scratch
 
 val plan : int -> plan
 (** @raise Invalid_argument if the length is below 1. *)
+
+val length : plan -> int
+(** The transform length [n] the plan was built for. *)
+
+val plan_or_build : plan option -> int -> plan
+(** [plan_or_build p n] is [p] when given, else a fresh [plan n].
+    @raise Invalid_argument if [p]'s length is not [n]. *)
+
+val plan_bytes : plan -> int
+(** Heap footprint of the plan's tables in bytes, headers included. *)
 
 val scratch : plan -> scratch
 

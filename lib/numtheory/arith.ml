@@ -38,7 +38,7 @@ let powmod b e m =
     else if e land 1 = 1 then go (acc * b mod m) (b * b mod m) (e asr 1)
     else go acc (b * b mod m) (e asr 1)
   in
-  go 1 b e
+  go (1 mod m) b e
 
 let invmod a m =
   if m < 1 then invalid_arg "Arith.invmod: modulus < 1";

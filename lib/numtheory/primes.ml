@@ -49,7 +49,7 @@ let powmod_safe b e m =
     else if e land 1 = 1 then go (mulmod acc b m) (mulmod b b m) (e asr 1)
     else go acc (mulmod b b m) (e asr 1)
   in
-  go 1 (Arith.emod b m) e
+  go (1 mod m) (Arith.emod b m) e
 
 (* Deterministic witness set valid for all integers below 3.3 * 10^24,
    hence for every OCaml int. *)

@@ -384,7 +384,7 @@ let hnf_sample rng ~dims basis =
   let x = Array.make r 0 in
   for i = 0 to r - 1 do
     let row = basis.(i) in
-    let c = Random.State.int rng (dims.(i) / row.(i)) in
+    let c = Random.State.full_int rng (dims.(i) / row.(i)) in
     if c <> 0 then
       for j = i + 1 to r - 1 do
         let b = row.(j) in

@@ -128,7 +128,7 @@ module type CORE = sig
   val num_wires : t -> int
   val support_size : t -> int
   val tensor : t -> t -> t
-  val apply_dft : t -> wire:int -> inverse:bool -> t
+  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
   val measure : Random.State.t -> t -> wires:int list -> int array * t
   val norm : t -> float
 end

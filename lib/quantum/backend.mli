@@ -161,7 +161,13 @@ module type CORE = sig
       support is only representable symbolically). *)
 
   val tensor : t -> t -> t
-  val apply_dft : t -> wire:int -> inverse:bool -> t
+
+  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
+  (** [?plan] is a prebuilt {!Linalg.Fft.plan} of the wire's dimension,
+      so a caller transforming many states of one shape builds it once;
+      omitted, the amplitude backends build their own.  Backends that
+      hold no amplitudes ignore it. *)
+
   val measure : Random.State.t -> t -> wires:int list -> int array * t
   val norm : t -> float
 end

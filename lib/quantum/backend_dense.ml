@@ -202,7 +202,7 @@ let run_plan plan t =
   let re, im = Circuit_plan.run_planes plan ~re:t.re ~im:t.im in
   { t with re; im }
 
-let apply_dft t ~wire ~inverse =
+let apply_dft ?plan t ~wire ~inverse =
   let d = t.dims.(wire) in
   let total = Array.length t.re in
   (* Every length-d fibre of the register is transformed, populated or
@@ -212,7 +212,7 @@ let apply_dft t ~wire ~inverse =
      two loops into one index range [0, total/d) gives the domain pool
      an even split.  One plan serves every chunk read-only; each chunk
      gathers into its own fibre planes and scratch. *)
-  let plan = Fft.plan d in
+  let plan = Fft.plan_or_build plan d in
   let str = (Backend.strides t.dims).(wire) in
   let block = str * d in
   let out_re = Array.make total 0.0 and out_im = Array.make total 0.0 in

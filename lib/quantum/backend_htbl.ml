@@ -173,7 +173,7 @@ let apply_wires t ~wires m =
     fibres;
   { t with tbl = out }
 
-let apply_dft t ~wire ~inverse =
+let apply_dft ?plan:_ t ~wire ~inverse =
   let d = t.dims.(wire) in
   let stride = t.str.(wire) in
   let fibres = group_fibres t ~wires_arr:[| wire |] ~sub_dims:[| d |] in

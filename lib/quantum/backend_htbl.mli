@@ -24,7 +24,7 @@ val amp_at : t -> int -> Linalg.Cx.t
 val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
 val tensor : t -> t -> t
 val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
-val apply_dft : t -> wire:int -> inverse:bool -> t
+val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 val apply_basis_map : t -> (int array -> int array) -> t
 val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t
 val probabilities : t -> wires:int list -> float array

@@ -14,13 +14,20 @@ open Linalg
    Determinism contract (enforced by test_parallel.ml): every kernel is
    bit-for-bit identical at every job count.
 
-   - Fibre and relabelling kernels emit per-chunk output runs that are
-     concatenated in chunk order; because runs are emitted in run order
-     and entries within a run in a fixed order, the concatenated
-     sequence — and hence the sorted segment rebuilt from it — cannot
-     depend on where the chunk boundaries fall.
-   - Sortedness is restored with {!Parallel.sort_perm} under total
-     orders (ties broken by position), whose result is unique.
+   - The DFT sorts nothing.  The segment's blocks (entries sharing
+     the digits above the wire) are contiguous; each block's fibres
+     are numbered by merging its already-sorted rows, and its outputs
+     are emitted in index order.  Chunks are whole blocks, or runs of
+     one block's fibres, emitted in order; a block's outputs do not
+     depend on how its fibres are split, so the segment is the same
+     for every chunking.
+   - The gate kernel and the relabelling kernel emit
+     per-chunk output runs that are concatenated in chunk order;
+     because runs are emitted in run order and entries within a run in
+     a fixed order, the concatenated sequence cannot depend on where
+     the chunk boundaries fall.  Sortedness is then restored with
+     {!Parallel.sort_perm} under total orders (ties broken by
+     position), whose result is unique.
    - The float reductions (norm², probabilities, measurement scan) are
      index-ordered chunk reductions with {!Parallel.reduction_chunks}
      geometry — this also replaces the old hashtable-iteration-order
@@ -85,6 +92,11 @@ module Ebuf = struct
     b.idx <- idx;
     b.re <- re;
     b.im <- im
+
+  let reserve b extra =
+    while b.n + extra > Array.length b.idx do
+      grow b
+    done
 
   let push b i x y =
     if b.n = Array.length b.idx then grow b;
@@ -230,15 +242,16 @@ let is_nonzero x y = x <> 0.0 || y <> 0.0
 let prune t =
   let eps2 = t.eps *. t.eps in
   let keep = Array.make t.n false in
-  let m = ref 0 in
+  let m = ref 0 and pruned = ref 0 in
   for e = 0 to t.n - 1 do
     let x = t.re.(e) and y = t.im.(e) in
     if keeps ~eps2 x y then begin
       keep.(e) <- true;
       incr m
     end
-    else if is_nonzero x y then Metrics.record_pruned ()
+    else if is_nonzero x y then incr pruned
   done;
+  Metrics.add_pruned !pruned;
   if !m = t.n then t
   else begin
     let idx = Array.make !m 0 and re = Array.make !m 0.0 and im = Array.make !m 0.0 in
@@ -270,13 +283,13 @@ let of_amplitudes ?prune_eps dims v =
   let t = make_frame ?prune_eps dims in
   if Cvec.dim v <> t.total then invalid_arg "State.of_amplitudes: dimension mismatch";
   let eps2 = t.eps *. t.eps in
-  let b = Ebuf.create 64 in
+  let b = Ebuf.create 64 and pruned = ref 0 in
   Array.iteri
     (fun idx z ->
       let x = z.Complex.re and y = z.Complex.im in
-      if keeps ~eps2 x y then Ebuf.push b idx x y
-      else if is_nonzero x y then Metrics.record_pruned ())
+      if keeps ~eps2 x y then Ebuf.push b idx x y else if is_nonzero x y then incr pruned)
     v;
+  Metrics.add_pruned !pruned;
   let t =
     {
       t with
@@ -443,17 +456,11 @@ let fibre_runs t ~wires_arr ~sub_dims =
   done;
   (base, sub, perm, starts, !nruns)
 
-(* Rebuild a sorted segment from per-chunk emission buffers.  The
-   buffers are concatenated in chunk order; the concatenated sequence
-   is independent of the chunk boundaries (runs are emitted in run
-   order, entries within a run in a fixed order), and the final sort —
-   needed when fibres interleave in index space — permutes distinct
-   indices under a total order, so the segment is job-count-invariant
-   bit for bit. *)
-let sorted_of_chunks t (bufs : Ebuf.b array) =
+(* Concatenate per-chunk emission buffers in chunk order into a
+   segment of exactly the emitted length. *)
+let concat_chunks t (bufs : Ebuf.b array) =
   let m = Array.fold_left (fun acc (b : Ebuf.b) -> acc + b.Ebuf.n) 0 bufs in
-  let idx = Array.make (max 1 m) 0 in
-  let re = Array.make (max 1 m) 0.0 and im = Array.make (max 1 m) 0.0 in
+  let idx = Array.make m 0 and re = Array.make m 0.0 and im = Array.make m 0.0 in
   let o = ref 0 in
   Array.iter
     (fun (b : Ebuf.b) ->
@@ -462,18 +469,22 @@ let sorted_of_chunks t (bufs : Ebuf.b array) =
       Array.blit b.Ebuf.im 0 im !o b.Ebuf.n;
       o := !o + b.Ebuf.n)
     bufs;
+  { t with n = m; idx; re; im }
+
+(* Rebuild a sorted segment from per-chunk emission buffers.  The
+   concatenated sequence is independent of the chunk boundaries (runs
+   are emitted in run order, entries within a run in a fixed order),
+   and the final sort — needed when fibres interleave in index space —
+   permutes distinct indices under a total order, so the segment is
+   job-count-invariant bit for bit. *)
+let sorted_of_chunks t bufs =
+  let t = concat_chunks t bufs in
+  let m = t.n and idx = t.idx and re = t.re and im = t.im in
   let sorted = ref true in
   for e = 1 to m - 1 do
     if idx.(e - 1) >= idx.(e) then sorted := false
   done;
-  if !sorted then
-    {
-      t with
-      n = m;
-      idx = (if Int.equal m (Array.length idx) then idx else Array.sub idx 0 m);
-      re = (if Int.equal m (Array.length re) then re else Array.sub re 0 m);
-      im = (if Int.equal m (Array.length im) then im else Array.sub im 0 m);
-    }
+  if !sorted then t
   else begin
     let perm = Parallel.sort_perm m ~cmp:(fun a b -> Int.compare idx.(a) idx.(b)) in
     let idx' = Array.make m 0 and re' = Array.make m 0.0 and im' = Array.make m 0.0 in
@@ -484,7 +495,7 @@ let sorted_of_chunks t (bufs : Ebuf.b array) =
           re'.(p) <- re.(e);
           im'.(p) <- im.(e)
         done);
-    { t with n = m; idx = idx'; re = re'; im = im' }
+    { t with idx = idx'; re = re'; im = im' }
   end
 
 (* Offset of sub-index [s] relative to a base index. *)
@@ -533,6 +544,7 @@ let apply_wires t ~wires m =
         let out = Ebuf.create (min ((rhi - rlo) * sub_total) (1 lsl 16)) in
         let f_re = Array.make sub_total 0.0 and f_im = Array.make sub_total 0.0 in
         let y_re = Array.make sub_total 0.0 and y_im = Array.make sub_total 0.0 in
+        let pruned = ref 0 in
         for r = rlo to rhi - 1 do
           Array.fill f_re 0 sub_total 0.0;
           Array.fill f_im 0 sub_total 0.0;
@@ -548,51 +560,300 @@ let apply_wires t ~wires m =
             let s = order.(oi) in
             let x = y_re.(s) and y = y_im.(s) in
             if keeps ~eps2 x y then Ebuf.push out (b + offsets.(s)) x y
-            else if is_nonzero x y then Metrics.record_pruned ()
+            else if is_nonzero x y then incr pruned
           done
         done;
-        out)
+        (out, !pruned))
   in
-  noted (sorted_of_chunks t bufs)
+  Metrics.add_pruned (Array.fold_left (fun acc (_, p) -> acc + p) 0 bufs);
+  noted (sorted_of_chunks t (Array.map fst bufs))
 
-let apply_dft t ~wire ~inverse =
-  let d = t.dims.(wire) in
-  let stride = t.str.(wire) in
-  let base, sub, perm, starts, nruns = fibre_runs t ~wires_arr:[| wire |] ~sub_dims:[| d |] in
+(* ------------------------------------------------------------------ *)
+(* The DFT: a single-wire fibre kernel without sorts                   *)
+(* ------------------------------------------------------------------ *)
+
+(* For a wire of stride s and dimension d, an index splits as
+   hi * (s d) + digit * s + lo with lo < s.  The segment is sorted by
+   index, so the entries sharing [hi] — one block — are contiguous, and
+   inside a block they are ordered by (digit, lo): one row per populated
+   digit, each row sorted by lo.  The block's fibres are its distinct lo
+   values.  A k-way merge of the rows numbers them in increasing lo
+   order, and after the transforms the outputs are emitted in (k, lo)
+   order — which is index order — so nothing is ever sorted.  Gates
+   keep the sort-based gather above. *)
+
+(* Entry positions where a new block starts, plus [n] at the end. *)
+let block_starts idx n bsize =
+  let count = ref 0 and bend = ref 0 in
+  for e = 0 to n - 1 do
+    let i = Array.unsafe_get idx e in
+    if i >= !bend then begin
+      incr count;
+      bend := ((i / bsize) + 1) * bsize
+    end
+  done;
+  let starts = Array.make (!count + 1) n in
+  let b = ref 0 in
+  bend := 0;
+  for e = 0 to n - 1 do
+    let i = Array.unsafe_get idx e in
+    if i >= !bend then begin
+      starts.(!b) <- e;
+      incr b;
+      bend := ((i / bsize) + 1) * bsize
+    end
+  done;
+  starts
+
+(* Visit a block's entries fibre by fibre: a k-way merge of its rows
+   (row r holds block entries [rstart.(r), rstart.(r+1)), sorted by lo)
+   over a binary heap keyed by (lo at the row's cursor, row).  Entries
+   come out grouped by lo, increasing: fibre j is entries
+   [order.(fstart.(j)) .. order.(fstart.(j+1) - 1)] and [los.(j)] is
+   its lo.  Returns the fibre count. *)
+let merge_rows ~nr ~rstart ~lo ~order ~fstart ~los ~heap ~cur =
+  let less r1 r2 =
+    let k1 = Array.unsafe_get lo (Array.unsafe_get cur r1)
+    and k2 = Array.unsafe_get lo (Array.unsafe_get cur r2) in
+    k1 < k2 || (k1 = k2 && r1 < r2)
+  in
+  let rec sift size i =
+    let l = (2 * i) + 1 in
+    if l < size then begin
+      let c = if l + 1 < size && less heap.(l + 1) heap.(l) then l + 1 else l in
+      if less heap.(c) heap.(i) then begin
+        let x = heap.(i) in
+        heap.(i) <- heap.(c);
+        heap.(c) <- x;
+        sift size c
+      end
+    end
+  in
+  for r = 0 to nr - 1 do
+    cur.(r) <- rstart.(r);
+    heap.(r) <- r
+  done;
+  for i = (nr / 2) - 1 downto 0 do
+    sift nr i
+  done;
+  let size = ref nr and nlo = ref 0 and t = ref 0 in
+  while !size > 0 do
+    let r = heap.(0) in
+    let q = cur.(r) in
+    let l = lo.(q) in
+    if !nlo = 0 || not (Int.equal los.(!nlo - 1) l) then begin
+      los.(!nlo) <- l;
+      fstart.(!nlo) <- !t;
+      incr nlo
+    end;
+    order.(!t) <- q;
+    incr t;
+    cur.(r) <- q + 1;
+    if q + 1 = rstart.(r + 1) then begin
+      decr size;
+      heap.(0) <- heap.(!size)
+    end;
+    sift !size 0
+  done;
+  fstart.(!nlo) <- !t;
+  !nlo
+
+(* Split block [a, a + len) (first index [base]) into rows: row r holds
+   block entries [rstart.(r), rstart.(r+1)); entry q gets its digit and
+   lo.  One division per row, none per entry.  Returns the row count. *)
+let split_rows idx ~a ~len ~base ~s ~rstart ~digit ~lo =
+  let nr = ref 0 and rend = ref base and dg = ref 0 in
+  for q = 0 to len - 1 do
+    let i = idx.(a + q) in
+    if i >= !rend then begin
+      dg := (i - base) / s;
+      rstart.(!nr) <- q;
+      incr nr;
+      rend := base + ((!dg + 1) * s)
+    end;
+    digit.(q) <- !dg;
+    lo.(q) <- i - base - (!dg * s)
+  done;
+  rstart.(!nr) <- len;
+  !nr
+
+(* Chunk-local workspace of the fibre transforms: the fibre planes, the
+   plan's scratch, and the kept outputs of a run of fibres, fibre-major,
+   with the output's digit k in the index field. *)
+type fibre_worker = {
+  f_re : float array;
+  f_im : float array;
+  scratch : Fft.scratch;
+  kept : Ebuf.b;
+  mutable pruned : int;
+}
+
+let fibre_worker plan ~cap =
+  let d = Fft.length plan in
+  {
+    f_re = Array.make d 0.0;
+    f_im = Array.make d 0.0;
+    scratch = Fft.scratch plan;
+    kept = Ebuf.create cap;
+    pruned = 0;
+  }
+
+(* The DFT of every populated fibre of [wire]; returns the new state and
+   the populated-fibre count. *)
+let dft_blocks t ~wire ~plan ~inverse =
+  let d = t.dims.(wire) and s = t.str.(wire) in
+  let idx = t.idx and src_re = t.re and src_im = t.im in
+  let starts = block_starts idx t.n (s * d) in
+  let nb = Array.length starts - 1 in
+  let eps2 = t.eps *. t.eps in
+  (* Load fibre j of the block at entry [a] into [w]'s planes and
+     transform it in place. *)
+  let transform w ~a ~digit ~order ~fstart j =
+    Array.fill w.f_re 0 d 0.0;
+    Array.fill w.f_im 0 d 0.0;
+    for u = fstart.(j) to fstart.(j + 1) - 1 do
+      let q = order.(u) in
+      w.f_re.(digit.(q)) <- src_re.(a + q);
+      w.f_im.(digit.(q)) <- src_im.(a + q)
+    done;
+    Fft.exec plan ~inverse w.scratch w.f_re w.f_im
+  in
+  (* Transform fibres [jlo, jhi) into [w.kept]; fibre j's outputs end
+     at [fend.(j)]. *)
+  let transform_run w ~a ~digit ~order ~fstart ~fend jlo jhi =
+    w.kept.Ebuf.n <- 0;
+    for j = jlo to jhi - 1 do
+      transform w ~a ~digit ~order ~fstart j;
+      for k = 0 to d - 1 do
+        let x = w.f_re.(k) and y = w.f_im.(k) in
+        if keeps ~eps2 x y then Ebuf.push w.kept k x y
+        else if is_nonzero x y then w.pruned <- w.pruned + 1
+      done;
+      fend.(j) <- w.kept.Ebuf.n
+    done
+  in
+  (* The chunks are whole blocks, or, when the segment is one block
+     (always so on wire 0), runs of that block's fibres; one chunk per
+     2048 entries, up to 8, so small segments pay no per-chunk
+     workspace.  The geometry depends on the workload alone, as
+     parallel.mli requires.  Blocks emit in block order and a block's
+     outputs do not depend on how its fibres are split, so no chunking
+     changes the result. *)
+  let chunks = max 1 (min 8 (t.n / 2048)) in
+  let split_fibres = nb = 1 in
+  let parts =
+    Parallel.map_chunks ~chunks 0 nb (fun blo bhi ->
+        let maxlen = ref 1 in
+        for b = blo to bhi - 1 do
+          maxlen := max !maxlen (starts.(b + 1) - starts.(b))
+        done;
+        let maxlen = !maxlen in
+        (* chunk-local work arrays: per block entry, per fibre (at most
+           one per entry), per row (at most one per entry or digit) *)
+        let lo = Array.make maxlen 0 and digit = Array.make maxlen 0 in
+        let order = Array.make maxlen 0 and los = Array.make maxlen 0 in
+        let fstart = Array.make (maxlen + 1) 0 and fend = Array.make maxlen 0 in
+        let rows = min d maxlen in
+        let rstart = Array.make (rows + 1) 0 in
+        let heap = Array.make rows 0 and cur = Array.make rows 0 in
+        let w = fibre_worker plan ~cap:64 in
+        (* the count of each output digit k, offset by one *)
+        let count = Array.make (d + 1) 0 in
+        let out = Ebuf.create (starts.(bhi) - starts.(blo)) in
+        let fibres = ref 0 and pruned = ref 0 in
+        for b = blo to bhi - 1 do
+          let a = starts.(b) and len = starts.(b + 1) - starts.(b) in
+          let base = idx.(a) / (s * d) * (s * d) in
+          let nr = split_rows idx ~a ~len ~base ~s ~rstart ~digit ~lo in
+          let nlo =
+            if s = 1 then begin
+              (* last wire: lo is always 0, the block is one fibre *)
+              for q = 0 to len - 1 do
+                order.(q) <- q
+              done;
+              fstart.(0) <- 0;
+              fstart.(1) <- len;
+              los.(0) <- 0;
+              1
+            end
+            else merge_rows ~nr ~rstart ~lo ~order ~fstart ~los ~heap ~cur
+          in
+          fibres := !fibres + nlo;
+          if nlo = 1 then begin
+            (* one fibre: k ascending is index order, emit directly *)
+            transform w ~a ~digit ~order ~fstart 0;
+            let base = base + los.(0) in
+            for k = 0 to d - 1 do
+              let x = w.f_re.(k) and y = w.f_im.(k) in
+              if keeps ~eps2 x y then Ebuf.push out (base + (k * s)) x y
+              else if is_nonzero x y then incr pruned
+            done
+          end
+          else begin
+            let runs =
+              if split_fibres then
+                Parallel.map_chunks ~chunks 0 nlo (fun jlo jhi ->
+                    let w = fibre_worker plan ~cap:(fstart.(jhi) - fstart.(jlo)) in
+                    transform_run w ~a ~digit ~order ~fstart ~fend jlo jhi;
+                    (jlo, jhi, w))
+              else begin
+                transform_run w ~a ~digit ~order ~fstart ~fend 0 nlo;
+                [| (0, nlo, w) |]
+              end
+            in
+            (* counting pass: bucket the fibre-major outputs by k; fibres
+               are visited in lo order, so each bucket comes out sorted
+               and the block in (k, lo) = index order *)
+            Array.fill count 0 (d + 1) 0;
+            let m = ref 0 in
+            Array.iter
+              (fun (_, _, w) ->
+                let kept = w.kept in
+                for u = 0 to kept.Ebuf.n - 1 do
+                  let k = kept.Ebuf.idx.(u) in
+                  count.(k + 1) <- count.(k + 1) + 1
+                done;
+                m := !m + kept.Ebuf.n;
+                pruned := !pruned + w.pruned;
+                w.pruned <- 0)
+              runs;
+            for k = 1 to d do
+              count.(k) <- count.(k) + count.(k - 1)
+            done;
+            Ebuf.reserve out !m;
+            Array.iter
+              (fun (jlo, jhi, w) ->
+                let kept = w.kept in
+                let u = ref 0 in
+                for j = jlo to jhi - 1 do
+                  let lo_j = base + los.(j) in
+                  while !u < fend.(j) do
+                    let k = kept.Ebuf.idx.(!u) in
+                    let pos = out.Ebuf.n + count.(k) in
+                    count.(k) <- count.(k) + 1;
+                    out.Ebuf.idx.(pos) <- lo_j + (k * s);
+                    out.Ebuf.re.(pos) <- kept.Ebuf.re.(!u);
+                    out.Ebuf.im.(pos) <- kept.Ebuf.im.(!u);
+                    incr u
+                  done
+                done)
+              runs;
+            out.Ebuf.n <- out.Ebuf.n + !m
+          end
+        done;
+        (out, !fibres, !pruned))
+  in
+  Metrics.add_pruned (Array.fold_left (fun acc (_, _, p) -> acc + p) 0 parts);
+  ( noted (concat_chunks t (Array.map (fun (out, _, _) -> out) parts)),
+    Array.fold_left (fun acc (_, f, _) -> acc + f) 0 parts )
+
+let apply_dft ?plan t ~wire ~inverse =
+  let plan = Fft.plan_or_build plan t.dims.(wire) in
+  let st, fibres = dft_blocks t ~wire ~plan ~inverse in
   (* Only populated fibres are transformed — the count the dense
      backend's total/d upper-bounds. *)
-  Metrics.add_dft_fibres nruns;
-  let plan = Fft.plan d in
-  let eps2 = t.eps *. t.eps in
-  let src_re = t.re and src_im = t.im in
-  let nchunks = Parallel.reduction_chunks ~slot_words:1 nruns in
-  let bufs =
-    Parallel.map_chunks ~chunks:nchunks 0 nruns (fun rlo rhi ->
-        let out = Ebuf.create (min ((rhi - rlo) * d) (1 lsl 16)) in
-        (* chunk-local fibre planes and scratch; the plan is shared *)
-        let scratch = Fft.scratch plan in
-        let f_re = Array.make d 0.0 and f_im = Array.make d 0.0 in
-        for r = rlo to rhi - 1 do
-          Array.fill f_re 0 d 0.0;
-          Array.fill f_im 0 d 0.0;
-          let b = base.(perm.(starts.(r))) in
-          for p = starts.(r) to starts.(r + 1) - 1 do
-            let e = perm.(p) in
-            f_re.(sub.(e)) <- src_re.(e);
-            f_im.(sub.(e)) <- src_im.(e)
-          done;
-          Fft.exec plan ~inverse scratch f_re f_im;
-          (* k ascending and stride > 0: each run emits in increasing
-             index order *)
-          for k = 0 to d - 1 do
-            let x = f_re.(k) and y = f_im.(k) in
-            if keeps ~eps2 x y then Ebuf.push out (b + (k * stride)) x y
-            else if is_nonzero x y then Metrics.record_pruned ()
-          done
-        done;
-        out)
-  in
-  noted (sorted_of_chunks t bufs)
+  Metrics.add_dft_fibres fibres;
+  st
 
 (* ------------------------------------------------------------------ *)
 (* Relabelling kernels                                                 *)

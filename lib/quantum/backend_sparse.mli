@@ -16,9 +16,11 @@
 
     The kernels run on the {!Parallel} domain pool under the same
     determinism contract as the dense backend — bit-for-bit identical
-    results at every job count.  Fibre gather/apply and relabelling
-    emit per-chunk output runs concatenated in chunk order; sortedness
-    is restored with {!Parallel.sort_perm} under total orders; norm²,
+    results at every job count.  The DFT gathers fibres block by
+    block off the sorted segment and emits them in index order, with no
+    sort; gates and relabelling emit
+    per-chunk output runs concatenated in chunk order and restore
+    sortedness with {!Parallel.sort_perm} under total orders; norm²,
     probabilities and measurement are index-ordered chunk reductions
     (the old hashtable backend summed floats in iteration order, which
     was not schedule-invariant).
@@ -70,7 +72,12 @@ val tensor : t -> t -> t
 (** The product carries the left operand's pruning epsilon. *)
 
 val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
-val apply_dft : t -> wire:int -> inverse:bool -> t
+val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
+(** Transforms the populated fibres of the wire block by block without
+    sorting (see the header); [?plan] as in {!Backend.CORE}.
+    @raise Invalid_argument if the plan's length is not the wire's
+    dimension. *)
+
 val apply_basis_map : t -> (int array -> int array) -> t
 val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t
 val probabilities : t -> wires:int list -> float array

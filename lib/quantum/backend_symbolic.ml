@@ -219,7 +219,7 @@ let rewrite st ~inverse =
       ~phase:(Array.init r (fun i -> Numtheory.Arith.emod (-c.(i)) dims.(i)))
       ~gphase dual (Array.copy p)
 
-let apply_dft st ~wire ~inverse =
+let apply_dft ?plan:_ st ~wire ~inverse =
   let n = num_wires st in
   if wire < 0 || wire >= n then invalid_arg "Backend_symbolic.apply_dft: wire out of range";
   if not (can_apply_dft st ~wire ~inverse) then

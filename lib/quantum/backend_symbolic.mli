@@ -130,9 +130,10 @@ val can_apply_dft : t -> wire:int -> inverse:bool -> bool
 (** Whether {!apply_dft} stays symbolic: true unless the wire was
     already marked in this sweep or the direction flips mid-sweep. *)
 
-val apply_dft : t -> wire:int -> inverse:bool -> t
+val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** Mark one wire in O(log r); when every wire is marked the
-    closed-form rewrite fires (ledger: [symbolic_rewrites]).
+    closed-form rewrite fires (ledger: [symbolic_rewrites]).  [?plan]
+    is ignored: no amplitudes, no transform.
     @raise Invalid_argument where {!can_apply_dft} is false. *)
 
 val can_measure : t -> wires:int list -> bool

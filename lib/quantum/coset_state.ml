@@ -30,8 +30,13 @@ let total_of dims = check_total ~cap:max_group_size (Array.fold_left ( * ) 1 dim
    capped at 2^26, and the GC never scans bytes); [starts] holds one
    word per coset.  A draw needs no per-element tag table: a uniform
    position in [members] lands in coset c with probability |c| / |A|,
-   and a binary search over [starts] finds c. *)
-type tables = { starts : int array; members : Bytes.t }
+   and a binary search over [starts] finds c.
+
+   [plans.(w)] is the Fourier plan of wire w's dimension, one per
+   distinct dimension, built with the buckets on the amplitude backends
+   so that no round rebuilds one; a symbolic prep holds none (its wire
+   dimensions may exceed anything a plan could tabulate). *)
+type tables = { starts : int array; members : Bytes.t; plans : Fft.plan array option }
 
 type prep = {
   pdims : int array;
@@ -42,6 +47,39 @@ type prep = {
 }
 
 let member members i = Int32.to_int (Bytes.get_int32_ne members (4 * i))
+
+(* The Fourier plans of a sampler whose states land on [choice], as
+   the state constructor resolves it: on the amplitude backends one
+   plan per distinct dimension, shared by every wire that has it; none
+   on a symbolic route. *)
+let plans_for choice dims =
+  match choice with
+  | Backend.Symbolic | Backend.Auto -> None
+  | Backend.Dense | Backend.Sparse ->
+      let built = ref [] in
+      Some
+        (Array.map
+           (fun d ->
+             match List.find_opt (fun p -> Int.equal (Fft.length p) d) !built with
+             | Some p -> p
+             | None ->
+                 let p = Fft.plan d in
+                 built := p :: !built;
+                 p)
+           dims)
+
+(* Coset ids keyed by oracle value.  The hash is a multiply-xorshift
+   in OCaml rather than the generic C hash: the prep pass does one
+   lookup per group element. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
 
 let prep ?backend ~dims ~f () =
   let total = Backend.total_of dims in
@@ -61,22 +99,34 @@ let prep ?backend ~dims ~f () =
       ( Metrics.phase "sample-prep" @@ fun () ->
         Metrics.record_sampler_prep ();
         (* pass 1 tags every element with its coset id (int32, dropped
-           once the buckets are filled); pass 2 counting-sorts *)
-        let ids : (int, int) Hashtbl.t = Hashtbl.create 64 in
+           once the buckets are filled); pass 2 counting-sorts.  A digit
+           odometer walks the register in index order, so pass 1 calls
+           [f] on the points State.decode would give, in the same
+           order, without a division per element. *)
+        let ids = Ids.create 64 in
         let tag_id = Bytes.create (4 * total) in
+        let r = Array.length dims in
+        let x = Array.make r 0 in
         for idx = 0 to total - 1 do
-          let t = f (State.decode dims idx) in
+          let t = f (Array.copy x) in
           let id =
-            match Hashtbl.find_opt ids t with
+            match Ids.find_opt ids t with
             | Some id -> id
             | None ->
-                let id = Hashtbl.length ids in
-                Hashtbl.add ids t id;
+                let id = Ids.length ids in
+                Ids.add ids t id;
                 id
           in
-          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int id)
+          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int id);
+          (* advance the odometer, least significant wire last *)
+          let w = ref (r - 1) in
+          while !w >= 0 && x.(!w) = dims.(!w) - 1 do
+            x.(!w) <- 0;
+            decr w
+          done;
+          if !w >= 0 then x.(!w) <- x.(!w) + 1
         done;
-        let k = Hashtbl.length ids in
+        let k = Ids.length ids in
         let starts = Array.make (k + 1) 0 in
         for idx = 0 to total - 1 do
           let id = member tag_id idx in
@@ -94,7 +144,7 @@ let prep ?backend ~dims ~f () =
           Bytes.set_int32_ne members (4 * fill.(id)) (Int32.of_int idx);
           fill.(id) <- fill.(id) + 1
         done;
-        { starts; members } )
+        { starts; members; plans = plans_for resolved dims } )
   in
   {
     pdims = dims;
@@ -105,6 +155,11 @@ let prep ?backend ~dims ~f () =
   }
 
 let prep_force p = ignore (Lazy.force p.ptables)
+
+let prep_buckets p =
+  let { starts; members; _ } = Lazy.force p.ptables in
+  (Array.copy starts, Array.init (Bytes.length members / 4) (member members))
+
 let prep_dims p = Array.copy p.pdims
 let prep_backend p = p.pbackend
 let prep_cosets p = Array.length (Lazy.force p.ptables).starts - 1
@@ -115,11 +170,21 @@ let prep_bytes p =
      byte budget: 4 bytes per group element for [members], one word
      per coset for [starts], and each block's header. *)
   let word = Sys.word_size / 8 in
-  let starts_words =
-    if Lazy.is_val p.ptables then Array.length (Lazy.force p.ptables).starts
-    else 2 (* unforced: the coset count is not known yet; at least one *)
+  let plans_bytes = function
+    | None -> 0
+    | Some plans ->
+        (* the array and its option box, then each distinct plan once *)
+        Array.to_list plans
+        |> List.sort_uniq (fun a b -> Int.compare (Fft.length a) (Fft.length b))
+        |> List.fold_left (fun acc pl -> acc + Fft.plan_bytes pl) (word * (Array.length plans + 3))
   in
-  (4 * p.ptotal) + (word * (starts_words + Array.length p.pdims + 16))
+  let starts_words, plan_bytes =
+    if Lazy.is_val p.ptables then
+      let { starts; plans; _ } = Lazy.force p.ptables in
+      (Array.length starts, plans_bytes plans)
+    else (2, 0) (* unforced: the coset count is not known yet; at least one *)
+  in
+  (4 * p.ptotal) + plan_bytes + (word * (starts_words + Array.length p.pdims + 16))
 
 (* The coset holding position [x] of [members]: the last c with
    starts.(c) <= x, found by binary search. *)
@@ -135,12 +200,12 @@ let coset_at starts x =
 let sampler_of_prep p ~queries () =
   fun rng ->
     Query.tick queries;
-    let { starts; members } = Lazy.force p.ptables in
+    let { starts; members; plans } = Lazy.force p.ptables in
     (* Measure the function register first: the outcome is f(x) for a
        uniform x, i.e. a coset chosen with probability |coset| / |A|.
        Drawing a uniform position in the concatenated buckets and
        taking its bucket implements exactly that. *)
-    let c = coset_at starts (Random.State.int rng p.ptotal) in
+    let c = coset_at starts (Random.State.full_int rng p.ptotal) in
     let lo = starts.(c) in
     let count = starts.(c + 1) - lo in
     Metrics.add_coset_visits count;
@@ -152,7 +217,7 @@ let sampler_of_prep p ~queries () =
       done;
       State.of_indices ~backend:p.pbackend p.pdims idxs
     in
-    let st = Metrics.phase "fourier" (fun () -> Qft.forward st ~wires:p.pwires) in
+    let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires:p.pwires) in
     let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
     if Metrics.tracing () then
       Metrics.trace "coset-round"
@@ -181,9 +246,11 @@ let sampler_with_support ?backend ~dims ~coset ~queries () =
      error. *)
   ignore (Backend.total_of_opt dims : int option);
   let wires = List.init (Array.length dims) (fun i -> i) in
+  let choice = State.indices_backend ?backend () in
+  let plans = plans_for choice dims in
   fun rng ->
     Query.tick queries;
-    let x0 = Array.map (fun d -> Random.State.int rng d) dims in
+    let x0 = Array.map (fun d -> Random.State.full_int rng d) dims in
     let st, count =
       Metrics.phase "sample-prep" @@ fun () ->
       let members = coset x0 in
@@ -196,9 +263,9 @@ let sampler_with_support ?backend ~dims ~coset ~queries () =
       Array.sort Int.compare idxs;
       let count = Array.length idxs in
       Metrics.add_coset_visits count;
-      (State.of_indices ?backend dims idxs, count)
+      (State.of_indices ~backend:choice dims idxs, count)
     in
-    let st = Metrics.phase "fourier" (fun () -> Qft.forward st ~wires) in
+    let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires) in
     let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
     if Metrics.tracing () then
       Metrics.trace "coset-round"
@@ -235,13 +302,14 @@ let sampler_of_subgroup ?backend ~sub ~queries () =
         match Backend.default () with Backend.Auto -> Backend.Symbolic | c -> c)
   in
   let wires = List.init (Array.length dims) (fun i -> i) in
+  let plans = plans_for choice dims in
   fun rng ->
     Query.tick queries;
-    let x0 = Array.map (fun d -> Random.State.int rng d) dims in
+    let x0 = Array.map (fun d -> Random.State.full_int rng d) dims in
     let st =
       Metrics.phase "sample-prep" @@ fun () -> State.of_coset ~backend:choice sub ~rep:x0
     in
-    let st = Metrics.phase "fourier" (fun () -> Qft.forward st ~wires) in
+    let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires) in
     let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
     if Metrics.tracing () then
       Metrics.trace "coset-round"

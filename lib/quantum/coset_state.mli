@@ -113,7 +113,10 @@ val prep :
 
 val prep_force : prep -> unit
 (** Force the O(|A|) bucketing pass now (e.g. before sharing the prep
-    across service worker threads, so the lazy cell is settled). *)
+    across service worker threads, so the lazy cell is settled).  On
+    the amplitude backends this also builds the prep's Fourier plans,
+    one per distinct wire dimension, which every sampler of the prep
+    then reuses. *)
 
 val prep_dims : prep -> int array
 (** The register dimensions the prep was built for (a copy). *)
@@ -125,13 +128,21 @@ val prep_cosets : prep -> int
 (** Number of distinct cosets (oracle values) found; forces the
     tables. *)
 
+val prep_buckets : prep -> int array * int array
+(** [(starts, members)], copies of the CSR bucket tables: coset [c]
+    holds the encoded indices [members.(starts.(c)) .. members.(starts.(c+1) - 1)],
+    increasing; cosets are numbered in order of their first element.
+    Forces the tables.  For tests. *)
+
 val prep_bytes : prep -> int
 (** Heap footprint in bytes — the unit of the service cache's byte
     budget: 4 bytes per group element for the int32 bucket members,
-    one word per coset for the bucket starts, plus a small fixed
-    overhead (held within 10% of [Obj.reachable_words] by the test
-    suite).  Does not force the tables: an unforced prep reports its
-    post-expansion size as if it had a single coset. *)
+    one word per coset for the bucket starts, the Fourier plans of an
+    amplitude-backend prep (one per distinct wire dimension), plus a
+    small fixed overhead (held within 10% of [Obj.reachable_words] by
+    the test suite).  Does not force the tables: an unforced prep
+    reports its post-expansion size as if it had a single coset and no
+    plans. *)
 
 val sampler_of_prep :
   prep -> queries:Query.t -> unit -> Random.State.t -> int array
@@ -154,8 +165,10 @@ val sampler_with_support :
     index segment to the backend whole ({!State.of_indices} — sparse
     unless overridden).  No group-size cap; this is the entry point
     that lifts instances whose total dimension exceeds even
-    {!max_group_size_sparse}.  Query accounting is identical to
-    {!sampler}: one quantum query per round. *)
+    {!max_group_size_sparse}.  Unless the backend is symbolic, the
+    sampler builds one Fourier plan per distinct wire dimension when
+    it is made, and every round reuses them.  Query accounting is
+    identical to {!sampler}: one quantum query per round. *)
 
 val sample_with_support :
   Random.State.t ->
@@ -209,7 +222,9 @@ val sampler_of_subgroup :
     subgroup: the caller (typically the service cache) holds the HNF
     basis and its memoised annihilator solve, so constructing a sampler
     here performs no normal-form work at all.  Dims are taken from the
-    subgroup; backend semantics are as in {!sampler_with_subgroup}. *)
+    subgroup; backend semantics are as in {!sampler_with_subgroup}.  An
+    explicit [Dense]/[Sparse] sampler builds its Fourier plans once,
+    when it is made. *)
 
 val sample_full :
   Random.State.t ->

@@ -148,7 +148,7 @@ let record_oracle () = tick oracle_ops
 let record_measurement () = tick measurements
 let record_state_created () = tick states_created
 let record_support s = raise_to peak_support s
-let record_pruned () = tick pruned_amps
+let add_pruned n = if n > 0 then add pruned_amps n
 let record_dense_alloc total = raise_to peak_dense_alloc total
 let record_compaction () = tick compactions
 let record_sampler_prep () = tick sampler_preps
@@ -195,31 +195,34 @@ let phase name f =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let to_fields s =
+let counters s =
   [
-    ("gate_apps", string_of_int s.gate_apps);
-    ("gate_fibres", string_of_int s.gate_fibres);
-    ("dft_apps", string_of_int s.dft_apps);
-    ("dft_fibres", string_of_int s.dft_fibres);
-    ("basis_maps", string_of_int s.basis_maps);
-    ("oracle_ops", string_of_int s.oracle_ops);
-    ("measurements", string_of_int s.measurements);
-    ("states_created", string_of_int s.states_created);
-    ("peak_support", string_of_int s.peak_support);
-    ("pruned_amps", string_of_int s.pruned_amps);
-    ("peak_dense_alloc", string_of_int s.peak_dense_alloc);
-    ("compactions", string_of_int s.compactions);
-    ("sampler_preps", string_of_int s.sampler_preps);
-    ("coset_visits", string_of_int s.coset_visits);
-    ("classical_evals", string_of_int s.classical_evals);
-    ("symbolic_rewrites", string_of_int s.symbolic_rewrites);
-    ("symbolic_samples", string_of_int s.symbolic_samples);
-    ("symbolic_solves", string_of_int s.symbolic_solves);
-    ("symbolic_demotions", string_of_int s.symbolic_demotions);
-    ("plans_compiled", string_of_int s.plans_compiled);
-    ("fused_passes", string_of_int s.fused_passes);
-    ("fused_gates", string_of_int s.fused_gates);
+    ("gate_apps", s.gate_apps);
+    ("gate_fibres", s.gate_fibres);
+    ("dft_apps", s.dft_apps);
+    ("dft_fibres", s.dft_fibres);
+    ("basis_maps", s.basis_maps);
+    ("oracle_ops", s.oracle_ops);
+    ("measurements", s.measurements);
+    ("states_created", s.states_created);
+    ("peak_support", s.peak_support);
+    ("pruned_amps", s.pruned_amps);
+    ("peak_dense_alloc", s.peak_dense_alloc);
+    ("compactions", s.compactions);
+    ("sampler_preps", s.sampler_preps);
+    ("coset_visits", s.coset_visits);
+    ("classical_evals", s.classical_evals);
+    ("symbolic_rewrites", s.symbolic_rewrites);
+    ("symbolic_samples", s.symbolic_samples);
+    ("symbolic_solves", s.symbolic_solves);
+    ("symbolic_demotions", s.symbolic_demotions);
+    ("plans_compiled", s.plans_compiled);
+    ("fused_passes", s.fused_passes);
+    ("fused_gates", s.fused_gates);
   ]
+
+let to_fields s =
+  List.map (fun (k, v) -> (k, string_of_int v)) (counters s)
   @ List.map (fun (name, sec) -> ("sec_" ^ name, Printf.sprintf "%.6f" sec)) s.phases
 
 let pp fmt s =

@@ -110,7 +110,10 @@ val record_support : int -> unit
 (** Raise the peak-support high-water mark (sparse backend, after every
     operation). *)
 
-val record_pruned : unit -> unit
+val add_pruned : int -> unit
+(** Count amplitudes a sparse kernel dropped below its pruning
+    threshold; kernels add one total per call. *)
+
 val record_dense_alloc : int -> unit
 
 val record_compaction : unit -> unit
@@ -173,6 +176,10 @@ val phase : string -> (unit -> 'a) -> 'a
     so the provided instrumentation only uses leaf-level phases. *)
 
 (** {2 Rendering} *)
+
+val counters : snapshot -> (string * int) list
+(** Every integer counter by field name, in a fixed order (the phase
+    times are [snapshot.phases]). *)
 
 val to_fields : snapshot -> (string * string) list
 (** Flat key/value view (counters plus [sec_<phase>] entries) for JSON

@@ -1,7 +1,11 @@
 open Linalg
 
-let forward state ~wires =
-  List.fold_left (fun st w -> State.apply_dft st ~wire:w ~inverse:false) state wires
+let forward ?plans state ~wires =
+  List.fold_left
+    (fun st w ->
+      let plan = match plans with Some p -> Some p.(w) | None -> None in
+      State.apply_dft ?plan st ~wire:w ~inverse:false)
+    state wires
 
 let backward state ~wires =
   List.fold_left (fun st w -> State.apply_dft st ~wire:w ~inverse:true) state wires

@@ -6,8 +6,10 @@
     needs: all its algorithms reduce to Fourier sampling over Abelian
     groups (the point of the paper is to avoid non-Abelian transforms). *)
 
-val forward : State.t -> wires:int list -> State.t
-(** Apply the DFT of the appropriate dimension to each listed wire. *)
+val forward : ?plans:Linalg.Fft.plan array -> State.t -> wires:int list -> State.t
+(** Apply the DFT of the appropriate dimension to each listed wire.
+    [plans.(w)], when given, is the prebuilt plan of wire [w]'s
+    dimension ({!State.apply_dft}'s [?plan]). *)
 
 val backward : State.t -> wires:int list -> State.t
 (** Inverse QFT on each listed wire. *)

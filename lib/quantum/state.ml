@@ -86,13 +86,17 @@ let of_sparse ?backend ?prune_eps dims entries =
   | Backend.Sparse | Backend.Symbolic | Backend.Auto ->
       Sparse (Backend_sparse.of_support ?prune_eps dims entries)
 
+let indices_backend ?backend () =
+  match (match backend with Some c -> c | None -> Backend.default ()) with
+  | Backend.Auto -> Backend.Sparse
+  | c -> c
+
 (* Same default as of_sparse, except that under the symbolic backend a
    segment that is recognisably a coset (which is what the samplers
    build) stays symbolic; anything else falls back to sparse. *)
 let of_indices ?backend ?prune_eps dims idxs =
   Metrics.record_state_created ();
-  let choice = match backend with Some c -> c | None -> Backend.default () in
-  match choice with
+  match indices_backend ?backend () with
   | Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
   | Backend.Symbolic -> (
       match Backend_symbolic.of_indices_opt dims idxs with
@@ -258,15 +262,15 @@ let run_plan plan t =
       Some (Dense (Backend_dense.run_plan plan d))
   | Sparse _ | Symbolic _ -> None
 
-let apply_dft t ~wire ~inverse =
+let apply_dft ?plan t ~wire ~inverse =
   Metrics.record_dft ();
   match t with
-  | Dense d -> Dense (Backend_dense.apply_dft d ~wire ~inverse)
-  | Sparse s -> Sparse (Backend_sparse.apply_dft s ~wire ~inverse)
+  | Dense d -> Dense (Backend_dense.apply_dft ?plan d ~wire ~inverse)
+  | Sparse s -> Sparse (Backend_sparse.apply_dft ?plan s ~wire ~inverse)
   | Symbolic s ->
       if Backend_symbolic.can_apply_dft s ~wire ~inverse then
         Symbolic (Backend_symbolic.apply_dft s ~wire ~inverse)
-      else Sparse (Backend_sparse.apply_dft (demoted s) ~wire ~inverse)
+      else Sparse (Backend_sparse.apply_dft ?plan (demoted s) ~wire ~inverse)
 
 let apply_basis_map t f =
   Metrics.record_basis_map ();

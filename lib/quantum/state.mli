@@ -90,6 +90,11 @@ val of_indices :
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)
 
+val indices_backend : ?backend:Backend.choice -> unit -> Backend.choice
+(** The backend {!of_indices} builds on for this choice: never [Auto]
+    (which builds sparse).  Under [Symbolic] a segment that is not a
+    coset still lands on sparse. *)
+
 val of_coset : ?backend:Backend.choice -> Backend_symbolic.Subgroup.t -> rep:int array -> t
 (** [of_coset sub ~rep] is the uniform coset state [|rep + H>] — the
     entry point of the symbolic sampling pipeline
@@ -165,10 +170,13 @@ val run_plan : Circuit_plan.t -> t -> t option
     @raise Invalid_argument if the dense state is not a register of
     [plan.num_qubits] qubits. *)
 
-val apply_dft : t -> wire:int -> inverse:bool -> t
+val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
-    fibre on the amplitude backends (one {!Linalg.Fft.plan} per call:
-    radix-2, a direct sum for small [d], or Bluestein).  On a symbolic
+    fibre on the amplitude backends ({!Linalg.Fft}: radix-2, a direct
+    sum for small [d], or Bluestein).  [?plan] is a prebuilt plan of
+    the wire's dimension; omitted, the call builds one.  The coset
+    samplers keep one plan per wire dimension, so their rounds never
+    rebuild one.  On a symbolic
     state the wire is marked pending and the closed-form rewrite
     [(H, c, p) -> (H^perp, -p, c)] fires once every wire is marked — a
     full {!Qft.forward} pass costs one annihilator solve however large

@@ -169,19 +169,27 @@ let sampler_of_artifact artifact ~queries =
 (* Per-request ledger deltas                                           *)
 (* ------------------------------------------------------------------ *)
 
-let metrics_delta before after =
-  let bf = Quantum.Metrics.to_fields before in
-  let af = Quantum.Metrics.to_fields after in
-  List.map
-    (fun (k, va) ->
-      let vb =
-        Option.value ~default:"0"
-          (List.find_map (fun (k', v) -> if String.equal k' k then Some v else None) bf)
-      in
-      if String.length k > 4 && String.equal (String.sub k 0 4) "sec_" then
-        (k, Jsonv.Float (float_of_string va -. float_of_string vb))
-      else (k, Jsonv.Int (int_of_string va - int_of_string vb)))
-    af
+(* Only the fields the request moved: an absent field means 0.  Phase
+   times are kept to the microsecond, so a phase the request did not
+   enter (or left within a microsecond) is absent too. *)
+let metrics_delta (before : Quantum.Metrics.snapshot) (after : Quantum.Metrics.snapshot) =
+  let counters =
+    List.fold_right2
+      (fun (k, vb) (_, va) acc -> if va = vb then acc else (k, Jsonv.Int (va - vb)) :: acc)
+      (Quantum.Metrics.counters before) (Quantum.Metrics.counters after) []
+  in
+  let phases =
+    List.filter_map
+      (fun (name, sa) ->
+        let sb =
+          List.find_map (fun (n, s) -> if String.equal n name then Some s else None) before.phases
+          |> Option.value ~default:0.0
+        in
+        let us = Float.round ((sa -. sb) *. 1e6) in
+        if Float.equal us 0.0 then None else Some ("sec_" ^ name, Jsonv.Float (us /. 1e6)))
+      after.phases
+  in
+  counters @ phases
 
 (* ------------------------------------------------------------------ *)
 (* Request execution (executor thread)                                 *)

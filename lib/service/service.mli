@@ -65,5 +65,7 @@ val fingerprint : Protocol.instance -> route -> string
 
 val metrics_delta :
   Quantum.Metrics.snapshot -> Quantum.Metrics.snapshot -> (string * Jsonv.t) list
-(** Per-field difference (after - before), ints for counters and
-    floats for [sec_*] phase entries. *)
+(** Per-field difference (after - before) of the fields that changed:
+    ints for counters, floats for [sec_*] phase entries (seconds, to
+    the microsecond).  Zero fields are omitted; an absent field means
+    0. *)

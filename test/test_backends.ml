@@ -215,6 +215,254 @@ let qcheck_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Sparse single-wire DFT kernel                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The sort-based kernel the block gather replaced, kept as the oracle:
+   split each entry into a base index (wire digit zeroed) and its digit,
+   sort by (base, digit), transform each run of equal base in place
+   with [transform], emit every fibre's kept outputs and sort them by
+   index.  Returns the segment as (index, re, im), the populated-fibre
+   count and the pruned count. *)
+let sort_kernel ~eps ~dims entries ~wire ~transform =
+  let d = dims.(wire) and s = (Backend.strides dims).(wire) in
+  let n = Array.length entries in
+  let digit = Array.map (fun (i, _, _) -> i / s mod d) entries in
+  let base = Array.mapi (fun e (i, _, _) -> i - (digit.(e) * s)) entries in
+  let perm = Array.init n Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare base.(a) base.(b) in
+      if c <> 0 then c else Int.compare digit.(a) digit.(b))
+    perm;
+  let out = ref [] and fibres = ref 0 and pruned = ref 0 in
+  let p = ref 0 in
+  while !p < n do
+    let b = base.(perm.(!p)) in
+    let f_re = Array.make d 0.0 and f_im = Array.make d 0.0 in
+    while !p < n && Int.equal base.(perm.(!p)) b do
+      let e = perm.(!p) in
+      let _, x, y = entries.(e) in
+      f_re.(digit.(e)) <- x;
+      f_im.(digit.(e)) <- y;
+      incr p
+    done;
+    incr fibres;
+    transform f_re f_im;
+    for k = 0 to d - 1 do
+      let x = f_re.(k) and y = f_im.(k) in
+      if (x *. x) +. (y *. y) > eps *. eps then out := (b + (k * s), x, y) :: !out
+      else if not (Float.equal x 0.0 && Float.equal y 0.0) then incr pruned
+    done
+  done;
+  let out = Array.of_list !out in
+  Array.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) out;
+  (out, !fibres, !pruned)
+
+let segment st =
+  let seg = Array.make (Backend_sparse.support_size st) (0, 0.0, 0.0) and e = ref 0 in
+  Backend_sparse.iter_nonzero st (fun i z ->
+      seg.(!e) <- (i, z.Complex.re, z.Complex.im);
+      incr e);
+  seg
+
+let same_bits (i, x, y) (i', x', y') =
+  Int.equal i i'
+  && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float x')
+  && Int64.equal (Int64.bits_of_float y) (Int64.bits_of_float y')
+
+let same_segment a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let kernel_dims = [| 1; 2; 4; 7; 97; 100; 196; 256 |]
+
+(* A random support of 1-300 entries on 2-6 wires.  Each wire draws its
+   digits from a small pool or uniformly, so fibres hold several entries,
+   blocks hold several rows, and rows share some lo values but not all.
+   Half the states are uniform superpositions, whose transforms cancel
+   to rounding noise and so exercise pruning.  A [large] state takes
+   6,144-10,239 uniform draws on 8-10 wires of dimension 2, 4 or 7 (at
+   least 2^16 in all) instead: enough distinct entries for the DFT
+   kernel to split the segment (and wire 0's single block) into several
+   chunks, with small enough fibres that the oracle stays fast. *)
+let kernel_state ~large rng =
+  let r = if large then 8 + Random.State.int rng 3 else 2 + Random.State.int rng 5 in
+  let pick = if large then [| 2; 4; 7 |] else kernel_dims in
+  let rec draw_dims () =
+    let dims = Array.init r (fun _ -> pick.(Random.State.int rng (Array.length pick))) in
+    if large && Array.fold_left ( * ) 1 dims < 1 lsl 16 then draw_dims () else dims
+  in
+  let dims = draw_dims () in
+  let pools =
+    Array.map
+      (fun d ->
+        if Random.State.bool rng || large then None
+        else Some (Array.init (1 + Random.State.int rng (min d 4)) (fun _ -> Random.State.int rng d)))
+      dims
+  in
+  let digit w =
+    match pools.(w) with
+    | None -> Random.State.int rng dims.(w)
+    | Some pool -> pool.(Random.State.int rng (Array.length pool))
+  in
+  let uniform = Random.State.bool rng in
+  let amp () =
+    if uniform then Cx.one
+    else Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)
+  in
+  let n = if large then 6144 + Random.State.int rng 4096 else 1 + Random.State.int rng 300 in
+  let entries = List.init n (fun _ -> (Array.init r digit, amp ())) in
+  (dims, Backend_sparse.of_support dims entries)
+
+let dft_transform d ~inverse =
+  let plan = Fft.plan d in
+  let scratch = Fft.scratch plan in
+  fun re im -> Fft.exec plan ~inverse scratch re im
+
+let matrix_transform m =
+  let d = Cmat.rows m in
+  let m_re, m_im = Cmat.planes m in
+  fun re im ->
+    let y_re = Array.make d 0.0 and y_im = Array.make d 0.0 in
+    Cmat.apply_planes ~rows:d ~cols:d ~m_re ~m_im ~x_re:re ~x_im:im ~y_re ~y_im;
+    Array.blit y_re 0 re 0 d;
+    Array.blit y_im 0 im 0 d
+
+(* A one-wire gate: phases on a random permutation (half the draws) or
+   a random dense matrix (unitarity does not matter to the kernel). *)
+let random_gate rng d =
+  if Random.State.bool rng then begin
+    let perm = Array.init d Fun.id in
+    for i = d - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- x
+    done;
+    Cmat.init d d (fun i j ->
+        if Int.equal perm.(j) i then Cx.polar 1.0 (Random.State.float rng 6.28318) else Cx.zero)
+  end
+  else
+    Cmat.init d d (fun _ _ ->
+        Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
+
+let with_jobs j f =
+  let saved = Parallel.jobs () in
+  Parallel.set_jobs j;
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
+
+(* Per state, the DFT on every wire in both directions and a one-wire
+   gate on one random wire: the sparse kernels (the DFT's block gather,
+   the gate's sorted gather) return the oracle's segment bit for bit —
+   strictly increasing — and charge the same fibres and pruned
+   amplitudes to the ledger; they agree with the dense backend wherever
+   the register fits, the DFT takes a prebuilt plan without changing a
+   bit, and both are bit-identical on a 2-job pool, where the chunks
+   (whole blocks, or runs of a lone block's fibres, always so on wire
+   0) run on two domains. *)
+let kernel_matches ~large seed =
+  let rng = Random.State.make [| seed; 0xf1b |] in
+  let dims, st = kernel_state ~large rng in
+  let eps = Backend_sparse.prune_eps_of st in
+  let input = segment st in
+  let total = Array.fold_left ( * ) 1 dims in
+  let dense_in =
+    if total <= 1 lsl 16 then Some (Backend_dense.of_amplitudes dims (Backend_sparse.amplitudes st))
+    else None
+  in
+  let ok = ref (not large || Backend_sparse.support_size st >= 4096) in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        ok := false;
+        Printf.printf "seed %d dims [%s]: %s\n" seed
+          (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+          msg)
+      fmt
+  in
+  (* each case: its name, the wire, the oracle's transform, the sparse
+     and dense kernels, and the ledger counter it charges *)
+  let dft wire inverse =
+    ( Printf.sprintf "%s wire %d" (if inverse then "inverse dft" else "dft") wire,
+      wire,
+      dft_transform dims.(wire) ~inverse,
+      (fun st -> Backend_sparse.apply_dft st ~wire ~inverse),
+      (fun dn -> Backend_dense.apply_dft dn ~wire ~inverse),
+      fun (m : Metrics.snapshot) -> m.dft_fibres )
+  in
+  let gate =
+    let wire = Random.State.int rng (Array.length dims) in
+    let m = random_gate rng dims.(wire) in
+    ( Printf.sprintf "gate wire %d" wire,
+      wire,
+      matrix_transform m,
+      (fun st -> Backend_sparse.apply_wires st ~wires:[ wire ] m),
+      (fun dn -> Backend_dense.apply_wires dn ~wires:[ wire ] m),
+      fun (m : Metrics.snapshot) -> m.gate_fibres )
+  in
+  (* a large state skips the gate, whose kernel does not chunk by size
+     and whose d x d products would dominate the test's run time *)
+  let cases =
+    (if large then [] else [ gate ])
+    @ List.concat_map (fun w -> [ dft w false; dft w true ]) (List.init (Array.length dims) Fun.id)
+  in
+  let serial =
+    List.map
+      (fun (name, wire, transform, sparse, dense, fibre_count) ->
+        let expect, fibres, pruned = sort_kernel ~eps ~dims input ~wire ~transform in
+        let m0 = Metrics.snapshot () in
+        let got = sparse st in
+        let m1 = Metrics.snapshot () in
+        let seg = segment got in
+        if not (same_segment seg expect) then fail "%s: segment differs from the sort kernel" name;
+        for e = 1 to Array.length seg - 1 do
+          let (a, _, _), (b, _, _) = (seg.(e - 1), seg.(e)) in
+          if a >= b then fail "%s: segment not strictly increasing at %d" name e
+        done;
+        if fibre_count m1 - fibre_count m0 <> fibres then
+          fail "%s: fibres %d, want %d" name (fibre_count m1 - fibre_count m0) fibres;
+        if m1.Metrics.pruned_amps - m0.Metrics.pruned_amps <> pruned then
+          fail "%s: pruned_amps %d, want %d" name (m1.Metrics.pruned_amps - m0.Metrics.pruned_amps) pruned;
+        (match dense_in with
+        | None -> ()
+        | Some dn ->
+            if not (Cvec.approx_equal ~eps:1e-9 (Backend_dense.amplitudes (dense dn)) (Backend_sparse.amplitudes got))
+            then fail "%s: sparse differs from dense" name);
+        (seg, fibres, pruned))
+      cases
+  in
+  for wire = 0 to Array.length dims - 1 do
+    let planned = Backend_sparse.apply_dft ~plan:(Fft.plan dims.(wire)) st ~wire ~inverse:false in
+    if not (same_segment (segment planned) (segment (Backend_sparse.apply_dft st ~wire ~inverse:false)))
+    then fail "dft wire %d: plan changes bits" wire
+  done;
+  let ledger_delta fibre_count run =
+    let m0 = Metrics.snapshot () in
+    let seg = segment (run ()) in
+    let m1 = Metrics.snapshot () in
+    (seg, fibre_count m1 - fibre_count m0, m1.Metrics.pruned_amps - m0.Metrics.pruned_amps)
+  in
+  List.iter2
+    (fun (name, _, _, sparse, _, fibre_count) (seg, fibres, pruned) ->
+      let pseg, pfibres, ppruned = with_jobs 2 (fun () -> ledger_delta fibre_count (fun () -> sparse st)) in
+      if not (same_segment pseg seg) then fail "%s: jobs=2 differs" name;
+      if pfibres <> fibres || ppruned <> pruned then
+        fail "%s: jobs=2 ledger %d fibres / %d pruned, want %d / %d" name pfibres ppruned fibres pruned)
+    cases serial;
+  !ok
+
+let kernel_props =
+  [
+    QCheck.Test.make ~count:40 ~name:"sparse DFT and gate = sort kernel = dense"
+      QCheck.(int_bound 1_000_000) (kernel_matches ~large:false);
+  ]
+
+let test_kernel_chunked () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool) (Printf.sprintf "seed %d" seed) true (kernel_matches ~large:true seed))
+    [ 1; 2; 3 ]
+
+(* ------------------------------------------------------------------ *)
 (* Sparse beyond the dense cap                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -354,6 +602,9 @@ let () =
           Alcotest.test_case "tensor + conversion" `Quick test_tensor_and_conversion;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
+      ( "dft kernel",
+        List.map QCheck_alcotest.to_alcotest kernel_props
+        @ [ Alcotest.test_case "chunked segments" `Quick test_kernel_chunked ] );
       ( "beyond-cap",
         [
           Alcotest.test_case "of_indices" `Quick test_of_indices;

@@ -743,6 +743,35 @@ let qcheck_props =
         | None -> false);
   ]
 
+(* A cyclic factor past 2^30, where Random.State.int raises: the
+   symbolic route of `hsp solve-abelian --backend symbolic --dims
+   1073741827,4 --moduli 1,2` (sampler_with_subgroup, then solve_dims)
+   must solve it.  Modulus 1 draws a representative below 2^31;
+   modulus p leaves all of Z_p in the annihilator, so its HNF sampler
+   draws below 2^31 too.  1073741789, just under 2^30, is the
+   control. *)
+let test_abelian_large_cyclic_factor () =
+  List.iter
+    (fun (p, m) ->
+      let dims = [| p; 4 |] and moduli = [| m; 2 |] in
+      let sub_gens = [ [| m; 0 |]; [| 0; 2 |] ] in
+      let queries = Quantum.Query.create () in
+      let draw =
+        Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic ~dims
+          ~subgroup:sub_gens ~queries ()
+      in
+      let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli in
+      let f x = Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
+      let gens, _ =
+        Abelian_hsp.solve_dims (rng ()) ~draw ~dims ~f ~quantum:queries ~verify:in_h ()
+      in
+      let module Sub = Quantum.Backend_symbolic.Subgroup in
+      checkb
+        (Printf.sprintf "Z_%d x Z_4, moduli %d,2 solved" p m)
+        true
+        (List.for_all in_h gens && Sub.equal (Sub.of_gens ~dims gens) (Sub.of_gens ~dims sub_gens)))
+    [ (1073741827, 1); (1073741827, 1073741827); (1073741789, 1); (1073741789, 1073741789) ]
+
 let () =
   Alcotest.run "hsp"
     [
@@ -761,6 +790,7 @@ let () =
           Alcotest.test_case "mixed orders" `Quick test_abelian_mixed_orders;
           Alcotest.test_case "query counts" `Quick test_abelian_query_count_logarithmic;
           Alcotest.test_case "restricted to subgroup" `Quick test_abelian_hsp_on_subgroup;
+          Alcotest.test_case "cyclic factor past 2^30" `Quick test_abelian_large_cyclic_factor;
         ] );
       ( "membership",
         [

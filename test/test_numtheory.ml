@@ -39,6 +39,8 @@ let test_pow () =
 let test_powmod () =
   check "2^10 mod 1000" 24 (Arith.powmod 2 10 1000);
   check "fermat" 1 (Arith.powmod 3 100 101);
+  check "x^0 mod 1" 0 (Arith.powmod 5 0 1);
+  check "x^e mod 1" 0 (Arith.powmod 7 3 1);
   check "powmod neg base" (Arith.emod ((-2) * (-2) * (-2)) 7) (Arith.powmod (-2) 3 7)
 
 let test_emod () =

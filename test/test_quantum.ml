@@ -472,6 +472,129 @@ let test_prep_bytes () =
       (Backend.Sparse, [| 256; 256 |], [| 16; 64 |]);
     ]
 
+(* Coset oracles on the shapes of the sparse benchmark and the served
+   mix, each a homomorphism onto a small group so its fibres are the
+   cosets of its kernel. *)
+let pin_shapes =
+  [
+    ("Z_1024xZ_256", [| 1024; 256 |], fun x -> (x.(0) mod 64) + (64 * ((x.(0) + (3 * x.(1))) mod 16)));
+    ("Z_196xZ_100", [| 196; 100 |], fun x -> (x.(0) mod 14) + (14 * ((x.(0) + (3 * x.(1))) mod 4)));
+    ( "Z_4^9",
+      Array.make 9 4,
+      fun x ->
+        ((x.(0) + x.(1) + (2 * x.(2))) mod 4)
+        + (4 * ((x.(3) + (3 * x.(4)) + x.(8)) mod 4))
+        + (16 * ((x.(5) + x.(6) + x.(7)) mod 2)) );
+    ("Z_36xZ_1600", [| 36; 1600 |], fun x -> (x.(0) mod 12) + (12 * ((x.(0) + x.(1)) mod 4)));
+    ("Z_12xZ_8", [| 12; 8 |], fun x -> ((x.(0) + (2 * x.(1))) mod 4) + (4 * (x.(0) mod 3)));
+  ]
+
+(* Digest of 40 draws per shape plus the next RNG word, through
+   [sampler_of_prep] on one backend. *)
+let pin_digest backend =
+  let buf = Buffer.create 4096 in
+  List.iteri
+    (fun i (name, dims, f) ->
+      let p = Coset_state.prep ~backend ~dims ~f () in
+      let draw = Coset_state.sampler_of_prep p ~queries:(Query.create ()) () in
+      let rng = Random.State.make [| 0x5eed; i |] in
+      Buffer.add_string buf name;
+      for _ = 1 to 40 do
+        Array.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) (draw rng);
+        Buffer.add_char buf ';'
+      done;
+      Buffer.add_string buf (string_of_int (Random.State.bits rng)))
+    pin_shapes;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded before the sort-free sparse kernel, the prep-owned Fourier
+   plans and the odometer prep pass landed: all three must leave every
+   outcome and the RNG stream untouched. *)
+let test_same_seed_pin () =
+  Alcotest.(check string) "sparse digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Sparse);
+  Alcotest.(check string) "dense digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Dense)
+
+(* The bucket tables as the State.decode loop built them before the
+   odometer pass: ids in order of first appearance, buckets ascending. *)
+let decode_loop_buckets ~dims ~f =
+  let total = Array.fold_left ( * ) 1 dims in
+  let ids = Hashtbl.create 64 in
+  let tag =
+    Array.init total (fun idx ->
+        let t = f (State.decode dims idx) in
+        match Hashtbl.find_opt ids t with
+        | Some id -> id
+        | None ->
+            let id = Hashtbl.length ids in
+            Hashtbl.add ids t id;
+            id)
+  in
+  let k = Hashtbl.length ids in
+  let starts = Array.make (k + 1) 0 in
+  Array.iter (fun id -> starts.(id + 1) <- starts.(id + 1) + 1) tag;
+  for c = 0 to k - 1 do
+    starts.(c + 1) <- starts.(c + 1) + starts.(c)
+  done;
+  let fill = Array.sub starts 0 k and members = Array.make total 0 in
+  Array.iteri
+    (fun idx id ->
+      members.(fill.(id)) <- idx;
+      fill.(id) <- fill.(id) + 1)
+    tag;
+  (starts, members)
+
+let test_prep_tables_match_decode_loop () =
+  let shapes =
+    pin_shapes
+    @ [
+        ("Z_1xZ_5xZ_1", [| 1; 5; 1 |], fun x -> x.(1) mod 5);
+        ("Z_3xZ_1xZ_4", [| 3; 1; 4 |], fun x -> (7 * x.(0)) + (x.(2) mod 2));
+      ]
+  in
+  List.iter
+    (fun (name, dims, f) ->
+      (* [f] keeps the tuples it is handed: same points, same order, and
+         each one its own (a shared, mutated tuple would show here) *)
+      let seen = ref [] in
+      let f' x =
+        seen := x :: !seen;
+        f x
+      in
+      let p = Coset_state.prep ~backend:Backend.Sparse ~dims ~f:f' () in
+      let starts, members = Coset_state.prep_buckets p in
+      let starts', members' = decode_loop_buckets ~dims ~f in
+      checkb (name ^ " starts") true (starts = starts');
+      checkb (name ^ " members") true (members = members');
+      let total = Array.length members in
+      checkb (name ^ " f called in index order") true
+        (List.rev !seen = List.init total (State.decode dims)))
+    shapes
+
+(* [Random.State.full_int] must replay [Random.State.int]'s stream for
+   every bound below 2^30 — the digest was recorded from [int] — so
+   switching the representative draws to it keeps every seed's
+   outcome. *)
+let test_full_int_stream_pin () =
+  let bound k = 1 + (k * 5381 mod ((1 lsl 30) - 1)) in
+  let rng = Random.State.make [| 0x1a7; 30 |] in
+  let buf = Buffer.create (1 lsl 20) in
+  for k = 0 to 199_999 do
+    Buffer.add_string buf (string_of_int (Random.State.full_int rng (bound k)));
+    Buffer.add_char buf ','
+  done;
+  Buffer.add_string buf (string_of_int (Random.State.bits rng));
+  Alcotest.(check string) "full_int stream = recorded int stream" "e07648d0901b475d429447ef6a53dde2"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)));
+  (* and bounds past 2^30, which Random.State.int rejects, draw in range *)
+  let rng = Random.State.make [| 3 |] in
+  List.iter
+    (fun b ->
+      for _ = 1 to 1000 do
+        let v = Random.State.full_int rng b in
+        if v < 0 || v >= b then Alcotest.failf "full_int %d out of range: %d" b v
+      done)
+    [ (1 lsl 30) + 3; 1073741827; (1 lsl 40) + 7 ]
+
 let test_state_valued_sampler () =
   (* Lemma 9: a hiding function returning unit vectors instead of
      tags; outcome distribution must match the tag-based sampler *)
@@ -669,6 +792,9 @@ let () =
           Alcotest.test_case "state-valued oracle (lemma 9)" `Quick test_state_valued_sampler;
           Alcotest.test_case "coset draw law (chi-squared)" `Quick test_coset_draw_law;
           Alcotest.test_case "prep_bytes = heap footprint" `Quick test_prep_bytes;
+          Alcotest.test_case "same-seed pin (sampler_of_prep)" `Quick test_same_seed_pin;
+          Alcotest.test_case "prep tables = decode loop" `Quick test_prep_tables_match_decode_loop;
+          Alcotest.test_case "full_int stream pin" `Quick test_full_int_stream_pin;
         ] );
       ( "shor",
         [

@@ -255,10 +255,35 @@ let test_per_request_metrics_delta () =
   (* the delta charges this request's measurements to it *)
   checki "five measurements in the request's ledger slice" 5
     (Option.get (reply_int [ "metrics"; "measurements" ] r));
-  (* warm second request: no further prep in its delta *)
+  (* warm second request: no further prep in its delta, and a zero
+     field is omitted rather than sent *)
   let r2 = Service.submit t (sample_req ~count:3 [| 8; 8 |] [| 4; 2 |] None) in
-  checki "warm request charges zero preps" 0
-    (Option.get (reply_int [ "metrics"; "sampler_preps" ] r2));
+  checkb "warm request charges zero preps (field absent)" true
+    (Option.bind (Jsonv.member "metrics" r2) (Jsonv.member "sampler_preps") = None);
+  (* no reply of any kind carries a zero field *)
+  let solve =
+    Service.submit t
+      { Protocol.id = Jsonv.Int 1;
+        req = Protocol.Solve { inst = { dims = [| 8; 8 |]; moduli = [| 4; 2 |]; backend = None }; seed = Some 2 } }
+  in
+  let sym = Service.submit t (sample_req ~count:2 (Array.make 64 2) (Array.make 64 2) None) in
+  List.iter
+    (fun (name, reply) ->
+      checkb (name ^ " ok") true (reply_ok reply);
+      match Jsonv.member "metrics" reply with
+      | Some (Jsonv.Obj fields) ->
+          List.iter
+            (fun (k, v) ->
+              let zero =
+                match v with
+                | Jsonv.Int 0 -> true
+                | Jsonv.Float f -> Float.equal f 0.0
+                | _ -> false
+              in
+              if zero then Alcotest.failf "%s reply carries zero field %s" name k)
+            fields
+      | _ -> Alcotest.failf "%s reply has no metrics object" name)
+    [ ("cold sample", r); ("warm sample", r2); ("solve", solve); ("symbolic sample", sym) ];
   Service.stop t
 
 let test_solve_and_errors_typed () =
@@ -288,6 +313,25 @@ let test_solve_and_errors_typed () =
     (match Jsonv.member "error" bad2 with
     | Some err -> Jsonv.member "kind" err = Some (Jsonv.String "rejected")
     | None -> false);
+  Service.stop t
+
+(* A cyclic factor past 2^30 routes symbolic and solves; the daemon
+   used to answer it with a raw "rejected: Random.int". *)
+let test_large_cyclic_factor_solves () =
+  setup ();
+  let t = Service.create ~seed:5 () in
+  Service.start t;
+  let r =
+    Service.submit t
+      { Protocol.id = Jsonv.Int 3;
+        req =
+          Protocol.Solve
+            { inst = { dims = [| 1073741827; 4 |]; moduli = [| 1; 2 |]; backend = None }; seed = Some 1 } }
+  in
+  checkb "solve ok" true (reply_ok r);
+  checkb "verified against planted subgroup" true (Jsonv.member "verified" r = Some (Jsonv.Bool true));
+  let s = Service.submit t (sample_req ~count:4 [| 1073741827; 4 |] [| 1; 2 |] None) in
+  checkb "sample ok" true (reply_ok s);
   Service.stop t
 
 (* ------------------------------------------------------------------ *)
@@ -571,6 +615,8 @@ let () =
             test_solve_and_errors_typed;
           Alcotest.test_case "batched = sequential distribution" `Slow
             test_batched_vs_sequential_distribution;
+          Alcotest.test_case "cyclic factor past 2^30 solves" `Quick
+            test_large_cyclic_factor_solves;
         ] );
       ("stress", List.map QCheck_alcotest.to_alcotest stress_props);
       ( "wire",
