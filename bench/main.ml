@@ -1370,23 +1370,23 @@ let e14 () =
 
 (* ------------------------------------------------------------------ *)
 (* E15: circuit compiler + fused kernels.  Each workload is a qubit   *)
-(* circuit run through [Circuit.run] under every combination of       *)
-(* HSP_FUSE (plan vs gate-by-gate), job count and scheduler; digests  *)
-(* over the measured outcomes must agree bit-for-bit across ALL rows, *)
-(* ledger counters across rows of the same fuse mode, and the fused   *)
-(* single-thread run must beat the unfused one >= 5x.  Every compiled *)
+(* circuit run from a seeded random normalised dense state, once      *)
+(* through the gate-by-gate reference [Circuit.run_gates] (jobs=1)    *)
+(* and then through [Circuit.run]'s compiled plan at every job count  *)
+(* and scheduler.  Plan rows must agree bit-for-bit (a digest of the  *)
+(* IEEE bits of every amplitude) and in their ledger counters, must   *)
+(* match the reference state to 1e-9 and its measured-outcome digest, *)
+(* and the single-thread plan must beat the reference >= 5x.  Every   *)
 (* plan is verified symbolically by Circuit_check.check_plan first.   *)
-(* The sec column times circuit execution only; measurement (common   *)
-(* to both paths) happens outside the timer but inside the digest.    *)
+(* The sec column times circuit execution (plan compile included);    *)
+(* measurement happens outside the timer but inside the digest.       *)
 (* ------------------------------------------------------------------ *)
 
 let e15 () =
   header
-    "E15: circuit compiler + fused kernels — fused single-thread >= 5x, digests identical across HSP_FUSE / jobs / sched"
-    [ fmt_s "workload"; fmt_s "gates"; fmt_s "fuse"; fmt_s "jobs"; fmt_s "sched";
-      fmt_s "digest"; fmt_s "ok"; fmt_s "speedup"; fmt_s "sec" ];
-  (* gate_fibres / fused_* describe backend work and legitimately
-     differ ACROSS fuse modes; within one mode every row must agree. *)
+    "E15: circuit compiler + fused kernels — plan single-thread >= 5x over run_gates, amplitudes bit-identical across jobs / sched and within 1e-9 of run_gates"
+    [ fmt_s "workload"; fmt_s "gates"; fmt_s "path"; fmt_s "jobs"; fmt_s "sched";
+      fmt_s "digest"; fmt_s "bits"; fmt_s "ok"; fmt_s "speedup"; fmt_s "sec" ];
   let counters (m : Quantum.Metrics.snapshot) =
     [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres;
       m.Quantum.Metrics.plans_compiled; m.Quantum.Metrics.fused_passes;
@@ -1398,11 +1398,11 @@ let e15 () =
     | Quantum.Parallel.Shuffle -> "shuf"
   in
   let variants =
-    [ (false, 1, Quantum.Parallel.Fifo); (false, 2, Quantum.Parallel.Fifo);
-      (false, 4, Quantum.Parallel.Fifo); (false, 4, Quantum.Parallel.Shuffle);
-      (true, 1, Quantum.Parallel.Fifo); (true, 2, Quantum.Parallel.Fifo);
-      (true, 4, Quantum.Parallel.Fifo); (true, 4, Quantum.Parallel.Shuffle) ]
+    List.concat_map
+      (fun jobs -> [ (jobs, Quantum.Parallel.Fifo); (jobs, Quantum.Parallel.Shuffle) ])
+      [ 1; 2; 4 ]
   in
+  let hex8 d = String.sub (Digest.to_hex d) 0 8 in
   let run_workload name c measures =
     let plan = Quantum.Circuit.compile c in
     (match Analysis.Circuit_check.check_plan c plan with
@@ -1419,13 +1419,18 @@ let e15 () =
       (Quantum.Circuit_plan.step_count plan)
       (Quantum.Circuit_plan.bytes plan);
     let n = Quantum.Circuit.num_qubits c in
-    let x0 = Array.init n (fun i -> i land 1) in
-    let run rng =
-      let st0 =
-        Quantum.State.of_basis ~backend:Quantum.Backend.Dense (Array.make n 2) x0
-      in
-      let stc, sec = time_it (fun () -> Quantum.Circuit.run c st0) in
-      let st = ref stc in
+    let st0 =
+      let rng = Random.State.make [| 0xe15; n |] in
+      Quantum.State.of_amplitudes ~backend:Quantum.Backend.Dense (Array.make n 2)
+        (Array.init (1 lsl n) (fun _ ->
+             Linalg.Cx.make (Random.State.float rng 2.0 -. 1.0)
+               (Random.State.float rng 2.0 -. 1.0)))
+    in
+    (* Outcome digest (one seeded measurement sequence) and bits digest
+       (IEEE bits of every amplitude) of the circuit's output state. *)
+    let outcomes st =
+      let rng = Random.State.make [| 0xe15 |] in
+      let st = ref st in
       let buf = Buffer.create 256 in
       List.iter
         (fun wires ->
@@ -1437,57 +1442,71 @@ let e15 () =
               Buffer.add_char buf ',')
             outcome)
         measures;
-      (Digest.string (Buffer.contents buf), sec)
+      Digest.string (Buffer.contents buf)
     in
-    let results =
-      List.map
-        (fun (fuse, jobs, sched) ->
-          Quantum.Circuit_plan.set_fuse fuse;
-          Quantum.Parallel.set_jobs jobs;
-          Quantum.Parallel.set_sched sched;
-          Quantum.Metrics.reset ();
-          let digest, sec = run (Random.State.make [| 0xe15 |]) in
-          ((fuse, jobs, sched), digest, counters (Quantum.Metrics.snapshot ()), sec))
-        variants
+    let bits st =
+      let buf = Buffer.create (16 lsl n) in
+      Array.iter
+        (fun (z : Linalg.Cx.t) ->
+          Buffer.add_int64_le buf (Int64.bits_of_float z.Complex.re);
+          Buffer.add_int64_le buf (Int64.bits_of_float z.Complex.im))
+        (Quantum.State.amplitudes st);
+      Digest.string (Buffer.contents buf)
     in
-    Quantum.Circuit_plan.set_fuse false;
+    let exec run =
+      Quantum.Metrics.reset ();
+      let st, sec = time_it (fun () -> run c st0) in
+      let digest = outcomes st in
+      let cs = counters (Quantum.Metrics.snapshot ()) in
+      (st, digest, bits st, cs, sec)
+    in
     Quantum.Parallel.set_jobs 1;
     Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
-    let find fuse jobs sched =
-      List.find
-        (fun ((f, j, s), _, _, _) ->
-          Bool.equal f fuse && Int.equal j jobs && s == sched)
-        results
+    let ref_st, ref_digest, ref_bits, _, ref_sec = exec Quantum.Circuit.run_gates in
+    row
+      [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "gates"; fmt_i 1;
+        fmt_s "fifo"; fmt_s (hex8 ref_digest); fmt_s (hex8 ref_bits); fmt_s "ref";
+        fmt_f 1.0; fmt_f ref_sec ];
+    let results =
+      List.map
+        (fun (jobs, sched) ->
+          Quantum.Parallel.set_jobs jobs;
+          Quantum.Parallel.set_sched sched;
+          let st, digest, bits, cs, sec = exec Quantum.Circuit.run in
+          let close = Quantum.State.approx_equal ~eps:1e-9 ref_st st in
+          ((jobs, sched), digest, bits, cs, close, sec))
+        variants
     in
-    let _, base_digest, _, base_sec = find false 1 Quantum.Parallel.Fifo in
-    let _, _, _, fused_sec = find true 1 Quantum.Parallel.Fifo in
+    Quantum.Parallel.set_jobs 1;
+    Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
+    let _, _, base_bits, base_cs, _, plan_sec = List.hd results in
     List.iter
-      (fun ((fuse, jobs, sched), digest, cs, sec) ->
-        let _, _, mode_base, _ = find fuse 1 Quantum.Parallel.Fifo in
+      (fun ((jobs, sched), digest, bits, cs, close, sec) ->
         let ok =
-          String.equal digest base_digest && List.for_all2 Int.equal cs mode_base
+          String.equal digest ref_digest && String.equal bits base_bits
+          && List.for_all2 Int.equal cs base_cs && close
         in
         if not ok then begin
           incr claim_violations;
           Printf.printf
-            "claim violation: E15 %s fuse=%b jobs=%d sched=%s diverges from the unfused jobs=1 run\n"
-            name fuse jobs (sched_name sched)
+            "claim violation: E15 %s plan jobs=%d sched=%s diverges (outcomes %b, bits %b, ledger %b, within 1e-9 of run_gates %b)\n"
+            name jobs (sched_name sched) (String.equal digest ref_digest)
+            (String.equal bits base_bits) (List.for_all2 Int.equal cs base_cs) close
         end;
         row
-          [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c);
-            fmt_s (if fuse then "1" else "0"); fmt_i jobs; fmt_s (sched_name sched);
-            fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
-            fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
+          [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan"; fmt_i jobs;
+            fmt_s (sched_name sched); fmt_s (hex8 digest); fmt_s (hex8 bits);
+            fmt_s (string_of_bool ok); fmt_f (ref_sec /. Float.max 1e-9 sec); fmt_f sec ])
       results;
-    let speedup = base_sec /. Float.max 1e-9 fused_sec in
+    let speedup = ref_sec /. Float.max 1e-9 plan_sec in
     row
-      [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "1x-vs-0x"; fmt_i 1;
-        fmt_s "fifo"; fmt_s "-"; fmt_s (string_of_bool (speedup >= 5.0));
-        fmt_f speedup; fmt_f fused_sec ];
+      [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan/gates"; fmt_i 1;
+        fmt_s "fifo"; fmt_s "-"; fmt_s "-"; fmt_s (string_of_bool (speedup >= 5.0));
+        fmt_f speedup; fmt_f plan_sec ];
     if speedup < 5.0 then begin
       incr claim_violations;
       Printf.printf
-        "claim violation: E15 %s fused single-thread speedup %.2fx < 5x over the gate-by-gate path\n"
+        "claim violation: E15 %s plan single-thread speedup %.2fx < 5x over the gate-by-gate path\n"
         name speedup
     end
   in

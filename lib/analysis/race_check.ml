@@ -242,14 +242,25 @@ let check_kernel_closure ~report closure =
    argument expression makes chunk boundaries (and therefore ordered
    reductions) depend on the machine the run happens to be on. *)
 
-let chunks_arg_mentions_jobs arg =
+(* [tainted] is the set of local names let-bound, in the enclosing
+   function, to an expression that itself depends on the job count, so
+   [let n = if Parallel.jobs () = 1 then 1 else 8 in ... ~chunks:n] is
+   caught as well as the inline form. *)
+let mentions_jobs ~tainted arg =
   mentions
     ~const_pred:(fun s -> String.equal s "HSP_JOBS")
     (fun name ->
-      String.equal (last_component name) "jobs"
+      tainted name
+      || String.equal (last_component name) "jobs"
       || String.equal (last_component name) "getenv"
       || String.equal (last_component name) "getenv_opt")
     arg
+
+let rec bound_var (p : Parsetree.pattern) =
+  match p.Parsetree.ppat_desc with
+  | Ppat_var { txt; _ } -> Some txt
+  | Ppat_constraint (p, _) -> bound_var p
+  | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Rules 4 + 5: unbalanced-lock, blocking-under-lock                  *)
@@ -345,6 +356,13 @@ let lint_source config ~file src =
      the body argument of a lock wrapper, or the protected continuation
      of a sanctioned [Mutex.lock; Fun.protect ~finally:unlock] pair. *)
   let lock_depth = ref 0 in
+  (* Innermost-first let-bound names in scope, each with whether its
+     right-hand side depends on the job count (rule 2). *)
+  let jobs_env = ref [] in
+  let tainted name =
+    List.find_map (fun (n, t) -> if String.equal n name then Some t else None) !jobs_env
+    |> Option.value ~default:false
+  in
   let under_lock f =
     incr lock_depth;
     f ();
@@ -371,6 +389,17 @@ let lint_source config ~file src =
             "Mutex.lock without exception-safe unlock (use Mutex.protect, or follow it \
              immediately with Fun.protect ~finally:(fun () -> Mutex.unlock ...))";
         walk_lock_args it e
+    | Pexp_let (_, vbs, body) ->
+        List.iter (fun (vb : Parsetree.value_binding) -> expr it vb.pvb_expr) vbs;
+        let outer = !jobs_env in
+        List.iter
+          (fun (vb : Parsetree.value_binding) ->
+            match bound_var vb.pvb_pat with
+            | Some name -> jobs_env := (name, mentions_jobs ~tainted vb.pvb_expr) :: !jobs_env
+            | None -> ())
+          vbs;
+        expr it body;
+        jobs_env := outer
     | _ -> (
         match app_parts e with
         | Some (head, loc, args) ->
@@ -389,7 +418,7 @@ let lint_source config ~file src =
                 (fun (label, a) ->
                   match label with
                   | Asttypes.Labelled "chunks" | Asttypes.Optional "chunks" ->
-                      if chunks_arg_mentions_jobs a then
+                      if mentions_jobs ~tainted a then
                         report a.Parsetree.pexp_loc Jobs_dependent_chunks
                           "~chunks depends on the job count (Parallel.jobs / HSP_JOBS): \
                            chunk geometry must be fixed by the workload alone \

@@ -21,8 +21,9 @@
       Cross-chunk accumulation must go through [Atomic], a per-chunk
       slot combined after the join, or [map_chunks]' ordered results.
     - [jobs-dependent-chunks] — a [~chunks:] argument expression that
-      mentions [Parallel.jobs], [getenv]-style lookups, or the literal
-      ["HSP_JOBS"].  Chunk counts must be a function of the workload
+      mentions [Parallel.jobs], [getenv]-style lookups, the literal
+      ["HSP_JOBS"], or a name let-bound in the enclosing function to
+      such an expression (followed through chains of [let]s).  Chunk counts must be a function of the workload
       geometry only, or chunk boundaries — and therefore ordered
       floating-point reductions — change with the machine's job count,
       breaking the bit-for-bit determinism contract.

@@ -191,9 +191,9 @@ let apply_wires t ~wires m =
 
 let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
-(* Fused-plan execution (HSP_FUSE=1): one Bigarray staging pass, every
-   plan step in place, one copy back — per-gate plane allocation gone.
-   The planes of [t] are never written (immutability convention). *)
+(* Fused-plan execution: one copy of each plane, every plan step in
+   place on the copies — per-gate plane allocation gone.  The planes of
+   [t] are never written (immutability convention). *)
 let run_plan plan t =
   if
     Array.length t.dims <> Circuit_plan.(plan.num_qubits)

@@ -25,9 +25,8 @@ val measure_all : Random.State.t -> t -> int array
     and no collapsed state. *)
 
 val run_plan : Circuit_plan.t -> t -> t
-(** Execute a fused circuit plan in place over Bigarray staging planes
-    (one copy in, one out; see {!Circuit_plan.run_planes}).  The input
-    state is untouched.
+(** Execute a fused circuit plan in place on copies of the planes
+    (see {!Circuit_plan.run_planes}).  The input state is untouched.
     @raise Invalid_argument if the state is not a register of
     [plan.num_qubits] qubits. *)
 

@@ -13,23 +13,6 @@ let classify_eps = 1e-12
 let perm_max_wires = 8
 
 (* ------------------------------------------------------------------ *)
-(* Fuse-mode knob (same shape as Parallel's HSP_JOBS handling)        *)
-(* ------------------------------------------------------------------ *)
-
-let parse_fuse s =
-  match String.trim s with
-  | "0" -> false
-  | "1" -> true
-  | _ -> invalid_arg (Printf.sprintf "HSP_FUSE: expected 0 or 1, got %S" s)
-
-let env_default =
-  lazy (match Sys.getenv_opt "HSP_FUSE" with None -> false | Some s -> parse_fuse s)
-
-let current = Atomic.make None
-let fuse () = match Atomic.get current with Some b -> b | None -> Lazy.force env_default
-let set_fuse b = Atomic.set current (Some b)
-
-(* ------------------------------------------------------------------ *)
 (* Gate classification                                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -158,16 +141,13 @@ let compile ~num_qubits gates =
    0 is the most significant (Backend.strides with all dims = 2). *)
 let bit_of n w = n - 1 - w
 
+(* Insert a zero bit at position [t]: [r] ranges over indices with bit
+   [t] removed. *)
+let[@inline] insert_zero r t = ((r lsr t) lsl (t + 1)) lor (r land ((1 lsl t) - 1))
+
 (* Expand a rest index into a fibre base index by inserting zero bits
    at the given positions, which must be sorted ascending. *)
-let base_of_rest bits_asc r =
-  let b = ref r in
-  Array.iter
-    (fun t ->
-      let mask = (1 lsl t) - 1 in
-      b := ((!b lsr t) lsl (t + 1)) lor (!b land mask))
-    bits_asc;
-  !b
+let base_of_rest bits_asc r = Array.fold_left insert_zero r bits_asc
 
 (* Fibre offsets of every sub-assignment of the listed wires (first
    listed wire most significant), as in Backend_dense.apply_wires. *)
@@ -198,124 +178,241 @@ let sorted_bits n wires =
   Array.sort Int.compare bits;
   bits
 
-module BA1 = Bigarray.Array1
+(* The kernels below index the planes unchecked and [t] is a public
+   record, so every step is validated once before any step runs. *)
+let validate n steps =
+  let fail msg = invalid_arg ("Circuit_plan.run_planes: " ^ msg) in
+  let dim_of wires =
+    if wires = [] then fail "empty wire list";
+    List.iter (fun w -> if w < 0 || w >= n then fail "wire out of range") wires;
+    if List.length (List.sort_uniq Int.compare wires) <> List.length wires then
+      fail "duplicate wires";
+    1 lsl List.length wires
+  in
+  List.iter
+    (function
+      | Fused { wires; mat; _ } ->
+          let dim = dim_of wires in
+          if
+            Cmat.rows mat <> dim
+            || Array.exists (fun row -> not (Int.equal (Array.length row) dim)) mat
+          then fail "matrix dimension does not match wire count"
+      | Diag { gates } ->
+          List.iter
+            (fun (wires, d) ->
+              let dim = dim_of wires in
+              if dim > 4 then fail "diagonal factor on more than 2 wires";
+              if Array.length d <> dim then fail "diagonal table length does not match wire count")
+            gates
+      | Perm { wires; perm; _ } ->
+          let dim = dim_of wires in
+          if Array.length perm <> dim then fail "permutation length does not match wire count";
+          if Array.exists (fun p -> p < 0 || p >= dim) perm then
+            fail "permutation entry out of range")
+    steps
 
-(* Generic in-place k-wire dense apply over the Bigarray planes: the
-   unfused gather/transform/scatter, minus the per-gate output planes
-   (the fibre is staged in chunk-local scratch, so in-place is safe). *)
-let exec_dense_generic n bre bim wires mat =
-  let total = 1 lsl n in
+(* In-place 2x2 apply on rest indices [lo, hi) of [0, 2^n / 2); [m] is
+   the gate row-major as 8 floats [re00; im00; re01; im01; ...]. *)
+let apply1 (re : float array) (im : float array) (m : float array) ~bit lo hi =
+  let s = 1 lsl bit in
+  let ar = Array.unsafe_get m 0 and ai = Array.unsafe_get m 1 in
+  let br = Array.unsafe_get m 2 and bi = Array.unsafe_get m 3 in
+  let cr = Array.unsafe_get m 4 and ci = Array.unsafe_get m 5 in
+  let dr = Array.unsafe_get m 6 and di = Array.unsafe_get m 7 in
+  for r = lo to hi - 1 do
+    let i0 = insert_zero r bit in
+    let i1 = i0 + s in
+    let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
+    let x1r = Array.unsafe_get re i1 and x1i = Array.unsafe_get im i1 in
+    Array.unsafe_set re i0 ((ar *. x0r) -. (ai *. x0i) +. (br *. x1r) -. (bi *. x1i));
+    Array.unsafe_set im i0 ((ar *. x0i) +. (ai *. x0r) +. (br *. x1i) +. (bi *. x1r));
+    Array.unsafe_set re i1 ((cr *. x0r) -. (ci *. x0i) +. (dr *. x1r) -. (di *. x1i));
+    Array.unsafe_set im i1 ((cr *. x0i) +. (ci *. x0r) +. (dr *. x1i) +. (di *. x1r))
+  done
+
+(* In-place 4x4 apply on rest indices [lo, hi) of [0, 2^n / 4).  Gate
+   sub-index [s = 2 x_a + x_b], [bit_a] being the bit of the gate's
+   most significant wire; [m] is the gate row-major as 32 floats.
+   Fully unrolled, and the table is read inside the loop: bound to 32
+   locals its entries spill, and a nested loop over refs is ~2x
+   slower. *)
+let apply2 (re : float array) (im : float array) (m : float array) ~bit_a ~bit_b lo hi =
+  let low = Int.min bit_a bit_b and high = Int.max bit_a bit_b in
+  let sa = 1 lsl bit_a and sb = 1 lsl bit_b in
+  for r = lo to hi - 1 do
+    let i0 = insert_zero (insert_zero r low) high in
+    let i1 = i0 + sb and i2 = i0 + sa in
+    let i3 = i2 + sb in
+    let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
+    let x1r = Array.unsafe_get re i1 and x1i = Array.unsafe_get im i1 in
+    let x2r = Array.unsafe_get re i2 and x2i = Array.unsafe_get im i2 in
+    let x3r = Array.unsafe_get re i3 and x3i = Array.unsafe_get im i3 in
+    Array.unsafe_set re i0
+      ((Array.unsafe_get m 0 *. x0r) -. (Array.unsafe_get m 1 *. x0i)
+      +. (Array.unsafe_get m 2 *. x1r) -. (Array.unsafe_get m 3 *. x1i)
+      +. (Array.unsafe_get m 4 *. x2r) -. (Array.unsafe_get m 5 *. x2i)
+      +. (Array.unsafe_get m 6 *. x3r) -. (Array.unsafe_get m 7 *. x3i));
+    Array.unsafe_set im i0
+      ((Array.unsafe_get m 0 *. x0i) +. (Array.unsafe_get m 1 *. x0r)
+      +. (Array.unsafe_get m 2 *. x1i) +. (Array.unsafe_get m 3 *. x1r)
+      +. (Array.unsafe_get m 4 *. x2i) +. (Array.unsafe_get m 5 *. x2r)
+      +. (Array.unsafe_get m 6 *. x3i) +. (Array.unsafe_get m 7 *. x3r));
+    Array.unsafe_set re i1
+      ((Array.unsafe_get m 8 *. x0r) -. (Array.unsafe_get m 9 *. x0i)
+      +. (Array.unsafe_get m 10 *. x1r) -. (Array.unsafe_get m 11 *. x1i)
+      +. (Array.unsafe_get m 12 *. x2r) -. (Array.unsafe_get m 13 *. x2i)
+      +. (Array.unsafe_get m 14 *. x3r) -. (Array.unsafe_get m 15 *. x3i));
+    Array.unsafe_set im i1
+      ((Array.unsafe_get m 8 *. x0i) +. (Array.unsafe_get m 9 *. x0r)
+      +. (Array.unsafe_get m 10 *. x1i) +. (Array.unsafe_get m 11 *. x1r)
+      +. (Array.unsafe_get m 12 *. x2i) +. (Array.unsafe_get m 13 *. x2r)
+      +. (Array.unsafe_get m 14 *. x3i) +. (Array.unsafe_get m 15 *. x3r));
+    Array.unsafe_set re i2
+      ((Array.unsafe_get m 16 *. x0r) -. (Array.unsafe_get m 17 *. x0i)
+      +. (Array.unsafe_get m 18 *. x1r) -. (Array.unsafe_get m 19 *. x1i)
+      +. (Array.unsafe_get m 20 *. x2r) -. (Array.unsafe_get m 21 *. x2i)
+      +. (Array.unsafe_get m 22 *. x3r) -. (Array.unsafe_get m 23 *. x3i));
+    Array.unsafe_set im i2
+      ((Array.unsafe_get m 16 *. x0i) +. (Array.unsafe_get m 17 *. x0r)
+      +. (Array.unsafe_get m 18 *. x1i) +. (Array.unsafe_get m 19 *. x1r)
+      +. (Array.unsafe_get m 20 *. x2i) +. (Array.unsafe_get m 21 *. x2r)
+      +. (Array.unsafe_get m 22 *. x3i) +. (Array.unsafe_get m 23 *. x3r));
+    Array.unsafe_set re i3
+      ((Array.unsafe_get m 24 *. x0r) -. (Array.unsafe_get m 25 *. x0i)
+      +. (Array.unsafe_get m 26 *. x1r) -. (Array.unsafe_get m 27 *. x1i)
+      +. (Array.unsafe_get m 28 *. x2r) -. (Array.unsafe_get m 29 *. x2i)
+      +. (Array.unsafe_get m 30 *. x3r) -. (Array.unsafe_get m 31 *. x3i));
+    Array.unsafe_set im i3
+      ((Array.unsafe_get m 24 *. x0i) +. (Array.unsafe_get m 25 *. x0r)
+      +. (Array.unsafe_get m 26 *. x1i) +. (Array.unsafe_get m 27 *. x1r)
+      +. (Array.unsafe_get m 28 *. x2i) +. (Array.unsafe_get m 29 *. x2r)
+      +. (Array.unsafe_get m 30 *. x3i) +. (Array.unsafe_get m 31 *. x3r))
+  done
+
+(* One pointwise sweep over indices [lo, hi) multiplying each amplitude
+   by the product of a run of diagonal factors, accumulated in factor
+   order so the result is a fixed fp expression whatever the chunking.
+   Arity-1 factor [f] reads bit [shifts1.(f)] and entries [d1.(4f ..
+   4f+3)]; arity-2 factor [f] reads bits [shifts2.(2f)] (the MSB wire)
+   and [shifts2.(2f+1)] and entries [d2.(8f .. 8f+7)]. *)
+let diag (re : float array) (im : float array) ~shifts1 ~(d1 : float array) ~shifts2
+    ~(d2 : float array) lo hi =
+  for idx = lo to hi - 1 do
+    let pr = ref 1.0 and pi = ref 0.0 in
+    for f = 0 to Array.length shifts1 - 1 do
+      let o = (4 * f) + (2 * ((idx lsr Array.unsafe_get shifts1 f) land 1)) in
+      let dr = Array.unsafe_get d1 o and di = Array.unsafe_get d1 (o + 1) in
+      let r = (!pr *. dr) -. (!pi *. di) in
+      pi := (!pr *. di) +. (!pi *. dr);
+      pr := r
+    done;
+    for f = 0 to (Array.length shifts2 / 2) - 1 do
+      let a = (idx lsr Array.unsafe_get shifts2 (2 * f)) land 1 in
+      let b = (idx lsr Array.unsafe_get shifts2 ((2 * f) + 1)) land 1 in
+      let o = (8 * f) + (4 * a) + (2 * b) in
+      let dr = Array.unsafe_get d2 o and di = Array.unsafe_get d2 (o + 1) in
+      let r = (!pr *. dr) -. (!pi *. di) in
+      pi := (!pr *. di) +. (!pi *. dr);
+      pr := r
+    done;
+    let xr = Array.unsafe_get re idx and xi = Array.unsafe_get im idx in
+    Array.unsafe_set re idx ((xr *. !pr) -. (xi *. !pi));
+    Array.unsafe_set im idx ((xr *. !pi) +. (xi *. !pr))
+  done
+
+(* Generic in-place k-wire dense apply: the gate-by-gate
+   gather/transform/scatter minus the per-gate output planes (the fibre
+   is staged in chunk-local scratch, so in-place is safe). *)
+let exec_dense_generic n (re : float array) (im : float array) wires mat =
   let k = List.length wires in
   let sub_total = 1 lsl k in
   let offs = sub_offsets n wires in
   let bits_asc = sorted_bits n wires in
   let m_re, m_im = Cmat.planes mat in
-  Parallel.parallel_for 0 (total lsr k) (fun rlo rhi ->
+  Parallel.parallel_for 0 ((1 lsl n) lsr k) (fun rlo rhi ->
       let f_re = Array.make sub_total 0.0 and f_im = Array.make sub_total 0.0 in
       let y_re = Array.make sub_total 0.0 and y_im = Array.make sub_total 0.0 in
       for r = rlo to rhi - 1 do
         let base = base_of_rest bits_asc r in
         for s = 0 to sub_total - 1 do
           let j = base + Array.unsafe_get offs s in
-          Array.unsafe_set f_re s (BA1.unsafe_get bre j);
-          Array.unsafe_set f_im s (BA1.unsafe_get bim j)
+          Array.unsafe_set f_re s (Array.unsafe_get re j);
+          Array.unsafe_set f_im s (Array.unsafe_get im j)
         done;
         Cmat.apply_planes ~rows:sub_total ~cols:sub_total ~m_re ~m_im ~x_re:f_re ~x_im:f_im
           ~y_re ~y_im;
         for s = 0 to sub_total - 1 do
           let j = base + Array.unsafe_get offs s in
-          BA1.unsafe_set bre j (Array.unsafe_get y_re s);
-          BA1.unsafe_set bim j (Array.unsafe_get y_im s)
+          Array.unsafe_set re j (Array.unsafe_get y_re s);
+          Array.unsafe_set im j (Array.unsafe_get y_im s)
         done
       done)
 
-let exec_perm n bre bim wires perm =
-  let total = 1 lsl n in
+let exec_perm n (re : float array) (im : float array) wires perm =
   let k = List.length wires in
   let sub_total = 1 lsl k in
   let offs = sub_offsets n wires in
   let bits_asc = sorted_bits n wires in
-  Parallel.parallel_for 0 (total lsr k) (fun rlo rhi ->
+  Parallel.parallel_for 0 ((1 lsl n) lsr k) (fun rlo rhi ->
       let f_re = Array.make sub_total 0.0 and f_im = Array.make sub_total 0.0 in
       for r = rlo to rhi - 1 do
         let base = base_of_rest bits_asc r in
         for s = 0 to sub_total - 1 do
           let j = base + Array.unsafe_get offs s in
-          Array.unsafe_set f_re s (BA1.unsafe_get bre j);
-          Array.unsafe_set f_im s (BA1.unsafe_get bim j)
+          Array.unsafe_set f_re s (Array.unsafe_get re j);
+          Array.unsafe_set f_im s (Array.unsafe_get im j)
         done;
         for s = 0 to sub_total - 1 do
           let j = base + Array.unsafe_get offs (Array.unsafe_get perm s) in
-          BA1.unsafe_set bre j (Array.unsafe_get f_re s);
-          BA1.unsafe_set bim j (Array.unsafe_get f_im s)
+          Array.unsafe_set re j (Array.unsafe_get f_re s);
+          Array.unsafe_set im j (Array.unsafe_get f_im s)
         done
       done)
 
-let exec_diag n bre bim gates =
-  let total = 1 lsl n in
+let exec_diag n re im gates =
   let g1 = List.filter (fun (w, _) -> List.length w = 1) gates in
   let g2 = List.filter (fun (w, _) -> List.length w = 2) gates in
-  let shifts1 = Array.of_list (List.map (fun (w, _) -> bit_of n (List.hd w)) g1) in
-  let d1 = Array.make (4 * List.length g1) 0.0 in
-  List.iteri
-    (fun f (_, d) ->
-      Array.iteri
-        (fun v (z : Cx.t) ->
-          d1.((4 * f) + (2 * v)) <- z.Complex.re;
-          d1.((4 * f) + (2 * v) + 1) <- z.Complex.im)
-        d)
-    g1;
-  let shifts2 =
-    Array.concat
-      (List.map (fun (w, _) -> Array.of_list (List.map (bit_of n) w)) g2)
+  let table width g =
+    let d = Array.make (2 * width * List.length g) 0.0 in
+    List.iteri
+      (fun f (_, entries) ->
+        Array.iteri
+          (fun v (z : Cx.t) ->
+            d.((2 * width * f) + (2 * v)) <- z.Complex.re;
+            d.((2 * width * f) + (2 * v) + 1) <- z.Complex.im)
+          entries)
+      g;
+    d
   in
-  let d2 = Array.make (8 * List.length g2) 0.0 in
-  List.iteri
-    (fun f (_, d) ->
-      Array.iteri
-        (fun v (z : Cx.t) ->
-          d2.((8 * f) + (2 * v)) <- z.Complex.re;
-          d2.((8 * f) + (2 * v) + 1) <- z.Complex.im)
-        d)
-    g2;
-  Parallel.parallel_for 0 total (fun lo hi ->
-      Fused_kernels.diag ~re:bre ~im:bim ~lo ~hi ~shifts1 ~d1 ~shifts2 ~d2)
+  let shifts1 = Array.of_list (List.map (fun (w, _) -> bit_of n (List.hd w)) g1) in
+  let shifts2 = Array.of_list (List.concat_map (fun (w, _) -> List.map (bit_of n) w) g2) in
+  Parallel.parallel_for 0 (1 lsl n)
+    (diag re im ~shifts1 ~d1:(table 2 g1) ~shifts2 ~d2:(table 4 g2))
 
-let exec_step n bre bim step =
-  let total = 1 lsl n in
+let exec_step n re im step =
   (match step with
   | Fused { wires = [ w ]; mat; _ } ->
-      let bit = bit_of n w and m = mat_table mat in
-      Parallel.parallel_for 0 (total / 2) (fun lo hi ->
-          Fused_kernels.apply1 ~re:bre ~im:bim ~lo ~hi ~bit ~m)
+      Parallel.parallel_for 0 (1 lsl (n - 1)) (apply1 re im (mat_table mat) ~bit:(bit_of n w))
   | Fused { wires = [ a; b ]; mat; _ } ->
-      let bit_a = bit_of n a and bit_b = bit_of n b and m = mat_table mat in
-      Parallel.parallel_for 0 (total / 4) (fun lo hi ->
-          Fused_kernels.apply2 ~re:bre ~im:bim ~lo ~hi ~bit_a ~bit_b ~m)
-  | Fused { wires; mat; _ } -> exec_dense_generic n bre bim wires mat
-  | Diag { gates } -> exec_diag n bre bim gates
-  | Perm { wires; perm; _ } -> exec_perm n bre bim wires perm);
+      Parallel.parallel_for 0 (1 lsl (n - 2))
+        (apply2 re im (mat_table mat) ~bit_a:(bit_of n a) ~bit_b:(bit_of n b))
+  | Fused { wires; mat; _ } -> exec_dense_generic n re im wires mat
+  | Diag { gates } -> exec_diag n re im gates
+  | Perm { wires; perm; _ } -> exec_perm n re im wires perm);
   Metrics.record_fused_pass ()
 
 let run_planes plan ~re ~im =
-  let total = 1 lsl plan.num_qubits in
-  if Array.length re <> total || Array.length im <> total then
+  let n = plan.num_qubits in
+  (* [1 lsl n] must be exact for the length check to bound every index *)
+  if n < 0 || n >= Sys.int_size - 1 then
+    invalid_arg "Circuit_plan.run_planes: num_qubits out of range";
+  if Array.length re <> 1 lsl n || Array.length im <> 1 lsl n then
     invalid_arg "Circuit_plan.run_planes: plane length mismatch";
-  let bre = Fused_kernels.create total and bim = Fused_kernels.create total in
-  Parallel.parallel_for 0 total (fun lo hi ->
-      for i = lo to hi - 1 do
-        BA1.unsafe_set bre i (Array.unsafe_get re i);
-        BA1.unsafe_set bim i (Array.unsafe_get im i)
-      done);
-  List.iter (exec_step plan.num_qubits bre bim) plan.steps;
+  validate n plan.steps;
+  let re = Array.copy re and im = Array.copy im in
+  List.iter (exec_step n re im) plan.steps;
   Metrics.add_fused_gates plan.source_gates;
-  let out_re = Array.make total 0.0 and out_im = Array.make total 0.0 in
-  Parallel.parallel_for 0 total (fun lo hi ->
-      for i = lo to hi - 1 do
-        Array.unsafe_set out_re i (BA1.unsafe_get bre i);
-        Array.unsafe_set out_im i (BA1.unsafe_get bim i)
-      done);
-  (out_re, out_im)
+  (re, im)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                      *)

@@ -1,7 +1,7 @@
 (** Circuit compiler: fused execution plans for the dense backend.
 
-    [Circuit.run] pays one full gather/transform/scatter pass over the
-    amplitude planes {e per gate}, so QFT-shaped circuits (hundreds of
+    The gate-by-gate fold ([Circuit.run_gates]) pays one full
+    gather/transform/scatter pass over the amplitude planes {e per gate}, so QFT-shaped circuits (hundreds of
     1- and 2-qubit gates) are bound by memory traffic, not arithmetic.
     The compiler rewrites a gate list into a short list of {e steps},
     each one full pass:
@@ -17,18 +17,19 @@
       permutation of the union wires — this collapses the QFT's
       trailing swap chain.
 
-    Steps execute in place over float64 Bigarray planes through the
-    branch-free C kernels in {!Fused_kernels} (1- and 2-wire dense
-    apply, merged diagonal sweep); arity ≥ 3 matrices and permutations
-    run through a generic in-place OCaml kernel.  All passes are
-    chunked over the {!Parallel} pool by fibre, so within a fuse mode
-    results are bit-for-bit identical at every job count and under both
-    [HSP_SCHED] orders (the plane-level contract [Backend_dense]
-    already obeys).  Plans are verified symbolically — no simulation —
-    by [Analysis.Circuit_check.check_plan].
+    Steps execute in place over the dense [float array] planes through
+    unboxed OCaml kernels in the style of [Fft.exec]: a strided 2×2
+    apply, a fully unrolled 4×4 apply and the merged diagonal sweep;
+    arity ≥ 3 matrices and permutations run through a generic in-place
+    kernel that stages each fibre.  All passes are chunked over the
+    {!Parallel} pool by fibre, so results are bit-for-bit identical at
+    every job count and under both [HSP_SCHED] orders (the plane-level
+    contract [Backend_dense] already obeys).  Plans are verified
+    symbolically — no simulation — by [Analysis.Circuit_check.check_plan].
 
-    The fused path is selected by [HSP_FUSE=1] (or {!set_fuse}); the
-    default [HSP_FUSE=0] keeps the pure-OCaml gate-by-gate path. *)
+    [Circuit.run] runs every circuit on a dense qubit register through
+    its plan; [Circuit.run_gates] keeps the gate-by-gate fold as the
+    reference path (and the only path for sparse/symbolic states). *)
 
 type gate = Linalg.Cmat.t * int list
 (** A unitary and its wires, most significant first (as {!Circuit.op}). *)
@@ -56,19 +57,6 @@ val perm_max_wires : int
 (** A Perm step stops absorbing gates once the union would exceed this
     many wires (table size [2^k]). *)
 
-(** {2 Fuse-mode knob} *)
-
-val fuse : unit -> bool
-(** The session-wide fuse switch: {!set_fuse} if called, else
-    [HSP_FUSE] ([0] | [1]), else [false].
-    @raise Invalid_argument on a malformed [HSP_FUSE]. *)
-
-val set_fuse : bool -> unit
-
-val parse_fuse : string -> bool
-(** Validate an [HSP_FUSE]-style value.
-    @raise Invalid_argument unless the trimmed string is [0] or [1]. *)
-
 (** {2 Compilation and execution} *)
 
 val compile : num_qubits:int -> gate list -> t
@@ -78,11 +66,16 @@ val compile : num_qubits:int -> gate list -> t
 
 val run_planes : t -> re:float array -> im:float array -> float array * float array
 (** Execute the plan on an amplitude-plane pair of length
-    [2^num_qubits], returning fresh output planes (inputs untouched).
-    Stages the planes in Bigarrays once, runs every step in place, and
-    copies back — the per-gate plane allocations of the unfused path
-    are gone.
-    @raise Invalid_argument on a plane-length mismatch. *)
+    [2^num_qubits], returning fresh output planes (inputs untouched):
+    one [Array.copy] of each plane, then every step in place on the
+    copies.  Every step is validated first — the kernels index the
+    planes unchecked and [t] is a public record.
+    @raise Invalid_argument ["Circuit_plan.run_planes: ..."] on a
+    negative or oversized [num_qubits], a plane-length mismatch, a step wire out of range, duplicate or empty
+    wire lists, a matrix whose dimension is not [2^|wires|], a
+    permutation table of the wrong length or with an entry out of
+    range, or a diagonal factor that is not on 1 or 2 wires with
+    [2^|wires|] entries. *)
 
 (** {2 Introspection} *)
 

@@ -188,7 +188,11 @@ let parse_number cur =
     | Some f -> Float f
     | None -> fail cur (Printf.sprintf "bad number: %s" lexeme)
 
-let rec parse_value cur =
+(* Arrays and objects nest by recursion, so a frame of a million ['['
+   would overflow the stack; past [max_depth] the parse fails instead. *)
+let max_depth = 512
+
+let rec parse_value cur depth =
   skip_ws cur;
   match peek cur with
   | None -> fail cur "unexpected end of input"
@@ -198,6 +202,8 @@ let rec parse_value cur =
   | Some '"' ->
       advance cur;
       String (parse_string_body cur)
+  | Some ('[' | '{') when depth >= max_depth ->
+      fail cur (Printf.sprintf "nesting deeper than %d" max_depth)
   | Some '[' ->
       advance cur;
       skip_ws cur;
@@ -207,7 +213,7 @@ let rec parse_value cur =
       end
       else
         let rec items acc =
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           skip_ws cur;
           match peek cur with
           | Some ',' ->
@@ -233,7 +239,7 @@ let rec parse_value cur =
           let k = parse_string_body cur in
           skip_ws cur;
           expect cur ':';
-          let v = parse_value cur in
+          let v = parse_value cur (depth + 1) in
           (k, v)
         in
         let rec fields acc =
@@ -255,7 +261,7 @@ let rec parse_value cur =
 let of_string s =
   try
     let cur = { src = s; pos = 0 } in
-    let v = parse_value cur in
+    let v = parse_value cur 0 in
     skip_ws cur;
     (match peek cur with
     | None -> ()

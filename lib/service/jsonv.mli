@@ -22,9 +22,13 @@ val to_string : t -> string
 (** Compact (single-line) serialisation; strings are escaped per RFC
     8259. *)
 
+val max_depth : int
+(** Deepest array/object nesting {!of_string} accepts (512). *)
+
 val of_string : string -> (t, string) result
 (** Strict parse of exactly one JSON value (trailing garbage is an
-    error).  Never raises; the error string carries a byte offset. *)
+    error, as is nesting deeper than {!max_depth}).  Never raises; the
+    error string carries a byte offset. *)
 
 (** {2 Accessors} *)
 

@@ -393,6 +393,25 @@ let test_rc_jobs_dependent_chunks () =
     (List.mem Race_check.Jobs_dependent_chunks
        (rc_rules_of rc_lib
           "let f n body = Parallel.parallel_for ~chunks:(int_of_string (Sys.getenv \"HSP_JOBS\")) 0 n body"));
+  checkb "let-bound jobs-dependent count" true
+    (List.mem Race_check.Jobs_dependent_chunks
+       (rc_rules_of rc_lib
+          "let f total body = let n = if Parallel.jobs () = 1 then 1 else 8 in \
+           Parallel.parallel_for ~chunks:n 0 total body"));
+  checkb "let chain from jobs" true
+    (List.mem Race_check.Jobs_dependent_chunks
+       (rc_rules_of rc_lib
+          "let f total body = let j = Parallel.jobs () in let c = 2 * j in \
+           Parallel.parallel_for ~chunks:c 0 total body"));
+  checkb "shadowed by a fixed count ok" true
+    (rc_rules_of rc_lib
+       "let f total body = let n = Parallel.jobs () in let n = 8 in \
+        Parallel.parallel_for ~chunks:n 0 total body"
+    = []);
+  checkb "let-bound workload count ok" true
+    (rc_rules_of rc_lib
+       "let f total body = let n = total / 4096 in Parallel.parallel_for ~chunks:n 0 total body"
+    = []);
   checkb "workload-fixed chunks ok" true
     (rc_rules_of rc_lib "let f n body = Parallel.parallel_for ~chunks:(n / 4096) 0 n body"
     = []);

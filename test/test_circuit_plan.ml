@@ -1,6 +1,7 @@
-(* Tests for the circuit compiler: fused plans, native kernels,
-   determinism across fuse modes / job counts / schedulers, and the
-   symbolic plan verifier in Analysis.Circuit_check. *)
+(* Tests for the circuit compiler: fused plans, their in-place
+   kernels, determinism across job counts / schedulers, and the
+   symbolic plan verifier in Analysis.Circuit_check.  The gate-by-gate
+   fold [Circuit.run_gates] is the oracle [Circuit.run] must match. *)
 
 open Linalg
 open Quantum
@@ -8,11 +9,6 @@ open Quantum
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
-
-let with_fuse b f =
-  let prev = Circuit_plan.fuse () in
-  Circuit_plan.set_fuse b;
-  Fun.protect ~finally:(fun () -> Circuit_plan.set_fuse prev) f
 
 let with_jobs j f =
   Parallel.set_jobs j;
@@ -48,7 +44,7 @@ let distinct_wires rng n k =
 let random_circuit rng n len =
   let c = ref (Circuit.empty n) in
   for _ = 1 to len do
-    (match Random.State.int rng 9 with
+    (match Random.State.int rng 11 with
     | 0 -> c := Circuit.gate !c Gates.h [ Random.State.int rng n ]
     | 1 -> c := Circuit.gate !c Gates.x [ Random.State.int rng n ]
     | 2 ->
@@ -67,13 +63,26 @@ let random_circuit rng n len =
     | 7 when n >= 3 ->
         (* controlled-swap: a 3-wire permutation, generic perm kernel *)
         c := Circuit.gate !c (Gates.controlled Gates.swap) (distinct_wires rng n 3)
-    | _ when n >= 3 ->
+    | 8 when n >= 3 ->
         (* doubly controlled rotation: diagonal but over the arity-2
            kernel cap, so it must run as a generic dense apply *)
         c :=
           Circuit.gate !c
             (Gates.controlled (Gates.controlled (Gates.rk 2)))
             (distinct_wires rng n 3)
+    | 9 ->
+        (* dense and not symmetric: the 2x2 kernel must not transpose *)
+        c :=
+          Circuit.gate !c
+            (Cmat.mul Gates.h (Gates.phase (Random.State.float rng 6.0)))
+            [ Random.State.int rng n ]
+    | 10 ->
+        (* dense, not symmetric, and not invariant under a wire swap:
+           the 4x4 kernel must keep the listed wire order *)
+        c :=
+          Circuit.gate !c
+            (Cmat.mul (Cmat.dft 4) (Cmat.kron (Gates.phase (Random.State.float rng 6.0)) Gates.h))
+            (distinct_wires rng n 2)
     | _ -> c := Circuit.gate !c Gates.h [ Random.State.int rng n ])
   done;
   !c
@@ -100,9 +109,7 @@ let qcheck_props =
         let n = 3 + Random.State.int rng 3 in
         let c = random_circuit rng n (10 + Random.State.int rng 30) in
         let st = random_state rng n in
-        let unfused = with_fuse false (fun () -> Circuit.run c st) in
-        let fused = with_fuse true (fun () -> Circuit.run c st) in
-        State.approx_equal ~eps:1e-9 unfused fused);
+        State.approx_equal ~eps:1e-9 (Circuit.run_gates c st) (Circuit.run c st));
     Test.make ~count:50 ~name:"check_plan accepts every compiled random circuit"
       (int_bound 100000) (fun seed ->
         let rng = Random.State.make [| seed; 0x9_1a_a5 |] in
@@ -120,54 +127,62 @@ let qcheck_props =
           else Circuit.qft ~approx_threshold:(2 + Random.State.int rng n) n
         in
         let st = random_state rng n in
-        let unfused = with_fuse false (fun () -> Circuit.run c st) in
-        let fused = with_fuse true (fun () -> Circuit.run c st) in
-        State.approx_equal ~eps:1e-9 unfused fused
+        State.approx_equal ~eps:1e-9 (Circuit.run_gates c st) (Circuit.run c st)
         && Analysis.Circuit_check.check_plan c (Circuit.compile c) = Ok ());
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Determinism: measurement digests across fuse modes, job counts and
-   schedulers (the E15 bench contract, in miniature)                  *)
+(* Determinism: the plan path at every job count and scheduler gives
+   the gate-by-gate run's measurement digest and bit-identical
+   amplitudes (the E15 bench contract, in miniature)                  *)
 (* ------------------------------------------------------------------ *)
 
-let digest_run ~fuse ~jobs ~sched =
-  with_fuse fuse (fun () ->
-      with_jobs jobs (fun () ->
-          with_sched sched (fun () ->
-              let n = 10 in
-              let c = Circuit.qft n in
-              let x = Array.init n (fun i -> i land 1) in
-              let st = ref (Circuit.run c (State.of_basis (Array.make n 2) x)) in
-              let rng = Random.State.make [| 0x515e; 0xd16 |] in
-              let buf = Buffer.create 64 in
-              List.iter
-                (fun wires ->
-                  let outcome, st' = State.measure rng !st ~wires in
-                  st := st';
-                  Array.iter
-                    (fun v ->
-                      Buffer.add_string buf (string_of_int v);
-                      Buffer.add_char buf ',')
-                    outcome)
-                [ [ 0; 3; 7 ]; [ 1; 2 ]; [ 4; 5; 6; 8; 9 ] ];
-              Digest.to_hex (Digest.string (Buffer.contents buf)))))
+let qft_run run ~jobs ~sched =
+  with_jobs jobs (fun () ->
+      with_sched sched (fun () ->
+          run (Circuit.qft 10) (random_state (Random.State.make [| 0x515e |]) 10)))
 
-let test_digests_identical_across_modes () =
-  let base = digest_run ~fuse:false ~jobs:1 ~sched:Parallel.Fifo in
+let outcome_digest st =
+  let st = ref st in
+  let rng = Random.State.make [| 0x515e; 0xd16 |] in
+  let buf = Buffer.create 64 in
   List.iter
-    (fun fuse ->
+    (fun wires ->
+      let outcome, st' = State.measure rng !st ~wires in
+      st := st';
+      Array.iter
+        (fun v ->
+          Buffer.add_string buf (string_of_int v);
+          Buffer.add_char buf ',')
+        outcome)
+    [ [ 0; 3; 7 ]; [ 1; 2 ]; [ 4; 5; 6; 8; 9 ] ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let bits_digest st =
+  let buf = Buffer.create 1024 in
+  Array.iter
+    (fun (z : Cx.t) ->
+      Buffer.add_int64_le buf (Int64.bits_of_float z.Complex.re);
+      Buffer.add_int64_le buf (Int64.bits_of_float z.Complex.im))
+    (State.amplitudes st);
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_digests_across_jobs_sched () =
+  let reference = qft_run Circuit.run_gates ~jobs:1 ~sched:Parallel.Fifo in
+  let reference_digest = outcome_digest reference in
+  let plan_bits = bits_digest (qft_run Circuit.run ~jobs:1 ~sched:Parallel.Fifo) in
+  List.iter
+    (fun jobs ->
       List.iter
-        (fun jobs ->
-          List.iter
-            (fun sched ->
-              checks
-                (Printf.sprintf "digest fuse=%b jobs=%d" fuse jobs)
-                base
-                (digest_run ~fuse ~jobs ~sched))
-            [ Parallel.Fifo; Parallel.Shuffle ])
-        [ 1; 2; 4 ])
-    [ false; true ]
+        (fun sched ->
+          let st = qft_run Circuit.run ~jobs ~sched in
+          let label = Printf.sprintf "jobs=%d shuffle=%b" jobs (sched = Parallel.Shuffle) in
+          checks ("outcome digest " ^ label) reference_digest (outcome_digest st);
+          checks ("amplitude bits " ^ label) plan_bits (bits_digest st);
+          checkb ("within 1e-9 of run_gates " ^ label) true
+            (State.approx_equal ~eps:1e-9 reference st))
+        [ Parallel.Fifo; Parallel.Shuffle ])
+    [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Compiler structure: the QFT collapses as documented               *)
@@ -209,13 +224,6 @@ let test_same_wire_chain_fuses () =
       in
       checkb "chain product" true (Cmat.approx_equal ~eps:1e-12 mat expected)
   | _ -> Alcotest.fail "same-wire chain did not fuse to one step"
-
-let test_fuse_knob () =
-  checkb "parse 0" false (Circuit_plan.parse_fuse "0");
-  checkb "parse 1" true (Circuit_plan.parse_fuse " 1 ");
-  Alcotest.check_raises "parse junk"
-    (Invalid_argument "HSP_FUSE: expected 0 or 1, got \"yes\"") (fun () ->
-      ignore (Circuit_plan.parse_fuse "yes"))
 
 (* ------------------------------------------------------------------ *)
 (* O(n) circuit construction (the seed's O(n^2) gate/seq fix)        *)
@@ -378,24 +386,68 @@ let test_check_plan_negative () =
     (is_err (Analysis.Circuit_check.check_plan wrong plan))
 
 (* ------------------------------------------------------------------ *)
-(* Guard rails: kernel argument validation, plane staging, dispatch  *)
+(* Guard rails: step validation, plane lengths, dispatch            *)
 (* ------------------------------------------------------------------ *)
 
-let test_kernel_validation () =
-  let re = Fused_kernels.create 8 and im = Fused_kernels.create 8 in
-  let m1 = Array.make 8 0.0 in
-  Alcotest.check_raises "bad bit"
-    (Invalid_argument "Fused_kernels.apply1: bit out of range") (fun () ->
-      Fused_kernels.apply1 ~re ~im ~lo:0 ~hi:4 ~bit:3 ~m:m1);
-  Alcotest.check_raises "bad table"
-    (Invalid_argument "Fused_kernels.apply1: gate table must be 8 floats") (fun () ->
-      Fused_kernels.apply1 ~re ~im ~lo:0 ~hi:4 ~bit:0 ~m:(Array.make 6 0.0));
-  Alcotest.check_raises "bad range"
-    (Invalid_argument "Fused_kernels.apply1: bad index range") (fun () ->
-      Fused_kernels.apply1 ~re ~im ~lo:0 ~hi:9 ~bit:0 ~m:m1);
-  Alcotest.check_raises "duplicate bits"
-    (Invalid_argument "Fused_kernels.apply2: duplicate bits") (fun () ->
-      Fused_kernels.apply2 ~re ~im ~lo:0 ~hi:2 ~bit_a:1 ~bit_b:1 ~m:(Array.make 32 0.0))
+(* Each malformed step is hand-built (the plan record is public) and
+   must be refused before any kernel indexes the planes unchecked. *)
+let test_step_validation () =
+  let n = 3 in
+  let planes () = (Array.make 8 0.0, Array.make 8 0.0) in
+  let expect label msg step =
+    let re, im = planes () in
+    Alcotest.check_raises label
+      (Invalid_argument ("Circuit_plan.run_planes: " ^ msg))
+      (fun () ->
+        ignore
+          (Circuit_plan.run_planes
+             { Circuit_plan.num_qubits = n; steps = [ step ]; source_gates = 1 }
+             ~re ~im))
+  in
+  let fused wires mat = Circuit_plan.Fused { wires; mat; count = 1 } in
+  let perm wires perm = Circuit_plan.Perm { wires; perm; count = 1 } in
+  let diag gates = Circuit_plan.Diag { gates } in
+  let d2 = [| Cx.one; Cx.one; Cx.one; Cx.one |] in
+  expect "fused wire out of range" "wire out of range" (fused [ 3 ] Gates.h);
+  expect "fused negative wire" "wire out of range" (fused [ -1 ] Gates.h);
+  expect "fused duplicate wires" "duplicate wires" (fused [ 1; 1 ] Gates.cnot);
+  expect "fused empty wires" "empty wire list" (fused [] (Cmat.identity 1));
+  expect "fused 1-wire matrix too big" "matrix dimension does not match wire count"
+    (fused [ 0 ] Gates.cnot);
+  expect "fused 2-wire matrix too small" "matrix dimension does not match wire count"
+    (fused [ 0; 1 ] Gates.h);
+  expect "fused ragged matrix" "matrix dimension does not match wire count"
+    (fused [ 0 ] [| [| Cx.one; Cx.zero |]; [| Cx.one |] |]);
+  expect "perm short table" "permutation length does not match wire count"
+    (perm [ 0; 1 ] [| 0; 1 |]);
+  expect "perm entry out of range" "permutation entry out of range" (perm [ 0 ] [| 0; 2 |]);
+  expect "perm wire out of range" "wire out of range" (perm [ 0; 5 ] [| 0; 1; 2; 3 |]);
+  expect "diag duplicate wires" "duplicate wires" (diag [ ([ 2; 2 ], d2) ]);
+  expect "diag wire out of range" "wire out of range" (diag [ ([ 7 ], [| Cx.one; Cx.one |]) ]);
+  expect "diag table too short" "diagonal table length does not match wire count"
+    (diag [ ([ 0; 1 ], [| Cx.one; Cx.one |]) ]);
+  expect "diag arity 3" "diagonal factor on more than 2 wires"
+    (diag [ ([ 0; 1; 2 ], Array.make 8 Cx.one) ]);
+  (* a malformed step anywhere refuses the whole plan up front *)
+  let re, im = planes () in
+  re.(0) <- 1.0;
+  Alcotest.check_raises "late bad step"
+    (Invalid_argument "Circuit_plan.run_planes: wire out of range") (fun () ->
+      ignore
+        (Circuit_plan.run_planes
+           { Circuit_plan.num_qubits = n; steps = [ fused [ 0 ] Gates.h; fused [ 4 ] Gates.h ];
+             source_gates = 2 }
+           ~re ~im));
+  checkb "inputs untouched" true (re.(0) = 1.0 && Array.for_all (fun x -> x = 0.0) im);
+  (* 1 lsl 70 wraps on 64-bit: the register size is refused before the
+     plane-length check could be fooled *)
+  let re, im = planes () in
+  Alcotest.check_raises "oversized register"
+    (Invalid_argument "Circuit_plan.run_planes: num_qubits out of range") (fun () ->
+      ignore
+        (Circuit_plan.run_planes
+           { Circuit_plan.num_qubits = 67; steps = [ fused [ 0 ] Gates.h ]; source_gates = 1 }
+           ~re ~im))
 
 let test_run_planes_validation () =
   let plan = Circuit.compile (Circuit.qft 3) in
@@ -414,19 +466,29 @@ let test_run_plan_dispatch () =
     (try
        ignore (State.run_plan plan qutrit);
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  (* Circuit.run picks its path from State.backend: sparse folds gates *)
+  let c = Circuit.qft 3 in
+  let st = State.of_basis ~backend:Backend.Sparse (Array.make 3 2) [| 1; 0; 1 |] in
+  Metrics.reset ();
+  let out = Circuit.run c st in
+  checkb "sparse run stays sparse" true (State.backend out = Backend.Sparse);
+  checki "sparse run compiles no plan" 0 (Metrics.snapshot ()).Metrics.plans_compiled;
+  checkb "sparse run = run_gates" true
+    (State.approx_equal ~eps:1e-12 out (Circuit.run_gates c st))
 
 let test_plan_ledger () =
   Metrics.reset ();
   let c = Circuit.qft 6 in
   let st = State.create ~backend:Backend.Dense (Array.make 6 2) in
-  let unfused = with_fuse false (fun () -> Circuit.run c st) in
-  let gate_by_gate = (Metrics.snapshot ()).Metrics.gate_apps in
+  let by_gates = Circuit.run_gates c st in
+  let gate_by_gate = Metrics.snapshot () in
+  checki "run_gates compiles no plan" 0 gate_by_gate.Metrics.plans_compiled;
   Metrics.reset ();
-  let fused = with_fuse true (fun () -> Circuit.run c st) in
+  let by_plan = Circuit.run c st in
   let snap = Metrics.snapshot () in
-  checkb "states agree" true (State.approx_equal ~eps:1e-9 unfused fused);
-  checki "gate_apps identical across modes" gate_by_gate snap.Metrics.gate_apps;
+  checkb "states agree" true (State.approx_equal ~eps:1e-9 by_gates by_plan);
+  checki "gate_apps identical across paths" gate_by_gate.Metrics.gate_apps snap.Metrics.gate_apps;
   checki "one plan compiled" 1 snap.Metrics.plans_compiled;
   checkb "fused passes recorded" true (snap.Metrics.fused_passes > 0);
   checki "fused gates = source gates" (Circuit.gate_count c) snap.Metrics.fused_gates
@@ -438,15 +500,13 @@ let () =
         [
           Alcotest.test_case "qft-8 plan shape" `Quick test_qft8_plan_shape;
           Alcotest.test_case "same-wire chain fuses" `Quick test_same_wire_chain_fuses;
-          Alcotest.test_case "fuse knob parsing" `Quick test_fuse_knob;
           Alcotest.test_case "construction order" `Quick test_construction_order;
           Alcotest.test_case "fingerprint structure" `Quick test_fingerprint_keys_structure;
         ] );
       ( "determinism",
         [
-          Alcotest.test_case "digests across fuse/jobs/sched" `Quick
-            test_digests_identical_across_modes;
-          Alcotest.test_case "ledger across modes" `Quick test_plan_ledger;
+          Alcotest.test_case "digests across jobs/sched" `Quick test_digests_across_jobs_sched;
+          Alcotest.test_case "ledger plan vs gates" `Quick test_plan_ledger;
         ] );
       ( "verifier",
         [
@@ -455,7 +515,7 @@ let () =
         ] );
       ( "kernels",
         [
-          Alcotest.test_case "argument validation" `Quick test_kernel_validation;
+          Alcotest.test_case "argument validation" `Quick test_step_validation;
           Alcotest.test_case "plane staging validation" `Quick test_run_planes_validation;
           Alcotest.test_case "state dispatch" `Quick test_run_plan_dispatch;
         ] );

@@ -543,6 +543,22 @@ let test_jsonv_roundtrip () =
   | Ok v' -> checkb "roundtrip" true (v = v')
   | Error msg -> Alcotest.failf "roundtrip parse failed: %s" msg
 
+let test_jsonv_depth_cap () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  (match Jsonv.of_string (nested Jsonv.max_depth) with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "nesting at the cap must parse: %s" msg);
+  (match Jsonv.of_string (nested (Jsonv.max_depth + 1)) with
+  | Error msg ->
+      checkb "error names the cap" true
+        (String.ends_with ~suffix:(Printf.sprintf "nesting deeper than %d" Jsonv.max_depth) msg)
+  | Ok _ -> Alcotest.fail "nesting past the cap must not parse");
+  checkb "a million [ is an Error, not a stack overflow" true
+    (Result.is_error (Jsonv.of_string (String.make 1_000_000 '[')));
+  checkb "deep objects are capped too" true
+    (Result.is_error
+       (Jsonv.of_string (String.concat "" (List.init 1000 (fun _ -> {|{"a":|})))))
+
 let test_socket_malformed_survives () =
   setup ();
   let socket =
@@ -567,6 +583,19 @@ let test_socket_malformed_survives () =
                 | None -> false)
           | Error msg -> Alcotest.failf "unparseable error reply: %s" msg)
       | None -> Alcotest.fail "connection died on malformed input");
+      (* a frame nested past Jsonv.max_depth: a typed malformed reply,
+         not a stack overflow in the connection's thread *)
+      Protocol.write_frame fd (String.make 1_000_000 '[');
+      (match Protocol.read_frame fd with
+      | Some payload -> (
+          match Jsonv.of_string payload with
+          | Ok reply ->
+              checkb "deep frame gets a malformed reply" true
+                (match Jsonv.member "error" reply with
+                | Some err -> Jsonv.member "kind" err = Some (Jsonv.String "malformed")
+                | None -> false)
+          | Error msg -> Alcotest.failf "unparseable error reply: %s" msg)
+      | None -> Alcotest.fail "connection died on a deeply nested frame");
       (* the same connection still serves valid requests *)
       let reply =
         Server.request fd
@@ -623,6 +652,7 @@ let () =
         [
           Alcotest.test_case "request parsing" `Quick test_protocol_parsing;
           Alcotest.test_case "jsonv roundtrip" `Quick test_jsonv_roundtrip;
+          Alcotest.test_case "jsonv depth cap" `Quick test_jsonv_depth_cap;
           Alcotest.test_case "malformed input survives on socket" `Quick
             test_socket_malformed_survives;
         ] );
