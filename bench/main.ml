@@ -20,6 +20,7 @@
 
 open Groups
 open Hsp
+module Jsonv = Hsp_service.Jsonv
 
 let rng = Random.State.make [| 20260705 |]
 
@@ -39,19 +40,6 @@ let row cells =
   | (_, _, rows) :: _ -> rows := List.map String.trim cells :: !rows
   | [] -> ()
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let bench_rev () =
   match Sys.getenv_opt "HSP_BENCH_REV" with
   | Some r when r <> "" -> r
@@ -64,32 +52,36 @@ let bench_rev () =
         | _ -> "worktree"
       with _ -> "worktree")
 
+(* A cell that parses as an int or a decimal becomes a JSON number;
+   any other cell (names, verdicts, digests, "-") stays a string.  The
+   int must print back unchanged, so a digest with leading zeros stays
+   a string too. *)
+let cell_json c =
+  let decimal =
+    String.contains c '.'
+    && String.for_all (function '-' | '.' | '0' .. '9' -> true | _ -> false) c
+  in
+  match (int_of_string_opt c, float_of_string_opt c) with
+  | Some n, _ when String.equal (string_of_int n) c -> Jsonv.Int n
+  | _, Some f when decimal -> Jsonv.Float f
+  | _ -> Jsonv.String c
+
 let write_json () =
   let rev = bench_rev () in
   let file = Printf.sprintf "BENCH_%s.json" rev in
-  let oc = open_out file in
-  let strings cells =
-    String.concat ", " (List.map (fun c -> Printf.sprintf "\"%s\"" (json_escape c)) cells)
+  let table (title, columns, rows) =
+    Jsonv.Obj
+      [ ("title", Jsonv.String title);
+        ("columns", Jsonv.List (List.map (fun c -> Jsonv.String c) columns));
+        ( "rows",
+          Jsonv.List (List.rev_map (fun cells -> Jsonv.List (List.map cell_json cells)) !rows) ) ]
   in
-  Printf.fprintf oc "{\n  \"rev\": \"%s\",\n  \"harness\": \"bench/main.exe\",\n  \"tables\": [" (json_escape rev);
-  let first = ref true in
-  List.iter
-    (fun (title, columns, rows) ->
-      if not !first then output_string oc ",";
-      first := false;
-      Printf.fprintf oc "\n    {\n      \"title\": \"%s\",\n      \"columns\": [%s],\n      \"rows\": ["
-        (json_escape title) (strings columns);
-      let first_row = ref true in
-      List.iter
-        (fun cells ->
-          if not !first_row then output_string oc ",";
-          first_row := false;
-          Printf.fprintf oc "\n        [%s]" (strings cells))
-        (List.rev !rows);
-      Printf.fprintf oc "\n      ]\n    }")
-    (List.rev !tables);
-  Printf.fprintf oc "\n  ]\n}\n";
-  close_out oc;
+  let doc =
+    Jsonv.Obj
+      [ ("rev", Jsonv.String rev); ("harness", Jsonv.String "bench/main.exe");
+        ("tables", Jsonv.List (List.rev_map table !tables)) ]
+  in
+  Out_channel.with_open_text file (fun oc -> output_string oc (Jsonv.to_string doc ^ "\n"));
   Printf.printf "\nwrote %s (%d tables)\n" file (List.length !tables)
 
 let fmt_i = Printf.sprintf "%8d"
@@ -120,6 +112,43 @@ let time_it f =
   let t0 = Unix.gettimeofday () in
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
+
+(* The determinism gate E11, E12 and E15 share: run [f] once per
+   (jobs, scheduler) variant, each from a fresh RNG seeded [seed] and a
+   reset ledger.  A run is ok when its digest and its ledger [counters]
+   equal the first variant's and [check] accepts its result; anything
+   else is a claim violation, explained by [diverged].  Returns
+   (variant, digest, ok, result) per variant, and leaves the pool at
+   (1, Fifo). *)
+let across ~variants ~counters ~seed ?(check = fun _ -> true) ~diverged f =
+  let runs =
+    List.map
+      (fun ((jobs, sched) as v) ->
+        Quantum.Parallel.set_jobs jobs;
+        Quantum.Parallel.set_sched sched;
+        Quantum.Metrics.reset ();
+        let digest, result = f (Random.State.make [| seed |]) in
+        (v, digest, counters (Quantum.Metrics.snapshot ()), result))
+      variants
+  in
+  Quantum.Parallel.set_jobs 1;
+  Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
+  match runs with
+  | [] -> []
+  | (_, base_digest, base_counters, _) :: _ ->
+      List.map
+        (fun (v, digest, cs, result) ->
+          let same_digest = String.equal digest base_digest
+          and same_ledger = List.for_all2 Int.equal cs base_counters in
+          let ok = same_digest && same_ledger && check result in
+          if not ok then begin
+            incr claim_violations;
+            Printf.printf "claim violation: %s\n" (diverged v ~same_digest ~same_ledger result)
+          end;
+          (v, digest, ok, result))
+        runs
+
+let fifo_jobs = List.map (fun jobs -> (jobs, Quantum.Parallel.Fifo)) [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* E1: Abelian HSP (Theorem 3 / Lemma 9) — Simon instances            *)
@@ -697,35 +726,22 @@ let e11 () =
       m.Quantum.Metrics.peak_dense_alloc ]
   in
   let run_workload name total f =
-    let results =
-      List.map
-        (fun jobs ->
-          Quantum.Parallel.set_jobs jobs;
-          Quantum.Metrics.reset ();
-          let digest, sec = time_it (fun () -> f (Random.State.make [| 0xe11 |])) in
-          (jobs, digest, counters (Quantum.Metrics.snapshot ()), sec))
-        [ 1; 2; 4 ]
+    let runs =
+      across ~variants:fifo_jobs ~counters ~seed:0xe11
+        ~diverged:(fun (jobs, _) ~same_digest:_ ~same_ledger:_ _ ->
+          Printf.sprintf "E11 %s at jobs=%d diverges from the jobs=1 run" name jobs)
+        (fun rng -> time_it (fun () -> f rng))
     in
-    Quantum.Parallel.set_jobs 1;
-    match results with
+    match runs with
     | [] -> ()
-    | (_, base_digest, base_counters, base_sec) :: _ ->
+    | (_, _, _, base_sec) :: _ ->
         List.iter
-          (fun (jobs, digest, cs, sec) ->
-            let ok =
-              String.equal digest base_digest && List.for_all2 Int.equal cs base_counters
-            in
-            if not ok then begin
-              incr claim_violations;
-              Printf.printf "claim violation: E11 %s at jobs=%d diverges from the jobs=1 run
-"
-                name jobs
-            end;
+          (fun ((jobs, _), digest, ok, sec) ->
             row
               [ fmt_s name; fmt_i total; fmt_i jobs;
                 fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
                 fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
-          results
+          runs
   in
   (* (a) Coset-state Fourier sampling on two large cyclic wires: the
      QFT fast path (FFT over long fibres) plus full-register
@@ -844,12 +860,11 @@ let e12 () =
       let f x =
         Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli)
       in
-      let results =
-        List.map
-          (fun jobs ->
-            Quantum.Parallel.set_jobs jobs;
-            Quantum.Metrics.reset ();
-            let rng = Random.State.make [| 0xe12 |] in
+      let runs =
+        across ~variants:fifo_jobs ~counters ~seed:0xe12
+          ~diverged:(fun (jobs, _) ~same_digest:_ ~same_ledger:_ _ ->
+            Printf.sprintf "E12 %s at jobs=%d diverges from the jobs=1 run" (show dims) jobs)
+          (fun rng ->
             let queries = Quantum.Query.create () in
             let draw =
               Quantum.Coset_state.sampler ~backend:Quantum.Backend.Sparse ~dims ~f
@@ -865,32 +880,20 @@ let e12 () =
                     add_outcome buf (draw rng)
                   done)
             in
-            let digest = Digest.string (Buffer.contents buf) in
-            let m = Quantum.Metrics.snapshot () in
-            (jobs, digest, counters m, m, prep_sec, sec))
-          [ 1; 2; 4 ]
+            (Digest.string (Buffer.contents buf), (Quantum.Metrics.snapshot (), prep_sec, sec)))
       in
-      Quantum.Parallel.set_jobs 1;
-      match results with
+      match runs with
       | [] -> ()
-      | (_, base_digest, base_counters, _, base_prep, base_sec) :: _ ->
+      | (_, _, _, (_, base_prep, base_sec)) :: _ ->
           List.iter
-            (fun (jobs, digest, cs, m, prep_sec, sec) ->
-              let ok =
-                String.equal digest base_digest && List.for_all2 Int.equal cs base_counters
-              in
-              if not ok then begin
-                incr claim_violations;
-                Printf.printf "claim violation: E12 %s at jobs=%d diverges from the jobs=1 run\n"
-                  (show dims) jobs
-              end;
+            (fun ((jobs, _), digest, ok, (m, prep_sec, sec)) ->
               row
                 [ fmt_s (show dims); fmt_i total; fmt_s "segment"; fmt_i jobs;
                   fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.compactions;
                   fmt_i m.Quantum.Metrics.coset_visits;
                   fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
                   fmt_f prep_sec; fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
-            results;
+            runs;
           (* hashtable baseline on the 2^22 rung: the pre-segment
              sampler's per-round O(|G|) support scan, serial and boxed *)
           if total = 1 lsl 22 then begin
@@ -1428,8 +1431,7 @@ let e15 () =
     in
     (* Outcome digest (one seeded measurement sequence) and bits digest
        (IEEE bits of every amplitude) of the circuit's output state. *)
-    let outcomes st =
-      let rng = Random.State.make [| 0xe15 |] in
+    let outcomes rng st =
       let st = ref st in
       let buf = Buffer.create 256 in
       List.iter
@@ -1453,51 +1455,37 @@ let e15 () =
         (Quantum.State.amplitudes st);
       Digest.string (Buffer.contents buf)
     in
-    let exec run =
-      Quantum.Metrics.reset ();
-      let st, sec = time_it (fun () -> run c st0) in
-      let digest = outcomes st in
-      let cs = counters (Quantum.Metrics.snapshot ()) in
-      (st, digest, bits st, cs, sec)
-    in
     Quantum.Parallel.set_jobs 1;
     Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
-    let ref_st, ref_digest, ref_bits, _, ref_sec = exec Quantum.Circuit.run_gates in
+    let ref_st, ref_sec = time_it (fun () -> Quantum.Circuit.run_gates c st0) in
+    let ref_digest = outcomes (Random.State.make [| 0xe15 |]) ref_st in
     row
       [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "gates"; fmt_i 1;
-        fmt_s "fifo"; fmt_s (hex8 ref_digest); fmt_s (hex8 ref_bits); fmt_s "ref";
+        fmt_s "fifo"; fmt_s (hex8 ref_digest); fmt_s (hex8 (bits ref_st)); fmt_s "ref";
         fmt_f 1.0; fmt_f ref_sec ];
-    let results =
-      List.map
-        (fun (jobs, sched) ->
-          Quantum.Parallel.set_jobs jobs;
-          Quantum.Parallel.set_sched sched;
-          let st, digest, bits, cs, sec = exec Quantum.Circuit.run in
-          let close = Quantum.State.approx_equal ~eps:1e-9 ref_st st in
-          ((jobs, sched), digest, bits, cs, close, sec))
-        variants
+    (* the variants must agree on the amplitude bits and the ledger, and
+       each must match the reference's outcomes and amplitudes *)
+    let runs =
+      across ~variants ~counters ~seed:0xe15
+        ~check:(fun (digest, close, _) -> String.equal digest ref_digest && close)
+        ~diverged:(fun (jobs, sched) ~same_digest ~same_ledger (digest, close, _) ->
+          Printf.sprintf
+            "E15 %s plan jobs=%d sched=%s diverges (outcomes %b, bits %b, ledger %b, within 1e-9 of run_gates %b)"
+            name jobs (sched_name sched) (String.equal digest ref_digest) same_digest same_ledger
+            close)
+        (fun rng ->
+          let st, sec = time_it (fun () -> Quantum.Circuit.run c st0) in
+          let digest = outcomes rng st in
+          (bits st, (digest, Quantum.State.approx_equal ~eps:1e-9 ref_st st, sec)))
     in
-    Quantum.Parallel.set_jobs 1;
-    Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
-    let _, _, base_bits, base_cs, _, plan_sec = List.hd results in
     List.iter
-      (fun ((jobs, sched), digest, bits, cs, close, sec) ->
-        let ok =
-          String.equal digest ref_digest && String.equal bits base_bits
-          && List.for_all2 Int.equal cs base_cs && close
-        in
-        if not ok then begin
-          incr claim_violations;
-          Printf.printf
-            "claim violation: E15 %s plan jobs=%d sched=%s diverges (outcomes %b, bits %b, ledger %b, within 1e-9 of run_gates %b)\n"
-            name jobs (sched_name sched) (String.equal digest ref_digest)
-            (String.equal bits base_bits) (List.for_all2 Int.equal cs base_cs) close
-        end;
+      (fun ((jobs, sched), bits, ok, (digest, _, sec)) ->
         row
           [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan"; fmt_i jobs;
             fmt_s (sched_name sched); fmt_s (hex8 digest); fmt_s (hex8 bits);
             fmt_s (string_of_bool ok); fmt_f (ref_sec /. Float.max 1e-9 sec); fmt_f sec ])
-      results;
+      runs;
+    let _, _, _, (_, _, plan_sec) = List.hd runs in
     let speedup = ref_sec /. Float.max 1e-9 plan_sec in
     row
       [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan/gates"; fmt_i 1;
@@ -1538,81 +1526,23 @@ let smoke () =
      quantum — since the theorems bound total query complexity and our
      Theorem-8/11 routes schedule some of the paper's quantum queries
      as classical evaluations on the quotient. *)
-  let emit thm params (r : Runner.report) =
-    let queries = r.Runner.classical_queries + r.Runner.quantum_queries in
-    row
-      [ fmt_s r.Runner.instance; fmt_s r.Runner.algorithm; fmt_s thm;
-        fmt_i (Quantum.Parallel.jobs ()); fmt_s (string_of_bool r.Runner.ok); fmt_i queries;
-        fmt_i
-          (r.Runner.metrics.Quantum.Metrics.gate_apps
-          + r.Runner.metrics.Quantum.Metrics.dft_apps);
-        fmt_s (claim_cell thm ~params ~queries r.Runner.metrics); fmt_f r.Runner.seconds ]
-  in
-  let p = Analysis.Cost_check.params in
-  emit "3"
-    (p ~group_order:16 ())
-    (Runner.run ~algorithm:"abelian"
-       (Instances.simon ~n:4 ~mask:[| 1; 0; 1; 1 |])
-       ~solver:(fun i -> Abelian_hsp.solve rng i.Instances.group i.Instances.hiding));
-  emit "8"
-    (p ~group_order:24 ~quotient_order:4 ())
-    (Runner.run ~algorithm:"normal"
-       (Instances.dihedral_rotation ~n:12 ~d:2)
-       ~solver:(fun i ->
-         (Normal_hsp.solve rng i.Instances.group i.Instances.hiding).Normal_hsp.generators));
-  emit "11"
-    (p ~group_order:27 ~commutator_order:3 ())
-    (Runner.run ~algorithm:"commutator"
-       (Instances.heisenberg_random rng ~p:3 ~m:1)
-       ~solver:(fun i -> Small_commutator.solve_gens rng i.Instances.group i.Instances.hiding));
-  emit "13g"
-    (p ~group_order:32 ~quotient_order:2 ())
-    (Runner.run ~algorithm:"thm13-general"
-       (Instances.wreath_random rng ~k:2)
-       ~solver:(fun i ->
-         (Elem_abelian2.solve_general rng i.Instances.group ~n_gens:(Wreath.base_gens 2)
-            i.Instances.hiding)
-           .Elem_abelian2.generators));
-  emit "13c"
-    (p ~group_order:32 ~quotient_order:2 ~nu:1 ())
-    (Runner.run ~algorithm:"thm13-cyclic"
-       (Instances.semidirect_random rng ~n:4 ~m:2)
-       ~solver:(fun i ->
-         (Elem_abelian2.solve_cyclic rng i.Instances.group
-            ~n_gens:(Semidirect.base_gens ~n:4) i.Instances.hiding)
-           .Elem_abelian2.generators));
-  (* Theorems 4 and 6 have no Instances wrapper; their checks are
-     closed-form. *)
-  Quantum.Metrics.reset ();
-  let queries = Quantum.Query.create () in
-  let o, sec =
-    time_it (fun () ->
-        Quantum.Shor.find_order rng
-          ~pow:(fun k -> Numtheory.Arith.powmod 2 k 15)
-          ~order_bound:15 ~queries)
-  in
-  let q = Quantum.Query.count queries in
-  let m = Quantum.Metrics.snapshot () in
-  row
-    [ fmt_s "ord(2 mod 15)"; fmt_s "shor"; fmt_s "4"; fmt_i (Quantum.Parallel.jobs ());
-      fmt_s (string_of_bool (o = Some 4));
-      fmt_i q; fmt_i (m.Quantum.Metrics.gate_apps + m.Quantum.Metrics.dft_apps);
-      fmt_s (claim_cell "4" ~params:(p ~group_order:15 ()) ~queries:q m); fmt_f sec ];
-  Quantum.Metrics.reset ();
-  let z = Cyclic.product [| 12; 18 |] in
-  let queries = Quantum.Query.create () in
-  let res, sec =
-    time_it (fun () ->
-        Membership.express rng z ~hs:[ [| 2; 3 |]; [| 0; 6 |] ] [| 4; 0 |] ~order_bound:36
-          ~queries)
-  in
-  let q = Quantum.Query.count queries in
-  let m = Quantum.Metrics.snapshot () in
-  row
-    [ fmt_s "Z12xZ18"; fmt_s "membership"; fmt_s "6"; fmt_i (Quantum.Parallel.jobs ());
-      fmt_s (string_of_bool (res <> None));
-      fmt_i q; fmt_i (m.Quantum.Metrics.gate_apps + m.Quantum.Metrics.dft_apps);
-      fmt_s (claim_cell "6" ~params:(p ~group_order:36 ()) ~queries:q m); fmt_f sec ];
+  List.iter
+    (fun (t : Runner.theorem_run) ->
+      let r = t.Runner.report in
+      let queries = r.Runner.classical_queries + r.Runner.quantum_queries in
+      let params =
+        Analysis.Cost_check.params ~group_order:t.Runner.order ~quotient_order:t.Runner.quotient
+          ~commutator_order:t.Runner.commutator ~nu:t.Runner.nu ()
+      in
+      row
+        [ fmt_s r.Runner.instance; fmt_s r.Runner.algorithm; fmt_s t.Runner.thm;
+          fmt_i (Quantum.Parallel.jobs ()); fmt_s (string_of_bool r.Runner.ok); fmt_i queries;
+          fmt_i
+            (r.Runner.metrics.Quantum.Metrics.gate_apps
+            + r.Runner.metrics.Quantum.Metrics.dft_apps);
+          fmt_s (claim_cell t.Runner.thm ~params ~queries r.Runner.metrics);
+          fmt_f r.Runner.seconds ])
+    (Runner.theorem_runs rng);
   (* Lint budget: both static passes (value semantics + concurrency
      safety) must be clean over lib — an unsuppressed finding is a
      claim violation like any ok=false row.  The queries column carries

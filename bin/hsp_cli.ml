@@ -14,9 +14,9 @@
    Every command prints the answer, the oracle-query accounting, and a
    correctness check against the planted ground truth.  A global
    [--backend dense|sparse|symbolic|auto] flag selects the state
-   simulation backend (default: the HSP_BACKEND environment variable,
-   then auto); [--jobs N] sets the dense backend's worker-domain count
-   (default: HSP_JOBS, then 1 — results are identical at any value). *)
+   simulation backend (default: auto); [--jobs N] sets the parallel
+   kernels' worker-domain count (default: the HSP_JOBS environment
+   variable, then 1 — results are identical at any value). *)
 
 open Groups
 open Hsp
@@ -41,7 +41,7 @@ let backend_arg =
         fun fmt c -> Format.pp_print_string fmt (Quantum.Backend.choice_to_string c) )
   in
   let doc =
-    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure) or $(b,auto) (dense when the register fits, sparse beyond; never symbolic).      Defaults to the $(b,HSP_BACKEND) environment variable, then $(b,auto)."
+    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure) or $(b,auto) (dense when the register fits, sparse beyond; never symbolic).      Defaults to $(b,auto)."
   in
   Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc)
 
@@ -58,7 +58,7 @@ type common = {
 
 let jobs_arg =
   let doc =
-    "Worker domains for the dense backend's parallel kernels (1..64).  Results are      bit-for-bit identical at every job count; the default is the $(b,HSP_JOBS)      environment variable, then 1 (serial)."
+    "Worker domains for the simulator's parallel kernels (1..64).  Results are      bit-for-bit identical at every job count; the default is the $(b,HSP_JOBS)      environment variable, then 1 (serial)."
   in
   let jobs_conv =
     let parse s =
@@ -100,7 +100,7 @@ let setup common =
   end
 
 (* Invalid_argument out of the solvers is user-facing misconfiguration
-   (bad HSP_BACKEND value, a register the chosen backend cannot hold,
+   (a register the chosen backend cannot hold,
    invalid instance parameters), not an internal error — report it as
    such instead of letting cmdliner print an uncaught-exception box. *)
 let guard f =

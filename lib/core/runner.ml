@@ -112,3 +112,105 @@ let pp_table fmt reports =
         r.seconds)
     reports;
   Format.fprintf fmt "@]"
+
+(* The one-instance-per-theorem set, shared by the bench smoke gate and
+   the configuration-matrix test.  Instances are drawn from [rng] in
+   list order, each immediately before its solve, so a fixed seed pins
+   every row. *)
+type theorem_run = {
+  thm : string;
+  order : int;
+  quotient : int;
+  commutator : int;
+  nu : int;
+  report : report;
+  answer : string;
+}
+
+let render repr gens = String.concat ";" (List.map repr gens)
+
+let solved ~thm ~order ?(quotient = 1) ?(commutator = 1) ?(nu = 1) ~algorithm inst solver =
+  let answer = ref "" in
+  let report =
+    run ~algorithm inst ~solver:(fun i ->
+        let gens = solver i in
+        answer := render i.Instances.group.Group.repr gens;
+        gens)
+  in
+  { thm; order; quotient; commutator; nu; report; answer = !answer }
+
+(* Theorems 4 and 6 have no Instances wrapper: their checks are
+   closed-form and their reports carry no enumerated orders. *)
+let closed_form ~thm ~order ~instance ~algorithm f =
+  Quantum.Metrics.reset ();
+  let queries = Quantum.Query.create () in
+  let t0 = Unix.gettimeofday () in
+  let ok, answer = f queries in
+  let seconds = Unix.gettimeofday () -. t0 in
+  let report =
+    {
+      instance;
+      algorithm;
+      backend = Quantum.Backend.choice_to_string (Quantum.Backend.default ());
+      ok;
+      verified = true;
+      classical_queries = 0;
+      quantum_queries = Quantum.Query.count queries;
+      seconds;
+      group_order = -1;
+      subgroup_order = -1;
+      metrics = Quantum.Metrics.snapshot ();
+    }
+  in
+  { thm; order; quotient = 1; commutator = 1; nu = 1; report; answer }
+
+let theorem_runs rng =
+  let simon = Instances.simon ~n:4 ~mask:[| 1; 0; 1; 1 |] in
+  let t3 =
+    solved ~thm:"3" ~order:16 ~algorithm:"abelian" simon (fun i ->
+        Abelian_hsp.solve rng i.Instances.group i.Instances.hiding)
+  in
+  let t8 =
+    solved ~thm:"8" ~order:24 ~quotient:4 ~algorithm:"normal"
+      (Instances.dihedral_rotation ~n:12 ~d:2) (fun i ->
+        (Normal_hsp.solve rng i.Instances.group i.Instances.hiding).Normal_hsp.generators)
+  in
+  let t11 =
+    let inst = Instances.heisenberg_random rng ~p:3 ~m:1 in
+    solved ~thm:"11" ~order:27 ~commutator:3 ~algorithm:"commutator" inst (fun i ->
+        Small_commutator.solve_gens rng i.Instances.group i.Instances.hiding)
+  in
+  let t13g =
+    let inst = Instances.wreath_random rng ~k:2 in
+    solved ~thm:"13g" ~order:32 ~quotient:2 ~algorithm:"thm13-general" inst (fun i ->
+        (Elem_abelian2.solve_general rng i.Instances.group ~n_gens:(Wreath.base_gens 2)
+           i.Instances.hiding)
+          .Elem_abelian2.generators)
+  in
+  let t13c =
+    let inst = Instances.semidirect_random rng ~n:4 ~m:2 in
+    solved ~thm:"13c" ~order:32 ~quotient:2 ~nu:1 ~algorithm:"thm13-cyclic" inst (fun i ->
+        (Elem_abelian2.solve_cyclic rng i.Instances.group ~n_gens:(Semidirect.base_gens ~n:4)
+           i.Instances.hiding)
+          .Elem_abelian2.generators)
+  in
+  let t4 =
+    closed_form ~thm:"4" ~order:15 ~instance:"ord(2 mod 15)" ~algorithm:"shor" (fun queries ->
+        let o =
+          Quantum.Shor.find_order rng
+            ~pow:(fun k -> Numtheory.Arith.powmod 2 k 15)
+            ~order_bound:15 ~queries
+        in
+        (o = Some 4, match o with Some r -> string_of_int r | None -> "none"))
+  in
+  let t6 =
+    closed_form ~thm:"6" ~order:36 ~instance:"Z12xZ18" ~algorithm:"membership" (fun queries ->
+        let z = Cyclic.product [| 12; 18 |] in
+        match
+          Membership.express rng z ~hs:[ [| 2; 3 |]; [| 0; 6 |] ] [| 4; 0 |] ~order_bound:36
+            ~queries
+        with
+        | Some w -> (true, render string_of_int (Array.to_list w.Membership.exponents))
+        | None -> (false, "none"))
+  in
+  [ t3; t8; t11; t13g; t13c; t4; t6 ]

@@ -39,8 +39,10 @@ type report = {
   classical_queries : int;
   quantum_queries : int;
   seconds : float;
-  group_order : int;  (** [-1] when unverified (enumeration skipped) *)
-  subgroup_order : int;  (** [-1] when unverified *)
+  group_order : int;
+      (** [-1] when the group was not enumerated (unverified, or a
+          closed-form check) *)
+  subgroup_order : int;  (** [-1] when the group was not enumerated *)
   metrics : Quantum.Metrics.snapshot;
       (** simulator cost ledger accumulated during the solve *)
 }
@@ -70,3 +72,32 @@ val pp_report : Format.formatter -> report -> unit
 
 val pp_table : Format.formatter -> report list -> unit
 (** Aligned text table, one row per report. *)
+
+(** {2 One instance per theorem}
+
+    The fixed set the bench [smoke] gate and the configuration-matrix
+    test both run: one small instance each of Theorems 3, 8, 11, 13
+    (general and cyclic-factor cases), 4 and 6, in that order. *)
+
+type theorem_run = {
+  thm : string;
+      (** claim label in [Analysis.Cost_check]: ["3"], ["8"], ["11"],
+          ["13g"], ["13c"], ["4"], ["6"] *)
+  order : int;  (** |G| (or the order bound) the claim is stated in *)
+  quotient : int;  (** |G/N|; [1] when the theorem has no quotient *)
+  commutator : int;  (** |G'|; [1] when not applicable *)
+  nu : int;  (** nu(G/N) *)
+  report : report;
+      (** for Theorems 4 and 6, [ok] is the closed-form check (order 4;
+          an expression exists), the queries are all quantum, and both
+          orders are [-1] *)
+  answer : string;
+      (** the solver's answer rendered canonically (generators by the
+          group's [repr], the order, or the membership exponents), so
+          two runs can be compared exactly *)
+}
+
+val theorem_runs : Random.State.t -> theorem_run list
+(** Draw and solve the set with [rng], under the session-default
+    backend and job count.  Resets the {!Quantum.Metrics} ledger before
+    each solve, so each report's metrics are that solve's alone. *)

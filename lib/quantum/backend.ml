@@ -27,18 +27,9 @@ end
 
 let dense_cap = Caps.dense_state
 
-let env_default =
-  lazy
-    (match Sys.getenv_opt "HSP_BACKEND" with
-    | None -> Auto
-    | Some s -> (
-        match choice_of_string s with
-        | Some c -> c
-        | None -> invalid_arg (Printf.sprintf "HSP_BACKEND: unknown backend %S" s)))
-
-let current = Atomic.make None
-let default () = match Atomic.get current with Some c -> c | None -> Lazy.force env_default
-let set_default c = Atomic.set current (Some c)
+let current = Atomic.make Auto
+let default () = Atomic.get current
+let set_default c = Atomic.set current c
 
 let resolve ?backend ~total () =
   match (match backend with Some c -> c | None -> default ()) with

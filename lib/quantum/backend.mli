@@ -34,9 +34,7 @@
 
     The backend is chosen per state at creation time: explicitly via the
     [?backend] argument of {!State.create} and friends, globally via
-    {!set_default} (the [hsp_cli --backend] flag) or the [HSP_BACKEND]
-    environment variable ([dense], [sparse], [symbolic] or [auto]), and
-    automatically ([Auto]) by total dimension: dense when the register
+    {!set_default} (the [hsp_cli --backend] flag), and automatically ([Auto]) by total dimension: dense when the register
     fits under {!Caps.dense_state}, sparse beyond it.  [Auto] never
     resolves to symbolic — exact symbolic simulation needs the coset
     structure the caller supplies ({!State.of_coset}), so it is always
@@ -51,9 +49,8 @@ val choice_of_string : string -> choice option
 val choice_to_string : choice -> string
 
 val default : unit -> choice
-(** The session-wide default used when [?backend] is omitted.  Initially
-    read from the [HSP_BACKEND] environment variable (falling back to
-    [Auto]); {!set_default} overrides it. *)
+(** The session-wide default used when [?backend] is omitted: [Auto]
+    until {!set_default} overrides it. *)
 
 val set_default : choice -> unit
 

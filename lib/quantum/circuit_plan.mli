@@ -23,7 +23,7 @@
     arity ≥ 3 matrices and permutations run through a generic in-place
     kernel that stages each fibre.  All passes are chunked over the
     {!Parallel} pool by fibre, so results are bit-for-bit identical at
-    every job count and under both [HSP_SCHED] orders (the plane-level
+    every job count and under both {!Parallel.sched} orders (the plane-level
     contract [Backend_dense] already obeys).  Plans are verified
     symbolically — no simulation — by [Analysis.Circuit_check.check_plan].
 

@@ -277,9 +277,6 @@ let sampler_with_support ?backend ~dims ~coset ~queries () =
         ];
     outcome
 
-let sample_with_support rng ?backend ~dims ~coset ~queries () =
-  sampler_with_support ?backend ~dims ~coset ~queries () rng
-
 let sampler_of_subgroup ?backend ~sub ~queries () =
   (* The cryptographic-scale path over an already-canonicalised
      subgroup: one round is O(r^2) end to end on the symbolic backend —
@@ -326,9 +323,6 @@ let sampler_with_subgroup ?backend ~dims ~subgroup ~queries () =
     Backend_symbolic.Subgroup.of_gens ~dims subgroup
   in
   sampler_of_subgroup ?backend ~sub ~queries ()
-
-let sample_with_subgroup rng ?backend ~dims ~subgroup ~queries () =
-  sampler_with_subgroup ?backend ~dims ~subgroup ~queries () rng
 
 let sampler_state_valued ?backend ~dims ~f ~queries () =
   (* Reduce the state-valued oracle to the tag case by canonicalising

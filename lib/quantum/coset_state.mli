@@ -170,16 +170,6 @@ val sampler_with_support :
     it is made, and every round reuses them.  Query accounting is
     identical to {!sampler}: one quantum query per round. *)
 
-val sample_with_support :
-  Random.State.t ->
-  ?backend:Backend.choice ->
-  dims:int array ->
-  coset:(int array -> int array list) ->
-  queries:Query.t ->
-  unit ->
-  int array
-(** One-shot form of {!sampler_with_support}. *)
-
 val sampler_with_subgroup :
   ?backend:Backend.choice ->
   dims:int array ->
@@ -201,16 +191,6 @@ val sampler_with_subgroup :
     {!Backend.Caps.symbolic_materialise}, as differential oracles.
     Query accounting is identical to {!sampler}: one quantum query per
     round. *)
-
-val sample_with_subgroup :
-  Random.State.t ->
-  ?backend:Backend.choice ->
-  dims:int array ->
-  subgroup:int array list ->
-  queries:Query.t ->
-  unit ->
-  int array
-(** One-shot form of {!sampler_with_subgroup}. *)
 
 val sampler_of_subgroup :
   ?backend:Backend.choice ->

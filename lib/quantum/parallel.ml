@@ -17,12 +17,12 @@
      Domain.spawn would cost ~100us per call, comparable to an entire
      small-register kernel.
 
-   The adversarial scheduler (HSP_SCHED=shuffle / set_sched Shuffle)
-   stresses the determinism contract at runtime: chunks execute in a
-   seeded-permuted order while everything keyed by chunk index (output
-   ranges, map_chunks slots, merge trees) is untouched, so any hidden
+   The adversarial scheduler (set_sched Shuffle) stresses the
+   determinism contract at runtime: chunks execute in a seeded-permuted
+   order while everything keyed by chunk index (output ranges,
+   map_chunks slots, merge trees) is untouched, so any hidden
    dependence on execution order trips the digest gates in
-   test_parallel / bench. *)
+   test_parallel / test_matrix / bench. *)
 
 let max_jobs = 64
 
@@ -50,21 +50,9 @@ let set_jobs n =
 
 type sched = Fifo | Shuffle
 
-let parse_sched s =
-  match String.lowercase_ascii (String.trim s) with
-  | "fifo" -> Fifo
-  | "shuffle" -> Shuffle
-  | _ -> invalid_arg (Printf.sprintf "HSP_SCHED: expected fifo or shuffle, got %S" s)
-
-let sched_env =
-  lazy (match Sys.getenv_opt "HSP_SCHED" with None -> Fifo | Some s -> parse_sched s)
-
-let current_sched = Atomic.make None
-
-let sched () =
-  match Atomic.get current_sched with Some s -> s | None -> Lazy.force sched_env
-
-let set_sched s = Atomic.set current_sched (Some s)
+let current_sched = Atomic.make Fifo
+let sched () = Atomic.get current_sched
+let set_sched s = Atomic.set current_sched s
 
 (* Each parallel region draws a fresh permutation, seeded by a region
    counter rather than wall-clock state so a failing order is

@@ -22,14 +22,16 @@
     [Invalid_argument] on first use rather than silently running
     serial.
 
-    {b Adversarial scheduler.}  [HSP_SCHED=shuffle] (or
-    {!set_sched}[ Shuffle]) executes each region's chunks in a
-    seeded-permuted order — everything keyed by chunk {e index}
+    {b Adversarial scheduler.}  {!set_sched}[ Shuffle] executes each
+    region's chunks in a seeded-permuted order — everything keyed by chunk {e index}
     (output ranges, {!map_chunks} slots, merge trees) is untouched, so
     under the contract above the results are still bit-for-bit
     identical, and any hidden dependence on execution order trips the
     digest gates.  The permutation is seeded by a per-region counter,
-    never by wall-clock state, so a failing order is reproducible. *)
+    never by wall-clock state, so a failing order is reproducible.
+    [test_matrix.ml] runs the paper's workloads under jobs 1, 2 and 4
+    (the last shuffled) and requires every cell to match the serial
+    FIFO run bit for bit. *)
 
 val max_jobs : int
 
@@ -51,15 +53,9 @@ val parse_jobs : string -> int
 type sched = Fifo | Shuffle  (** chunk execution order within a region *)
 
 val sched : unit -> sched
-(** The session-wide scheduler: {!set_sched} if called, else
-    [HSP_SCHED] ([fifo] | [shuffle]), else [Fifo].
-    @raise Invalid_argument on an unknown [HSP_SCHED] value. *)
+(** The session-wide scheduler: {!set_sched} if called, else [Fifo]. *)
 
 val set_sched : sched -> unit
-
-val parse_sched : string -> sched
-(** Validate an [HSP_SCHED]-style value (case-insensitive).
-    @raise Invalid_argument unless it is [fifo] or [shuffle]. *)
 
 val parallel_for : ?chunks:int -> int -> int -> (int -> int -> unit) -> unit
 (** [parallel_for lo hi body] runs [body clo chi] over contiguous

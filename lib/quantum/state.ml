@@ -70,8 +70,8 @@ let of_amplitudes ?backend dims v =
   match resolve ?backend dims with
   | Backend.Sparse -> Sparse (Backend_sparse.of_amplitudes dims v)
   (* An amplitude vector is inherently non-symbolic input: land it on
-     the sparse backend rather than refuse (HSP_BACKEND=symbolic runs
-     the whole suite, most of which is amplitude-level). *)
+     the sparse backend rather than refuse (a symbolic session default
+     must still run amplitude-level callers). *)
   | Backend.Symbolic -> Sparse (Backend_sparse.of_amplitudes dims v)
   | _ -> Dense (Backend_dense.of_amplitudes dims v)
 

@@ -18,8 +18,7 @@
       registers cost O(r^2) per operation.
 
     The backend is chosen per state at creation: explicitly via
-    [?backend], globally via {!Backend.set_default} / the [HSP_BACKEND]
-    environment variable, or automatically ([Auto]: dense iff the
+    [?backend], globally via {!Backend.set_default}, or automatically ([Auto]: dense iff the
     register fits under the cap; never symbolic — see
     {!Backend.resolve}).  The amplitude backends dispatch every
     operation natively.  A symbolic state handles the {!Backend.CORE}

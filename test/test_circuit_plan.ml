@@ -11,12 +11,14 @@ let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
 let with_jobs j f =
+  let saved = Parallel.jobs () in
   Parallel.set_jobs j;
-  Fun.protect ~finally:(fun () -> Parallel.set_jobs 1) f
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
 
 let with_sched s f =
+  let saved = Parallel.sched () in
   Parallel.set_sched s;
-  Fun.protect ~finally:(fun () -> Parallel.set_sched Parallel.Fifo) f
+  Fun.protect ~finally:(fun () -> Parallel.set_sched saved) f
 
 let is_err = function Error _ -> true | Ok _ -> false
 

@@ -19,8 +19,9 @@ let checki = Alcotest.(check int)
 (* ------------------------------------------------------------------ *)
 
 let with_jobs j f =
+  let saved = Parallel.jobs () in
   Parallel.set_jobs j;
-  Fun.protect ~finally:(fun () -> Parallel.set_jobs 1) f
+  Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
 
 let test_parallel_for_covers () =
   List.iter
@@ -66,8 +67,9 @@ let test_set_jobs_validation () =
       Parallel.set_jobs 65)
 
 let with_sched s f =
+  let saved = Parallel.sched () in
   Parallel.set_sched s;
-  Fun.protect ~finally:(fun () -> Parallel.set_sched Parallel.Fifo) f
+  Fun.protect ~finally:(fun () -> Parallel.set_sched saved) f
 
 let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
 
@@ -80,16 +82,6 @@ let test_parse_jobs_validation () =
       checkb (Printf.sprintf "rejects %S" s) true
         (raises_invalid (fun () -> Parallel.parse_jobs s)))
     [ ""; "0"; "-3"; "65"; "two"; "4.0"; "2x" ]
-
-let test_parse_sched_validation () =
-  checkb "fifo" true (match Parallel.parse_sched "fifo" with Parallel.Fifo -> true | _ -> false);
-  checkb "shuffle, any case, trimmed" true
-    (match Parallel.parse_sched " ShUfFlE " with Parallel.Shuffle -> true | _ -> false);
-  List.iter
-    (fun s ->
-      checkb (Printf.sprintf "rejects %S" s) true
-        (raises_invalid (fun () -> Parallel.parse_sched s)))
-    [ ""; "random"; "lifo"; "1" ]
 
 (* The adversarial scheduler permutes chunk execution order only:
    coverage, per-chunk slots and results must be indistinguishable from
@@ -419,7 +411,6 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick test_exception_propagates;
           Alcotest.test_case "set_jobs validation" `Quick test_set_jobs_validation;
           Alcotest.test_case "parse_jobs validation" `Quick test_parse_jobs_validation;
-          Alcotest.test_case "parse_sched validation" `Quick test_parse_sched_validation;
           Alcotest.test_case "shuffle covers and orders" `Quick test_shuffle_covers_and_orders;
           Alcotest.test_case "shuffle sort_perm identical" `Quick test_shuffle_sort_perm;
           Alcotest.test_case "reduction chunk geometry" `Quick test_reduction_chunks_geometry;

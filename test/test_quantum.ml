@@ -402,55 +402,19 @@ let test_coset_sampler_size_guard () =
     (Invalid_argument "Coset_state: group too large for state-vector simulation") (fun () ->
       ignore
         (* 2^27: past even the lifted sparse-sampler cap, so the guard
-           trips whatever backend HSP_BACKEND selects *)
+           trips whatever the session-default backend *)
         (Coset_state.sample rng ~dims:(Array.make 27 2) ~f:(fun _ -> 0) ~queries))
 
-(* The prep's coset draw, checked exactly: a tag function with unequal
-   fibres (sizes 3, 6, 15 over Z_4 x Z_6, interleaved in index order)
-   is no hiding function, so the Fourier outcome law is the mixture
-   P(y) = sum_c (|c| / |A|) |<chi_y | c>|^2 = sum_c |sum_{x in c} chi_y(x)|^2 / |A|^2,
-   which pins the |c| / |A| weight of every coset.  On 40,000 draws a
-   uniform choice of coset scores ~5000 on the chi-squared statistic,
-   and a bucket start assigned to the previous coset ~150; the gate is
-   50 (19 degrees of freedom). *)
 let test_coset_draw_law () =
-  let dims = [| 4; 6 |] in
-  let total = 24 in
-  let tag idx = match idx mod 8 with 0 -> 0 | 1 | 2 -> 1 | _ -> 2 in
-  let f x = tag (State.encode dims x) in
-  let exact = Array.make total 0.0 in
-  for y = 0 to total - 1 do
-    let yv = State.decode dims y in
-    let sums = Array.make 3 Cx.zero in
-    for x = 0 to total - 1 do
-      sums.(tag x) <- Cx.add sums.(tag x) (Qft.character ~dims yv (State.decode dims x))
-    done;
-    exact.(y) <-
-      Array.fold_left (fun acc z -> acc +. Cx.norm2 z) 0.0 sums /. float_of_int (total * total)
-  done;
-  let n = 40_000 in
   List.iter
     (fun backend ->
-      let draw = Coset_state.sampler ~backend ~dims ~f ~queries:(Query.create ()) () in
-      let rng = Random.State.make [| 0xc05e7 |] in
-      let counts = Array.make total 0 in
-      for _ = 1 to n do
-        let y = State.encode dims (draw rng) in
-        counts.(y) <- counts.(y) + 1
-      done;
-      let stat = ref 0.0 in
-      Array.iteri
-        (fun y p ->
-          if p < 1e-12 then begin
-            if counts.(y) > 0 then Alcotest.failf "outcome %d has probability 0" y
-          end
-          else
-            let e = float_of_int n *. p in
-            let d = float_of_int counts.(y) -. e in
-            stat := !stat +. (d *. d /. e))
-        exact;
-      if !stat > 50.0 then
-        Alcotest.failf "%s: chi2 %.1f exceeds 50" (Backend.choice_to_string backend) !stat)
+      let draw =
+        Coset_state.sampler ~backend ~dims:Coset_law.dims ~f:Coset_law.f
+          ~queries:(Query.create ()) ()
+      in
+      match Coset_law.check draw with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "%s: %s" (Backend.choice_to_string backend) msg)
     [ Backend.Dense; Backend.Sparse ]
 
 (* The service cache budgets preps by prep_bytes; it must track the

@@ -412,15 +412,16 @@ let test_batched_vs_sequential_distribution () =
 (* Stress: 8 threads under the adversarial scheduler                   *)
 (* ------------------------------------------------------------------ *)
 
-(* HSP_SCHED=shuffle permutes chunk execution inside every parallel
+(* The Shuffle scheduler permutes chunk execution inside every parallel
    region while the request threads race the executor and the cache —
    the combination the concurrency-safety rules (Analysis.Race_check)
    exist to protect.  The exact-sum ledger assertion is the sharp one:
    a single double-count or lost tick anywhere breaks it. *)
 
 let with_shuffle f =
+  let saved = Parallel.sched () in
   Parallel.set_sched Parallel.Shuffle;
-  Fun.protect ~finally:(fun () -> Parallel.set_sched Parallel.Fifo) f
+  Fun.protect ~finally:(fun () -> Parallel.set_sched saved) f
 
 let stress_instances =
   [| ([| 8; 8 |], [| 4; 2 |]); ([| 16 |], [| 4 |]); ([| 4; 4 |], [| 2; 2 |]) |]

@@ -588,8 +588,8 @@ let test_large_group_sampling () =
   let planted = Backend_symbolic.Subgroup.of_gens ~dims gens in
   let queries = Query.create () in
   let draw =
-    (* force symbolic: an HSP_BACKEND=dense/sparse test leg would
-       otherwise try to enumerate the 2^60-element coset. *)
+    (* force symbolic: a dense/sparse session default would otherwise
+       try to enumerate the 2^60-element coset. *)
     Coset_state.sampler_with_subgroup ~backend:Backend.Symbolic ~dims ~subgroup:gens ~queries ()
   in
   let samples = List.init 200 (fun _ -> draw st) in
