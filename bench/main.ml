@@ -640,6 +640,11 @@ let e9 () =
 (* E10: dense vs sparse state-vector backends                         *)
 (* ------------------------------------------------------------------ *)
 
+(* Generators of the planted H = prod m_i Z_{d_i} of E10 and E11. *)
+let planted dims moduli =
+  List.init (Array.length dims) (fun i ->
+      Array.init (Array.length dims) (fun j -> if i = j then moduli.(i) else 0))
+
 let e10 () =
   header
     "E10: dense vs sparse backend — planted Abelian HSP on Z_d1 x Z_d2, H = prod m_i Z_di"
@@ -647,22 +652,11 @@ let e10 () =
       fmt_s "gates"; fmt_s "dft-fib"; fmt_s "peak-sup"; fmt_s "peak-dns"; fmt_s "ok";
       fmt_s "claim"; fmt_s "sec" ];
   let solve_planted ~dims ~moduli ~backend =
-    let r = Array.length dims in
-    let coset x0 =
-      let rec go i acc =
-        if i < 0 then acc
-        else
-          let reps = dims.(i) / moduli.(i) in
-          let choices =
-            List.init reps (fun k -> (x0.(i) + (k * moduli.(i))) mod dims.(i))
-          in
-          go (i - 1)
-            (List.concat_map (fun suffix -> List.map (fun c -> c :: suffix) choices) acc)
-      in
-      List.map Array.of_list (go (r - 1) [ [] ])
-    in
     let queries = Quantum.Query.create () in
-    let draw = Quantum.Coset_state.sampler_with_support ~backend ~dims ~coset ~queries () in
+    let draw =
+      Quantum.Coset_state.sampler_with_subgroup ~backend ~dims ~subgroup:(planted dims moduli)
+        ~queries ()
+    in
     let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli in
     let f x = Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
     Quantum.Metrics.reset ();
@@ -749,27 +743,13 @@ let e11 () =
   let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   List.iter
     (fun (dims, moduli, rounds) ->
-      let r = Array.length dims in
-      let coset x0 =
-        let rec go i acc =
-          if i < 0 then acc
-          else
-            let reps = dims.(i) / moduli.(i) in
-            let choices =
-              List.init reps (fun k -> (x0.(i) + (k * moduli.(i))) mod dims.(i))
-            in
-            go (i - 1)
-              (List.concat_map (fun suffix -> List.map (fun c -> c :: suffix) choices) acc)
-        in
-        List.map Array.of_list (go (r - 1) [ [] ])
-      in
       run_workload (show dims)
         (Array.fold_left ( * ) 1 dims)
         (fun rng ->
           let queries = Quantum.Query.create () in
           let draw =
-            Quantum.Coset_state.sampler_with_support ~backend:Quantum.Backend.Dense ~dims
-              ~coset ~queries ()
+            Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Dense ~dims
+              ~subgroup:(planted dims moduli) ~queries ()
           in
           let buf = Buffer.create 256 in
           for _ = 1 to rounds do

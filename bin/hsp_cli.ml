@@ -326,36 +326,16 @@ let abelian_cmd =
       (size_str h_order h_log2);
     Printf.printf "backend         : %s\n"
       (Quantum.Backend.choice_to_string (Quantum.Backend.default ()));
-    let symbolic =
-      match Quantum.Backend.default () with Quantum.Backend.Symbolic -> true | _ -> false
-    in
     let queries = Quantum.Query.create () in
+    (* The planted instance knows H, so the simulator is handed its
+       generators instead of an oracle to expand: symbolic rounds cost
+       O(r^2) however large the group (Z_2^200 in milliseconds), and
+       dense/sparse rounds enumerate one coset, O(|H|) instead of the
+       O(|G|) oracle expansion.  [Auto] samples on sparse.  Still one
+       quantum query per round. *)
     let draw =
-      if symbolic then
-        (* Generator-level oracle: one round is O(r^2) however large
-           the group — this is what runs Z_2^200 in milliseconds. *)
-        Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic ~dims
-          ~subgroup:sub_gens ~queries ()
-      else begin
-        (* Amplitude-level differential path: the planted instance
-           knows H, so it hands the simulator the coset of a point
-           directly; cost per round is O(|H|) instead of the O(|G|)
-           oracle expansion (still one quantum query). *)
-        let coset x0 =
-          let rec go i acc =
-            if i < 0 then acc
-            else
-              let reps = dims.(i) / moduli.(i) in
-              let choices =
-                List.init reps (fun k -> (x0.(i) + (k * moduli.(i))) mod dims.(i))
-              in
-              go (i - 1)
-                (List.concat_map (fun suffix -> List.map (fun c -> c :: suffix) choices) acc)
-          in
-          List.map Array.of_list (go (r - 1) [ [] ])
-        in
-        Quantum.Coset_state.sampler_with_support ~dims ~coset ~queries ()
-      end
+      Quantum.Coset_state.sampler_of_subgroup ~backend:(Quantum.State.indices_backend ())
+        ~sub:truth ~queries ()
     in
     let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli in
     let f x = Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in

@@ -35,11 +35,11 @@ val solve_dims :
 
     [backend] selects the simulation backend for the default sampler.
     [draw] substitutes the Fourier-sampling round wholesale (e.g.
-    {!Quantum.Coset_state.sampler_with_support} for groups beyond the
-    dense cap, where the O(|A|) oracle expansion of the default sampler
-    is itself infeasible); it must return character samples with the
-    {!Quantum.Coset_state.sample} distribution and do its own query
-    accounting. *)
+    {!Quantum.Coset_state.sampler_with_subgroup} for planted instances
+    beyond the dense cap, where the O(|A|) oracle expansion of the
+    default sampler is itself infeasible); it must return character
+    samples with the {!Quantum.Coset_state.sampler} distribution and do
+    its own query accounting. *)
 
 val solve : Random.State.t -> 'a Group.t -> 'a Hiding.t -> 'a list
 (** Solve over any Abelian black-box group: decompose the group

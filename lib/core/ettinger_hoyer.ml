@@ -6,16 +6,6 @@ type result = {
   candidates_scanned : int;
 }
 
-let sample rng ~n (hiding : Dihedral.elt Hiding.t) =
-  let dims = [| n; 2 |] in
-  let f tuple =
-    hiding.Hiding.raw { Dihedral.rot = tuple.(0); flip = tuple.(1) = 1 }
-  in
-  let outcome =
-    Quantum.Coset_state.sample rng ~dims ~f ~queries:hiding.Hiding.quantum
-  in
-  (outcome.(0), outcome.(1))
-
 (* log-likelihood of slope d' given samples drawn from
    P(y,b) ∝ cos^2(pi (d y / n + b / 2)). *)
 let log_likelihood n samples d' =
@@ -32,10 +22,21 @@ let solve rng ~n (hiding : Dihedral.elt Hiding.t) =
   let g = Dihedral.group n in
   let f1 = Hiding.eval hiding g.Group.id in
   let batch = (4 * Numtheory.Arith.ilog2 (max 2 n)) + 8 in
+  (* One sampler per solve: one O(|G|) coset expansion of the
+     Z_n x Z_2 register encoding of D_n, shared by every batch. *)
+  let draw =
+    Quantum.Coset_state.sampler ~dims:[| n; 2 |]
+      ~f:(fun x -> hiding.Hiding.raw { Dihedral.rot = x.(0); flip = x.(1) = 1 })
+      ~queries:hiding.Hiding.quantum ()
+  in
+  let sample () =
+    let y = draw rng in
+    (y.(0), y.(1))
+  in
   let rec go retries samples scanned =
     if retries > 6 then None
     else begin
-      let samples = samples @ List.init batch (fun _ -> sample rng ~n hiding) in
+      let samples = samples @ List.init batch (fun _ -> sample ()) in
       (* Exhaustive maximum-likelihood scan over all n candidate
          slopes: the exponential-time classical post-processing.  The
          distribution is invariant under d <-> n - d (cos^2 is even up

@@ -23,7 +23,3 @@ val solve : Random.State.t -> n:int -> Dihedral.elt Hiding.t -> result option
     [None] if the verification never succeeds within the retry budget
     (e.g. the hidden subgroup is not of the assumed form). *)
 
-val sample : Random.State.t -> n:int -> Dihedral.elt Hiding.t -> int * int
-(** One Fourier-sampling round: prepare a random coset state in the
-    [Z_n x Z_2] register encoding of [D_n], apply QFT_n x QFT_2,
-    measure. *)

@@ -76,9 +76,11 @@ module Caps : sig
   (** [2^26].  Group-size cap of [Coset_state.sampler] on the sparse
       and symbolic backends ({!Coset_state.max_group_size_sparse}): the
       amplitudes stay O(|coset|), so the bound is only the flat
-      bucket tables of the shared O(|A|) prep pass.  Beyond it, use
-      [Coset_state.sampler_with_support] or the symbolic
-      [Coset_state.sampler_with_subgroup], which have no cap. *)
+      bucket tables of the shared O(|A|) prep pass.  Also the most
+      members [State.of_coset] enumerates on dense or sparse, the
+      planted route of [Coset_state.sampler_with_subgroup]: its coset
+      index segment is the same flat array.  Beyond it, only the
+      symbolic [Coset_state.sampler_with_subgroup] runs, with no cap. *)
 
   val symbolic_materialise : int
   (** [2^20].  Largest support the symbolic backend will materialise
@@ -86,7 +88,8 @@ module Caps : sig
       amplitude-level operations, [iter_nonzero], coset recognition in
       [State.of_indices]).  Purely a simulator-side safety rail: the
       symbolic fast path (DFT rewrite + subgroup sampling) never
-      materialises anything. *)
+      materialises anything, and [State.of_coset] on dense or sparse
+      is bounded by {!coset_sparse} instead. *)
 end
 
 val dense_cap : int

@@ -17,29 +17,21 @@ type t = {
   total : int;
   str : int array;
   tbl : (int, Cx.t) Hashtbl.t;
-  eps : float;
 }
 
-let default_eps = 1e-12
+let put tbl idx z = if Cx.abs z > Backend_sparse.prune_eps then Hashtbl.replace tbl idx z
 
-let check_eps e =
-  if e < 0.0 then invalid_arg "Backend_htbl: negative pruning epsilon";
-  e
-
-let put eps tbl idx z = if Cx.abs z > eps then Hashtbl.replace tbl idx z
-
-let make_frame ?prune_eps:e dims =
+let make_frame dims =
   let total = Backend.total_of dims in
-  let eps = match e with Some e -> check_eps e | None -> default_eps in
-  { dims = Array.copy dims; total; str = Backend.strides dims; tbl = Hashtbl.create 64; eps }
+  { dims = Array.copy dims; total; str = Backend.strides dims; tbl = Hashtbl.create 64 }
 
-let create ?prune_eps dims =
-  let t = make_frame ?prune_eps dims in
+let create dims =
+  let t = make_frame dims in
   Hashtbl.replace t.tbl 0 Cx.one;
   t
 
-let of_basis ?prune_eps dims x =
-  let t = make_frame ?prune_eps dims in
+let of_basis dims x =
+  let t = make_frame dims in
   Hashtbl.replace t.tbl (Backend.encode dims x) Cx.one;
   t
 
@@ -56,19 +48,19 @@ let normalize t =
     { t with tbl }
   end
 
-let of_amplitudes ?prune_eps dims v =
-  let t = make_frame ?prune_eps dims in
+let of_amplitudes dims v =
+  let t = make_frame dims in
   if Cvec.dim v <> t.total then invalid_arg "State.of_amplitudes: dimension mismatch";
-  Array.iteri (fun idx z -> put t.eps t.tbl idx z) v;
+  Array.iteri (fun idx z -> put t.tbl idx z) v;
   normalize t
 
 let prune t =
   let out = Hashtbl.create (Hashtbl.length t.tbl) in
-  Hashtbl.iter (fun idx z -> put t.eps out idx z) t.tbl;
+  Hashtbl.iter (fun idx z -> put out idx z) t.tbl;
   { t with tbl = out }
 
-let of_support ?prune_eps dims entries =
-  let t = make_frame ?prune_eps dims in
+let of_support dims entries =
+  let t = make_frame dims in
   (match entries with [] -> invalid_arg "State.of_support: empty support" | _ :: _ -> ());
   List.iter
     (fun (x, a) ->
@@ -94,15 +86,15 @@ let amp_at t idx = Option.value ~default:Cx.zero (Hashtbl.find_opt t.tbl idx)
 let iter_nonzero t f = Hashtbl.iter (fun idx z -> f idx z) t.tbl
 
 let tensor a b =
-  let out = make_frame ~prune_eps:a.eps (Array.append a.dims b.dims) in
+  let out = make_frame (Array.append a.dims b.dims) in
   Hashtbl.iter
     (fun ia za ->
-      Hashtbl.iter (fun ib zb -> put out.eps out.tbl ((ia * b.total) + ib) (Cx.mul za zb)) b.tbl)
+      Hashtbl.iter (fun ib zb -> put out.tbl ((ia * b.total) + ib) (Cx.mul za zb)) b.tbl)
     a.tbl;
   out
 
-let uniform ?prune_eps dims =
-  let t = make_frame ?prune_eps dims in
+let uniform dims =
+  let t = make_frame dims in
   if t.total > Backend.dense_cap then
     invalid_arg "State.uniform: support is the whole register; use the dense backend";
   let a = Cx.re (1.0 /. sqrt (float_of_int t.total)) in
@@ -168,7 +160,7 @@ let apply_wires t ~wires m =
     (fun base fibre ->
       let transformed = Cmat.apply m fibre in
       for s = 0 to sub_total - 1 do
-        put t.eps out (base + offsets.(s)) transformed.(s)
+        put out (base + offsets.(s)) transformed.(s)
       done)
     fibres;
   { t with tbl = out }
@@ -182,7 +174,7 @@ let apply_dft ?plan:_ t ~wire ~inverse =
     (fun base fibre ->
       Fft.dft_any ~inverse fibre;
       for k = 0 to d - 1 do
-        put t.eps out (base + (k * stride)) fibre.(k)
+        put out (base + (k * stride)) fibre.(k)
       done)
     fibres;
   { t with tbl = out }

@@ -10,11 +10,11 @@
 
 type t
 
-val create : ?prune_eps:float -> int array -> t
-val of_basis : ?prune_eps:float -> int array -> int array -> t
-val of_amplitudes : ?prune_eps:float -> int array -> Linalg.Cvec.t -> t
-val of_support : ?prune_eps:float -> int array -> (int array * Linalg.Cx.t) list -> t
-val uniform : ?prune_eps:float -> int array -> t
+val create : int array -> t
+val of_basis : int array -> int array -> t
+val of_amplitudes : int array -> Linalg.Cvec.t -> t
+val of_support : int array -> (int array * Linalg.Cx.t) list -> t
+val uniform : int array -> t
 val dims : t -> int array
 val num_wires : t -> int
 val total_dim : t -> int

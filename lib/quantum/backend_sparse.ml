@@ -41,31 +41,22 @@ type t = {
   idx : int array;  (* idx.(0 .. n-1) strictly increasing *)
   re : float array;  (* unboxed amplitude planes, parallel to idx *)
   im : float array;
-  eps : float;
-      (* pruning threshold of THIS state, fixed at construction and
-         carried through every derived state — a later change of the
-         session default must not contaminate states already built *)
 }
 
-let prune_epsilon = Atomic.make 1e-12
-
-let check_eps e =
-  if e < 0.0 then invalid_arg "Backend_sparse: negative pruning epsilon";
-  e
-
-let set_prune_epsilon e = Atomic.set prune_epsilon (check_eps e)
-let prune_eps () = Atomic.get prune_epsilon
-let prune_eps_of t = t.eps
+(* Amplitudes of modulus at most [prune_eps] are dropped after every
+   unitary; the kernels compare squared moduli against [eps2], its
+   square written as a literal so the comparison needs no load. *)
+let prune_eps = 1e-12
+let eps2 = 1e-24
 
 (* Sample the support high-water mark after an operation settles. *)
 let noted t =
   Metrics.record_support t.n;
   t
 
-let make_frame ?prune_eps:e dims =
+let make_frame dims =
   let total = Backend.total_of dims in
-  let eps = match e with Some e -> check_eps e | None -> Atomic.get prune_epsilon in
-  { dims = Array.copy dims; total; str = Backend.strides dims; n = 0; idx = [||]; re = [||]; im = [||]; eps }
+  { dims = Array.copy dims; total; str = Backend.strides dims; n = 0; idx = [||]; re = [||]; im = [||] }
 
 (* ------------------------------------------------------------------ *)
 (* Growable entry buffer (amplitudes kept as unboxed planes)           *)
@@ -231,21 +222,20 @@ let normalize t =
 (* Thresholding uses squared moduli — no sqrt, no boxing.  An entry is
    kept iff |amp|² > eps²; a dropped entry with a nonzero component
    still counts as pruned (even if its square underflowed). *)
-let keeps ~eps2 x y = (x *. x) +. (y *. y) > eps2
+let keeps x y = (x *. x) +. (y *. y) > eps2
 
 (* hsp-lint: allow float-eq — exact nonzero test, not a tolerance *)
 let is_nonzero x y = x <> 0.0 || y <> 0.0
 
-(* Re-filter a settled segment through the state's threshold
+(* Re-filter a settled segment through the pruning threshold
    (duplicates summed during construction may have landed below it).
    An order-preserving filter keeps the segment sorted. *)
 let prune t =
-  let eps2 = t.eps *. t.eps in
   let keep = Array.make t.n false in
   let m = ref 0 and pruned = ref 0 in
   for e = 0 to t.n - 1 do
     let x = t.re.(e) and y = t.im.(e) in
-    if keeps ~eps2 x y then begin
+    if keeps x y then begin
       keep.(e) <- true;
       incr m
     end
@@ -271,23 +261,22 @@ let prune t =
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?prune_eps dims =
-  let t = make_frame ?prune_eps dims in
+let create dims =
+  let t = make_frame dims in
   noted { t with n = 1; idx = [| 0 |]; re = [| 1.0 |]; im = [| 0.0 |] }
 
-let of_basis ?prune_eps dims x =
-  let t = make_frame ?prune_eps dims in
+let of_basis dims x =
+  let t = make_frame dims in
   noted { t with n = 1; idx = [| Backend.encode dims x |]; re = [| 1.0 |]; im = [| 0.0 |] }
 
-let of_amplitudes ?prune_eps dims v =
-  let t = make_frame ?prune_eps dims in
+let of_amplitudes dims v =
+  let t = make_frame dims in
   if Cvec.dim v <> t.total then invalid_arg "State.of_amplitudes: dimension mismatch";
-  let eps2 = t.eps *. t.eps in
   let b = Ebuf.create 64 and pruned = ref 0 in
   Array.iteri
     (fun idx z ->
       let x = z.Complex.re and y = z.Complex.im in
-      if keeps ~eps2 x y then Ebuf.push b idx x y else if is_nonzero x y then incr pruned)
+      if keeps x y then Ebuf.push b idx x y else if is_nonzero x y then incr pruned)
     v;
   Metrics.add_pruned !pruned;
   let t =
@@ -301,8 +290,8 @@ let of_amplitudes ?prune_eps dims v =
   in
   noted (normalize t)
 
-let of_support ?prune_eps dims entries =
-  let t = make_frame ?prune_eps dims in
+let of_support dims entries =
+  let t = make_frame dims in
   (match entries with [] -> invalid_arg "State.of_support: empty support" | _ :: _ -> ());
   let b = Builder.create () in
   List.iter
@@ -311,8 +300,8 @@ let of_support ?prune_eps dims entries =
   let idx, re, im, n = Builder.finish b in
   noted (prune (normalize { t with n; idx; re; im }))
 
-let of_indices ?prune_eps dims idxs =
-  let t = make_frame ?prune_eps dims in
+let of_indices dims idxs =
+  let t = make_frame dims in
   let n = Array.length idxs in
   if n = 0 then invalid_arg "State.of_indices: empty support";
   let prev = ref (-1) in
@@ -385,13 +374,12 @@ let tensor a b =
       idx = (if n = Array.length idx then idx else Array.sub idx 0 n);
       re = (if n = Array.length re then re else Array.sub re 0 n);
       im = (if n = Array.length im then im else Array.sub im 0 n);
-      eps = a.eps;
     }
   in
   noted (prune t)
 
-let uniform ?prune_eps dims =
-  let t = make_frame ?prune_eps dims in
+let uniform dims =
+  let t = make_frame dims in
   if t.total > Backend.dense_cap then
     invalid_arg "State.uniform: support is the whole register; use the dense backend";
   let a = 1.0 /. sqrt (float_of_int t.total) in
@@ -535,7 +523,6 @@ let apply_wires t ~wires m =
   let order = Array.init sub_total (fun s -> s) in
   Array.sort (fun a b -> Int.compare offsets.(a) offsets.(b)) order;
   let m_re, m_im = Cmat.planes m in
-  let eps2 = t.eps *. t.eps in
   let src_re = t.re and src_im = t.im in
   let nchunks = Parallel.reduction_chunks ~slot_words:1 nruns in
   let bufs =
@@ -559,7 +546,7 @@ let apply_wires t ~wires m =
           for oi = 0 to sub_total - 1 do
             let s = order.(oi) in
             let x = y_re.(s) and y = y_im.(s) in
-            if keeps ~eps2 x y then Ebuf.push out (b + offsets.(s)) x y
+            if keeps x y then Ebuf.push out (b + offsets.(s)) x y
             else if is_nonzero x y then incr pruned
           done
         done;
@@ -705,7 +692,6 @@ let dft_blocks t ~wire ~plan ~inverse =
   let idx = t.idx and src_re = t.re and src_im = t.im in
   let starts = block_starts idx t.n (s * d) in
   let nb = Array.length starts - 1 in
-  let eps2 = t.eps *. t.eps in
   (* Load fibre j of the block at entry [a] into [w]'s planes and
      transform it in place. *)
   let transform w ~a ~digit ~order ~fstart j =
@@ -726,7 +712,7 @@ let dft_blocks t ~wire ~plan ~inverse =
       transform w ~a ~digit ~order ~fstart j;
       for k = 0 to d - 1 do
         let x = w.f_re.(k) and y = w.f_im.(k) in
-        if keeps ~eps2 x y then Ebuf.push w.kept k x y
+        if keeps x y then Ebuf.push w.kept k x y
         else if is_nonzero x y then w.pruned <- w.pruned + 1
       done;
       fend.(j) <- w.kept.Ebuf.n
@@ -785,7 +771,7 @@ let dft_blocks t ~wire ~plan ~inverse =
             let base = base + los.(0) in
             for k = 0 to d - 1 do
               let x = w.f_re.(k) and y = w.f_im.(k) in
-              if keeps ~eps2 x y then Ebuf.push out (base + (k * s)) x y
+              if keeps x y then Ebuf.push out (base + (k * s)) x y
               else if is_nonzero x y then incr pruned
             done
           end

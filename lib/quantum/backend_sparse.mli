@@ -25,16 +25,10 @@
     (the old hashtable backend summed floats in iteration order, which
     was not schedule-invariant).
 
-    Amplitudes with modulus at most the pruning epsilon are dropped
-    after each unitary, so destructive interference actually shrinks
-    the segment.  The epsilon is {e per state}: fixed at construction
-    (from the optional [?prune_eps] argument, else the session default
-    set by {!set_prune_epsilon}, initially [1e-12]) and carried through
-    every derived state, so changing the default mid-session never
-    contaminates states already built.
+    Amplitudes with modulus at most {!prune_eps} are dropped after each
+    unitary, so destructive interference actually shrinks the segment.
 
-    The operations implement {!Backend.S} (modulo the optional
-    [?prune_eps] on constructors); the equivalence test suite checks
+    The operations implement {!Backend.S}; the equivalence test suite checks
     them against {!Backend_dense} amplitude-by-amplitude on random
     circuits, and against the retained hashtable baseline
     ({!Backend_htbl}).  Work statistics (populated fibre counts, peak
@@ -43,12 +37,12 @@
 
 type t
 
-val create : ?prune_eps:float -> int array -> t
-val of_basis : ?prune_eps:float -> int array -> int array -> t
-val of_amplitudes : ?prune_eps:float -> int array -> Linalg.Cvec.t -> t
-val of_support : ?prune_eps:float -> int array -> (int array * Linalg.Cx.t) list -> t
+val create : int array -> t
+val of_basis : int array -> int array -> t
+val of_amplitudes : int array -> Linalg.Cvec.t -> t
+val of_support : int array -> (int array * Linalg.Cx.t) list -> t
 
-val of_indices : ?prune_eps:float -> int array -> int array -> t
+val of_indices : int array -> int array -> t
 (** [of_indices dims idxs] is the uniform superposition over the given
     {e encoded} basis indices, which must be strictly increasing and in
     range — the segment is adopted directly with no sort, no builder
@@ -57,7 +51,7 @@ val of_indices : ?prune_eps:float -> int array -> int array -> t
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)
 
-val uniform : ?prune_eps:float -> int array -> t
+val uniform : int array -> t
 val dims : t -> int array
 val num_wires : t -> int
 val total_dim : t -> int
@@ -69,7 +63,6 @@ val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
 (** Visits entries in increasing basis-index order. *)
 
 val tensor : t -> t -> t
-(** The product carries the left operand's pruning epsilon. *)
 
 val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
 val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
@@ -84,17 +77,9 @@ val probabilities : t -> wires:int list -> float array
 val measure : Random.State.t -> t -> wires:int list -> int array * t
 val norm : t -> float
 
-val set_prune_epsilon : float -> unit
-(** Set the session default epsilon used by constructors when
-    [?prune_eps] is omitted.  Affects only states constructed
-    afterwards.
-    @raise Invalid_argument on a negative epsilon. *)
-
-val prune_eps : unit -> float
-(** The current session default. *)
-
-val prune_eps_of : t -> float
-(** The epsilon this particular state carries. *)
+val prune_eps : float
+(** The pruning threshold, [1e-12]: an amplitude of modulus at most
+    this is dropped. *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

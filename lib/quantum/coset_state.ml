@@ -197,85 +197,46 @@ let coset_at starts x =
   done;
   !lo
 
-let sampler_of_prep p ~queries () =
-  fun rng ->
-    Query.tick queries;
-    let { starts; members; plans } = Lazy.force p.ptables in
-    (* Measure the function register first: the outcome is f(x) for a
-       uniform x, i.e. a coset chosen with probability |coset| / |A|.
-       Drawing a uniform position in the concatenated buckets and
-       taking its bucket implements exactly that. *)
+(* One Fourier-sampling round, shared by every sampler: the query
+   tick, then [build] — the coset draw and its state, returned with
+   log2 of the coset size — then the Fourier sweep on [plans] and a
+   full measurement, and one "coset-round" trace event with the same
+   fields on every route. *)
+let round ~queries ~wires ~plans ~build rng =
+  Query.tick queries;
+  let st, coset_log2 = Metrics.phase "sample-prep" (fun () -> build rng) in
+  let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires) in
+  let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
+  if Metrics.tracing () then
+    Metrics.trace "coset-round"
+      [
+        ("coset_log2", Printf.sprintf "%.2f" coset_log2);
+        ("fourier_support", string_of_int (State.support_size st));
+        ("outcome", String.concat "," (List.map string_of_int (Array.to_list outcome)));
+      ];
+  outcome
+
+let sampler_of_prep p ~queries () rng =
+  let { starts; members; plans } = Lazy.force p.ptables in
+  (* Measure the function register first: the outcome is f(x) for a
+     uniform x, i.e. a coset chosen with probability |coset| / |A|.
+     Drawing a uniform position in the concatenated buckets and taking
+     its bucket implements exactly that. *)
+  let build rng =
     let c = coset_at starts (Random.State.full_int rng p.ptotal) in
     let lo = starts.(c) in
     let count = starts.(c + 1) - lo in
     Metrics.add_coset_visits count;
-    let st =
-      Metrics.phase "sample-prep" @@ fun () ->
-      let idxs = Array.make count 0 in
-      for i = 0 to count - 1 do
-        idxs.(i) <- member members (lo + i)
-      done;
-      State.of_indices ~backend:p.pbackend p.pdims idxs
-    in
-    let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires:p.pwires) in
-    let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
-    if Metrics.tracing () then
-      Metrics.trace "coset-round"
-        [
-          ("coset_size", string_of_int count);
-          ("fourier_support", string_of_int (State.support_size st));
-          ( "outcome",
-            String.concat "," (List.map string_of_int (Array.to_list outcome)) );
-        ];
-    outcome
+    let idxs = Array.make count 0 in
+    for i = 0 to count - 1 do
+      idxs.(i) <- member members (lo + i)
+    done;
+    (State.of_indices ~backend:p.pbackend p.pdims idxs, Float.log2 (float_of_int count))
+  in
+  round ~queries ~wires:p.pwires ~plans ~build rng
 
 let sampler ?backend ~dims ~f ~queries () =
   sampler_of_prep (prep ?backend ~dims ~f ()) ~queries ()
-
-let sample rng ~dims ~f ~queries = sampler ~dims ~f ~queries () rng
-
-let sampler_with_support ?backend ~dims ~coset ~queries () =
-  (* No [max_group_size] guard and no O(|A|) oracle expansion: the
-     caller hands us the coset of a uniformly drawn point directly, so
-     one round costs O(|coset|) state construction plus the sparse
-     Fourier/measurement work.  This is what lifts instances whose
-     total dimension exceeds even [max_group_size_sparse] — including
-     registers whose total dimension does not fit in an int at all
-     ([Z_2^200]-shaped dims), so only the wire dimensions are validated
-     here and an unformable total ([None]) means "uncapped", never an
-     error. *)
-  ignore (Backend.total_of_opt dims : int option);
-  let wires = List.init (Array.length dims) (fun i -> i) in
-  let choice = State.indices_backend ?backend () in
-  let plans = plans_for choice dims in
-  fun rng ->
-    Query.tick queries;
-    let x0 = Array.map (fun d -> Random.State.full_int rng d) dims in
-    let st, count =
-      Metrics.phase "sample-prep" @@ fun () ->
-      let members = coset x0 in
-      (match members with
-      | [] -> invalid_arg "Coset_state: coset function returned an empty coset"
-      | _ :: _ -> ());
-      (* Encode once, sort, and hand the segment to the backend whole:
-         O(|coset| log |coset|) with no per-member boxing or hashing. *)
-      let idxs = Array.of_list (List.map (State.encode dims) members) in
-      Array.sort Int.compare idxs;
-      let count = Array.length idxs in
-      Metrics.add_coset_visits count;
-      (State.of_indices ~backend:choice dims idxs, count)
-    in
-    let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires) in
-    let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
-    if Metrics.tracing () then
-      Metrics.trace "coset-round"
-        [
-          ("coset_size", string_of_int count);
-          ("fourier_support", string_of_int (State.support_size st));
-          ( "outcome",
-            String.concat "," (List.map string_of_int (Array.to_list outcome)) );
-        ];
-    outcome
 
 let sampler_of_subgroup ?backend ~sub ~queries () =
   (* The cryptographic-scale path over an already-canonicalised
@@ -287,35 +248,31 @@ let sampler_of_subgroup ?backend ~sub ~queries () =
      work contains no normal-form computation at all — and because
      [sub] is a first-class value, the service layer caches it across
      requests (canonicalisation paid once per oracle).  Dense/sparse
-     choices enumerate the coset and run the amplitude pipeline
-     instead — the differential oracles the chi-squared gate compares
-     against (Backend.Caps.symbolic_materialise bounds that
-     enumeration). *)
-  let dims = Backend_symbolic.Subgroup.dims sub in
+     choices enumerate the coset (State.of_coset, capped at
+     Backend.Caps.coset_sparse members) and run the amplitude pipeline
+     instead: the planted-instance path of the CLI and the benches, and
+     the differential oracles the chi-squared gate compares against. *)
+  let module Sub = Backend_symbolic.Subgroup in
+  let dims = Sub.dims sub in
   let choice =
     match backend with
     | Some c -> c
     | None -> (
         match Backend.default () with Backend.Auto -> Backend.Symbolic | c -> c)
   in
-  let wires = List.init (Array.length dims) (fun i -> i) in
-  let plans = plans_for choice dims in
-  fun rng ->
-    Query.tick queries;
+  let visits =
+    match (choice, Sub.order_int sub) with
+    | (Backend.Dense | Backend.Sparse), Some n -> n
+    | _ -> 0
+  in
+  let coset_log2 = Sub.order_log2 sub in
+  let build rng =
     let x0 = Array.map (fun d -> Random.State.full_int rng d) dims in
-    let st =
-      Metrics.phase "sample-prep" @@ fun () -> State.of_coset ~backend:choice sub ~rep:x0
-    in
-    let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires) in
-    let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
-    if Metrics.tracing () then
-      Metrics.trace "coset-round"
-        [
-          ("coset_log2", Printf.sprintf "%.2f" (Backend_symbolic.Subgroup.order_log2 sub));
-          ( "outcome",
-            String.concat "," (List.map string_of_int (Array.to_list outcome)) );
-        ];
-    outcome
+    if visits > 0 then Metrics.add_coset_visits visits;
+    (State.of_coset ~backend:choice sub ~rep:x0, coset_log2)
+  in
+  round ~queries ~wires:(List.init (Array.length dims) Fun.id) ~plans:(plans_for choice dims)
+    ~build
 
 let sampler_with_subgroup ?backend ~dims ~subgroup ~queries () =
   let sub =

@@ -6,14 +6,19 @@
     uniformly random character of [A] that is trivial on the hidden
     subgroup [ker/period of f].
 
-    Four implementations are provided:
+    Every sampler runs the same round — one query tick, a coset state
+    built by the route's draw (phase ["sample-prep"]), the Fourier
+    sweep ({!Qft.forward}, phase ["fourier"]), one full measurement
+    ({!State.measure_all}, phase ["measure"]) and one ["coset-round"]
+    trace event carrying [coset_log2], [fourier_support] and
+    [outcome].  Two routes build the coset state:
 
-    - {!sample} / {!sampler} — the production fast path.  It measures
+    - {!sampler} / {!sampler_of_prep} — the oracle route.  It measures
       the function register {e first} (deferred-measurement principle:
       measuring the two registers in either order yields the same joint
       distribution), so it only ever materialises one coset state
       instead of the [|A| * #values] tensor.  The oracle is expanded
-      classically {e once} per sampler — one O(|A|) pass that buckets
+      classically {e once} per prep — one O(|A|) pass that buckets
       the group into cosets (ledger: [sampler_preps]) — after which
       every sample costs O(|coset|) construction off its pre-sorted
       bucket (ledger: [coset_visits]) plus the Fourier/measure work.
@@ -21,25 +26,22 @@
       amplitudes are materialised in full, and {!max_group_size_sparse}
       (2^26) on the sparse one, where only the bucket tables are
       O(|A|).
-    - {!sampler_with_support} — the beyond-the-cap path.  The caller
-      supplies the coset of a point directly (the simulator's planted
-      instance knows the hidden subgroup), so one round costs
-      O(|coset| log |coset|) state construction on the sparse backend
-      and no O(|A|) pass at all; groups far beyond
-      {!max_group_size_sparse} become simulable when cosets and their
-      Fourier supports are small.
-    - {!sampler_with_subgroup} — the cryptographic-scale path.  The
-      caller supplies the hidden subgroup as a {e generator list}; the
-      symbolic backend ({!Backend_symbolic}) then runs the whole
-      round — coset state, full Fourier sweep, measurement — in closed
-      form, O(r^2) per sample with no cap of any kind, so groups of
-      order 2^100 and far beyond sample in microseconds.  Explicit
-      dense/sparse backends enumerate the coset instead and serve as
-      differential oracles for the symbolic distribution (the bench E13
-      chi-squared gate).
-    - {!sample_full} — the reference implementation on the full tensor
-      product, used by tests to validate {!sample}; dense O(|A|)
-      throughout, capped at {!max_group_size}.
+    - {!sampler_with_subgroup} / {!sampler_of_subgroup} — the planted
+      route.  The caller supplies the hidden subgroup as a {e generator
+      list}; the symbolic backend ({!Backend_symbolic}) then runs the
+      whole round — coset state, full Fourier sweep, measurement — in
+      closed form, O(r^2) per sample with no cap of any kind, so groups
+      of order 2^100 and far beyond sample in microseconds.  Explicit
+      dense/sparse backends enumerate the coset instead
+      ({!State.of_coset}, at most {!max_group_size_sparse} members, no
+      O(|A|) pass), which simulates groups far beyond the oracle
+      route's caps when cosets and their Fourier supports are small,
+      and serves as the differential oracle for the symbolic
+      distribution (the bench E13 chi-squared gate).
+
+    {!sample_full} is the reference implementation on the full tensor
+    product, used by tests to validate {!sampler}; dense O(|A|)
+    throughout, capped at {!max_group_size}.
 
     Each call costs one oracle query: the oracle is evaluated once in
     superposition.  The classical expansion of that superposition by
@@ -60,14 +62,6 @@ val max_group_size_sparse : int
     bucket tables of the shared prep pass.  Alias of
     {!Backend.Caps.coset_sparse} (2^26). *)
 
-val sample :
-  Random.State.t -> dims:int array -> f:(int array -> int) -> queries:Query.t -> int array
-(** One round of Fourier sampling; returns the measured character
-    index [y] (an element of [A] read as a character via
-    {!Qft.character}).  [f] must be constant on the cosets of some
-    subgroup [H <= A] and distinct across cosets; the result is then
-    uniform on the annihilator [H^perp]. *)
-
 val sampler :
   ?backend:Backend.choice ->
   dims:int array ->
@@ -75,11 +69,14 @@ val sampler :
   queries:Query.t ->
   unit ->
   Random.State.t -> int array
-(** Factory form of {!sample} that evaluates the (deterministic)
-    oracle over the group once, buckets the group into cosets, and
-    reuses the buckets across samples — same distribution and query
-    accounting, with every round after the first pass costing
-    O(|coset|) instead of O(|A|).  Equivalent to
+(** One round of Fourier sampling per call; returns the measured
+    character index [y] (an element of [A] read as a character via
+    {!Qft.character}).  [f] must be constant on the cosets of some
+    subgroup [H <= A] and distinct across cosets; the result is then
+    uniform on the annihilator [H^perp].  The (deterministic) oracle is
+    evaluated over the group once, on the first round, and its coset
+    buckets are reused: every round costs one quantum query and
+    O(|coset|) construction.  Equivalent to
     [sampler_of_prep (prep ?backend ~dims ~f ()) ~queries ()]. *)
 
 (** {2 First-class sampler prep}
@@ -151,25 +148,6 @@ val sampler_of_prep :
     [queries], [coset_visits] per round), but the O(|A|) pass is shared
     with every other sampler made from the same prep. *)
 
-val sampler_with_support :
-  ?backend:Backend.choice ->
-  dims:int array ->
-  coset:(int array -> int array list) ->
-  queries:Query.t ->
-  unit ->
-  Random.State.t -> int array
-(** Like {!sampler}, but the simulator is given the coset structure
-    instead of discovering it by exhaustive oracle expansion:
-    [coset x] must return the distinct members of [xH].  One round
-    draws a uniform [x], encodes and sorts the members, and hands the
-    index segment to the backend whole ({!State.of_indices} — sparse
-    unless overridden).  No group-size cap; this is the entry point
-    that lifts instances whose total dimension exceeds even
-    {!max_group_size_sparse}.  Unless the backend is symbolic, the
-    sampler builds one Fourier plan per distinct wire dimension when
-    it is made, and every round reuses them.  Query accounting is
-    identical to {!sampler}: one quantum query per round. *)
-
 val sampler_with_subgroup :
   ?backend:Backend.choice ->
   dims:int array ->
@@ -177,9 +155,9 @@ val sampler_with_subgroup :
   queries:Query.t ->
   unit ->
   Random.State.t -> int array
-(** Like {!sampler_with_support}, but the simulator is given the hidden
-    subgroup as a generator list and never enumerates anything: one
-    round builds [|x0 + H>] symbolically from a uniform representative,
+(** Like {!sampler}, but the simulator is given the hidden subgroup as
+    a generator list instead of an oracle to expand: one round builds
+    [|x0 + H>] symbolically from a uniform representative,
     Fourier-transforms it by the closed-form rewrite and measures by
     uniform annihilator sampling — O(r^2) per round for
     [A = Z_{d_1} x ... x Z_{d_r}] of arbitrary order.  The subgroup is
@@ -187,9 +165,13 @@ val sampler_with_subgroup :
     memoised, so rounds contain no normal-form work (ledger:
     [symbolic_solves] stays at 2 per oracle).  An omitted/[Auto]
     backend means symbolic here (supplying subgroup structure is the
-    opt-in); explicit [Dense]/[Sparse] enumerate the coset, subject to
-    {!Backend.Caps.symbolic_materialise}, as differential oracles.
-    Query accounting is identical to {!sampler}: one quantum query per
+    opt-in); explicit [Dense]/[Sparse] enumerate the coset (at most
+    {!Backend.Caps.coset_sparse} members; ledger: [coset_visits]) and
+    run the amplitude pipeline, with the same outcomes and RNG draws as
+    any other enumeration of that coset.  Unless the backend is
+    symbolic, the sampler builds one Fourier plan per distinct wire
+    dimension when it is made, and every round reuses them.  Query
+    accounting is identical to {!sampler}: one quantum query per
     round. *)
 
 val sampler_of_subgroup :
@@ -202,9 +184,7 @@ val sampler_of_subgroup :
     subgroup: the caller (typically the service cache) holds the HNF
     basis and its memoised annihilator solve, so constructing a sampler
     here performs no normal-form work at all.  Dims are taken from the
-    subgroup; backend semantics are as in {!sampler_with_subgroup}.  An
-    explicit [Dense]/[Sparse] sampler builds its Fourier plans once,
-    when it is made. *)
+    subgroup; backend semantics are as in {!sampler_with_subgroup}. *)
 
 val sample_full :
   Random.State.t ->
@@ -214,7 +194,7 @@ val sample_full :
   queries:Query.t ->
   unit ->
   int array
-(** Same distribution as {!sample}, computed by building the full
+(** Same distribution as {!sampler}, computed by building the full
     [A x range(f)] register, applying the oracle unitary, Fourier
     transforming and measuring.  Exponentially more memory; only for
     small [A].  The value-canonicalisation pass evaluates [f] once per

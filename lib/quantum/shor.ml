@@ -1,4 +1,3 @@
-open Linalg
 open Numtheory
 
 let max_q = 1 lsl 20
@@ -15,29 +14,6 @@ let register_size bound =
   done;
   !q
 
-(* One Fourier-sampling round over Z_Q; returns the measured c. *)
-let sample_round ?backend rng q tags queries =
-  Query.tick queries;
-  let st =
-    Metrics.phase "sample-prep" @@ fun () ->
-    let k0 = Random.State.int rng q in
-    let t0 = tags.(k0) in
-    let members = ref [] and count = ref 0 in
-    for k = q - 1 downto 0 do
-      if Int.equal tags.(k) t0 then begin
-        members := k :: !members;
-        incr count
-      end
-    done;
-    let amp = Cx.re (1.0 /. sqrt (float_of_int !count)) in
-    let v = Cvec.make q in
-    List.iter (fun k -> v.(k) <- amp) !members;
-    State.of_amplitudes ?backend [| q |] v
-  in
-  let st = Metrics.phase "fourier" (fun () -> Qft.forward st ~wires:[ 0 ]) in
-  let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
-  outcome.(0)
-
 let verified_period f r =
   r >= 1
   && Int.equal (f r) (f 0)
@@ -46,11 +22,13 @@ let verified_period f r =
 let period_finding ?backend rng ~f ~period_bound ~queries ~max_rounds =
   if period_bound < 1 then invalid_arg "Shor.period_finding: bound < 1";
   let q = register_size period_bound in
-  let tags = Array.init q f in
+  (* One coset sampler over Z_Q per call: f is tabulated into its coset
+     buckets once, and each round builds one coset state off them. *)
+  let draw = Coset_state.sampler ?backend ~dims:[| q |] ~f:(fun k -> f k.(0)) ~queries () in
   let rec go rounds acc =
     if rounds >= max_rounds then None
     else begin
-      let c = sample_round ?backend rng q tags queries in
+      let c = (draw rng).(0) in
       (* Accept a convergent h/k only if it approximates c/q to within
          1/(2q): for q >= 2*bound^2 such a fraction with denominator
          <= bound is unique, so an accepted k is the reduced

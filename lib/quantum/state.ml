@@ -7,30 +7,10 @@ type t =
 
 (* Static capability checks (see Backend.CORE / AMPLITUDES): the
    amplitude backends satisfy both layers, the symbolic backend the
-   core layer only.  The eta-expansions erase the sparse/htbl optional
-   [?prune_eps] arguments, which the signatures deliberately omit. *)
+   core layer only. *)
 module _ : Backend.S = Backend_dense
-
-module _ : Backend.S = struct
-  include Backend_sparse
-
-  let create dims = create dims
-  let of_basis dims x = of_basis dims x
-  let of_amplitudes dims v = of_amplitudes dims v
-  let of_support dims entries = of_support dims entries
-  let uniform dims = uniform dims
-end
-
-module _ : Backend.S = struct
-  include Backend_htbl
-
-  let create dims = create dims
-  let of_basis dims x = of_basis dims x
-  let of_amplitudes dims v = of_amplitudes dims v
-  let of_support dims entries = of_support dims entries
-  let uniform dims = uniform dims
-end
-
+module _ : Backend.S = Backend_sparse
+module _ : Backend.S = Backend_htbl
 module _ : Backend.CORE = Backend_symbolic
 
 let max_total_dim = Backend.dense_cap
@@ -78,13 +58,13 @@ let of_amplitudes ?backend dims v =
 (* A sparse construction defaults to the sparse backend (Auto included):
    the caller is telling us the support is small, and beyond the dense
    cap that is the only amplitude representation that exists at all. *)
-let of_sparse ?backend ?prune_eps dims entries =
+let of_sparse ?backend dims entries =
   Metrics.record_state_created ();
   let choice = match backend with Some c -> c | None -> Backend.default () in
   match choice with
   | Backend.Dense -> Dense (Backend_dense.of_support dims entries)
   | Backend.Sparse | Backend.Symbolic | Backend.Auto ->
-      Sparse (Backend_sparse.of_support ?prune_eps dims entries)
+      Sparse (Backend_sparse.of_support dims entries)
 
 let indices_backend ?backend () =
   match (match backend with Some c -> c | None -> Backend.default ()) with
@@ -94,36 +74,67 @@ let indices_backend ?backend () =
 (* Same default as of_sparse, except that under the symbolic backend a
    segment that is recognisably a coset (which is what the samplers
    build) stays symbolic; anything else falls back to sparse. *)
-let of_indices ?backend ?prune_eps dims idxs =
+let of_indices ?backend dims idxs =
   Metrics.record_state_created ();
   match indices_backend ?backend () with
   | Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
   | Backend.Symbolic -> (
       match Backend_symbolic.of_indices_opt dims idxs with
       | Some st -> Symbolic st
-      | None -> Sparse (Backend_sparse.of_indices ?prune_eps dims idxs))
-  | Backend.Sparse | Backend.Auto -> Sparse (Backend_sparse.of_indices ?prune_eps dims idxs)
+      | None -> Sparse (Backend_sparse.of_indices dims idxs))
+  | Backend.Sparse | Backend.Auto -> Sparse (Backend_sparse.of_indices dims idxs)
+
+(* The index segment of the coset [rep + H], ascending with no sort.
+   The HNF basis is upper triangular with h_ii | d_i, so once wires
+   0..i-1 are fixed, wire i takes the values (v mod h_ii) + k h_ii,
+   k < d_i / h_ii, where v is its current offset; stepping row i from
+   coefficient -(v div h_ii) visits them in increasing order and
+   shifts only later wires.  Wire 0 is most significant, so the
+   depth-first walk emits ascending indices. *)
+let coset_indices sub ~rep =
+  let module Sub = Backend_symbolic.Subgroup in
+  let n =
+    match Sub.order_int sub with
+    | Some n when n <= Backend.Caps.coset_sparse -> n
+    | _ -> invalid_arg "State.of_coset: coset too large to enumerate (Caps.coset_sparse)"
+  in
+  let dims = Sub.dims sub and basis = Sub.basis sub in
+  let r = Array.length dims and str = Backend.strides dims in
+  let idxs = Array.make n 0 and k = ref 0 in
+  let x = Array.copy rep in
+  let shift row i c =
+    for j = i + 1 to r - 1 do
+      x.(j) <- x.(j) + (c * row.(j))
+    done
+  in
+  let rec go i prefix =
+    if i = r then begin
+      idxs.(!k) <- prefix;
+      incr k
+    end
+    else begin
+      let row = basis.(i) in
+      let h = row.(i) in
+      let lo = Numtheory.Arith.emod x.(i) h in
+      let q = (x.(i) - lo) / h and count = dims.(i) / h in
+      shift row i (-q);
+      for c = 0 to count - 1 do
+        go (i + 1) (prefix + ((lo + (c * h)) * str.(i)));
+        shift row i 1
+      done;
+      shift row i (q - count)
+    end
+  in
+  go 0 0;
+  idxs
 
 let of_coset ?backend sub ~rep =
   Metrics.record_state_created ();
-  let choice = match backend with Some c -> c | None -> Backend.default () in
-  match choice with
-  | Backend.Dense | Backend.Sparse ->
-      (* Differential-oracle path: enumerate the coset (small subgroups
-         only) and hand the sorted segment to the amplitude backend. *)
-      let dims = Backend_symbolic.Subgroup.dims sub in
-      let r = Array.length dims in
-      let idxs =
-        List.map
-          (fun h ->
-            Backend.encode dims (Array.init r (fun i -> (rep.(i) + h.(i)) mod dims.(i))))
-          (Backend_symbolic.Subgroup.elements sub)
-      in
-      let idxs = Array.of_list idxs in
-      Array.sort Int.compare idxs;
-      (match choice with
-      | Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
-      | _ -> Sparse (Backend_sparse.of_indices dims idxs))
+  match (match backend with Some c -> c | None -> Backend.default ()) with
+  | Backend.Dense ->
+      Dense (Backend_dense.of_indices (Backend_symbolic.Subgroup.dims sub) (coset_indices sub ~rep))
+  | Backend.Sparse ->
+      Sparse (Backend_sparse.of_indices (Backend_symbolic.Subgroup.dims sub) (coset_indices sub ~rep))
   | Backend.Symbolic | Backend.Auto -> Symbolic (Backend_symbolic.of_coset sub rep)
 
 let uniform ?backend dims =

@@ -58,25 +58,16 @@ val of_amplitudes : ?backend:Backend.choice -> int array -> Linalg.Cvec.t -> t
     dimension is materialisable; under the symbolic backend it lands on
     sparse.  Prefer {!of_sparse} beyond the cap. *)
 
-val of_sparse :
-  ?backend:Backend.choice ->
-  ?prune_eps:float ->
-  int array ->
-  (int array * Linalg.Cx.t) list ->
-  t
+val of_sparse : ?backend:Backend.choice -> int array -> (int array * Linalg.Cx.t) list -> t
 (** [of_sparse dims entries] builds the normalised superposition with
     the given basis-tuple amplitudes (duplicates are summed).  Defaults
     to the sparse backend even under [Auto] or [Symbolic] — the
     explicit support list is the caller saying the state is sparse —
     and is the amplitude-level constructor usable beyond
-    {!max_total_dim}.  [prune_eps] fixes the pruning threshold of this
-    state and everything derived from it (default: the current
-    {!Backend_sparse.set_prune_epsilon} session value); ignored when
-    the state lands on the dense backend.
+    {!max_total_dim}.
     @raise Invalid_argument on an empty or zero-norm support. *)
 
-val of_indices :
-  ?backend:Backend.choice -> ?prune_eps:float -> int array -> int array -> t
+val of_indices : ?backend:Backend.choice -> int array -> int array -> t
 (** [of_indices dims idxs] is the uniform superposition over the given
     pre-{e encoded} basis indices, which must be strictly increasing
     and in range.  The fast path for coset-state construction: the
@@ -84,8 +75,7 @@ val of_indices :
     O(|idxs|), no sort, no hashing, no per-entry boxing.  Backend
     default follows {!of_sparse} (sparse even under [Auto]), except
     that under [Symbolic] a segment recognised as a coset
-    ({!Backend_symbolic.of_indices_opt}) stays symbolic.  [prune_eps]
-    as in {!of_sparse}.
+    ({!Backend_symbolic.of_indices_opt}) stays symbolic.
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)
 
@@ -100,8 +90,10 @@ val of_coset : ?backend:Backend.choice -> Backend_symbolic.Subgroup.t -> rep:int
     ({!Coset_state.sampler_with_subgroup}).  Defaults to the symbolic
     backend (under [Auto] too: the caller handing us subgroup structure
     {e is} the opt-in); explicit [Dense]/[Sparse] enumerate the coset
-    (differential-oracle path, subject to
-    {!Backend.Caps.symbolic_materialise} on the subgroup size). *)
+    into its sorted index segment and adopt it as {!of_indices} would.
+    @raise Invalid_argument on [Dense]/[Sparse] when [|H|] exceeds
+    {!Backend.Caps.coset_sparse}, the cap of the oracle route's index
+    tables. *)
 
 val dims : t -> int array
 val num_wires : t -> int

@@ -456,7 +456,7 @@ let test_rc_blocking_under_lock () =
   checkb "sampler prep under locked" true
     (List.mem Race_check.Blocking_under_lock
        (rc_rules_of rc_all
-          "let f c oracle = locked c (fun () -> Coset_state.sampler_with_support oracle)"));
+          "let f c oracle = locked c (fun () -> Coset_state.sampler_with_subgroup oracle)"));
   checkb "build outside lock ok" true
     (rc_rules_of rc_all
        "let f m fd buf = let n = Unix.read fd buf 0 4 in Mutex.protect m (fun () -> n)"

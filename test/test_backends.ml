@@ -362,7 +362,7 @@ let with_jobs j f =
 let kernel_matches ~large seed =
   let rng = Random.State.make [| seed; 0xf1b |] in
   let dims, st = kernel_state ~large rng in
-  let eps = Backend_sparse.prune_eps_of st in
+  let eps = Backend_sparse.prune_eps in
   let input = segment st in
   let total = Array.fold_left ( * ) 1 dims in
   let dense_in =
@@ -511,7 +511,11 @@ let test_sparse_coset_beyond_cap () =
 let test_sparse_solve_beyond_cap () =
   let rng = Random.State.make [| 0xb17 |] in
   let queries = Quantum.Query.create () in
-  let draw = Coset_state.sampler_with_support ~dims:big_dims ~coset:big_coset ~queries () in
+  let draw =
+    Coset_state.sampler_with_subgroup ~backend:Backend.Sparse ~dims:big_dims
+      ~subgroup:[ [| big_moduli.(0); 0 |]; [| 0; big_moduli.(1) |] ]
+      ~queries ()
+  in
   let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x big_moduli in
   let f x = Backend.encode big_moduli (Array.map2 (fun xi m -> xi mod m) x big_moduli) in
   let gens, _ =
@@ -544,6 +548,31 @@ let test_sparse_solve_beyond_cap () =
     (big_dims.(0) / big_moduli.(0)) * (big_dims.(1) / big_moduli.(1))
   in
   checki "generators generate H" h_order (Hashtbl.length tbl)
+
+(* A planted coset just above 2^20 members on sparse Z_2048 x Z_2048:
+   H = 2Z_2048 x Z_2048, |H| = 2^21.  The amplitude route enumerates it
+   under Caps.coset_sparse, not the 2^20 demotion rail, and the round
+   lands on H^perp = {0, 1024} x {0}.  Past Caps.coset_sparse the
+   enumeration is refused before anything is built. *)
+let test_sparse_coset_above_2_20 () =
+  Metrics.reset ();
+  let dims = [| 2048; 2048 |] in
+  let members = 1 lsl 21 in
+  checkb "above the demotion rail" true (members > Backend.Caps.symbolic_materialise);
+  let queries = Query.create () in
+  let draw =
+    Coset_state.sampler_with_subgroup ~backend:Backend.Sparse ~dims
+      ~subgroup:[ [| 2; 0 |]; [| 0; 1 |] ] ~queries ()
+  in
+  let y = draw (Random.State.make [| 0x2021 |]) in
+  checkb "outcome in H^perp" true ((y.(0) = 0 || y.(0) = 1024) && y.(1) = 0);
+  checki "one round visits the whole coset" members (Metrics.snapshot ()).Metrics.coset_visits;
+  checki "one query" 1 (Query.count queries);
+  let wide = Array.make 27 2 in
+  let everything = Backend_symbolic.Subgroup.full wide in
+  Alcotest.check_raises "past Caps.coset_sparse"
+    (Invalid_argument "State.of_coset: coset too large to enumerate (Caps.coset_sparse)")
+    (fun () -> ignore (State.of_coset ~backend:Backend.Sparse everything ~rep:(Array.make 27 0)))
 
 let test_of_indices () =
   let dims = [| 4; 5 |] in
@@ -610,6 +639,7 @@ let () =
           Alcotest.test_case "of_indices" `Quick test_of_indices;
           Alcotest.test_case "coset state at 2^25" `Quick test_sparse_coset_beyond_cap;
           Alcotest.test_case "end-to-end solve at 2^25" `Slow test_sparse_solve_beyond_cap;
+          Alcotest.test_case "coset above 2^20 members" `Quick test_sparse_coset_above_2_20;
           Alcotest.test_case "amplitude pruning" `Quick test_sparse_pruning;
         ] );
     ]

@@ -645,9 +645,13 @@ let test_ettinger_hoyer_slopes () =
   List.iter
     (fun (n, d) ->
       let inst = Instances.dihedral_reflection ~n ~d in
+      Quantum.Metrics.reset ();
       match Ettinger_hoyer.solve r ~n inst.Instances.hiding with
       | Some res ->
           checki (Printf.sprintf "slope n=%d" n) d res.Ettinger_hoyer.slope;
+          (* every batch draws from one sampler: one O(|G|) expansion *)
+          checki "one sampler prep per solve" 1
+            (Quantum.Metrics.snapshot ()).Quantum.Metrics.sampler_preps;
           (* queries logarithmic, post-processing linear in n *)
           let _, q = Hiding.total_queries inst.Instances.hiding in
           checkb "log queries" true (q <= 40 * (Numtheory.Arith.ilog2 n + 2));

@@ -1,9 +1,8 @@
 (* Cost-ledger observability and correctness-fix regressions.
 
    Covers the metrics ledger ({!Quantum.Metrics}), the discrete-sampler
-   fallback fix, the per-state sparse pruning epsilon, query-counter
-   reset semantics across {!Hsp.Runner.run} invocations, and the
-   [verify:false] report marker. *)
+   fallback fix, query-counter reset semantics across {!Hsp.Runner.run}
+   invocations, and the [verify:false] report marker. *)
 
 open Hsp
 open Quantum
@@ -12,11 +11,10 @@ open Linalg
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
-(* Every test starts from a clean global ledger and the default global
-   pruning epsilon, whatever the previous test left behind. *)
+(* Every test starts from a clean global ledger and the default
+   backend, whatever the previous test left behind. *)
 let setup () =
   Metrics.reset ();
-  Backend_sparse.set_prune_epsilon 1e-12;
   Backend.set_default Backend.Auto
 
 let rng () = Random.State.make [| 42 |]
@@ -54,42 +52,6 @@ let test_sample_degenerate () =
   Alcotest.check_raises "all-zero distribution"
     (Invalid_argument "Backend.sample_discrete: zero distribution") (fun () ->
       ignore (Backend.sample_discrete rng [| 0.0; 0.0 |]))
-
-(* ------------------------------------------------------------------ *)
-(* Per-state pruning epsilon                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The epsilon is fixed at construction and carried by the state:
-   changing the global default afterwards must not contaminate states
-   already built, and two coexisting states keep their own thresholds. *)
-let test_prune_eps_scoped_per_state () =
-  setup ();
-  let dims = [| 4 |] in
-  let entries = [ ([| 0 |], Cx.re 1.0); ([| 1 |], Cx.re 1e-6) ] in
-  let strict = Backend_sparse.of_support ~prune_eps:1e-3 dims entries in
-  let loose = Backend_sparse.of_support ~prune_eps:1e-9 dims entries in
-  checki "strict state pruned the tiny amplitude" 1 (Backend_sparse.support_size strict);
-  checki "loose state kept it" 2 (Backend_sparse.support_size loose);
-  checkb "per-state epsilons retained" true
-    (Backend_sparse.prune_eps_of strict = 1e-3 && Backend_sparse.prune_eps_of loose = 1e-9)
-
-let test_prune_eps_global_change_isolated () =
-  setup ();
-  let dims = [| 4 |] in
-  let st =
-    Backend_sparse.of_support ~prune_eps:1e-9 dims
-      [ ([| 0 |], Cx.re 1.0); ([| 1 |], Cx.re 1e-6) ]
-  in
-  (* cranking the session default must not retroactively prune [st] *)
-  Backend_sparse.set_prune_epsilon 1e-2;
-  let st = Backend_sparse.apply_dft st ~wire:0 ~inverse:false in
-  let st = Backend_sparse.apply_dft st ~wire:0 ~inverse:true in
-  checkb "derived states inherit the construction-time epsilon" true
-    (Backend_sparse.prune_eps_of st = 1e-9);
-  checki "round-trip keeps the small amplitude" 2 (Backend_sparse.support_size st);
-  (* a state built *after* the global change picks up the new default *)
-  let fresh = Backend_sparse.of_support dims [ ([| 0 |], Cx.re 1.0); ([| 1 |], Cx.re 1e-6) ] in
-  checki "new default applies to new states" 1 (Backend_sparse.support_size fresh)
 
 (* ------------------------------------------------------------------ *)
 (* Ledger: dense and sparse runs of one circuit agree on counts       *)
@@ -329,12 +291,6 @@ let () =
           Alcotest.test_case "never returns zero-probability index" `Quick
             test_sample_never_zero_prob;
           Alcotest.test_case "degenerate distributions raise" `Quick test_sample_degenerate;
-        ] );
-      ( "prune_epsilon",
-        [
-          Alcotest.test_case "scoped per state" `Quick test_prune_eps_scoped_per_state;
-          Alcotest.test_case "global change isolated" `Quick
-            test_prune_eps_global_change_isolated;
         ] );
       ( "ledger",
         [

@@ -322,7 +322,7 @@ let test_sampler_in_annihilator () =
   let f, h_size = subgroup_hiding dims gens in
   let queries = Query.create () in
   for _ = 1 to 40 do
-    let y = Coset_state.sample rng ~dims ~f ~queries in
+    let y = Coset_state.sampler ~dims ~f ~queries () rng in
     (* every sampled character is trivial on every subgroup element *)
     checkb "trivial on gens" true
       (List.for_all (fun g -> Qft.character_is_trivial_on ~dims y g) gens)
@@ -348,7 +348,7 @@ let test_sampler_full_matches_fast () =
     done;
     h
   in
-  let h_fast = histo Coset_state.sample
+  let h_fast = histo (fun rng ~dims ~f ~queries -> Coset_state.sampler ~dims ~f ~queries () rng)
   and h_full =
     histo (fun rng ~dims ~f ~queries -> Coset_state.sample_full rng ~dims ~f ~queries ())
   in
@@ -373,7 +373,7 @@ let test_annihilator_subgroup_recovers () =
   let gens = [ [| 2; 0; 1 |]; [| 0; 1; 0 |] ] in
   let f, h_size = subgroup_hiding dims gens in
   let queries = Query.create () in
-  let samples = List.init 30 (fun _ -> Coset_state.sample rng ~dims ~f ~queries) in
+  let samples = List.init 30 (fun _ -> Coset_state.sampler ~dims ~f ~queries () rng) in
   let recovered = Coset_state.annihilator_subgroup ~dims samples in
   (* closure of recovered = subgroup of same size containing gens *)
   let f2, h2_size = subgroup_hiding dims recovered in
@@ -403,7 +403,7 @@ let test_coset_sampler_size_guard () =
       ignore
         (* 2^27: past even the lifted sparse-sampler cap, so the guard
            trips whatever the session-default backend *)
-        (Coset_state.sample rng ~dims:(Array.make 27 2) ~f:(fun _ -> 0) ~queries))
+        (Coset_state.sampler ~dims:(Array.make 27 2) ~f:(fun _ -> 0) ~queries () rng))
 
 let test_coset_draw_law () =
   List.iter
@@ -416,6 +416,53 @@ let test_coset_draw_law () =
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "%s: %s" (Backend.choice_to_string backend) msg)
     [ Backend.Dense; Backend.Sparse ]
+
+(* The planted-subgroup sampler's exact law: on every backend the
+   outcome is uniform on H^perp, enumerated here by brute force over
+   the group, with zero mass outside it.  The chi-squared gate sits at
+   df + 6 sqrt(2 df), roughly p = 1e-5; a symbolic draw that skips the
+   first annihilator basis row covers only part of H^perp and scores
+   over a thousand. *)
+let test_subgroup_sampler_law () =
+  List.iter
+    (fun (dims, gens) ->
+      let total = Array.fold_left ( * ) 1 dims in
+      let in_perp =
+        Array.init total (fun y ->
+            List.for_all (Qft.character_is_trivial_on ~dims (State.decode dims y)) gens)
+      in
+      let k = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 in_perp in
+      let draws = 40 * k in
+      List.iter
+        (fun backend ->
+          let name = Printf.sprintf "%s on %d elements" (Backend.choice_to_string backend) total in
+          let draw =
+            Coset_state.sampler_with_subgroup ~backend ~dims ~subgroup:gens
+              ~queries:(Query.create ()) ()
+          in
+          let rng = Random.State.make [| 0x5ab |] in
+          let counts = Array.make total 0 in
+          for _ = 1 to draws do
+            let y = State.encode dims (draw rng) in
+            if not in_perp.(y) then Alcotest.failf "%s: outcome %d outside H^perp" name y;
+            counts.(y) <- counts.(y) + 1
+          done;
+          let e = float_of_int draws /. float_of_int k in
+          let stat = ref 0.0 in
+          Array.iteri
+            (fun y c ->
+              if in_perp.(y) then
+                let d = float_of_int c -. e in
+                stat := !stat +. (d *. d /. e))
+            counts;
+          let df = float_of_int (k - 1) in
+          let gate = df +. (6.0 *. sqrt (2.0 *. df)) in
+          if !stat > gate then Alcotest.failf "%s: chi2 %.1f exceeds %.1f" name !stat gate)
+        [ Backend.Dense; Backend.Sparse; Backend.Symbolic ])
+    [
+      ([| 4; 6 |], [ [| 2; 3 |] ]);
+      ([| 36; 120 |], [ [| 3; 5 |]; [| 0; 6 |] ]);
+    ]
 
 (* The service cache budgets preps by prep_bytes; it must track the
    real heap footprint of the forced tables. *)
@@ -578,42 +625,6 @@ let test_state_valued_sampler () =
   done;
   checki "queries" 30 (Query.count queries)
 
-let test_phase_estimation_exact () =
-  let rng = rng () in
-  (* exactly representable phase 3/8 with a 3-bit register: certain *)
-  let u =
-    [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.root_of_unity 8 3 |] |]
-  in
-  let psi = Cvec.basis 2 1 in
-  for _ = 1 to 10 do
-    let phi = Phase_estimation.estimate rng ~precision_bits:3 ~unitary:u ~eigenstate:psi in
-    checkb "exact 3/8" true (Float.abs (phi -. 0.375) < 1e-12)
-  done;
-  (* the |0> eigenstate has phase 0 *)
-  let phi = Phase_estimation.estimate rng ~precision_bits:4 ~unitary:u ~eigenstate:(Cvec.basis 2 0) in
-  checkb "zero phase" true (phi = 0.0)
-
-let test_phase_estimation_rounding () =
-  let rng = rng () in
-  (* phi = 1/3 is not representable: the modal 5-bit outcome is within
-     2^-5 of 1/3 *)
-  let u = [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.root_of_unity 3 1 |] |] in
-  let psi = Cvec.basis 2 1 in
-  let phi =
-    Phase_estimation.estimate_exact rng ~precision_bits:5 ~unitary:u ~eigenstate:psi ~trials:50
-  in
-  checkb "close to 1/3" true (Float.abs (phi -. (1.0 /. 3.0)) <= 1.0 /. 32.0)
-
-let test_phase_estimation_rejects () =
-  let rng = rng () in
-  let u = Gates.h in
-  (* |0> is not an eigenvector of H *)
-  Alcotest.check_raises "non-eigenvector"
-    (Invalid_argument "Phase_estimation.estimate: not an eigenvector") (fun () ->
-      ignore
-        (Phase_estimation.estimate rng ~precision_bits:3 ~unitary:u
-           ~eigenstate:(Cvec.basis 2 0)))
-
 let test_gate_level_simon () =
   (* Simon's algorithm built from gates: |0>^n |0>^n, H on the first n
      qubits, the oracle as a reversible basis map, H again, measure.
@@ -749,12 +760,10 @@ let () =
           Alcotest.test_case "annihilator recovery" `Quick test_annihilator_subgroup_recovers;
           Alcotest.test_case "empty samples" `Quick test_annihilator_empty_samples;
           Alcotest.test_case "gate-level simon" `Quick test_gate_level_simon;
-          Alcotest.test_case "phase estimation exact" `Quick test_phase_estimation_exact;
-          Alcotest.test_case "phase estimation rounding" `Quick test_phase_estimation_rounding;
-          Alcotest.test_case "phase estimation rejects" `Quick test_phase_estimation_rejects;
           Alcotest.test_case "size guard" `Quick test_coset_sampler_size_guard;
           Alcotest.test_case "state-valued oracle (lemma 9)" `Quick test_state_valued_sampler;
           Alcotest.test_case "coset draw law (chi-squared)" `Quick test_coset_draw_law;
+          Alcotest.test_case "subgroup sampler exact law" `Quick test_subgroup_sampler_law;
           Alcotest.test_case "prep_bytes = heap footprint" `Quick test_prep_bytes;
           Alcotest.test_case "same-seed pin (sampler_of_prep)" `Quick test_same_seed_pin;
           Alcotest.test_case "prep tables = decode loop" `Quick test_prep_tables_match_decode_loop;

@@ -21,20 +21,19 @@ let setup () =
 let rng () = Random.State.make [| 42 |]
 
 (* ------------------------------------------------------------------ *)
-(* Bugfix: sampler_with_support at Z_2^200 (total overflows an int)    *)
+(* Bugfix: the planted-subgroup sampler at Z_2^200 (no int total)     *)
 (* ------------------------------------------------------------------ *)
 
-(* Constructing the sampler used to call Backend.total_of, which raises
-   on a 200-wire binary register; the whole point of this entry point
-   is that no total-dimension integer is ever needed. *)
-let test_with_support_z2_200_constructs () =
+(* Constructing an uncapped sampler must never form the register's
+   total dimension, which overflows an int on a 200-wire binary
+   register. *)
+let test_planted_z2_200_constructs () =
   setup ();
   let dims = Array.make 200 2 in
-  let coset x0 = [ Array.copy x0 ] in
   List.iter
     (fun backend ->
       let queries = Query.create () in
-      let sampler = Coset_state.sampler_with_support ~backend ~dims ~coset ~queries () in
+      let sampler = Coset_state.sampler_with_subgroup ~backend ~dims ~subgroup:[] ~queries () in
       ignore (sampler : Random.State.t -> int array);
       checki "no queries charged at construction" 0 (Query.count queries))
     [ Backend.Sparse; Backend.Symbolic ]
@@ -44,17 +43,14 @@ let test_with_support_z2_200_constructs () =
    coset (|H| = 2^14 members) and its Fourier support (the dual,
    |G|/|H| = 2^14) stay far below the cap.  Outcomes must annihilate H
    (zero on the free coordinates). *)
-let test_with_support_beyond_cap_rounds () =
+let test_planted_beyond_cap_rounds () =
   setup ();
   let st = rng () in
   let n_wires = 28 and free = 14 in
   let dims = Array.make n_wires 2 in
-  let coset x0 =
-    List.init (1 lsl free) (fun bits ->
-        Array.init n_wires (fun i -> if i < free then (bits lsr i) land 1 else x0.(i)))
-  in
+  let subgroup = List.init free (fun i -> Array.init n_wires (fun j -> if i = j then 1 else 0)) in
   let queries = Query.create () in
-  let sampler = Coset_state.sampler_with_support ~dims ~coset ~queries () in
+  let sampler = Coset_state.sampler_with_subgroup ~backend:Backend.Sparse ~dims ~subgroup ~queries () in
   for _ = 1 to 3 do
     let y = sampler st in
     for i = 0 to free - 1 do
@@ -620,9 +616,9 @@ let () =
       ( "uncapped-samplers",
         [
           Alcotest.test_case "Z_2^200 sampler constructs (sparse+symbolic)" `Quick
-            test_with_support_z2_200_constructs;
+            test_planted_z2_200_constructs;
           Alcotest.test_case "rounds beyond the sparse cap (2^40)" `Quick
-            test_with_support_beyond_cap_rounds;
+            test_planted_beyond_cap_rounds;
           Alcotest.test_case "sample_full classical_evals accounting" `Quick
             test_sample_full_classical_evals;
           Alcotest.test_case "state-valued sampler, 32 cosets" `Quick
