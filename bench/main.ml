@@ -6,13 +6,19 @@
    oracle-query and time scaling of the quantum algorithm against the
    classical baseline, on the group families the paper names.
 
-     dune exec bench/main.exe              -- all experiment tables
+     dune exec bench/main.exe              -- e1..e15, then micro
      dune exec bench/main.exe -- e3 e5     -- selected experiments
+     dune exec bench/main.exe -- smoke     -- one instance per theorem
      dune exec bench/main.exe -- micro     -- Bechamel micro-benchmarks
 
    Besides the text tables, a full or selected run writes every table
-   to BENCH_<rev>.json (rev = HSP_BENCH_REV, else the git HEAD, else
-   "worktree") so runs are diffable across revisions by machine.
+   to BENCH_<rev>.json (rev = the git HEAD, else "worktree") so runs
+   are diffable across revisions by machine.
+
+   The harness is its own gate: it exits 1 if any row's ok cell reads
+   false (or fail) or its claim cell reads OVER, or if a check with no
+   cell of its own fails, and 2 on an unknown experiment name, before
+   running anything.
 
    Absolute numbers are simulator-dependent; the claims under test are
    the growth shapes (poly(log |G|) or poly(small parameter) for the
@@ -28,29 +34,45 @@ let rng = Random.State.make [| 20260705 |]
    be dumped as machine-readable JSON at exit. *)
 let tables : (string * string list * string list list ref) list ref = ref []
 
+(* Failed gates: rows whose ok or claim cell says so, plus the checks
+   that have no cell and count themselves.  Any makes the run exit 1. *)
+let failures = ref 0
+
 let header title columns =
   Printf.printf "\n== %s ==\n" title;
   Printf.printf "%s\n" (String.concat " | " columns);
   Printf.printf "%s\n" (String.make (String.length (String.concat " | " columns)) '-');
   tables := (title, List.map String.trim columns, ref []) :: !tables
 
+(* A row fails when its ok cell reads false (E7 prints fail for no
+   answer) or its claim cell starts with OVER (Analysis.Cost_check). *)
+let rec failed columns cells =
+  match (columns, cells) with
+  | "ok" :: _, ("false" | "fail") :: _ -> true
+  | "claim" :: _, c :: _ when String.starts_with ~prefix:"OVER" c -> true
+  | _ :: columns, _ :: cells -> failed columns cells
+  | _ -> false
+
 let row cells =
   Printf.printf "%s\n%!" (String.concat " | " cells);
   match !tables with
-  | (_, _, rows) :: _ -> rows := List.map String.trim cells :: !rows
+  | (title, columns, rows) :: _ ->
+      let cells = List.map String.trim cells in
+      rows := cells :: !rows;
+      if failed columns cells then begin
+        incr failures;
+        Printf.printf "gate failure: %s\n" title
+      end
   | [] -> ()
 
 let bench_rev () =
-  match Sys.getenv_opt "HSP_BENCH_REV" with
-  | Some r when r <> "" -> r
-  | _ -> (
-      try
-        let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-        let line = try input_line ic with End_of_file -> "" in
-        match (Unix.close_process_in ic, line) with
-        | Unix.WEXITED 0, r when r <> "" -> r
-        | _ -> "worktree"
-      with _ -> "worktree")
+  try
+    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
+    let line = try input_line ic with End_of_file -> "" in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, r when r <> "" -> r
+    | _ -> "worktree"
+  with _ -> "worktree"
 
 (* A cell that parses as an int or a decimal becomes a JSON number;
    any other cell (names, verdicts, digests, "-") stays a string.  The
@@ -88,22 +110,16 @@ let fmt_i = Printf.sprintf "%8d"
 let fmt_s = Printf.sprintf "%8s"
 let fmt_f = Printf.sprintf "%8.3f"
 
-(* Cost-claim gate (Analysis.Cost_check): every smoke and E10 row is
-   checked against its theorem's query/gate budget; the run exits
-   nonzero if any row exceeds it, so CI catches cost regressions the
-   same way it catches wrong answers. *)
-let claim_violations = ref 0
-
+(* Cost-claim cell (Analysis.Cost_check): every smoke and E10 row is
+   checked against its theorem's query/gate budget; an OVER cell fails
+   the run, so cost regressions gate the same way wrong answers do. *)
 let claim_cell label ~params ~queries metrics =
   match Analysis.Cost_check.find label with
   | None -> "-"
   | Some claim ->
       let v = Analysis.Cost_check.check_snapshot claim params ~queries metrics in
-      if not v.Analysis.Cost_check.ok then begin
-        incr claim_violations;
-        Printf.printf "claim violation: %s\n"
-          (Format.asprintf "%a" Analysis.Cost_check.pp v)
-      end;
+      if not v.Analysis.Cost_check.ok then
+        Printf.printf "claim violation: %s\n" (Format.asprintf "%a" Analysis.Cost_check.pp v);
       Analysis.Cost_check.cell v
 
 (* Wall clock, not [Sys.time]: CPU seconds undercount blocked time and
@@ -117,7 +133,7 @@ let time_it f =
    (jobs, scheduler) variant, each from a fresh RNG seeded [seed] and a
    reset ledger.  A run is ok when its digest and its ledger [counters]
    equal the first variant's and [check] accepts its result; anything
-   else is a claim violation, explained by [diverged].  Returns
+   else is explained by [diverged] and fails the caller's ok cell.  Returns
    (variant, digest, ok, result) per variant, and leaves the pool at
    (1, Fifo). *)
 let across ~variants ~counters ~seed ?(check = fun _ -> true) ~diverged f =
@@ -141,10 +157,8 @@ let across ~variants ~counters ~seed ?(check = fun _ -> true) ~diverged f =
           let same_digest = String.equal digest base_digest
           and same_ledger = List.for_all2 Int.equal cs base_counters in
           let ok = same_digest && same_ledger && check result in
-          if not ok then begin
-            incr claim_violations;
-            Printf.printf "claim violation: %s\n" (diverged v ~same_digest ~same_ledger result)
-          end;
+          if not ok then
+            Printf.printf "claim violation: %s\n" (diverged v ~same_digest ~same_ledger result);
           (v, digest, ok, result))
         runs
 
@@ -801,17 +815,12 @@ let e11 () =
 (* ------------------------------------------------------------------ *)
 
 (* The sorted-segment sparse backend on a 2^20..2^26 instance ladder at
-   jobs = 1, 2 and 4, against the retained hashtable backend
-   ([Quantum.Backend_htbl]) re-running the pre-segment recipe: one
-   O(|G|) support scan per sample.  The prep column is the segment
-   sampler's one-time oracle bucketing pass (first draw; sampler_preps
-   stays at 1 however many rounds follow); sec is the remaining rounds,
-   the per-sample O(|coset|) regime that the jobs column can scale.
-   As in E11, ok asserts the determinism contract — digest AND ledger
-   equal to the jobs=1 baseline — and any divergence fails the run.
-   The htbl row's speedup cell is htbl seconds over the segment
-   backend's jobs=1 total (prep included): the single-thread gain of
-   bucketing once instead of scanning every round. *)
+   jobs = 1, 2 and 4.  The prep column is the sampler's one-time oracle
+   bucketing pass (first draw; sampler_preps stays at 1 however many
+   rounds follow); sec is the remaining rounds, the per-sample
+   O(|coset|) regime that the jobs column can scale.  As in E11, ok
+   asserts the determinism contract — digest AND ledger equal to the
+   jobs=1 baseline — and any divergence fails the run. *)
 let e12 () =
   header
     "E12: sparse coset sampling ladder — O(|G|) prep shared across rounds, bit-identical at every job count"
@@ -864,7 +873,7 @@ let e12 () =
       in
       match runs with
       | [] -> ()
-      | (_, _, _, (_, base_prep, base_sec)) :: _ ->
+      | (_, _, _, (_, _, base_sec)) :: _ ->
           List.iter
             (fun ((jobs, _), digest, ok, (m, prep_sec, sec)) ->
               row
@@ -873,48 +882,7 @@ let e12 () =
                   fmt_i m.Quantum.Metrics.coset_visits;
                   fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
                   fmt_f prep_sec; fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
-            runs;
-          (* hashtable baseline on the 2^22 rung: the pre-segment
-             sampler's per-round O(|G|) support scan, serial and boxed *)
-          if total = 1 lsl 22 then begin
-            let wires = List.init (Array.length dims) (fun i -> i) in
-            let peak = ref 0 in
-            let htbl_round rng =
-              let x0 = Random.State.int rng total in
-              let t0 = f (Quantum.Backend.decode dims x0) in
-              let support = ref [] in
-              for idx = total - 1 downto 0 do
-                let x = Quantum.Backend.decode dims idx in
-                if Int.equal (f x) t0 then support := x :: !support
-              done;
-              let count = List.length !support in
-              if count > !peak then peak := count;
-              let amp = Linalg.Cx.re (1.0 /. sqrt (float_of_int count)) in
-              let st =
-                ref
-                  (Quantum.Backend_htbl.of_support dims
-                     (List.map (fun x -> (x, amp)) !support))
-              in
-              List.iter
-                (fun w -> st := Quantum.Backend_htbl.apply_dft !st ~wire:w ~inverse:false)
-                wires;
-              fst (Quantum.Backend_htbl.measure rng !st ~wires)
-            in
-            let rng = Random.State.make [| 0xe12 |] in
-            let buf = Buffer.create 256 in
-            let (), sec =
-              time_it (fun () ->
-                  for _ = 0 to rounds do
-                    add_outcome buf (htbl_round rng)
-                  done)
-            in
-            let digest = Digest.string (Buffer.contents buf) in
-            row
-              [ fmt_s (show dims); fmt_i total; fmt_s "htbl"; fmt_i 1; fmt_i !peak;
-                fmt_s "-"; fmt_s "-"; fmt_s (String.sub (Digest.to_hex digest) 0 8);
-                fmt_s "-"; fmt_s "-";
-                fmt_f (sec /. Float.max 1e-9 (base_prep +. base_sec)); fmt_f sec ]
-          end)
+            runs)
     [
       ([| 1024; 1024 |], [| 16; 16 |], 6);
       ([| 2048; 2048 |], [| 16; 16 |], 4);
@@ -976,7 +944,7 @@ let e13 () =
           samples
       in
       if not annihilates then begin
-        incr claim_violations;
+        incr failures;
         Printf.printf "claim violation: E13a Z_2^%d symbolic sample outside the H-annihilator\n" k
       end;
       (* One canonicalisation and one memoised dual per oracle, one
@@ -988,7 +956,7 @@ let e13 () =
           && m.symbolic_samples = n)
       in
       if not ledger_ok then begin
-        incr claim_violations;
+        incr failures;
         Printf.printf
           "claim violation: E13a Z_2^%d ledger %d solves / %d demotions / %d rewrites / %d \
            draws, want 2 / 0 / %d / %d\n"
@@ -1034,11 +1002,9 @@ let e13 () =
     let df = float_of_int (max 1 (ncells - 1)) in
     let thresh = df +. (6.0 *. sqrt (2.0 *. df)) +. 10.0 in
     let ok = !stat < thresh in
-    if not ok then begin
-      incr claim_violations;
+    if not ok then
       Printf.printf "claim violation: E13b symbolic/dense divergence chi2=%.2f > %.2f on %s\n"
-        !stat thresh (show dims)
-    end;
+        !stat thresh (show dims);
     row
       [ fmt_s (show dims); fmt_i (Array.fold_left ( * ) 1 dims); fmt_i n; fmt_i ncells;
         fmt_f !stat; fmt_f thresh; fmt_s (string_of_bool ok) ]
@@ -1049,10 +1015,8 @@ let e13 () =
   header "E13c: theorem instances at >= 2^100 through the symbolic sampler"
     [ fmt_s "instance"; fmt_s "thm"; fmt_s "log2|G|"; fmt_s "queries"; fmt_s "ok"; fmt_s "sec" ];
   let emit name thm log2g queries ok sec =
-    if not ok then begin
-      incr claim_violations;
-      Printf.printf "claim violation: E13c %s (Thm %s) failed exact verification\n" name thm
-    end;
+    if not ok then
+      Printf.printf "claim violation: E13c %s (Thm %s) failed exact verification\n" name thm;
     row
       [ fmt_s name; fmt_s thm; fmt_f log2g; fmt_i queries; fmt_s (string_of_bool ok);
         fmt_f sec ]
@@ -1293,7 +1257,7 @@ let e14 () =
   emit "mixed-warm" 8 warm ~hitpct:(hit_pct s1 s2) ~preps:(preps2 - preps1);
   Sv.stop engine;
   if preps2 <> n_amp then begin
-    incr claim_violations;
+    incr failures;
     Printf.printf
       "claim violation: E14 sampler_preps = %d after warm replay, want %d (one per distinct amplitude oracle)\n"
       preps2 n_amp
@@ -1344,12 +1308,10 @@ let e14 () =
   row
     [ fmt_s "speedup"; fmt_i n_rep; fmt_i 1; fmt_s (Printf.sprintf "%.1fx" speedup);
       fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s (string_of_bool (speedup >= 5.0)) ];
-  if speedup < 5.0 then begin
-    incr claim_violations;
+  if speedup < 5.0 then
     Printf.printf
       "claim violation: E14 warm/cold throughput ratio %.2fx < 5x on the repeated-oracle workload\n"
       speedup
-  end
 
 (* ------------------------------------------------------------------ *)
 (* E15: circuit compiler + fused kernels.  Each workload is a qubit   *)
@@ -1391,7 +1353,7 @@ let e15 () =
     (match Analysis.Circuit_check.check_plan c plan with
     | Ok () -> ()
     | Error vs ->
-        incr claim_violations;
+        incr failures;
         Printf.printf "claim violation: E15 %s plan fails symbolic verification: %s\n" name
           (String.concat "; "
              (List.map
@@ -1471,12 +1433,10 @@ let e15 () =
       [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan/gates"; fmt_i 1;
         fmt_s "fifo"; fmt_s "-"; fmt_s "-"; fmt_s (string_of_bool (speedup >= 5.0));
         fmt_f speedup; fmt_f plan_sec ];
-    if speedup < 5.0 then begin
-      incr claim_violations;
+    if speedup < 5.0 then
       Printf.printf
         "claim violation: E15 %s plan single-thread speedup %.2fx < 5x over the gate-by-gate path\n"
         name speedup
-    end
   in
   (* the E11 kernels workload as a circuit: 4^10 = 2^20 amplitudes,
      one dft4 per quaternary wire, i.e. a dense 2-qubit gate per pair *)
@@ -1495,7 +1455,7 @@ let e15 () =
 (* ------------------------------------------------------------------ *)
 (* Smoke: one small instance per theorem — the CI gate.  Fast, runs   *)
 (* through Runner so each row carries the ok verdict and the ledger;  *)
-(* CI fails the build if any ok cell is false.                        *)
+(* a false ok cell or an OVER claim cell fails the run.               *)
 (* ------------------------------------------------------------------ *)
 
 let smoke () =
@@ -1522,36 +1482,7 @@ let smoke () =
             + r.Runner.metrics.Quantum.Metrics.dft_apps);
           fmt_s (claim_cell t.Runner.thm ~params ~queries r.Runner.metrics);
           fmt_f r.Runner.seconds ])
-    (Runner.theorem_runs rng);
-  (* Lint budget: both static passes (value semantics + concurrency
-     safety) must be clean over lib — an unsuppressed finding is a
-     claim violation like any ok=false row.  The queries column carries
-     the finding count.  Skipped when the sources are not around (e.g.
-     running the installed binary outside the repo). *)
-  if Sys.file_exists "lib" && Sys.is_directory "lib" then begin
-    let rec files path =
-      if Sys.is_directory path then
-        Sys.readdir path |> Array.to_list
-        |> List.concat_map (fun e -> files (Filename.concat path e))
-      else if Filename.check_suffix path ".ml" then [ path ]
-      else []
-    in
-    let findings, sec =
-      time_it (fun () ->
-          List.fold_left
-            (fun acc f ->
-              acc
-              + List.length (Analysis.Lint.lint_file f)
-              + List.length (Analysis.Race_check.lint_file f))
-            0 (files "lib"))
-    in
-    let ok = findings = 0 in
-    if not ok then incr claim_violations;
-    row
-      [ fmt_s "lib/*.ml"; fmt_s "hsp_lint"; fmt_s "-"; fmt_i (Quantum.Parallel.jobs ());
-        fmt_s (string_of_bool ok); fmt_i findings; fmt_s "-";
-        fmt_s (if ok then "ok" else "OVER"); fmt_f sec ]
-  end
+    (Runner.theorem_runs rng)
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment            *)
@@ -1622,24 +1553,22 @@ let micro () =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15) ] in
+  let named = all @ [ ("smoke", smoke); ("micro", micro) ] in
+  (match List.filter (fun a -> not (List.mem_assoc a named)) args with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment(s): %s\nvalid: %s\n" (String.concat " " unknown)
+        (String.concat " " (List.map fst named));
+      exit 2);
   Printf.printf "HSP benchmark harness — reproduces EXPERIMENTS.md (seed fixed)\n";
   (match args with
   | [] ->
       List.iter (fun (_, f) -> f ()) all;
       micro ()
-  | [ "micro" ] -> micro ()
-  | selected ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name all with
-          | Some f -> f ()
-          | None when name = "micro" -> micro ()
-          | None when name = "smoke" -> smoke ()
-          | None -> Printf.printf "unknown experiment %s\n" name)
-        selected);
+  | selected -> List.iter (fun name -> (List.assoc name named) ()) selected);
   if !tables <> [] then write_json ();
-  if !claim_violations > 0 then begin
-    Printf.printf "FAILED: %d cost-claim violation(s) — see Analysis.Cost_check\n"
-      !claim_violations;
+  if !failures > 0 then begin
+    Printf.printf "FAILED: %d gate failure(s) — see the gate failure / claim violation lines\n"
+      !failures;
     exit 1
   end

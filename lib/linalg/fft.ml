@@ -252,18 +252,3 @@ let exec p ~inverse s re im =
         Array.unsafe_set re k ((xr *. cr) -. (xi *. ci));
         Array.unsafe_set im k ((xr *. ci) +. (xi *. cr))
       done
-
-(* Boxed adapters over a one-shot plan, for callers holding Cx arrays
-   (the hashtable backend and the tests). *)
-let dft_any ?(inverse = false) v =
-  let n = Array.length v in
-  let p = plan n in
-  let re = Array.map (fun z -> z.Complex.re) v and im = Array.map (fun z -> z.Complex.im) v in
-  exec p ~inverse (scratch p) re im;
-  for i = 0 to n - 1 do
-    v.(i) <- Cx.make re.(i) im.(i)
-  done
-
-let transform ?(inverse = false) v =
-  if not (is_pow2 (Array.length v)) then invalid_arg "Fft.transform: length not a power of two";
-  dft_any ~inverse v

@@ -45,14 +45,3 @@ val exec : plan -> inverse:bool -> scratch -> float array -> float array -> unit
     untouched.
     @raise Invalid_argument if either plane is shorter than the plan, or
     [s] was made for a plan needing less scratch. *)
-
-val transform : ?inverse:bool -> Cx.t array -> unit
-(** Boxed in-place adapter; the length must be a power of two.
-    [transform v] applies [Cmat.dft n]; [~inverse:true] applies its
-    adjoint. *)
-
-val dft_any : ?inverse:bool -> Cx.t array -> unit
-(** Boxed in-place adapter over a one-shot {!plan} of any length
-    [>= 1]; semantics identical to [Cmat.apply (Cmat.dft n)]. *)
-
-val is_pow2 : int -> bool

@@ -27,7 +27,7 @@
     ({!CORE}); only the amplitude-array backends can adopt arbitrary
     amplitude vectors, index amplitudes by encoded integers, or apply
     arbitrary unitaries and oracles ({!AMPLITUDES}).  [State] statically
-    checks dense/sparse/htbl against {!S} = both layers, and the
+    checks dense and sparse against {!S} = both layers, and the
     symbolic backend against {!CORE} alone; symbolic states demote to
     the sparse backend (under {!Caps.symbolic_materialise}) when an
     amplitude-level operation is requested.
@@ -175,9 +175,8 @@ end
 (** The amplitude-array extension: encoded-integer indexing into
     explicit amplitudes, plus the operations that inherently touch
     per-amplitude data (arbitrary unitaries, basis maps, classical
-    oracles, marginal distributions).  Provided by {!Backend_dense},
-    {!Backend_sparse} and {!Backend_htbl}; {e not} by
-    {!Backend_symbolic}. *)
+    oracles, marginal distributions).  Provided by {!Backend_dense}
+    and {!Backend_sparse}; {e not} by {!Backend_symbolic}. *)
 module type AMPLITUDES = sig
   type t
 

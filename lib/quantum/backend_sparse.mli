@@ -30,8 +30,7 @@
 
     The operations implement {!Backend.S}; the equivalence test suite checks
     them against {!Backend_dense} amplitude-by-amplitude on random
-    circuits, and against the retained hashtable baseline
-    ({!Backend_htbl}).  Work statistics (populated fibre counts, peak
+    circuits.  Work statistics (populated fibre counts, peak
     support, pruned amplitudes, compactions) are recorded in the
     {!Metrics} ledger. *)
 

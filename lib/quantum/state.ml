@@ -10,7 +10,6 @@ type t =
    core layer only. *)
 module _ : Backend.S = Backend_dense
 module _ : Backend.S = Backend_sparse
-module _ : Backend.S = Backend_htbl
 module _ : Backend.CORE = Backend_symbolic
 
 let max_total_dim = Backend.dense_cap

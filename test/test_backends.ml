@@ -173,21 +173,6 @@ let test_tensor_and_conversion () =
       (State.approx_equal ~eps:1e-12 da (State.to_backend Backend.Dense (State.to_backend Backend.Sparse da)))
   done
 
-(* The retained hashtable baseline is not reachable through State, so
-   replay the same op list against it directly: an implementation of
-   the kernels that shares nothing with the sorted-segment code paths
-   (boxed amplitudes, hashing, serial loops) is a strong differential
-   oracle for the rewrite. *)
-let apply_op_htbl dims st = function
-  | Wire_unitary (w, m) -> Backend_htbl.apply_wires st ~wires:[ w ] m
-  | Dft (w, inv) -> Backend_htbl.apply_dft st ~wire:w ~inverse:inv
-  | Shift_map c ->
-      Backend_htbl.apply_basis_map st (fun x ->
-          Array.mapi (fun i xi -> (xi + c.(i)) mod dims.(i)) x)
-  | Oracle_add (ins, out) ->
-      Backend_htbl.apply_oracle_add st ~in_wires:ins ~out_wire:out ~f:(fun x ->
-          Array.fold_left (fun acc v -> (3 * acc) + v + 1) 0 x mod dims.(out))
-
 (* QCheck variant: the invariant as a property over generated seeds,
    so shrinking points at a minimal failing circuit seed. *)
 let qcheck_props =
@@ -199,19 +184,6 @@ let qcheck_props =
         let dims = Array.init (1 + Random.State.int rng 3) (fun _ -> 2 + Random.State.int rng 4) in
         let dense, sparse = run_both rng dims in
         State.approx_equal ~eps:1e-9 dense sparse);
-    Test.make ~count:40 ~name:"segment sparse agrees with hashtable baseline"
-      (int_bound 100000) (fun seed ->
-        let rng = Random.State.make [| seed; 0xdb1 |] in
-        let dims = Array.init (1 + Random.State.int rng 3) (fun _ -> 2 + Random.State.int rng 4) in
-        let entries = random_entries rng dims in
-        let sparse = ref (State.of_sparse ~backend:Backend.Sparse dims entries) in
-        let htbl = ref (Backend_htbl.of_support dims entries) in
-        for _ = 1 to 6 do
-          let op = random_op rng dims in
-          sparse := apply_op dims !sparse op;
-          htbl := apply_op_htbl dims !htbl op
-        done;
-        Cvec.approx_equal ~eps:1e-9 (State.amplitudes !sparse) (Backend_htbl.amplitudes !htbl));
   ]
 
 (* ------------------------------------------------------------------ *)

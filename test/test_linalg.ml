@@ -1,4 +1,5 @@
-(* Unit and property tests for the complex / GF(2) linear algebra. *)
+(* Unit and property tests for the complex / GF(2) linear algebra; GF(2)
+   goes through Zmatrix with every dim 2. *)
 
 open Linalg
 
@@ -95,53 +96,6 @@ let test_adjoint_mul () =
 (* Fft                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_fft_matches_dft () =
-  let rng = Random.State.make [| 5 |] in
-  List.iter
-    (fun n ->
-      let v =
-        Array.init n (fun _ ->
-            Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
-      in
-      let fast = Array.copy v in
-      Fft.transform fast;
-      let dense = Cmat.apply (Cmat.dft n) v in
-      checkb (Printf.sprintf "fft %d" n) true (Cvec.approx_equal ~eps:1e-9 fast dense))
-    [ 1; 2; 4; 8; 16; 64; 256 ]
-
-let test_fft_inverse () =
-  let rng = Random.State.make [| 6 |] in
-  let n = 128 in
-  let v =
-    Array.init n (fun _ ->
-        Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
-  in
-  let w = Array.copy v in
-  Fft.transform w;
-  Fft.transform ~inverse:true w;
-  checkb "roundtrip" true (Cvec.approx_equal ~eps:1e-9 w v)
-
-let test_fft_rejects_non_pow2 () =
-  Alcotest.check_raises "length 3" (Invalid_argument "Fft.transform: length not a power of two")
-    (fun () -> Fft.transform (Array.make 3 Cx.zero))
-
-let test_bluestein_matches_dft () =
-  let rng = Random.State.make [| 7 |] in
-  List.iter
-    (fun n ->
-      let v =
-        Array.init n (fun _ ->
-            Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
-      in
-      let fast = Array.copy v in
-      Fft.dft_any fast;
-      let dense = Cmat.apply (Cmat.dft n) v in
-      checkb (Printf.sprintf "bluestein %d" n) true (Cvec.approx_equal ~eps:1e-8 fast dense);
-      let inv = Array.copy fast in
-      Fft.dft_any ~inverse:true inv;
-      checkb (Printf.sprintf "inverse %d" n) true (Cvec.approx_equal ~eps:1e-8 inv v))
-    [ 1; 2; 3; 5; 6; 7; 12; 17; 30; 100; 255 ]
-
 (* Fft.plan on split float planes, against the dense unitary DFT.  The
    reference for lengths past 256 multiplies row by row with the same
    entries Cmat.dft builds (materialising a 1600 x 1600 boxed matrix
@@ -210,6 +164,36 @@ let test_plan_matches_dft () =
       end)
     plan_lengths
 
+(* The radix-2 path at the power-of-two lengths up to 256. *)
+let test_fft_matches_dft () =
+  let rng = Random.State.make [| 5 |] in
+  List.iter
+    (fun n ->
+      let v = random_vec rng n in
+      let e = max_err (plan_apply (Fft.plan n) ~inverse:false v) (dense_dft v) in
+      if e > 1e-9 then Alcotest.failf "fft %d: error %.3g" n e)
+    [ 1; 2; 4; 8; 16; 64; 256 ]
+
+let test_fft_inverse () =
+  let rng = Random.State.make [| 6 |] in
+  let p = Fft.plan 128 in
+  let v = random_vec rng 128 in
+  checkb "roundtrip" true
+    (max_err (plan_apply p ~inverse:true (plan_apply p ~inverse:false v)) v <= 1e-9)
+
+(* Lengths off the radix-2 path: the root-table sum up to 16, Bluestein
+   past it. *)
+let test_bluestein_matches_dft () =
+  let rng = Random.State.make [| 7 |] in
+  List.iter
+    (fun n ->
+      let p = Fft.plan n in
+      let v = random_vec rng n in
+      let fast = plan_apply p ~inverse:false v in
+      checkb (Printf.sprintf "bluestein %d" n) true (max_err fast (dense_dft v) <= 1e-8);
+      checkb (Printf.sprintf "inverse %d" n) true (max_err (plan_apply p ~inverse:true fast) v <= 1e-8))
+    [ 1; 2; 3; 5; 6; 7; 12; 17; 30; 100; 255 ]
+
 let test_plan_rejects () =
   Alcotest.check_raises "length 0" (Invalid_argument "Fft.plan: length < 1") (fun () ->
       ignore (Fft.plan 0));
@@ -222,44 +206,63 @@ let test_plan_rejects () =
         (Array.make 17 0.0))
 
 (* ------------------------------------------------------------------ *)
-(* Gf2                                                                *)
+(* GF(2): Z_2^n linear algebra is Zmatrix's HNF calculus with every   *)
+(* dim 2 — the route of the Simon-style post-processing (Theorem 3)   *)
+(* and of the work inside Theorem 13's N.                             *)
 (* ------------------------------------------------------------------ *)
 
+module Z = Numtheory.Zmatrix
+
+let z2 n = Array.make n 2
+let v = Array.of_list
+let span rows = Z.hnf_basis ~dims:(z2 (Array.length (List.hd rows))) rows
+
+let rank rows =
+  let n = Array.length (List.hd rows) in
+  Float.to_int (Float.round (Z.hnf_order_log2 ~dims:(z2 n) (span rows)))
+
+(* The annihilator of the span: the GF(2) kernel of the rows. *)
+let kernel rows =
+  let dims = z2 (Array.length (List.hd rows)) in
+  Z.hnf_elements ~dims (Z.hnf_dual ~dims (span rows))
+
+let dot a b = Array.fold_left ( + ) 0 (Array.map2 ( * ) a b) land 1
+
 let test_gf2_rref_rank () =
-  let v a = Array.of_list a in
-  checki "rank of basis" 2 (Gf2.rank [ v [ 1; 0; 0 ]; v [ 0; 1; 0 ] ]);
-  checki "dependent" 1 (Gf2.rank [ v [ 1; 1; 0 ]; v [ 1; 1; 0 ] ]);
-  checki "zero" 0 (Gf2.rank [ v [ 0; 0; 0 ] ]);
-  checki "full" 3 (Gf2.rank [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ]; v [ 1; 0; 0 ] ])
+  checki "rank of basis" 2 (rank [ v [ 1; 0; 0 ]; v [ 0; 1; 0 ] ]);
+  checki "dependent" 1 (rank [ v [ 1; 1; 0 ]; v [ 1; 1; 0 ] ]);
+  checki "zero" 0 (rank [ v [ 0; 0; 0 ] ]);
+  checki "full" 3 (rank [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ]; v [ 1; 0; 0 ] ])
 
 let test_gf2_in_span () =
-  let v a = Array.of_list a in
-  let basis = [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ] ] in
-  checkb "sum in span" true (Gf2.in_span basis (v [ 1; 0; 1 ]));
-  checkb "not in span" false (Gf2.in_span basis (v [ 1; 0; 0 ]));
-  checkb "zero in span" true (Gf2.in_span basis (v [ 0; 0; 0 ]))
+  let basis = span [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ] ] in
+  let mem = Z.hnf_mem ~dims:(z2 3) basis in
+  checkb "sum in span" true (mem (v [ 1; 0; 1 ]));
+  checkb "not in span" false (mem (v [ 1; 0; 0 ]));
+  checkb "zero in span" true (mem (v [ 0; 0; 0 ]))
 
 let test_gf2_solve () =
-  let v a = Array.of_list a in
+  (* x with sum_i x_i rows_i = b over GF(2): the rows are the columns *)
+  let solve rows b =
+    Z.solve_mod ~moduli:(z2 (Array.length b)) (Z.transpose (Array.of_list rows)) b
+  in
   let rows = [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ]; v [ 1; 0; 0 ] ] in
   let b = v [ 0; 1; 0 ] in
-  (match Gf2.solve rows b with
+  (match solve rows b with
   | Some x ->
-      (* recombine *)
-      let acc = ref (Gf2.zero 3) in
-      List.iteri (fun i r -> if x.(i) = 1 then acc := Gf2.add !acc r) rows;
-      checkb "combination" true (Gf2.equal !acc b)
+      let acc = Array.make 3 0 in
+      List.iteri
+        (fun i r -> Array.iteri (fun j rj -> acc.(j) <- (acc.(j) + (x.(i) * rj)) land 1) r)
+        rows;
+      checkb "combination" true (acc = b)
   | None -> Alcotest.fail "solvable");
-  checkb "unsolvable" true (Gf2.solve [ v [ 1; 1 ] ] (v [ 1; 0 ]) = None)
+  checkb "unsolvable" true (solve [ v [ 1; 1 ] ] (v [ 1; 0 ]) = None)
 
 let test_gf2_kernel () =
-  let v a = Array.of_list a in
   let rows = [ v [ 1; 1; 0; 0 ]; v [ 0; 0; 1; 1 ] ] in
-  let ker = Gf2.kernel rows in
-  checki "kernel dim" 2 (List.length ker);
-  List.iter
-    (fun x -> List.iter (fun r -> checki "orthogonal" 0 (Gf2.dot r x)) rows)
-    ker
+  let ker = kernel rows in
+  checki "kernel size" 4 (List.length ker);
+  List.iter (fun x -> List.iter (fun r -> checki "orthogonal" 0 (dot r x)) rows) ker
 
 let test_gf2_kernel_dimension_theorem () =
   let rng = Random.State.make [| 9 |] in
@@ -267,12 +270,9 @@ let test_gf2_kernel_dimension_theorem () =
     let n = 2 + Random.State.int rng 6 in
     let k = 1 + Random.State.int rng 4 in
     let rows = List.init k (fun _ -> Array.init n (fun _ -> Random.State.int rng 2)) in
-    let r = Gf2.rank rows in
-    checki "rank-nullity" (n - r) (List.length (Gf2.kernel rows));
-    (* kernel vectors orthogonal to all rows *)
-    List.iter
-      (fun x -> List.iter (fun row -> checki "orth" 0 (Gf2.dot row x)) rows)
-      (Gf2.kernel rows)
+    let ker = kernel rows in
+    checki "rank-nullity" (1 lsl (n - rank rows)) (List.length ker);
+    List.iter (fun x -> List.iter (fun row -> checki "orth" 0 (dot row x)) rows) ker
   done
 
 let test_gf2_double_complement () =
@@ -281,13 +281,7 @@ let test_gf2_double_complement () =
   for _ = 1 to 50 do
     let n = 2 + Random.State.int rng 5 in
     let rows = List.init 3 (fun _ -> Array.init n (fun _ -> Random.State.int rng 2)) in
-    let ker = Gf2.kernel rows in
-    let back = if ker = [] then List.init n (fun j -> Array.init n (fun i -> if i = j then 0 else 0)) else Gf2.kernel ker in
-    (* when ker is empty the complement is the whole space; rows span it *)
-    if ker <> [] then begin
-      List.iter (fun r -> checkb "row in double complement" true (Gf2.in_span back r)) rows;
-      checki "dims" (Gf2.rank rows) (Gf2.rank back)
-    end
+    checkb "double complement" true (Z.equal (span (kernel (kernel rows))) (span rows))
   done
 
 let qcheck_props =
@@ -296,10 +290,15 @@ let qcheck_props =
   [
     Test.make ~name:"gf2 add self = 0" ~count:200
       (make (vec 6))
-      (fun v -> Gf2.is_zero (Gf2.add v v));
+      (fun x ->
+        (* x + x = 0: every nonzero vector generates a subgroup of order 2 *)
+        Z.hnf_order_int ~dims:(z2 6) (span [ x ]) = Some (if Array.mem 1 x then 2 else 1));
     Test.make ~name:"gf2 dot bilinear" ~count:200
       (make Gen.(triple (vec 5) (vec 5) (vec 5)))
-      (fun (a, b, c) -> Gf2.dot (Gf2.add a b) c = (Gf2.dot a c + Gf2.dot b c) land 1);
+      (fun (a, b, c) ->
+        (* (a + b).c = a.c + b.c: c annihilates <a, b> iff it annihilates both *)
+        let ann rows = Z.hnf_mem ~dims:(z2 5) (Z.hnf_dual ~dims:(z2 5) (span rows)) c in
+        ann [ a; b ] = (ann [ a ] && ann [ b ]));
     Test.make ~name:"fft plan: inverse . forward = id" ~count:200
       (make Gen.(pair (int_range 1 300) int))
       (fun (n, seed) ->
@@ -310,8 +309,8 @@ let qcheck_props =
     Test.make ~name:"rref idempotent and span-preserving" ~count:200
       (make Gen.(list_size (int_range 1 4) (vec 5)))
       (fun rows ->
-        let b = Gf2.rref rows in
-        List.for_all (Gf2.in_span b) rows && List.for_all (Gf2.in_span rows) b);
+        let b = span rows in
+        Z.equal (span (Array.to_list b)) b && List.for_all (Z.hnf_mem ~dims:(z2 5) b) rows);
   ]
 
 let () =
@@ -340,7 +339,6 @@ let () =
         [
           Alcotest.test_case "matches dense dft" `Quick test_fft_matches_dft;
           Alcotest.test_case "inverse roundtrip" `Quick test_fft_inverse;
-          Alcotest.test_case "rejects non-pow2" `Quick test_fft_rejects_non_pow2;
           Alcotest.test_case "bluestein any length" `Quick test_bluestein_matches_dft;
           Alcotest.test_case "plan matches dense dft" `Quick test_plan_matches_dft;
           Alcotest.test_case "plan argument checks" `Quick test_plan_rejects;
