@@ -229,9 +229,15 @@ let e1 () =
 (* E2: Shor oracles (Theorem 4 hypotheses)                            *)
 (* ------------------------------------------------------------------ *)
 
+(* The multiplicative order of [a] mod [n] by walking its powers; 0
+   when no power below [n] is 1 ([a] is not a unit). *)
+let brute_order a n =
+  let rec go k x = if x = 1 then k else if k >= n then 0 else go (k + 1) (x * a mod n) in
+  go 1 (a mod n)
+
 let e2 () =
   header "E2a: quantum order finding in Z_N^* — queries stay flat as N grows"
-    [ fmt_s "N"; fmt_s "elt"; fmt_s "order"; fmt_s "queries"; fmt_s "sec" ];
+    [ fmt_s "N"; fmt_s "elt"; fmt_s "order"; fmt_s "queries"; fmt_s "ok"; fmt_s "sec" ];
   List.iter
     (fun (n, a) ->
       let queries = Quantum.Query.create () in
@@ -241,31 +247,39 @@ let e2 () =
               ~pow:(fun k -> Numtheory.Arith.powmod a k n)
               ~order_bound:n ~queries)
       in
+      (* a^order = 1 (mod N), and no smaller power is *)
+      let ok =
+        match o with
+        | Some o -> Numtheory.Arith.powmod a o n = 1 && o = brute_order a n
+        | None -> false
+      in
       row
         [ fmt_i n; fmt_i a;
           fmt_s (match o with Some o -> string_of_int o | None -> "fail");
-          fmt_i (Quantum.Query.count queries); fmt_f sec ])
+          fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool ok); fmt_f sec ])
     [ (15, 2); (25, 2); (77, 3); (123, 2); (255, 2); (501, 5) ];
   header "E2b: factoring via order finding"
-    [ fmt_s "N"; fmt_s "factors"; fmt_s "sec" ];
+    [ fmt_s "N"; fmt_s "factors"; fmt_s "ok"; fmt_s "sec" ];
   List.iter
     (fun n ->
       let r, sec = time_it (fun () -> Quantum.Shor.factor rng n) in
+      let ok = match r with Some (a, b) -> a > 1 && b > 1 && a * b = n | None -> false in
       row
         [ fmt_i n;
           fmt_s (match r with Some (a, b) -> Printf.sprintf "%d*%d" a b | None -> "fail");
-          fmt_f sec ])
+          fmt_s (string_of_bool ok); fmt_f sec ])
     [ 15; 21; 35; 91; 143; 221 ];
   header "E2c: discrete log in Z_p^* (Abelian HSP form)"
-    [ fmt_s "p"; fmt_s "base"; fmt_s "planted"; fmt_s "found"; fmt_s "sec" ];
+    [ fmt_s "p"; fmt_s "base"; fmt_s "planted"; fmt_s "found"; fmt_s "ok"; fmt_s "sec" ];
   List.iter
     (fun (p, g, l) ->
       let h = Numtheory.Arith.powmod g l p in
       let found, sec = time_it (fun () -> Dlog.discrete_log rng ~p ~g ~h) in
+      let ok = match found with Some x -> Numtheory.Arith.powmod g x p = h | None -> false in
       row
         [ fmt_i p; fmt_i g; fmt_i l;
           fmt_s (match found with Some x -> string_of_int x | None -> "fail");
-          fmt_f sec ])
+          fmt_s (string_of_bool ok); fmt_f sec ])
     [ (23, 5, 9); (101, 2, 37); (211, 3, 113); (401, 3, 251) ]
 
 (* ------------------------------------------------------------------ *)
@@ -556,27 +570,31 @@ let e7 () =
 
 let e8 () =
   header "E8: constructive membership in Abelian subgroups (Thm 6)"
-    [ fmt_s "ambient"; fmt_s "exponent"; fmt_s "member"; fmt_s "q-quant"; fmt_s "sec" ];
-  let run name g hs target bound =
+    [ fmt_s "ambient"; fmt_s "exponent"; fmt_s "expect"; fmt_s "member"; fmt_s "q-quant";
+      fmt_s "ok"; fmt_s "sec" ];
+  let run name g hs target bound ~expect =
     let queries = Quantum.Query.create () in
     let res, sec =
       time_it (fun () -> Membership.express rng g ~hs target ~order_bound:bound ~queries)
     in
+    let yes_no b = if b then "yes" else "no" in
+    let member = Option.is_some res in
     row
-      [ fmt_s name; fmt_i bound;
-        fmt_s (match res with Some _ -> "yes" | None -> "no");
-        fmt_i (Quantum.Query.count queries); fmt_f sec ]
+      [ fmt_s name; fmt_i bound; fmt_s (yes_no expect); fmt_s (yes_no member);
+        fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool (member = expect)); fmt_f sec ]
   in
   let z = Cyclic.product [| 12; 18 |] in
-  run "Z12xZ18" z [ [| 2; 3 |]; [| 0; 6 |] ] [| 4; 0 |] 36;
-  run "Z12xZ18" z [ [| 2; 3 |]; [| 0; 6 |] ] [| 1; 0 |] 36;
+  (* 2 (2, 3) + 2 (0, 6) = (4, 18) = (4, 0) *)
+  run "Z12xZ18" z [ [| 2; 3 |]; [| 0; 6 |] ] [| 4; 0 |] 36 ~expect:true;
+  (* every element of the subgroup has an even first coordinate *)
+  run "Z12xZ18" z [ [| 2; 3 |]; [| 0; 6 |] ] [| 1; 0 |] 36 ~expect:false;
   let z2 = Cyclic.product [| 16; 9 |] in
-  run "Z16xZ9" z2 [ [| 2; 0 |]; [| 0; 3 |] ] [| 6; 6 |] 144;
+  run "Z16xZ9" z2 [ [| 2; 0 |]; [| 0; 3 |] ] [| 6; 6 |] 144 ~expect:true;
   let s6 = Perm.symmetric 6 in
   let a = Perm.of_cycles 6 [ [ 0; 1; 2 ] ] and b = Perm.of_cycles 6 [ [ 3; 4 ] ] in
-  run "S_6" s6 [ a; b ] (Perm.compose a b) 6;
+  run "S_6" s6 [ a; b ] (Perm.compose a b) 6 ~expect:true;
   (* b commutes with a but lies outside <a>: a negative instance *)
-  run "S_6" s6 [ a ] b 6
+  run "S_6" s6 [ a ] b 6 ~expect:false
 
 (* ------------------------------------------------------------------ *)
 (* E9: exhaustive correctness sweeps over full subgroup lattices      *)
@@ -585,7 +603,9 @@ let e8 () =
 let e9 () =
   header
     "E9: exhaustive sweeps — every subgroup of each group solved by the applicable theorem"
-    [ fmt_s "group"; fmt_s "|G|"; fmt_s "thm"; fmt_s "#subs"; fmt_s "solved"; fmt_s "sec" ];
+    [ fmt_s "group"; fmt_s "|G|"; fmt_s "thm"; fmt_s "#subs"; fmt_s "solved"; fmt_s "ok"; fmt_s "sec" ];
+  (* a sweep passes when it solves every subgroup it enumerates *)
+  let ok subs solved = fmt_s (string_of_bool (solved = subs)) in
   let sweep_thm11 : 'a. string -> 'a Group.t -> unit =
    fun name g ->
     let r = Random.State.make [| Hashtbl.hash name |] in
@@ -602,7 +622,7 @@ let e9 () =
     in
     row
       [ fmt_s name; fmt_i (Group.order g); fmt_s "11"; fmt_i (List.length subs);
-        fmt_i !solved; fmt_f sec ]
+        fmt_i !solved; ok (List.length subs) !solved; fmt_f sec ]
   in
   sweep_thm11 "D_4" (Dihedral.group 4);
   sweep_thm11 "D_6" (Dihedral.group 6);
@@ -630,7 +650,7 @@ let e9 () =
   in
   row
     [ fmt_s "w(k=2)"; fmt_i 32; fmt_s "13"; fmt_i (List.length subs); fmt_i !solved;
-      fmt_f sec ];
+      ok (List.length subs) !solved; fmt_f sec ];
   (* normal subgroups of S_4 through Theorem 8 *)
   let r = Random.State.make [| 888 |] in
   let s4 = Perm.symmetric 4 in
@@ -648,7 +668,7 @@ let e9 () =
   in
   row
     [ fmt_s "S_4 (nrm)"; fmt_i 24; fmt_s "8"; fmt_i (List.length normals); fmt_i !solved;
-      fmt_f sec ]
+      ok (List.length normals) !solved; fmt_f sec ]
 
 (* ------------------------------------------------------------------ *)
 (* E10: dense vs sparse state-vector backends                         *)

@@ -185,6 +185,10 @@ let smoke_cmd =
             let cold = request fd req in
             check (name ^ " sample ok") (is_ok cold);
             check (name ^ " cold pass misses cache") (not (cache_hit cold));
+            (* a symbolic artifact is a subgroup, built without a prep *)
+            check (name ^ " cold delta charges its prep")
+              (metric cold "sampler_preps"
+               = if String.equal name "symbolic" then None else Some (Jsonv.Int 1));
             let warm = request fd req in
             check (name ^ " warm pass hits cache") (is_ok warm && cache_hit warm);
             check (name ^ " warm delta charges no prep") (metric warm "sampler_preps" = None))

@@ -8,10 +8,16 @@ open Linalg
    pointer-chase- and allocation-free over them, and split naturally
    into disjoint index ranges for the {!Parallel} domain pool.
 
+   The DFT needs no gather: a wire of stride s is blocks of s
+   interleaved fibres, which is Fft.exec's lane layout, so apply_dft
+   copies the planes once and transforms the wire in place, one exec
+   per (block, lane range).
+
    Determinism contract (enforced by test_parallel.ml): every kernel is
    bit-for-bit identical at every job count.  Elementwise/fibre kernels
-   write disjoint output ranges, so chunking cannot change the result;
-   the two floating-point reductions (probabilities, norm2) use a chunk
+   write disjoint output ranges, so chunking cannot change the result
+   (an Fft lane's bits do not depend on the lanes batched with it); the
+   two floating-point reductions (probabilities, norm2) use a chunk
    count fixed by the workload geometry (Parallel.reduction_chunks,
    never the job count) and combine partial sums in chunk order. *)
 
@@ -202,39 +208,48 @@ let run_plan plan t =
   let re, im = Circuit_plan.run_planes plan ~re:t.re ~im:t.im in
   { t with re; im }
 
+(* Lanes per Fft.exec call on a dense wire: at most [lane_budget / d],
+   so one call's [d] rows stay cache-resident (a large register splits
+   into many calls, which the domain pool shares), but at least
+   [min_lanes], so each row fills whole cache lines. *)
+let lane_budget = 1 lsl 13
+let min_lanes = 16
+
 let apply_dft ?plan t ~wire ~inverse =
   let d = t.dims.(wire) in
   let total = Array.length t.re in
   (* Every length-d fibre of the register is transformed, populated or
      not: total/d fibres — the dense cost the sparse backend avoids. *)
   Metrics.add_dft_fibres (total / d);
-  (* Fibre (b, off) for block b and in-block offset off; flattening the
-     two loops into one index range [0, total/d) gives the domain pool
-     an even split.  One plan serves every chunk read-only; each chunk
-     gathers into its own fibre planes and scratch. *)
+  (* Block b holds the [str] interleaved fibres at offsets
+     [b * str * d + k * str + l]: exactly Fft.exec's lane layout, so the
+     wire is transformed in place on one copy of the planes, one call
+     per (block, lane range).  The calls are cut from the wire geometry
+     alone, and a lane's bits do not depend on its range, so no job
+     count or schedule changes the result.  One plan serves every call
+     read-only; each pool chunk brings its own scratch. *)
   let plan = Fft.plan_or_build plan d in
   let str = (Backend.strides t.dims).(wire) in
   let block = str * d in
-  let out_re = Array.make total 0.0 and out_im = Array.make total 0.0 in
-  let src_re = t.re and src_im = t.im in
-  Parallel.parallel_for 0 (total / d) (fun plo phi ->
+  let blocks = total / block in
+  let width = Int.min str (Int.max min_lanes (lane_budget / d)) in
+  let ranges = (str + width - 1) / width in
+  let re = Array.copy t.re and im = Array.copy t.im in
+  Parallel.parallel_for 0 (blocks * ranges) (fun ulo uhi ->
       let scratch = Fft.scratch plan in
-      let f_re = Array.make d 0.0 and f_im = Array.make d 0.0 in
-      for p = plo to phi - 1 do
-        let j0 = (p / str * block) + (p mod str) in
-        for k = 0 to d - 1 do
-          let j = j0 + (k * str) in
-          Array.unsafe_set f_re k (Array.unsafe_get src_re j);
-          Array.unsafe_set f_im k (Array.unsafe_get src_im j)
-        done;
-        Fft.exec plan ~inverse scratch f_re f_im;
-        for k = 0 to d - 1 do
-          let j = j0 + (k * str) in
-          Array.unsafe_set out_re j (Array.unsafe_get f_re k);
-          Array.unsafe_set out_im j (Array.unsafe_get f_im k)
-        done
+      (* call u is lane range [u mod ranges] of block [u / ranges]: one
+         division per pool chunk, then a running cursor *)
+      let base = ref (ulo / ranges * block) and lo = ref (ulo mod ranges * width) in
+      for _ = ulo to uhi - 1 do
+        Fft.exec plan ~inverse scratch ~off:(!base + !lo) ~stride:str
+          ~lanes:(Int.min width (str - !lo)) re im;
+        lo := !lo + width;
+        if !lo >= str then begin
+          lo := 0;
+          base := !base + block
+        end
       done);
-  { t with re = out_re; im = out_im }
+  { t with re; im }
 
 let apply_basis_map t f =
   let total = Array.length t.re in

@@ -702,7 +702,7 @@ let dft_blocks t ~wire ~plan ~inverse =
       w.f_re.(digit.(q)) <- src_re.(a + q);
       w.f_im.(digit.(q)) <- src_im.(a + q)
     done;
-    Fft.exec plan ~inverse w.scratch w.f_re w.f_im
+    Fft.exec plan ~inverse w.scratch ~off:0 ~stride:1 ~lanes:1 w.f_re w.f_im
   in
   (* Transform fibres [jlo, jhi) into [w.kept]; fibre j's outputs end
      at [fend.(j)]. *)

@@ -163,8 +163,10 @@ val run_plan : Circuit_plan.t -> t -> t option
 
 val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
-    fibre on the amplitude backends ({!Linalg.Fft}: radix-2, a direct
-    sum for small [d], or Bluestein).  [?plan] is a prebuilt plan of
+    fibre on the amplitude backends ({!Linalg.Fft}: straight-line for
+    [d <= 5], radix-2, a direct sum for other small [d], or Bluestein;
+    the dense backend transforms the wire in place, many fibres per
+    call).  [?plan] is a prebuilt plan of
     the wire's dimension; omitted, the call builds one.  The coset
     samplers keep one plan per wire dimension, so their rounds never
     rebuild one.  On a symbolic

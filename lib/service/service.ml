@@ -218,13 +218,16 @@ let with_classified_errors ~id f =
 
 (* One group of sample requests sharing a fingerprint: one artifact
    fetch (one prep on a cold cache), then each member draws its own
-   outcomes with its own query counter and RNG. *)
+   outcomes with its own query counter and RNG.  The first member's
+   ledger window opens before the fetch, so a cold prep is charged to
+   the reply that triggered it, as [exec_solve] charges its own. *)
 let exec_sample_group t (inst : Protocol.instance) rt jobs =
   let n = List.length jobs in
   if n > 1 then begin
     t.batched_groups <- t.batched_groups + 1;
     t.batched_requests <- t.batched_requests + n
   end;
+  let first_before = Quantum.Metrics.snapshot () in
   match
     try Ok (artifact_for t inst rt)
     with exn -> Error (Hsp.Runner.classify_failure exn)
@@ -244,13 +247,13 @@ let exec_sample_group t (inst : Protocol.instance) rt jobs =
                  (Hsp.Runner.failure_to_string failure)))
         jobs
   | Ok (key, artifact, hit) ->
-      List.iter
-        (fun (job, count, seed) ->
+      List.iteri
+        (fun i (job, count, seed) ->
           let id = job.env.Protocol.id in
           job.reply <-
             Some
               (with_classified_errors ~id @@ fun () ->
-               let before = Quantum.Metrics.snapshot () in
+               let before = if i = 0 then first_before else Quantum.Metrics.snapshot () in
                let queries = Quantum.Query.create () in
                let draw = sampler_of_artifact artifact ~queries in
                let rng = rng_for t seed in

@@ -132,7 +132,7 @@ let plan_apply p ~inverse v =
       re.(i) <- z.Complex.re;
       im.(i) <- z.Complex.im)
     v;
-  Fft.exec p ~inverse (Fft.scratch p) re im;
+  Fft.exec p ~inverse (Fft.scratch p) ~off:0 ~stride:1 ~lanes:1 re im;
   if re.(n) <> 7.0 || im.(n + 1) <> -7.0 then Alcotest.failf "exec %d wrote past the plan" n;
   Array.init n (fun i -> Cx.make re.(i) im.(i))
 
@@ -143,18 +143,77 @@ let max_err a b =
 
 let plan_lengths = List.init 70 (fun i -> i + 1) @ [ 100; 120; 196; 1024; 1600 ]
 
+(* Run one exec over [Array.length vs] interleaved lanes (entry k of
+   lane l at off + k stride + l) in planes full of sentinels, check that
+   no entry outside the lanes moved, and return each lane's output. *)
+let lanes_apply p ~inverse ~off ~stride vs =
+  let n = Fft.length p and lanes = Array.length vs in
+  let len = off + ((n - 1) * stride) + lanes + 3 in
+  let re = Array.make len 7.0 and im = Array.make len (-7.0) in
+  let at k l = off + (k * stride) + l in
+  Array.iteri
+    (fun l v ->
+      Array.iteri
+        (fun k z ->
+          re.(at k l) <- z.Complex.re;
+          im.(at k l) <- z.Complex.im)
+        v)
+    vs;
+  let inside = Array.make len false in
+  for k = 0 to n - 1 do
+    for l = 0 to lanes - 1 do
+      inside.(at k l) <- true
+    done
+  done;
+  Fft.exec p ~inverse (Fft.scratch p) ~off ~stride ~lanes re im;
+  Array.iteri
+    (fun i b ->
+      if (not b) && (re.(i) <> 7.0 || im.(i) <> -7.0) then
+        Alcotest.failf "n=%d lanes=%d: exec wrote entry %d outside its lanes" n lanes i)
+    inside;
+  Array.init lanes (fun l -> Array.init n (fun k -> Cx.make re.(at k l) im.(at k l)))
+
+let same_bits a b =
+  Array.for_all2
+    (fun x y ->
+      Int64.equal (Int64.bits_of_float x.Complex.re) (Int64.bits_of_float y.Complex.re)
+      && Int64.equal (Int64.bits_of_float x.Complex.im) (Int64.bits_of_float y.Complex.im))
+    a b
+
 let test_plan_matches_dft () =
   let rng = Random.State.make [| 11 |] in
   List.iter
     (fun n ->
       let p = Fft.plan n in
+      (* every plan kind's tables, as the service cache's budget counts them *)
+      if Fft.plan_bytes p <> Sys.word_size / 8 * Obj.reachable_words (Obj.repr p) then
+        Alcotest.failf "n=%d: plan_bytes %d is not the plan's heap footprint" n (Fft.plan_bytes p);
       let v = random_vec rng n in
       let tol = 1e-10 *. sqrt (float_of_int n) in
       List.iter
         (fun inverse ->
           let e = max_err (plan_apply p ~inverse v) (dense_dft ~inverse v) in
           if e > tol then
-            Alcotest.failf "n=%d inverse=%b: error %.3g exceeds %.3g" n inverse e tol)
+            Alcotest.failf "n=%d inverse=%b: error %.3g exceeds %.3g" n inverse e tol;
+          (* interleaved lanes at a stride past the lane count and a
+             nonzero offset: every lane is its own fibre's transform,
+             bit for bit, whatever it is batched with *)
+          List.iter
+            (fun (lanes, stride, off) ->
+              let vs = Array.init lanes (fun _ -> random_vec rng n) in
+              Array.iteri
+                (fun l out ->
+                  if not (same_bits out (plan_apply p ~inverse vs.(l))) then
+                    Alcotest.failf "n=%d inverse=%b lanes=%d: lane %d differs from one fibre" n
+                      inverse lanes l;
+                  if n <= 256 then begin
+                    let e = max_err out (dense_dft ~inverse vs.(l)) in
+                    if e > tol then
+                      Alcotest.failf "n=%d inverse=%b lanes=%d lane %d: error %.3g" n inverse
+                        lanes l e
+                  end)
+                (lanes_apply p ~inverse ~off ~stride vs))
+            [ (1, 2, 3); (3, 5, 1); (7, 9, 4) ])
         [ false; true ];
       (* F and F* coincide only for n <= 2: an ignored ~inverse flag
          must show here *)
@@ -198,12 +257,24 @@ let test_plan_rejects () =
   Alcotest.check_raises "length 0" (Invalid_argument "Fft.plan: length < 1") (fun () ->
       ignore (Fft.plan 0));
   let p = Fft.plan 5 in
-  Alcotest.check_raises "short planes" (Invalid_argument "Fft.exec: planes shorter than the plan")
-    (fun () -> Fft.exec p ~inverse:false (Fft.scratch p) (Array.make 4 0.0) (Array.make 5 0.0));
+  let exec ?(p = p) ?(s = Fft.scratch p) ~off ~stride ~lanes re im =
+    Fft.exec p ~inverse:false s ~off ~stride ~lanes (Array.make re 0.0) (Array.make im 0.0)
+  in
+  let past = Invalid_argument "Fft.exec: lanes run past the planes" in
+  Alcotest.check_raises "short planes" past (fun () -> exec ~off:0 ~stride:1 ~lanes:1 4 5);
+  (* three lanes of stride 4 end at entry 1 + 4 * 4 + 2 = 19 *)
+  Alcotest.check_raises "last lane past re" past (fun () -> exec ~off:1 ~stride:4 ~lanes:3 19 20);
+  Alcotest.check_raises "last lane past im" past (fun () -> exec ~off:1 ~stride:4 ~lanes:3 20 19);
+  exec ~off:1 ~stride:4 ~lanes:3 20 20;
+  Alcotest.check_raises "overlapping lanes" (Invalid_argument "Fft.exec: stride < lanes")
+    (fun () -> exec ~off:0 ~stride:2 ~lanes:3 64 64);
+  Alcotest.check_raises "no lanes" (Invalid_argument "Fft.exec: lanes < 1") (fun () ->
+      exec ~off:0 ~stride:1 ~lanes:0 64 64);
+  Alcotest.check_raises "negative offset" (Invalid_argument "Fft.exec: negative offset")
+    (fun () -> exec ~off:(-1) ~stride:1 ~lanes:1 64 64);
+  Alcotest.check_raises "huge stride" past (fun () -> exec ~off:0 ~stride:max_int ~lanes:1 64 64);
   Alcotest.check_raises "foreign scratch" (Invalid_argument "Fft.exec: scratch of a smaller plan")
-    (fun () ->
-      Fft.exec (Fft.plan 17) ~inverse:false (Fft.scratch p) (Array.make 17 0.0)
-        (Array.make 17 0.0))
+    (fun () -> exec ~p:(Fft.plan 17) ~s:(Fft.scratch (Fft.plan 16)) ~off:0 ~stride:1 ~lanes:1 17 17)
 
 (* ------------------------------------------------------------------ *)
 (* GF(2): Z_2^n linear algebra is Zmatrix's HNF calculus with every   *)

@@ -401,6 +401,40 @@ let test_probabilities_bit_identical () =
            base p))
     [ 2; 3; 4 ]
 
+(* The dense DFT splits each wire into (block, lane range) calls and
+   hands them to the pool.  On shapes whose wires split into several
+   lane ranges, a short last range, few or many blocks, and every kernel
+   family (straight-line, radix-2, root-table sum, Bluestein), the
+   result at jobs 2 and 4 under Shuffle is the serial FIFO run's, bit
+   for bit. *)
+let test_dense_dft_bit_identical () =
+  List.iter
+    (fun dims ->
+      let rng = Random.State.make [| Array.length dims; 0xd7f |] in
+      let total = Array.fold_left ( * ) 1 dims in
+      let v =
+        Array.init total (fun _ ->
+            Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
+      in
+      let st = State.of_amplitudes ~backend:Backend.Dense dims v in
+      Array.iteri
+        (fun wire _ ->
+          List.iter
+            (fun inverse ->
+              let run () = State.apply_dft st ~wire ~inverse in
+              let base = with_jobs 1 run in
+              List.iter
+                (fun j ->
+                  checkb
+                    (Printf.sprintf "dims %d wire %d inverse %b: jobs=%d shuffled matches jobs=1"
+                       (Array.length dims) wire inverse j)
+                    true
+                    (identical base (with_sched Parallel.Shuffle (fun () -> with_jobs j run))))
+                [ 2; 4 ])
+            [ false; true ])
+        dims)
+    [ [| 3; 64; 512 |]; [| 36; 6; 300 |] ]
+
 let () =
   Alcotest.run "parallel"
     [
@@ -424,5 +458,6 @@ let () =
             test_measurement_transcript_determinism;
           Alcotest.test_case "probabilities bit-identical" `Quick
             test_probabilities_bit_identical;
+          Alcotest.test_case "dense dft bit-identical" `Quick test_dense_dft_bit_identical;
         ] );
     ]

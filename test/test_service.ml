@@ -248,9 +248,12 @@ let test_per_request_metrics_delta () =
     | Some (Jsonv.List l) -> List.length l
     | _ -> -1);
   checki "five quantum queries" 5 (Option.get (reply_int [ "quantum_queries" ] r));
-  (* the delta charges this request's measurements to it *)
+  (* the delta charges this request's measurements to it, and the cold
+     group's prep to the request that triggered it *)
   checki "five measurements in the request's ledger slice" 5
     (Option.get (reply_int [ "metrics"; "measurements" ] r));
+  checki "cold request charges its prep" 1
+    (Option.value ~default:0 (reply_int [ "metrics"; "sampler_preps" ] r));
   (* warm second request: no further prep in its delta, and a zero
      field is omitted rather than sent *)
   let r2 = Service.submit t (sample_req ~count:3 [| 8; 8 |] [| 4; 2 |] None) in
@@ -447,20 +450,21 @@ let service_stress_prop seed =
   List.iter Thread.join threads;
   Service.stop t;
   let global = Metrics.snapshot () in
-  let sum_meas = ref 0 and sum_queries = ref 0 and all_ok = ref true in
+  let sum_meas = ref 0 and sum_preps = ref 0 and sum_queries = ref 0 and all_ok = ref true in
+  let field path r = Option.value ~default:0 (reply_int path r) in
   Array.iter
     (Array.iter (fun r ->
          if not (reply_ok r) then all_ok := false;
-         sum_meas :=
-           !sum_meas + Option.value ~default:0 (reply_int [ "metrics"; "measurements" ] r);
-         sum_queries :=
-           !sum_queries + Option.value ~default:0 (reply_int [ "quantum_queries" ] r)))
+         sum_meas := !sum_meas + field [ "metrics"; "measurements" ] r;
+         sum_preps := !sum_preps + field [ "metrics"; "sampler_preps" ] r;
+         sum_queries := !sum_queries + field [ "quantum_queries" ] r))
     replies;
   !all_ok
   && !sum_queries = n_threads * per_thread * count
   (* per-request ledger deltas partition the global ledger: they must
      sum to it exactly, not approximately *)
   && !sum_meas = global.Metrics.measurements
+  && !sum_preps = global.Metrics.sampler_preps
   (* the artifact cache held: preps = distinct oracles, not requests *)
   && global.Metrics.sampler_preps <= Array.length stress_instances
   && global.Metrics.sampler_preps >= 1
