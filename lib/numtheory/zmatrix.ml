@@ -321,92 +321,114 @@ let hnf_basis ~dims gens =
   done;
   basis
 
-let check_hnf ~dims basis =
+(* A checked basis with each row's nonzero columns right of the
+   diagonal recorded once, so the per-call steps below walk only those
+   entries.  [counts.(i) = dims.(i) / h_ii] is row i's coefficient
+   range. *)
+type hnf = { hdims : int array; rows : t; nz : int array array; counts : int array }
+
+let hnf_prepare ~dims basis =
+  check_dims dims;
   let r = Array.length dims in
   if rows basis <> r || (r > 0 && cols basis <> r) then
     invalid_arg "Zmatrix: HNF basis shape mismatch";
-  for i = 0 to r - 1 do
-    if basis.(i).(i) < 1 || dims.(i) mod basis.(i).(i) <> 0 then
-      invalid_arg "Zmatrix: not an HNF subgroup basis"
-  done
-
-let hnf_order_log2 ~dims basis =
-  check_hnf ~dims basis;
-  let acc = ref 0.0 in
   Array.iteri
-    (fun i d -> acc := !acc +. (log (float_of_int (d / basis.(i).(i))) /. log 2.0))
-    dims;
-  !acc
+    (fun i row ->
+      let h = row.(i) in
+      if h < 1 || dims.(i) mod h <> 0 then invalid_arg "Zmatrix: not an HNF subgroup basis";
+      for j = 0 to r - 1 do
+        (* zero below the diagonal, and each entry above it reduced
+           into [0, h_jj) *)
+        let x = row.(j) in
+        if (j < i && x <> 0) || (j > i && (x < 0 || x >= basis.(j).(j))) then
+          invalid_arg "Zmatrix: not an HNF subgroup basis"
+      done)
+    basis;
+  let nz =
+    Array.mapi
+      (fun i row ->
+        let cols = ref [] in
+        for j = r - 1 downto i + 1 do
+          if row.(j) <> 0 then cols := j :: !cols
+        done;
+        Array.of_list !cols)
+      basis
+  in
+  { hdims = dims; rows = basis; nz; counts = Array.mapi (fun i d -> d / basis.(i).(i)) dims }
 
-let hnf_order_int ~dims basis =
-  check_hnf ~dims basis;
-  let acc = ref (Some 1) in
-  Array.iteri
-    (fun i d ->
-      let n = d / basis.(i).(i) in
-      match !acc with
-      | Some a when a <= max_int / n -> acc := Some (a * n)
-      | _ -> acc := None)
-    dims;
-  !acc
+let hnf_dims p = p.hdims
+let hnf_rows p = p.rows
 
-let hnf_reduce ~dims basis x =
-  check_hnf ~dims basis;
+let hnf_order_log2 p =
+  Array.fold_left (fun acc n -> acc +. (log (float_of_int n) /. log 2.0)) 0.0 p.counts
+
+let hnf_order_int p =
+  Array.fold_left
+    (fun acc n ->
+      match acc with Some a when a <= max_int / n -> Some (a * n) | _ -> None)
+    (Some 1) p.counts
+
+(* [v mod d] into [0, d) where [v] is usually already in (-d, d): a
+   compare-and-add there, a division only off that range. *)
+let wrap v d = if v >= d || v <= -d then Arith.emod v d else if v < 0 then v + d else v
+
+let hnf_reduce p x =
+  let dims = p.hdims in
   let r = Array.length dims in
   if Array.length x <> r then invalid_arg "Zmatrix.hnf_reduce: arity mismatch";
   (* [t] stays reduced modulo the dims throughout, so a row with
-     quotient 0 leaves it untouched and a subtraction needs to
-     re-reduce only the entries where the basis row is nonzero. *)
-  let t = Array.init r (fun i -> Arith.emod x.(i) dims.(i)) in
+     quotient 0 leaves it untouched and a subtraction re-reduces only
+     the entries where the basis row is nonzero. *)
+  let t = Array.init r (fun i -> wrap x.(i) dims.(i)) in
   for i = 0 to r - 1 do
-    let row = basis.(i) in
-    let q = t.(i) / row.(i) in
+    let row = p.rows.(i) in
+    let h = row.(i) in
+    let q = t.(i) / h in
     if q <> 0 then begin
-      t.(i) <- t.(i) - (q * row.(i));
-      for j = i + 1 to r - 1 do
-        let b = row.(j) in
-        if b <> 0 then t.(j) <- Arith.emod (t.(j) - (q * b)) dims.(j)
-      done
+      t.(i) <- t.(i) - (q * h);
+      Array.iter (fun j -> t.(j) <- wrap (t.(j) - (q * row.(j))) dims.(j)) p.nz.(i)
     end
   done;
   t
 
 (* x is in the subgroup iff it lies in the coset of 0, whose canonical
    representative is 0. *)
-let hnf_mem ~dims basis x = Array.for_all (fun v -> v = 0) (hnf_reduce ~dims basis x)
+let hnf_mem p x = Array.for_all (fun v -> v = 0) (hnf_reduce p x)
 
-let hnf_sample rng ~dims basis =
-  check_hnf ~dims basis;
+(* [v mod d] for [v >= 0], usually below [2d]: a compare-and-subtract
+   there, a division only beyond. *)
+let wrap_pos v d = if v < d then v else if v < 2 * d then v - d else v mod d
+
+let hnf_sample rng p =
+  let dims = p.hdims in
   let r = Array.length dims in
   (* One draw per row, rows with a single choice included.  Rows
      below i never touch x_i, so each coordinate is final once its own
-     row is done. *)
+     row is done.  Every coordinate stays reduced as terms arrive: a
+     term c * h_ij is below 2^62 for dims below 2^31, but an unreduced
+     sum of two such terms would overflow. *)
   let x = Array.make r 0 in
   for i = 0 to r - 1 do
-    let row = basis.(i) in
-    let c = Random.State.full_int rng (dims.(i) / row.(i)) in
+    let row = p.rows.(i) in
+    let c = Random.State.full_int rng p.counts.(i) in
     if c <> 0 then
-      for j = i + 1 to r - 1 do
-        let b = row.(j) in
-        if b <> 0 then x.(j) <- x.(j) + (c * b)
-      done;
-    x.(i) <- Arith.emod (x.(i) + (c * row.(i))) dims.(i)
+      Array.iter (fun j -> x.(j) <- wrap_pos (x.(j) + (c * row.(j))) dims.(j)) p.nz.(i);
+    x.(i) <- wrap_pos (x.(i) + (c * row.(i))) dims.(i)
   done;
   x
 
-let hnf_elements ~dims basis =
-  check_hnf ~dims basis;
+let hnf_elements p =
+  let dims = p.hdims and basis = p.rows in
   let r = Array.length dims in
-  (match hnf_order_int ~dims basis with
+  (match hnf_order_int p with
   | Some _ -> ()
   | None -> invalid_arg "Zmatrix.hnf_elements: subgroup order overflows");
-  let counts = Array.init r (fun i -> dims.(i) / basis.(i).(i)) in
   let acc = ref [] in
   let rec go i x =
     if i = r then
       acc := Array.init r (fun j -> Arith.emod x.(j) dims.(j)) :: !acc
     else
-      for c = 0 to counts.(i) - 1 do
+      for c = 0 to p.counts.(i) - 1 do
         if c = 0 then go (i + 1) x
         else begin
           let x' = Array.copy x in
@@ -420,8 +442,8 @@ let hnf_elements ~dims basis =
   go 0 (Array.make r 0);
   List.rev !acc
 
-let hnf_dual ~dims basis =
-  check_hnf ~dims basis;
+let hnf_dual p =
+  let dims = p.hdims and basis = p.rows in
   let r = Array.length dims in
   let l = Array.fold_left Arith.lcm 1 dims in
   (* y annihilates the subgroup iff S_k = sum_i b_ki y_i (l / d_i) = 0

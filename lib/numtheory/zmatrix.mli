@@ -74,34 +74,55 @@ val hnf_basis : dims:int array -> int array list -> t
     @raise Invalid_argument on a dimension [< 1] or a generator of the
     wrong arity. *)
 
-val hnf_order_log2 : dims:int array -> t -> float
+type hnf
+(** A prepared HNF basis: a basis checked once against its dims, with
+    each row's nonzero columns right of the diagonal recorded.  Every
+    step below takes one, so the check runs once per subgroup rather
+    than once per call, and [hnf_reduce], [hnf_mem] and [hnf_sample]
+    touch only a row's nonzero entries: a row with [k] of them costs
+    O(k), not O(r). *)
+
+val hnf_prepare : dims:int array -> t -> hnf
+(** Check and prepare a canonical basis (as {!hnf_basis} returns):
+    [r x r], zero below the diagonal, [h_ii >= 1] dividing [dims.(i)],
+    and every above-diagonal [h_ij] in [[0, h_jj)].  The basis is not
+    copied; it must not be mutated afterwards.
+    @raise Invalid_argument on any other matrix or a dimension [< 1]. *)
+
+val hnf_dims : hnf -> int array
+val hnf_rows : hnf -> t
+(** The dims and the basis [hnf_prepare] was given. *)
+
+val hnf_order_log2 : hnf -> float
 (** log2 of the subgroup order — exact in structure, float in value, so
     it works for [Z_2^200]-sized groups. *)
 
-val hnf_order_int : dims:int array -> t -> int option
+val hnf_order_int : hnf -> int option
 (** The subgroup order as an [int], or [None] if it overflows. *)
 
-val hnf_mem : dims:int array -> t -> int array -> bool
+val hnf_mem : hnf -> int array -> bool
 (** Membership by back-substitution along the triangular basis;
     coordinates are taken modulo [dims] first. *)
 
-val hnf_reduce : dims:int array -> t -> int array -> int array
+val hnf_reduce : hnf -> int array -> int array
 (** The canonical coset representative: the unique element of
     [x + subgroup] with [i]-th coordinate in [[0, h_ii)].  Two inputs
     reduce to the same tuple iff they lie in the same coset. *)
 
-val hnf_sample : Random.State.t -> dims:int array -> t -> int array
+val hnf_sample : Random.State.t -> hnf -> int array
 (** A uniformly distributed subgroup element: uniform coefficients
     [c_i in [0, dims.(i)/h_ii)] against the basis rows — a bijection
-    onto the subgroup, so the draw is exactly uniform. *)
+    onto the subgroup, so the draw is exactly uniform.  Exactly [r]
+    bounded draws ([Random.State.full_int]), one per row in row order,
+    rows with a single choice included. *)
 
-val hnf_elements : dims:int array -> t -> int array list
+val hnf_elements : hnf -> int array list
 (** All subgroup elements, in deterministic (coefficient-lexicographic)
     order.
     @raise Invalid_argument if the order overflows an [int]; callers
     should bound it via {!hnf_order_int} first. *)
 
-val hnf_dual : dims:int array -> t -> t
+val hnf_dual : hnf -> t
 (** The annihilator subgroup
     [{ y : sum_i y_i x_i / dims.(i) in Z  for all subgroup x }], i.e.
     the characters trivial on the subgroup, as a canonical HNF basis.

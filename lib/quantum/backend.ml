@@ -119,7 +119,6 @@ module type CORE = sig
   val num_wires : t -> int
   val support_size : t -> int
   val tensor : t -> t -> t
-  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
   val measure : Random.State.t -> t -> wires:int list -> int array * t
   val norm : t -> float
 end
@@ -133,6 +132,7 @@ module type AMPLITUDES = sig
   val amplitudes : t -> Linalg.Cvec.t
   val amp_at : t -> int -> Linalg.Cx.t
   val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
+  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
   val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
   val apply_basis_map : t -> (int array -> int array) -> t
   val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t

@@ -23,10 +23,13 @@
 
     The capability split ({!CORE} vs {!AMPLITUDES}) captures what the
     three have in common and where they part: every backend can build
-    basis/uniform states, tensor, Fourier-transform and measure
-    ({!CORE}); only the amplitude-array backends can adopt arbitrary
-    amplitude vectors, index amplitudes by encoded integers, or apply
-    arbitrary unitaries and oracles ({!AMPLITUDES}).  [State] statically
+    basis/uniform states, tensor and measure ({!CORE}); only the
+    amplitude-array backends can adopt arbitrary amplitude vectors,
+    index amplitudes by encoded integers, or apply arbitrary unitaries,
+    oracles and single-wire DFTs ({!AMPLITUDES}).  The symbolic
+    backend Fourier-transforms the whole register only, in closed form
+    ({!Backend_symbolic.fourier}); {!State.fourier} dispatches a sweep
+    to it or to the per-wire DFTs.  [State] statically
     checks dense and sparse against {!S} = both layers, and the
     symbolic backend against {!CORE} alone; symbolic states demote to
     the sparse backend (under {!Caps.symbolic_materialise}) when an
@@ -143,7 +146,7 @@ val sample_discrete : Random.State.t -> float array -> int
 (** {2 Capability signatures} *)
 
 (** What {e every} backend provides: representation-agnostic state
-    construction, tensoring, the Abelian DFT, and measurement.  The
+    construction, tensoring and measurement.  The
     symbolic backend satisfies exactly this layer (its [measure]
     handles full-register measurement natively and raises otherwise —
     [State] demotes for the rest). *)
@@ -161,12 +164,6 @@ module type CORE = sig
       support is only representable symbolically). *)
 
   val tensor : t -> t -> t
-
-  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
-  (** [?plan] is a prebuilt {!Linalg.Fft.plan} of the wire's dimension,
-      so a caller transforming many states of one shape builds it once;
-      omitted, the amplitude backends build their own.  Backends that
-      hold no amplitudes ignore it. *)
 
   val measure : Random.State.t -> t -> wires:int list -> int array * t
   val norm : t -> float
@@ -186,6 +183,12 @@ module type AMPLITUDES = sig
   val amplitudes : t -> Linalg.Cvec.t
   val amp_at : t -> int -> Linalg.Cx.t
   val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
+
+  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
+  (** The DFT on one wire.  [?plan] is a prebuilt {!Linalg.Fft.plan} of
+      the wire's dimension, so a caller transforming many states of one
+      shape builds it once; omitted, the backend builds its own. *)
+
   val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
   val apply_basis_map : t -> (int array -> int array) -> t
   val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t

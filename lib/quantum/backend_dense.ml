@@ -11,7 +11,7 @@ open Linalg
    The DFT needs no gather: a wire of stride s is blocks of s
    interleaved fibres, which is Fft.exec's lane layout, so apply_dft
    copies the planes once and transforms the wire in place, one exec
-   per (block, lane range).
+   per (block, lane range); fourier copies once for a whole sweep.
 
    Determinism contract (enforced by test_parallel.ml): every kernel is
    bit-for-bit identical at every job count.  Elementwise/fibre kernels
@@ -215,26 +215,26 @@ let run_plan plan t =
 let lane_budget = 1 lsl 13
 let min_lanes = 16
 
-let apply_dft ?plan t ~wire ~inverse =
-  let d = t.dims.(wire) in
-  let total = Array.length t.re in
+(* The DFT of one wire, in place on [re]/[im]. *)
+let dft_in_place ?plan ~dims re im ~wire ~inverse =
+  let d = dims.(wire) in
+  let total = Array.length re in
   (* Every length-d fibre of the register is transformed, populated or
      not: total/d fibres — the dense cost the sparse backend avoids. *)
   Metrics.add_dft_fibres (total / d);
   (* Block b holds the [str] interleaved fibres at offsets
      [b * str * d + k * str + l]: exactly Fft.exec's lane layout, so the
-     wire is transformed in place on one copy of the planes, one call
-     per (block, lane range).  The calls are cut from the wire geometry
-     alone, and a lane's bits do not depend on its range, so no job
-     count or schedule changes the result.  One plan serves every call
-     read-only; each pool chunk brings its own scratch. *)
+     wire is transformed in place, one call per (block, lane range).
+     The calls are cut from the wire geometry alone, and a lane's bits
+     do not depend on its range, so no job count or schedule changes
+     the result.  One plan serves every call read-only; each pool chunk
+     brings its own scratch. *)
   let plan = Fft.plan_or_build plan d in
-  let str = (Backend.strides t.dims).(wire) in
+  let str = (Backend.strides dims).(wire) in
   let block = str * d in
   let blocks = total / block in
   let width = Int.min str (Int.max min_lanes (lane_budget / d)) in
   let ranges = (str + width - 1) / width in
-  let re = Array.copy t.re and im = Array.copy t.im in
   Parallel.parallel_for 0 (blocks * ranges) (fun ulo uhi ->
       let scratch = Fft.scratch plan in
       (* call u is lane range [u mod ranges] of block [u / ranges]: one
@@ -248,7 +248,22 @@ let apply_dft ?plan t ~wire ~inverse =
           lo := 0;
           base := !base + block
         end
-      done);
+      done)
+
+let apply_dft ?plan t ~wire ~inverse =
+  let re = Array.copy t.re and im = Array.copy t.im in
+  dft_in_place ?plan ~dims:t.dims re im ~wire ~inverse;
+  { t with re; im }
+
+(* A whole sweep on one copy of the planes: each wire in the caller's
+   order, the same in-place kernel as [apply_dft]. *)
+let fourier ?plans t ~wires ~inverse =
+  let re = Array.copy t.re and im = Array.copy t.im in
+  List.iter
+    (fun wire ->
+      let plan = Option.map (fun p -> p.(wire)) plans in
+      dft_in_place ?plan ~dims:t.dims re im ~wire ~inverse)
+    wires;
   { t with re; im }
 
 let apply_basis_map t f =

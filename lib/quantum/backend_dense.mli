@@ -4,8 +4,8 @@
     This is the seed simulator, exact and cache-friendly; it remains the
     reference implementation that the sparse backend is validated
     against (see the backend-equivalence test suite).  Satisfies
-    {!Backend.S}, plus dense-only extras ({!apply_wire}, {!approx_equal},
-    {!pp}) used by the {!State} dispatcher. *)
+    {!Backend.S}, plus dense-only extras ({!apply_wire}, {!fourier},
+    {!approx_equal}, {!pp}) used by the {!State} dispatcher. *)
 
 include Backend.S
 
@@ -17,6 +17,11 @@ val of_indices : int array -> int array -> t
     index array. *)
 
 val apply_wire : t -> wire:int -> Linalg.Cmat.t -> t
+
+val fourier : ?plans:Linalg.Fft.plan array -> t -> wires:int list -> inverse:bool -> t
+(** [apply_dft] on each listed wire in order, on one copy of the planes
+    instead of one per wire: bit-identical to the per-wire fold.
+    [plans.(w)], when given, is wire [w]'s plan. *)
 
 val measure_all : Random.State.t -> t -> int array
 (** The outcome of [measure ~wires:all], drawn straight off the

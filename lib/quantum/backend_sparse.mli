@@ -66,7 +66,7 @@ val tensor : t -> t -> t
 val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
 val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** Transforms the populated fibres of the wire block by block without
-    sorting (see the header); [?plan] as in {!Backend.CORE}.
+    sorting (see the header); [?plan] as in {!Backend.AMPLITUDES}.
     @raise Invalid_argument if the plan's length is not the wire's
     dimension. *)
 

@@ -22,18 +22,15 @@ module Zm = Numtheory.Zmatrix
    relabel — nothing scales with |H|, |A| or the support, and no
    total-dimension integer is ever formed.
 
-   The backend API applies the DFT wire by wire, so the rewrite is
-   deferred: wires are marked pending and the closed form fires when
-   every wire has been transformed once in the same direction.  A
-   partially transformed state supports nothing but further DFT marks;
-   the State dispatcher demotes to the sparse backend (replaying the
-   pending per-wire DFTs) if other operations are requested mid-sweep,
-   capped at Backend.Caps.symbolic_materialise support. *)
+   The rewrite is a whole-register operation ({!fourier}): State's
+   Fourier sweep applies it when the swept wires are a permutation of
+   the register.  A single-wire DFT or a partial sweep has no closed
+   form here, so the State dispatcher demotes to the sparse backend
+   first, capped at Backend.Caps.symbolic_materialise support. *)
 
 module Subgroup = struct
   type t = {
-    dims : int array;
-    basis : Zm.t;
+    hnf : Zm.hnf;  (* checked once, rows' nonzero columns recorded *)
     order_log2 : float;
     order_int : int option;
     mutable dual_memo : t option;
@@ -43,11 +40,11 @@ module Subgroup = struct
   }
 
   let of_basis ~dims basis =
+    let hnf = Zm.hnf_prepare ~dims basis in
     {
-      dims;
-      basis;
-      order_log2 = Zm.hnf_order_log2 ~dims basis;
-      order_int = Zm.hnf_order_int ~dims basis;
+      hnf;
+      order_log2 = Zm.hnf_order_log2 hnf;
+      order_int = Zm.hnf_order_int hnf;
       dual_memo = None;
     }
 
@@ -59,16 +56,16 @@ module Subgroup = struct
   let full dims = of_gens ~dims (List.init (Array.length dims) (fun i ->
       Array.init (Array.length dims) (fun j -> if i = j then 1 else 0)))
 
-  let dims s = s.dims
-  let basis s = s.basis
+  let dims s = Zm.hnf_dims s.hnf
+  let basis s = Zm.hnf_rows s.hnf
   let order_log2 s = s.order_log2
   let order_int s = s.order_int
-  let mem s x = Zm.hnf_mem ~dims:s.dims s.basis x
-  let reduce s x = Zm.hnf_reduce ~dims:s.dims s.basis x
+  let mem s x = Zm.hnf_mem s.hnf x
+  let reduce s x = Zm.hnf_reduce s.hnf x
 
   let sample rng s =
     Metrics.record_symbolic_sample ();
-    Zm.hnf_sample rng ~dims:s.dims s.basis
+    Zm.hnf_sample rng s.hnf
 
   let elements s =
     (match s.order_int with
@@ -76,34 +73,26 @@ module Subgroup = struct
     | _ ->
         invalid_arg
           "Backend_symbolic: subgroup too large to materialise (Caps.symbolic_materialise)");
-    Zm.hnf_elements ~dims:s.dims s.basis
+    Zm.hnf_elements s.hnf
 
-  let equal a b = Backend.dims_equal a.dims b.dims && Zm.equal a.basis b.basis
+  let equal a b = Backend.dims_equal (dims a) (dims b) && Zm.equal (basis a) (basis b)
 
   let dual s =
     match s.dual_memo with
     | Some d -> d
     | None ->
         Metrics.record_symbolic_solve ();
-        let d = of_basis ~dims:s.dims (Zm.hnf_dual ~dims:s.dims s.basis) in
+        let d = of_basis ~dims:(dims s) (Zm.hnf_dual s.hnf) in
         d.dual_memo <- Some s;
         s.dual_memo <- Some d;
         d
 end
-
-module Wires = Set.Make (Int)
-
-(* The wires DFT'd so far in the current sweep, all in one direction.
-   States are values, so each mark builds a new sweep: a persistent set
-   plus its size keeps that O(log r). *)
-type sweep = { marked : Wires.t; count : int; inverse : bool }
 
 type t = {
   sub : Subgroup.t;
   rep : int array;  (* canonical: Subgroup.reduce applied *)
   phase : int array;  (* p, componentwise in [0, dims.(i)) *)
   gphase : Cx.t;
-  pending : sweep option;
 }
 
 let dims st = Subgroup.dims st.sub
@@ -113,7 +102,6 @@ let support_size st =
   match Subgroup.order_int st.sub with Some n -> n | None -> max_int
 
 let subgroup st = st.sub
-let has_pending st = st.pending <> None
 let norm _ = 1.0
 
 (* chi_p(x) = prod_i omega_{d_i}^{p_i * x_i} *)
@@ -121,8 +109,10 @@ let character ~dims p x =
   let acc = ref Cx.one in
   Array.iteri
     (fun i d ->
-      let e = Numtheory.Arith.emod (p.(i) * x.(i)) d in
-      if e <> 0 then acc := Cx.mul !acc (Cx.root_of_unity d e))
+      if p.(i) <> 0 && x.(i) <> 0 then begin
+        let e = Numtheory.Arith.emod (p.(i) * x.(i)) d in
+        if e <> 0 then acc := Cx.mul !acc (Cx.root_of_unity d e)
+      end)
     dims;
   !acc
 
@@ -140,7 +130,7 @@ let of_coset ?(phase = [||]) ?(gphase = Cx.one) sub rep =
      amplitude by chi_p(c - c')... it does not — chi_p is evaluated at
      absolute x, so the stored rep only selects the coset.  Reduction
      is purely for equality of representations. *)
-  { sub; rep = Subgroup.reduce sub rep; phase; gphase; pending = None }
+  { sub; rep = Subgroup.reduce sub rep; phase; gphase }
 
 let of_basis dims x =
   Array.iteri
@@ -153,8 +143,6 @@ let create dims = of_basis dims (Array.make (Array.length dims) 0)
 let uniform dims = of_coset (Subgroup.full dims) (Array.make (Array.length dims) 0)
 
 let amp_at_tuple st x =
-  if has_pending st then
-    invalid_arg "Backend_symbolic: amplitude of a partially Fourier-transformed state";
   let dims = dims st in
   let diff = Array.init (Array.length dims) (fun i -> x.(i) - st.rep.(i)) in
   if not (Subgroup.mem st.sub diff) then Cx.zero
@@ -165,8 +153,6 @@ let amp_at_tuple st x =
 let amp_at st idx = amp_at_tuple st (Backend.decode (dims st) idx)
 
 let iter_nonzero st f =
-  if has_pending st then
-    invalid_arg "Backend_symbolic: iterating a partially Fourier-transformed state";
   let dims = dims st in
   let entries =
     List.map
@@ -178,63 +164,40 @@ let iter_nonzero st f =
   let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
   List.iter (fun (idx, x) -> f idx (amp_at_tuple st x)) entries
 
-(* Materialise into the sparse backend, replaying any pending per-wire
-   DFTs (they commute across wires, so wire order is immaterial). *)
+(* Materialise into the sparse backend. *)
 let demote st =
   Metrics.record_symbolic_demotion ();
-  let base = { st with pending = None } in
-  let dims = dims base in
-  let entries = ref [] in
-  let r = Array.length dims in
-  List.iter
-    (fun h ->
-      let x = Array.init r (fun i -> (base.rep.(i) + h.(i)) mod dims.(i)) in
-      entries := (x, Cx.mul base.gphase (character ~dims base.phase x)) :: !entries)
-    (Subgroup.elements base.sub);
-  let sp = Backend_sparse.of_support dims !entries in
-  match st.pending with
-  | None -> sp
-  | Some { marked; inverse; _ } ->
-      Wires.fold (fun wire acc -> Backend_sparse.apply_dft acc ~wire ~inverse) marked sp
-
-let can_apply_dft st ~wire ~inverse =
-  match st.pending with
-  | None -> true
-  | Some sw -> Bool.equal inverse sw.inverse && not (Wires.mem wire sw.marked)
-
-(* The closed-form rewrite; fires when every wire has been marked. *)
-let rewrite st ~inverse =
   let dims = dims st in
   let r = Array.length dims in
+  let entries =
+    List.rev_map
+      (fun h ->
+        let x = Array.init r (fun i -> (st.rep.(i) + h.(i)) mod dims.(i)) in
+        (x, Cx.mul st.gphase (character ~dims st.phase x)))
+      (Subgroup.elements st.sub)
+  in
+  Backend_sparse.of_support dims entries
+
+(* Negation in Z_d of an entry already in [0, d). *)
+let neg_in_range dims v = Array.mapi (fun i x -> if x = 0 then 0 else dims.(i) - x) v
+
+(* The closed-form rewrite of the whole-register DFT.  [rep] and
+   [phase] are already in range, so the relabel needs no reduction
+   beyond the new representative's. *)
+let fourier st ~inverse =
+  let dims = dims st in
   let dual = Subgroup.dual st.sub in
   let c = st.rep and p = st.phase in
   Metrics.record_symbolic_rewrite ();
   let gphase = Cx.mul st.gphase (character ~dims p c) in
   if not inverse then
     (* F: support -p + H^perp, amplitude chi_c(y) *)
-    of_coset ~phase:c ~gphase dual (Array.init r (fun i -> Numtheory.Arith.emod (-p.(i)) dims.(i)))
+    { sub = dual; rep = Subgroup.reduce dual (neg_in_range dims p); phase = c; gphase }
   else
     (* F^-1: support p + H^perp, amplitude chi_{-c}(y) *)
-    of_coset
-      ~phase:(Array.init r (fun i -> Numtheory.Arith.emod (-c.(i)) dims.(i)))
-      ~gphase dual (Array.copy p)
-
-let apply_dft ?plan:_ st ~wire ~inverse =
-  let n = num_wires st in
-  if wire < 0 || wire >= n then invalid_arg "Backend_symbolic.apply_dft: wire out of range";
-  if not (can_apply_dft st ~wire ~inverse) then
-    invalid_arg
-      "Backend_symbolic: unsupported per-wire DFT pattern (demote to an amplitude backend)";
-  (* [wire] is unmarked, so the sweep is complete once [n] wires are *)
-  let marked, count =
-    match st.pending with None -> (Wires.empty, 0) | Some sw -> (sw.marked, sw.count)
-  in
-  if count + 1 = n then rewrite { st with pending = None } ~inverse
-  else { st with pending = Some { marked = Wires.add wire marked; count = count + 1; inverse } }
+    { sub = dual; rep = Subgroup.reduce dual p; phase = neg_in_range dims c; gphase }
 
 let tensor a b =
-  if has_pending a || has_pending b then
-    invalid_arg "Backend_symbolic.tensor: partially Fourier-transformed operand";
   let da = dims a and db = dims b in
   let ra = Array.length da and rb = Array.length db in
   let dims' = Array.append da db in
@@ -254,17 +217,20 @@ let tensor a b =
     sub (Array.append a.rep b.rep)
 
 let can_measure st ~wires =
-  (not (has_pending st))
-  &&
   let n = num_wires st in
   let seen = Array.make n false in
   List.iter (fun w -> if w >= 0 && w < n then seen.(w) <- true) wires;
   Array.for_all Fun.id seen
 
-(* A uniform point of the coset: rep + h for one uniform h in H. *)
+(* A uniform point of the coset: rep + h for one uniform h in H.  Both
+   terms lie in [0, d), so one compare-and-subtract reduces the sum. *)
 let draw rng st =
   let h = Subgroup.sample rng st.sub in
-  Array.mapi (fun i d -> (st.rep.(i) + h.(i)) mod d) (dims st)
+  Array.mapi
+    (fun i d ->
+      let v = st.rep.(i) + h.(i) in
+      if v >= d then v - d else v)
+    (dims st)
 
 let measure rng st ~wires =
   if not (can_measure st ~wires) then
@@ -278,10 +244,7 @@ let measure rng st ~wires =
 (* [measure ~wires:all] without the post-state: the same single draw,
    so the same outcome and RNG stream, but no basis state and hence no
    trivial-subgroup solve per round. *)
-let measure_all rng st =
-  if has_pending st then
-    invalid_arg "Backend_symbolic.measure_all: partially Fourier-transformed state";
-  draw rng st
+let measure_all rng st = draw rng st
 
 (* Coset recognition: adopt a sorted encoded-index segment iff it is
    exactly a coset x0 + H (which is how Coset_state's bucket tables
@@ -340,8 +303,7 @@ let approx_equal ?(eps = 1e-9) a b =
 
 let pp fmt st =
   let dims = dims st in
-  Format.fprintf fmt "@[<v>symbolic coset state over [%s]@,  log2|H| = %.2f, rep = [%s]%s@]"
+  Format.fprintf fmt "@[<v>symbolic coset state over [%s]@,  log2|H| = %.2f, rep = [%s]@]"
     (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
     (Subgroup.order_log2 st.sub)
     (String.concat ";" (Array.to_list (Array.map string_of_int st.rep)))
-    (if has_pending st then " (mid Fourier sweep)" else "")

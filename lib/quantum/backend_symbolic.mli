@@ -16,11 +16,11 @@
     - {e Abelian DFT} (forward, [omega^{+xy}] convention):
       [(H, c, p) |-> (H^perp, -p, c)] with global phase [chi_c(p)] —
       one annihilator solve (memoised per subgroup) plus an O(r)
-      relabel.  The backend API transforms wire by wire, so wires are
-      {e marked pending} and the rewrite fires when all wires have been
-      transformed in the same direction; a mid-sweep state supports
-      only further marks (the {!State} dispatcher demotes it to the
-      sparse backend for anything else).
+      relabel ({!fourier}).  The rewrite is whole-register only:
+      {!State.fourier} applies it when the swept wires are a
+      permutation of the register, and demotes to the sparse backend
+      for a single-wire DFT or a partial sweep, which have no closed
+      form here.
     - {e Measurement} of the full register: a uniform draw from the
       coset via triangular-basis sampling — exactly uniform, so the
       sampled character distribution matches the dense backend's in
@@ -28,7 +28,8 @@
       gate).
     - {e Tensoring}: block-diagonal HNF stacking.
 
-    Costs are O(r^2) per operation and O(r^2) memory — [Z_2^200]-shaped
+    Costs are O(r^2) per operation and O(r^2) memory (the HNF steps walk
+    only each basis row's nonzero entries, so sparse bases cost less) — [Z_2^200]-shaped
     groups are as cheap as [Z_2^2].  Work is charged to the {!Metrics}
     ledger under [symbolic_rewrites], [symbolic_samples],
     [symbolic_solves] and [symbolic_demotions].
@@ -117,27 +118,19 @@ val support_size : t -> int
 
 val subgroup : t -> Subgroup.t
 
-val has_pending : t -> bool
-(** In the middle of a per-wire Fourier sweep (some but not all wires
-    transformed)? *)
-
 (** {2 Operations} *)
 
 val tensor : t -> t -> t
-(** @raise Invalid_argument on a mid-sweep operand. *)
 
-val can_apply_dft : t -> wire:int -> inverse:bool -> bool
-(** Whether {!apply_dft} stays symbolic: true unless the wire was
-    already marked in this sweep or the direction flips mid-sweep. *)
-
-val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
-(** Mark one wire in O(log r); when every wire is marked the
-    closed-form rewrite fires (ledger: [symbolic_rewrites]).  [?plan]
-    is ignored: no amplitudes, no transform.
-    @raise Invalid_argument where {!can_apply_dft} is false. *)
+val fourier : t -> inverse:bool -> t
+(** The DFT of the whole register as the closed-form rewrite
+    [(H, c, p) -> (H^perp, -p, c)] (inverse: [(H^perp, p, -c)]), with
+    global phase [chi_c(p)]: the memoised annihilator plus O(r) relabel
+    and one coset reduction (ledger: [symbolic_rewrites]).  Wire order
+    is immaterial, since the per-wire DFTs commute. *)
 
 val can_measure : t -> wires:int list -> bool
-(** True iff no sweep is pending and [wires] covers the register. *)
+(** True iff [wires] covers the register. *)
 
 val measure : Random.State.t -> t -> wires:int list -> int array * t
 (** Full-register measurement: uniform coset draw, basis post-state.
@@ -146,8 +139,7 @@ val measure : Random.State.t -> t -> wires:int list -> int array * t
 val measure_all : Random.State.t -> t -> int array
 (** [fst (measure rng st ~wires:[0; ...; r-1])] with the same RNG use,
     but no post-state, so no normal-form solve (ledger:
-    [symbolic_samples] only).
-    @raise Invalid_argument mid-sweep. *)
+    [symbolic_samples] only). *)
 
 val norm : t -> float
 (** Always [1.0] — symbolic states are unit by construction. *)
@@ -160,11 +152,10 @@ val amp_at : t -> int -> Linalg.Cx.t
 val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
 (** In increasing encoded-index order.
     @raise Invalid_argument beyond
-    {!Backend.Caps.symbolic_materialise} or mid-sweep. *)
+    {!Backend.Caps.symbolic_materialise}. *)
 
 val demote : t -> Backend_sparse.t
-(** Materialise into the sparse backend, replaying any pending per-wire
-    DFTs (ledger: [symbolic_demotions]).
+(** Materialise into the sparse backend (ledger: [symbolic_demotions]).
     @raise Invalid_argument beyond
     {!Backend.Caps.symbolic_materialise}. *)
 

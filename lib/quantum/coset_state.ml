@@ -372,6 +372,6 @@ let annihilator_subgroup ~dims ys =
      row is zero mod dims only on a d_i = h_ii wire, where it is just
      d_i e_i. *)
   let module Zm = Numtheory.Zmatrix in
-  Zm.hnf_dual ~dims (Zm.hnf_basis ~dims ys)
+  Zm.hnf_dual (Zm.hnf_prepare ~dims (Zm.hnf_basis ~dims ys))
   |> Array.to_list
   |> List.filter (fun g -> not (Array.for_all2 (fun x d -> x mod d = 0) g dims))

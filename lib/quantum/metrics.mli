@@ -6,7 +6,8 @@
     and support.  This module keeps one global mutable ledger:
 
     - {e per-call counters} — gate ({!State.apply_wires}) and DFT
-      ({!State.apply_dft}) applications, basis-map and oracle ops,
+      ({!State.apply_dft}, one per wire of {!State.fourier})
+      applications, basis-map and oracle ops,
       measurements, states created.  Ticked by the {!State} dispatcher,
       so dense and sparse runs of the same circuit report identical
       values.
@@ -35,7 +36,9 @@
 type snapshot = {
   gate_apps : int;  (** [State.apply_wires] / [apply_wire] calls *)
   gate_fibres : int;  (** fibres transformed by those calls *)
-  dft_apps : int;  (** [State.apply_dft] calls *)
+  dft_apps : int;
+      (** single-wire DFTs: one per [State.apply_dft] call and one per
+          listed wire of a [State.fourier] sweep, on every backend *)
   dft_fibres : int;
       (** length-[d] fibres Fourier-transformed: total_dim/d per call on
           the dense backend, populated fibres only on the sparse one *)

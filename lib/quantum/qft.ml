@@ -1,14 +1,7 @@
 open Linalg
 
-let forward ?plans state ~wires =
-  List.fold_left
-    (fun st w ->
-      let plan = match plans with Some p -> Some p.(w) | None -> None in
-      State.apply_dft ?plan st ~wire:w ~inverse:false)
-    state wires
-
-let backward state ~wires =
-  List.fold_left (fun st w -> State.apply_dft st ~wire:w ~inverse:true) state wires
+let forward ?plans state ~wires = State.fourier ?plans state ~wires ~inverse:false
+let backward state ~wires = State.fourier state ~wires ~inverse:true
 
 let character ~dims y x =
   let acc = ref Cx.one in

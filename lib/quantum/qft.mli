@@ -7,12 +7,12 @@
     groups (the point of the paper is to avoid non-Abelian transforms). *)
 
 val forward : ?plans:Linalg.Fft.plan array -> State.t -> wires:int list -> State.t
-(** Apply the DFT of the appropriate dimension to each listed wire.
-    [plans.(w)], when given, is the prebuilt plan of wire [w]'s
-    dimension ({!State.apply_dft}'s [?plan]). *)
+(** Apply the DFT of the appropriate dimension to each listed wire: one
+    {!State.fourier} sweep.  [plans.(w)], when given, is the prebuilt
+    plan of wire [w]'s dimension. *)
 
 val backward : State.t -> wires:int list -> State.t
-(** Inverse QFT on each listed wire. *)
+(** Inverse QFT on each listed wire, as one {!State.fourier} sweep. *)
 
 val character : dims:int array -> int array -> int array -> Linalg.Cx.t
 (** [character ~dims y x] is the value at [x] of the character indexed

@@ -164,10 +164,9 @@ let support_size = function
   | Symbolic s -> Backend_symbolic.support_size s
 
 (* Amplitude-level operations on a symbolic state materialise it into
-   the sparse backend first (ledger: symbolic_demotions), replaying any
-   pending per-wire DFTs.  Capped at Caps.symbolic_materialise — the
-   symbolic fast path (of_coset / Qft.forward / measure_all) never
-   demotes. *)
+   the sparse backend first (ledger: symbolic_demotions).  Capped at
+   Caps.symbolic_materialise — the symbolic fast path (of_coset /
+   Qft.forward / measure_all) never demotes. *)
 let demoted s = Backend_symbolic.demote s
 
 let amplitudes = function
@@ -179,16 +178,12 @@ let amp_at t idx =
   match t with
   | Dense d -> Backend_dense.amp_at d idx
   | Sparse s -> Backend_sparse.amp_at s idx
-  (* Mid-sweep states have no closed-form amplitudes: materialise the
-     pending per-wire DFTs through a demotion first. *)
-  | Symbolic s when Backend_symbolic.has_pending s -> Backend_sparse.amp_at (demoted s) idx
   | Symbolic s -> Backend_symbolic.amp_at s idx
 
 let iter_nonzero t f =
   match t with
   | Dense d -> Backend_dense.iter_nonzero d f
   | Sparse s -> Backend_sparse.iter_nonzero s f
-  | Symbolic s when Backend_symbolic.has_pending s -> Backend_sparse.iter_nonzero (demoted s) f
   | Symbolic s -> Backend_symbolic.iter_nonzero s f
 
 let to_backend choice t =
@@ -231,9 +226,7 @@ let tensor a b =
   match (a, b) with
   | Dense x, Dense y -> Dense (Backend_dense.tensor x y)
   | Sparse x, Sparse y -> Sparse (Backend_sparse.tensor x y)
-  | Symbolic x, Symbolic y
-    when (not (Backend_symbolic.has_pending x)) && not (Backend_symbolic.has_pending y) ->
-      Symbolic (Backend_symbolic.tensor x y)
+  | Symbolic x, Symbolic y -> Symbolic (Backend_symbolic.tensor x y)
   (* Mixed operands promote to sparse: the product support is the
      product of supports, and sparse has no size ceiling to trip. *)
   | _ ->
@@ -272,15 +265,50 @@ let run_plan plan t =
       Some (Dense (Backend_dense.run_plan plan d))
   | Sparse _ | Symbolic _ -> None
 
+(* A single-wire DFT has no symbolic closed form: demote first. *)
 let apply_dft ?plan t ~wire ~inverse =
   Metrics.record_dft ();
   match t with
   | Dense d -> Dense (Backend_dense.apply_dft ?plan d ~wire ~inverse)
   | Sparse s -> Sparse (Backend_sparse.apply_dft ?plan s ~wire ~inverse)
-  | Symbolic s ->
-      if Backend_symbolic.can_apply_dft s ~wire ~inverse then
-        Symbolic (Backend_symbolic.apply_dft s ~wire ~inverse)
-      else Sparse (Backend_sparse.apply_dft ?plan (demoted s) ~wire ~inverse)
+  | Symbolic s -> Sparse (Backend_sparse.apply_dft ?plan (demoted s) ~wire ~inverse)
+
+(* Whether [wires] lists each wire of an [n]-wire register exactly
+   once: O(n), no sort. *)
+let permutes_register n wires =
+  let seen = Bytes.make n '\000' in
+  let rec go k = function
+    | [] -> k = n
+    | w :: rest ->
+        w >= 0 && w < n
+        && Bytes.get seen w = '\000'
+        && begin
+             Bytes.set seen w '\001';
+             go (k + 1) rest
+           end
+  in
+  go 0 wires
+
+(* One whole sweep: [dft_apps] ticks once per listed wire on every
+   backend.  A symbolic state swept over a permutation of its wires
+   takes the closed-form rewrite; any other sweep demotes it once and
+   runs the sparse per-wire DFTs. *)
+let fourier ?plans t ~wires ~inverse =
+  List.iter (fun _ -> Metrics.record_dft ()) wires;
+  let sparse_sweep s =
+    List.fold_left
+      (fun s wire ->
+        let plan = Option.map (fun p -> p.(wire)) plans in
+        Backend_sparse.apply_dft ?plan s ~wire ~inverse)
+      s wires
+  in
+  match t with
+  | _ when wires = [] -> t
+  | Dense d -> Dense (Backend_dense.fourier ?plans d ~wires ~inverse)
+  | Sparse s -> Sparse (sparse_sweep s)
+  | Symbolic s when permutes_register (Backend_symbolic.num_wires s) wires ->
+      Symbolic (Backend_symbolic.fourier s ~inverse)
+  | Symbolic s -> Sparse (sparse_sweep (demoted s))
 
 let apply_basis_map t f =
   Metrics.record_basis_map ();
@@ -325,10 +353,10 @@ let measure_all rng t =
   | Dense d ->
       Metrics.record_measurement ();
       Backend_dense.measure_all rng d
-  | Symbolic s when not (Backend_symbolic.has_pending s) ->
+  | Symbolic s ->
       Metrics.record_measurement ();
       Backend_symbolic.measure_all rng s
-  | Sparse _ | Symbolic _ ->
+  | Sparse _ ->
       let outcome, _ = measure rng t ~wires:(List.init (num_wires t) (fun i -> i)) in
       outcome
 
@@ -343,9 +371,7 @@ let approx_equal ?(eps = 1e-9) a b =
   match (a, b) with
   | Dense x, Dense y -> Backend_dense.approx_equal ~eps x y
   | Sparse x, Sparse y -> Backend_sparse.approx_equal ~eps x y
-  | Symbolic x, Symbolic y
-    when (not (Backend_symbolic.has_pending x)) && not (Backend_symbolic.has_pending y) ->
-      Backend_symbolic.approx_equal ~eps x y
+  | Symbolic x, Symbolic y -> Backend_symbolic.approx_equal ~eps x y
   | _ ->
       (* Cross-backend: compare over the union of supports.  The dense
          side iterates its nonzeros (it is under the cap by

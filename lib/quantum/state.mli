@@ -22,14 +22,14 @@
     register fits under the cap; never symbolic — see
     {!Backend.resolve}).  The amplitude backends dispatch every
     operation natively.  A symbolic state handles the {!Backend.CORE}
-    operations (construction, tensor, full Fourier sweeps, full
-    measurement) in closed form and {e demotes} to the sparse backend —
-    support materialised, capped at
+    operations (construction, tensor, full measurement) and
+    whole-register Fourier sweeps ({!fourier}) in closed form and
+    {e demotes} to the sparse backend — support materialised, capped at
     {!Backend.Caps.symbolic_materialise}, ledger
     [symbolic_demotions] — when an amplitude-level operation
     ({!apply_wires}, {!apply_basis_map}, {!apply_oracle_add},
-    {!probabilities}, partial measurement, a second DFT on the same
-    wire) is requested, so downstream code ({!Qft}, {!Circuit},
+    {!probabilities}, partial measurement, a single-wire DFT or a
+    partial sweep) is requested, so downstream code ({!Qft}, {!Circuit},
     {!Coset_state}, the solvers) stays representation-agnostic. *)
 
 type t
@@ -166,14 +166,32 @@ val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
     fibre on the amplitude backends ({!Linalg.Fft}: straight-line for
     [d <= 5], radix-2, a direct sum for other small [d], or Bluestein;
     the dense backend transforms the wire in place, many fibres per
-    call).  [?plan] is a prebuilt plan of
-    the wire's dimension; omitted, the call builds one.  The coset
-    samplers keep one plan per wire dimension, so their rounds never
-    rebuild one.  On a symbolic
-    state the wire is marked pending and the closed-form rewrite
-    [(H, c, p) -> (H^perp, -p, c)] fires once every wire is marked — a
-    full {!Qft.forward} pass costs one annihilator solve however large
-    the group. *)
+    call, on one fresh copy of the planes).  [?plan] is a prebuilt plan
+    of the wire's dimension; omitted, the call builds one.  A single
+    wire has no symbolic closed form, so a symbolic state demotes to
+    the sparse backend first (ledger: [symbolic_demotions]); sweep the
+    whole register with {!fourier} to stay symbolic.  Ticks [dft_apps]
+    once. *)
+
+val fourier : ?plans:Linalg.Fft.plan array -> t -> wires:int list -> inverse:bool -> t
+(** One Fourier sweep: the DFT on each listed wire, in the listed order
+    ({!Qft.forward} and {!Qft.backward} are one call each).
+    [plans.(w)], when given, is the prebuilt plan of wire [w]'s
+    dimension; the coset samplers keep one plan per wire dimension, so
+    their rounds never rebuild one.  Ticks [dft_apps] once per listed
+    wire on every backend.
+    - Dense: one copy of the planes, then every wire in place with
+      {!apply_dft}'s kernel — bit-identical to folding {!apply_dft}
+      over the wires, at one plane copy per sweep instead of per wire.
+    - Sparse: the fold of {!apply_dft} over the wires.
+    - Symbolic: when [wires] is a permutation of the whole register
+      (checked in O(r), no sort), the closed-form rewrite
+      [(H, c, p) -> (H^perp, -p, c)] ({!Backend_symbolic.fourier}, one
+      [symbolic_rewrites] tick) — a full {!Qft.forward} costs one
+      memoised annihilator solve however large the group.  Any other
+      sweep (a strict subset, a repeated wire) demotes once to the
+      sparse backend and runs the sparse fold.
+    An empty [wires] returns the state unchanged. *)
 
 val apply_basis_map : t -> (int array -> int array) -> t
 (** Relabel basis states by a bijection on tuples (a classical
@@ -202,7 +220,7 @@ val measure : Random.State.t -> t -> wires:int list -> int array * t
 val measure_all : Random.State.t -> t -> int array
 (** The outcome of [measure ~wires:(all wires)], post-state discarded.
     A dense state draws it straight off its amplitude planes, and a
-    symbolic state (not mid-sweep) takes one subgroup draw without
+    symbolic state takes one subgroup draw without
     building the basis post-state; both give the same outcome and RNG
     consumption as the full measurement. *)
 

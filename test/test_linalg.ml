@@ -290,12 +290,12 @@ let span rows = Z.hnf_basis ~dims:(z2 (Array.length (List.hd rows))) rows
 
 let rank rows =
   let n = Array.length (List.hd rows) in
-  Float.to_int (Float.round (Z.hnf_order_log2 ~dims:(z2 n) (span rows)))
+  Float.to_int (Float.round (Z.hnf_order_log2 (Z.hnf_prepare ~dims:(z2 n) (span rows))))
 
 (* The annihilator of the span: the GF(2) kernel of the rows. *)
 let kernel rows =
   let dims = z2 (Array.length (List.hd rows)) in
-  Z.hnf_elements ~dims (Z.hnf_dual ~dims (span rows))
+  Z.hnf_elements (Z.hnf_prepare ~dims (Z.hnf_dual (Z.hnf_prepare ~dims (span rows))))
 
 let dot a b = Array.fold_left ( + ) 0 (Array.map2 ( * ) a b) land 1
 
@@ -307,7 +307,7 @@ let test_gf2_rref_rank () =
 
 let test_gf2_in_span () =
   let basis = span [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ] ] in
-  let mem = Z.hnf_mem ~dims:(z2 3) basis in
+  let mem = Z.hnf_mem (Z.hnf_prepare ~dims:(z2 3) basis) in
   checkb "sum in span" true (mem (v [ 1; 0; 1 ]));
   checkb "not in span" false (mem (v [ 1; 0; 0 ]));
   checkb "zero in span" true (mem (v [ 0; 0; 0 ]))
@@ -363,12 +363,13 @@ let qcheck_props =
       (make (vec 6))
       (fun x ->
         (* x + x = 0: every nonzero vector generates a subgroup of order 2 *)
-        Z.hnf_order_int ~dims:(z2 6) (span [ x ]) = Some (if Array.mem 1 x then 2 else 1));
+        Z.hnf_order_int (Z.hnf_prepare ~dims:(z2 6) (span [ x ])) = Some (if Array.mem 1 x then 2 else 1));
     Test.make ~name:"gf2 dot bilinear" ~count:200
       (make Gen.(triple (vec 5) (vec 5) (vec 5)))
       (fun (a, b, c) ->
         (* (a + b).c = a.c + b.c: c annihilates <a, b> iff it annihilates both *)
-        let ann rows = Z.hnf_mem ~dims:(z2 5) (Z.hnf_dual ~dims:(z2 5) (span rows)) c in
+        let prep = Z.hnf_prepare ~dims:(z2 5) in
+        let ann rows = Z.hnf_mem (prep (Z.hnf_dual (prep (span rows)))) c in
         ann [ a; b ] = (ann [ a ] && ann [ b ]));
     Test.make ~name:"fft plan: inverse . forward = id" ~count:200
       (make Gen.(pair (int_range 1 300) int))
@@ -381,7 +382,7 @@ let qcheck_props =
       (make Gen.(list_size (int_range 1 4) (vec 5)))
       (fun rows ->
         let b = span rows in
-        Z.equal (span (Array.to_list b)) b && List.for_all (Z.hnf_mem ~dims:(z2 5) b) rows);
+        Z.equal (span (Array.to_list b)) b && List.for_all (Z.hnf_mem (Z.hnf_prepare ~dims:(z2 5) b)) rows);
   ]
 
 let () =

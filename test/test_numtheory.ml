@@ -358,14 +358,15 @@ let test_hnf_vs_brute () =
           Array.init r (fun i -> Random.State.int rng dims.(i)))
     in
     let b = Zmatrix.hnf_basis ~dims gens in
+    let pb = Zmatrix.hnf_prepare ~dims b in
     let closure = brute_closure ~dims gens in
     (* order matches the closure *)
-    (match Zmatrix.hnf_order_int ~dims b with
+    (match Zmatrix.hnf_order_int pb with
     | Some o -> check "order" (List.length closure) o
     | None -> Alcotest.fail "order overflow on a tiny group");
     checkb "order log2" true
       (Float.abs
-         (Zmatrix.hnf_order_log2 ~dims b -. (log (float_of_int (List.length closure)) /. log 2.))
+         (Zmatrix.hnf_order_log2 pb -. (log (float_of_int (List.length closure)) /. log 2.))
       < 1e-9);
     (* membership agrees pointwise over the whole ambient group *)
     let total = Array.fold_left ( * ) 1 dims in
@@ -381,10 +382,10 @@ let test_hnf_vs_brute () =
         fill (r - 1) idx;
         t
       in
-      checkb "mem" (List.mem (Array.to_list x) closure) (Zmatrix.hnf_mem ~dims b x)
+      checkb "mem" (List.mem (Array.to_list x) closure) (Zmatrix.hnf_mem pb x)
     done;
     (* elements enumerates exactly the closure *)
-    let elems = List.sort compare (List.map Array.to_list (Zmatrix.hnf_elements ~dims b)) in
+    let elems = List.sort compare (List.map Array.to_list (Zmatrix.hnf_elements pb)) in
     checkb "elements" true (elems = closure)
   done
 
@@ -393,16 +394,17 @@ let test_hnf_reduce_canonical () =
   let dims = [| 4; 6; 8 |] in
   let gens = [ [| 2; 0; 0 |]; [| 0; 3; 2 |] ] in
   let b = Zmatrix.hnf_basis ~dims gens in
+  let pb = Zmatrix.hnf_prepare ~dims b in
   for _ = 1 to 200 do
     let x = Array.map (fun d -> Random.State.int rng d) dims in
-    let h = Zmatrix.hnf_sample rng ~dims b in
+    let h = Zmatrix.hnf_sample rng pb in
     let y = Array.init 3 (fun i -> (x.(i) + h.(i)) mod dims.(i)) in
     (* same coset -> same canonical representative; the representative
        itself is in the coset of x *)
-    let rx = Zmatrix.hnf_reduce ~dims b x and ry = Zmatrix.hnf_reduce ~dims b y in
+    let rx = Zmatrix.hnf_reduce pb x and ry = Zmatrix.hnf_reduce pb y in
     checkb "same rep" true (Array.to_list rx = Array.to_list ry);
     let diff = Array.init 3 (fun i -> (x.(i) - rx.(i) + dims.(i)) mod dims.(i)) in
-    checkb "rep in coset" true (Zmatrix.hnf_mem ~dims b diff)
+    checkb "rep in coset" true (Zmatrix.hnf_mem pb diff)
   done
 
 let test_hnf_sample_uniform () =
@@ -410,13 +412,14 @@ let test_hnf_sample_uniform () =
   let dims = [| 4; 6 |] in
   let gens = [ [| 2; 3 |] ] in
   let b = Zmatrix.hnf_basis ~dims gens in
-  let order = Option.get (Zmatrix.hnf_order_int ~dims b) in
+  let pb = Zmatrix.hnf_prepare ~dims b in
+  let order = Option.get (Zmatrix.hnf_order_int pb) in
   let n = 2000 in
   let counts = Hashtbl.create 16 in
   for _ = 1 to n do
-    let x = Array.to_list (Zmatrix.hnf_sample rng ~dims b) in
+    let x = Array.to_list (Zmatrix.hnf_sample rng pb) in
     Hashtbl.replace counts x (1 + Option.value ~default:0 (Hashtbl.find_opt counts x));
-    checkb "sample in subgroup" true (Zmatrix.hnf_mem ~dims b (Array.of_list x))
+    checkb "sample in subgroup" true (Zmatrix.hnf_mem pb (Array.of_list x))
   done;
   check "hits every element" order (Hashtbl.length counts);
   let expected = float_of_int n /. float_of_int order in
@@ -436,12 +439,14 @@ let test_hnf_dual () =
           Array.init r (fun i -> Random.State.int rng dims.(i)))
     in
     let b = Zmatrix.hnf_basis ~dims gens in
-    let d = Zmatrix.hnf_dual ~dims b in
+    let pb = Zmatrix.hnf_prepare ~dims b in
+    let d = Zmatrix.hnf_dual pb in
+    let pd = Zmatrix.hnf_prepare ~dims d in
     (* |H| * |H^perp| = |G| *)
     let total = Array.fold_left ( * ) 1 dims in
     check "order product"
       total
-      (Option.get (Zmatrix.hnf_order_int ~dims b) * Option.get (Zmatrix.hnf_order_int ~dims d));
+      (Option.get (Zmatrix.hnf_order_int pb) * Option.get (Zmatrix.hnf_order_int pd));
     (* every pair (h, y) pairs trivially *)
     List.iter
       (fun h ->
@@ -451,10 +456,10 @@ let test_hnf_dual () =
             let l = Array.fold_left Arith.lcm 1 dims in
             Array.iteri (fun i hi -> s := !s + (hi * y.(i) * (l / dims.(i)))) h;
             check "character trivial" 0 (Arith.emod !s l))
-          (Zmatrix.hnf_elements ~dims d))
-      (Zmatrix.hnf_elements ~dims b);
+          (Zmatrix.hnf_elements pd))
+      (Zmatrix.hnf_elements pb);
     (* dual of dual is the original (canonical forms are equal) *)
-    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual ~dims d) b)
+    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual pd) b)
   done
 
 let test_hnf_large () =
@@ -462,12 +467,14 @@ let test_hnf_large () =
   let dims = Array.make 200 2 in
   let gens = List.init 100 (fun i -> Array.init 200 (fun j -> if j = 2 * i || j = 2 * i + 1 then 1 else 0)) in
   let b = Zmatrix.hnf_basis ~dims gens in
-  checkb "order log2 = 100" true (Float.abs (Zmatrix.hnf_order_log2 ~dims b -. 100.) < 1e-9);
-  checkb "order int overflows" true (Zmatrix.hnf_order_int ~dims b = None);
-  checkb "generator member" true (Zmatrix.hnf_mem ~dims b (List.hd gens));
-  checkb "non-member" false (Zmatrix.hnf_mem ~dims b (Array.init 200 (fun j -> if j = 0 then 1 else 0)));
-  let d = Zmatrix.hnf_dual ~dims b in
-  checkb "dual order log2 = 100" true (Float.abs (Zmatrix.hnf_order_log2 ~dims d -. 100.) < 1e-9)
+  let pb = Zmatrix.hnf_prepare ~dims b in
+  checkb "order log2 = 100" true (Float.abs (Zmatrix.hnf_order_log2 pb -. 100.) < 1e-9);
+  checkb "order int overflows" true (Zmatrix.hnf_order_int pb = None);
+  checkb "generator member" true (Zmatrix.hnf_mem pb (List.hd gens));
+  checkb "non-member" false (Zmatrix.hnf_mem pb (Array.init 200 (fun j -> if j = 0 then 1 else 0)));
+  let d = Zmatrix.hnf_dual pb in
+  let pd = Zmatrix.hnf_prepare ~dims d in
+  checkb "dual order log2 = 100" true (Float.abs (Zmatrix.hnf_order_log2 pd -. 100.) < 1e-9)
 
 (* Large rank with non-coprime mixed dims: the canonicalisation and
    the dual must keep every entry reduced, or entries grow by a factor
@@ -486,18 +493,20 @@ let test_hnf_large_mixed () =
           Array.map (fun d -> if Random.State.int rng 3 = 0 then 0 else Random.State.int rng d) dims)
     in
     let b = Zmatrix.hnf_basis ~dims gens in
-    checkb "generators are members" true (List.for_all (Zmatrix.hnf_mem ~dims b) gens);
+    let pb = Zmatrix.hnf_prepare ~dims b in
+    checkb "generators are members" true (List.for_all (Zmatrix.hnf_mem pb) gens);
     let closed = ref true and reduced = ref true in
     Array.iteri
       (fun i row ->
         let m = dims.(i) / row.(i) in
-        if not (Zmatrix.hnf_mem ~dims b (Array.map (fun x -> m * x) row)) then closed := false;
+        if not (Zmatrix.hnf_mem pb (Array.map (fun x -> m * x) row)) then closed := false;
         Array.iteri (fun j x -> if x < 0 || x > dims.(j) || (x = dims.(j) && j <> i) then reduced := false) row)
       b;
     checkb "basis closed" true !closed;
     checkb "entries reduced" true !reduced;
     checkb "idempotent" true (Zmatrix.equal (Zmatrix.hnf_basis ~dims (Array.to_list b)) b);
-    let d = Zmatrix.hnf_dual ~dims b in
+    let d = Zmatrix.hnf_dual pb in
+    let pd = Zmatrix.hnf_prepare ~dims d in
     let l = Array.fold_left Arith.lcm 1 dims in
     let pairing y h =
       let s = ref 0 in
@@ -508,9 +517,9 @@ let test_hnf_large_mixed () =
       (Array.for_all (fun y -> Array.for_all (fun h -> pairing y h = 0) b) d);
     let log2_total = Array.fold_left (fun a x -> a +. (log (float_of_int x) /. log 2.)) 0. dims in
     checkb "order product" true
-      (Float.abs (Zmatrix.hnf_order_log2 ~dims b +. Zmatrix.hnf_order_log2 ~dims d -. log2_total)
+      (Float.abs (Zmatrix.hnf_order_log2 pb +. Zmatrix.hnf_order_log2 pd -. log2_total)
        < 1e-6);
-    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual ~dims d) b)
+    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual pd) b)
   done
 
 (* ------------------------------------------------------------------ *)

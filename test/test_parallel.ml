@@ -406,7 +406,7 @@ let test_probabilities_bit_identical () =
    lane ranges, a short last range, few or many blocks, and every kernel
    family (straight-line, radix-2, root-table sum, Bluestein), the
    result at jobs 2 and 4 under Shuffle is the serial FIFO run's, bit
-   for bit. *)
+   for bit; and so is a whole Qft sweep against the per-wire fold. *)
 let test_dense_dft_bit_identical () =
   List.iter
     (fun dims ->
@@ -432,8 +432,30 @@ let test_dense_dft_bit_identical () =
                     (identical base (with_sched Parallel.Shuffle (fun () -> with_jobs j run))))
                 [ 2; 4 ])
             [ false; true ])
-        dims)
-    [ [| 3; 64; 512 |]; [| 36; 6; 300 |] ]
+        dims;
+      (* The whole sweep runs every wire on one copy of the planes; it
+         must be the per-wire fold's state bit for bit, in the caller's
+         wire order, at every job count under Shuffle. *)
+      let wires = List.rev (List.init (Array.length dims) Fun.id) in
+      List.iter
+        (fun inverse ->
+          let fold =
+            with_jobs 1 (fun () ->
+                List.fold_left (fun st wire -> State.apply_dft st ~wire ~inverse) st wires)
+          in
+          let sweep () =
+            if inverse then Qft.backward st ~wires else Qft.forward st ~wires
+          in
+          List.iter
+            (fun j ->
+              checkb
+                (Printf.sprintf "dims %d whole sweep inverse %b: jobs=%d shuffled matches fold"
+                   (Array.length dims) inverse j)
+                true
+                (identical fold (with_sched Parallel.Shuffle (fun () -> with_jobs j sweep))))
+            [ 1; 2; 4 ])
+        [ false; true ])
+    [ [| 3; 64; 512 |]; [| 36; 6; 300 |]; [| 3; 3; 3; 3; 4; 4; 4 |] ]
 
 let () =
   Alcotest.run "parallel"

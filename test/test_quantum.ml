@@ -525,6 +525,50 @@ let test_same_seed_pin () =
   Alcotest.(check string) "sparse digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Sparse);
   Alcotest.(check string) "dense digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Dense)
 
+(* Digest of 40 draws per subgroup plus the next RNG word, through
+   [sampler_with_subgroup] on the symbolic backend: a dense random
+   subgroup of Z_2^128, a dense random subgroup of Z_3^80, and E13's
+   pair-shaped subgroup span{e_2i + e_2i+1} of Z_2^120. *)
+let symbolic_pin_digest () =
+  let gen_rng = Random.State.make [| 0x5b; 128 |] in
+  let random_gens ~dims ~count =
+    List.init count (fun _ -> Array.map (fun d -> Random.State.int gen_rng d) dims)
+  in
+  let pair_gens r =
+    List.init (r / 2) (fun i -> Array.init r (fun j -> if j / 2 = i then 1 else 0))
+  in
+  let z2 = Array.make 128 2 and z3 = Array.make 80 3 and pairs = Array.make 120 2 in
+  let shapes =
+    [
+      ("Z_2^128", z2, random_gens ~dims:z2 ~count:40);
+      ("Z_3^80", z3, random_gens ~dims:z3 ~count:30);
+      ("Z_2^120 pairs", pairs, pair_gens 120);
+    ]
+  in
+  let buf = Buffer.create 65536 in
+  List.iteri
+    (fun i (name, dims, subgroup) ->
+      let draw =
+        Coset_state.sampler_with_subgroup ~backend:Backend.Symbolic ~dims ~subgroup
+          ~queries:(Query.create ()) ()
+      in
+      let rng = Random.State.make [| 0x5eed; 0x5b; i |] in
+      Buffer.add_string buf name;
+      for _ = 1 to 40 do
+        Array.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) (draw rng);
+        Buffer.add_char buf ';'
+      done;
+      Buffer.add_string buf (string_of_int (Random.State.bits rng)))
+    shapes;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded before the whole-register Fourier sweep and the row-sparse
+   HNF steps landed: both must leave every symbolic outcome and the RNG
+   stream untouched. *)
+let test_symbolic_seed_pin () =
+  Alcotest.(check string) "symbolic digest" "634fda6a70013bea08dd180144702f5c"
+    (symbolic_pin_digest ())
+
 (* The bucket tables as the State.decode loop built them before the
    odometer pass: ids in order of first appearance, buckets ascending. *)
 let decode_loop_buckets ~dims ~f =
@@ -665,7 +709,8 @@ let test_gate_level_simon () =
   (* the annihilator of the sample span in Z_2^n is exactly {0, s} *)
   let z2 = Array.make n 2 in
   let kernel =
-    Numtheory.Zmatrix.(hnf_elements ~dims:z2 (hnf_dual ~dims:z2 (hnf_basis ~dims:z2 samples)))
+    Numtheory.Zmatrix.(
+      hnf_elements (hnf_prepare ~dims:z2 (hnf_dual (hnf_prepare ~dims:z2 (hnf_basis ~dims:z2 samples)))))
   in
   checkb "mask recovered" true
     (List.sort compare kernel = List.sort compare [ Array.make n 0; s ])
@@ -773,6 +818,7 @@ let () =
           Alcotest.test_case "subgroup sampler exact law" `Quick test_subgroup_sampler_law;
           Alcotest.test_case "prep_bytes = heap footprint" `Quick test_prep_bytes;
           Alcotest.test_case "same-seed pin (sampler_of_prep)" `Quick test_same_seed_pin;
+          Alcotest.test_case "same-seed pin (symbolic sampler)" `Quick test_symbolic_seed_pin;
           Alcotest.test_case "prep tables = decode loop" `Quick test_prep_tables_match_decode_loop;
           Alcotest.test_case "full_int stream pin" `Quick test_full_int_stream_pin;
         ] );

@@ -1,6 +1,7 @@
 (* Tests for the symbolic coset-state backend and the subgroup-level
    sampling pipeline: closed-form DFT rewrite vs the dense backend,
-   sweep marks, coset recognition, demotion equivalence, the
+   whole-register sweeps and partial-sweep demotion, coset
+   recognition, demotion equivalence, the
    measure_all fast path, annihilator_subgroup against the Smith
    normal-form route and its edge cases, and the chi-squared
    differential gate between symbolic and amplitude-level sampling. *)
@@ -101,16 +102,85 @@ let print_dims_gens (dims, gens) =
   let arr a = "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "]" in
   Printf.sprintf "dims=%s gens=%s" (arr dims) (String.concat " " (List.map arr gens))
 
+(* The plain sampling loop: all r coefficients drawn in row order,
+   then x = sum_i c_i row_i reduced coordinatewise — the oracle for the
+   row-sparse [Zmatrix.hnf_sample], which must make the same draws. *)
+let reference_hnf_sample rng ~dims basis =
+  let emod = Numtheory.Arith.emod in
+  let r = Array.length dims in
+  let cs = Array.init r (fun i -> Random.State.full_int rng (dims.(i) / basis.(i).(i))) in
+  Array.init r (fun j ->
+      let acc = ref 0 in
+      for i = 0 to j do
+        acc := emod (!acc + emod (cs.(i) * basis.(i).(j)) dims.(j)) dims.(j)
+      done;
+      !acc)
+
+(* Bases whose rows are dense, sparse (one or two nonzeros right of the
+   diagonal) or diagonal, over dims up to 2^31: the HNF of a mix of
+   such generators, with small and large wires side by side. *)
+let gen_shaped_dims_gens =
+  let open QCheck.Gen in
+  let* r = int_range 1 6 in
+  let* dims =
+    array_repeat r
+      (oneof
+         [
+           oneofl [ 1; 2; 3; 4; 6; 8; 9; 12 ];
+           int_range 2 ((1 lsl 31) - 1);
+           (* a shared large prime: rows over several such wires keep
+              large diagonal entries, so large products pile up in one
+              coordinate *)
+           return ((1 lsl 31) - 1);
+         ])
+  in
+  let entry i = int_range 0 (dims.(i) - 1) in
+  let dense = array_size (return r) (int_range 0 max_int) >|= Array.mapi (fun i x -> x mod dims.(i)) in
+  let sparse =
+    let* lead = int_range 0 (r - 1) in
+    let* others = list_size (int_range 0 2) (int_range lead (r - 1)) in
+    let* vals = array_size (return r) (int_range 0 max_int) in
+    return
+      (Array.init r (fun j ->
+           if j = lead || List.mem j others then 1 + (vals.(j) mod dims.(j)) else 0))
+  in
+  let diagonal =
+    let* i = int_range 0 (r - 1) in
+    let* a = entry i in
+    return (Array.init r (fun j -> if j = i then a else 0))
+  in
+  let* k = int_range 0 (2 * r) in
+  let* gens = list_repeat k (frequency [ (1, dense); (2, sparse); (2, diagonal) ]) in
+  return (dims, gens)
+
+let gen_any_dims_gens = QCheck.Gen.oneof [ gen_dims_gens; gen_shaped_dims_gens ]
+
 let qcheck_reduce_vs_reference =
   QCheck.Test.make ~name:"lean hnf_reduce = reference loop" ~count:300
-    (QCheck.make ~print:print_dims_gens gen_dims_gens)
+    (QCheck.make ~print:print_dims_gens gen_any_dims_gens)
     (fun (dims, gens) ->
       let basis = Numtheory.Zmatrix.hnf_basis ~dims gens in
+      let p = Numtheory.Zmatrix.hnf_prepare ~dims basis in
       let st = Random.State.make [| List.length gens; Array.fold_left ( + ) 0 dims |] in
       List.for_all
         (fun _ ->
-          let x = Array.map (fun d -> Random.State.int st (4 * d) - (2 * d)) dims in
-          Numtheory.Zmatrix.hnf_reduce ~dims basis x = reference_hnf_reduce ~dims basis x)
+          let x = Array.map (fun d -> Random.State.full_int st (4 * d) - (2 * d)) dims in
+          Numtheory.Zmatrix.hnf_reduce p x = reference_hnf_reduce ~dims basis x)
+        (List.init 20 Fun.id))
+
+(* Same vector and same RNG state after the call, draw for draw. *)
+let qcheck_sample_vs_reference =
+  QCheck.Test.make ~name:"lean hnf_sample = reference loop" ~count:300
+    (QCheck.make ~print:print_dims_gens gen_any_dims_gens)
+    (fun (dims, gens) ->
+      let basis = Numtheory.Zmatrix.hnf_basis ~dims gens in
+      let p = Numtheory.Zmatrix.hnf_prepare ~dims basis in
+      let seed = [| List.length gens; Array.fold_left ( + ) 0 dims |] in
+      let a = Random.State.make seed and b = Random.State.make seed in
+      List.for_all
+        (fun _ ->
+          let x = Numtheory.Zmatrix.hnf_sample a p and y = reference_hnf_sample b ~dims basis in
+          x = y && Random.State.bits a = Random.State.bits b)
         (List.init 20 Fun.id))
 
 let test_reduce_coset_invariant () =
@@ -179,51 +249,59 @@ let test_rewrite_ledger () =
   checki "one rewrite per full sweep" 1 snap.Metrics.symbolic_rewrites;
   checkb "no demotion" true (snap.Metrics.symbolic_demotions = 0)
 
-(* A sweep accepts each wire once, in one direction.  The backend
-   rejects a repeated wire or a direction change mid-sweep; the State
-   dispatcher then demotes and the result still matches dense. *)
+(* A sweep ticks [dft_apps] once per wire on every backend, and on a
+   symbolic state a full sweep in any wire order is one rewrite and no
+   demotion. *)
+let test_sweep_ledger () =
+  let dims = [| 4; 6; 3 |] in
+  let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 3; 0 |]; [| 0; 2; 1 |] ] in
+  let rep = [| 1; 4; 2 |] in
+  let wires = [ 2; 0; 1 ] in
+  List.iter
+    (fun backend ->
+      let st = State.of_coset ~backend sub ~rep in
+      Metrics.reset ();
+      let out = Qft.forward st ~wires in
+      let m = Metrics.snapshot () in
+      checki "dft_apps = r" 3 m.Metrics.dft_apps;
+      checkb "same backend" true (State.backend out = backend);
+      if backend = Backend.Symbolic then begin
+        checki "one rewrite" 1 m.Metrics.symbolic_rewrites;
+        checki "no demotion" 0 m.Metrics.symbolic_demotions
+      end)
+    [ Backend.Dense; Backend.Sparse; Backend.Symbolic ]
+
+(* Only a permutation of the whole register is a symbolic sweep: a
+   repeated wire, a missing wire or a mixed-direction pair of sweeps
+   demotes once at the sweep and still matches dense, and a wire out of
+   range raises like it does on dense. *)
 let test_sweep_rejections () =
   let dims = [| 4; 6; 3 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 3; 0 |]; [| 0; 2; 1 |] ] in
   let rep = [| 1; 4; 2 |] in
-  let sym = Backend_symbolic.of_coset sub rep in
-  let marked = Backend_symbolic.apply_dft sym ~wire:1 ~inverse:false in
-  checkb "mid-sweep" true (Backend_symbolic.has_pending marked);
-  checkb "fresh wire accepted" true (Backend_symbolic.can_apply_dft marked ~wire:0 ~inverse:false);
-  checkb "repeated wire rejected" false
-    (Backend_symbolic.can_apply_dft marked ~wire:1 ~inverse:false);
-  checkb "direction change rejected" false
-    (Backend_symbolic.can_apply_dft marked ~wire:0 ~inverse:true);
-  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
-  checkb "repeated wire raises" true
-    (raises (fun () -> Backend_symbolic.apply_dft marked ~wire:1 ~inverse:false));
-  checkb "direction change raises" true
-    (raises (fun () -> Backend_symbolic.apply_dft marked ~wire:0 ~inverse:true));
-  checkb "wire out of range raises" true
-    (raises (fun () -> Backend_symbolic.apply_dft marked ~wire:3 ~inverse:false));
-  (* wire order is free: the rewrite fires on the last unmarked wire *)
-  let done_ =
-    List.fold_left (fun st w -> Backend_symbolic.apply_dft st ~wire:w ~inverse:false) marked [ 2; 0 ]
-  in
-  checkb "sweep complete" false (Backend_symbolic.has_pending done_);
   let sym_s = State.of_coset ~backend:Backend.Symbolic sub ~rep in
   let den_s = State.of_coset ~backend:Backend.Dense sub ~rep in
+  (* wire order is free *)
   checkb "out-of-order sweep agrees" true
     (State.approx_equal ~eps:1e-9 (Qft.forward sym_s ~wires:[ 2; 0; 1 ])
        (Qft.forward den_s ~wires:[ 2; 0; 1 ]));
-  let through_state sym den f =
+  let through_state ~demotions sym den f =
     Metrics.reset ();
-    let a = f sym and b = f den in
-    checkb "demoted" true ((Metrics.snapshot ()).Metrics.symbolic_demotions >= 1);
+    let a = f sym in
+    checki "demoted at the sweep" demotions (Metrics.snapshot ()).Metrics.symbolic_demotions;
     checkb "not symbolic" true (State.backend a <> Backend.Symbolic);
-    checkb "matches dense" true (State.approx_equal ~eps:1e-9 a b)
+    checkb "matches dense" true (State.approx_equal ~eps:1e-9 a (f den))
   in
-  through_state sym_s den_s (fun st -> Qft.forward st ~wires:[ 1; 0; 1 ]);
-  through_state sym_s den_s (fun st ->
-      Qft.backward (Qft.forward st ~wires:[ 1; 2 ]) ~wires:[ 0 ])
+  through_state ~demotions:1 sym_s den_s (fun st -> Qft.forward st ~wires:[ 1; 0; 1 ]);
+  through_state ~demotions:1 sym_s den_s (fun st -> Qft.forward st ~wires:[ 1; 2 ]);
+  through_state ~demotions:1 sym_s den_s (fun st ->
+      Qft.backward (Qft.forward st ~wires:[ 1; 2 ]) ~wires:[ 0 ]);
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  checkb "wire out of range raises" true (raises (fun () -> Qft.forward sym_s ~wires:[ 0; 1; 3 ]));
+  checkb "dense raises too" true (raises (fun () -> Qft.forward den_s ~wires:[ 0; 1; 3 ]))
 
-(* Demotion after a partial sweep replays the marked wires, whatever
-   subset and order they were marked in. *)
+(* A partial sweep demotes at the sweep, whatever subset and order,
+   and the sparse per-wire DFTs then match dense. *)
 let test_partial_sweep_demotion_random () =
   let st = rng () in
   for _ = 1 to 20 do
@@ -238,7 +316,8 @@ let test_partial_sweep_demotion_random () =
     let sweep s = if inverse then Qft.backward s ~wires else Qft.forward s ~wires in
     let sym = sweep (State.of_coset ~backend:Backend.Symbolic sub ~rep) in
     let den = sweep (State.of_coset ~backend:Backend.Dense sub ~rep) in
-    checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym den)
+    checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym den);
+    if wires <> [] then checkb "partial sweep demoted" true (State.backend sym = Backend.Sparse)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -293,15 +372,28 @@ let test_demotion_equivalence () =
     p_sym
 
 let test_mid_sweep_demotion () =
-  (* DFT on a strict subset of wires, then measurement: the pending
-     marks must replay correctly through the demotion. *)
+  (* DFT on a strict subset of wires, then on the rest: the first
+     sweep demotes once, the second runs on sparse, and the result is
+     the full transform.  A single-wire DFT demotes at once too. *)
   let dims = [| 2; 2; 2 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 1; 0; 1 |] ] in
   let sym = State.of_coset ~backend:Backend.Symbolic sub ~rep:[| 0; 1; 0 |] in
   let den = State.of_coset ~backend:Backend.Dense sub ~rep:[| 0; 1; 0 |] in
+  Metrics.reset ();
   let sym' = Qft.forward sym ~wires:[ 0; 2 ] in
+  checki "one demotion at the sweep" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+  checkb "sparse after a partial sweep" true (State.backend sym' = Backend.Sparse);
   let den' = Qft.forward den ~wires:[ 0; 2 ] in
-  checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym' den')
+  checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym' den');
+  let sym'' = Qft.forward sym' ~wires:[ 1 ] and den'' = Qft.forward den' ~wires:[ 1 ] in
+  checki "no second demotion" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+  checkb "completed sweep agrees" true (State.approx_equal ~eps:1e-9 sym'' den'');
+  checkb "completed sweep = one full sweep" true
+    (State.approx_equal ~eps:1e-9 sym'' (Qft.forward sym ~wires:(all_wires dims)));
+  let one = State.apply_dft sym ~wire:1 ~inverse:false in
+  checki "per-wire DFT demotes" 2 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+  checkb "per-wire DFT agrees" true
+    (State.approx_equal ~eps:1e-9 one (State.apply_dft den ~wire:1 ~inverse:false))
 
 (* ------------------------------------------------------------------ *)
 (* Measurement law                                                     *)
@@ -366,15 +458,17 @@ let test_measure_all_fast_path () =
       checki "one draw" 1 m.Metrics.symbolic_samples;
       checki "no solve" 0 m.Metrics.symbolic_solves)
     registers;
-  (* a mid-sweep state still demotes, and its outcome has mass *)
+  (* a partial sweep demotes once, at the sweep; measuring the sparse
+     result demotes nothing more, and its outcome has mass *)
   let dims = [| 4; 6; 8 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 0; 0 |]; [| 0; 3; 4 |] ] in
   let partial st = Qft.forward st ~wires:[ 0; 2 ] in
+  Metrics.reset ();
   let sym = partial (State.of_coset ~backend:Backend.Symbolic sub ~rep:[| 1; 2; 3 |]) in
   let den = partial (State.of_coset ~backend:Backend.Dense sub ~rep:[| 1; 2; 3 |]) in
-  Metrics.reset ();
+  checki "demoted once, at the sweep" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
   let y = State.measure_all (Random.State.make [| 5 |]) sym in
-  checki "demoted once" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+  checki "measurement demotes nothing" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
   checkb "outcome in the support" true
     (Linalg.Cx.norm2 (State.amp_at den (State.encode dims y)) > 1e-12)
 
@@ -611,6 +705,7 @@ let () =
         [
           Alcotest.test_case "matches dense DFT" `Quick test_rewrite_matches_dense;
           Alcotest.test_case "ledger" `Quick test_rewrite_ledger;
+          Alcotest.test_case "sweep ledger on every backend" `Quick test_sweep_ledger;
         ] );
       ( "recognition",
         [
@@ -642,5 +737,10 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_differential; qcheck_reduce_vs_reference; qcheck_annihilator_vs_snf ] );
+          [
+            qcheck_differential;
+            qcheck_reduce_vs_reference;
+            qcheck_sample_vs_reference;
+            qcheck_annihilator_vs_snf;
+          ] );
     ]
