@@ -6,7 +6,7 @@
    oracle-query and time scaling of the quantum algorithm against the
    classical baseline, on the group families the paper names.
 
-     dune exec bench/main.exe              -- e1..e15, then micro
+     dune exec bench/main.exe              -- e1..e14, then micro
      dune exec bench/main.exe -- e3 e5     -- selected experiments
      dune exec bench/main.exe -- smoke     -- one instance per theorem
      dune exec bench/main.exe -- micro     -- Bechamel micro-benchmarks
@@ -129,40 +129,32 @@ let time_it f =
   let x = f () in
   (x, Unix.gettimeofday () -. t0)
 
-(* The determinism gate E11, E12 and E15 share: run [f] once per
-   (jobs, scheduler) variant, each from a fresh RNG seeded [seed] and a
-   reset ledger.  A run is ok when its digest and its ledger [counters]
-   equal the first variant's and [check] accepts its result; anything
-   else is explained by [diverged] and fails the caller's ok cell.  Returns
-   (variant, digest, ok, result) per variant, and leaves the pool at
-   (1, Fifo). *)
-let across ~variants ~counters ~seed ?(check = fun _ -> true) ~diverged f =
+(* The determinism gate E11 and E12 share: run [f] once per job count
+   (1, 2, 4), each from a fresh RNG seeded [seed] and a reset ledger.  A
+   run is ok when its digest and its ledger [counters] equal the jobs=1
+   run's; otherwise [diverged jobs] explains it and the caller's ok cell
+   fails.  Returns (jobs, digest, ok, result) per job count, and leaves
+   the pool at one job. *)
+let across ~counters ~seed ~diverged f =
   let runs =
     List.map
-      (fun ((jobs, sched) as v) ->
+      (fun jobs ->
         Quantum.Parallel.set_jobs jobs;
-        Quantum.Parallel.set_sched sched;
         Quantum.Metrics.reset ();
         let digest, result = f (Random.State.make [| seed |]) in
-        (v, digest, counters (Quantum.Metrics.snapshot ()), result))
-      variants
+        (jobs, digest, counters (Quantum.Metrics.snapshot ()), result))
+      [ 1; 2; 4 ]
   in
   Quantum.Parallel.set_jobs 1;
-  Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
   match runs with
   | [] -> []
   | (_, base_digest, base_counters, _) :: _ ->
       List.map
-        (fun (v, digest, cs, result) ->
-          let same_digest = String.equal digest base_digest
-          and same_ledger = List.for_all2 Int.equal cs base_counters in
-          let ok = same_digest && same_ledger && check result in
-          if not ok then
-            Printf.printf "claim violation: %s\n" (diverged v ~same_digest ~same_ledger result);
-          (v, digest, ok, result))
+        (fun (jobs, digest, cs, result) ->
+          let ok = String.equal digest base_digest && List.for_all2 Int.equal cs base_counters in
+          if not ok then Printf.printf "claim violation: %s\n" (diverged jobs);
+          (jobs, digest, ok, result))
         runs
-
-let fifo_jobs = List.map (fun jobs -> (jobs, Quantum.Parallel.Fifo)) [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* E1: Abelian HSP (Theorem 3 / Lemma 9) — Simon instances            *)
@@ -755,8 +747,8 @@ let e11 () =
   in
   let run_workload name total f =
     let runs =
-      across ~variants:fifo_jobs ~counters ~seed:0xe11
-        ~diverged:(fun (jobs, _) ~same_digest:_ ~same_ledger:_ _ ->
+      across ~counters ~seed:0xe11
+        ~diverged:(fun jobs ->
           Printf.sprintf "E11 %s at jobs=%d diverges from the jobs=1 run" name jobs)
         (fun rng -> time_it (fun () -> f rng))
     in
@@ -764,7 +756,7 @@ let e11 () =
     | [] -> ()
     | (_, _, _, base_sec) :: _ ->
         List.iter
-          (fun ((jobs, _), digest, ok, sec) ->
+          (fun (jobs, digest, ok, sec) ->
             row
               [ fmt_s name; fmt_i total; fmt_i jobs;
                 fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
@@ -870,8 +862,8 @@ let e12 () =
         Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli)
       in
       let runs =
-        across ~variants:fifo_jobs ~counters ~seed:0xe12
-          ~diverged:(fun (jobs, _) ~same_digest:_ ~same_ledger:_ _ ->
+        across ~counters ~seed:0xe12
+          ~diverged:(fun jobs ->
             Printf.sprintf "E12 %s at jobs=%d diverges from the jobs=1 run" (show dims) jobs)
           (fun rng ->
             let queries = Quantum.Query.create () in
@@ -895,7 +887,7 @@ let e12 () =
       | [] -> ()
       | (_, _, _, (_, _, base_sec)) :: _ ->
           List.iter
-            (fun ((jobs, _), digest, ok, (m, prep_sec, sec)) ->
+            (fun (jobs, digest, ok, (m, prep_sec, sec)) ->
               row
                 [ fmt_s (show dims); fmt_i total; fmt_s "segment"; fmt_i jobs;
                   fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.compactions;
@@ -912,10 +904,12 @@ let e12 () =
 
 (* ------------------------------------------------------------------ *)
 (* E13: symbolic coset-state backend (cryptographic group sizes).     *)
-(*   a. scaling ladder Z_2^k, k = 20..120 — wall clock per sample and *)
-(*      the symbolic ledger counters (gated: 2 solves, 0 demotions,   *)
-(*      one rewrite, one draw and k DFT ticks per sample); every      *)
-(*      outcome is checked to annihilate the hidden subgroup.         *)
+(*   a. scaling ladder Z_2^k, k = 20..120 — the first draw's cost     *)
+(*      (prep ms), the steady-state wall clock per sample (median of  *)
+(*      11 interleaved windows), and the symbolic ledger counters     *)
+(*      (gated: 2 solves, 0 demotions, one rewrite, one draw and k    *)
+(*      DFT ticks per sample); 101 outcomes per rung are checked to   *)
+(*      annihilate the hidden subgroup.                               *)
 (*   b. differential gate — symbolic vs dense Fourier-sample          *)
 (*      frequencies on small groups, two-sample chi-squared; any      *)
 (*      divergence is a claim violation (nonzero exit).               *)
@@ -923,6 +917,21 @@ let e12 () =
 (*      the symbolic sampler and verified exactly by canonical-HNF    *)
 (*      subgroup equality.                                            *)
 (* ------------------------------------------------------------------ *)
+
+(* One E13a rung: its sampler, the ledger it has charged, up to 101
+   draws kept for the annihilator check, and its timed windows as
+   (seconds, draws). *)
+type rung = {
+  k : int;
+  dims : int array;
+  gens : int array list;
+  draw : Random.State.t -> int array;
+  ledger : int array;
+  prep_sec : float;
+  mutable kept : int array list;
+  mutable timed : int;
+  mutable windows : (float * int) list;
+}
 
 let e13 () =
   let module BS = Quantum.Backend_symbolic in
@@ -943,25 +952,73 @@ let e13 () =
     (ys, Quantum.Coset_state.annihilator_subgroup ~dims ys, Quantum.Query.count queries)
   in
   header "E13a: symbolic backend scaling — Fourier sampling |x0 + H> in Z_2^k, |H| = 2^(k/2)"
-    [ fmt_s "|G|"; fmt_s "log2|H|"; fmt_s "samples"; fmt_s "us/smp"; fmt_s "rewrite";
-      fmt_s "draws"; fmt_s "solves"; fmt_s "demote"; fmt_s "sec" ];
+    [ fmt_s "|G|"; fmt_s "log2|H|"; fmt_s "prep ms"; fmt_s "timed"; fmt_s "us/smp";
+      fmt_s "rewrite"; fmt_s "draws"; fmt_s "solves"; fmt_s "demote"; fmt_s "sec" ];
+  (* The counters the ledger gate reads; [charged ledger f] adds what
+     [f] moves them by to [ledger]. *)
+  let gated (m : Quantum.Metrics.snapshot) =
+    Quantum.Metrics.
+      [| m.symbolic_solves; m.symbolic_demotions; m.symbolic_rewrites; m.symbolic_samples;
+         m.dft_apps |]
+  in
+  let charged ledger f =
+    let before = gated (Quantum.Metrics.snapshot ()) in
+    let x = f () in
+    let after = gated (Quantum.Metrics.snapshot ()) in
+    Array.iteri (fun i v -> ledger.(i) <- ledger.(i) + v - before.(i)) after;
+    x
+  in
+  (* Each rung's sampler is built and drawn once (the first draw also
+     computes the memoised dual, one of the two solves, so it is timed
+     apart as prep ms).  Then [passes] rounds visit the rungs in turn,
+     each timing a window of at least 100 draws and 20 ms from a freshly
+     collected heap; a rung's us/smp is its median window.  Interleaving
+     spreads every rung over the whole run, so a slow or fast spell of
+     the machine moves a few windows of each rung, not one rung's whole
+     figure. *)
+  let passes = 11 in
+  let rungs =
+    List.map
+      (fun k ->
+        let dims = Array.make k 2 in
+        let gens = pair_gens ~r:k in
+        let ledger = Array.make 5 0 in
+        let draw, (first, prep_sec) =
+          charged ledger (fun () ->
+              let queries = Quantum.Query.create () in
+              let draw =
+                Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic
+                  ~dims ~subgroup:gens ~queries ()
+              in
+              (draw, time_it (fun () -> draw rng)))
+        in
+        { k; dims; gens; draw; ledger; prep_sec; kept = [ first ]; timed = 0; windows = [] })
+      [ 20; 40; 60; 80; 100; 120 ]
+  in
+  for _ = 1 to passes do
+    List.iter
+      (fun r ->
+        Gc.full_major ();
+        charged r.ledger (fun () ->
+            let t0 = Unix.gettimeofday () in
+            let n = ref 0 in
+            while !n < 100 || Unix.gettimeofday () -. t0 < 0.02 do
+              (* keep 100 draws for the annihilator check; holding them
+                 all would grow the heap the collector scans *)
+              let y = r.draw rng in
+              if r.timed + !n < 100 then r.kept <- y :: r.kept;
+              incr n
+            done;
+            r.windows <- (Unix.gettimeofday () -. t0, !n) :: r.windows;
+            r.timed <- r.timed + !n))
+      rungs
+  done;
   List.iter
-    (fun k ->
-      let dims = Array.make k 2 in
-      let gens = pair_gens ~r:k in
-      Quantum.Metrics.reset ();
-      let queries = Quantum.Query.create () in
-      let draw =
-        Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic ~dims
-          ~subgroup:gens ~queries ()
-      in
-      let n = 100 in
-      let samples, sec = time_it (fun () -> List.init n (fun _ -> draw rng)) in
-      let m = Quantum.Metrics.snapshot () in
+    (fun { k; dims; gens; ledger; prep_sec; kept; timed; windows; _ } ->
       let annihilates =
         List.for_all
           (fun y -> List.for_all (Quantum.Qft.character_is_trivial_on ~dims y) gens)
-          samples
+          kept
       in
       if not annihilates then begin
         incr failures;
@@ -972,27 +1029,25 @@ let e13 () =
          demotion is a cost regression.  The sweep still ticks one DFT
          application per wire, so the ledger matches the amplitude
          backends'. *)
-      let ledger_ok =
-        Quantum.Metrics.(
-          m.symbolic_solves = 2 && m.symbolic_demotions = 0 && m.symbolic_rewrites = n
-          && m.symbolic_samples = n && m.dft_apps = k * n)
-      in
-      if not ledger_ok then begin
+      let n = timed + 1 in
+      let want = [| 2; 0; n; n; k * n |] in
+      if not (Array.for_all2 Int.equal ledger want) then begin
         incr failures;
         Printf.printf
           "claim violation: E13a Z_2^%d ledger %d solves / %d demotions / %d rewrites / %d \
            draws / %d DFTs, want 2 / 0 / %d / %d / %d\n"
-          k m.Quantum.Metrics.symbolic_solves m.Quantum.Metrics.symbolic_demotions
-          m.Quantum.Metrics.symbolic_rewrites m.Quantum.Metrics.symbolic_samples
-          m.Quantum.Metrics.dft_apps n n (k * n)
+          k ledger.(0) ledger.(1) ledger.(2) ledger.(3) ledger.(4) n n (k * n)
       end;
+      let per_draw =
+        List.sort Float.compare
+          (List.map (fun (sec, m) -> 1e6 *. sec /. float_of_int m) windows)
+      in
       row
-        [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_i n;
-          fmt_f (1e6 *. sec /. float_of_int n);
-          fmt_i m.Quantum.Metrics.symbolic_rewrites; fmt_i m.Quantum.Metrics.symbolic_samples;
-          fmt_i m.Quantum.Metrics.symbolic_solves; fmt_i m.Quantum.Metrics.symbolic_demotions;
-          fmt_f sec ])
-    [ 20; 40; 60; 80; 100; 120 ];
+        [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_f (1e3 *. prep_sec); fmt_i timed;
+          fmt_f (List.nth per_draw (passes / 2)); fmt_i ledger.(2); fmt_i ledger.(3);
+          fmt_i ledger.(0); fmt_i ledger.(1);
+          fmt_f (List.fold_left (fun acc (sec, _) -> acc +. sec) 0.0 windows) ])
+    rungs;
   header "E13b: differential gate — symbolic vs dense sample frequencies (two-sample chi^2)"
     [ fmt_s "dims"; fmt_s "|G|"; fmt_s "n/side"; fmt_s "cells"; fmt_s "chi2"; fmt_s "thresh";
       fmt_s "ok" ];
@@ -1344,145 +1399,6 @@ let e14 () =
       speedup
 
 (* ------------------------------------------------------------------ *)
-(* E15: circuit compiler + fused kernels.  Each workload is a qubit   *)
-(* circuit run from a seeded random normalised dense state, once      *)
-(* through the gate-by-gate reference [Circuit.run_gates] (jobs=1)    *)
-(* and then through [Circuit.run]'s compiled plan at every job count  *)
-(* and scheduler.  Plan rows must agree bit-for-bit (a digest of the  *)
-(* IEEE bits of every amplitude) and in their ledger counters, must   *)
-(* match the reference state to 1e-9 and its measured-outcome digest, *)
-(* and the single-thread plan must beat the reference >= 5x.  Every   *)
-(* plan is verified symbolically by Circuit_check.check_plan first.   *)
-(* The sec column times circuit execution (plan compile included);    *)
-(* measurement happens outside the timer but inside the digest.       *)
-(* ------------------------------------------------------------------ *)
-
-let e15 () =
-  header
-    "E15: circuit compiler + fused kernels — plan single-thread >= 5x over run_gates, amplitudes bit-identical across jobs / sched and within 1e-9 of run_gates"
-    [ fmt_s "workload"; fmt_s "gates"; fmt_s "path"; fmt_s "jobs"; fmt_s "sched";
-      fmt_s "digest"; fmt_s "bits"; fmt_s "ok"; fmt_s "speedup"; fmt_s "sec" ];
-  let counters (m : Quantum.Metrics.snapshot) =
-    [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres;
-      m.Quantum.Metrics.plans_compiled; m.Quantum.Metrics.fused_passes;
-      m.Quantum.Metrics.fused_gates; m.Quantum.Metrics.measurements;
-      m.Quantum.Metrics.states_created ]
-  in
-  let sched_name = function
-    | Quantum.Parallel.Fifo -> "fifo"
-    | Quantum.Parallel.Shuffle -> "shuf"
-  in
-  let variants =
-    List.concat_map
-      (fun jobs -> [ (jobs, Quantum.Parallel.Fifo); (jobs, Quantum.Parallel.Shuffle) ])
-      [ 1; 2; 4 ]
-  in
-  let hex8 d = String.sub (Digest.to_hex d) 0 8 in
-  let run_workload name c measures =
-    let plan = Quantum.Circuit.compile c in
-    (match Analysis.Circuit_check.check_plan c plan with
-    | Ok () -> ()
-    | Error vs ->
-        incr failures;
-        Printf.printf "claim violation: E15 %s plan fails symbolic verification: %s\n" name
-          (String.concat "; "
-             (List.map
-                (fun v -> Format.asprintf "%a" Analysis.Circuit_check.pp_plan_violation v)
-                vs)));
-    Printf.printf "%s plan: %d gates -> %d steps, %d bytes\n" name
-      (Quantum.Circuit_plan.gate_count plan)
-      (Quantum.Circuit_plan.step_count plan)
-      (Quantum.Circuit_plan.bytes plan);
-    let n = Quantum.Circuit.num_qubits c in
-    let st0 =
-      let rng = Random.State.make [| 0xe15; n |] in
-      Quantum.State.of_amplitudes ~backend:Quantum.Backend.Dense (Array.make n 2)
-        (Array.init (1 lsl n) (fun _ ->
-             Linalg.Cx.make (Random.State.float rng 2.0 -. 1.0)
-               (Random.State.float rng 2.0 -. 1.0)))
-    in
-    (* Outcome digest (one seeded measurement sequence) and bits digest
-       (IEEE bits of every amplitude) of the circuit's output state. *)
-    let outcomes rng st =
-      let st = ref st in
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun wires ->
-          let outcome, post = Quantum.State.measure rng !st ~wires in
-          st := post;
-          Array.iter
-            (fun v ->
-              Buffer.add_string buf (string_of_int v);
-              Buffer.add_char buf ',')
-            outcome)
-        measures;
-      Digest.string (Buffer.contents buf)
-    in
-    let bits st =
-      let buf = Buffer.create (16 lsl n) in
-      Array.iter
-        (fun (z : Linalg.Cx.t) ->
-          Buffer.add_int64_le buf (Int64.bits_of_float z.Complex.re);
-          Buffer.add_int64_le buf (Int64.bits_of_float z.Complex.im))
-        (Quantum.State.amplitudes st);
-      Digest.string (Buffer.contents buf)
-    in
-    Quantum.Parallel.set_jobs 1;
-    Quantum.Parallel.set_sched Quantum.Parallel.Fifo;
-    let ref_st, ref_sec = time_it (fun () -> Quantum.Circuit.run_gates c st0) in
-    let ref_digest = outcomes (Random.State.make [| 0xe15 |]) ref_st in
-    row
-      [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "gates"; fmt_i 1;
-        fmt_s "fifo"; fmt_s (hex8 ref_digest); fmt_s (hex8 (bits ref_st)); fmt_s "ref";
-        fmt_f 1.0; fmt_f ref_sec ];
-    (* the variants must agree on the amplitude bits and the ledger, and
-       each must match the reference's outcomes and amplitudes *)
-    let runs =
-      across ~variants ~counters ~seed:0xe15
-        ~check:(fun (digest, close, _) -> String.equal digest ref_digest && close)
-        ~diverged:(fun (jobs, sched) ~same_digest ~same_ledger (digest, close, _) ->
-          Printf.sprintf
-            "E15 %s plan jobs=%d sched=%s diverges (outcomes %b, bits %b, ledger %b, within 1e-9 of run_gates %b)"
-            name jobs (sched_name sched) (String.equal digest ref_digest) same_digest same_ledger
-            close)
-        (fun rng ->
-          let st, sec = time_it (fun () -> Quantum.Circuit.run c st0) in
-          let digest = outcomes rng st in
-          (bits st, (digest, Quantum.State.approx_equal ~eps:1e-9 ref_st st, sec)))
-    in
-    List.iter
-      (fun ((jobs, sched), bits, ok, (digest, _, sec)) ->
-        row
-          [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan"; fmt_i jobs;
-            fmt_s (sched_name sched); fmt_s (hex8 digest); fmt_s (hex8 bits);
-            fmt_s (string_of_bool ok); fmt_f (ref_sec /. Float.max 1e-9 sec); fmt_f sec ])
-      runs;
-    let _, _, _, (_, _, plan_sec) = List.hd runs in
-    let speedup = ref_sec /. Float.max 1e-9 plan_sec in
-    row
-      [ fmt_s name; fmt_i (Quantum.Circuit.gate_count c); fmt_s "plan/gates"; fmt_i 1;
-        fmt_s "fifo"; fmt_s "-"; fmt_s "-"; fmt_s (string_of_bool (speedup >= 5.0));
-        fmt_f speedup; fmt_f plan_sec ];
-    if speedup < 5.0 then
-      Printf.printf
-        "claim violation: E15 %s plan single-thread speedup %.2fx < 5x over the gate-by-gate path\n"
-        name speedup
-  in
-  (* the E11 kernels workload as a circuit: 4^10 = 2^20 amplitudes,
-     one dft4 per quaternary wire, i.e. a dense 2-qubit gate per pair *)
-  let dft4_circuit =
-    let c = ref (Quantum.Circuit.empty 20) in
-    for i = 0 to 9 do
-      c := Quantum.Circuit.gate !c (Linalg.Cmat.dft 4) [ 2 * i; (2 * i) + 1 ]
-    done;
-    !c
-  in
-  run_workload "4^10-circ" dft4_circuit [ [ 0; 3; 7 ]; [ 1; 2 ]; [ 4; 5; 6 ] ];
-  (* the QFT ladder: where Diag / Perm fusion (not just the 2q kernel)
-     carries the speedup *)
-  run_workload "qft-16" (Quantum.Circuit.qft 16) [ [ 0; 3; 7 ]; [ 1; 2 ]; [ 4; 5; 6 ] ]
-
-(* ------------------------------------------------------------------ *)
 (* Smoke: one small instance per theorem — the CI gate.  Fast, runs   *)
 (* through Runner so each row carries the ok verdict and the ledger;  *)
 (* a false ok cell or an OVER claim cell fails the run.               *)
@@ -1582,7 +1498,7 @@ let micro () =
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
-  let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15) ] in
+  let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14) ] in
   let named = all @ [ ("smoke", smoke); ("micro", micro) ] in
   (match List.filter (fun a -> not (List.mem_assoc a named)) args with
   | [] -> ()

@@ -487,28 +487,8 @@ let check_circuit_cmd =
             | Some t -> Analysis.Circuit_check.qft_approx_gate_count ~threshold:t n
           in
           Printf.printf "closed-form gate budget: %d\n" budget;
-          (* the fused plan Circuit.run executes on a dense register,
-             cross-checked symbolically against the gate sequence *)
-          let c = Quantum.Circuit.qft ?approx_threshold:approx n in
-          let plan = Quantum.Circuit.compile c in
-          Printf.printf "fused plan     : %d gates -> %d steps, %d bytes\n"
-            (Quantum.Circuit_plan.gate_count plan)
-            (Quantum.Circuit_plan.step_count plan)
-            (Quantum.Circuit_plan.bytes plan);
-          List.iter
-            (fun (k, v) -> Printf.printf "  %-12s %s\n" k v)
-            (Quantum.Circuit_plan.stats plan);
-          (match Analysis.Circuit_check.check_plan c plan with
-          | Ok () ->
-              Printf.printf "plan verdict   : plan == circuit (symbolic)\n";
-              Printf.printf "verdict        : well-formed\n";
-              0
-          | Error vs ->
-              List.iter
-                (fun v -> Format.printf "%a@." Analysis.Circuit_check.pp_plan_violation v)
-                vs;
-              Printf.printf "verdict        : %d plan violation(s)\n" (List.length vs);
-              1)
+          Printf.printf "verdict        : well-formed\n";
+          0
       | Error vs ->
           List.iter (fun v -> Format.printf "%a@." Analysis.Circuit_check.pp_violation v) vs;
           Printf.printf "verdict        : %d violation(s)\n" (List.length vs);
@@ -518,9 +498,8 @@ let check_circuit_cmd =
     (Cmd.info "check-circuit"
        ~doc:
          "Statically validate the QFT circuit builder: wire ranges, per-gate unitarity, \
-          gate/rotation counts against the closed-form Coppersmith budgets, and the \
-          fused execution plan against the gate sequence \
-          (Analysis.Circuit_check.check_plan).  No simulation is performed.")
+          and gate/rotation counts against the closed-form Coppersmith budgets.  No \
+          simulation is performed.")
     Term.(const run $ common_arg $ n_arg $ approx_arg)
 
 let order_cmd =

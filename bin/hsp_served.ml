@@ -232,9 +232,8 @@ let smoke_cmd =
           in
           go reply path
         in
-        (* one artifact per sample route, plus the QFT plan check-circuit
-           compiled for the 16-qubit sparse register *)
-        check "stats: 4 cached artifacts" (stat_int [ "cache"; "entries" ] = Some 4);
+        (* one artifact per sample route; check-circuit caches nothing *)
+        check "stats: 3 cached artifacts" (stat_int [ "cache"; "entries" ] = Some 3);
         check "stats: cache hits recorded"
           (match stat_int [ "cache"; "hits" ] with Some h -> h >= 3 | None -> false);
         check "no reply carries a zero metrics field"

@@ -11,14 +11,14 @@ type report = {
   max_arity : int;
 }
 
-let is_diagonal ?(eps = 1e-12) m =
+let is_diagonal m =
   let n = Cmat.rows m in
   Cmat.cols m = n
   && begin
        let ok = ref true in
        for i = 0 to n - 1 do
          for j = 0 to n - 1 do
-           if i <> j && not (Cx.approx_equal ~eps m.(i).(j) Cx.zero) then ok := false
+           if i <> j && not (Cx.approx_equal ~eps:1e-12 m.(i).(j) Cx.zero) then ok := false
          done
        done;
        !ok
@@ -127,195 +127,10 @@ let check_qft ?approx_threshold n =
           :: !violations;
       if !violations = [] then Ok r else Error (List.rev !violations)
 
-(* ------------------------------------------------------------------ *)
-(* Symbolic plan verifier                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Independent reconstruction of a gate's basis permutation (amplitude
-   at sub-index j moves to p.(j)) — deliberately not shared with
-   Circuit_plan's classifier, so the checker cross-examines the
-   compiler rather than echoing it. *)
-let perm_of_gate ~eps m =
-  let dim = Cmat.rows m in
-  let p = Array.make dim (-1) in
-  let ok = ref true in
-  for j = 0 to dim - 1 do
-    for i = 0 to dim - 1 do
-      let z = m.(i).(j) in
-      if Cx.approx_equal ~eps z Cx.one then
-        if p.(j) = -1 then p.(j) <- i else ok := false
-      else if not (Cx.approx_equal ~eps z Cx.zero) then ok := false
-    done;
-    if p.(j) = -1 then ok := false
-  done;
-  if !ok then Some p else None
-
-(* Lift [p] over gate wires [gwires] to the sorted union [union] and
-   compose after [total] (first listed wire most significant, the gate
-   convention everywhere). *)
-let lift_perm ~union ~total (p, gwires) =
-  let k = List.length union in
-  let gk = List.length gwires in
-  let gpos =
-    Array.of_list
-      (List.map
-         (fun w ->
-           let rec find i = function
-             | [] -> invalid_arg "lift_perm: gate wire outside union"
-             | u :: _ when u = w -> i
-             | _ :: tl -> find (i + 1) tl
-           in
-           find 0 union)
-         gwires)
-  in
-  Array.map
-    (fun s ->
-      let sg = ref 0 in
-      for i = 0 to gk - 1 do
-        sg := (!sg lsl 1) lor ((s lsr (k - 1 - gpos.(i))) land 1)
-      done;
-      let dg = p.(!sg) in
-      let s' = ref s in
-      for i = 0 to gk - 1 do
-        let bit = k - 1 - gpos.(i) in
-        let v = (dg lsr (gk - 1 - i)) land 1 in
-        s' := !s' land lnot (1 lsl bit) lor (v lsl bit)
-      done;
-      !s')
-    total
-
-let check_plan ?(eps = 1e-9) (c : Circuit.t) (plan : Circuit_plan.t) =
-  let violations = ref [] in
-  let bad step what = violations := { gate = step; what } :: !violations in
-  if plan.Circuit_plan.num_qubits <> Circuit.num_qubits c then
-    bad None
-      (Printf.sprintf "plan register size %d differs from circuit %d"
-         plan.Circuit_plan.num_qubits (Circuit.num_qubits c));
-  if plan.Circuit_plan.source_gates <> Circuit.gate_count c then
-    bad None
-      (Printf.sprintf "plan claims %d source gates, circuit has %d"
-         plan.Circuit_plan.source_gates (Circuit.gate_count c));
-  (* Steps must partition the gate sequence in order; walk it once. *)
-  let remaining = ref (List.map (fun (Circuit.Gate (m, w)) -> (m, w)) (Circuit.ops c)) in
-  let take step n =
-    let rec go acc n rest =
-      if n = 0 then Some (List.rev acc, rest)
-      else
-        match rest with
-        | [] -> None
-        | g :: tl -> go (g :: acc) (n - 1) tl
-    in
-    match go [] n !remaining with
-    | None ->
-        bad step "step covers more gates than the circuit has left";
-        remaining := [];
-        None
-    | Some (gs, rest) ->
-        remaining := rest;
-        Some gs
-  in
-  List.iteri
-    (fun i step ->
-      let si = Some i in
-      match step with
-      | Circuit_plan.Fused { wires; mat; count } -> (
-          if count < 1 then bad si "fused step covers no gates";
-          match take si count with
-          | None -> ()
-          | Some gs ->
-              let aligned = ref true in
-              List.iter
-                (fun (_, w) ->
-                  if not (List.equal Int.equal w wires) then begin
-                    aligned := false;
-                    bad si "fused step absorbs a gate on different wires"
-                  end)
-                gs;
-              let dim = 1 lsl List.length wires in
-              if Cmat.rows mat <> dim || Cmat.cols mat <> dim then
-                bad si "fused matrix dimension does not match the wires"
-              else if !aligned then begin
-                let product =
-                  List.fold_left
-                    (fun acc (m, _) -> Cmat.mul m acc)
-                    (Cmat.identity dim) gs
-                in
-                if not (Cmat.approx_equal ~eps product mat) then
-                  bad si "fused matrix differs from the gate-by-gate product"
-              end)
-      | Circuit_plan.Diag { gates } -> (
-          let count = List.length gates in
-          if count < 1 then bad si "diagonal step covers no gates";
-          match take si count with
-          | None -> ()
-          | Some gs ->
-              List.iter2
-                (fun (w_st, dvals) (m, w) ->
-                  if not (List.equal Int.equal w w_st) then
-                    bad si "diagonal factor wires differ from the source gate";
-                  if List.length w > 2 then
-                    bad si "diagonal factor arity exceeds the kernel limit";
-                  let dim = 1 lsl List.length w in
-                  if Array.length dvals <> dim || Cmat.rows m <> dim then
-                    bad si "diagonal table size does not match the gate"
-                  else begin
-                    if not (is_diagonal ~eps:Circuit_plan.classify_eps m) then
-                      bad si "diagonal step absorbs a non-diagonal gate";
-                    Array.iteri
-                      (fun v d ->
-                        if not (Cx.approx_equal ~eps d m.(v).(v)) then
-                          bad si "diagonal table entry differs from the gate diagonal")
-                      dvals
-                  end)
-                gates gs)
-      | Circuit_plan.Perm { wires; perm; count } -> (
-          if count < 1 then bad si "permutation step covers no gates";
-          let k = List.length wires in
-          if not (List.equal Int.equal wires (List.sort_uniq Int.compare wires)) then
-            bad si "permutation wires are not sorted and distinct";
-          if Array.length perm <> 1 lsl k then
-            bad si "permutation table size is not 2^wires"
-          else begin
-            let seen = Array.make (1 lsl k) false in
-            Array.iter
-              (fun d ->
-                if d < 0 || d >= 1 lsl k || seen.(d) then
-                  bad si "permutation table is not a bijection"
-                else seen.(d) <- true)
-              perm
-          end;
-          match take si count with
-          | None -> ()
-          | Some gs ->
-              let composed = ref (Array.init (Array.length perm) (fun s -> s)) in
-              List.iter
-                (fun (m, w) ->
-                  if List.exists (fun x -> not (List.exists (Int.equal x) wires)) w then
-                    bad si "permutation step absorbs a gate outside its wires"
-                  else
-                    match perm_of_gate ~eps:Circuit_plan.classify_eps m with
-                    | None -> bad si "permutation step absorbs a non-permutation gate"
-                    | Some p -> composed := lift_perm ~union:wires ~total:!composed (p, w))
-                gs;
-              if
-                Array.length perm = Array.length !composed
-                && not (Array.for_all2 Int.equal !composed perm)
-              then bad si "composed permutation differs from the plan table"))
-    plan.Circuit_plan.steps;
-  (match !remaining with
-  | [] -> ()
-  | rest -> bad None (Printf.sprintf "plan leaves %d trailing gates uncovered" (List.length rest)));
-  match List.rev !violations with [] -> Ok () | vs -> Error vs
-
 let pp_violation fmt v =
   match v.gate with
   | Some i -> Format.fprintf fmt "gate %d: %s" i v.what
   | None -> Format.fprintf fmt "circuit: %s" v.what
-
-let pp_plan_violation fmt v =
-  match v.gate with
-  | Some i -> Format.fprintf fmt "step %d: %s" i v.what
-  | None -> Format.fprintf fmt "plan: %s" v.what
 
 let pp_report fmt r =
   Format.fprintf fmt "qubits=%d gates=%d depth=%d rotations=%d max-arity=%d" r.num_qubits

@@ -46,24 +46,6 @@ val check_qft : ?approx_threshold:int -> int -> (report, violation list) result
     cross-checks the observed gate and rotation counts against the
     closed-form budgets above. *)
 
-val check_plan :
-  ?eps:float -> Quantum.Circuit.t -> Quantum.Circuit_plan.t -> (unit, violation list) result
-(** Symbolic plan ≡ circuit verifier — no simulation.  The plan's steps
-    must partition the circuit's gate sequence in order, and each step
-    must reconstruct its covered gates exactly: a [Fused] matrix must
-    equal the gate-by-gate matrix product (to [eps], default [1e-9]), a
-    [Diag] step's stored tables must match each source gate's diagonal
-    (which must be diagonal to [Circuit_plan.classify_eps] and of
-    kernel arity ≤ 2), and a [Perm] table must be a bijection equal to
-    the composition of its gates' basis permutations lifted to the
-    union wires (reconstructed here independently of the compiler's
-    classifier).  In a [violation], [gate] is the offending {e step}
-    index.  The bench and service gates call this on every emitted
-    plan. *)
-
 val pp_violation : Format.formatter -> violation -> unit
-
-val pp_plan_violation : Format.formatter -> violation -> unit
-(** Like {!pp_violation} but labels positions as plan steps. *)
 
 val pp_report : Format.formatter -> report -> unit

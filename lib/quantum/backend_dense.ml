@@ -197,17 +197,6 @@ let apply_wires t ~wires m =
 
 let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
-(* Fused-plan execution: one copy of each plane, every plan step in
-   place on the copies — per-gate plane allocation gone.  The planes of
-   [t] are never written (immutability convention). *)
-let run_plan plan t =
-  if
-    Array.length t.dims <> Circuit_plan.(plan.num_qubits)
-    || Array.exists (fun d -> d <> 2) t.dims
-  then invalid_arg "State.run_plan: state is not a matching qubit register";
-  let re, im = Circuit_plan.run_planes plan ~re:t.re ~im:t.im in
-  { t with re; im }
-
 (* Lanes per Fft.exec call on a dense wire: at most [lane_budget / d],
    so one call's [d] rows stay cache-resident (a large register splits
    into many calls, which the domain pool shares), but at least

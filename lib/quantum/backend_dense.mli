@@ -29,11 +29,5 @@ val measure_all : Random.State.t -> t -> int array
     [Random.State.float]), same exceptions, but no probability array
     and no collapsed state. *)
 
-val run_plan : Circuit_plan.t -> t -> t
-(** Execute a fused circuit plan in place on copies of the planes
-    (see {!Circuit_plan.run_planes}).  The input state is untouched.
-    @raise Invalid_argument if the state is not a register of
-    [plan.num_qubits] qubits. *)
-
 val approx_equal : ?eps:float -> t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -33,37 +33,17 @@ let seq a b =
   if not (Int.equal a.num_qubits b.num_qubits) then invalid_arg "Circuit.seq: arity mismatch";
   { a with rev_ops = b.rev_ops @ a.rev_ops; count = a.count + b.count }
 
-let gates t = List.rev_map (fun (Gate (m, wires)) -> (m, wires)) t.rev_ops
-
-let compile t = Circuit_plan.compile ~num_qubits:t.num_qubits (gates t)
-let fingerprint t = Circuit_plan.fingerprint ~num_qubits:t.num_qubits (gates t)
-
-let check_register name t state =
-  if State.num_wires state <> t.num_qubits || Array.exists (fun d -> d <> 2) (State.dims state)
-  then invalid_arg (name ^ ": state is not a matching qubit register")
-
-let fold_gates t state =
-  List.fold_left (fun st (Gate (m, wires)) -> State.apply_wires st ~wires m) state (ops t)
-
-let run_gates t state =
-  check_register "Circuit.run_gates" t state;
-  fold_gates t state
-
-(* Dense registers run the compiled plan; sparse and symbolic states,
-   whose amplitudes are not flat planes, keep the gate-by-gate fold. *)
 let run t state =
-  check_register "Circuit.run" t state;
-  let planned =
-    if State.backend state = Backend.Dense then State.run_plan (compile t) state else None
-  in
-  match planned with Some st -> st | None -> fold_gates t state
+  if State.num_wires state <> t.num_qubits || Array.exists (fun d -> d <> 2) (State.dims state)
+  then invalid_arg "Circuit.run: state is not a matching qubit register";
+  List.fold_left (fun st (Gate (m, wires)) -> State.apply_wires st ~wires m) state (ops t)
 
 let to_matrix t =
   let dim = 1 lsl t.num_qubits in
   let cols =
     Array.init dim (fun k ->
         let x = State.decode (Array.make t.num_qubits 2) k in
-        let st = run_gates t (State.of_basis (Array.make t.num_qubits 2) x) in
+        let st = run t (State.of_basis (Array.make t.num_qubits 2) x) in
         State.amplitudes st)
   in
   Cmat.init dim dim (fun i j -> cols.(j).(i))

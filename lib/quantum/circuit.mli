@@ -7,11 +7,12 @@
     Kitaev's construction); tests check it against the dense DFT
     matrix.
 
+    The circuit layer is the textbook check on the qudit DFT, not an
+    executor the solvers use: {!run} applies one gate at a time, on any
+    backend, and the solvers' dense Fourier transform is {!Qft.forward}.
+
     Ops are stored latest-first internally so building a circuit is
-    linear in its length; {!ops} returns them in application order.
-    {!run} compiles the circuit into a fused execution plan
-    ({!Circuit_plan}) before touching a dense state; {!run_gates} is
-    the gate-by-gate reference path. *)
+    linear in its length; {!ops} returns them in application order. *)
 
 type op =
   | Gate of Linalg.Cmat.t * int list
@@ -41,29 +42,13 @@ val seq : t -> t -> t
 (** [seq a b] runs [a] then [b]; both must have the same arity. *)
 
 val run : t -> State.t -> State.t
-(** A dense state runs through the compiled plan ({!compile},
-    {!Circuit_plan.run_planes}); sparse and symbolic states run gate by
-    gate ({!run_gates}).  The choice follows [State.backend].
+(** One [State.apply_wires] per gate, in order, on any backend.
     @raise Invalid_argument if the state is not a register of
     [num_qubits] qubits. *)
 
-val run_gates : t -> State.t -> State.t
-(** The reference path: one [State.apply_wires] per gate, in order, on
-    any backend.  Slower than {!run} on dense states; tests and the
-    E15 bench use it as the oracle {!run} must match, and {!to_matrix}
-    is built on it.
-    @raise Invalid_argument as {!run}. *)
-
-val compile : t -> Circuit_plan.t
-(** The fused execution plan {!run} uses on a dense state. *)
-
-val fingerprint : t -> string
-(** Hex digest of the exact circuit structure (wires and IEEE bit
-    patterns of every matrix entry); keys the service's plan cache. *)
-
 val to_matrix : t -> Linalg.Cmat.t
 (** Dense unitary of the whole circuit, column by column through
-    {!run_gates} (exponential; small circuits only). *)
+    {!run} (exponential; small circuits only). *)
 
 val gate_count : t -> int
 

@@ -27,9 +27,6 @@ type snapshot = {
   symbolic_samples : int;
   symbolic_solves : int;
   symbolic_demotions : int;
-  plans_compiled : int;
-  fused_passes : int;
-  fused_gates : int;
   phases : (string * float) list;
 }
 
@@ -57,9 +54,6 @@ let symbolic_rewrites = Atomic.make 0
 let symbolic_samples = Atomic.make 0
 let symbolic_solves = Atomic.make 0
 let symbolic_demotions = Atomic.make 0
-let plans_compiled = Atomic.make 0
-let fused_passes = Atomic.make 0
-let fused_gates = Atomic.make 0
 
 let tick c = ignore (Atomic.fetch_and_add c 1)
 let add c n = ignore (Atomic.fetch_and_add c n)
@@ -100,9 +94,6 @@ let reset () =
   Atomic.set symbolic_samples 0;
   Atomic.set symbolic_solves 0;
   Atomic.set symbolic_demotions 0;
-  Atomic.set plans_compiled 0;
-  Atomic.set fused_passes 0;
-  Atomic.set fused_gates 0;
   Mutex.protect phase_lock (fun () ->
       phase_order := [];
       Hashtbl.reset phase_seconds)
@@ -128,9 +119,6 @@ let snapshot () =
     symbolic_samples = Atomic.get symbolic_samples;
     symbolic_solves = Atomic.get symbolic_solves;
     symbolic_demotions = Atomic.get symbolic_demotions;
-    plans_compiled = Atomic.get plans_compiled;
-    fused_passes = Atomic.get fused_passes;
-    fused_gates = Atomic.get fused_gates;
     phases =
       Mutex.protect phase_lock (fun () ->
           List.rev_map
@@ -158,9 +146,6 @@ let record_symbolic_rewrite () = tick symbolic_rewrites
 let record_symbolic_sample () = tick symbolic_samples
 let record_symbolic_solve () = tick symbolic_solves
 let record_symbolic_demotion () = tick symbolic_demotions
-let record_plan_compiled () = tick plans_compiled
-let record_fused_pass () = tick fused_passes
-let add_fused_gates n = add fused_gates n
 
 (* ------------------------------------------------------------------ *)
 (* Structured trace events                                             *)
@@ -216,9 +201,6 @@ let counters s =
     ("symbolic_samples", s.symbolic_samples);
     ("symbolic_solves", s.symbolic_solves);
     ("symbolic_demotions", s.symbolic_demotions);
-    ("plans_compiled", s.plans_compiled);
-    ("fused_passes", s.fused_passes);
-    ("fused_gates", s.fused_gates);
   ]
 
 let to_fields s =
@@ -244,9 +226,6 @@ let pp fmt s =
   Format.fprintf fmt "  symbolic subgroup draws : %d@," s.symbolic_samples;
   Format.fprintf fmt "  symbolic normal-form solves : %d@," s.symbolic_solves;
   Format.fprintf fmt "  symbolic demotions  : %d@," s.symbolic_demotions;
-  Format.fprintf fmt "  circuit plans compiled : %d@," s.plans_compiled;
-  Format.fprintf fmt "  fused kernel passes : %d@," s.fused_passes;
-  Format.fprintf fmt "  gates run fused     : %d@," s.fused_gates;
   List.iter
     (fun (name, sec) -> Format.fprintf fmt "  phase %-11s : %.6fs@," name sec)
     s.phases;

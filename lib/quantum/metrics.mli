@@ -5,9 +5,9 @@
     queries alone cannot show {e where} an algorithm spends its gates
     and support.  This module keeps one global mutable ledger:
 
-    - {e per-call counters} — gate ({!State.apply_wires}) and DFT
-      ({!State.apply_dft}, one per wire of {!State.fourier})
-      applications, basis-map and oracle ops,
+    - {e per-call counters} — gate ({!State.apply_wires}, one per gate
+      of a {!Circuit.run}) and DFT ({!State.apply_dft}, one per wire of
+      {!State.fourier}) applications, basis-map and oracle ops,
       measurements, states created.  Ticked by the {!State} dispatcher,
       so dense and sparse runs of the same circuit report identical
       values.
@@ -82,15 +82,6 @@ type snapshot = {
       (** symbolic states materialised into the sparse backend because
           an amplitude-level operation was requested (see
           [Backend.Caps.symbolic_materialise]) *)
-  plans_compiled : int;
-      (** fused execution plans built by [Circuit_plan.compile] *)
-  fused_passes : int;
-      (** full-plane kernel passes executed by the fused circuit path —
-          the unit of memory traffic the compiler minimises *)
-  fused_gates : int;
-      (** source gates executed through fused plans (each also ticks
-          [gate_apps] in the dispatcher, so dense runs of a circuit
-          report the same per-call counts fused or not) *)
   phases : (string * float) list;
       (** accumulated wall-clock seconds per phase, first-seen order *)
 }
@@ -145,15 +136,6 @@ val record_symbolic_solve : unit -> unit
 
 val record_symbolic_demotion : unit -> unit
 (** One symbolic state materialised into the sparse backend. *)
-
-val record_plan_compiled : unit -> unit
-(** One fused execution plan built by [Circuit_plan.compile]. *)
-
-val record_fused_pass : unit -> unit
-(** One full-plane kernel pass executed by the fused circuit path. *)
-
-val add_fused_gates : int -> unit
-(** Source gates covered by one fused plan execution. *)
 
 (** {2 Structured trace events} *)
 

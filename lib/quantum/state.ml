@@ -252,19 +252,6 @@ let apply_wires t ~wires m =
 
 let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
-(* A fused plan run is [gate_count] gate applications as far as the
-   per-call ledger is concerned, so dense runs of a circuit report the
-   same [gate_apps] fused or not; the fused-pass counters live in
-   Circuit_plan where the work actually differs. *)
-let run_plan plan t =
-  match t with
-  | Dense d ->
-      for _ = 1 to Circuit_plan.gate_count plan do
-        Metrics.record_gate ()
-      done;
-      Some (Dense (Backend_dense.run_plan plan d))
-  | Sparse _ | Symbolic _ -> None
-
 (* A single-wire DFT has no symbolic closed form: demote first. *)
 let apply_dft ?plan t ~wire ~inverse =
   Metrics.record_dft ();

@@ -152,15 +152,6 @@ val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
     order, most significant first).  The matrix dimension must be the
     product of the wires' dimensions.  Symbolic states demote. *)
 
-val run_plan : Circuit_plan.t -> t -> t option
-(** Execute a fused circuit plan ({!Circuit_plan.compile}) on a dense
-    qubit register in one pass per plan step; ticks [gate_apps] once
-    per source gate so the per-call ledger matches the gate-by-gate
-    path.  [None] for sparse/symbolic states — the caller falls back
-    to {!apply_wires} per gate ([Circuit.run] does this).
-    @raise Invalid_argument if the dense state is not a register of
-    [plan.num_qubits] qubits. *)
-
 val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
     fibre on the amplitude backends ({!Linalg.Fft}: straight-line for

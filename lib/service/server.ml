@@ -49,12 +49,17 @@ let connection_loop server fd =
              (Protocol.error_response ~id:Jsonv.Null Protocol.Malformed
                 (Printf.sprintf "frame of %d bytes exceeds the %d-byte limit" n
                    Protocol.max_frame)))
-    | exception End_of_file -> ()
-    | exception Unix.Unix_error _ -> ()
   in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ()) loop
+  (* EOF or a transport error on a read or a write (EPIPE from a client
+     that hung up before its reply) closes this connection only *)
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () -> try loop () with End_of_file | Unix.Unix_error _ -> ())
 
 let listen ~socket_path service =
+  (* a reply written to a client that already hung up must fail with
+     EPIPE on that connection, not end the process *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_UNIX socket_path);

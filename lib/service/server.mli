@@ -4,14 +4,18 @@
     frames ({!Protocol}).  Client input can never kill the daemon:
     malformed frames get a [malformed] reply on the live connection,
     solver exceptions come back classified, and only EOF or transport
-    errors close a connection.  A [shutdown] request is acknowledged,
-    then the accept loop drains connections and stops the engine. *)
+    errors (a client gone before its reply included) close a
+    connection.  A [shutdown] request is acknowledged, then the accept
+    loop drains connections and stops the engine. *)
 
 type t
 
 val listen : socket_path:string -> Service.t -> t
 (** Bind the socket (unlinking any stale file), start the engine's
-    executor, and return without accepting yet. *)
+    executor, and return without accepting yet.  Sets SIGPIPE to
+    ignored for the whole process, so a client that hangs up before
+    its reply costs only its own connection (the write fails with
+    EPIPE) instead of killing the daemon. *)
 
 val accept_loop : t -> unit
 (** Serve until a [shutdown] request; joins connection threads, stops

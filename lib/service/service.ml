@@ -17,14 +17,12 @@
    Cached artifacts are the expensive preps of lib/quantum: CSR
    coset buckets (Coset_state.prep) for amplitude backends,
    canonicalised HNF subgroups with their memoised annihilator solves
-   (Backend_symbolic.Subgroup.t) for the symbolic route, and compiled
-   fused circuit plans (Circuit_plan.t, keyed on the exact circuit
-   fingerprint) for the check op's QFT on qubit registers. *)
+   (Backend_symbolic.Subgroup.t) for the symbolic route.  The check op
+   reads the cache but never fills it. *)
 
 type artifact =
   | Buckets of Quantum.Coset_state.prep
   | Subgroup of Quantum.Backend_symbolic.Subgroup.t
-  | Plan of Quantum.Circuit_plan.t
 
 type route = Sym | Amp of Quantum.Backend.choice
 
@@ -55,7 +53,6 @@ let create ?(cache_entries = 64) ?(cache_bytes = 256 * 1024 * 1024) ?(seed = 0) 
         (* HNF basis + memoised dual: two r x r integer matrices *)
         let r = Array.length (Quantum.Backend_symbolic.Subgroup.dims s) in
         (Sys.word_size / 8) * ((2 * r * r) + 64)
-    | Plan p -> Quantum.Circuit_plan.bytes p
   in
   let t =
     {
@@ -161,9 +158,6 @@ let sampler_of_artifact artifact ~queries =
   | Subgroup s ->
       Quantum.Coset_state.sampler_of_subgroup ~backend:Quantum.Backend.Symbolic ~sub:s
         ~queries ()
-  | Plan _ ->
-      (* sample/solve keys never map to plan artifacts *)
-      invalid_arg "Service: plan artifact has no sampler"
 
 (* ------------------------------------------------------------------ *)
 (* Per-request ledger deltas                                           *)
@@ -305,31 +299,6 @@ let exec_solve t (inst : Protocol.instance) rt ~seed ~id =
       ("metrics", Jsonv.Obj (metrics_delta before after));
     ]
 
-(* Registers whose QFT plan the check op compiles and caches: qubit
-   registers small enough that the dense fused path could run them.
-   Compilation is structural (gate count x small matrices), so the cap
-   is about artifact relevance, not cost. *)
-let plan_wire_cap = 24
-
-let plan_json t (inst : Protocol.instance) =
-  let r = Array.length inst.dims in
-  if r > plan_wire_cap || Array.exists (fun d -> d <> 2) inst.dims then Jsonv.Null
-  else begin
-    let c = Quantum.Circuit.qft r in
-    let key = "plan:" ^ Quantum.Circuit.fingerprint c in
-    let build () = Plan (Quantum.Circuit.compile c) in
-    match Cache.find_or_add t.cache key build with
-    | Plan plan, hit ->
-        Jsonv.Obj
-          (("cache", cache_json ~key ~hit)
-          :: List.map
-               (fun (k, v) -> (k, Jsonv.Int (int_of_string v)))
-               (Quantum.Circuit_plan.stats plan))
-    (* a non-plan artifact under a "plan:" key would be a fingerprint
-       collision across artifact kinds; report rather than crash *)
-    | (Buckets _ | Subgroup _), _ -> Jsonv.String "artifact-kind collision"
-  end
-
 let exec_check t (inst : Protocol.instance) rt ~id =
   with_classified_errors ~id @@ fun () ->
   let total = Quantum.Backend.total_of_opt inst.dims in
@@ -358,7 +327,6 @@ let exec_check t (inst : Protocol.instance) rt ~id =
           | None -> true) );
       ("cached", Jsonv.Bool (Cache.mem t.cache key));
       ("fingerprint", Jsonv.String key);
-      ("plan", plan_json t inst);
     ]
 
 let exec_stats t ~id =

@@ -15,7 +15,7 @@
      Coset_state.sampler (Coset_law, 30,000 draws);
    - the Lemma 9 state-valued sampler;
    - one sample and one solve through Service, backend omitted;
-   - Circuit.run against Circuit.run_gates on an 8-qubit QFT.
+   - the textbook 8-qubit QFT circuit against Qft.forward on Z_256.
 
    Within a backend, every cell must reproduce the (1, Fifo) cell bit
    for bit: answers, query counts, a digest of the outcome transcript
@@ -210,24 +210,27 @@ let service rng =
     if field "verified" solve = "true" then []
     else [ "solve failed: " ^ Jsonv.to_string solve ] )
 
-(* An 8-qubit QFT on a seeded random state, through the compiled plan
-   and through the gate-by-gate reference, then sixteen one- and
-   two-wire measurements of the output.  The digest covers the IEEE
-   bits of the output amplitudes, of every marginal and of every
-   renormalised post-measurement state: a reduction whose summation
-   order moves shows here even where no sampled outcome would, and one
-   reordered sum changes the last bit only now and then, hence sixteen. *)
+(* The textbook 8-qubit QFT circuit on a seeded random state, checked
+   against Qft.forward on the one-wire Z_256 register holding the same
+   amplitudes (big-endian, so the flat indices coincide), then sixteen
+   one- and two-wire measurements of the circuit's output.  The digest
+   covers the IEEE bits of the output amplitudes, of every marginal and
+   of every renormalised post-measurement state: a reduction whose
+   summation order moves shows here even where no sampled outcome
+   would, and one reordered sum changes the last bit only now and then,
+   hence sixteen. *)
 let circuit rng =
   with_ledger "circuit qft-8" rng @@ fun () ->
   let n = 8 in
   let c = Circuit.qft n in
-  let st0 =
-    State.of_amplitudes (Array.make n 2)
-      (Array.init (1 lsl n) (fun _ ->
-           Linalg.Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0)))
+  let amps =
+    Array.init (1 lsl n) (fun _ ->
+        Linalg.Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
   in
-  let st = Circuit.run c st0 in
-  let reference = Circuit.run_gates c st0 in
+  let st = Circuit.run c (State.of_amplitudes (Array.make n 2) amps) in
+  let reference =
+    State.amplitudes (Qft.forward (State.of_amplitudes [| 1 lsl n |] amps) ~wires:[ 0 ])
+  in
   let buf = Buffer.create (16 lsl n) in
   let state_bits st =
     Array.iter
@@ -245,8 +248,8 @@ let circuit rng =
       state_bits post)
     (List.init n (fun w -> [ w ]) @ List.init n (fun w -> [ w; (w + 3) mod n ]));
   ( [ ("bits", Digest.to_hex (Digest.string (Buffer.contents buf))) ],
-    if State.approx_equal ~eps:1e-9 reference st then []
-    else [ "Circuit.run drifts from Circuit.run_gates" ] )
+    if Array.for_all2 (Linalg.Cx.approx_equal ~eps:1e-9) reference (State.amplitudes st) then []
+    else [ "Circuit.qft drifts from Qft.forward on Z_256" ] )
 
 let workloads = [ theorems; law; state_valued; service; circuit ]
 

@@ -241,6 +241,34 @@ let test_circuit_run_vs_matrix () =
   in
   checkb "run = matrix" true (State.approx_equal ~eps:1e-9 by_run by_matrix)
 
+(* Ops are stored latest-first, so building a circuit is linear in its
+   length; ops, seq and inverse must still read in application order. *)
+let test_construction_order () =
+  let a = Circuit.gate (Circuit.gate (Circuit.empty 2) Gates.h [ 0 ]) Gates.x [ 1 ] in
+  (match Circuit.ops a with
+  | [ Circuit.Gate (_, [ 0 ]); Circuit.Gate (_, [ 1 ]) ] -> ()
+  | _ -> Alcotest.fail "ops not in application order");
+  let b = Circuit.gate (Circuit.empty 2) Gates.z [ 0 ] in
+  (match Circuit.ops (Circuit.seq a b) with
+  | [ Circuit.Gate (_, [ 0 ]); Circuit.Gate (_, [ 1 ]); Circuit.Gate (_, [ 0 ]) ] -> ()
+  | _ -> Alcotest.fail "seq not in application order");
+  (match Circuit.ops (Circuit.inverse a) with
+  | [ Circuit.Gate (m1, [ 1 ]); Circuit.Gate (m0, [ 0 ]) ] ->
+      checkb "inverse adjoints x" true
+        (Cmat.approx_equal ~eps:1e-12 m1 (Cmat.adjoint Gates.x));
+      checkb "inverse adjoints h" true
+        (Cmat.approx_equal ~eps:1e-12 m0 (Cmat.adjoint Gates.h))
+  | _ -> Alcotest.fail "inverse not reversed");
+  let big =
+    let c = ref (Circuit.empty 1) in
+    for _ = 1 to 2000 do
+      c := Circuit.gate !c Gates.h [ 0 ]
+    done;
+    !c
+  in
+  checki "gate_count O(1)" 2000 (Circuit.gate_count big);
+  checki "ops materialises all" 2000 (List.length (Circuit.ops big))
+
 (* ------------------------------------------------------------------ *)
 (* Qft over products                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -798,6 +826,7 @@ let () =
           Alcotest.test_case "qft inverse" `Quick test_qft_inverse_circuit;
           Alcotest.test_case "approximate qft" `Quick test_approximate_qft_close;
           Alcotest.test_case "run = matrix" `Quick test_circuit_run_vs_matrix;
+          Alcotest.test_case "construction order" `Quick test_construction_order;
         ] );
       ( "qft",
         [

@@ -614,6 +614,40 @@ let test_socket_malformed_survives () =
   Thread.join server_thread;
   checkb "socket file removed" false (Sys.file_exists socket)
 
+(* Clients that hang up before their reply: the daemon's write to each
+   dead connection fails with EPIPE, and the daemon must stay up for the
+   next client.  The signal disposition is left to Server.listen. *)
+let test_socket_hangups_survive () =
+  setup ();
+  let socket =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "hsp_test_hangup_%d.sock" (Unix.getpid ()))
+  in
+  let service = Service.create ~seed:17 () in
+  let server_thread = Server.run_in_background ~socket_path:socket service in
+  let solve =
+    Jsonv.Obj
+      [
+        ("op", Jsonv.String "solve");
+        ("dims", Jsonv.List [ Jsonv.Int 16; Jsonv.Int 16 ]);
+        ("moduli", Jsonv.List [ Jsonv.Int 4; Jsonv.Int 8 ]);
+      ]
+  in
+  for _ = 1 to 20 do
+    let fd = Server.connect ~socket_path:socket in
+    Protocol.write_frame fd (Jsonv.to_string solve);
+    Unix.close fd
+  done;
+  let fd = Server.connect ~socket_path:socket in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      checkb "solve after the hang-ups answered" true (reply_ok (Server.request fd solve));
+      let reply = Server.request fd (Jsonv.Obj [ ("op", Jsonv.String "shutdown") ]) in
+      checkb "shutdown after the hang-ups answered" true (reply_ok reply));
+  Thread.join server_thread;
+  checkb "socket file removed" false (Sys.file_exists socket)
+
 let () =
   Alcotest.run "service"
     [
@@ -656,5 +690,7 @@ let () =
           Alcotest.test_case "jsonv depth cap" `Quick test_jsonv_depth_cap;
           Alcotest.test_case "malformed input survives on socket" `Quick
             test_socket_malformed_survives;
+          Alcotest.test_case "hang-ups before the reply survive" `Quick
+            test_socket_hangups_survive;
         ] );
     ]
