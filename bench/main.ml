@@ -6,10 +6,9 @@
    oracle-query and time scaling of the quantum algorithm against the
    classical baseline, on the group families the paper names.
 
-     dune exec bench/main.exe              -- e1..e14, then micro
+     dune exec bench/main.exe              -- e1..e14
      dune exec bench/main.exe -- e3 e5     -- selected experiments
      dune exec bench/main.exe -- smoke     -- one instance per theorem
-     dune exec bench/main.exe -- micro     -- Bechamel micro-benchmarks
 
    Besides the text tables, a full or selected run writes every table
    to BENCH_<rev>.json (rev = the git HEAD, else "worktree") so runs
@@ -22,7 +21,9 @@
 
    Absolute numbers are simulator-dependent; the claims under test are
    the growth shapes (poly(log |G|) or poly(small parameter) for the
-   quantum algorithms vs Theta(|G|) classically). *)
+   quantum algorithms vs Theta(|G|) classically).  Per-layer timing of
+   the solver and daemon paths, gated against a committed baseline, is
+   bench/perf's job (hsp_bench), not this harness's. *)
 
 open Groups
 open Hsp
@@ -836,16 +837,14 @@ let e11 () =
 let e12 () =
   header
     "E12: sparse coset sampling ladder — O(|G|) prep shared across rounds, bit-identical at every job count"
-    [ fmt_s "dims"; fmt_s "|G|"; fmt_s "backend"; fmt_s "jobs"; fmt_s "support";
-      fmt_s "compact"; fmt_s "visits"; fmt_s "digest"; fmt_s "ok"; fmt_s "prep";
-      fmt_s "speedup"; fmt_s "sec" ];
+    [ fmt_s "dims"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "support"; fmt_s "visits";
+      fmt_s "digest"; fmt_s "ok"; fmt_s "prep"; fmt_s "speedup"; fmt_s "sec" ];
   let counters (m : Quantum.Metrics.snapshot) =
     [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres; m.Quantum.Metrics.dft_apps;
       m.Quantum.Metrics.dft_fibres; m.Quantum.Metrics.basis_maps; m.Quantum.Metrics.oracle_ops;
       m.Quantum.Metrics.measurements; m.Quantum.Metrics.states_created;
       m.Quantum.Metrics.peak_support; m.Quantum.Metrics.pruned_amps;
-      m.Quantum.Metrics.compactions; m.Quantum.Metrics.sampler_preps;
-      m.Quantum.Metrics.coset_visits ]
+      m.Quantum.Metrics.sampler_preps; m.Quantum.Metrics.coset_visits ]
   in
   let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   let add_outcome buf o =
@@ -889,9 +888,8 @@ let e12 () =
           List.iter
             (fun (jobs, digest, ok, (m, prep_sec, sec)) ->
               row
-                [ fmt_s (show dims); fmt_i total; fmt_s "segment"; fmt_i jobs;
-                  fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.compactions;
-                  fmt_i m.Quantum.Metrics.coset_visits;
+                [ fmt_s (show dims); fmt_i total; fmt_i jobs;
+                  fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.coset_visits;
                   fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
                   fmt_f prep_sec; fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
             runs)
@@ -904,12 +902,13 @@ let e12 () =
 
 (* ------------------------------------------------------------------ *)
 (* E13: symbolic coset-state backend (cryptographic group sizes).     *)
-(*   a. scaling ladder Z_2^k, k = 20..120 — the first draw's cost     *)
-(*      (prep ms), the steady-state wall clock per sample (median of  *)
-(*      11 interleaved windows), and the symbolic ledger counters     *)
-(*      (gated: 2 solves, 0 demotions, one rewrite, one draw and k    *)
-(*      DFT ticks per sample); 101 outcomes per rung are checked to   *)
-(*      annihilate the hidden subgroup.                               *)
+(*   a. scaling ladder Z_2^k, k = 20..120 — a fresh sampler's build *)
+(*      plus first draw (prep ms) and the steady-state wall clock per *)
+(*      sample (us/smp), each the median of 11 interleaved passes,    *)
+(*      and the symbolic ledger counters (gated: 2 solves per sampler *)
+(*      built, 0 demotions, one rewrite, one draw and k DFT ticks per *)
+(*      sample); 111 outcomes per rung are checked to annihilate the  *)
+(*      hidden subgroup.                                              *)
 (*   b. differential gate — symbolic vs dense Fourier-sample          *)
 (*      frequencies on small groups, two-sample chi-squared; any      *)
 (*      divergence is a claim violation (nonzero exit).               *)
@@ -918,17 +917,16 @@ let e12 () =
 (*      subgroup equality.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One E13a rung: its sampler, the ledger it has charged, up to 101
-   draws kept for the annihilator check, and its timed windows as
-   (seconds, draws). *)
+(* One E13a rung: the ledger it has charged, the draws kept for the
+   annihilator check, one build-plus-first-draw time per pass, and its
+   timed windows as (seconds, draws). *)
 type rung = {
   k : int;
   dims : int array;
   gens : int array list;
-  draw : Random.State.t -> int array;
   ledger : int array;
-  prep_sec : float;
   mutable kept : int array list;
+  mutable preps : float list;
   mutable timed : int;
   mutable windows : (float * int) list;
 }
@@ -968,44 +966,50 @@ let e13 () =
     Array.iteri (fun i v -> ledger.(i) <- ledger.(i) + v - before.(i)) after;
     x
   in
-  (* Each rung's sampler is built and drawn once (the first draw also
-     computes the memoised dual, one of the two solves, so it is timed
-     apart as prep ms).  Then [passes] rounds visit the rungs in turn,
-     each timing a window of at least 100 draws and 20 ms from a freshly
-     collected heap; a rung's us/smp is its median window.  Interleaving
+  (* [passes] rounds visit the rungs in turn.  On each visit, from a
+     freshly collected heap, the rung builds a fresh sampler and draws
+     once (the first draw also computes the memoised dual, one of the
+     sampler's two solves), timed as one prep; then it times a window
+     of at least 100 draws and 20 ms on that sampler.  A rung's prep ms
+     and us/smp are its median prep and median window.  Interleaving
      spreads every rung over the whole run, so a slow or fast spell of
-     the machine moves a few windows of each rung, not one rung's whole
+     the machine moves a few visits of each rung, not one rung's whole
      figure. *)
   let passes = 11 in
   let rungs =
     List.map
       (fun k ->
         let dims = Array.make k 2 in
-        let gens = pair_gens ~r:k in
-        let ledger = Array.make 5 0 in
-        let draw, (first, prep_sec) =
-          charged ledger (fun () ->
-              let queries = Quantum.Query.create () in
-              let draw =
-                Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic
-                  ~dims ~subgroup:gens ~queries ()
-              in
-              (draw, time_it (fun () -> draw rng)))
-        in
-        { k; dims; gens; draw; ledger; prep_sec; kept = [ first ]; timed = 0; windows = [] })
+        { k; dims; gens = pair_gens ~r:k; ledger = Array.make 5 0; kept = []; preps = [];
+          timed = 0; windows = [] })
       [ 20; 40; 60; 80; 100; 120 ]
   in
+  let median l = List.nth (List.sort Float.compare l) (passes / 2) in
   for _ = 1 to passes do
     List.iter
       (fun r ->
+        Gc.full_major ();
+        let (draw, first), prep_sec =
+          charged r.ledger (fun () ->
+              time_it (fun () ->
+                  let queries = Quantum.Query.create () in
+                  let draw =
+                    Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic
+                      ~dims:r.dims ~subgroup:r.gens ~queries ()
+                  in
+                  (draw, draw rng)))
+        in
+        r.preps <- prep_sec :: r.preps;
+        r.kept <- first :: r.kept;
         Gc.full_major ();
         charged r.ledger (fun () ->
             let t0 = Unix.gettimeofday () in
             let n = ref 0 in
             while !n < 100 || Unix.gettimeofday () -. t0 < 0.02 do
-              (* keep 100 draws for the annihilator check; holding them
-                 all would grow the heap the collector scans *)
-              let y = r.draw rng in
+              (* keep 100 window draws for the annihilator check;
+                 holding them all would grow the heap the collector
+                 scans *)
+              let y = draw rng in
               if r.timed + !n < 100 then r.kept <- y :: r.kept;
               incr n
             done;
@@ -1014,7 +1018,7 @@ let e13 () =
       rungs
   done;
   List.iter
-    (fun { k; dims; gens; ledger; prep_sec; kept; timed; windows; _ } ->
+    (fun { k; dims; gens; ledger; kept; preps; timed; windows } ->
       let annihilates =
         List.for_all
           (fun y -> List.for_all (Quantum.Qft.character_is_trivial_on ~dims y) gens)
@@ -1024,27 +1028,24 @@ let e13 () =
         incr failures;
         Printf.printf "claim violation: E13a Z_2^%d symbolic sample outside the H-annihilator\n" k
       end;
-      (* One canonicalisation and one memoised dual per oracle, one
-         rewrite and one draw per sample: a per-round solve or a
+      (* One canonicalisation and one memoised dual per sampler built,
+         one rewrite and one draw per sample: a per-round solve or a
          demotion is a cost regression.  The sweep still ticks one DFT
          application per wire, so the ledger matches the amplitude
          backends'. *)
-      let n = timed + 1 in
-      let want = [| 2; 0; n; n; k * n |] in
+      let n = timed + passes in
+      let want = [| 2 * passes; 0; n; n; k * n |] in
       if not (Array.for_all2 Int.equal ledger want) then begin
         incr failures;
         Printf.printf
           "claim violation: E13a Z_2^%d ledger %d solves / %d demotions / %d rewrites / %d \
-           draws / %d DFTs, want 2 / 0 / %d / %d / %d\n"
-          k ledger.(0) ledger.(1) ledger.(2) ledger.(3) ledger.(4) n n (k * n)
+           draws / %d DFTs, want %d / 0 / %d / %d / %d\n"
+          k ledger.(0) ledger.(1) ledger.(2) ledger.(3) ledger.(4) (2 * passes) n n (k * n)
       end;
-      let per_draw =
-        List.sort Float.compare
-          (List.map (fun (sec, m) -> 1e6 *. sec /. float_of_int m) windows)
-      in
+      let per_draw = List.map (fun (sec, m) -> 1e6 *. sec /. float_of_int m) windows in
       row
-        [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_f (1e3 *. prep_sec); fmt_i timed;
-          fmt_f (List.nth per_draw (passes / 2)); fmt_i ledger.(2); fmt_i ledger.(3);
+        [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_f (1e3 *. median preps); fmt_i timed;
+          fmt_f (median per_draw); fmt_i ledger.(2); fmt_i ledger.(3);
           fmt_i ledger.(0); fmt_i ledger.(1);
           fmt_f (List.fold_left (fun acc (sec, _) -> acc +. sec) 0.0 windows) ])
     rungs;
@@ -1430,76 +1431,10 @@ let smoke () =
           fmt_f r.Runner.seconds ])
     (Runner.theorem_runs rng)
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment            *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let simon_inst = Instances.simon ~n:6 ~mask:[| 1; 0; 1; 0; 1; 0 |] in
-  let dihedral_inst = Instances.dihedral_rotation ~n:24 ~d:4 in
-  let heis_inst = Instances.heisenberg_center ~p:5 ~m:1 in
-  let wreath_inst = Instances.wreath_diagonal ~k:3 in
-  let semi_inst = Instances.semidirect_random rng ~n:4 ~m:4 in
-  let refl_inst = Instances.dihedral_reflection ~n:32 ~d:7 in
-  let z = Cyclic.product [| 12; 18 |] in
-  let tests =
-    [
-      Test.make ~name:"e1_abelian_simon" (Staged.stage (fun () ->
-          ignore (Abelian_hsp.solve rng simon_inst.Instances.group simon_inst.Instances.hiding)));
-      Test.make ~name:"e2_shor_order" (Staged.stage (fun () ->
-          let queries = Quantum.Query.create () in
-          ignore
-            (Quantum.Shor.find_order rng
-               ~pow:(fun k -> Numtheory.Arith.powmod 2 k 77)
-               ~order_bound:77 ~queries)));
-      Test.make ~name:"e3_normal_dihedral" (Staged.stage (fun () ->
-          ignore (Normal_hsp.solve rng dihedral_inst.Instances.group dihedral_inst.Instances.hiding)));
-      Test.make ~name:"e4_commutator_heisenberg" (Staged.stage (fun () ->
-          ignore (Small_commutator.solve rng heis_inst.Instances.group heis_inst.Instances.hiding)));
-      Test.make ~name:"e5_wreath_thm13" (Staged.stage (fun () ->
-          ignore
-            (Elem_abelian2.solve_general rng wreath_inst.Instances.group
-               ~n_gens:(Wreath.base_gens 3) wreath_inst.Instances.hiding)));
-      Test.make ~name:"e6_cyclic_thm13" (Staged.stage (fun () ->
-          ignore
-            (Elem_abelian2.solve_cyclic rng semi_inst.Instances.group
-               ~n_gens:(Semidirect.base_gens ~n:4) semi_inst.Instances.hiding)));
-      Test.make ~name:"e7_ettinger_hoyer" (Staged.stage (fun () ->
-          ignore (Ettinger_hoyer.solve rng ~n:32 refl_inst.Instances.hiding)));
-      Test.make ~name:"e8_membership" (Staged.stage (fun () ->
-          let queries = Quantum.Query.create () in
-          ignore
-            (Membership.express rng z ~hs:[ [| 2; 3 |]; [| 0; 6 |] ] [| 4; 0 |]
-               ~order_bound:36 ~queries)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"hsp" tests in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.8) ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  Printf.printf "\n== Bechamel micro-benchmarks (monotonic clock, ns/run) ==\n";
-  let rows =
-    Hashtbl.fold (fun name est acc -> (name, est) :: acc) ols []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iter
-    (fun (name, est) ->
-      match Analyze.OLS.estimates est with
-      | Some [ e ] -> Printf.printf "  %-32s %14.0f ns/run\n" name e
-      | _ -> Printf.printf "  %-32s (no estimate)\n" name)
-    rows
-
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let all = [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14) ] in
-  let named = all @ [ ("smoke", smoke); ("micro", micro) ] in
+  let named = all @ [ ("smoke", smoke) ] in
   (match List.filter (fun a -> not (List.mem_assoc a named)) args with
   | [] -> ()
   | unknown ->
@@ -1508,9 +1443,7 @@ let () =
       exit 2);
   Printf.printf "HSP benchmark harness — reproduces EXPERIMENTS.md (seed fixed)\n";
   (match args with
-  | [] ->
-      List.iter (fun (_, f) -> f ()) all;
-      micro ()
+  | [] -> List.iter (fun (_, f) -> f ()) all
   | selected -> List.iter (fun name -> (List.assoc name named) ()) selected);
   if !tables <> [] then write_json ();
   if !failures > 0 then begin

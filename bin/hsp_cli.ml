@@ -41,7 +41,7 @@ let backend_arg =
         fun fmt c -> Format.pp_print_string fmt (Quantum.Backend.choice_to_string c) )
   in
   let doc =
-    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure) or $(b,auto) (dense when the register fits, sparse beyond; never symbolic).      Defaults to $(b,auto)."
+    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure; commands that expand an oracle sample on sparse under it) or $(b,auto) (dense when the register fits, sparse beyond; never symbolic).      Defaults to $(b,auto)."
   in
   Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc)
 
@@ -334,8 +334,10 @@ let abelian_cmd =
        O(|G|) oracle expansion.  [Auto] samples on sparse.  Still one
        quantum query per round. *)
     let draw =
-      Quantum.Coset_state.sampler_of_subgroup ~backend:(Quantum.State.indices_backend ())
-        ~sub:truth ~queries ()
+      let backend =
+        match Quantum.Backend.default () with Quantum.Backend.Auto -> Quantum.Backend.Sparse | c -> c
+      in
+      Quantum.Coset_state.sampler_of_subgroup ~backend ~sub:truth ~queries ()
     in
     let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli in
     let f x = Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in

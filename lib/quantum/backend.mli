@@ -37,11 +37,14 @@
 
     The backend is chosen per state at creation time: explicitly via the
     [?backend] argument of {!State.create} and friends, globally via
-    {!set_default} (the [hsp_cli --backend] flag), and automatically ([Auto]) by total dimension: dense when the register
-    fits under {!Caps.dense_state}, sparse beyond it.  [Auto] never
-    resolves to symbolic — exact symbolic simulation needs the coset
-    structure the caller supplies ({!State.of_coset}), so it is always
-    an explicit opt-in. *)
+    {!set_default} (the [hsp_cli --backend] flag), and automatically
+    ([Auto]) by total dimension: dense when the register fits under
+    {!Caps.dense_state}, sparse beyond it.  [Auto] never resolves to
+    symbolic — exact symbolic simulation needs the subgroup structure
+    the caller supplies ({!State.of_coset}), so it is always an
+    explicit opt-in.  The oracle route of the coset samplers has its
+    own, tighter rule ({!Coset_state.oracle_backend}): [Auto] is dense
+    only up to {!Caps.coset_dense}, and [Symbolic] means sparse. *)
 
 type choice = Dense | Sparse | Symbolic | Auto
 
@@ -73,11 +76,12 @@ module Caps : sig
       [Coset_state.sample_full] on the dense backend
       ({!Coset_state.max_group_size}): those paths materialise O(|A|)
       amplitudes {e and} O(|A|) bucket tables, so they stop well under
-      {!dense_state}. *)
+      {!dense_state}.  Also the pivot of the oracle route's [Auto]
+      rule ({!Coset_state.oracle_backend}). *)
 
   val coset_sparse : int
   (** [2^26].  Group-size cap of [Coset_state.sampler] on the sparse
-      and symbolic backends ({!Coset_state.max_group_size_sparse}): the
+      backend ({!Coset_state.max_group_size_sparse}): the
       amplitudes stay O(|coset|), so the bound is only the flat
       bucket tables of the shared O(|A|) prep pass.  Also the most
       members [State.of_coset] enumerates on dense or sparse, the
@@ -88,11 +92,11 @@ module Caps : sig
   val symbolic_materialise : int
   (** [2^20].  Largest support the symbolic backend will materialise
       when demoting to the sparse backend ([State] fallback for
-      amplitude-level operations, [iter_nonzero], coset recognition in
-      [State.of_indices]).  Purely a simulator-side safety rail: the
-      symbolic fast path (DFT rewrite + subgroup sampling) never
-      materialises anything, and [State.of_coset] on dense or sparse
-      is bounded by {!coset_sparse} instead. *)
+      amplitude-level operations, [iter_nonzero]).  Purely a
+      simulator-side safety rail: the symbolic fast path (DFT rewrite
+      + subgroup sampling) never materialises anything, and
+      [State.of_coset] on dense or sparse is bounded by
+      {!coset_sparse} instead. *)
 end
 
 val dense_cap : int

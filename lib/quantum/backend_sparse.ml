@@ -98,97 +98,6 @@ module Ebuf = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Builder: sorted segment + unsorted insertion buffer                 *)
-(* ------------------------------------------------------------------ *)
-
-(* Construction-time accumulator.  Entries land in a small unsorted
-   insertion buffer; when the buffer outgrows a fixed fraction of the
-   segment it is merge-compacted into it (sorted, duplicate indices
-   summed).  Compaction cost is O(segment) and the segment grows by at
-   least a constant factor between compactions, so building n entries
-   costs O(n log n) total with O(log n) compactions — each one recorded
-   in the {!Metrics} ledger. *)
-module Builder = struct
-  let min_buffer = 64
-  let fraction = 4 (* compact when buffer > segment / fraction *)
-
-  type b = {
-    mutable s_idx : int array;
-    mutable s_re : float array;
-    mutable s_im : float array;
-    mutable s_n : int;
-    buf : Ebuf.b;
-  }
-
-  let create () =
-    { s_idx = [||]; s_re = [||]; s_im = [||]; s_n = 0; buf = Ebuf.create min_buffer }
-
-  let compact b =
-    let u = b.buf in
-    if u.Ebuf.n > 0 then begin
-      Metrics.record_compaction ();
-      (* Sort the buffer by (index, arrival order): the positional
-         tie-break keeps duplicate summation left-to-right in arrival
-         order, so the result never depends on how adds were batched. *)
-      let perm = Array.init u.Ebuf.n (fun i -> i) in
-      Array.sort
-        (fun a b' ->
-          let c = Int.compare u.Ebuf.idx.(a) u.Ebuf.idx.(b') in
-          if c <> 0 then c else Int.compare a b')
-        perm;
-      let out_idx = Array.make (b.s_n + u.Ebuf.n) 0 in
-      let out_re = Array.make (b.s_n + u.Ebuf.n) 0.0 in
-      let out_im = Array.make (b.s_n + u.Ebuf.n) 0.0 in
-      let o = ref 0 in
-      let push i x y =
-        if !o > 0 && Int.equal out_idx.(!o - 1) i then begin
-          out_re.(!o - 1) <- out_re.(!o - 1) +. x;
-          out_im.(!o - 1) <- out_im.(!o - 1) +. y
-        end
-        else begin
-          out_idx.(!o) <- i;
-          out_re.(!o) <- x;
-          out_im.(!o) <- y;
-          incr o
-        end
-      in
-      let i = ref 0 and j = ref 0 in
-      while !i < b.s_n || !j < u.Ebuf.n do
-        let take_seg =
-          !j >= u.Ebuf.n
-          || (!i < b.s_n && b.s_idx.(!i) <= u.Ebuf.idx.(perm.(!j)))
-          (* ties take the segment entry first: it is the older one *)
-        in
-        if take_seg then begin
-          push b.s_idx.(!i) b.s_re.(!i) b.s_im.(!i);
-          incr i
-        end
-        else begin
-          let e = perm.(!j) in
-          push u.Ebuf.idx.(e) u.Ebuf.re.(e) u.Ebuf.im.(e);
-          incr j
-        end
-      done;
-      b.s_idx <- out_idx;
-      b.s_re <- out_re;
-      b.s_im <- out_im;
-      b.s_n <- !o;
-      u.Ebuf.n <- 0
-    end
-
-  let add b i x y =
-    Ebuf.push b.buf i x y;
-    if b.buf.Ebuf.n >= max min_buffer (b.s_n / fraction) then compact b
-
-  let finish b =
-    compact b;
-    ( Array.sub b.s_idx 0 b.s_n,
-      Array.sub b.s_re 0 b.s_n,
-      Array.sub b.s_im 0 b.s_n,
-      b.s_n )
-end
-
-(* ------------------------------------------------------------------ *)
 (* Norms and pruning                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,14 +199,43 @@ let of_amplitudes dims v =
   in
   noted (normalize t)
 
+(* Encode every entry, sort once by (index, list position) and
+   left-fold each run of equal indices: duplicates are summed in list
+   order, so the segment does not depend on the sort's stability. *)
 let of_support dims entries =
   let t = make_frame dims in
   (match entries with [] -> invalid_arg "State.of_support: empty support" | _ :: _ -> ());
-  let b = Builder.create () in
-  List.iter
-    (fun (x, a) -> Builder.add b (Backend.encode dims x) a.Complex.re a.Complex.im)
+  let m = List.length entries in
+  let codes = Array.make m 0 and xs = Array.make m 0.0 and ys = Array.make m 0.0 in
+  List.iteri
+    (fun e (x, a) ->
+      codes.(e) <- Backend.encode dims x;
+      xs.(e) <- a.Complex.re;
+      ys.(e) <- a.Complex.im)
     entries;
-  let idx, re, im, n = Builder.finish b in
+  let perm = Array.init m Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare codes.(a) codes.(b) in
+      if c <> 0 then c else Int.compare a b)
+    perm;
+  let idx = Array.make m 0 and re = Array.make m 0.0 and im = Array.make m 0.0 in
+  let n = ref 0 in
+  Array.iter
+    (fun e ->
+      if !n > 0 && Int.equal idx.(!n - 1) codes.(e) then begin
+        re.(!n - 1) <- re.(!n - 1) +. xs.(e);
+        im.(!n - 1) <- im.(!n - 1) +. ys.(e)
+      end
+      else begin
+        idx.(!n) <- codes.(e);
+        re.(!n) <- xs.(e);
+        im.(!n) <- ys.(e);
+        incr n
+      end)
+    perm;
+  let n = !n in
+  let idx = Array.sub idx 0 n and re = Array.sub re 0 n and im = Array.sub im 0 n in
   noted (prune (normalize { t with n; idx; re; im }))
 
 let of_indices dims idxs =

@@ -1,11 +1,10 @@
 (** Sparse state-vector backend: the nonzero amplitudes on a sorted
     segment — three parallel flat arrays (basis indices, strictly
-    increasing, plus unboxed re/im float planes).  Construction goes
-    through a builder that batches insertions in a small unsorted
-    buffer and merge-compacts it into the segment when it outgrows a
-    fixed fraction of it (each compaction is recorded in the {!Metrics}
-    ledger).  No boxed [Complex.t] and no hashtable anywhere in the hot
-    loops.
+    increasing, plus unboxed re/im float planes).  A segment is built
+    from sorted input: {!of_indices} adopts a sorted index array,
+    {!of_amplitudes} scans a vector in index order, and {!of_support}
+    sorts its entry list once.  No boxed [Complex.t] and no hashtable
+    anywhere in the hot loops.
 
     Time and memory scale with the support size (times the local fibre
     dimension for gate application), not with [prod dims], so registers
@@ -31,8 +30,8 @@
     The operations implement {!Backend.S}; the equivalence test suite checks
     them against {!Backend_dense} amplitude-by-amplitude on random
     circuits.  Work statistics (populated fibre counts, peak
-    support, pruned amplitudes, compactions) are recorded in the
-    {!Metrics} ledger. *)
+    support, pruned amplitudes) are recorded in the {!Metrics}
+    ledger. *)
 
 type t
 
@@ -40,12 +39,16 @@ val create : int array -> t
 val of_basis : int array -> int array -> t
 val of_amplitudes : int array -> Linalg.Cvec.t -> t
 val of_support : int array -> (int array * Linalg.Cx.t) list -> t
+(** [of_support dims entries] encodes the tuples, sorts them once by
+    (index, list position) and sums duplicates left to right in list
+    order, then normalises and prunes.
+    @raise Invalid_argument on an empty or zero-norm support. *)
 
 val of_indices : int array -> int array -> t
 (** [of_indices dims idxs] is the uniform superposition over the given
     {e encoded} basis indices, which must be strictly increasing and in
-    range — the segment is adopted directly with no sort, no builder
-    pass and no hashing, so building a coset state from a pre-bucketed
+    range — the segment is adopted directly with no sort and no
+    hashing, so building a coset state from a pre-bucketed
     index list costs O(|coset|).
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)

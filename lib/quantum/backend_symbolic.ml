@@ -246,45 +246,6 @@ let measure rng st ~wires =
    trivial-subgroup solve per round. *)
 let measure_all rng st = draw rng st
 
-(* Coset recognition: adopt a sorted encoded-index segment iff it is
-   exactly a coset x0 + H (which is how Coset_state's bucket tables
-   arrive).  The diffs of the members against the first member are all
-   of H, so their HNF closure has order |H| iff the set is a coset. *)
-let of_indices_opt dims idxs =
-  let count = Array.length idxs in
-  let sorted_in_range =
-    count > 0 && idxs.(0) >= 0
-    && (let ok = ref true in
-        for i = 1 to count - 1 do
-          if idxs.(i) <= idxs.(i - 1) then ok := false
-        done;
-        !ok)
-    && match Backend.total_of_opt dims with
-       | Some total -> idxs.(count - 1) < total
-       | None -> false
-  in
-  if (not sorted_in_range) || count > Backend.Caps.symbolic_materialise then None
-  else begin
-    let members = Array.map (fun idx -> Backend.decode dims idx) idxs in
-    let rep = members.(0) in
-    let r = Array.length dims in
-    let diffs =
-      Array.to_list
-        (Array.map (fun m -> Array.init r (fun i -> m.(i) - rep.(i))) members)
-    in
-    Metrics.record_symbolic_solve ();
-    let basis = Zm.hnf_basis ~dims diffs in
-    let sub = Subgroup.of_basis ~dims basis in
-    match Subgroup.order_int sub with
-    | Some n when n = count -> Some (of_coset sub rep)
-    | _ -> None
-  end
-
-let of_indices dims idxs =
-  match of_indices_opt dims idxs with
-  | Some st -> st
-  | None -> invalid_arg "Backend_symbolic.of_indices: index set is not a coset"
-
 let approx_equal ?(eps = 1e-9) a b =
   (* Representation-level comparison up to global phase is subtle
      (phase vectors are only canonical modulo the annihilator), so

@@ -40,10 +40,14 @@
     runs are reproducible for a fixed seed and independent of the job
     count (no parallelism is involved at all).
 
-    This backend satisfies {!Backend.CORE} but deliberately not
-    {!Backend.AMPLITUDES}: asking for amplitude-array behaviour goes
-    through {!demote} (capped at {!Backend.Caps.symbolic_materialise})
-    in the {!State} dispatcher. *)
+    States are built from subgroup structure only ({!of_coset} and the
+    basis/uniform constructors); an amplitude or index input is never
+    searched for coset structure, so the oracle route's buckets land on
+    the amplitude backends.  This backend satisfies {!Backend.CORE}
+    but deliberately not {!Backend.AMPLITUDES}: asking for
+    amplitude-array behaviour goes through {!demote} (capped at
+    {!Backend.Caps.symbolic_materialise}) in the {!State}
+    dispatcher. *)
 
 (** Subgroups of [Z_{d_0} x ... x Z_{d_{r-1}}] in canonical HNF form,
     with memoised annihilator.  Shared across all states drawn from one
@@ -95,18 +99,6 @@ val of_coset : ?phase:int array -> ?gphase:Linalg.Cx.t -> Subgroup.t -> int arra
     the state [Coset_state.sampler_with_subgroup] feeds to the Fourier
     pass.  [phase] decorates amplitude [x] with [chi_phase(x)]
     (default: none). *)
-
-val of_indices_opt : int array -> int array -> t option
-(** Coset recognition: adopt a strictly increasing encoded-index
-    segment iff it is exactly a coset [x0 + H] (the shape
-    [Coset_state.sampler]'s bucket tables produce), by closing the
-    member differences under HNF and comparing orders.  [None] if the
-    set is not a coset, is larger than
-    {!Backend.Caps.symbolic_materialise}, or the register's total
-    dimension is not even formable. *)
-
-val of_indices : int array -> int array -> t
-(** @raise Invalid_argument where {!of_indices_opt} is [None]. *)
 
 (** {2 Structure access} *)
 

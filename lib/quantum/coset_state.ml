@@ -40,7 +40,7 @@ type tables = { starts : int array; members : Bytes.t; plans : Fft.plan array op
 
 type prep = {
   pdims : int array;
-  pbackend : Backend.choice;  (* resolved amplitude backend, never Auto *)
+  pbackend : Backend.choice;  (* Dense or Sparse, from oracle_backend *)
   ptotal : int;
   pwires : int list;
   ptables : tables Lazy.t;  (* built on first use *)
@@ -81,17 +81,23 @@ module Ids = Hashtbl.Make (struct
     h lxor (h lsr 29)
 end)
 
+(* The oracle route's one backend rule.  Its states are index
+   segments, so it lands on dense or sparse only, and [Auto] pivots on
+   the dense route's own cap: every group [Auto] sends to dense is one
+   the dense route accepts. *)
+let oracle_backend ?backend ~total () =
+  match (match backend with Some c -> c | None -> Backend.default ()) with
+  | Backend.Dense -> Backend.Dense
+  | Backend.Sparse | Backend.Symbolic -> Backend.Sparse
+  | Backend.Auto -> if total <= max_group_size then Backend.Dense else Backend.Sparse
+
 let prep ?backend ~dims ~f () =
   let total = Backend.total_of dims in
   (* The Fourier/measure pipeline never materialises O(|A|) amplitudes
      on the sparse backend, so the cap is the flat-array bound for the
      bucket tables, not the dense amplitude ceiling. *)
-  let resolved = Backend.resolve ?backend ~total () in
-  let cap =
-    match resolved with
-    | Backend.Sparse | Backend.Symbolic -> max_group_size_sparse
-    | _ -> max_group_size
-  in
+  let resolved = oracle_backend ?backend ~total () in
+  let cap = match resolved with Backend.Sparse -> max_group_size_sparse | _ -> max_group_size in
   let total = check_total ~cap total in
   let dims = Array.copy dims in
   let ptables =
@@ -160,7 +166,6 @@ let prep_buckets p =
   let { starts; members; _ } = Lazy.force p.ptables in
   (Array.copy starts, Array.init (Bytes.length members / 4) (member members))
 
-let prep_dims p = Array.copy p.pdims
 let prep_backend p = p.pbackend
 let prep_cosets p = Array.length (Lazy.force p.ptables).starts - 1
 

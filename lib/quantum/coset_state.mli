@@ -25,7 +25,8 @@
       Capped at {!max_group_size} (2^22) on the dense backend, where
       amplitudes are materialised in full, and {!max_group_size_sparse}
       (2^26) on the sparse one, where only the bucket tables are
-      O(|A|).
+      O(|A|).  Its states are index segments, so it runs on dense or
+      sparse only; {!oracle_backend} is its one backend rule.
     - {!sampler_with_subgroup} / {!sampler_of_subgroup} — the planted
       route.  The caller supplies the hidden subgroup as a {e generator
       list}; the symbolic backend ({!Backend_symbolic}) then runs the
@@ -47,9 +48,10 @@
     superposition.  The classical expansion of that superposition by
     the simulator is *not* charged to the algorithm.
 
-    Every entry point takes an optional [?backend] routed to the
-    {!State} constructors; omitted, the session default
-    ({!Backend.default}) applies. *)
+    Every entry point takes an optional [?backend]; omitted, the
+    session default ({!Backend.default}) applies.  The oracle route
+    resolves it with {!oracle_backend}, the planted route as
+    {!sampler_with_subgroup} says. *)
 
 val max_group_size : int
 (** Group-size cap of {!sampler} / {!sample_full} on the dense backend:
@@ -57,10 +59,24 @@ val max_group_size : int
     {!Backend.Caps.coset_dense} (2^22). *)
 
 val max_group_size_sparse : int
-(** Group-size cap of {!sampler} on the sparse and symbolic backends:
-    the amplitudes stay O(|coset|), so the bound is only the flat
-    bucket tables of the shared prep pass.  Alias of
+(** Group-size cap of {!sampler} on the sparse backend: the
+    amplitudes stay O(|coset|), so the bound is only the flat bucket
+    tables of the shared prep pass.  Alias of
     {!Backend.Caps.coset_sparse} (2^26). *)
+
+val oracle_backend : ?backend:Backend.choice -> total:int -> unit -> Backend.choice
+(** The backend the oracle route ({!prep}, {!sampler}, and the
+    [hsp_served] amplitude route) builds its states on, for a group of
+    order [total]:
+    - omitted: the session default, then as below;
+    - [Auto]: [Dense] iff [total <= ]{!max_group_size} (2^22), else
+      [Sparse] — so [Auto] never picks a backend whose cap then
+      rejects the group;
+    - [Symbolic]: [Sparse] (an oracle's buckets carry no subgroup
+      structure; pass the subgroup to {!sampler_with_subgroup} to
+      sample symbolically);
+    - [Dense] and [Sparse] as given.
+    Caps are not checked here; {!prep} checks them. *)
 
 val sampler :
   ?backend:Backend.choice ->
@@ -91,7 +107,7 @@ val sampler :
 
 type prep
 (** Reusable coset-bucket tables for one (dims, oracle) pair, plus the
-    resolved backend.  Cheap to construct ({!prep} validates sizes and
+    backend {!oracle_backend} resolved.  Cheap to construct ({!prep} validates sizes and
     resolves the backend eagerly, but delays the O(|A|) expansion until
     the first sample or {!prep_force}); safe to share across samplers
     and threads once forced. *)
@@ -102,9 +118,10 @@ val prep :
   f:(int array -> int) ->
   unit ->
   prep
-(** Build the prep for [f] over [A = Z_{d_1} x ... x Z_{d_r}].  Size
-    caps are enforced here ({!max_group_size} dense,
-    {!max_group_size_sparse} sparse/symbolic); the bucketing pass runs
+(** Build the prep for [f] over [A = Z_{d_1} x ... x Z_{d_r}].  The
+    backend is {!oracle_backend}'s; size caps are enforced here
+    ({!max_group_size} dense, {!max_group_size_sparse} sparse); the
+    bucketing pass runs
     lazily, charged to the ["sample-prep"] phase and the
     [sampler_preps] ledger counter exactly once. *)
 
@@ -115,11 +132,8 @@ val prep_force : prep -> unit
     one per distinct wire dimension, which every sampler of the prep
     then reuses. *)
 
-val prep_dims : prep -> int array
-(** The register dimensions the prep was built for (a copy). *)
-
 val prep_backend : prep -> Backend.choice
-(** The resolved amplitude backend (never [Auto]). *)
+(** The resolved backend: [Dense] or [Sparse]. *)
 
 val prep_cosets : prep -> int
 (** Number of distinct cosets (oracle values) found; forces the

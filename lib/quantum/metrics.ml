@@ -19,7 +19,6 @@ type snapshot = {
   peak_support : int;
   pruned_amps : int;
   peak_dense_alloc : int;
-  compactions : int;
   sampler_preps : int;
   coset_visits : int;
   classical_evals : int;
@@ -46,7 +45,6 @@ let states_created = Atomic.make 0
 let peak_support = Atomic.make 0
 let pruned_amps = Atomic.make 0
 let peak_dense_alloc = Atomic.make 0
-let compactions = Atomic.make 0
 let sampler_preps = Atomic.make 0
 let coset_visits = Atomic.make 0
 let classical_evals = Atomic.make 0
@@ -86,7 +84,6 @@ let reset () =
   Atomic.set peak_support 0;
   Atomic.set pruned_amps 0;
   Atomic.set peak_dense_alloc 0;
-  Atomic.set compactions 0;
   Atomic.set sampler_preps 0;
   Atomic.set coset_visits 0;
   Atomic.set classical_evals 0;
@@ -111,7 +108,6 @@ let snapshot () =
     peak_support = Atomic.get peak_support;
     pruned_amps = Atomic.get pruned_amps;
     peak_dense_alloc = Atomic.get peak_dense_alloc;
-    compactions = Atomic.get compactions;
     sampler_preps = Atomic.get sampler_preps;
     coset_visits = Atomic.get coset_visits;
     classical_evals = Atomic.get classical_evals;
@@ -138,7 +134,6 @@ let record_state_created () = tick states_created
 let record_support s = raise_to peak_support s
 let add_pruned n = if n > 0 then add pruned_amps n
 let record_dense_alloc total = raise_to peak_dense_alloc total
-let record_compaction () = tick compactions
 let record_sampler_prep () = tick sampler_preps
 let add_coset_visits n = add coset_visits n
 let add_classical_evals n = add classical_evals n
@@ -193,7 +188,6 @@ let counters s =
     ("peak_support", s.peak_support);
     ("pruned_amps", s.pruned_amps);
     ("peak_dense_alloc", s.peak_dense_alloc);
-    ("compactions", s.compactions);
     ("sampler_preps", s.sampler_preps);
     ("coset_visits", s.coset_visits);
     ("classical_evals", s.classical_evals);
@@ -202,10 +196,6 @@ let counters s =
     ("symbolic_solves", s.symbolic_solves);
     ("symbolic_demotions", s.symbolic_demotions);
   ]
-
-let to_fields s =
-  List.map (fun (k, v) -> (k, string_of_int v)) (counters s)
-  @ List.map (fun (name, sec) -> ("sec_" ^ name, Printf.sprintf "%.6f" sec)) s.phases
 
 let pp fmt s =
   Format.fprintf fmt "@[<v>cost ledger@,";
@@ -218,7 +208,6 @@ let pp fmt s =
   Format.fprintf fmt "  peak sparse support : %d@," s.peak_support;
   Format.fprintf fmt "  pruned amplitudes : %d@," s.pruned_amps;
   Format.fprintf fmt "  peak dense alloc  : %d@," s.peak_dense_alloc;
-  Format.fprintf fmt "  segment compactions : %d@," s.compactions;
   Format.fprintf fmt "  sampler prep passes : %d@," s.sampler_preps;
   Format.fprintf fmt "  coset members visited : %d@," s.coset_visits;
   Format.fprintf fmt "  classical oracle evals : %d@," s.classical_evals;

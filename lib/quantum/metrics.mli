@@ -16,6 +16,10 @@
       pruning epsilon, and the largest dense amplitude array allocated.
       Recorded inside the backends; these are exactly where the two
       representations differ.
+    - {e sampler and symbolic counters} — oracle prep passes, coset
+      members visited per round, classical evaluations outside a
+      query, and the symbolic backend's rewrites, draws, normal-form
+      solves and demotions.
     - {e per-phase timers} — accumulated wall-clock seconds labelled by
       phase ("sample-prep", "fourier", "measure", "classical"), wrapped
       around the samplers and the solvers' classical post-processing.
@@ -49,9 +53,6 @@ type snapshot = {
   peak_support : int;  (** largest sparse segment seen *)
   pruned_amps : int;  (** nonzero amplitudes dropped below epsilon *)
   peak_dense_alloc : int;  (** largest dense amplitude array allocated *)
-  compactions : int;
-      (** sparse-backend builder merge-compactions (insertion buffer
-          folded into the sorted segment) *)
   sampler_preps : int;
       (** O(|G|) oracle-expansion/bucketing passes performed by
           [Coset_state.sampler] — shared across samples, so this stays
@@ -110,10 +111,6 @@ val add_pruned : int -> unit
 
 val record_dense_alloc : int -> unit
 
-val record_compaction : unit -> unit
-(** One sparse-builder merge-compaction (sorted segment absorbed the
-    insertion buffer). *)
-
 val record_sampler_prep : unit -> unit
 (** One shared O(|G|) bucketing pass in [Coset_state.sampler]. *)
 
@@ -165,10 +162,6 @@ val phase : string -> (unit -> 'a) -> 'a
 val counters : snapshot -> (string * int) list
 (** Every integer counter by field name, in a fixed order (the phase
     times are [snapshot.phases]). *)
-
-val to_fields : snapshot -> (string * string) list
-(** Flat key/value view (counters plus [sec_<phase>] entries) for JSON
-    or table emission. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** Human-readable ledger (the [--metrics] output). *)

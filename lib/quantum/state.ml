@@ -65,23 +65,14 @@ let of_sparse ?backend dims entries =
   | Backend.Sparse | Backend.Symbolic | Backend.Auto ->
       Sparse (Backend_sparse.of_support dims entries)
 
-let indices_backend ?backend () =
-  match (match backend with Some c -> c | None -> Backend.default ()) with
-  | Backend.Auto -> Backend.Sparse
-  | c -> c
-
-(* Same default as of_sparse, except that under the symbolic backend a
-   segment that is recognisably a coset (which is what the samplers
-   build) stays symbolic; anything else falls back to sparse. *)
+(* Oracle-route input is a sorted index segment, never subgroup
+   structure: it lands on dense only when asked, and on sparse under
+   every other choice. *)
 let of_indices ?backend dims idxs =
   Metrics.record_state_created ();
-  match indices_backend ?backend () with
+  match (match backend with Some c -> c | None -> Backend.default ()) with
   | Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
-  | Backend.Symbolic -> (
-      match Backend_symbolic.of_indices_opt dims idxs with
-      | Some st -> Symbolic st
-      | None -> Sparse (Backend_sparse.of_indices dims idxs))
-  | Backend.Sparse | Backend.Auto -> Sparse (Backend_sparse.of_indices dims idxs)
+  | Backend.Sparse | Backend.Symbolic | Backend.Auto -> Sparse (Backend_sparse.of_indices dims idxs)
 
 (* The index segment of the coset [rep + H], ascending with no sort.
    The HNF basis is upper triangular with h_ii | d_i, so once wires
@@ -185,41 +176,6 @@ let iter_nonzero t f =
   | Dense d -> Backend_dense.iter_nonzero d f
   | Sparse s -> Backend_sparse.iter_nonzero s f
   | Symbolic s -> Backend_symbolic.iter_nonzero s f
-
-let to_backend choice t =
-  match t with
-  | Symbolic s -> (
-      match choice with
-      | Backend.Symbolic -> t
-      | Backend.Auto -> (
-          match Backend.total_of_opt (Backend_symbolic.dims s) with
-          | None -> t (* nothing else can represent it *)
-          | Some total -> (
-              match Backend.resolve ~backend:Backend.Auto ~total () with
-              | Backend.Dense ->
-                  let sp = demoted s in
-                  Dense (Backend_dense.of_amplitudes (Backend_sparse.dims sp)
-                           (Backend_sparse.amplitudes sp))
-              | _ -> Sparse (demoted s)))
-      | Backend.Sparse -> Sparse (demoted s)
-      | Backend.Dense ->
-          let sp = demoted s in
-          Dense (Backend_dense.of_amplitudes (Backend_sparse.dims sp)
-                   (Backend_sparse.amplitudes sp)))
-  | Dense _ | Sparse _ -> (
-      match choice with
-      | Backend.Symbolic ->
-          invalid_arg
-            "State.to_backend: amplitude states do not convert to symbolic (build via of_coset)"
-      | _ -> (
-          match (Backend.resolve ~backend:choice ~total:(total_dim t) (), t) with
-          | Backend.Sparse, Dense d ->
-              Sparse
-                (Backend_sparse.of_amplitudes (Backend_dense.dims d) (Backend_dense.amplitudes d))
-          | (Backend.Dense | Backend.Auto), Sparse s ->
-              Dense
-                (Backend_dense.of_amplitudes (Backend_sparse.dims s) (Backend_sparse.amplitudes s))
-          | _ -> t))
 
 let tensor a b =
   Metrics.record_state_created ();

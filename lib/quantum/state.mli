@@ -17,11 +17,17 @@
       measured by uniform subgroup sampling, so [Z_2^200]-shaped
       registers cost O(r^2) per operation.
 
-    The backend is chosen per state at creation: explicitly via
-    [?backend], globally via {!Backend.set_default}, or automatically ([Auto]: dense iff the
-    register fits under the cap; never symbolic — see
-    {!Backend.resolve}).  The amplitude backends dispatch every
-    operation natively.  A symbolic state handles the {!Backend.CORE}
+    The backend is chosen per state at creation: explicitly via [?backend], globally via {!Backend.set_default}, or
+    automatically ([Auto]: dense iff the register fits under the cap;
+    never symbolic — see {!Backend.resolve}).  Each input kind has one
+    home: subgroup structure ({!of_coset}) is symbolic unless a caller
+    asks for an amplitude backend; index segments ({!of_indices}),
+    support lists ({!of_sparse}) and amplitude vectors
+    ({!of_amplitudes}) land on dense or sparse, never symbolic.  There
+    is no conversion call: a state changes representation only when a
+    symbolic state demotes (below) or mixed {!tensor} operands promote
+    to sparse.  The amplitude backends dispatch every operation
+    natively.  A symbolic state handles the {!Backend.CORE}
     operations (construction, tensor, full measurement) and
     whole-register Fourier sweeps ({!fourier}) in closed form and
     {e demotes} to the sparse backend — support materialised, capped at
@@ -70,19 +76,15 @@ val of_sparse : ?backend:Backend.choice -> int array -> (int array * Linalg.Cx.t
 val of_indices : ?backend:Backend.choice -> int array -> int array -> t
 (** [of_indices dims idxs] is the uniform superposition over the given
     pre-{e encoded} basis indices, which must be strictly increasing
-    and in range.  The fast path for coset-state construction: the
-    sparse backend adopts the array as its sorted segment directly —
-    O(|idxs|), no sort, no hashing, no per-entry boxing.  Backend
-    default follows {!of_sparse} (sparse even under [Auto]), except
-    that under [Symbolic] a segment recognised as a coset
-    ({!Backend_symbolic.of_indices_opt}) stays symbolic.
+    and in range.  The oracle route's constructor
+    ({!Coset_state.sampler_of_prep}): the sparse backend adopts the
+    array as its sorted segment directly — O(|idxs|), no sort, no
+    hashing, no per-entry boxing.  [Dense] builds dense; every other
+    choice, [Auto] and [Symbolic] included, builds sparse (an index
+    segment carries no subgroup structure; symbolic states come from
+    {!of_coset}).
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)
-
-val indices_backend : ?backend:Backend.choice -> unit -> Backend.choice
-(** The backend {!of_indices} builds on for this choice: never [Auto]
-    (which builds sparse).  Under [Symbolic] a segment that is not a
-    coset still lands on sparse. *)
 
 val of_coset : ?backend:Backend.choice -> Backend_symbolic.Subgroup.t -> rep:int array -> t
 (** [of_coset sub ~rep] is the uniform coset state [|rep + H>] — the
@@ -121,13 +123,6 @@ val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
 (** Iterate over the stored nonzero amplitudes (unspecified order;
     symbolic states enumerate their coset, capped at
     {!Backend.Caps.symbolic_materialise}). *)
-
-val to_backend : Backend.choice -> t -> t
-(** Convert a state to the given backend (identity if already there;
-    [Auto] re-resolves by total dimension, keeping symbolic states
-    symbolic when the total is not even formable).  Sparse-to-dense
-    raises beyond {!max_total_dim}; amplitude states do not convert
-    {e to} symbolic (build them with {!of_coset}). *)
 
 val encode : int array -> int array -> int
 (** [encode dims x] is the mixed-radix index of the basis tuple [x]. *)

@@ -159,11 +159,3 @@ let stats c =
     entries = Hashtbl.length c.table;
     bytes = c.cur_bytes;
   }
-
-let keys_mru_first c =
-  locked c @@ fun () ->
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some node -> go (node.nkey :: acc) node.next
-  in
-  go [] c.mru

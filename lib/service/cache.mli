@@ -44,7 +44,3 @@ val clear : ('k, 'v) t -> unit
 (** Drop every entry (statistics counters are preserved). *)
 
 val stats : ('k, 'v) t -> stats
-
-val keys_mru_first : ('k, 'v) t -> 'k list
-(** Current keys in recency order (most recent first) — for tests and
-    the [stats] reply. *)

@@ -99,7 +99,7 @@ let route (inst : Protocol.instance) =
     when tot > Quantum.Backend.Caps.coset_sparse ->
       Ok Sym
   | (None | Some Quantum.Backend.Auto), Some tot ->
-      Ok (Amp (Quantum.Backend.resolve ~total:tot ()))
+      Ok (Amp (Quantum.Coset_state.oracle_backend ?backend:inst.backend ~total:tot ()))
   | Some c, Some _ -> Ok (Amp c)  (* size caps enforced by the prep itself *)
   | Some c, None ->
       Error
@@ -163,9 +163,12 @@ let sampler_of_artifact artifact ~queries =
 (* Per-request ledger deltas                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Only the fields the request moved: an absent field means 0.  Phase
-   times are kept to the microsecond, so a phase the request did not
-   enter (or left within a microsecond) is absent too. *)
+(* Phase seconds as the ledger reports them: to the microsecond. *)
+let micros sec = Float.round (sec *. 1e6) /. 1e6
+
+(* Only the fields the request moved: an absent field means 0.  A
+   phase the request did not enter (or left within a microsecond) is
+   absent too. *)
 let metrics_delta (before : Quantum.Metrics.snapshot) (after : Quantum.Metrics.snapshot) =
   let counters =
     List.fold_right2
@@ -179,8 +182,8 @@ let metrics_delta (before : Quantum.Metrics.snapshot) (after : Quantum.Metrics.s
           List.find_map (fun (n, s) -> if String.equal n name then Some s else None) before.phases
           |> Option.value ~default:0.0
         in
-        let us = Float.round ((sa -. sb) *. 1e6) in
-        if Float.equal us 0.0 then None else Some ("sec_" ^ name, Jsonv.Float (us /. 1e6)))
+        let sec = micros (sa -. sb) in
+        if Float.equal sec 0.0 then None else Some ("sec_" ^ name, Jsonv.Float sec))
       after.phases
   in
   counters @ phases
@@ -198,17 +201,17 @@ let json_of_outcome o = Jsonv.List (List.map (fun v -> Jsonv.Int v) (Array.to_li
 let cache_json ~key ~hit =
   Jsonv.Obj [ ("hit", Jsonv.Bool hit); ("key", Jsonv.String key) ]
 
-let with_classified_errors ~id f =
-  try f () with
-  | exn ->
-      let failure = Hsp.Runner.classify_failure exn in
-      let kind =
-        match failure with
-        | Hsp.Runner.Retryable _ -> Protocol.Retryable
-        | Hsp.Runner.Rejected _ -> Protocol.Rejected
-        | Hsp.Runner.Crashed _ -> Protocol.Crashed
-      in
-      Protocol.error_response ~id kind (Hsp.Runner.failure_to_string failure)
+let classified_error ~id exn =
+  let failure = Hsp.Runner.classify_failure exn in
+  let kind =
+    match failure with
+    | Hsp.Runner.Retryable _ -> Protocol.Retryable
+    | Hsp.Runner.Rejected _ -> Protocol.Rejected
+    | Hsp.Runner.Crashed _ -> Protocol.Crashed
+  in
+  Protocol.error_response ~id kind (Hsp.Runner.failure_to_string failure)
+
+let with_classified_errors ~id f = try f () with exn -> classified_error ~id exn
 
 (* One group of sample requests sharing a fingerprint: one artifact
    fetch (one prep on a cold cache), then each member draws its own
@@ -222,25 +225,12 @@ let exec_sample_group t (inst : Protocol.instance) rt jobs =
     t.batched_requests <- t.batched_requests + n
   end;
   let first_before = Quantum.Metrics.snapshot () in
-  match
-    try Ok (artifact_for t inst rt)
-    with exn -> Error (Hsp.Runner.classify_failure exn)
-  with
-  | Error failure ->
-      let kind =
-        match failure with
-        | Hsp.Runner.Retryable _ -> Protocol.Retryable
-        | Hsp.Runner.Rejected _ -> Protocol.Rejected
-        | Hsp.Runner.Crashed _ -> Protocol.Crashed
-      in
+  match artifact_for t inst rt with
+  | exception exn ->
       List.iter
-        (fun (job, _, _) ->
-          job.reply <-
-            Some
-              (Protocol.error_response ~id:job.env.Protocol.id kind
-                 (Hsp.Runner.failure_to_string failure)))
+        (fun (job, _, _) -> job.reply <- Some (classified_error ~id:job.env.Protocol.id exn))
         jobs
-  | Ok (key, artifact, hit) ->
+  | key, artifact, hit ->
       List.iteri
         (fun i (job, count, seed) ->
           let id = job.env.Protocol.id in
@@ -349,12 +339,9 @@ let exec_stats t ~id =
       ("batched_requests", Jsonv.Int t.batched_requests);
       ( "ledger",
         Jsonv.Obj
-          (List.map
-             (fun (k, v) ->
-               if String.length k > 4 && String.equal (String.sub k 0 4) "sec_" then
-                 (k, Jsonv.Float (float_of_string v))
-               else (k, Jsonv.Int (int_of_string v)))
-             (Quantum.Metrics.to_fields ledger)) );
+          (List.map (fun (k, v) -> (k, Jsonv.Int v)) (Quantum.Metrics.counters ledger)
+          @ List.map (fun (name, sec) -> ("sec_" ^ name, Jsonv.Float (micros sec))) ledger.phases
+          ) );
     ]
 
 (* ------------------------------------------------------------------ *)

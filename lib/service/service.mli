@@ -55,9 +55,13 @@ val validate : Protocol.instance -> (unit, string) result
 type route = Sym | Amp of Quantum.Backend.choice
 
 val route : Protocol.instance -> (route, string) result
-(** Resolve the execution route: explicit backend wins; otherwise
-    symbolic exactly when the total dimension is unformable or beyond
-    {!Quantum.Backend.Caps.coset_sparse}.  [Error] when an explicit
+(** Resolve the execution route: an explicit backend wins ([Symbolic]
+    is the planted route, [Dense]/[Sparse] the oracle route as given).
+    Omitted or [Auto]: symbolic exactly when the total dimension is
+    unformable or beyond {!Quantum.Backend.Caps.coset_sparse};
+    otherwise the oracle route on
+    {!Quantum.Coset_state.oracle_backend}'s choice, so [Amp] is never
+    a backend whose cap rejects the group.  [Error] when an explicit
     amplitude backend cannot form the register at all. *)
 
 val fingerprint : Protocol.instance -> route -> string

@@ -166,11 +166,12 @@ let test_tensor_and_conversion () =
       (Printf.sprintf "trial %d: mixed tensor agrees" trial)
       true
       (State.approx_equal ~eps:1e-9 mixed (State.tensor da db));
-    (* round-trip conversion is the identity *)
+    (* re-adopting a dense state's amplitudes on sparse is the identity *)
+    let resparsed = State.of_amplitudes ~backend:Backend.Sparse dims_a (State.amplitudes da) in
     checkb
-      (Printf.sprintf "trial %d: conversion round-trip" trial)
+      (Printf.sprintf "trial %d: amplitude round-trip" trial)
       true
-      (State.approx_equal ~eps:1e-12 da (State.to_backend Backend.Dense (State.to_backend Backend.Sparse da)))
+      (State.backend resparsed = Backend.Sparse && State.approx_equal ~eps:1e-12 da resparsed)
   done
 
 (* QCheck variant: the invariant as a property over generated seeds,

@@ -17,6 +17,13 @@
    - one sample and one solve through Service, backend omitted;
    - the textbook 8-qubit QFT circuit against Qft.forward on Z_256.
 
+   Under the Symbolic default, the oracle-route workloads (the
+   coset-draw law, the Lemma 9 sampler, the oracle-expanding solvers
+   and the service's sample and solve) run on sparse: an oracle's
+   coset buckets carry no subgroup structure
+   (Coset_state.oracle_backend).  State constructors that read the
+   default directly still build symbolic states there.
+
    Within a backend, every cell must reproduce the (1, Fifo) cell bit
    for bit: answers, query counts, a digest of the outcome transcript
    (every sampled outcome plus the final RNG state, and for the circuit

@@ -169,7 +169,7 @@ let test_sampler_cost_ledger () =
 
 (* The sparse backend lifts the sampler's group-size cap from 2^22 to
    2^26: a 2^23 group is refused on the dense path but samples fine on
-   the sparse one. *)
+   the sparse one, which is also where [Auto] sends it. *)
 let test_sampler_sparse_cap_lifted () =
   setup ();
   checki "dense cap" (1 lsl 22) Coset_state.max_group_size;
@@ -178,10 +178,14 @@ let test_sampler_sparse_cap_lifted () =
   let moduli = [| 64; 64 |] in
   let f x = Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
   let queries = Query.create () in
-  Alcotest.check_raises "dense-resolved sampler refuses 2^23"
+  Alcotest.check_raises "dense sampler refuses 2^23"
     (Invalid_argument "Coset_state: group too large for state-vector simulation") (fun () ->
-      let (_ : Random.State.t -> int array) = Coset_state.sampler ~dims ~f ~queries () in
+      let (_ : Random.State.t -> int array) =
+        Coset_state.sampler ~backend:Backend.Dense ~dims ~f ~queries ()
+      in
       ());
+  checkb "Auto resolves 2^23 to sparse" true
+    (Coset_state.prep_backend (Coset_state.prep ~dims ~f ()) = Backend.Sparse);
   let draw = Coset_state.sampler ~backend:Backend.Sparse ~dims ~f ~queries () in
   let r = rng () in
   let y = draw r in
@@ -193,27 +197,6 @@ let test_sampler_sparse_cap_lifted () =
   checki "coset visits = |H|"
     ((dims.(0) / moduli.(0)) * (dims.(1) / moduli.(1)))
     m.Metrics.coset_visits
-
-(* ------------------------------------------------------------------ *)
-(* Sparse builder compaction accounting                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_compaction_counter () =
-  setup ();
-  (* 200 scrambled entries against a 64-entry insertion buffer: the
-     builder must merge-compact more than once, and say so. *)
-  let dims = [| 512 |] in
-  let entries = List.init 200 (fun k -> ([| (k * 37) mod 512 |], Cx.one)) in
-  let st = Backend_sparse.of_support dims entries in
-  checki "all entries distinct and kept" 200 (Backend_sparse.support_size st);
-  let m = Metrics.snapshot () in
-  checkb "compactions recorded" true (m.Metrics.compactions >= 2);
-  (* a single-entry state never outgrows the buffer: exactly the one
-     finishing compaction *)
-  Metrics.reset ();
-  ignore (Backend_sparse.of_basis dims [| 3 |]);
-  let m = Metrics.snapshot () in
-  checki "basis state needs no compaction" 0 m.Metrics.compactions
 
 (* ------------------------------------------------------------------ *)
 (* Query/Hiding counter semantics across Runner.run invocations       *)
@@ -304,7 +287,6 @@ let () =
             test_sampler_cost_ledger;
           Alcotest.test_case "sparse sampler cap lifted to 2^26" `Slow
             test_sampler_sparse_cap_lifted;
-          Alcotest.test_case "compaction counter" `Quick test_compaction_counter;
         ] );
       ( "counters",
         [

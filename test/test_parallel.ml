@@ -324,7 +324,7 @@ let counters (s : Metrics.snapshot) =
   [
     s.gate_apps; s.gate_fibres; s.dft_apps; s.dft_fibres; s.basis_maps; s.oracle_ops;
     s.measurements; s.states_created; s.peak_support; s.pruned_amps; s.peak_dense_alloc;
-    s.compactions; s.sampler_preps; s.coset_visits;
+    s.sampler_preps; s.coset_visits;
   ]
 
 let test_ledger_equal_across_jobs () =

@@ -433,6 +433,40 @@ let test_coset_sampler_size_guard () =
            trips whatever the session-default backend *)
         (Coset_state.sampler ~dims:(Array.make 27 2) ~f:(fun _ -> 0) ~queries () rng))
 
+(* The oracle route picks its backend in one place
+   (Coset_state.oracle_backend), so [Auto] never hands a group to a
+   backend whose cap then rejects it: 2^23 lies between the dense
+   route's cap (2^22) and the dense state cap (2^24), and must land on
+   sparse.  A symbolic choice means sparse on this route.  Neither
+   prep may run the oracle before its first draw. *)
+let test_oracle_route_backend () =
+  Backend.set_default Backend.Auto;
+  let dims = [| 4096; 2048 |] in
+  let evals = ref 0 in
+  let f x =
+    incr evals;
+    x.(0) mod 8
+  in
+  let preps_before = (Metrics.snapshot ()).Metrics.sampler_preps in
+  let backend_of ?backend () = Coset_state.prep_backend (Coset_state.prep ?backend ~dims ~f ()) in
+  checkb "omitted, 2^23: sparse" true (backend_of () = Backend.Sparse);
+  checkb "Auto, 2^23: sparse" true (backend_of ~backend:Backend.Auto () = Backend.Sparse);
+  checkb "Symbolic, 2^23: sparse" true (backend_of ~backend:Backend.Symbolic () = Backend.Sparse);
+  Backend.set_default Backend.Symbolic;
+  let under_symbolic = backend_of () in
+  Backend.set_default Backend.Auto;
+  checkb "symbolic session default: sparse" true (under_symbolic = Backend.Sparse);
+  checki "no oracle evaluation before a draw" 0 !evals;
+  checki "no prep pass before a draw" preps_before (Metrics.snapshot ()).Metrics.sampler_preps;
+  let pick ?backend total = Coset_state.oracle_backend ?backend ~total () in
+  checkb "Auto at the dense cap: dense" true (pick ~backend:Backend.Auto (1 lsl 22) = Backend.Dense);
+  checkb "Auto past it: sparse" true (pick ~backend:Backend.Auto ((1 lsl 22) + 1) = Backend.Sparse);
+  checkb "Dense as given" true (pick ~backend:Backend.Dense (1 lsl 23) = Backend.Dense);
+  checkb "Sparse as given" true (pick ~backend:Backend.Sparse 4 = Backend.Sparse);
+  Alcotest.check_raises "explicit dense past its cap is still refused"
+    (Invalid_argument "Coset_state: group too large for state-vector simulation") (fun () ->
+      ignore (Coset_state.prep ~backend:Backend.Dense ~dims ~f ()))
+
 let test_coset_draw_law () =
   List.iter
     (fun backend ->
@@ -842,6 +876,8 @@ let () =
           Alcotest.test_case "empty samples" `Quick test_annihilator_empty_samples;
           Alcotest.test_case "gate-level simon" `Quick test_gate_level_simon;
           Alcotest.test_case "size guard" `Quick test_coset_sampler_size_guard;
+          Alcotest.test_case "oracle route backend (Auto past 2^22)" `Quick
+            test_oracle_route_backend;
           Alcotest.test_case "state-valued oracle (lemma 9)" `Quick test_state_valued_sampler;
           Alcotest.test_case "coset draw law (chi-squared)" `Quick test_coset_draw_law;
           Alcotest.test_case "subgroup sampler exact law" `Quick test_subgroup_sampler_law;

@@ -189,6 +189,25 @@ let test_fingerprint_distinct () =
        (Service.fingerprint i (Service.Amp Backend.Dense))
        (Service.fingerprint i Service.Sym))
 
+(* With the backend omitted, the amplitude route takes the oracle
+   route's own rule (Coset_state.oracle_backend): a 2^23 group, under
+   the dense state cap but over the dense sampler's, routes sparse
+   rather than to a dense prep that rejects it, and shares the
+   explicit-sparse request's artifact. *)
+let test_route_omitted_backend () =
+  setup ();
+  let inst backend : Protocol.instance = { dims = [| 4096; 2048 |]; moduli = [| 64; 32 |]; backend } in
+  let route_of i =
+    match Service.route i with Ok rt -> rt | Error msg -> Alcotest.failf "route failed: %s" msg
+  in
+  let omitted = route_of (inst None) and sparse = route_of (inst (Some Backend.Sparse)) in
+  checkb "omitted backend routes Amp Sparse" true (omitted = Service.Amp Backend.Sparse);
+  checkb "Auto routes Amp Sparse" true (route_of (inst (Some Backend.Auto)) = Service.Amp Backend.Sparse);
+  Alcotest.(check string)
+    "same artifact as the explicit-sparse request"
+    (Service.fingerprint (inst (Some Backend.Sparse)) sparse)
+    (Service.fingerprint (inst None) omitted)
+
 (* ------------------------------------------------------------------ *)
 (* Engine: batching, sampler_preps = 1 per oracle, ledger deltas       *)
 (* ------------------------------------------------------------------ *)
@@ -668,6 +687,8 @@ let () =
           Alcotest.test_case "byte budget" `Quick test_cache_byte_budget;
           Alcotest.test_case "find_or_add builds once" `Quick test_cache_find_or_add;
           Alcotest.test_case "fingerprints distinct" `Quick test_fingerprint_distinct;
+          Alcotest.test_case "omitted backend routes sparse past 2^22" `Quick
+            test_route_omitted_backend;
         ] );
       ( "engine",
         [

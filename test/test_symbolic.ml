@@ -1,7 +1,7 @@
 (* Tests for the symbolic coset-state backend and the subgroup-level
    sampling pipeline: closed-form DFT rewrite vs the dense backend,
-   whole-register sweeps and partial-sweep demotion, coset
-   recognition, demotion equivalence, the
+   whole-register sweeps and partial-sweep demotion, index segments
+   landing on sparse, demotion equivalence, the
    measure_all fast path, annihilator_subgroup against the Smith
    normal-form route and its edge cases, and the chi-squared
    differential gate between symbolic and amplitude-level sampling. *)
@@ -321,10 +321,13 @@ let test_partial_sweep_demotion_random () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Coset recognition (of_indices)                                     *)
+(* Index segments never build symbolic states                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_of_indices_recognition () =
+(* A coset's index segment under [~backend:Symbolic] lands on sparse,
+   equal to the explicit sparse build, and runs no normal-form solve:
+   symbolic states come from subgroup structure (State.of_coset) only. *)
+let test_of_indices_symbolic_is_sparse () =
   let dims = [| 4; 6 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 3 |]; [| 0; 2 |] ] in
   let rep = [| 1; 1 |] in
@@ -335,13 +338,13 @@ let test_of_indices_recognition () =
     |> List.sort_uniq Int.compare
     |> Array.of_list
   in
+  let solves () = (Metrics.snapshot ()).Metrics.symbolic_solves in
+  let before = solves () in
   let st = State.of_indices ~backend:Backend.Symbolic dims idxs in
-  checkb "coset recognised" true (State.backend st = Backend.Symbolic);
-  checkb "matches sparse" true
-    (State.approx_equal ~eps:1e-12 st (State.of_indices ~backend:Backend.Sparse dims idxs));
-  (* a non-coset set falls back to sparse *)
-  let bad = State.of_indices ~backend:Backend.Symbolic dims [| 0; 1; 5 |] in
-  checkb "non-coset falls back" true (State.backend bad = Backend.Sparse)
+  checki "no normal-form solve" before (solves ());
+  checkb "lands on sparse" true (State.backend st = Backend.Sparse);
+  checkb "equals the sparse build" true
+    (State.approx_equal ~eps:0.0 st (State.of_indices ~backend:Backend.Sparse dims idxs))
 
 (* ------------------------------------------------------------------ *)
 (* Demotion                                                           *)
@@ -707,9 +710,10 @@ let () =
           Alcotest.test_case "ledger" `Quick test_rewrite_ledger;
           Alcotest.test_case "sweep ledger on every backend" `Quick test_sweep_ledger;
         ] );
-      ( "recognition",
+      ( "of_indices",
         [
-          Alcotest.test_case "of_indices coset" `Quick test_of_indices_recognition;
+          Alcotest.test_case "symbolic choice lands on sparse" `Quick
+            test_of_indices_symbolic_is_sparse;
         ] );
       ( "demotion",
         [
