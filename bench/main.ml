@@ -29,7 +29,13 @@ open Groups
 open Hsp
 module Jsonv = Hsp_service.Jsonv
 
-let rng = Random.State.make [| 20260705 |]
+let run_seed = 20260705
+let rng = Random.State.make [| run_seed |]
+
+(* A part's own stream, seeded from the run seed and the part's name,
+   for a part whose draws must not depend on how many draws the parts
+   before it took (E13a's timed windows take a varying number). *)
+let part_rng name = Random.State.make [| run_seed; Hashtbl.hash name |]
 
 (* Every header/row pair is mirrored into [tables] so the whole run can
    be dumped as machine-readable JSON at exit. *)
@@ -906,7 +912,7 @@ let e12 () =
 (*      plus first draw (prep ms) and the steady-state wall clock per *)
 (*      sample (us/smp), each the median of 11 interleaved passes,    *)
 (*      and the symbolic ledger counters (gated: 2 solves per sampler *)
-(*      built, 0 demotions, one rewrite, one draw and k DFT ticks per *)
+(*      built, 0 demotions, one rewrite, one draw and k DFT apps per  *)
 (*      sample); 111 outcomes per rung are checked to annihilate the  *)
 (*      hidden subgroup.                                              *)
 (*   b. differential gate — symbolic vs dense Fourier-sample          *)
@@ -915,6 +921,8 @@ let e12 () =
 (*   c. one >= 2^100 instance per Theorem 3/6/8/11/13, solved through *)
 (*      the symbolic sampler and verified exactly by canonical-HNF    *)
 (*      subgroup equality.                                            *)
+(*   Each part draws from its own [part_rng] stream, so b's and c's   *)
+(*   cells do not move with the number of draws a's windows took.     *)
 (* ------------------------------------------------------------------ *)
 
 (* One E13a rung: the ledger it has charged, the draws kept for the
@@ -940,15 +948,7 @@ let e13 () =
     List.init (r / 2) (fun i ->
         Array.init r (fun j -> if j = (2 * i) || j = (2 * i) + 1 then 1 else 0))
   in
-  let recover ~dims ~subgroup rounds =
-    let queries = Quantum.Query.create () in
-    let draw =
-      Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic ~dims
-        ~subgroup ~queries ()
-    in
-    let ys = List.init rounds (fun _ -> draw rng) in
-    (ys, Quantum.Coset_state.annihilator_subgroup ~dims ys, Quantum.Query.count queries)
-  in
+  let rng = part_rng "e13a" in
   header "E13a: symbolic backend scaling — Fourier sampling |x0 + H> in Z_2^k, |H| = 2^(k/2)"
     [ fmt_s "|G|"; fmt_s "log2|H|"; fmt_s "prep ms"; fmt_s "timed"; fmt_s "us/smp";
       fmt_s "rewrite"; fmt_s "draws"; fmt_s "solves"; fmt_s "demote"; fmt_s "sec" ];
@@ -1030,8 +1030,8 @@ let e13 () =
       end;
       (* One canonicalisation and one memoised dual per sampler built,
          one rewrite and one draw per sample: a per-round solve or a
-         demotion is a cost regression.  The sweep still ticks one DFT
-         application per wire, so the ledger matches the amplitude
+         demotion is a cost regression.  The sweep still counts one
+         DFT application per wire, so the ledger matches the amplitude
          backends'. *)
       let n = timed + passes in
       let want = [| 2 * passes; 0; n; n; k * n |] in
@@ -1049,6 +1049,7 @@ let e13 () =
           fmt_i ledger.(0); fmt_i ledger.(1);
           fmt_f (List.fold_left (fun acc (sec, _) -> acc +. sec) 0.0 windows) ])
     rungs;
+  let rng = part_rng "e13b" in
   header "E13b: differential gate — symbolic vs dense sample frequencies (two-sample chi^2)"
     [ fmt_s "dims"; fmt_s "|G|"; fmt_s "n/side"; fmt_s "cells"; fmt_s "chi2"; fmt_s "thresh";
       fmt_s "ok" ];
@@ -1091,6 +1092,16 @@ let e13 () =
   chi2_gate [| 4; 6; 8 |] [ [| 2; 0; 0 |]; [| 0; 3; 4 |] ] 4000;
   chi2_gate [| 2; 2; 2; 2; 2 |] [ [| 1; 1; 0; 0; 0 |]; [| 0; 0; 1; 1; 1 |] ] 4000;
   chi2_gate [| 9; 3; 5 |] [ [| 3; 1; 0 |] ] 4000;
+  let rng = part_rng "e13c" in
+  let recover ~dims ~subgroup rounds =
+    let queries = Quantum.Query.create () in
+    let draw =
+      Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic ~dims
+        ~subgroup ~queries ()
+    in
+    let ys = List.init rounds (fun _ -> draw rng) in
+    (ys, Quantum.Coset_state.annihilator_subgroup ~dims ys, Quantum.Query.count queries)
+  in
   header "E13c: theorem instances at >= 2^100 through the symbolic sampler"
     [ fmt_s "instance"; fmt_s "thm"; fmt_s "log2|G|"; fmt_s "queries"; fmt_s "ok"; fmt_s "sec" ];
   let emit name thm log2g queries ok sec =

@@ -251,6 +251,16 @@ let solve a b =
 let check_dims dims =
   Array.iter (fun d -> if d < 1 then invalid_arg "Zmatrix: dimension < 1") dims
 
+(* [v mod d] into [0, d) where [v] is usually already in (-d, d): a
+   compare-and-add there, a division only off that range. *)
+let wrap v d = if v >= d || v <= -d then Arith.emod v d else if v < 0 then v + d else v
+
+(* [v mod d] into [0, d) for [v < d]: the shape of [a - q * b] with [a]
+   in [0, d) and [q * b >= 0].  Above [-d], [d land (v asr 62)] is [d]
+   for a negative [v] and 0 otherwise, so no sign test; a division
+   only below. *)
+let wrap_sub v d = if v > -d then v + (d land (v asr 62)) else Arith.emod v d
+
 let hnf_basis ~dims gens =
   check_dims dims;
   let r = Array.length dims in
@@ -258,8 +268,8 @@ let hnf_basis ~dims gens =
     (fun g -> if Array.length g <> r then invalid_arg "Zmatrix.hnf_basis: generator arity")
     gens;
   (* Invariant: every entry right of the current column lies in
-     [0, d_j), so a row operation re-reduces only the entries where the
-     subtracted row is nonzero. *)
+     [0, d_j), so a row operation [a_j - q * b_j] is below [d_j] and
+     [wrap_sub] re-reduces it; a zero [b_j] leaves [a_j] as it was. *)
   let nonzero_from row lo =
     let rec go j = j < r && (row.(j) <> 0 || go (j + 1)) in
     go lo
@@ -267,7 +277,7 @@ let hnf_basis ~dims gens =
   let active = ref [] in
   List.iter
     (fun g ->
-      let row = Array.mapi (fun j x -> Arith.emod x dims.(j)) g in
+      let row = Array.mapi (fun j x -> wrap x dims.(j)) g in
       if nonzero_from row 0 then active := row :: !active)
     gens;
   let basis = Array.make r [||] in
@@ -280,16 +290,18 @@ let hnf_basis ~dims gens =
       (fun row ->
         if row.(c) = 0 then rest := row :: !rest
         else begin
-          (* Euclid on column c between the accumulated pivot and row. *)
+          (* Euclid on column c between the accumulated pivot and row;
+             a step with quotient 0 is only the swap. *)
           let a = ref !pivot and b = ref row in
           while !b.(c) <> 0 do
             let a' = !a and b' = !b in
             let q = a'.(c) / b'.(c) in
-            a'.(c) <- a'.(c) - (q * b'.(c));
-            for j = c + 1 to r - 1 do
-              let x = b'.(j) in
-              if x <> 0 then a'.(j) <- Arith.emod (a'.(j) - (q * x)) dims.(j)
-            done;
+            if q <> 0 then begin
+              a'.(c) <- a'.(c) - (q * b'.(c));
+              for j = c + 1 to r - 1 do
+                a'.(j) <- wrap_sub (a'.(j) - (q * b'.(j))) dims.(j)
+              done
+            end;
             a := b';
             b := a'
           done;
@@ -309,12 +321,11 @@ let hnf_basis ~dims gens =
     let h = pc.(c) in
     for i = 0 to c - 1 do
       let bi = basis.(i) in
-      let q = bi.(c) / h in
-      if q <> 0 then begin
+      if bi.(c) >= h then begin
+        let q = bi.(c) / h in
         bi.(c) <- bi.(c) - (q * h);
         for j = c + 1 to r - 1 do
-          let y = pc.(j) in
-          if y <> 0 then bi.(j) <- Arith.emod (bi.(j) - (q * y)) dims.(j)
+          bi.(j) <- wrap_sub (bi.(j) - (q * pc.(j))) dims.(j)
         done
       end
     done
@@ -368,25 +379,28 @@ let hnf_order_int p =
       match acc with Some a when a <= max_int / n -> Some (a * n) | _ -> None)
     (Some 1) p.counts
 
-(* [v mod d] into [0, d) where [v] is usually already in (-d, d): a
-   compare-and-add there, a division only off that range. *)
-let wrap v d = if v >= d || v <= -d then Arith.emod v d else if v < 0 then v + d else v
-
 let hnf_reduce p x =
   let dims = p.hdims in
   let r = Array.length dims in
   if Array.length x <> r then invalid_arg "Zmatrix.hnf_reduce: arity mismatch";
   (* [t] stays reduced modulo the dims throughout, so a row with
-     quotient 0 leaves it untouched and a subtraction re-reduces only
-     the entries where the basis row is nonzero. *)
-  let t = Array.init r (fun i -> wrap x.(i) dims.(i)) in
+     quotient 0 ([t_i < h_ii]) leaves it untouched and a subtraction
+     re-reduces only the entries where the basis row is nonzero. *)
+  let t = Array.make r 0 in
+  for i = 0 to r - 1 do
+    t.(i) <- wrap x.(i) dims.(i)
+  done;
   for i = 0 to r - 1 do
     let row = p.rows.(i) in
     let h = row.(i) in
-    let q = t.(i) / h in
-    if q <> 0 then begin
+    if t.(i) >= h then begin
+      let q = t.(i) / h in
       t.(i) <- t.(i) - (q * h);
-      Array.iter (fun j -> t.(j) <- wrap (t.(j) - (q * row.(j))) dims.(j)) p.nz.(i)
+      let nz = p.nz.(i) in
+      for k = 0 to Array.length nz - 1 do
+        let j = nz.(k) in
+        t.(j) <- wrap_sub (t.(j) - (q * row.(j))) dims.(j)
+      done
     end
   done;
   t
@@ -411,9 +425,14 @@ let hnf_sample rng p =
   for i = 0 to r - 1 do
     let row = p.rows.(i) in
     let c = Random.State.full_int rng p.counts.(i) in
-    if c <> 0 then
-      Array.iter (fun j -> x.(j) <- wrap_pos (x.(j) + (c * row.(j))) dims.(j)) p.nz.(i);
-    x.(i) <- wrap_pos (x.(i) + (c * row.(i))) dims.(i)
+    if c <> 0 then begin
+      let nz = p.nz.(i) in
+      for k = 0 to Array.length nz - 1 do
+        let j = nz.(k) in
+        x.(j) <- wrap_pos (x.(j) + (c * row.(j))) dims.(j)
+      done;
+      x.(i) <- wrap_pos (x.(i) + (c * row.(i))) dims.(i)
+    end
   done;
   x
 

@@ -63,9 +63,16 @@ val solve_mod : moduli:int array -> t -> int array -> int array option
     symbolic coset-state backend, which never forms the total group
     order [prod dims] as an integer.  The subgroup's order is
     [prod (dims.(i) / h_ii)], exposed in log2 / checked-[int] form.
-    All intermediate entries stay below [(max dims)^2]: working rows
-    may always be reduced modulo the dims because [dims.(i) * e_i]
-    lies in every lattice considered. *)
+    Working rows may always be reduced modulo the dims because
+    [dims.(i) * e_i] lies in every lattice considered, so every entry
+    right of the column being eliminated stays in [[0, dims.(j))] and
+    all intermediate values stay below [(max dims)^2].  A row update
+    [a_j - q * b_j] with [a_j] in [[0, d)] and [q * b_j >= 0] is below
+    [d], so whenever it lies above [-d] a compare-and-add brings it back
+    into range.  Division happens only for the quotients (one per
+    Euclid step, and one per canonicalised entry [b_ic >= h_cc]), for
+    an update at or below [-d], and for a generator or input entry
+    outside [[0, d)]; a step whose quotient is 0 does no row work. *)
 
 val hnf_basis : dims:int array -> int array list -> t
 (** [hnf_basis ~dims gens] is the canonical HNF basis ([r x r]) of the

@@ -125,7 +125,7 @@ let snapshot () =
 
 let record_gate () = tick gate_apps
 let add_gate_fibres n = add gate_fibres n
-let record_dft () = tick dft_apps
+let add_dft_apps n = add dft_apps n
 let add_dft_fibres n = add dft_fibres n
 let record_basis_map () = tick basis_maps
 let record_oracle () = tick oracle_ops
@@ -157,19 +157,24 @@ let trace event fields = match Atomic.get tracer with None -> () | Some f -> f e
 (* Per-phase wall-clock timer                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The trace event, with its formatted seconds field, is built only
+   when a tracer is installed: a solver round makes three phase calls,
+   and the untraced ones pay the clock reads and the table update. *)
 let phase name f =
   let t0 = Unix.gettimeofday () in
-  Fun.protect
-    ~finally:(fun () ->
-      let dt = Unix.gettimeofday () -. t0 in
-      Mutex.protect phase_lock (fun () ->
-          match Hashtbl.find_opt phase_seconds name with
-          | None ->
-              phase_order := name :: !phase_order;
-              Hashtbl.replace phase_seconds name dt
-          | Some acc -> Hashtbl.replace phase_seconds name (acc +. dt));
-      trace "phase" [ ("name", name); ("seconds", Printf.sprintf "%.6f" dt) ])
-    f
+  let charge () =
+    let dt = Unix.gettimeofday () -. t0 in
+    Mutex.protect phase_lock (fun () ->
+        match Hashtbl.find_opt phase_seconds name with
+        | None ->
+            phase_order := name :: !phase_order;
+            Hashtbl.replace phase_seconds name dt
+        | Some acc -> Hashtbl.replace phase_seconds name (acc +. dt));
+    match Atomic.get tracer with
+    | None -> ()
+    | Some emit -> emit "phase" [ ("name", name); ("seconds", Printf.sprintf "%.6f" dt) ]
+  in
+  Fun.protect ~finally:charge f
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -94,7 +94,10 @@ val snapshot : unit -> snapshot
 
 val record_gate : unit -> unit
 val add_gate_fibres : int -> unit
-val record_dft : unit -> unit
+val add_dft_apps : int -> unit
+(** Count DFT applications: one per wire transformed, so a whole
+    sweep adds its wire count with one atomic add. *)
+
 val add_dft_fibres : int -> unit
 val record_basis_map : unit -> unit
 val record_oracle : unit -> unit
@@ -151,11 +154,13 @@ val trace : string -> (string * string) list -> unit
 (** {2 Per-phase wall-clock timer} *)
 
 val phase : string -> (unit -> 'a) -> 'a
-(** [phase name f] runs [f], adds the elapsed wall-clock seconds to the
-    ledger under [name] (even when [f] raises) and emits a ["phase"]
-    trace event.  Phases at the same level simply accumulate; nesting is
-    allowed but a nested phase's time is {e also} inside its ancestor's,
-    so the provided instrumentation only uses leaf-level phases. *)
+(** [phase name f] runs [f] and adds the elapsed wall-clock seconds to
+    the ledger under [name] (even when [f] raises).  Only when a tracer
+    is installed does it format and emit a ["phase"] trace event (name
+    and seconds fields); untraced, a call allocates a few words.
+    Phases at the same level simply accumulate; nesting is allowed but
+    a nested phase's time is {e also} inside its ancestor's, so the
+    provided instrumentation only uses leaf-level phases. *)
 
 (** {2 Rendering} *)
 

@@ -210,7 +210,7 @@ let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
 (* A single-wire DFT has no symbolic closed form: demote first. *)
 let apply_dft ?plan t ~wire ~inverse =
-  Metrics.record_dft ();
+  Metrics.add_dft_apps 1;
   match t with
   | Dense d -> Dense (Backend_dense.apply_dft ?plan d ~wire ~inverse)
   | Sparse s -> Sparse (Backend_sparse.apply_dft ?plan s ~wire ~inverse)
@@ -232,12 +232,12 @@ let permutes_register n wires =
   in
   go 0 wires
 
-(* One whole sweep: [dft_apps] ticks once per listed wire on every
-   backend.  A symbolic state swept over a permutation of its wires
-   takes the closed-form rewrite; any other sweep demotes it once and
-   runs the sparse per-wire DFTs. *)
+(* One whole sweep: [dft_apps] grows by the number of listed wires on
+   every backend, in one atomic add.  A symbolic state swept over a
+   permutation of its wires takes the closed-form rewrite; any other
+   sweep demotes it once and runs the sparse per-wire DFTs. *)
 let fourier ?plans t ~wires ~inverse =
-  List.iter (fun _ -> Metrics.record_dft ()) wires;
+  Metrics.add_dft_apps (List.length wires);
   let sparse_sweep s =
     List.fold_left
       (fun s wire ->

@@ -35,6 +35,21 @@ let escape_into buf s =
       | c -> Buffer.add_char buf c)
     s
 
+(* The shortest of 15, 16 or 17 significant digits that reads back to
+   the same float: a microsecond-rounded phase second prints as
+   [9.858243], not [9.8582429999999999].  17 digits always round-trip.
+   A form with no fraction or exponent (a large integral float, e.g.
+   2^53) gets [.0], so it parses back as [Float], not [Int]. *)
+let float_repr f =
+  let s =
+    let s15 = Printf.sprintf "%.15g" f in
+    if float_of_string s15 = f then s15
+    else
+      let s16 = Printf.sprintf "%.16g" f in
+      if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
+  in
+  if String.for_all (fun c -> c = '-' || (c >= '0' && c <= '9')) s then s ^ ".0" else s
+
 let rec print_into buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool true -> Buffer.add_string buf "true"
@@ -43,7 +58,7 @@ let rec print_into buf = function
   | Float f ->
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
+      else Buffer.add_string buf (float_repr f)
   | String s ->
       Buffer.add_char buf '"';
       escape_into buf s;

@@ -117,6 +117,23 @@ let test_phase_timer_accumulates () =
   let m = Metrics.snapshot () in
   checkb "raising body still charged" true (List.mem_assoc "classical" m.Metrics.phases)
 
+(* Every solver round makes three phase calls, so with no tracer
+   installed the timer must not build the trace event: formatting its
+   seconds field alone allocates some 70 words per call. *)
+let test_phase_untraced_allocation () =
+  setup ();
+  Metrics.set_tracer None;
+  let body () = () in
+  Metrics.phase "measure" body;
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    Metrics.phase "measure" body
+  done;
+  let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+  checkb (Printf.sprintf "untraced phase allocates %.1f <= 32 minor words" per_call) true
+    (per_call <= 32.0)
+
 let test_tracer_receives_events () =
   setup ();
   let events = ref [] in
@@ -282,6 +299,7 @@ let () =
           Alcotest.test_case "fibre accounting differs by design" `Quick
             test_fibre_accounting;
           Alcotest.test_case "phase timer" `Quick test_phase_timer_accumulates;
+          Alcotest.test_case "untraced phase allocation" `Quick test_phase_untraced_allocation;
           Alcotest.test_case "tracer events" `Quick test_tracer_receives_events;
           Alcotest.test_case "sampler prep shared, per-sample O(|coset|)" `Quick
             test_sampler_cost_ledger;

@@ -522,6 +522,64 @@ let test_hnf_large_mixed () =
     checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual pd) b)
   done
 
+(* Bit-identity pin for the HNF steps.  A fixed corpus of random
+   instances (rank up to 40, dims from small composites to primes just
+   below 2^31, generator and input entries zero, negative, in range and
+   far out of it) is run through [hnf_basis], [hnf_reduce] and
+   [hnf_sample], and every output int, plus the sampler's RNG state
+   after its draws, goes into one digest.  Any change to the
+   elimination or the reduction steps that moves one output bit or one
+   draw changes the digest.  The pinned value was recorded from the
+   elimination that divided on every entry (commit caefd04). *)
+let hnf_corpus_digest () =
+  let rng = Random.State.make [| 26; 2026 |] in
+  let pool =
+    [| 1; 2; 3; 4; 6; 8; 9; 12; 36; 120; 1 lsl 16; 1 lsl 30; (1 lsl 31) - 1; 2147483629 |]
+  in
+  let buf = Buffer.create (1 lsl 20) in
+  let emit x =
+    Buffer.add_string buf (string_of_int x);
+    Buffer.add_char buf ' '
+  in
+  let emit_row row =
+    Array.iter emit row;
+    Buffer.add_char buf '\n'
+  in
+  let entry d =
+    match Random.State.int rng 8 with
+    | 0 | 1 -> 0
+    | 2 -> Random.State.full_int rng d
+    | 3 -> -Random.State.full_int rng d
+    | 4 -> (d / (1 + Random.State.int rng (min d 12))) * Random.State.int rng 5
+    | 5 -> [| d; -d; d - 1; 1 - d; 2 * d; -2 * d |].(Random.State.int rng 6)
+    | 6 -> Random.State.full_int rng (6 * d) - (3 * d)
+    | _ -> Random.State.bits rng * (if Random.State.bool rng then 1 else -1) * 1024
+  in
+  for _ = 1 to 3000 do
+    let r = 1 + Random.State.int rng 40 in
+    (* one dim for the whole register half the time, so subgroups with
+       nontrivial diagonals are common *)
+    let dims =
+      if Random.State.bool rng then Array.make r pool.(Random.State.int rng (Array.length pool))
+      else Array.init r (fun _ -> pool.(Random.State.int rng (Array.length pool)))
+    in
+    let gens = List.init (Random.State.int rng (r + 3)) (fun _ -> Array.map entry dims) in
+    let b = Zmatrix.hnf_basis ~dims gens in
+    Array.iter emit_row b;
+    let pb = Zmatrix.hnf_prepare ~dims b in
+    for _ = 1 to 4 do
+      emit_row (Zmatrix.hnf_reduce pb (Array.map entry dims))
+    done;
+    for _ = 1 to 3 do
+      emit_row (Zmatrix.hnf_sample rng pb)
+    done;
+    emit (Random.State.bits rng)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_hnf_digest () =
+  Alcotest.(check string) "HNF corpus digest" "2ac89464217f92c28c8caba3c45ed814" (hnf_corpus_digest ())
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -628,6 +686,7 @@ let () =
           Alcotest.test_case "dual" `Quick test_hnf_dual;
           Alcotest.test_case "Z_2^200 scale" `Quick test_hnf_large;
           Alcotest.test_case "large mixed dims" `Quick test_hnf_large_mixed;
+          Alcotest.test_case "bit-identity digest" `Quick test_hnf_digest;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -563,6 +563,27 @@ let test_jsonv_roundtrip () =
   | Ok v' -> checkb "roundtrip" true (v = v')
   | Error msg -> Alcotest.failf "roundtrip parse failed: %s" msg
 
+(* Every finite float, subnormals included, must print to a form that
+   parses back to the same bits and as a [Float]: the printer picks the
+   shortest of 15, 16 or 17 digits that round-trips. *)
+let jsonv_float_roundtrip =
+  let gen =
+    QCheck.Gen.(
+      map2
+        (fun bits subnormal ->
+          (* a quarter of the draws clear the exponent: subnormals *)
+          Int64.float_of_bits
+            (if subnormal = 0 then Int64.logand bits 0x800F_FFFF_FFFF_FFFFL else bits))
+        int64 (int_bound 3))
+  in
+  QCheck.Test.make ~count:2000 ~name:"jsonv float round-trips bit-identically"
+    (QCheck.make ~print:(Printf.sprintf "%h") gen)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      match Jsonv.of_string (Jsonv.to_string (Jsonv.Float f)) with
+      | Ok (Jsonv.Float g) -> Int64.equal (Int64.bits_of_float g) (Int64.bits_of_float f)
+      | Ok _ | Error _ -> false)
+
 let test_jsonv_depth_cap () =
   let nested k = String.make k '[' ^ String.make k ']' in
   (match Jsonv.of_string (nested Jsonv.max_depth) with
@@ -709,6 +730,7 @@ let () =
           Alcotest.test_case "request parsing" `Quick test_protocol_parsing;
           Alcotest.test_case "jsonv roundtrip" `Quick test_jsonv_roundtrip;
           Alcotest.test_case "jsonv depth cap" `Quick test_jsonv_depth_cap;
+          QCheck_alcotest.to_alcotest jsonv_float_roundtrip;
           Alcotest.test_case "malformed input survives on socket" `Quick
             test_socket_malformed_survives;
           Alcotest.test_case "hang-ups before the reply survive" `Quick
