@@ -673,11 +673,6 @@ let e9 () =
 (* E10: dense vs sparse state-vector backends                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Generators of the planted H = prod m_i Z_{d_i} of E10 and E11. *)
-let planted dims moduli =
-  List.init (Array.length dims) (fun i ->
-      Array.init (Array.length dims) (fun j -> if i = j then moduli.(i) else 0))
-
 let e10 () =
   header
     "E10: dense vs sparse backend — planted Abelian HSP on Z_d1 x Z_d2, H = prod m_i Z_di"
@@ -687,11 +682,10 @@ let e10 () =
   let solve_planted ~dims ~moduli ~backend =
     let queries = Quantum.Query.create () in
     let draw =
-      Quantum.Coset_state.sampler_with_subgroup ~backend ~dims ~subgroup:(planted dims moduli)
-        ~queries ()
+      Quantum.Coset_state.sampler_with_subgroup ~backend ~dims
+        ~subgroup:(Instances.quotient_gens ~dims ~moduli) ~queries ()
     in
-    let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli in
-    let f x = Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
+    let in_h = Instances.quotient_mem ~moduli and f = Instances.quotient_oracle ~moduli in
     Quantum.Metrics.reset ();
     let (gens, _), sec =
       time_it (fun () ->
@@ -706,7 +700,7 @@ let e10 () =
     (fun (dims, moduli) ->
       List.iter
         (fun backend ->
-          if backend = Quantum.Backend.Dense && total dims > Quantum.State.max_total_dim then
+          if backend = Quantum.Backend.Dense && total dims > Quantum.Backend.Caps.dense_state then
             row
               [ fmt_s (show dims); fmt_i (total dims); fmt_s "dense";
                 fmt_i (Quantum.Parallel.jobs ()); fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "-";
@@ -782,7 +776,7 @@ let e11 () =
           let queries = Quantum.Query.create () in
           let draw =
             Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Dense ~dims
-              ~subgroup:(planted dims moduli) ~queries ()
+              ~subgroup:(Instances.quotient_gens ~dims ~moduli) ~queries ()
           in
           let buf = Buffer.create 256 in
           for _ = 1 to rounds do
@@ -806,7 +800,7 @@ let e11 () =
   run_workload "4^10-wires"
     (Array.fold_left ( * ) 1 dims)
     (fun rng ->
-      let st = ref (Quantum.State.uniform ~backend:Quantum.Backend.Dense dims) in
+      let st = ref (Quantum.State.uniform dims) in
       let n = Array.length dims in
       for w = 0 to n - 1 do
         st := Quantum.State.apply_wire !st ~wire:w (Linalg.Cmat.dft dims.(w))

@@ -41,7 +41,7 @@ let backend_arg =
         fun fmt c -> Format.pp_print_string fmt (Quantum.Backend.choice_to_string c) )
   in
   let doc =
-    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure; commands that expand an oracle sample on sparse under it) or $(b,auto) (dense when the register fits, sparse beyond; never symbolic).      Defaults to $(b,auto)."
+    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure; commands that expand an oracle sample on sparse under it) or $(b,auto) (the oracle route is dense up to 2^22 group elements, sparse beyond; the planted route of solve-abelian samples on sparse).      It picks the backend of the Fourier-sampling route; gate-level circuits always run on dense.      Defaults to $(b,auto)."
   in
   Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc)
 
@@ -287,14 +287,11 @@ let abelian_cmd =
       Printf.eprintf "error: --dims and --moduli must have the same length\n";
       exit 2
     end;
-    Array.iteri
-      (fun i m ->
-        if m < 1 || dims.(i) < 1 || dims.(i) mod m <> 0 then begin
-          Printf.eprintf "error: need 1 <= m_%d and m_%d | d_%d (got m=%d, d=%d)\n" i i i m
-            dims.(i);
-          exit 2
-        end)
-      moduli;
+    Option.iter
+      (fun msg ->
+        Printf.eprintf "error: %s\n" msg;
+        exit 2)
+      (Instances.quotient_violation ~dims ~moduli);
     (* Sizes in this command routinely overflow an int (that is the
        point of the symbolic backend), so every size is reported as an
        exact integer when formable and as a power of two otherwise. *)
@@ -309,18 +306,16 @@ let abelian_cmd =
        HNF form.  This is what the symbolic sampler consumes, what the
        order reports come from, and what the recovered generators are
        checked against — at any size, no enumeration anywhere. *)
-    let sub_gens =
-      List.init r (fun i ->
-          Array.init r (fun j -> if i = j then moduli.(i) mod dims.(i) else 0))
+    let truth =
+      Quantum.Backend_symbolic.Subgroup.of_gens ~dims (Instances.quotient_gens ~dims ~moduli)
     in
-    let truth = Quantum.Backend_symbolic.Subgroup.of_gens ~dims sub_gens in
     let h_log2 = Quantum.Backend_symbolic.Subgroup.order_log2 truth in
     let h_order = Quantum.Backend_symbolic.Subgroup.order_int truth in
     let show a = String.concat "," (List.map string_of_int (Array.to_list a)) in
     Printf.printf "Abelian HSP on Z_{%s}, |G| = %s%s\n" dims_s (size_str total (log2_of dims))
       (match total with
       | None -> " (beyond integer range; symbolic backend only)"
-      | Some t when t > Quantum.State.max_total_dim -> " (beyond the dense 2^24 cap)"
+      | Some t when t > Quantum.Backend.Caps.dense_state -> " (beyond the dense 2^24 cap)"
       | Some _ -> "");
     Printf.printf "hidden H = prod m_i Z_{d_i}, moduli (%s), |H| = %s\n" moduli_s
       (size_str h_order h_log2);
@@ -339,8 +334,8 @@ let abelian_cmd =
       in
       Quantum.Coset_state.sampler_of_subgroup ~backend ~sub:truth ~queries ()
     in
-    let in_h x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli in
-    let f x = Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
+    let in_h = Instances.quotient_mem ~moduli in
+    let f = Instances.quotient_oracle ~moduli in
     let t0 = Unix.gettimeofday () in
     let gens, outcome =
       Abelian_hsp.solve_dims rng ~draw ~dims ~f ~quantum:queries ~verify:in_h ()

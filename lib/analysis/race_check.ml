@@ -143,7 +143,7 @@ let mentions ?(const_pred = fun _ -> false) pred (e : Parsetree.expression) =
    ([<-]) is a data race at jobs >= 2 and breaks the bit-for-bit
    determinism contract even when it happens to be "benign". *)
 
-let kernel_entry_names = [ "parallel_for"; "map_chunks"; "sort_perm"; "run_chunked" ]
+let kernel_entry_names = [ "parallel_for"; "map_chunks"; "run_chunked" ]
 
 let is_kernel_entry name =
   List.exists (String.equal (last_component name)) kernel_entry_names

@@ -12,7 +12,7 @@
     Rules (names as written in allowlist comments):
 
     - [race-capture] — a closure passed to [Parallel.parallel_for],
-      [map_chunks], [sort_perm] or [run_chunked] whose body assigns a
+      [map_chunks] or [run_chunked] whose body assigns a
       captured [ref] ([:=], [incr], [decr]) or a captured record's
       mutable field ([<-]).  Bindings introduced {e inside} the closure
       (its parameters, [let]s, [match] cases, [for] indices) are

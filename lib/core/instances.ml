@@ -106,3 +106,25 @@ let perm_normal_klein () =
 
 let random_subgroup rng ~name g =
   make ~name g (Group.random_subgroup_gens rng g)
+
+(* The planted quotient instance: H = prod m_i Z_{d_i} in
+   Z_{d_1} x ... x Z_{d_r}, hidden by f(x) = (x_i mod m_i)_i. *)
+let quotient_violation ~dims ~moduli =
+  let bad = ref None in
+  Array.iteri
+    (fun i m ->
+      if !bad = None && (m < 1 || dims.(i) < 1 || dims.(i) mod m <> 0) then
+        bad :=
+          Some
+            (Printf.sprintf "need 1 <= m_%d and m_%d | d_%d (got m=%d, d=%d)" i i i m dims.(i)))
+    moduli;
+  !bad
+
+let quotient_gens ~dims ~moduli =
+  let r = Array.length dims in
+  List.init r (fun i -> Array.init r (fun j -> if i = j then moduli.(i) mod dims.(i) else 0))
+
+let quotient_oracle ~moduli x =
+  Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli)
+
+let quotient_mem ~moduli x = Array.for_all2 (fun xi m -> xi mod m = 0) x moduli

@@ -70,3 +70,26 @@ val perm_normal_klein : unit -> Perm.elt t
 
 val random_subgroup : Random.State.t -> name:string -> 'a Group.t -> 'a t
 (** Uniformly pick a few elements and hide their closure. *)
+
+(** {2 The planted quotient instance}
+
+    The Abelian HSP on [Z_{d_1} x ... x Z_{d_r}] with hidden subgroup
+    [H = prod m_i Z_{d_i}] and hiding function
+    [f(x) = (x_i mod m_i)_i] — the instance [hsp_cli solve-abelian],
+    the [hsp_served] daemon and the bench harness plant.  [dims] and
+    [moduli] have equal length. *)
+
+val quotient_violation : dims:int array -> moduli:int array -> string option
+(** [None] when [1 <= m_i] and [m_i | d_i] for every [i]; otherwise
+    the first violation, as
+    ["need 1 <= m_i and m_i | d_i (got m=.., d=..)"]. *)
+
+val quotient_gens : dims:int array -> moduli:int array -> int array list
+(** The generators [m_i e_i] of [H] (each reduced mod [d_i]). *)
+
+val quotient_oracle : moduli:int array -> int array -> int
+(** [f x]: the residues [x_i mod m_i], encoded mixed-radix over
+    [moduli]. *)
+
+val quotient_mem : moduli:int array -> int array -> bool
+(** Membership in [H]: every [x_i] divisible by [m_i]. *)

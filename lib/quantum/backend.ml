@@ -25,18 +25,9 @@ module Caps = struct
   let symbolic_materialise = 1 lsl 20
 end
 
-let dense_cap = Caps.dense_state
-
 let current = Atomic.make Auto
 let default () = Atomic.get current
 let set_default c = Atomic.set current c
-
-let resolve ?backend ~total () =
-  match (match backend with Some c -> c | None -> default ()) with
-  | Dense -> Dense
-  | Sparse -> Sparse
-  | Symbolic -> Symbolic
-  | Auto -> if total <= dense_cap then Dense else Sparse
 
 let total_of dims =
   Array.fold_left
@@ -108,38 +99,3 @@ let sample_discrete rng probs =
   if !chosen >= 0 then !chosen
   else if !last_nonzero >= 0 then !last_nonzero
   else invalid_arg "Backend.sample_discrete: zero distribution"
-
-module type CORE = sig
-  type t
-
-  val create : int array -> t
-  val of_basis : int array -> int array -> t
-  val uniform : int array -> t
-  val dims : t -> int array
-  val num_wires : t -> int
-  val support_size : t -> int
-  val tensor : t -> t -> t
-  val measure : Random.State.t -> t -> wires:int list -> int array * t
-  val norm : t -> float
-end
-
-module type AMPLITUDES = sig
-  type t
-
-  val of_amplitudes : int array -> Linalg.Cvec.t -> t
-  val of_support : int array -> (int array * Linalg.Cx.t) list -> t
-  val total_dim : t -> int
-  val amplitudes : t -> Linalg.Cvec.t
-  val amp_at : t -> int -> Linalg.Cx.t
-  val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
-  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
-  val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
-  val apply_basis_map : t -> (int array -> int array) -> t
-  val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t
-  val probabilities : t -> wires:int list -> float array
-end
-
-module type S = sig
-  include CORE
-  include AMPLITUDES with type t := t
-end

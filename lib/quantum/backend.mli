@@ -1,50 +1,40 @@
-(** State-vector backend selection and the layered capability
-    signatures the backends implement.
+(** State-vector backend selection, the simulator's size caps, and the
+    mixed-radix index arithmetic the backends share.
 
     The simulator core ({!State}) is a thin dispatcher over three
-    interchangeable representations of a register's joint state:
+    representations of a register's joint state:
 
     - {!Backend_dense} — one contiguous complex array of dimension
-      [prod dims].  Exact, cache-friendly, and the reference
-      implementation; capped at {!Caps.dense_state} amplitudes.
+      [prod dims], capped at {!Caps.dense_state} amplitudes.  The
+      reference implementation, and the only one of amplitude-level
+      operations: gates, basis maps, oracles, tensor products,
+      marginals and partial measurement.
     - {!Backend_sparse} — a sorted segment (flat index/re/im arrays) of
-      the nonzero amplitudes only.  Every operation costs time
-      proportional to the support size (times the local fibre
-      dimension), not the total dimension, so registers far beyond
-      {!Caps.dense_state} are simulable whenever the states that
-      actually arise (coset states [|xH>], subgroup states [|H>],
-      their partial Fourier transforms) stay sparse.
+      the nonzero amplitudes only, running just the Fourier-sampling
+      pipeline: an index segment in ({!State.of_indices},
+      {!State.of_coset}), per-wire DFTs ({!State.fourier}) and a
+      full-register draw ({!State.measure_all}).  Each step costs time
+      proportional to the support size, so registers far beyond
+      {!Caps.dense_state} are simulable while the coset states and
+      their Fourier images stay sparse.
     - {!Backend_symbolic} — no amplitudes at all: a state is a
       phase-decorated coset state [(subgroup HNF basis, coset
       representative, character)] rewritten in closed form under the
       Abelian DFT and measured by uniform subgroup sampling.  Nothing
       scales with the support or total dimension, so
-      [Z_2^200]-shaped registers work on tuple indices.
+      [Z_2^200]-shaped registers work on tuple indices.  An
+      amplitude-level operation demotes a symbolic state to dense
+      (under {!Caps.symbolic_materialise}).
 
-    The capability split ({!CORE} vs {!AMPLITUDES}) captures what the
-    three have in common and where they part: every backend can build
-    basis/uniform states, tensor and measure ({!CORE}); only the
-    amplitude-array backends can adopt arbitrary amplitude vectors,
-    index amplitudes by encoded integers, or apply arbitrary unitaries,
-    oracles and single-wire DFTs ({!AMPLITUDES}).  The symbolic
-    backend Fourier-transforms the whole register only, in closed form
-    ({!Backend_symbolic.fourier}); {!State.fourier} dispatches a sweep
-    to it or to the per-wire DFTs.  [State] statically
-    checks dense and sparse against {!S} = both layers, and the
-    symbolic backend against {!CORE} alone; symbolic states demote to
-    the sparse backend (under {!Caps.symbolic_materialise}) when an
-    amplitude-level operation is requested.
-
-    The backend is chosen per state at creation time: explicitly via the
-    [?backend] argument of {!State.create} and friends, globally via
-    {!set_default} (the [hsp_cli --backend] flag), and automatically
-    ([Auto]) by total dimension: dense when the register fits under
-    {!Caps.dense_state}, sparse beyond it.  [Auto] never resolves to
-    symbolic — exact symbolic simulation needs the subgroup structure
-    the caller supplies ({!State.of_coset}), so it is always an
-    explicit opt-in.  The oracle route of the coset samplers has its
-    own, tighter rule ({!Coset_state.oracle_backend}): [Auto] is dense
-    only up to {!Caps.coset_dense}, and [Symbolic] means sparse. *)
+    A [choice] picks the backend of a sampling route: explicitly via
+    the [?backend] argument of {!State.of_indices}, {!State.of_coset}
+    and the {!Coset_state} samplers, or globally via {!set_default}
+    (the [hsp_cli --backend] flag).  Each route reads [Auto] its own
+    way: the oracle route through {!Coset_state.oracle_backend} (dense
+    up to {!Caps.coset_dense} group elements, sparse beyond), subgroup
+    structure ({!State.of_coset}) as symbolic, and a bare index segment
+    ({!State.of_indices}) as sparse.  The general constructors
+    ({!State.create}, {!State.uniform}, ...) always build dense. *)
 
 type choice = Dense | Sparse | Symbolic | Auto
 
@@ -55,8 +45,8 @@ val choice_of_string : string -> choice option
 val choice_to_string : choice -> string
 
 val default : unit -> choice
-(** The session-wide default used when [?backend] is omitted: [Auto]
-    until {!set_default} overrides it. *)
+(** The session-wide default a sampling route uses when [?backend] is
+    omitted: [Auto] until {!set_default} overrides it. *)
 
 val set_default : choice -> unit
 
@@ -67,9 +57,9 @@ val set_default : choice -> unit
 module Caps : sig
   val dense_state : int
   (** [2^24].  Maximum total dimension the dense backend accepts: 16M
-      amplitudes = 256 MB of complex doubles, the dense memory wall and
-      the pivot of [Auto] resolution ({!resolve}).  Consumers:
-      {!Backend_dense}, {!State.max_total_dim}, [State.amplitudes]. *)
+      amplitudes = 256 MB of complex doubles, the dense memory wall.
+      Consumers: {!Backend_dense}, [State.amplitudes], the
+      [hsp_cli solve-abelian] banner. *)
 
   val coset_dense : int
   (** [2^22].  Group-size cap of [Coset_state.sampler] /
@@ -90,24 +80,15 @@ module Caps : sig
       symbolic [Coset_state.sampler_with_subgroup] runs, with no cap. *)
 
   val symbolic_materialise : int
-  (** [2^20].  Largest support the symbolic backend will materialise
-      when demoting to the sparse backend ([State] fallback for
-      amplitude-level operations, [iter_nonzero]).  Purely a
+  (** [2^20].  Largest subgroup the symbolic backend will enumerate:
+      when demoting to the dense backend ([State] fallback for
+      amplitude-level operations) and in [iter_nonzero].  Purely a
       simulator-side safety rail: the symbolic fast path (DFT rewrite
       + subgroup sampling) never materialises anything, and
       [State.of_coset] on dense or sparse is bounded by
-      {!coset_sparse} instead. *)
+      {!coset_sparse} instead.  A demoted state is a dense register,
+      so it must also fit under {!dense_state}. *)
 end
-
-val dense_cap : int
-(** Alias of {!Caps.dense_state} (the historical name). *)
-
-val resolve : ?backend:choice -> total:int -> unit -> choice
-(** [resolve ?backend ~total ()] turns a possibly-[Auto],
-    possibly-omitted choice into a concrete [Dense], [Sparse] or
-    [Symbolic]: an omitted backend falls back to {!default}, and [Auto]
-    picks [Dense] iff [total <= Caps.dense_state] (never
-    [Symbolic]). *)
 
 (** {2 Shared mixed-radix index arithmetic}
 
@@ -146,63 +127,3 @@ val sample_discrete : Random.State.t -> float array -> int
     index with nonzero probability (never on a zero-probability
     outcome).
     @raise Invalid_argument on an empty or all-zero vector. *)
-
-(** {2 Capability signatures} *)
-
-(** What {e every} backend provides: representation-agnostic state
-    construction, tensoring and measurement.  The
-    symbolic backend satisfies exactly this layer (its [measure]
-    handles full-register measurement natively and raises otherwise —
-    [State] demotes for the rest). *)
-module type CORE = sig
-  type t
-
-  val create : int array -> t
-  val of_basis : int array -> int array -> t
-  val uniform : int array -> t
-  val dims : t -> int array
-  val num_wires : t -> int
-
-  val support_size : t -> int
-  (** Number of nonzero amplitudes (clamped to [max_int] when the
-      support is only representable symbolically). *)
-
-  val tensor : t -> t -> t
-
-  val measure : Random.State.t -> t -> wires:int list -> int array * t
-  val norm : t -> float
-end
-
-(** The amplitude-array extension: encoded-integer indexing into
-    explicit amplitudes, plus the operations that inherently touch
-    per-amplitude data (arbitrary unitaries, basis maps, classical
-    oracles, marginal distributions).  Provided by {!Backend_dense}
-    and {!Backend_sparse}; {e not} by {!Backend_symbolic}. *)
-module type AMPLITUDES = sig
-  type t
-
-  val of_amplitudes : int array -> Linalg.Cvec.t -> t
-  val of_support : int array -> (int array * Linalg.Cx.t) list -> t
-  val total_dim : t -> int
-  val amplitudes : t -> Linalg.Cvec.t
-  val amp_at : t -> int -> Linalg.Cx.t
-  val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
-
-  val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
-  (** The DFT on one wire.  [?plan] is a prebuilt {!Linalg.Fft.plan} of
-      the wire's dimension, so a caller transforming many states of one
-      shape builds it once; omitted, the backend builds its own. *)
-
-  val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
-  val apply_basis_map : t -> (int array -> int array) -> t
-  val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t
-  val probabilities : t -> wires:int list -> float array
-end
-
-(** Both layers: the full amplitude-backend contract.  The equivalence
-    test suite runs random circuits through the implementations and
-    compares amplitudes. *)
-module type S = sig
-  include CORE
-  include AMPLITUDES with type t := t
-end

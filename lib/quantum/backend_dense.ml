@@ -25,7 +25,7 @@ type t = { dims : int array; re : float array; im : float array }
 
 let total_of dims =
   let total = Backend.total_of dims in
-  if total > Backend.dense_cap then invalid_arg "State: register too large to simulate";
+  if total > Backend.Caps.dense_state then invalid_arg "State: register too large to simulate";
   Metrics.record_dense_alloc total;
   total
 
@@ -194,8 +194,6 @@ let apply_wires t ~wires m =
         done
       done);
   { t with re = out_re; im = out_im }
-
-let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
 
 (* Lanes per Fft.exec call on a dense wire: at most [lane_budget / d],
    so one call's [d] rows stay cache-resident (a large register splits

@@ -11,6 +11,10 @@ open Linalg
    registers far beyond the dense 2^24 cap are representable as long as
    the states that actually arise keep small support.
 
+   The backend runs the Fourier-sampling pipeline only: an index
+   segment in, per-wire DFTs, a full-register draw out.  Every other
+   amplitude-level operation is the dense backend's.
+
    Determinism contract (enforced by test_parallel.ml): every kernel is
    bit-for-bit identical at every job count.
 
@@ -21,17 +25,9 @@ open Linalg
      one block's fibres, emitted in order; a block's outputs do not
      depend on how its fibres are split, so the segment is the same
      for every chunking.
-   - The gate kernel and the relabelling kernel emit
-     per-chunk output runs that are concatenated in chunk order;
-     because runs are emitted in run order and entries within a run in
-     a fixed order, the concatenated sequence cannot depend on where
-     the chunk boundaries fall.  Sortedness is then restored with
-     {!Parallel.sort_perm} under total orders (ties broken by
-     position), whose result is unique.
-   - The float reductions (norm², probabilities, measurement scan) are
+   - The float reductions (norm², the measurement scan) are
      index-ordered chunk reductions with {!Parallel.reduction_chunks}
-     geometry — this also replaces the old hashtable-iteration-order
-     summation, which was not schedule-invariant. *)
+     geometry. *)
 
 type t = {
   dims : int array;
@@ -53,10 +49,6 @@ let eps2 = 1e-24
 let noted t =
   Metrics.record_support t.n;
   t
-
-let make_frame dims =
-  let total = Backend.total_of dims in
-  { dims = Array.copy dims; total; str = Backend.strides dims; n = 0; idx = [||]; re = [||]; im = [||] }
 
 (* ------------------------------------------------------------------ *)
 (* Growable entry buffer (amplitudes kept as unboxed planes)           *)
@@ -98,7 +90,7 @@ module Ebuf = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Norms and pruning                                                   *)
+(* Norm and pruning threshold                                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Index-ordered chunk reduction: partial sums are combined in chunk
@@ -117,17 +109,6 @@ let norm2 t =
 
 let norm t = sqrt (norm2 t)
 
-let normalize t =
-  let nrm = norm t in
-  if nrm < Cvec.zero_norm_floor then invalid_arg "State: zero vector";
-  if Float.abs (nrm -. 1.0) < Cvec.unit_norm_tol then t
-  else begin
-    let re = Array.copy t.re and im = Array.copy t.im in
-    let s = 1.0 /. nrm in
-    Parallel.parallel_for 0 t.n (fun lo hi -> Cvec.scale_planes s ~re ~im ~lo ~hi);
-    { t with re; im }
-  end
-
 (* Thresholding uses squared moduli — no sqrt, no boxing.  An entry is
    kept iff |amp|² > eps²; a dropped entry with a nonzero component
    still counts as pruned (even if its square underflowed). *)
@@ -136,121 +117,33 @@ let keeps x y = (x *. x) +. (y *. y) > eps2
 (* hsp-lint: allow float-eq — exact nonzero test, not a tolerance *)
 let is_nonzero x y = x <> 0.0 || y <> 0.0
 
-(* Re-filter a settled segment through the pruning threshold
-   (duplicates summed during construction may have landed below it).
-   An order-preserving filter keeps the segment sorted. *)
-let prune t =
-  let keep = Array.make t.n false in
-  let m = ref 0 and pruned = ref 0 in
-  for e = 0 to t.n - 1 do
-    let x = t.re.(e) and y = t.im.(e) in
-    if keeps x y then begin
-      keep.(e) <- true;
-      incr m
-    end
-    else if is_nonzero x y then incr pruned
-  done;
-  Metrics.add_pruned !pruned;
-  if !m = t.n then t
-  else begin
-    let idx = Array.make !m 0 and re = Array.make !m 0.0 and im = Array.make !m 0.0 in
-    let o = ref 0 in
-    for e = 0 to t.n - 1 do
-      if keep.(e) then begin
-        idx.(!o) <- t.idx.(e);
-        re.(!o) <- t.re.(e);
-        im.(!o) <- t.im.(e);
-        incr o
-      end
-    done;
-    { t with n = !m; idx; re; im }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Constructors                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create dims =
-  let t = make_frame dims in
-  noted { t with n = 1; idx = [| 0 |]; re = [| 1.0 |]; im = [| 0.0 |] }
-
-let of_basis dims x =
-  let t = make_frame dims in
-  noted { t with n = 1; idx = [| Backend.encode dims x |]; re = [| 1.0 |]; im = [| 0.0 |] }
-
-let of_amplitudes dims v =
-  let t = make_frame dims in
-  if Cvec.dim v <> t.total then invalid_arg "State.of_amplitudes: dimension mismatch";
-  let b = Ebuf.create 64 and pruned = ref 0 in
-  Array.iteri
-    (fun idx z ->
-      let x = z.Complex.re and y = z.Complex.im in
-      if keeps x y then Ebuf.push b idx x y else if is_nonzero x y then incr pruned)
-    v;
-  Metrics.add_pruned !pruned;
-  let t =
-    {
-      t with
-      n = b.Ebuf.n;
-      idx = Array.sub b.Ebuf.idx 0 b.Ebuf.n;
-      re = Array.sub b.Ebuf.re 0 b.Ebuf.n;
-      im = Array.sub b.Ebuf.im 0 b.Ebuf.n;
-    }
-  in
-  noted (normalize t)
-
-(* Encode every entry, sort once by (index, list position) and
-   left-fold each run of equal indices: duplicates are summed in list
-   order, so the segment does not depend on the sort's stability. *)
-let of_support dims entries =
-  let t = make_frame dims in
-  (match entries with [] -> invalid_arg "State.of_support: empty support" | _ :: _ -> ());
-  let m = List.length entries in
-  let codes = Array.make m 0 and xs = Array.make m 0.0 and ys = Array.make m 0.0 in
-  List.iteri
-    (fun e (x, a) ->
-      codes.(e) <- Backend.encode dims x;
-      xs.(e) <- a.Complex.re;
-      ys.(e) <- a.Complex.im)
-    entries;
-  let perm = Array.init m Fun.id in
-  Array.sort
-    (fun a b ->
-      let c = Int.compare codes.(a) codes.(b) in
-      if c <> 0 then c else Int.compare a b)
-    perm;
-  let idx = Array.make m 0 and re = Array.make m 0.0 and im = Array.make m 0.0 in
-  let n = ref 0 in
-  Array.iter
-    (fun e ->
-      if !n > 0 && Int.equal idx.(!n - 1) codes.(e) then begin
-        re.(!n - 1) <- re.(!n - 1) +. xs.(e);
-        im.(!n - 1) <- im.(!n - 1) +. ys.(e)
-      end
-      else begin
-        idx.(!n) <- codes.(e);
-        re.(!n) <- xs.(e);
-        im.(!n) <- ys.(e);
-        incr n
-      end)
-    perm;
-  let n = !n in
-  let idx = Array.sub idx 0 n and re = Array.sub re 0 n and im = Array.sub im 0 n in
-  noted (prune (normalize { t with n; idx; re; im }))
-
-let of_indices dims idxs =
-  let t = make_frame dims in
+(* The one constructor: adopt a sorted index segment, with the given
+   amplitude planes or the uniform superposition. *)
+let of_indices ?planes dims idxs =
+  let total = Backend.total_of dims in
   let n = Array.length idxs in
   if n = 0 then invalid_arg "State.of_indices: empty support";
   let prev = ref (-1) in
   Array.iter
     (fun i ->
-      if i < 0 || i >= t.total then invalid_arg "State.of_indices: index out of range";
+      if i < 0 || i >= total then invalid_arg "State.of_indices: index out of range";
       if i <= !prev then invalid_arg "State.of_indices: indices must be strictly increasing";
       prev := i)
     idxs;
-  let a = 1.0 /. sqrt (float_of_int n) in
-  noted { t with n; idx = Array.copy idxs; re = Array.make n a; im = Array.make n 0.0 }
+  let re, im =
+    match planes with
+    | None -> (Array.make n (1.0 /. sqrt (float_of_int n)), Array.make n 0.0)
+    | Some (re, im) ->
+        if Array.length re <> n || Array.length im <> n then
+          invalid_arg "State.of_indices: amplitude planes do not match the indices";
+        (Array.copy re, Array.copy im)
+  in
+  let str = Backend.strides dims in
+  noted { dims = Array.copy dims; total; str; n; idx = Array.copy idxs; re; im }
 
 let dims t = Array.copy t.dims
 let num_wires t = Array.length t.dims
@@ -258,7 +151,7 @@ let total_dim t = t.total
 let support_size t = t.n
 
 let amplitudes t =
-  if t.total > Backend.dense_cap then
+  if t.total > Backend.Caps.dense_state then
     invalid_arg "State.amplitudes: register too large to materialise densely";
   let v = Cvec.make t.total in
   for e = 0 to t.n - 1 do
@@ -280,107 +173,9 @@ let iter_nonzero t f =
     f t.idx.(e) (Cx.make t.re.(e) t.im.(e))
   done
 
-let tensor a b =
-  (* The product inherits the left operand's pruning threshold.  Output
-     entry (i, j) lands at position i*b.n + j with index
-     a.idx(i)*b.total + b.idx(j): row-major in two sorted factors, so
-     the result is already sorted — and the writes are elementwise
-     disjoint, hence job-count-invariant under any chunking. *)
-  let dims = Array.append a.dims b.dims in
-  let total = Backend.total_of dims in
-  let n = a.n * b.n in
-  let idx = Array.make (max 1 n) 0 in
-  let re = Array.make (max 1 n) 0.0 and im = Array.make (max 1 n) 0.0 in
-  let bn = b.n in
-  Parallel.parallel_for 0 a.n (fun lo hi ->
-      for i = lo to hi - 1 do
-        let ia = a.idx.(i) * b.total in
-        let ar = a.re.(i) and ai = a.im.(i) in
-        let base = i * bn in
-        for j = 0 to bn - 1 do
-          idx.(base + j) <- ia + b.idx.(j);
-          re.(base + j) <- (ar *. b.re.(j)) -. (ai *. b.im.(j));
-          im.(base + j) <- (ar *. b.im.(j)) +. (ai *. b.re.(j))
-        done
-      done);
-  let t =
-    {
-      dims;
-      total;
-      str = Backend.strides dims;
-      n;
-      idx = (if n = Array.length idx then idx else Array.sub idx 0 n);
-      re = (if n = Array.length re then re else Array.sub re 0 n);
-      im = (if n = Array.length im then im else Array.sub im 0 n);
-    }
-  in
-  noted (prune t)
-
-let uniform dims =
-  let t = make_frame dims in
-  if t.total > Backend.dense_cap then
-    invalid_arg "State.uniform: support is the whole register; use the dense backend";
-  let a = 1.0 /. sqrt (float_of_int t.total) in
-  noted
-    {
-      t with
-      n = t.total;
-      idx = Array.init t.total (fun i -> i);
-      re = Array.make t.total a;
-      im = Array.make t.total 0.0;
-    }
-
 (* ------------------------------------------------------------------ *)
 (* Fibre kernels                                                       *)
 (* ------------------------------------------------------------------ *)
-
-(* Gather the support into fibres over the selected wires: entry e
-   splits into a base index (selected digits zeroed) and a sub-index s.
-   Sorting the entries by (base, s) — a total order, since distinct
-   entries have distinct (base, s) — brings every populated fibre
-   together as one contiguous run of the permutation. *)
-let fibre_runs t ~wires_arr ~sub_dims =
-  let k = Array.length wires_arr in
-  let base = Array.make t.n 0 and sub = Array.make t.n 0 in
-  let str = t.str and dims = t.dims and idx = t.idx in
-  Parallel.parallel_for 0 t.n (fun lo hi ->
-      for e = lo to hi - 1 do
-        let i0 = Array.unsafe_get idx e in
-        let b = ref i0 and s = ref 0 in
-        for i = 0 to k - 1 do
-          let w = Array.unsafe_get wires_arr i in
-          let digit = i0 / Array.unsafe_get str w mod Array.unsafe_get dims w in
-          b := !b - (digit * Array.unsafe_get str w);
-          s := (!s * Array.unsafe_get sub_dims i) + digit
-        done;
-        Array.unsafe_set base e !b;
-        Array.unsafe_set sub e !s
-      done);
-  let perm =
-    Parallel.sort_perm t.n ~cmp:(fun a b' ->
-        let c = Int.compare base.(a) base.(b') in
-        if c <> 0 then c else Int.compare sub.(a) sub.(b'))
-  in
-  let nruns = ref 0 in
-  let last = ref (-1) in
-  for p = 0 to t.n - 1 do
-    let b = base.(perm.(p)) in
-    if not (Int.equal b !last) then begin
-      incr nruns;
-      last := b
-    end
-  done;
-  let starts = Array.make (!nruns + 1) t.n in
-  let r = ref 0 and last = ref (-1) in
-  for p = 0 to t.n - 1 do
-    let b = base.(perm.(p)) in
-    if not (Int.equal b !last) then begin
-      starts.(!r) <- p;
-      incr r;
-      last := b
-    end
-  done;
-  (base, sub, perm, starts, !nruns)
 
 (* Concatenate per-chunk emission buffers in chunk order into a
    segment of exactly the emitted length. *)
@@ -397,102 +192,6 @@ let concat_chunks t (bufs : Ebuf.b array) =
     bufs;
   { t with n = m; idx; re; im }
 
-(* Rebuild a sorted segment from per-chunk emission buffers.  The
-   concatenated sequence is independent of the chunk boundaries (runs
-   are emitted in run order, entries within a run in a fixed order),
-   and the final sort — needed when fibres interleave in index space —
-   permutes distinct indices under a total order, so the segment is
-   job-count-invariant bit for bit. *)
-let sorted_of_chunks t bufs =
-  let t = concat_chunks t bufs in
-  let m = t.n and idx = t.idx and re = t.re and im = t.im in
-  let sorted = ref true in
-  for e = 1 to m - 1 do
-    if idx.(e - 1) >= idx.(e) then sorted := false
-  done;
-  if !sorted then t
-  else begin
-    let perm = Parallel.sort_perm m ~cmp:(fun a b -> Int.compare idx.(a) idx.(b)) in
-    let idx' = Array.make m 0 and re' = Array.make m 0.0 and im' = Array.make m 0.0 in
-    Parallel.parallel_for 0 m (fun lo hi ->
-        for p = lo to hi - 1 do
-          let e = perm.(p) in
-          idx'.(p) <- idx.(e);
-          re'.(p) <- re.(e);
-          im'.(p) <- im.(e)
-        done);
-    { t with idx = idx'; re = re'; im = im' }
-  end
-
-(* Offset of sub-index [s] relative to a base index. *)
-let sub_offsets ~wires_arr ~sub_dims ~str =
-  let k = Array.length wires_arr in
-  let sub_total = Array.fold_left ( * ) 1 sub_dims in
-  Array.init sub_total (fun s ->
-      let rem = ref s and off = ref 0 in
-      for i = k - 1 downto 0 do
-        off := !off + (!rem mod sub_dims.(i) * str.(wires_arr.(i)));
-        rem := !rem / sub_dims.(i)
-      done;
-      !off)
-
-let apply_wires t ~wires m =
-  let n = Array.length t.dims in
-  List.iter (fun w -> if w < 0 || w >= n then invalid_arg "State.apply_wires: bad wire") wires;
-  let wires_arr = Array.of_list wires in
-  let seen = Array.make n false in
-  Array.iter
-    (fun w ->
-      if seen.(w) then invalid_arg "State.apply_wires: duplicate wire";
-      seen.(w) <- true)
-    wires_arr;
-  let sub_dims = Array.map (fun w -> t.dims.(w)) wires_arr in
-  let sub_total = Array.fold_left ( * ) 1 sub_dims in
-  if Cmat.rows m <> sub_total || Cmat.cols m <> sub_total then
-    invalid_arg "State.apply_wires: matrix dimension mismatch";
-  let base, sub, perm, starts, nruns = fibre_runs t ~wires_arr ~sub_dims in
-  (* Only populated fibres are transformed — the count the dense
-     backend's rest_total upper-bounds. *)
-  Metrics.add_gate_fibres nruns;
-  let offsets = sub_offsets ~wires_arr ~sub_dims ~str:t.str in
-  (* Emit each fibre's outputs in increasing-offset order so runs whose
-     index ranges do not interleave come out globally sorted (checked
-     in sorted_of_chunks, which then skips the sort). *)
-  let order = Array.init sub_total (fun s -> s) in
-  Array.sort (fun a b -> Int.compare offsets.(a) offsets.(b)) order;
-  let m_re, m_im = Cmat.planes m in
-  let src_re = t.re and src_im = t.im in
-  let nchunks = Parallel.reduction_chunks ~slot_words:1 nruns in
-  let bufs =
-    Parallel.map_chunks ~chunks:nchunks 0 nruns (fun rlo rhi ->
-        (* chunk-local scratch: gathered fibre planes and their image *)
-        let out = Ebuf.create (min ((rhi - rlo) * sub_total) (1 lsl 16)) in
-        let f_re = Array.make sub_total 0.0 and f_im = Array.make sub_total 0.0 in
-        let y_re = Array.make sub_total 0.0 and y_im = Array.make sub_total 0.0 in
-        let pruned = ref 0 in
-        for r = rlo to rhi - 1 do
-          Array.fill f_re 0 sub_total 0.0;
-          Array.fill f_im 0 sub_total 0.0;
-          let b = base.(perm.(starts.(r))) in
-          for p = starts.(r) to starts.(r + 1) - 1 do
-            let e = perm.(p) in
-            f_re.(sub.(e)) <- src_re.(e);
-            f_im.(sub.(e)) <- src_im.(e)
-          done;
-          Cmat.apply_planes ~rows:sub_total ~cols:sub_total ~m_re ~m_im ~x_re:f_re ~x_im:f_im
-            ~y_re ~y_im;
-          for oi = 0 to sub_total - 1 do
-            let s = order.(oi) in
-            let x = y_re.(s) and y = y_im.(s) in
-            if keeps x y then Ebuf.push out (b + offsets.(s)) x y
-            else if is_nonzero x y then incr pruned
-          done
-        done;
-        (out, !pruned))
-  in
-  Metrics.add_pruned (Array.fold_left (fun acc (_, p) -> acc + p) 0 bufs);
-  noted (sorted_of_chunks t (Array.map fst bufs))
-
 (* ------------------------------------------------------------------ *)
 (* The DFT: a single-wire fibre kernel without sorts                   *)
 (* ------------------------------------------------------------------ *)
@@ -504,8 +203,7 @@ let apply_wires t ~wires m =
    digit, each row sorted by lo.  The block's fibres are its distinct lo
    values.  A k-way merge of the rows numbers them in increasing lo
    order, and after the transforms the outputs are emitted in (k, lo)
-   order — which is index order — so nothing is ever sorted.  Gates
-   keep the sort-based gather above. *)
+   order — which is index order — so nothing is ever sorted. *)
 
 (* Entry positions where a new block starts, plus [n] at the end. *)
 let block_starts idx n bsize =
@@ -780,119 +478,18 @@ let apply_dft ?plan t ~wire ~inverse =
   st
 
 (* ------------------------------------------------------------------ *)
-(* Relabelling kernels                                                 *)
+(* Measurement                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let apply_basis_map t f =
-  let nw = Array.length t.dims in
-  let dims = t.dims and str = t.str and idx = t.idx in
-  (* Phase 1 (parallel): evaluate the map.  The digit extractor walks
-     the precomputed strides into a chunk-local scratch tuple instead
-     of allocating a fresh Backend.decode array per entry; [f] must not
-     retain its argument (State.apply_basis_map documents this). *)
-  let target = Array.make t.n 0 in
-  Parallel.parallel_for 0 t.n (fun lo hi ->
-      let x = Array.make nw 0 in
-      for e = lo to hi - 1 do
-        let i0 = Array.unsafe_get idx e in
-        for i = 0 to nw - 1 do
-          Array.unsafe_set x i (i0 / Array.unsafe_get str i mod Array.unsafe_get dims i)
-        done;
-        target.(e) <- Backend.encode dims (f x)
-      done);
-  (* Phase 2: deterministic parallel merge sort by target index (ties
-     broken by position so the comparator is total; ties only exist
-     when f collides on the support, caught right below). *)
-  let perm =
-    Parallel.sort_perm t.n ~cmp:(fun a b ->
-        let c = Int.compare target.(a) target.(b) in
-        if c <> 0 then c else Int.compare a b)
-  in
-  (* Injectivity is checkable only on the support: two populated
-     indices mapping to the same image is a definite non-bijection;
-     collisions with unpopulated indices are invisible (they carry zero
-     amplitude, so the state is still correct whenever f really is a
-     bijection, which the dense backend fully verifies). *)
-  for p = 1 to t.n - 1 do
-    if Int.equal target.(perm.(p - 1)) target.(perm.(p)) then
-      invalid_arg "State.apply_basis_map: not a bijection"
-  done;
-  let idx' = Array.make t.n 0 and re' = Array.make t.n 0.0 and im' = Array.make t.n 0.0 in
-  Parallel.parallel_for 0 t.n (fun lo hi ->
-      for p = lo to hi - 1 do
-        let e = perm.(p) in
-        idx'.(p) <- target.(e);
-        re'.(p) <- t.re.(e);
-        im'.(p) <- t.im.(e)
-      done);
-  noted { t with idx = idx'; re = re'; im = im' }
-
-let apply_oracle_add t ~in_wires ~out_wire ~f =
-  let d = t.dims.(out_wire) in
-  let ins = Array.of_list in_wires in
-  apply_basis_map t (fun x ->
-      let input = Array.map (fun w -> x.(w)) ins in
-      let v = f input in
-      if v < 0 || v >= d then invalid_arg "State.apply_oracle_add: oracle value out of range";
-      let y = Array.copy x in
-      y.(out_wire) <- (x.(out_wire) + v) mod d;
-      y)
-
-(* ------------------------------------------------------------------ *)
-(* Probabilities and measurement                                       *)
-(* ------------------------------------------------------------------ *)
-
-let probabilities t ~wires =
-  let wires_arr = Array.of_list wires in
-  let k = Array.length wires_arr in
-  let sub_dims = Array.map (fun w -> t.dims.(w)) wires_arr in
-  let sub_total = Backend.total_of sub_dims in
-  if sub_total > Backend.dense_cap then
-    invalid_arg "State.probabilities: outcome space too large to materialise densely";
-  let sub_str = Backend.strides sub_dims in
-  let str = t.str and dims = t.dims and idx = t.idx in
-  let src_re = t.re and src_im = t.im in
-  (* Per-chunk partial outcome arrays combined in chunk order, chunk
-     count fixed by (support, outcome space): index-ordered float sums
-     at every job count — unlike the old hashtable iteration. *)
-  let nchunks = Parallel.reduction_chunks ~slot_words:sub_total (max 1 t.n) in
-  let partials =
-    Parallel.map_chunks ~chunks:nchunks 0 t.n (fun lo hi ->
-        let p = Array.make sub_total 0.0 in
-        for e = lo to hi - 1 do
-          let i0 = Array.unsafe_get idx e in
-          let o = ref 0 in
-          for i = 0 to k - 1 do
-            let w = Array.unsafe_get wires_arr i in
-            o :=
-              !o
-              + (i0 / Array.unsafe_get str w mod Array.unsafe_get dims w)
-                * Array.unsafe_get sub_str i
-          done;
-          let x = Array.unsafe_get src_re e and y = Array.unsafe_get src_im e in
-          let o = !o in
-          Array.unsafe_set p o (Array.unsafe_get p o +. (x *. x) +. (y *. y))
-        done;
-        p)
-  in
-  let probs = Array.make sub_total 0.0 in
-  Array.iter
-    (fun p ->
-      for o = 0 to sub_total - 1 do
-        probs.(o) <- probs.(o) +. p.(o)
-      done)
-    partials;
-  probs
-
-(* Born-rule sampling straight off the support: draw one populated
-   basis index with probability |amp|² and project onto its selected
-   digits.  Never materialises the outcome space, so measuring all
-   wires of a > 2^24-dimensional register is fine.  The weight scan is
-   an index-ordered chunk reduction; the chosen chunk is then rescanned
+(* Born-rule draw of the full register straight off the support: one
+   populated basis index with probability |amp|², returned as its
+   digits.  Never materialises the outcome space, so measuring a
+   > 2^24-dimensional register is fine.  The weight scan is an
+   index-ordered chunk reduction; the chosen chunk is then rescanned
    serially with the exact same per-chunk summation order, so the
    outcome is identical at every job count. *)
-let measure rng t ~wires =
-  if t.n = 0 then invalid_arg "State.measure: zero vector";
+let measure_all rng t =
+  if t.n = 0 then invalid_arg "State.measure_all: zero vector";
   let nchunks = Parallel.reduction_chunks ~slot_words:1 t.n in
   let src_re = t.re and src_im = t.im in
   let stats =
@@ -939,32 +536,10 @@ let measure rng t ~wires =
     if !chosen >= 0 then !chosen
     else begin
       let last = Array.fold_left (fun acc (_, l) -> max acc l) (-1) stats in
-      if last >= 0 then last else invalid_arg "State.measure: zero vector"
+      if last >= 0 then last else invalid_arg "State.measure_all: zero vector"
     end
   in
-  let wires_arr = Array.of_list wires in
-  let k = Array.length wires_arr in
-  let chosen_idx = t.idx.(chosen) in
-  let outcome = Array.map (fun w -> chosen_idx / t.str.(w) mod t.dims.(w)) wires_arr in
-  (* Keep entries whose selected digits all equal the outcome: an
-     order-preserving filter, so concatenating the per-chunk survivors
-     in chunk order keeps the segment sorted whatever the chunking. *)
-  let str = t.str and dims = t.dims and idx = t.idx in
-  let bufs =
-    Parallel.map_chunks ~chunks:nchunks 0 t.n (fun lo hi ->
-        let out = Ebuf.create 64 in
-        for e = lo to hi - 1 do
-          let i0 = idx.(e) in
-          let keep = ref true in
-          for i = 0 to k - 1 do
-            let w = wires_arr.(i) in
-            if not (Int.equal (i0 / str.(w) mod dims.(w)) outcome.(i)) then keep := false
-          done;
-          if !keep then Ebuf.push out i0 src_re.(e) src_im.(e)
-        done;
-        out)
-  in
-  (outcome, noted (normalize (sorted_of_chunks t bufs)))
+  Backend.decode t.dims t.idx.(chosen)
 
 (* ------------------------------------------------------------------ *)
 (* Comparison and printing                                             *)

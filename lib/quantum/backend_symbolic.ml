@@ -25,7 +25,7 @@ module Zm = Numtheory.Zmatrix
    The rewrite is a whole-register operation ({!fourier}): State's
    Fourier sweep applies it when the swept wires are a permutation of
    the register.  A single-wire DFT or a partial sweep has no closed
-   form here, so the State dispatcher demotes to the sparse backend
+   form here, so the State dispatcher demotes to the dense backend
    first, capped at Backend.Caps.symbolic_materialise support. *)
 
 module Subgroup = struct
@@ -139,9 +139,6 @@ let of_basis dims x =
     x;
   of_coset (Subgroup.trivial dims) x
 
-let create dims = of_basis dims (Array.make (Array.length dims) 0)
-let uniform dims = of_coset (Subgroup.full dims) (Array.make (Array.length dims) 0)
-
 let amp_at_tuple st x =
   let dims = dims st in
   let diff = Array.init (Array.length dims) (fun i -> x.(i) - st.rep.(i)) in
@@ -164,7 +161,7 @@ let iter_nonzero st f =
   let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
   List.iter (fun (idx, x) -> f idx (amp_at_tuple st x)) entries
 
-(* Materialise into the sparse backend. *)
+(* Materialise into the dense backend. *)
 let demote st =
   Metrics.record_symbolic_demotion ();
   let dims = dims st in
@@ -176,7 +173,7 @@ let demote st =
         (x, Cx.mul st.gphase (character ~dims st.phase x)))
       (Subgroup.elements st.sub)
   in
-  Backend_sparse.of_support dims entries
+  Backend_dense.of_support dims entries
 
 (* Negation in Z_d of an entry already in [0, d). *)
 let neg_in_range dims v = Array.mapi (fun i x -> if x = 0 then 0 else dims.(i) - x) v
@@ -196,25 +193,6 @@ let fourier st ~inverse =
   else
     (* F^-1: support p + H^perp, amplitude chi_{-c}(y) *)
     { sub = dual; rep = Subgroup.reduce dual p; phase = neg_in_range dims c; gphase }
-
-let tensor a b =
-  let da = dims a and db = dims b in
-  let ra = Array.length da and rb = Array.length db in
-  let dims' = Array.append da db in
-  let basis =
-    Array.init (ra + rb) (fun i ->
-        Array.init (ra + rb) (fun j ->
-            if i < ra then (if j < ra then (Subgroup.basis a.sub).(i).(j) else 0)
-            else if j < ra then 0
-            else (Subgroup.basis b.sub).(i - ra).(j - ra)))
-  in
-  (* Block-diagonal stacking of two canonical HNF bases is itself
-     canonical, so no re-normalisation pass is needed. *)
-  let sub = Subgroup.of_basis ~dims:dims' basis in
-  of_coset
-    ~phase:(Array.append a.phase b.phase)
-    ~gphase:(Cx.mul a.gphase b.gphase)
-    sub (Array.append a.rep b.rep)
 
 let can_measure st ~wires =
   let n = num_wires st in

@@ -18,7 +18,7 @@
       one annihilator solve (memoised per subgroup) plus an O(r)
       relabel ({!fourier}).  The rewrite is whole-register only:
       {!State.fourier} applies it when the swept wires are a
-      permutation of the register, and demotes to the sparse backend
+      permutation of the register, and demotes to the dense backend
       for a single-wire DFT or a partial sweep, which have no closed
       form here.
     - {e Measurement} of the full register: a uniform draw from the
@@ -26,7 +26,6 @@
       sampled character distribution matches the dense backend's in
       law (the differential suite checks this with a chi-squared
       gate).
-    - {e Tensoring}: block-diagonal HNF stacking.
 
     Costs are O(r^2) per operation and O(r^2) memory (the HNF steps walk
     only each basis row's nonzero entries, so sparse bases cost less) — [Z_2^200]-shaped
@@ -40,14 +39,13 @@
     runs are reproducible for a fixed seed and independent of the job
     count (no parallelism is involved at all).
 
-    States are built from subgroup structure only ({!of_coset} and the
-    basis/uniform constructors); an amplitude or index input is never
-    searched for coset structure, so the oracle route's buckets land on
-    the amplitude backends.  This backend satisfies {!Backend.CORE}
-    but deliberately not {!Backend.AMPLITUDES}: asking for
-    amplitude-array behaviour goes through {!demote} (capped at
-    {!Backend.Caps.symbolic_materialise}) in the {!State}
-    dispatcher. *)
+    States are built from subgroup structure only ({!of_coset}); an
+    amplitude or index input is never searched for coset structure, so
+    the oracle route's buckets land on the amplitude backends.  Every
+    amplitude-level operation — gates, oracles, tensor products,
+    marginals, partial measurement, a single-wire DFT — is the dense
+    backend's: the {!State} dispatcher hands it a {!demote}d copy
+    (capped at {!Backend.Caps.symbolic_materialise}). *)
 
 (** Subgroups of [Z_{d_0} x ... x Z_{d_{r-1}}] in canonical HNF form,
     with memoised annihilator.  Shared across all states drawn from one
@@ -90,10 +88,6 @@ type t
 
 (** {2 Constructors} *)
 
-val create : int array -> t
-val of_basis : int array -> int array -> t
-val uniform : int array -> t
-
 val of_coset : ?phase:int array -> ?gphase:Linalg.Cx.t -> Subgroup.t -> int array -> t
 (** [of_coset sub rep] is the uniform superposition over [rep + H] —
     the state [Coset_state.sampler_with_subgroup] feeds to the Fourier
@@ -111,8 +105,6 @@ val support_size : t -> int
 val subgroup : t -> Subgroup.t
 
 (** {2 Operations} *)
-
-val tensor : t -> t -> t
 
 val fourier : t -> inverse:bool -> t
 (** The DFT of the whole register as the closed-form rewrite
@@ -146,10 +138,11 @@ val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
     @raise Invalid_argument beyond
     {!Backend.Caps.symbolic_materialise}. *)
 
-val demote : t -> Backend_sparse.t
-(** Materialise into the sparse backend (ledger: [symbolic_demotions]).
-    @raise Invalid_argument beyond
-    {!Backend.Caps.symbolic_materialise}. *)
+val demote : t -> Backend_dense.t
+(** Materialise into the dense backend (ledger: [symbolic_demotions]).
+    @raise Invalid_argument when the subgroup exceeds
+    {!Backend.Caps.symbolic_materialise} elements, or the register
+    {!Backend.Caps.dense_state} amplitudes. *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
 (** Same coset, same subgroup, and amplitudes agreeing at the

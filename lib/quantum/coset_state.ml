@@ -8,8 +8,8 @@ let check_total ~cap total =
     invalid_arg "Coset_state: group too large for state-vector simulation";
   total
 
-(* Dense-path size check: [sample_full] materialises O(|A|) dense data,
-   so it keeps the small cap regardless of backend. *)
+(* Dense-path size check: [sample_full] materialises O(|A|) dense
+   data. *)
 let total_of dims = check_total ~cap:max_group_size (Array.fold_left ( * ) 1 dims)
 
 (* ------------------------------------------------------------------ *)
@@ -334,7 +334,7 @@ let sampler_state_valued ?backend ~dims ~f ~queries () =
   in
   sampler ?backend ~dims ~f:tag_of ~queries ()
 
-let sample_full rng ?backend ~dims ~f ~queries () =
+let sample_full rng ~dims ~f ~queries () =
   Query.tick queries;
   let total = total_of dims in
   (* Canonicalise oracle values to 0..k-1 so they fit one output wire.
@@ -359,8 +359,8 @@ let sample_full rng ?backend ~dims ~f ~queries () =
   let out_dim = max 1 (Hashtbl.length values) in
   let n = Array.length dims in
   let group_wires = List.init n (fun i -> i) in
-  let st = State.uniform ?backend dims in
-  let st = State.tensor st (State.create ?backend [| out_dim |]) in
+  let st = State.uniform dims in
+  let st = State.tensor st (State.create [| out_dim |]) in
   let st =
     State.apply_oracle_add st ~in_wires:group_wires ~out_wire:n
       ~f:(fun x -> tags.(State.encode dims x))

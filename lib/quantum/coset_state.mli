@@ -41,14 +41,15 @@
       distribution (the bench E13 chi-squared gate).
 
     {!sample_full} is the reference implementation on the full tensor
-    product, used by tests to validate {!sampler}; dense O(|A|)
-    throughout, capped at {!max_group_size}.
+    product, used by tests to validate {!sampler}; it runs the dense
+    backend's gates, oracle and partial measurement, O(|A|) throughout,
+    capped at {!max_group_size}.
 
     Each call costs one oracle query: the oracle is evaluated once in
     superposition.  The classical expansion of that superposition by
     the simulator is *not* charged to the algorithm.
 
-    Every entry point takes an optional [?backend]; omitted, the
+    Every sampler takes an optional [?backend]; omitted, the
     session default ({!Backend.default}) applies.  The oracle route
     resolves it with {!oracle_backend}, the planted route as
     {!sampler_with_subgroup} says. *)
@@ -202,7 +203,6 @@ val sampler_of_subgroup :
 
 val sample_full :
   Random.State.t ->
-  ?backend:Backend.choice ->
   dims:int array ->
   f:(int array -> int) ->
   queries:Query.t ->

@@ -2,7 +2,7 @@
 
    Per-call counters (gates, DFTs, basis maps, oracle ops, measurements,
    states created) are ticked by the {!State} dispatcher, so a dense and
-   a sparse run of the same circuit report identical values; the
+   a sparse run of the same sampling pipeline report identical values; the
    work/allocation statistics (fibre counts, peak support, pruned
    amplitudes, peak dense allocation) are recorded inside the backends
    and are exactly where the two representations differ. *)

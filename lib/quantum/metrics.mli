@@ -9,8 +9,8 @@
       of a {!Circuit.run}) and DFT ({!State.apply_dft}, one per wire of
       {!State.fourier}) applications, basis-map and oracle ops,
       measurements, states created.  Ticked by the {!State} dispatcher,
-      so dense and sparse runs of the same circuit report identical
-      values.
+      so dense and sparse runs of the same sampling pipeline report
+      identical values.
     - {e work/allocation statistics} — fibres actually transformed per
       gate/DFT, peak sparse support, amplitudes dropped by the sparse
       pruning epsilon, and the largest dense amplitude array allocated.

@@ -20,7 +20,7 @@
    The adversarial scheduler (set_sched Shuffle) stresses the
    determinism contract at runtime: chunks execute in a seeded-permuted
    order while everything keyed by chunk index (output ranges,
-   map_chunks slots, merge trees) is untouched, so any hidden
+   map_chunks slots) is untouched, so any hidden
    dependence on execution order trips the digest gates in
    test_parallel / test_matrix / bench. *)
 
@@ -265,77 +265,3 @@ let reduction_chunks ?(max_chunks = 64) ~slot_words total =
      partial buffers stay within ~8M words (64 MB) total. *)
   let by_mem = max 1 ((1 lsl 23) / max 1 slot_words) in
   max 1 (min (min max_chunks by_mem) total)
-
-(* ------------------------------------------------------------------ *)
-(* Deterministic parallel merge sort                                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Leaf-run count: a power of two fixed by the length alone, so the
-   merge tree never depends on the job count.  Short inputs are not
-   worth the merge rounds. *)
-let sort_leaves n = if n < 8192 then 1 else 64
-
-let sort_perm ~cmp n =
-  if n < 0 then invalid_arg "Parallel.sort_perm: negative length";
-  let perm = Array.init n (fun i -> i) in
-  let leaves = sort_leaves n in
-  if leaves = 1 then begin
-    Array.sort cmp perm;
-    perm
-  end
-  else begin
-    let bound c = chunk_bound ~lo:0 ~hi:n ~nchunks:leaves c in
-    (* Sort each leaf run.  Array.sort is not stable, but the contract
-       requires [cmp] to be a total order (ties broken, e.g. by
-       position), under which every sort produces the same result. *)
-    run_chunked ~chunks:leaves 0 n (fun _ lo hi ->
-        let sub = Array.sub perm lo (hi - lo) in
-        Array.sort cmp sub;
-        Array.blit sub 0 perm lo (hi - lo));
-    (* Merge adjacent runs pairwise, doubling the run width each round;
-       the pair merges of a round are independent, hence parallel. *)
-    let tmp = Array.make n 0 in
-    let src = ref perm and dst = ref tmp in
-    let width = ref 1 in
-    while !width < leaves do
-      let w = !width in
-      let npairs = (leaves + (2 * w) - 1) / (2 * w) in
-      let s = !src and d = !dst in
-      run_chunked ~chunks:npairs 0 npairs (fun _ plo phi ->
-          for p = plo to phi - 1 do
-            let lo = bound (2 * w * p) in
-            let mid = bound (min leaves ((2 * w * p) + w)) in
-            let hi = bound (min leaves (2 * w * (p + 1))) in
-            let i = ref lo and j = ref mid and o = ref lo in
-            while !i < mid && !j < hi do
-              if cmp s.(!i) s.(!j) <= 0 then begin
-                d.(!o) <- s.(!i);
-                incr i
-              end
-              else begin
-                d.(!o) <- s.(!j);
-                incr j
-              end;
-              incr o
-            done;
-            while !i < mid do
-              d.(!o) <- s.(!i);
-              incr i;
-              incr o
-            done;
-            while !j < hi do
-              d.(!o) <- s.(!j);
-              incr j;
-              incr o
-            done
-          done);
-      src := d;
-      dst := s;
-      width := 2 * w
-    done;
-    if !src == perm then perm
-    else begin
-      Array.blit !src 0 perm 0 n;
-      perm
-    end
-  end

@@ -24,7 +24,7 @@
 
     {b Adversarial scheduler.}  {!set_sched}[ Shuffle] executes each
     region's chunks in a seeded-permuted order — everything keyed by chunk {e index}
-    (output ranges, {!map_chunks} slots, merge trees) is untouched, so
+    (output ranges, {!map_chunks} slots) is untouched, so
     under the contract above the results are still bit-for-bit
     identical, and any hidden dependence on execution order trips the
     digest gates.  The permutation is seeded by a per-region counter,
@@ -85,11 +85,3 @@ val chunk_bound : lo:int -> hi:int -> nchunks:int -> int -> int
     exact split {!parallel_for} and {!map_chunks} use.  Exposed so a
     caller that must revisit one chunk serially (e.g. the sparse
     backend's measurement scan) reproduces the same boundaries. *)
-
-val sort_perm : cmp:(int -> int -> int) -> int -> int array
-(** [sort_perm ~cmp n] is the permutation of [0 .. n-1] that sorts
-    positions by [cmp]: a parallel merge sort over leaf runs whose
-    boundaries — and merge tree — are fixed by [n] alone.  [cmp] must
-    be a {e total} order (break ties, e.g. by position); the sorted
-    permutation is then unique, hence bit-for-bit identical at every
-    job count. *)

@@ -5,15 +5,6 @@ type t =
   | Sparse of Backend_sparse.t
   | Symbolic of Backend_symbolic.t
 
-(* Static capability checks (see Backend.CORE / AMPLITUDES): the
-   amplitude backends satisfy both layers, the symbolic backend the
-   core layer only. *)
-module _ : Backend.S = Backend_dense
-module _ : Backend.S = Backend_sparse
-module _ : Backend.CORE = Backend_symbolic
-
-let max_total_dim = Backend.dense_cap
-
 let backend = function
   | Dense _ -> Backend.Dense
   | Sparse _ -> Backend.Sparse
@@ -22,48 +13,16 @@ let backend = function
 let encode = Backend.encode
 let decode = Backend.decode
 
-(* Only Auto needs the total dimension to resolve; an explicit choice
-   must not form it at all, or Z_2^200-shaped registers would die in
-   the dispatcher before reaching the symbolic backend. *)
-let resolve ?backend dims =
-  match (match backend with Some c -> c | None -> Backend.default ()) with
-  | Backend.Auto -> Backend.resolve ~backend:Backend.Auto ~total:(Backend.total_of dims) ()
-  | c -> c
-
-let create ?backend dims =
+(* The general constructors build dense: it is the only backend that
+   runs every operation. *)
+let dense d =
   Metrics.record_state_created ();
-  match resolve ?backend dims with
-  | Backend.Sparse -> Sparse (Backend_sparse.create dims)
-  | Backend.Symbolic -> Symbolic (Backend_symbolic.create dims)
-  | _ -> Dense (Backend_dense.create dims)
+  Dense d
 
-let of_basis ?backend dims x =
-  Metrics.record_state_created ();
-  match resolve ?backend dims with
-  | Backend.Sparse -> Sparse (Backend_sparse.of_basis dims x)
-  | Backend.Symbolic -> Symbolic (Backend_symbolic.of_basis dims x)
-  | _ -> Dense (Backend_dense.of_basis dims x)
-
-let of_amplitudes ?backend dims v =
-  Metrics.record_state_created ();
-  match resolve ?backend dims with
-  | Backend.Sparse -> Sparse (Backend_sparse.of_amplitudes dims v)
-  (* An amplitude vector is inherently non-symbolic input: land it on
-     the sparse backend rather than refuse (a symbolic session default
-     must still run amplitude-level callers). *)
-  | Backend.Symbolic -> Sparse (Backend_sparse.of_amplitudes dims v)
-  | _ -> Dense (Backend_dense.of_amplitudes dims v)
-
-(* A sparse construction defaults to the sparse backend (Auto included):
-   the caller is telling us the support is small, and beyond the dense
-   cap that is the only amplitude representation that exists at all. *)
-let of_sparse ?backend dims entries =
-  Metrics.record_state_created ();
-  let choice = match backend with Some c -> c | None -> Backend.default () in
-  match choice with
-  | Backend.Dense -> Dense (Backend_dense.of_support dims entries)
-  | Backend.Sparse | Backend.Symbolic | Backend.Auto ->
-      Sparse (Backend_sparse.of_support dims entries)
+let create dims = dense (Backend_dense.create dims)
+let of_basis dims x = dense (Backend_dense.of_basis dims x)
+let of_amplitudes dims v = dense (Backend_dense.of_amplitudes dims v)
+let uniform dims = dense (Backend_dense.uniform dims)
 
 (* Oracle-route input is a sorted index segment, never subgroup
    structure: it lands on dense only when asked, and on sparse under
@@ -127,13 +86,6 @@ let of_coset ?backend sub ~rep =
       Sparse (Backend_sparse.of_indices (Backend_symbolic.Subgroup.dims sub) (coset_indices sub ~rep))
   | Backend.Symbolic | Backend.Auto -> Symbolic (Backend_symbolic.of_coset sub rep)
 
-let uniform ?backend dims =
-  Metrics.record_state_created ();
-  match resolve ?backend dims with
-  | Backend.Sparse -> Sparse (Backend_sparse.uniform dims)
-  | Backend.Symbolic -> Symbolic (Backend_symbolic.uniform dims)
-  | _ -> Dense (Backend_dense.uniform dims)
-
 let dims = function
   | Dense d -> Backend_dense.dims d
   | Sparse s -> Backend_sparse.dims s
@@ -154,16 +106,23 @@ let support_size = function
   | Sparse s -> Backend_sparse.support_size s
   | Symbolic s -> Backend_symbolic.support_size s
 
-(* Amplitude-level operations on a symbolic state materialise it into
-   the sparse backend first (ledger: symbolic_demotions).  Capped at
-   Caps.symbolic_materialise — the symbolic fast path (of_coset /
-   Qft.forward / measure_all) never demotes. *)
-let demoted s = Backend_symbolic.demote s
+(* Amplitude-level operations run on the dense backend alone.  A dense
+   operand is used as is; a symbolic one is materialised into dense
+   (ledger: symbolic_demotions; capped at Caps.symbolic_materialise —
+   the symbolic fast path of_coset / Qft.forward / measure_all never
+   demotes); a sparse one is refused, since the sparse backend runs
+   only the Fourier-sampling pipeline. *)
+let dense_operand op = function
+  | Dense d -> d
+  | Symbolic s -> Backend_symbolic.demote s
+  | Sparse _ ->
+      invalid_arg
+        (Printf.sprintf "State.%s: sparse states run only of_indices, fourier and measure_all" op)
 
 let amplitudes = function
   | Dense d -> Backend_dense.amplitudes d
   | Sparse s -> Backend_sparse.amplitudes s
-  | Symbolic s -> Backend_sparse.amplitudes (demoted s)
+  | Symbolic s -> Backend_dense.amplitudes (Backend_symbolic.demote s)
 
 let amp_at t idx =
   match t with
@@ -178,35 +137,21 @@ let iter_nonzero t f =
   | Symbolic s -> Backend_symbolic.iter_nonzero s f
 
 let tensor a b =
-  Metrics.record_state_created ();
-  match (a, b) with
-  | Dense x, Dense y -> Dense (Backend_dense.tensor x y)
-  | Sparse x, Sparse y -> Sparse (Backend_sparse.tensor x y)
-  | Symbolic x, Symbolic y -> Symbolic (Backend_symbolic.tensor x y)
-  (* Mixed operands promote to sparse: the product support is the
-     product of supports, and sparse has no size ceiling to trip. *)
-  | _ ->
-      let to_sparse = function
-        | Sparse x -> x
-        | Dense d -> Backend_sparse.of_amplitudes (Backend_dense.dims d) (Backend_dense.amplitudes d)
-        | Symbolic s -> demoted s
-      in
-      Sparse (Backend_sparse.tensor (to_sparse a) (to_sparse b))
+  let a = dense_operand "tensor" a in
+  let b = dense_operand "tensor" b in
+  dense (Backend_dense.tensor a b)
 
-(* Per-call ledger ticks live here, in the dispatcher, so dense,
-   sparse and symbolic runs of the same circuit report identical
-   counts by construction; the backends record only the work
-   statistics (fibres, support, pruning, rewrites) on which the
-   representations differ. *)
+(* Per-call ledger ticks live here, in the dispatcher; the backends
+   record only the work statistics (fibres, support, pruning,
+   rewrites) on which the representations differ. *)
 
-let apply_wires t ~wires m =
+let gate op t ~wires m =
+  let d = dense_operand op t in
   Metrics.record_gate ();
-  match t with
-  | Dense d -> Dense (Backend_dense.apply_wires d ~wires m)
-  | Sparse s -> Sparse (Backend_sparse.apply_wires s ~wires m)
-  | Symbolic s -> Sparse (Backend_sparse.apply_wires (demoted s) ~wires m)
+  Dense (Backend_dense.apply_wires d ~wires m)
 
-let apply_wire t ~wire m = apply_wires t ~wires:[ wire ] m
+let apply_wires t ~wires m = gate "apply_wires" t ~wires m
+let apply_wire t ~wire m = gate "apply_wire" t ~wires:[ wire ] m
 
 (* A single-wire DFT has no symbolic closed form: demote first. *)
 let apply_dft ?plan t ~wire ~inverse =
@@ -214,7 +159,7 @@ let apply_dft ?plan t ~wire ~inverse =
   match t with
   | Dense d -> Dense (Backend_dense.apply_dft ?plan d ~wire ~inverse)
   | Sparse s -> Sparse (Backend_sparse.apply_dft ?plan s ~wire ~inverse)
-  | Symbolic s -> Sparse (Backend_sparse.apply_dft ?plan (demoted s) ~wire ~inverse)
+  | Symbolic s -> Dense (Backend_dense.apply_dft ?plan (Backend_symbolic.demote s) ~wire ~inverse)
 
 (* Whether [wires] lists each wire of an [n]-wire register exactly
    once: O(n), no sort. *)
@@ -235,73 +180,53 @@ let permutes_register n wires =
 (* One whole sweep: [dft_apps] grows by the number of listed wires on
    every backend, in one atomic add.  A symbolic state swept over a
    permutation of its wires takes the closed-form rewrite; any other
-   sweep demotes it once and runs the sparse per-wire DFTs. *)
+   sweep demotes it once and runs the dense sweep. *)
 let fourier ?plans t ~wires ~inverse =
   Metrics.add_dft_apps (List.length wires);
-  let sparse_sweep s =
-    List.fold_left
-      (fun s wire ->
-        let plan = Option.map (fun p -> p.(wire)) plans in
-        Backend_sparse.apply_dft ?plan s ~wire ~inverse)
-      s wires
-  in
   match t with
   | _ when wires = [] -> t
   | Dense d -> Dense (Backend_dense.fourier ?plans d ~wires ~inverse)
-  | Sparse s -> Sparse (sparse_sweep s)
+  | Sparse s ->
+      Sparse
+        (List.fold_left
+           (fun s wire ->
+             let plan = Option.map (fun p -> p.(wire)) plans in
+             Backend_sparse.apply_dft ?plan s ~wire ~inverse)
+           s wires)
   | Symbolic s when permutes_register (Backend_symbolic.num_wires s) wires ->
       Symbolic (Backend_symbolic.fourier s ~inverse)
-  | Symbolic s -> Sparse (sparse_sweep (demoted s))
+  | Symbolic s -> Dense (Backend_dense.fourier ?plans (Backend_symbolic.demote s) ~wires ~inverse)
 
 let apply_basis_map t f =
+  let d = dense_operand "apply_basis_map" t in
   Metrics.record_basis_map ();
-  match t with
-  | Dense d -> Dense (Backend_dense.apply_basis_map d f)
-  | Sparse s -> Sparse (Backend_sparse.apply_basis_map s f)
-  | Symbolic s -> Sparse (Backend_sparse.apply_basis_map (demoted s) f)
+  Dense (Backend_dense.apply_basis_map d f)
 
 let apply_oracle_add t ~in_wires ~out_wire ~f =
+  let d = dense_operand "apply_oracle_add" t in
   Metrics.record_oracle ();
-  match t with
-  | Dense d -> Dense (Backend_dense.apply_oracle_add d ~in_wires ~out_wire ~f)
-  | Sparse s -> Sparse (Backend_sparse.apply_oracle_add s ~in_wires ~out_wire ~f)
-  | Symbolic s -> Sparse (Backend_sparse.apply_oracle_add (demoted s) ~in_wires ~out_wire ~f)
+  Dense (Backend_dense.apply_oracle_add d ~in_wires ~out_wire ~f)
 
-let probabilities t ~wires =
-  match t with
-  | Dense d -> Backend_dense.probabilities d ~wires
-  | Sparse s -> Backend_sparse.probabilities s ~wires
-  | Symbolic s -> Backend_sparse.probabilities (demoted s) ~wires
+let probabilities t ~wires = Backend_dense.probabilities (dense_operand "probabilities" t) ~wires
 
 let measure rng t ~wires =
-  Metrics.record_measurement ();
   match t with
-  | Dense d ->
+  | Symbolic s when Backend_symbolic.can_measure s ~wires ->
+      Metrics.record_measurement ();
+      let outcome, post = Backend_symbolic.measure rng s ~wires in
+      (outcome, Symbolic post)
+  | _ ->
+      let d = dense_operand "measure" t in
+      Metrics.record_measurement ();
       let outcome, post = Backend_dense.measure rng d ~wires in
       (outcome, Dense post)
-  | Sparse s ->
-      let outcome, post = Backend_sparse.measure rng s ~wires in
-      (outcome, Sparse post)
-  | Symbolic s ->
-      if Backend_symbolic.can_measure s ~wires then begin
-        let outcome, post = Backend_symbolic.measure rng s ~wires in
-        (outcome, Symbolic post)
-      end
-      else
-        let outcome, post = Backend_sparse.measure rng (demoted s) ~wires in
-        (outcome, Sparse post)
 
 let measure_all rng t =
+  Metrics.record_measurement ();
   match t with
-  | Dense d ->
-      Metrics.record_measurement ();
-      Backend_dense.measure_all rng d
-  | Symbolic s ->
-      Metrics.record_measurement ();
-      Backend_symbolic.measure_all rng s
-  | Sparse _ ->
-      let outcome, _ = measure rng t ~wires:(List.init (num_wires t) (fun i -> i)) in
-      outcome
+  | Dense d -> Backend_dense.measure_all rng d
+  | Sparse s -> Backend_sparse.measure_all rng s
+  | Symbolic s -> Backend_symbolic.measure_all rng s
 
 let norm = function
   | Dense d -> Backend_dense.norm d

@@ -2,76 +2,57 @@
 
     A register is a tuple of wires; wire [i] carries a qudit of
     dimension [dims.(i)].  The joint state is held by one of three
-    pluggable backends ({!Backend}):
+    backends ({!Backend}):
 
     - dense — a contiguous complex vector of dimension [prod dims]
       ({!Backend_dense}); exact, exponential in memory, capped at
-      {!max_total_dim} amplitudes;
+      {!Backend.Caps.dense_state} amplitudes.  The one implementation
+      of every amplitude-level operation;
     - sparse — a sorted segment of the nonzero amplitudes only
-      ({!Backend_sparse}); cost scales with support size, lifting the
-      cap for the structured states the HSP algorithms prepare (coset
-      states, subgroup states, their Fourier transforms);
+      ({!Backend_sparse}), running the Fourier-sampling pipeline alone:
+      {!of_indices} / {!of_coset}, {!fourier} (or {!apply_dft}) and
+      {!measure_all}, at a cost that scales with the support, beyond
+      the dense cap;
     - symbolic — no amplitudes at all ({!Backend_symbolic}): a
       phase-decorated coset state [(subgroup HNF basis, representative,
       character)] rewritten in closed form under the Abelian DFT and
       measured by uniform subgroup sampling, so [Z_2^200]-shaped
       registers cost O(r^2) per operation.
 
-    The backend is chosen per state at creation: explicitly via [?backend], globally via {!Backend.set_default}, or
-    automatically ([Auto]: dense iff the register fits under the cap;
-    never symbolic — see {!Backend.resolve}).  Each input kind has one
-    home: subgroup structure ({!of_coset}) is symbolic unless a caller
-    asks for an amplitude backend; index segments ({!of_indices}),
-    support lists ({!of_sparse}) and amplitude vectors
-    ({!of_amplitudes}) land on dense or sparse, never symbolic.  There
-    is no conversion call: a state changes representation only when a
-    symbolic state demotes (below) or mixed {!tensor} operands promote
-    to sparse.  The amplitude backends dispatch every operation
-    natively.  A symbolic state handles the {!Backend.CORE}
-    operations (construction, tensor, full measurement) and
-    whole-register Fourier sweeps ({!fourier}) in closed form and
-    {e demotes} to the sparse backend — support materialised, capped at
-    {!Backend.Caps.symbolic_materialise}, ledger
-    [symbolic_demotions] — when an amplitude-level operation
-    ({!apply_wires}, {!apply_basis_map}, {!apply_oracle_add},
-    {!probabilities}, partial measurement, a single-wire DFT or a
-    partial sweep) is requested, so downstream code ({!Qft}, {!Circuit},
-    {!Coset_state}, the solvers) stays representation-agnostic. *)
+    Each input kind has one home.  The general constructors
+    ({!create}, {!of_basis}, {!of_amplitudes}, {!uniform}) build dense.
+    Index segments ({!of_indices}) land on dense or sparse, subgroup
+    structure ({!of_coset}) on any backend, symbolic by default;
+    [?backend] and {!Backend.default} pick among them.  There is no
+    conversion call: a state changes representation only when a
+    symbolic state demotes.
+
+    The amplitude-level operations — {!tensor}, {!apply_wires},
+    {!apply_basis_map}, {!apply_oracle_add}, {!probabilities} and
+    {!measure} — run on dense.  A symbolic operand {e demotes} to dense
+    first (support materialised, capped at
+    {!Backend.Caps.symbolic_materialise}, ledger [symbolic_demotions]),
+    as does a single-wire DFT or a partial sweep of a symbolic state,
+    except that a full-register {!measure} stays a symbolic draw.  A
+    sparse operand raises [Invalid_argument] naming the operation. *)
 
 type t
-
-val max_total_dim : int
-(** Alias of {!Backend.Caps.dense_state}: the dense backend's amplitude
-    ceiling, and the pivot of [Auto] backend resolution. *)
 
 val backend : t -> Backend.choice
 (** The concrete backend holding this state ([Dense], [Sparse] or
     [Symbolic], never [Auto]). *)
 
-val create : ?backend:Backend.choice -> int array -> t
-(** [create dims] is the all-zeros basis state [|0,...,0>].
-    @raise Invalid_argument if any dimension is [< 1], a dense backend
-    was selected for a register beyond {!max_total_dim}, or [Auto]
-    resolution needed a total dimension that overflows (explicit
-    sparse/symbolic choices never form the total). *)
+val create : int array -> t
+(** [create dims] is the dense all-zeros basis state [|0,...,0>].
+    @raise Invalid_argument if any dimension is [< 1] or the register
+    exceeds {!Backend.Caps.dense_state} amplitudes. *)
 
-val of_basis : ?backend:Backend.choice -> int array -> int array -> t
-(** [of_basis dims x] is the basis state [|x>]. *)
+val of_basis : int array -> int array -> t
+(** [of_basis dims x] is the dense basis state [|x>]. *)
 
-val of_amplitudes : ?backend:Backend.choice -> int array -> Linalg.Cvec.t -> t
-(** Wraps (a copy of) a full amplitude vector; normalises.  The input
-    is inherently dense, so this only accepts registers whose total
-    dimension is materialisable; under the symbolic backend it lands on
-    sparse.  Prefer {!of_sparse} beyond the cap. *)
-
-val of_sparse : ?backend:Backend.choice -> int array -> (int array * Linalg.Cx.t) list -> t
-(** [of_sparse dims entries] builds the normalised superposition with
-    the given basis-tuple amplitudes (duplicates are summed).  Defaults
-    to the sparse backend even under [Auto] or [Symbolic] — the
-    explicit support list is the caller saying the state is sparse —
-    and is the amplitude-level constructor usable beyond
-    {!max_total_dim}.
-    @raise Invalid_argument on an empty or zero-norm support. *)
+val of_amplitudes : int array -> Linalg.Cvec.t -> t
+(** Wraps (a copy of) a full amplitude vector in a dense state;
+    normalises. *)
 
 val of_indices : ?backend:Backend.choice -> int array -> int array -> t
 (** [of_indices dims idxs] is the uniform superposition over the given
@@ -82,7 +63,8 @@ val of_indices : ?backend:Backend.choice -> int array -> int array -> t
     hashing, no per-entry boxing.  [Dense] builds dense; every other
     choice, [Auto] and [Symbolic] included, builds sparse (an index
     segment carries no subgroup structure; symbolic states come from
-    {!of_coset}).
+    {!of_coset}).  The session default applies when [?backend] is
+    omitted.
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)
 
@@ -111,9 +93,9 @@ val support_size : t -> int
 
 val amplitudes : t -> Linalg.Cvec.t
 (** The state materialised as a dense copy — an export, not a view of
-    backend internals.
-    @raise Invalid_argument beyond {!max_total_dim}; use {!amp_at} /
-    {!iter_nonzero} there. *)
+    backend internals.  A symbolic state demotes.
+    @raise Invalid_argument beyond {!Backend.Caps.dense_state}; use
+    {!amp_at} / {!iter_nonzero} there. *)
 
 val amp_at : t -> int -> Linalg.Cx.t
 (** Amplitude at a mixed-radix basis index, any backend, any size
@@ -131,13 +113,10 @@ val decode : int array -> int -> int array
 (** Inverse of {!encode}. *)
 
 val tensor : t -> t -> t
-(** Symbolic operands stay symbolic (block-diagonal HNF stacking);
-    otherwise mixed-backend operands promote to sparse. *)
+(** The dense product state; symbolic operands demote. *)
 
-val uniform : ?backend:Backend.choice -> int array -> t
-(** Uniform superposition over all basis states.  Symbolic: the full
-    group as subgroup, O(r^2); amplitude backends materialise the full
-    support, so the register must fit. *)
+val uniform : int array -> t
+(** Dense uniform superposition over all basis states. *)
 
 val apply_wire : t -> wire:int -> Linalg.Cmat.t -> t
 (** Apply a [d x d] unitary to a single wire of dimension [d]. *)
@@ -145,7 +124,7 @@ val apply_wire : t -> wire:int -> Linalg.Cmat.t -> t
 val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
 (** Apply a unitary acting jointly on the listed wires (in the given
     order, most significant first).  The matrix dimension must be the
-    product of the wires' dimensions.  Symbolic states demote. *)
+    product of the wires' dimensions. *)
 
 val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
@@ -155,7 +134,7 @@ val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
     call, on one fresh copy of the planes).  [?plan] is a prebuilt plan
     of the wire's dimension; omitted, the call builds one.  A single
     wire has no symbolic closed form, so a symbolic state demotes to
-    the sparse backend first (ledger: [symbolic_demotions]); sweep the
+    the dense backend first (ledger: [symbolic_demotions]); sweep the
     whole register with {!fourier} to stay symbolic.  Ticks [dft_apps]
     once. *)
 
@@ -176,39 +155,38 @@ val fourier : ?plans:Linalg.Fft.plan array -> t -> wires:int list -> inverse:boo
       [symbolic_rewrites] tick) — a full {!Qft.forward} costs one
       memoised annihilator solve however large the group.  Any other
       sweep (a strict subset, a repeated wire) demotes once to the
-      sparse backend and runs the sparse fold.
+      dense backend and runs the dense sweep.
     An empty [wires] returns the state unchanged. *)
 
 val apply_basis_map : t -> (int array -> int array) -> t
 (** Relabel basis states by a bijection on tuples (a classical
-    reversible circuit).  The dense backend checks bijectivity in full;
-    the sparse backend checks injectivity on the support.  Symbolic
-    states demote. *)
+    reversible circuit), checked in full.  [f] must not retain its
+    argument. *)
 
 val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array -> int) -> t
 (** The standard oracle [|x>|y> -> |x>|y + f(x) mod d>] where [d] is
     the output wire's dimension and [x] ranges over the values of
-    [in_wires].  Symbolic states demote. *)
+    [in_wires]. *)
 
 val probabilities : t -> wires:int list -> float array
 (** Marginal outcome distribution of measuring the listed wires, as a
     dense array indexed by the mixed-radix encoding of the outcome over
-    those wires' dimensions (so the product of those dimensions must be
-    materialisable).  Symbolic states demote. *)
+    those wires' dimensions. *)
 
 val measure : Random.State.t -> t -> wires:int list -> int array * t
 (** Projectively measure the listed wires: returns the outcome tuple
-    and the collapsed, renormalised post-measurement state.  The sparse
-    backend samples directly off the support; a symbolic state measures
-    the {e full} register as one uniform coset draw (O(r^2) for
-    [Z_2^200]) and demotes for partial measurement. *)
+    and the collapsed, renormalised post-measurement state.  A symbolic
+    state measures the {e full} register as one uniform coset draw
+    (O(r^2) for [Z_2^200]), with a symbolic post-state, and demotes for
+    partial measurement. *)
 
 val measure_all : Random.State.t -> t -> int array
-(** The outcome of [measure ~wires:(all wires)], post-state discarded.
-    A dense state draws it straight off its amplitude planes, and a
-    symbolic state takes one subgroup draw without
-    building the basis post-state; both give the same outcome and RNG
-    consumption as the full measurement. *)
+(** The outcome of measuring every wire, with no post-state, on every
+    backend.  A dense state draws it straight off its amplitude planes
+    and a symbolic state takes one subgroup draw; both give the same
+    outcome and RNG consumption as {!measure} on all wires.  A sparse
+    state draws one populated index off its segment.  Ticks
+    [measurements] once. *)
 
 val norm : t -> float
 

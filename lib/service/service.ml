@@ -79,16 +79,9 @@ let validate (inst : Protocol.instance) =
   if r = 0 then Error "dims must be non-empty"
   else if Array.length inst.moduli <> r then Error "dims and moduli must have the same length"
   else
-    let bad = ref None in
-    Array.iteri
-      (fun i m ->
-        if !bad = None && (m < 1 || inst.dims.(i) < 1 || inst.dims.(i) mod m <> 0) then
-          bad :=
-            Some
-              (Printf.sprintf "need 1 <= m_%d and m_%d | d_%d (got m=%d, d=%d)" i i i m
-                 inst.dims.(i)))
-      inst.moduli;
-    match !bad with Some msg -> Error msg | None -> Ok ()
+    match Hsp.Instances.quotient_violation ~dims:inst.dims ~moduli:inst.moduli with
+    | Some msg -> Error msg
+    | None -> Ok ()
 
 let route (inst : Protocol.instance) =
   let total = Quantum.Backend.total_of_opt inst.dims in
@@ -124,18 +117,13 @@ let fingerprint (inst : Protocol.instance) rt =
        (Printf.sprintf "v1|%s|dims=%s|moduli=%s" (route_to_string rt) (csv inst.dims)
           (csv inst.moduli)))
 
-(* Hidden subgroup as generators: H = <m_i e_i>. *)
+(* The planted quotient instance: H = <m_i e_i>, hidden by
+   f(x) = (x_i mod m_i). *)
 let sub_gens (inst : Protocol.instance) =
-  let r = Array.length inst.dims in
-  List.init r (fun i ->
-      Array.init r (fun j -> if i = j then inst.moduli.(i) mod inst.dims.(i) else 0))
+  Hsp.Instances.quotient_gens ~dims:inst.dims ~moduli:inst.moduli
 
-(* Quotient oracle f(x) = (x_i mod m_i), encoded mixed-radix. *)
-let oracle (inst : Protocol.instance) x =
-  Quantum.Backend.encode inst.moduli (Array.map2 (fun xi m -> xi mod m) x inst.moduli)
-
-let in_h (inst : Protocol.instance) x =
-  Array.for_all2 (fun xi m -> xi mod m = 0) x inst.moduli
+let oracle (inst : Protocol.instance) = Hsp.Instances.quotient_oracle ~moduli:inst.moduli
+let in_h (inst : Protocol.instance) = Hsp.Instances.quotient_mem ~moduli:inst.moduli
 
 let artifact_for t (inst : Protocol.instance) rt =
   let key = fingerprint inst rt in

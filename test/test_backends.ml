@@ -1,13 +1,17 @@
 (* Dense/sparse backend equivalence suite.
 
-   The two backends ({!Quantum.Backend_dense}, {!Quantum.Backend_sparse})
-   implement the same {!Quantum.Backend.S} signature; these tests pin
-   down that they are observationally identical wherever both are
-   defined: the same random circuit applied to the same initial state
-   yields the same amplitudes (within 1e-9), marginals and norms.  The
-   sparse backend is additionally exercised beyond the dense 2^24
-   amplitude cap, where no dense reference exists and only structural
-   invariants (support, Fourier-sampling correctness) can be checked. *)
+   The sparse backend ({!Quantum.Backend_sparse}) runs the
+   Fourier-sampling pipeline only: an index segment in, single-wire
+   DFTs, a full-register draw out.  These tests pin down that its DFT
+   is observationally identical to the dense reference
+   ({!Quantum.Backend_dense}) on generic supports — the same random
+   DFT circuit applied to the same initial state yields the same
+   amplitudes (within 1e-9) and norms — and bit-identical to a
+   sort-based reference kernel; that every amplitude-level [State]
+   operation refuses a sparse operand; and that the sparse pipeline
+   runs beyond the dense 2^24 amplitude cap, where no dense reference
+   exists and only structural invariants (support, Fourier-sampling
+   correctness) can be checked. *)
 
 open Quantum
 open Linalg
@@ -16,58 +20,28 @@ let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 (* ------------------------------------------------------------------ *)
-(* Random circuit machinery                                           *)
+(* Generic sparse segments and random DFT circuits                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A random single-wire unitary assembled from generators we trust
-   (DFT, diagonal phases, cyclic shifts) — products of unitaries stay
-   unitary, no Gram–Schmidt needed. *)
-let random_unitary rng d =
-  let pick () =
-    match Random.State.int rng 3 with
-    | 0 -> Cmat.dft d
-    | 1 ->
-        Cmat.init d d (fun i j ->
-            if i = j then Cx.polar 1.0 (Random.State.float rng 6.28318) else Cx.zero)
-    | _ ->
-        let shift = Random.State.int rng d in
-        Cmat.permutation d (fun k -> (k + shift) mod d)
+(* The normalised segment of the given basis-tuple amplitudes:
+   duplicates summed in list order, exact zeros dropped, indices
+   sorted. *)
+let segment_state dims entries =
+  let tbl = Hashtbl.create 64 in
+  List.iter
+    (fun (x, a) ->
+      let i = Backend.encode dims x in
+      Hashtbl.replace tbl i (Cx.add a (Option.value ~default:Cx.zero (Hashtbl.find_opt tbl i))))
+    entries;
+  let seg =
+    Hashtbl.fold (fun i a acc -> if Cx.norm2 a > 0.0 then (i, a) :: acc else acc) tbl []
+    |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
+    |> Array.of_list
   in
-  let m = ref (pick ()) in
-  for _ = 1 to 2 do
-    m := Cmat.mul (pick ()) !m
-  done;
-  !m
-
-type op =
-  | Wire_unitary of int * Cmat.t
-  | Dft of int * bool
-  | Shift_map of int array  (* x_i -> (x_i + c_i) mod d_i, a basis bijection *)
-  | Oracle_add of int list * int
-
-let random_op rng dims =
-  let n = Array.length dims in
-  match Random.State.int rng 4 with
-  | 0 ->
-      let w = Random.State.int rng n in
-      Wire_unitary (w, random_unitary rng dims.(w))
-  | 1 -> Dft (Random.State.int rng n, Random.State.bool rng)
-  | 2 -> Shift_map (Array.map (fun d -> Random.State.int rng d) dims)
-  | _ ->
-      let out = Random.State.int rng n in
-      let ins =
-        List.filter (fun w -> w <> out && Random.State.bool rng) (List.init n (fun i -> i))
-      in
-      Oracle_add (ins, out)
-
-let apply_op dims st = function
-  | Wire_unitary (w, m) -> State.apply_wire st ~wire:w m
-  | Dft (w, inv) -> State.apply_dft st ~wire:w ~inverse:inv
-  | Shift_map c ->
-      State.apply_basis_map st (fun x -> Array.mapi (fun i xi -> (xi + c.(i)) mod dims.(i)) x)
-  | Oracle_add (ins, out) ->
-      State.apply_oracle_add st ~in_wires:ins ~out_wire:out ~f:(fun x ->
-          Array.fold_left (fun acc v -> (3 * acc) + v + 1) 0 x mod dims.(out))
+  let nrm = sqrt (Array.fold_left (fun acc (_, a) -> acc +. Cx.norm2 a) 0.0 seg) in
+  let re = Array.map (fun (_, a) -> a.Complex.re /. nrm) seg in
+  let im = Array.map (fun (_, a) -> a.Complex.im /. nrm) seg in
+  Backend_sparse.of_indices ~planes:(re, im) dims (Array.map fst seg)
 
 let random_entries rng dims =
   let k = 1 + Random.State.int rng 6 in
@@ -75,103 +49,26 @@ let random_entries rng dims =
       ( Array.map (fun d -> Random.State.int rng d) dims,
         Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0) ))
 
-(* ------------------------------------------------------------------ *)
-(* Property: dense and sparse agree on random circuits                *)
-(* ------------------------------------------------------------------ *)
+(* A random support on 1-3 wires of dimension 2-5 pushed through six
+   random single-wire DFTs on both backends. *)
+let run_both rng =
+  let dims = Array.init (1 + Random.State.int rng 3) (fun _ -> 2 + Random.State.int rng 4) in
+  let sparse = segment_state dims (random_entries rng dims) in
+  let dense = Backend_dense.of_amplitudes dims (Backend_sparse.amplitudes sparse) in
+  List.fold_left
+    (fun (d, s) _ ->
+      let wire = Random.State.int rng (Array.length dims) and inverse = Random.State.bool rng in
+      (Backend_dense.apply_dft d ~wire ~inverse, Backend_sparse.apply_dft s ~wire ~inverse))
+    (dense, sparse) (List.init 6 Fun.id)
 
-let run_both rng dims =
-  let entries = random_entries rng dims in
-  (* of_sparse sums duplicates and normalises identically on both
-     backends, so the two initial states agree by construction. *)
-  let dense = ref (State.of_sparse ~backend:Backend.Dense dims entries) in
-  let sparse = ref (State.of_sparse ~backend:Backend.Sparse dims entries) in
-  for _ = 1 to 6 do
-    let op = random_op rng dims in
-    dense := apply_op dims !dense op;
-    sparse := apply_op dims !sparse op
-  done;
-  (!dense, !sparse)
+let agree (dense, sparse) =
+  Cvec.approx_equal ~eps:1e-9 (Backend_dense.amplitudes dense) (Backend_sparse.amplitudes sparse)
+  && Float.abs (Backend_dense.norm dense -. Backend_sparse.norm sparse) < 1e-9
 
 let test_random_circuit_agreement () =
   let rng = Random.State.make [| 0xbac0 |] in
   for trial = 1 to 40 do
-    let n = 1 + Random.State.int rng 3 in
-    let dims = Array.init n (fun _ -> 2 + Random.State.int rng 4) in
-    let dense, sparse = run_both rng dims in
-    checkb
-      (Printf.sprintf "trial %d: backends stayed put" trial)
-      true
-      (State.backend dense = Backend.Dense && State.backend sparse = Backend.Sparse);
-    checkb
-      (Printf.sprintf "trial %d: amplitudes agree" trial)
-      true
-      (State.approx_equal ~eps:1e-9 dense sparse);
-    checkb
-      (Printf.sprintf "trial %d: norms agree" trial)
-      true
-      (Float.abs (State.norm dense -. State.norm sparse) < 1e-9)
-  done
-
-let test_random_circuit_marginals () =
-  let rng = Random.State.make [| 0xbac1 |] in
-  for trial = 1 to 20 do
-    let dims = [| 2 + Random.State.int rng 3; 2 + Random.State.int rng 3; 2 |] in
-    let dense, sparse = run_both rng dims in
-    let wires = if Random.State.bool rng then [ 0; 2 ] else [ 1 ] in
-    let pd = State.probabilities dense ~wires and ps = State.probabilities sparse ~wires in
-    checki (Printf.sprintf "trial %d: marginal size" trial) (Array.length pd) (Array.length ps);
-    Array.iteri
-      (fun i p ->
-        checkb
-          (Printf.sprintf "trial %d: marginal %d agrees" trial i)
-          true
-          (Float.abs (p -. ps.(i)) < 1e-9))
-      pd;
-    (* A sparse measurement outcome must have positive dense probability
-       (the backends sample by different mechanisms, so we check support
-       agreement, not trajectory agreement). *)
-    let all = List.init (Array.length dims) (fun i -> i) in
-    let outcome, post = State.measure rng sparse ~wires:all in
-    let idx = State.encode dims outcome in
-    checkb
-      (Printf.sprintf "trial %d: outcome in dense support" trial)
-      true
-      (Cx.abs (State.amp_at dense idx) > 1e-9);
-    checkb
-      (Printf.sprintf "trial %d: post-measurement normalised" trial)
-      true
-      (Float.abs (State.norm post -. 1.0) < 1e-9)
-  done
-
-let test_tensor_and_conversion () =
-  let rng = Random.State.make [| 0xbac2 |] in
-  for trial = 1 to 20 do
-    let dims_a = [| 2 + Random.State.int rng 3 |] and dims_b = [| 2; 3 |] in
-    let ea = random_entries rng dims_a and eb = random_entries rng dims_b in
-    let da = State.of_sparse ~backend:Backend.Dense dims_a ea in
-    let sa = State.of_sparse ~backend:Backend.Sparse dims_a ea in
-    let db = State.of_sparse ~backend:Backend.Dense dims_b eb in
-    let sb = State.of_sparse ~backend:Backend.Sparse dims_b eb in
-    checkb
-      (Printf.sprintf "trial %d: tensor agrees" trial)
-      true
-      (State.approx_equal ~eps:1e-9 (State.tensor da db) (State.tensor sa sb));
-    (* mixed-backend tensor promotes to sparse but keeps the amplitudes *)
-    let mixed = State.tensor da sb in
-    checkb
-      (Printf.sprintf "trial %d: mixed tensor sparse" trial)
-      true
-      (State.backend mixed = Backend.Sparse);
-    checkb
-      (Printf.sprintf "trial %d: mixed tensor agrees" trial)
-      true
-      (State.approx_equal ~eps:1e-9 mixed (State.tensor da db));
-    (* re-adopting a dense state's amplitudes on sparse is the identity *)
-    let resparsed = State.of_amplitudes ~backend:Backend.Sparse dims_a (State.amplitudes da) in
-    checkb
-      (Printf.sprintf "trial %d: amplitude round-trip" trial)
-      true
-      (State.backend resparsed = Backend.Sparse && State.approx_equal ~eps:1e-12 da resparsed)
+    checkb (Printf.sprintf "trial %d: amplitudes and norms agree" trial) true (agree (run_both rng))
   done
 
 (* QCheck variant: the invariant as a property over generated seeds,
@@ -180,11 +77,7 @@ let qcheck_props =
   let open QCheck in
   [
     Test.make ~count:60 ~name:"dense/sparse agree on random circuits" (int_bound 100000)
-      (fun seed ->
-        let rng = Random.State.make [| seed; 0xfeed |] in
-        let dims = Array.init (1 + Random.State.int rng 3) (fun _ -> 2 + Random.State.int rng 4) in
-        let dense, sparse = run_both rng dims in
-        State.approx_equal ~eps:1e-9 dense sparse);
+      (fun seed -> agree (run_both (Random.State.make [| seed; 0xfeed |])));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -194,8 +87,8 @@ let qcheck_props =
 (* The sort-based kernel the block gather replaced, kept as the oracle:
    split each entry into a base index (wire digit zeroed) and its digit,
    sort by (base, digit), transform each run of equal base in place
-   with [transform], emit every fibre's kept outputs and sort them by
-   index.  Returns the segment as (index, re, im), the populated-fibre
+   with [transform] (the fibre DFT), emit every fibre's kept outputs
+   and sort them by index.  Returns the segment as (index, re, im), the populated-fibre
    count and the pruned count. *)
 let sort_kernel ~eps ~dims entries ~wire ~transform =
   let d = dims.(wire) and s = (Backend.strides dims).(wire) in
@@ -284,54 +177,26 @@ let kernel_state ~large rng =
   in
   let n = if large then 6144 + Random.State.int rng 4096 else 1 + Random.State.int rng 300 in
   let entries = List.init n (fun _ -> (Array.init r digit, amp ())) in
-  (dims, Backend_sparse.of_support dims entries)
+  (dims, segment_state dims entries)
 
 let dft_transform d ~inverse =
   let plan = Fft.plan d in
   let scratch = Fft.scratch plan in
   fun re im -> Fft.exec plan ~inverse scratch ~off:0 ~stride:1 ~lanes:1 re im
 
-let matrix_transform m =
-  let d = Cmat.rows m in
-  let m_re, m_im = Cmat.planes m in
-  fun re im ->
-    let y_re = Array.make d 0.0 and y_im = Array.make d 0.0 in
-    Cmat.apply_planes ~rows:d ~cols:d ~m_re ~m_im ~x_re:re ~x_im:im ~y_re ~y_im;
-    Array.blit y_re 0 re 0 d;
-    Array.blit y_im 0 im 0 d
-
-(* A one-wire gate: phases on a random permutation (half the draws) or
-   a random dense matrix (unitarity does not matter to the kernel). *)
-let random_gate rng d =
-  if Random.State.bool rng then begin
-    let perm = Array.init d Fun.id in
-    for i = d - 1 downto 1 do
-      let j = Random.State.int rng (i + 1) in
-      let x = perm.(i) in
-      perm.(i) <- perm.(j);
-      perm.(j) <- x
-    done;
-    Cmat.init d d (fun i j ->
-        if Int.equal perm.(j) i then Cx.polar 1.0 (Random.State.float rng 6.28318) else Cx.zero)
-  end
-  else
-    Cmat.init d d (fun _ _ ->
-        Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
-
 let with_jobs j f =
   let saved = Parallel.jobs () in
   Parallel.set_jobs j;
   Fun.protect ~finally:(fun () -> Parallel.set_jobs saved) f
 
-(* Per state, the DFT on every wire in both directions and a one-wire
-   gate on one random wire: the sparse kernels (the DFT's block gather,
-   the gate's sorted gather) return the oracle's segment bit for bit —
-   strictly increasing — and charge the same fibres and pruned
-   amplitudes to the ledger; they agree with the dense backend wherever
-   the register fits, the DFT takes a prebuilt plan without changing a
-   bit, and both are bit-identical on a 2-job pool, where the chunks
-   (whole blocks, or runs of a lone block's fibres, always so on wire
-   0) run on two domains. *)
+(* Per state, the DFT on every wire in both directions: the sparse
+   kernel's block gather returns the oracle's segment bit for bit —
+   strictly increasing — and charges the same fibres and pruned
+   amplitudes to the ledger; it agrees with the dense backend wherever
+   the register fits, takes a prebuilt plan without changing a bit, and
+   is bit-identical on a 2-job pool, where the chunks (whole blocks, or
+   runs of a lone block's fibres, always so on wire 0) run on two
+   domains. *)
 let kernel_matches ~large seed =
   let rng = Random.State.make [| seed; 0xf1b |] in
   let dims, st = kernel_state ~large rng in
@@ -352,54 +217,42 @@ let kernel_matches ~large seed =
           msg)
       fmt
   in
-  (* each case: its name, the wire, the oracle's transform, the sparse
-     and dense kernels, and the ledger counter it charges *)
-  let dft wire inverse =
-    ( Printf.sprintf "%s wire %d" (if inverse then "inverse dft" else "dft") wire,
-      wire,
-      dft_transform dims.(wire) ~inverse,
-      (fun st -> Backend_sparse.apply_dft st ~wire ~inverse),
-      (fun dn -> Backend_dense.apply_dft dn ~wire ~inverse),
-      fun (m : Metrics.snapshot) -> m.dft_fibres )
-  in
-  let gate =
-    let wire = Random.State.int rng (Array.length dims) in
-    let m = random_gate rng dims.(wire) in
-    ( Printf.sprintf "gate wire %d" wire,
-      wire,
-      matrix_transform m,
-      (fun st -> Backend_sparse.apply_wires st ~wires:[ wire ] m),
-      (fun dn -> Backend_dense.apply_wires dn ~wires:[ wire ] m),
-      fun (m : Metrics.snapshot) -> m.gate_fibres )
-  in
-  (* a large state skips the gate, whose kernel does not chunk by size
-     and whose d x d products would dominate the test's run time *)
   let cases =
-    (if large then [] else [ gate ])
-    @ List.concat_map (fun w -> [ dft w false; dft w true ]) (List.init (Array.length dims) Fun.id)
+    List.concat_map (fun w -> [ (w, false); (w, true) ]) (List.init (Array.length dims) Fun.id)
+  in
+  let name (wire, inverse) =
+    Printf.sprintf "%s wire %d" (if inverse then "inverse dft" else "dft") wire
+  in
+  let ledger_delta (wire, inverse) =
+    let m0 = Metrics.snapshot () in
+    let got = Backend_sparse.apply_dft st ~wire ~inverse in
+    let m1 = Metrics.snapshot () in
+    ( got,
+      m1.Metrics.dft_fibres - m0.Metrics.dft_fibres,
+      m1.Metrics.pruned_amps - m0.Metrics.pruned_amps )
   in
   let serial =
     List.map
-      (fun (name, wire, transform, sparse, dense, fibre_count) ->
-        let expect, fibres, pruned = sort_kernel ~eps ~dims input ~wire ~transform in
-        let m0 = Metrics.snapshot () in
-        let got = sparse st in
-        let m1 = Metrics.snapshot () in
+      (fun ((wire, inverse) as case) ->
+        let name = name case in
+        let expect, fibres, pruned =
+          sort_kernel ~eps ~dims input ~wire ~transform:(dft_transform dims.(wire) ~inverse)
+        in
+        let got, got_fibres, got_pruned = ledger_delta case in
         let seg = segment got in
         if not (same_segment seg expect) then fail "%s: segment differs from the sort kernel" name;
         for e = 1 to Array.length seg - 1 do
           let (a, _, _), (b, _, _) = (seg.(e - 1), seg.(e)) in
           if a >= b then fail "%s: segment not strictly increasing at %d" name e
         done;
-        if fibre_count m1 - fibre_count m0 <> fibres then
-          fail "%s: fibres %d, want %d" name (fibre_count m1 - fibre_count m0) fibres;
-        if m1.Metrics.pruned_amps - m0.Metrics.pruned_amps <> pruned then
-          fail "%s: pruned_amps %d, want %d" name (m1.Metrics.pruned_amps - m0.Metrics.pruned_amps) pruned;
+        if got_fibres <> fibres then fail "%s: fibres %d, want %d" name got_fibres fibres;
+        if got_pruned <> pruned then fail "%s: pruned_amps %d, want %d" name got_pruned pruned;
         (match dense_in with
         | None -> ()
         | Some dn ->
-            if not (Cvec.approx_equal ~eps:1e-9 (Backend_dense.amplitudes (dense dn)) (Backend_sparse.amplitudes got))
-            then fail "%s: sparse differs from dense" name);
+            let want = Backend_dense.amplitudes (Backend_dense.apply_dft dn ~wire ~inverse) in
+            if not (Cvec.approx_equal ~eps:1e-9 want (Backend_sparse.amplitudes got)) then
+              fail "%s: sparse differs from dense" name);
         (seg, fibres, pruned))
       cases
   in
@@ -408,24 +261,19 @@ let kernel_matches ~large seed =
     if not (same_segment (segment planned) (segment (Backend_sparse.apply_dft st ~wire ~inverse:false)))
     then fail "dft wire %d: plan changes bits" wire
   done;
-  let ledger_delta fibre_count run =
-    let m0 = Metrics.snapshot () in
-    let seg = segment (run ()) in
-    let m1 = Metrics.snapshot () in
-    (seg, fibre_count m1 - fibre_count m0, m1.Metrics.pruned_amps - m0.Metrics.pruned_amps)
-  in
   List.iter2
-    (fun (name, _, _, sparse, _, fibre_count) (seg, fibres, pruned) ->
-      let pseg, pfibres, ppruned = with_jobs 2 (fun () -> ledger_delta fibre_count (fun () -> sparse st)) in
-      if not (same_segment pseg seg) then fail "%s: jobs=2 differs" name;
+    (fun case (seg, fibres, pruned) ->
+      let got, pfibres, ppruned = with_jobs 2 (fun () -> ledger_delta case) in
+      if not (same_segment (segment got) seg) then fail "%s: jobs=2 differs" (name case);
       if pfibres <> fibres || ppruned <> pruned then
-        fail "%s: jobs=2 ledger %d fibres / %d pruned, want %d / %d" name pfibres ppruned fibres pruned)
+        fail "%s: jobs=2 ledger %d fibres / %d pruned, want %d / %d" (name case) pfibres ppruned
+          fibres pruned)
     cases serial;
   !ok
 
 let kernel_props =
   [
-    QCheck.Test.make ~count:40 ~name:"sparse DFT and gate = sort kernel = dense"
+    QCheck.Test.make ~count:40 ~name:"sparse DFT = sort kernel = dense"
       QCheck.(int_bound 1_000_000) (kernel_matches ~large:false);
   ]
 
@@ -445,8 +293,9 @@ let test_dense_dft_matches_sparse () =
         Array.init total (fun _ ->
             Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
       in
-      let dn = Backend_dense.of_amplitudes dims v and sp = Backend_sparse.of_amplitudes dims v in
+      let dn = Backend_dense.of_amplitudes dims v in
       let x_re, x_im = Cvec.split (Backend_dense.amplitudes dn) in
+      let sp = Backend_sparse.of_indices ~planes:(x_re, x_im) dims (Array.init total Fun.id) in
       let str = Backend.strides dims in
       Array.iteri
         (fun wire d ->
@@ -507,14 +356,14 @@ let big_coset x0 =
 
 let test_sparse_coset_beyond_cap () =
   let rng = Random.State.make [| 0xb16 |] in
-  checkb "beyond the cap" true (Backend.total_of big_dims > State.max_total_dim);
+  checkb "beyond the cap" true (Backend.total_of big_dims > Backend.Caps.dense_state);
   Alcotest.check_raises "dense refuses"
     (Invalid_argument "State: register too large to simulate") (fun () ->
-      ignore (State.create ~backend:Backend.Dense big_dims));
+      ignore (State.create big_dims));
   let x0 = [| 3; 5 |] in
   let members = big_coset x0 in
-  let amp = Cx.re (1.0 /. sqrt (float_of_int (List.length members))) in
-  let st = State.of_sparse big_dims (List.map (fun x -> (x, amp)) members) in
+  let idxs = Array.of_list (List.sort Int.compare (List.map (State.encode big_dims) members)) in
+  let st = State.of_indices ~backend:Backend.Sparse big_dims idxs in
   checkb "sparse backend" true (State.backend st = Backend.Sparse);
   checki "coset support" (List.length members) (State.support_size st);
   let st = Qft.forward st ~wires:[ 0; 1 ] in
@@ -612,12 +461,6 @@ let test_of_indices () =
   checki "support" 4 (State.support_size s);
   checkb "uniform amplitude" true (Float.abs (Cx.abs (State.amp_at s 7) -. 0.5) < 1e-12);
   checkb "unit norm" true (Float.abs (State.norm s -. 1.0) < 1e-12);
-  (* matches the equivalent of_sparse construction *)
-  let via_support =
-    State.of_sparse ~backend:Backend.Sparse dims
-      (List.map (fun i -> (State.decode dims i, Cx.one)) (Array.to_list idxs))
-  in
-  checkb "agrees with of_sparse" true (State.approx_equal ~eps:1e-12 s via_support);
   List.iter
     (fun backend ->
       Alcotest.check_raises "empty rejected" (Invalid_argument "State.of_indices: empty support")
@@ -641,22 +484,59 @@ let test_sparse_pruning () =
      DFT of a basis state passes through full support and returns to a
      single entry (up to the pruning epsilon). *)
   let dims = [| 64 |] in
-  let st = State.of_basis ~backend:Backend.Sparse dims [| 17 |] in
+  let st = State.of_indices ~backend:Backend.Sparse dims [| 17 |] in
   let st = State.apply_dft st ~wire:0 ~inverse:false in
   checki "full support mid-flight" 64 (State.support_size st);
   let st = State.apply_dft st ~wire:0 ~inverse:true in
   checki "pruned back to a point" 1 (State.support_size st);
   checkb "right point" true (Cx.abs (State.amp_at st 17) > 0.999)
 
+(* ------------------------------------------------------------------ *)
+(* The sparse contract: the Fourier pipeline only                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every amplitude-level State operation refuses a sparse operand with
+   an Invalid_argument naming itself, and touches no ledger counter;
+   the pipeline's own operations and the read-only views still run. *)
+let test_sparse_refuses_amplitude_ops () =
+  let dims = [| 4; 6 |] in
+  let sp = State.of_indices ~backend:Backend.Sparse dims [| 1; 7; 11; 19 |] in
+  let dn = State.of_indices ~backend:Backend.Dense dims [| 1; 7; 11; 19 |] in
+  let refused op f =
+    Metrics.reset ();
+    Alcotest.check_raises op
+      (Invalid_argument
+         (Printf.sprintf "State.%s: sparse states run only of_indices, fourier and measure_all" op))
+      (fun () -> ignore (f ()));
+    checkb (op ^ ": ledger untouched") true
+      (List.for_all (fun (_, v) -> v = 0) (Metrics.counters (Metrics.snapshot ())))
+  in
+  let rng = Random.State.make [| 1 |] in
+  refused "tensor" (fun () -> State.tensor sp dn);
+  refused "tensor" (fun () -> State.tensor dn sp);
+  refused "apply_wire" (fun () -> State.apply_wire sp ~wire:0 (Cmat.dft 4));
+  refused "apply_wires" (fun () -> State.apply_wires sp ~wires:[ 1 ] (Cmat.dft 6));
+  refused "apply_basis_map" (fun () -> State.apply_basis_map sp Fun.id);
+  refused "apply_oracle_add" (fun () ->
+      State.apply_oracle_add sp ~in_wires:[ 0 ] ~out_wire:1 ~f:(fun x -> x.(0)));
+  refused "probabilities" (fun () -> State.probabilities sp ~wires:[ 0 ]);
+  refused "measure" (fun () -> State.measure rng sp ~wires:[ 0 ]);
+  refused "measure" (fun () -> State.measure rng sp ~wires:[ 0; 1 ]);
+  let swept = Qft.forward sp ~wires:[ 0; 1 ] and one = State.apply_dft sp ~wire:1 ~inverse:true in
+  checkb "fourier stays sparse" true (State.backend swept = Backend.Sparse);
+  checkb "apply_dft stays sparse" true (State.backend one = Backend.Sparse);
+  checkb "fourier agrees with dense" true
+    (State.approx_equal ~eps:1e-12 swept (Qft.forward dn ~wires:[ 0; 1 ]));
+  checkb "amplitudes export" true
+    (Cvec.approx_equal ~eps:1e-12 (State.amplitudes sp) (State.amplitudes dn));
+  let y = State.measure_all rng swept in
+  checkb "measure_all draws from the support" true
+    (Cx.norm2 (State.amp_at swept (State.encode dims y)) > 0.0)
+
 let () =
   Alcotest.run "backends"
     [
-      ( "equivalence",
-        [
-          Alcotest.test_case "random circuits" `Quick test_random_circuit_agreement;
-          Alcotest.test_case "marginals + measurement" `Quick test_random_circuit_marginals;
-          Alcotest.test_case "tensor + conversion" `Quick test_tensor_and_conversion;
-        ] );
+      ("equivalence", [ Alcotest.test_case "random circuits" `Quick test_random_circuit_agreement ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
       ( "dft kernel",
         List.map QCheck_alcotest.to_alcotest kernel_props
@@ -672,4 +552,6 @@ let () =
           Alcotest.test_case "coset above 2^20 members" `Quick test_sparse_coset_above_2_20;
           Alcotest.test_case "amplitude pruning" `Quick test_sparse_pruning;
         ] );
+      ( "contract",
+        [ Alcotest.test_case "amplitude ops refused" `Quick test_sparse_refuses_amplitude_ops ] );
     ]

@@ -54,36 +54,50 @@ let test_sample_degenerate () =
       ignore (Backend.sample_discrete rng [| 0.0; 0.0 |]))
 
 (* ------------------------------------------------------------------ *)
-(* Ledger: dense and sparse runs of one circuit agree on counts       *)
+(* Ledger: runs of one circuit agree on counts across backends        *)
 (* ------------------------------------------------------------------ *)
 
-let run_circuit backend =
+(* The uniform state built from subgroup structure, a single-wire DFT,
+   then either a measurement alone (the Fourier-sampling pipeline every
+   backend runs) or first a gate, a basis map and an oracle (dense
+   only: a symbolic start demotes at the DFT). *)
+let run_circuit ~gates backend =
   let r = rng () in
   let dims = [| 4; 3; 2 |] in
-  let st = State.uniform ~backend dims in
+  let sub = Backend_symbolic.Subgroup.full dims in
+  let st = State.of_coset ~backend sub ~rep:[| 0; 0; 0 |] in
   let st = State.apply_dft st ~wire:0 ~inverse:false in
-  let st = State.apply_wire st ~wire:1 (Cmat.dft 3) in
-  let st = State.apply_basis_map st (fun x -> [| x.(0); x.(1); (x.(2) + 1) mod 2 |]) in
-  let st = State.apply_oracle_add st ~in_wires:[ 0 ] ~out_wire:2 ~f:(fun x -> x.(0) mod 2) in
+  let st =
+    if not gates then st
+    else
+      let st = State.apply_wire st ~wire:1 (Cmat.dft 3) in
+      let st = State.apply_basis_map st (fun x -> [| x.(0); x.(1); (x.(2) + 1) mod 2 |]) in
+      State.apply_oracle_add st ~in_wires:[ 0 ] ~out_wire:2 ~f:(fun x -> x.(0) mod 2)
+  in
   ignore (State.measure_all r st)
 
 let counts (m : Metrics.snapshot) =
   ( m.Metrics.gate_apps, m.Metrics.dft_apps, m.Metrics.basis_maps, m.Metrics.oracle_ops,
     m.Metrics.measurements, m.Metrics.states_created )
 
-let test_counts_identical_across_backends () =
+let ledger_of ~gates backend =
   setup ();
-  run_circuit Backend.Dense;
-  let dense = Metrics.snapshot () in
-  Metrics.reset ();
-  run_circuit Backend.Sparse;
-  let sparse = Metrics.snapshot () in
-  checkb "per-call counters agree" true (counts dense = counts sparse);
+  run_circuit ~gates backend;
+  Metrics.snapshot ()
+
+let test_counts_identical_across_backends () =
+  let dense = ledger_of ~gates:true Backend.Dense in
+  let symbolic = ledger_of ~gates:true Backend.Symbolic in
+  checkb "dense and demoted symbolic counters agree" true (counts dense = counts symbolic);
   checki "one gate" 1 dense.Metrics.gate_apps;
   checki "one dft" 1 dense.Metrics.dft_apps;
   checki "one basis map" 1 dense.Metrics.basis_maps;
   checki "one oracle op" 1 dense.Metrics.oracle_ops;
   checki "one measurement" 1 dense.Metrics.measurements;
+  checki "symbolic demoted once" 1 symbolic.Metrics.symbolic_demotions;
+  let dense = ledger_of ~gates:false Backend.Dense in
+  let sparse = ledger_of ~gates:false Backend.Sparse in
+  checkb "dense and sparse pipeline counters agree" true (counts dense = counts sparse);
   (* where the two representations *should* differ: allocation stats *)
   checkb "dense run records dense allocation, no sparse support" true
     (dense.Metrics.peak_dense_alloc >= 24 && dense.Metrics.peak_support = 0);
@@ -94,12 +108,12 @@ let test_fibre_accounting () =
   setup ();
   (* dense DFT transforms every fibre; sparse only the populated ones:
      a basis state has exactly one populated fibre. *)
-  let st = State.of_basis ~backend:Backend.Dense [| 8; 4 |] [| 0; 0 |] in
+  let st = State.of_basis [| 8; 4 |] [| 0; 0 |] in
   ignore (State.apply_dft st ~wire:0 ~inverse:false);
   let dense = Metrics.snapshot () in
   checki "dense transforms total/d fibres" 4 dense.Metrics.dft_fibres;
   Metrics.reset ();
-  let st = State.of_basis ~backend:Backend.Sparse [| 8; 4 |] [| 0; 0 |] in
+  let st = State.of_indices ~backend:Backend.Sparse [| 8; 4 |] [| 0 |] in
   ignore (State.apply_dft st ~wire:0 ~inverse:false);
   let sparse = Metrics.snapshot () in
   checki "sparse transforms populated fibres only" 1 sparse.Metrics.dft_fibres

@@ -5,8 +5,9 @@
    same amplitudes (exact float equality, not a tolerance), same
    measurement transcripts, same cost-ledger values — because chunk
    boundaries and reduction orders are fixed by the workload geometry,
-   never by the scheduler.  The sparse backend provides an independent
-   cross-check at 1e-9. *)
+   never by the scheduler.  The sparse backend's Fourier-sampling
+   kernels (DFT, norm, full-register draw) are held to the same
+   contract, and cross-checked against dense at 1e-9. *)
 
 open Quantum
 open Linalg
@@ -108,25 +109,6 @@ let test_shuffle_covers_and_orders () =
                 true (bounds = sorted)))
         [ 1; 2; 4 ])
 
-let test_shuffle_sort_perm () =
-  let n = 10_000 in
-  let rng = Random.State.make [| n; 0x50e7 |] in
-  let keys = Array.init n (fun _ -> Random.State.int rng 50) in
-  let cmp a b =
-    let c = Int.compare keys.(a) keys.(b) in
-    if c <> 0 then c else Int.compare a b
-  in
-  let base = Parallel.sort_perm ~cmp n in
-  with_sched Parallel.Shuffle (fun () ->
-      List.iter
-        (fun j ->
-          with_jobs j (fun () ->
-              checkb
-                (Printf.sprintf "shuffle jobs=%d sort_perm identical" j)
-                true
-                (Array.for_all2 Int.equal base (Parallel.sort_perm ~cmp n))))
-        [ 1; 2; 4 ])
-
 let test_reduction_chunks_geometry () =
   (* depends only on (slot_words, total): never on the job count *)
   let baseline = Parallel.reduction_chunks ~slot_words:1 100_000 in
@@ -141,43 +123,6 @@ let test_reduction_chunks_geometry () =
   checki "tiny range" 3 (Parallel.reduction_chunks ~slot_words:1 3);
   (* memory cap: huge slots force few chunks *)
   checki "memory-capped" 1 (Parallel.reduction_chunks ~slot_words:(1 lsl 25) 1000)
-
-let test_sort_perm () =
-  (* exercise both the serial leaf path (n < 8192) and the parallel
-     merge rounds (n >= 8192), at several job counts *)
-  List.iter
-    (fun n ->
-      let rng = Random.State.make [| n; 0x50e7 |] in
-      let keys = Array.init n (fun _ -> Random.State.int rng 50) in
-      (* many duplicate keys: the positional tie-break must make the
-         permutation unique *)
-      let cmp a b =
-        let c = Int.compare keys.(a) keys.(b) in
-        if c <> 0 then c else Int.compare a b
-      in
-      let base = Parallel.sort_perm ~cmp n in
-      let seen = Array.make n false in
-      Array.iter
-        (fun e ->
-          checkb "permutation has no repeats" false seen.(e);
-          seen.(e) <- true)
-        base;
-      for p = 1 to n - 1 do
-        checkb
-          (Printf.sprintf "n=%d sorted at %d" n p)
-          true
-          (cmp base.(p - 1) base.(p) < 0)
-      done;
-      List.iter
-        (fun j ->
-          with_jobs j (fun () ->
-              let perm = Parallel.sort_perm ~cmp n in
-              checkb
-                (Printf.sprintf "n=%d jobs=%d identical to jobs=1" n j)
-                true
-                (Array.for_all2 Int.equal base perm)))
-        [ 2; 4 ])
-    [ 0; 1; 100; 10_000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Random circuit machinery (mirrors test_backends.ml)                *)
@@ -236,6 +181,17 @@ let random_entries rng dims =
       ( Array.map (fun d -> Random.State.int rng d) dims,
         Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0) ))
 
+(* The normalised dense superposition of the entries, duplicates
+   summed in list order. *)
+let of_entries dims entries =
+  let v = Cvec.make (Array.fold_left ( * ) 1 dims) in
+  List.iter
+    (fun (x, a) ->
+      let i = State.encode dims x in
+      v.(i) <- Cx.add v.(i) a)
+    entries;
+  State.of_amplitudes dims v
+
 (* One deterministic circuit instance derived from a seed: initial
    support plus an op list, replayable at any job count. *)
 let circuit_of_seed seed =
@@ -248,15 +204,34 @@ let circuit_of_seed seed =
 
 let run_dense ~jobs (dims, entries, ops) =
   with_jobs jobs (fun () ->
-      let st = ref (State.of_sparse ~backend:Backend.Dense dims entries) in
+      let st = ref (of_entries dims entries) in
       List.iter (fun op -> st := apply_op dims !st op) ops;
       !st)
 
-let run_sparse ?(jobs = 1) (dims, entries, ops) =
+(* The pipeline the sparse backend runs, from a seed: a random index
+   segment (the uniform superposition over it) and six single-wire
+   DFTs, replayable on either backend at any job count.  Supports reach
+   about 10^4 entries, so the DFT splits the larger segments across
+   chunks (one per 2,048 entries). *)
+let fourier_of_seed seed =
+  let rng = Random.State.make [| seed; 0xf0e1 |] in
+  let n = 1 + Random.State.int rng 3 in
+  let dims = Array.init n (fun _ -> 2 + Random.State.int rng 23) in
+  let total = Array.fold_left ( * ) 1 dims in
+  let keep = 1 + Random.State.int rng 4 in
+  let idxs = List.filter (fun _ -> Random.State.int rng 4 < keep) (List.init total Fun.id) in
+  let idxs = Array.of_list (if idxs = [] then [ 0 ] else idxs) in
+  let dfts = List.init 6 (fun _ -> (Random.State.int rng n, Random.State.bool rng)) in
+  (dims, idxs, dfts)
+
+let run_fourier ~backend ~jobs (dims, idxs, dfts) =
   with_jobs jobs (fun () ->
-      let st = ref (State.of_sparse ~backend:Backend.Sparse dims entries) in
-      List.iter (fun op -> st := apply_op dims !st op) ops;
-      !st)
+      List.fold_left
+        (fun st (wire, inverse) -> State.apply_dft st ~wire ~inverse)
+        (State.of_indices ~backend dims idxs)
+        dfts)
+
+let run_sparse ?(jobs = 1) c = run_fourier ~backend:Backend.Sparse ~jobs c
 
 (* Exact (bitwise) amplitude equality — the determinism contract is
    stronger than approx_equal. *)
@@ -275,6 +250,21 @@ let identical a b =
   done;
   !ok
 
+(* One run of the sparse pipeline at a job count: the state, its norm
+   and eight full-register draws from one seed, all computed at that
+   job count; two runs must agree bit for bit. *)
+let draws st =
+  let rng = Random.State.make [| 0xd4a5 |] in
+  List.init 8 (fun _ -> State.measure_all rng st)
+
+let sparse_run ~jobs c =
+  with_jobs jobs (fun () ->
+      let st = run_sparse ~jobs c in
+      (st, State.norm st, draws st))
+
+let sparse_identical (a, na, da) (b, nb, db) =
+  identical a b && Int64.equal (Int64.bits_of_float na) (Int64.bits_of_float nb) && da = db
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -292,16 +282,18 @@ let qcheck_props =
         identical (run_dense ~jobs:1 c) (run_dense ~jobs:4 c));
     Test.make ~count:40 ~name:"sparse jobs=2 bit-identical to jobs=1" (int_bound 100000)
       (fun seed ->
-        let c = circuit_of_seed seed in
-        identical (run_sparse ~jobs:1 c) (run_sparse ~jobs:2 c));
+        let c = fourier_of_seed seed in
+        sparse_identical (sparse_run ~jobs:1 c) (sparse_run ~jobs:2 c));
     Test.make ~count:40 ~name:"sparse jobs=4 bit-identical to jobs=1" (int_bound 100000)
       (fun seed ->
-        let c = circuit_of_seed seed in
-        identical (run_sparse ~jobs:1 c) (run_sparse ~jobs:4 c));
+        let c = fourier_of_seed seed in
+        sparse_identical (sparse_run ~jobs:1 c) (sparse_run ~jobs:4 c));
     Test.make ~count:40 ~name:"parallel dense agrees with sparse" (int_bound 100000)
       (fun seed ->
-        let c = circuit_of_seed seed in
-        State.approx_equal ~eps:1e-9 (run_dense ~jobs:4 c) (run_sparse ~jobs:4 c));
+        let c = fourier_of_seed seed in
+        State.approx_equal ~eps:1e-9
+          (run_fourier ~backend:Backend.Dense ~jobs:4 c)
+          (run_sparse ~jobs:4 c));
     Test.make ~count:40 ~name:"dense shuffle jobs=4 bit-identical to fifo jobs=1"
       (int_bound 100000) (fun seed ->
         let c = circuit_of_seed seed in
@@ -309,9 +301,9 @@ let qcheck_props =
         with_sched Parallel.Shuffle (fun () -> identical base (run_dense ~jobs:4 c)));
     Test.make ~count:40 ~name:"sparse shuffle jobs=4 bit-identical to fifo jobs=1"
       (int_bound 100000) (fun seed ->
-        let c = circuit_of_seed seed in
-        let base = run_sparse ~jobs:1 c in
-        with_sched Parallel.Shuffle (fun () -> identical base (run_sparse ~jobs:4 c)));
+        let c = fourier_of_seed seed in
+        let base = sparse_run ~jobs:1 c in
+        with_sched Parallel.Shuffle (fun () -> sparse_identical base (sparse_run ~jobs:4 c)));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -328,10 +320,10 @@ let counters (s : Metrics.snapshot) =
   ]
 
 let test_ledger_equal_across_jobs () =
-  let c = circuit_of_seed 0xced9e5 in
+  let c = circuit_of_seed 0xced9e5 and f = fourier_of_seed 0xced9e5 in
   let ledger run jobs =
     Metrics.reset ();
-    ignore (run ~jobs c);
+    run jobs;
     counters (Metrics.snapshot ())
   in
   List.iter
@@ -342,25 +334,32 @@ let test_ledger_equal_across_jobs () =
           checkb (Printf.sprintf "%s ledger at jobs=%d matches jobs=1" name j) true
             (List.for_all2 Int.equal base (ledger run j)))
         [ 2; 4 ])
-    [ ("dense", run_dense); ("sparse", fun ~jobs c -> run_sparse ~jobs c) ]
+    [
+      ("dense", fun jobs -> ignore (run_dense ~jobs c));
+      ("sparse", fun jobs -> ignore (sparse_run ~jobs f));
+    ]
 
 (* Same seed + same job count => same measurement transcript; and the
    transcript is also independent of the job count, because the
-   probability vectors fed to the sampler are bit-identical. *)
+   probability vectors fed to the sampler are bit-identical.  Dense
+   measures single wires of the random circuit, collapsing as it goes;
+   sparse draws the whole register of the Fourier pipeline. *)
 let transcript ~backend ~jobs seed =
   with_jobs jobs (fun () ->
-      let dims, entries, ops = circuit_of_seed seed in
       let rng = Random.State.make [| seed; 0x7ea5 |] in
-      let st = ref (State.of_sparse ~backend dims entries) in
-      List.iter (fun op -> st := apply_op dims !st op) ops;
-      let out = ref [] in
-      for _ = 1 to 4 do
-        let wire = Random.State.int rng (Array.length dims) in
-        let outcome, post = State.measure rng !st ~wires:[ wire ] in
-        st := post;
-        out := outcome.(0) :: !out
-      done;
-      List.rev !out)
+      match backend with
+      | Backend.Sparse ->
+          let st = run_sparse ~jobs (fourier_of_seed seed) in
+          List.init 4 (fun _ -> Backend.encode (State.dims st) (State.measure_all rng st))
+      | _ ->
+          let dims, entries, ops = circuit_of_seed seed in
+          let st = ref (of_entries dims entries) in
+          List.iter (fun op -> st := apply_op dims !st op) ops;
+          List.init 4 (fun _ ->
+              let wire = Random.State.int rng (Array.length dims) in
+              let outcome, post = State.measure rng !st ~wires:[ wire ] in
+              st := post;
+              outcome.(0)))
 
 let test_measurement_transcript_determinism () =
   List.iter
@@ -386,7 +385,7 @@ let test_probabilities_bit_identical () =
     let rng = Random.State.make [| 0x9e0 |] in
     random_entries rng dims
   in
-  let st = State.of_sparse ~backend:Backend.Dense dims entries in
+  let st = of_entries dims entries in
   let st = State.apply_dft st ~wire:0 ~inverse:false in
   let probs jobs = with_jobs jobs (fun () -> State.probabilities st ~wires:[ 0; 2 ]) in
   let base = probs 1 in
@@ -416,7 +415,7 @@ let test_dense_dft_bit_identical () =
         Array.init total (fun _ ->
             Cx.make (Random.State.float rng 2.0 -. 1.0) (Random.State.float rng 2.0 -. 1.0))
       in
-      let st = State.of_amplitudes ~backend:Backend.Dense dims v in
+      let st = State.of_amplitudes dims v in
       Array.iteri
         (fun wire _ ->
           List.iter
@@ -468,9 +467,7 @@ let () =
           Alcotest.test_case "set_jobs validation" `Quick test_set_jobs_validation;
           Alcotest.test_case "parse_jobs validation" `Quick test_parse_jobs_validation;
           Alcotest.test_case "shuffle covers and orders" `Quick test_shuffle_covers_and_orders;
-          Alcotest.test_case "shuffle sort_perm identical" `Quick test_shuffle_sort_perm;
           Alcotest.test_case "reduction chunk geometry" `Quick test_reduction_chunks_geometry;
-          Alcotest.test_case "sort_perm deterministic" `Quick test_sort_perm;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
       ( "determinism",

@@ -129,7 +129,7 @@ let check_measure_all_matches st =
     checki "same rng stream" (Random.State.bits r2) (Random.State.bits r1)
   done
 
-let dense_of_amps dims amps = State.of_amplitudes ~backend:Backend.Dense dims amps
+let dense_of_amps dims amps = State.of_amplitudes dims amps
 
 let test_measure_all_fast_path () =
   let rng = rng () in
@@ -170,12 +170,11 @@ let test_measure_all_fast_path () =
 
 let test_register_too_large () =
   Alcotest.check_raises "guard" (Invalid_argument "State: register too large to simulate")
-    (fun () -> ignore (State.create ~backend:Backend.Dense (Array.make 30 4)));
-  (* under Auto the same register now falls back to the sparse backend
-     (under a session default of Sparse/Symbolic it simply stays on
-     that backend — anything but dense) *)
-  let st = State.create (Array.make 30 4) in
-  checkb "sparse fallback" true (State.backend st <> Backend.Dense);
+    (fun () -> ignore (State.create (Array.make 30 4)));
+  (* the sparse backend takes the same register as an index segment,
+     whatever the session default *)
+  let st = State.of_indices ~backend:Backend.Sparse (Array.make 30 4) [| 0 |] in
+  checkb "sparse" true (State.backend st = Backend.Sparse);
   checki "singleton support" 1 (State.support_size st)
 
 (* ------------------------------------------------------------------ *)
@@ -562,30 +561,69 @@ let pin_shapes =
     ("Z_12xZ_8", [| 12; 8 |], fun x -> ((x.(0) + (2 * x.(1))) mod 4) + (4 * (x.(0) mod 3)));
   ]
 
+(* A multi-wire mixed shape and planted subgroups for the wide pin. *)
+let wide_shape =
+  ( "Z_64xZ_64xZ_16",
+    [| 64; 64; 16 |],
+    fun x -> (x.(0) mod 8) + (8 * ((x.(1) + (3 * x.(2))) mod 16)) )
+
+let planted_shapes =
+  [
+    ("Z_256xZ_64", [| 256; 64 |], [ [| 16; 0 |]; [| 0; 8 |] ]);
+    ("Z_36xZ_120", [| 36; 120 |], [ [| 3; 5 |]; [| 0; 6 |] ]);
+    ("Z_64xZ_64xZ_16", [| 64; 64; 16 |], [ [| 8; 0; 0 |]; [| 4; 16; 2 |]; [| 0; 0; 4 |] ]);
+    ("Z_4096xZ_4096", [| 4096; 4096 |], [ [| 64; 0 |]; [| 0; 128 |] ]);
+  ]
+
 (* Digest of 40 draws per shape plus the next RNG word, through
-   [sampler_of_prep] on one backend. *)
-let pin_digest backend =
+   [sampler_of_prep] on one backend.  [~wide] adds {!wide_shape} to the
+   oracle route, 40 planted-route draws per {!planted_shapes} entry
+   ([sampler_with_subgroup]), and the ledger's measurement, peak
+   support, pruned-amplitude and DFT-fibre counts over the whole run. *)
+let pin_digest ?(wide = false) backend =
+  if wide then Metrics.reset ();
   let buf = Buffer.create 4096 in
+  let add_draws name rng draw =
+    Buffer.add_string buf name;
+    for _ = 1 to 40 do
+      Array.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) (draw rng);
+      Buffer.add_char buf ';'
+    done;
+    Buffer.add_string buf (string_of_int (Random.State.bits rng))
+  in
   List.iteri
     (fun i (name, dims, f) ->
       let p = Coset_state.prep ~backend ~dims ~f () in
-      let draw = Coset_state.sampler_of_prep p ~queries:(Query.create ()) () in
-      let rng = Random.State.make [| 0x5eed; i |] in
-      Buffer.add_string buf name;
-      for _ = 1 to 40 do
-        Array.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) (draw rng);
-        Buffer.add_char buf ';'
-      done;
-      Buffer.add_string buf (string_of_int (Random.State.bits rng)))
-    pin_shapes;
+      add_draws name (Random.State.make [| 0x5eed; i |])
+        (Coset_state.sampler_of_prep p ~queries:(Query.create ()) ()))
+    (if wide then pin_shapes @ [ wide_shape ] else pin_shapes);
+  if wide then begin
+    List.iteri
+      (fun i (name, dims, subgroup) ->
+        add_draws name (Random.State.make [| 0x5eed; 0x91a; i |])
+          (Coset_state.sampler_with_subgroup ~backend ~dims ~subgroup
+             ~queries:(Query.create ()) ()))
+      planted_shapes;
+    let m = Metrics.snapshot () in
+    List.iter
+      (fun v -> Buffer.add_string buf (string_of_int v ^ ";"))
+      [
+        m.Metrics.measurements; m.Metrics.peak_support; m.Metrics.pruned_amps;
+        m.Metrics.dft_fibres;
+      ]
+  end;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 (* Recorded before the sort-free sparse kernel, the prep-owned Fourier
    plans and the odometer prep pass landed: all three must leave every
-   outcome and the RNG stream untouched. *)
+   outcome and the RNG stream untouched.  The wide sparse digest was
+   recorded before the sparse backend shed its circuit kernels, which
+   must leave the sampling routes' draws and ledger untouched. *)
 let test_same_seed_pin () =
   Alcotest.(check string) "sparse digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Sparse);
-  Alcotest.(check string) "dense digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Dense)
+  Alcotest.(check string) "dense digest" "d67af42df20f609063e67a5cffc6a4f0" (pin_digest Backend.Dense);
+  Alcotest.(check string) "wide sparse digest" "42783b90dfcc1b02f7a8ac520a499036"
+    (pin_digest ~wide:true Backend.Sparse)
 
 (* Digest of 40 draws per subgroup plus the next RNG word, through
    [sampler_with_subgroup] on the symbolic backend: a dense random

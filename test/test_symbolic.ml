@@ -300,8 +300,8 @@ let test_sweep_rejections () =
   checkb "wire out of range raises" true (raises (fun () -> Qft.forward sym_s ~wires:[ 0; 1; 3 ]));
   checkb "dense raises too" true (raises (fun () -> Qft.forward den_s ~wires:[ 0; 1; 3 ]))
 
-(* A partial sweep demotes at the sweep, whatever subset and order,
-   and the sparse per-wire DFTs then match dense. *)
+(* A partial sweep demotes to dense at the sweep, whatever subset and
+   order, and matches the dense build's sweep. *)
 let test_partial_sweep_demotion_random () =
   let st = rng () in
   for _ = 1 to 20 do
@@ -317,7 +317,8 @@ let test_partial_sweep_demotion_random () =
     let sym = sweep (State.of_coset ~backend:Backend.Symbolic sub ~rep) in
     let den = sweep (State.of_coset ~backend:Backend.Dense sub ~rep) in
     checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym den);
-    if wires <> [] then checkb "partial sweep demoted" true (State.backend sym = Backend.Sparse)
+    if wires <> [] then
+      checkb "partial sweep demoted to dense" true (State.backend sym = Backend.Dense)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -350,34 +351,49 @@ let test_of_indices_symbolic_is_sparse () =
 (* Demotion                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Each amplitude-level operation on a symbolic state demotes it to
+   dense exactly once and agrees with the dense build; a full-register
+   measurement stays symbolic and demotes nothing. *)
 let test_demotion_equivalence () =
-  Metrics.reset ();
   let dims = [| 4; 4 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 1 |] ] in
   let rep = [| 1; 0 |] in
   let sym = State.of_coset ~backend:Backend.Symbolic sub ~rep in
   let den = State.of_coset ~backend:Backend.Dense sub ~rep in
-  (* an amplitude-level op on a symbolic state demotes and still agrees *)
+  let once name op =
+    Metrics.reset ();
+    let a = op sym in
+    checki (name ^ ": one demotion") 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+    checkb (name ^ ": dense") true (State.backend a = Backend.Dense);
+    checkb (name ^ ": agrees with dense") true (State.approx_equal ~eps:1e-9 a (op den))
+  in
   let f x = (x.(0) + x.(1)) mod 4 in
-  let sym' = State.apply_oracle_add (State.tensor sym (State.create ~backend:Backend.Symbolic [| 4 |]))
-      ~in_wires:[ 0; 1 ] ~out_wire:2 ~f
-  in
-  let den' = State.apply_oracle_add (State.tensor den (State.create ~backend:Backend.Dense [| 4 |]))
-      ~in_wires:[ 0; 1 ] ~out_wire:2 ~f
-  in
-  checkb "demoted state agrees" true (State.approx_equal ~eps:1e-9 sym' den');
-  checkb "demotion counted" true ((Metrics.snapshot ()).Metrics.symbolic_demotions >= 1);
-  (* a partial measurement also demotes; the marginal matches *)
+  once "tensor" (fun st -> State.tensor st (State.create [| 4 |]));
+  once "tensor then oracle" (fun st ->
+      State.apply_oracle_add
+        (State.tensor st (State.create [| 4 |]))
+        ~in_wires:[ 0; 1 ] ~out_wire:2 ~f);
+  once "gate" (fun st -> State.apply_wire st ~wire:1 (Linalg.Cmat.dft 4));
+  once "basis map" (fun st -> State.apply_basis_map st (fun x -> [| x.(1); x.(0) |]));
+  once "partial measurement" (fun st ->
+      snd (State.measure (Random.State.make [| 3 |]) st ~wires:[ 0 ]));
+  Metrics.reset ();
   let p_sym = State.probabilities sym ~wires:[ 0 ] in
+  checki "marginal: one demotion" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
   let p_den = State.probabilities den ~wires:[ 0 ] in
   Array.iteri
     (fun i p -> checkb "marginal" true (Float.abs (p -. p_den.(i)) < 1e-9))
-    p_sym
+    p_sym;
+  Metrics.reset ();
+  let _, post = State.measure (Random.State.make [| 3 |]) sym ~wires:[ 1; 0 ] in
+  checkb "full measurement stays symbolic" true (State.backend post = Backend.Symbolic);
+  checki "full measurement: no demotion" 0 (Metrics.snapshot ()).Metrics.symbolic_demotions
 
 let test_mid_sweep_demotion () =
   (* DFT on a strict subset of wires, then on the rest: the first
-     sweep demotes once, the second runs on sparse, and the result is
-     the full transform.  A single-wire DFT demotes at once too. *)
+     sweep demotes once to dense, the second runs on dense, and the
+     result is the full transform.  A single-wire DFT demotes at once
+     too. *)
   let dims = [| 2; 2; 2 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 1; 0; 1 |] ] in
   let sym = State.of_coset ~backend:Backend.Symbolic sub ~rep:[| 0; 1; 0 |] in
@@ -385,7 +401,7 @@ let test_mid_sweep_demotion () =
   Metrics.reset ();
   let sym' = Qft.forward sym ~wires:[ 0; 2 ] in
   checki "one demotion at the sweep" 1 (Metrics.snapshot ()).Metrics.symbolic_demotions;
-  checkb "sparse after a partial sweep" true (State.backend sym' = Backend.Sparse);
+  checkb "dense after a partial sweep" true (State.backend sym' = Backend.Dense);
   let den' = Qft.forward den ~wires:[ 0; 2 ] in
   checkb "partial sweep agrees" true (State.approx_equal ~eps:1e-9 sym' den');
   let sym'' = Qft.forward sym' ~wires:[ 1 ] and den'' = Qft.forward den' ~wires:[ 1 ] in
@@ -395,6 +411,7 @@ let test_mid_sweep_demotion () =
     (State.approx_equal ~eps:1e-9 sym'' (Qft.forward sym ~wires:(all_wires dims)));
   let one = State.apply_dft sym ~wire:1 ~inverse:false in
   checki "per-wire DFT demotes" 2 (Metrics.snapshot ()).Metrics.symbolic_demotions;
+  checkb "per-wire DFT on dense" true (State.backend one = Backend.Dense);
   checkb "per-wire DFT agrees" true
     (State.approx_equal ~eps:1e-9 one (State.apply_dft den ~wire:1 ~inverse:false))
 
@@ -461,7 +478,7 @@ let test_measure_all_fast_path () =
       checki "one draw" 1 m.Metrics.symbolic_samples;
       checki "no solve" 0 m.Metrics.symbolic_solves)
     registers;
-  (* a partial sweep demotes once, at the sweep; measuring the sparse
+  (* a partial sweep demotes once, at the sweep; measuring the dense
      result demotes nothing more, and its outcome has mass *)
   let dims = [| 4; 6; 8 |] in
   let sub = Backend_symbolic.Subgroup.of_gens ~dims [ [| 2; 0; 0 |]; [| 0; 3; 4 |] ] in
