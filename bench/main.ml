@@ -2,17 +2,21 @@
 
    The paper (Ivanyos–Magniez–Santha, SPAA 2001) is a theory paper
    with no tables or figures; its evaluation is a set of complexity
-   claims.  Each experiment E1–E8 below measures one claim's *shape*:
-   oracle-query and time scaling of the quantum algorithm against the
-   classical baseline, on the group families the paper names.
+   claims.  Each experiment E1–E14 below measures one claim's *shape*:
+   oracle-query scaling of the quantum algorithm against the classical
+   baseline, on the group families the paper names.
 
      dune exec bench/main.exe              -- e1..e14
      dune exec bench/main.exe -- e3 e5     -- selected experiments
      dune exec bench/main.exe -- smoke     -- one instance per theorem
 
-   Besides the text tables, a full or selected run writes every table
-   to BENCH_<rev>.json (rev = the git HEAD, else "worktree") so runs
-   are diffable across revisions by machine.
+   Every cell is exact: queries, rounds, orders, ledger counts, digests
+   and verdicts, never a wall-clock time.  Each experiment draws from
+   its own stream, seeded from the run seed and its name, so a block
+   prints the same alone as within any selection, at any HSP_JOBS.  The
+   output of smoke, e1..e10 and e13 is committed as claims.expected and
+   diffed by `dune runtest`; an intended change goes through
+   `dune promote`.
 
    The harness is its own gate: it exits 1 if any row's ok cell reads
    false (or fail) or its claim cell reads OVER, or if a check with no
@@ -27,29 +31,22 @@
 
 open Groups
 open Hsp
-module Jsonv = Hsp_service.Jsonv
 
 let run_seed = 20260705
-let rng = Random.State.make [| run_seed |]
-
-(* A part's own stream, seeded from the run seed and the part's name,
-   for a part whose draws must not depend on how many draws the parts
-   before it took (E13a's timed windows take a varying number). *)
-let part_rng name = Random.State.make [| run_seed; Hashtbl.hash name |]
-
-(* Every header/row pair is mirrored into [tables] so the whole run can
-   be dumped as machine-readable JSON at exit. *)
-let tables : (string * string list * string list list ref) list ref = ref []
 
 (* Failed gates: rows whose ok or claim cell says so, plus the checks
    that have no cell and count themselves.  Any makes the run exit 1. *)
 let failures = ref 0
 
+(* The current table's title and trimmed column names, which [row]
+   reads to find its ok and claim cells. *)
+let table = ref ("", [])
+
 let header title columns =
   Printf.printf "\n== %s ==\n" title;
   Printf.printf "%s\n" (String.concat " | " columns);
   Printf.printf "%s\n" (String.make (String.length (String.concat " | " columns)) '-');
-  tables := (title, List.map String.trim columns, ref []) :: !tables
+  table := (title, List.map String.trim columns)
 
 (* A row fails when its ok cell reads false (E7 prints fail for no
    answer) or its claim cell starts with OVER (Analysis.Cost_check). *)
@@ -62,56 +59,11 @@ let rec failed columns cells =
 
 let row cells =
   Printf.printf "%s\n%!" (String.concat " | " cells);
-  match !tables with
-  | (title, columns, rows) :: _ ->
-      let cells = List.map String.trim cells in
-      rows := cells :: !rows;
-      if failed columns cells then begin
-        incr failures;
-        Printf.printf "gate failure: %s\n" title
-      end
-  | [] -> ()
-
-let bench_rev () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match (Unix.close_process_in ic, line) with
-    | Unix.WEXITED 0, r when r <> "" -> r
-    | _ -> "worktree"
-  with _ -> "worktree"
-
-(* A cell that parses as an int or a decimal becomes a JSON number;
-   any other cell (names, verdicts, digests, "-") stays a string.  The
-   int must print back unchanged, so a digest with leading zeros stays
-   a string too. *)
-let cell_json c =
-  let decimal =
-    String.contains c '.'
-    && String.for_all (function '-' | '.' | '0' .. '9' -> true | _ -> false) c
-  in
-  match (int_of_string_opt c, float_of_string_opt c) with
-  | Some n, _ when String.equal (string_of_int n) c -> Jsonv.Int n
-  | _, Some f when decimal -> Jsonv.Float f
-  | _ -> Jsonv.String c
-
-let write_json () =
-  let rev = bench_rev () in
-  let file = Printf.sprintf "BENCH_%s.json" rev in
-  let table (title, columns, rows) =
-    Jsonv.Obj
-      [ ("title", Jsonv.String title);
-        ("columns", Jsonv.List (List.map (fun c -> Jsonv.String c) columns));
-        ( "rows",
-          Jsonv.List (List.rev_map (fun cells -> Jsonv.List (List.map cell_json cells)) !rows) ) ]
-  in
-  let doc =
-    Jsonv.Obj
-      [ ("rev", Jsonv.String rev); ("harness", Jsonv.String "bench/main.exe");
-        ("tables", Jsonv.List (List.rev_map table !tables)) ]
-  in
-  Out_channel.with_open_text file (fun oc -> output_string oc (Jsonv.to_string doc ^ "\n"));
-  Printf.printf "\nwrote %s (%d tables)\n" file (List.length !tables)
+  let title, columns = !table in
+  if failed columns (List.map String.trim cells) then begin
+    incr failures;
+    Printf.printf "gate failure: %s\n" title
+  end
 
 let fmt_i = Printf.sprintf "%8d"
 let fmt_s = Printf.sprintf "%8s"
@@ -128,13 +80,6 @@ let claim_cell label ~params ~queries metrics =
       if not v.Analysis.Cost_check.ok then
         Printf.printf "claim violation: %s\n" (Format.asprintf "%a" Analysis.Cost_check.pp v);
       Analysis.Cost_check.cell v
-
-(* Wall clock, not [Sys.time]: CPU seconds undercount blocked time and
-   the JSON output is meant to be comparable to what a user observes. *)
-let time_it f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
 
 (* The determinism gate E11 and E12 share: run [f] once per job count
    (1, 2, 4), each from a fresh RNG seeded [seed] and a reset ledger.  A
@@ -167,39 +112,33 @@ let across ~counters ~seed ~diverged f =
 (* E1: Abelian HSP (Theorem 3 / Lemma 9) — Simon instances            *)
 (* ------------------------------------------------------------------ *)
 
-let e1 () =
+let e1 rng =
   header "E1: Abelian HSP on Z_2^n (Simon) — quantum O(n) queries vs classical Theta(2^n)"
-    [ fmt_s "n"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "n"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok" ];
   List.iter
     (fun n ->
       let mask = Array.init n (fun i -> if i mod 3 = 0 then 1 else 0) in
       let inst = Instances.simon ~n ~mask in
-      let gens, sec =
-        time_it (fun () -> Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding)
-      in
+      let gens = Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding in
       let c, q = Hiding.total_queries inst.Instances.hiding in
       let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
       (* classical baseline on a fresh instance *)
       let inst2 = Instances.simon ~n ~mask in
       ignore (Classical.brute_force inst2.Instances.group inst2.Instances.hiding);
       let c_base, _ = Hiding.total_queries inst2.Instances.hiding in
-      row
-        [ fmt_i n; fmt_i (1 lsl n); fmt_i q; fmt_i c; fmt_i c_base;
-          fmt_s (string_of_bool ok); fmt_f sec ])
+      row [ fmt_i n; fmt_i (1 lsl n); fmt_i q; fmt_i c; fmt_i c_base; fmt_s (string_of_bool ok) ])
     [ 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
   header "E1b: Abelian HSP on mixed cyclic products"
-    [ fmt_s "group"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "group"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "ok" ];
   List.iter
     (fun dims ->
       let inst = Instances.abelian_random rng ~dims in
-      let gens, sec =
-        time_it (fun () -> Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding)
-      in
+      let gens = Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding in
       let _, q = Hiding.total_queries inst.Instances.hiding in
       let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
       row
         [ fmt_s (String.concat "x" (List.map string_of_int (Array.to_list dims)));
-          fmt_i (Array.fold_left ( * ) 1 dims); fmt_i q; fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_i (Array.fold_left ( * ) 1 dims); fmt_i q; fmt_s (string_of_bool ok) ])
     [ [| 16 |]; [| 4; 6 |]; [| 9; 8 |]; [| 5; 5; 4 |]; [| 2; 3; 4; 5 |] ];
   (* ablation: how many Fourier-sampling rounds does exact recovery
      need?  (The Las Vegas solver verifies and resamples; this shows
@@ -234,17 +173,16 @@ let brute_order a n =
   let rec go k x = if x = 1 then k else if k >= n then 0 else go (k + 1) (x * a mod n) in
   go 1 (a mod n)
 
-let e2 () =
+let e2 rng =
   header "E2a: quantum order finding in Z_N^* — queries stay flat as N grows"
-    [ fmt_s "N"; fmt_s "elt"; fmt_s "order"; fmt_s "queries"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "N"; fmt_s "elt"; fmt_s "order"; fmt_s "queries"; fmt_s "ok" ];
   List.iter
     (fun (n, a) ->
       let queries = Quantum.Query.create () in
-      let o, sec =
-        time_it (fun () ->
-            Quantum.Shor.find_order rng
-              ~pow:(fun k -> Numtheory.Arith.powmod a k n)
-              ~order_bound:n ~queries)
+      let o =
+        Quantum.Shor.find_order rng
+          ~pow:(fun k -> Numtheory.Arith.powmod a k n)
+          ~order_bound:n ~queries
       in
       (* a^order = 1 (mod N), and no smaller power is *)
       let ok =
@@ -255,99 +193,66 @@ let e2 () =
       row
         [ fmt_i n; fmt_i a;
           fmt_s (match o with Some o -> string_of_int o | None -> "fail");
-          fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool ok) ])
     [ (15, 2); (25, 2); (77, 3); (123, 2); (255, 2); (501, 5) ];
-  header "E2b: factoring via order finding"
-    [ fmt_s "N"; fmt_s "factors"; fmt_s "ok"; fmt_s "sec" ];
+  header "E2b: factoring via order finding" [ fmt_s "N"; fmt_s "factors"; fmt_s "ok" ];
   List.iter
     (fun n ->
-      let r, sec = time_it (fun () -> Quantum.Shor.factor rng n) in
+      let r = Quantum.Shor.factor rng n in
       let ok = match r with Some (a, b) -> a > 1 && b > 1 && a * b = n | None -> false in
       row
         [ fmt_i n;
           fmt_s (match r with Some (a, b) -> Printf.sprintf "%d*%d" a b | None -> "fail");
-          fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_s (string_of_bool ok) ])
     [ 15; 21; 35; 91; 143; 221 ];
   header "E2c: discrete log in Z_p^* (Abelian HSP form)"
-    [ fmt_s "p"; fmt_s "base"; fmt_s "planted"; fmt_s "found"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "p"; fmt_s "base"; fmt_s "planted"; fmt_s "found"; fmt_s "ok" ];
   List.iter
     (fun (p, g, l) ->
       let h = Numtheory.Arith.powmod g l p in
-      let found, sec = time_it (fun () -> Dlog.discrete_log rng ~p ~g ~h) in
+      let found = Dlog.discrete_log rng ~p ~g ~h in
       let ok = match found with Some x -> Numtheory.Arith.powmod g x p = h | None -> false in
       row
         [ fmt_i p; fmt_i g; fmt_i l;
           fmt_s (match found with Some x -> string_of_int x | None -> "fail");
-          fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_s (string_of_bool ok) ])
     [ (23, 5, 9); (101, 2, 37); (211, 3, 113); (401, 3, 251) ]
 
 (* ------------------------------------------------------------------ *)
 (* E3: hidden normal subgroups (Theorem 8)                            *)
 (* ------------------------------------------------------------------ *)
 
-let e3 () =
+let e3 rng =
   header
     "E3: hidden normal subgroup (Thm 8) — f-queries scale with |G/N|, classical with |G|"
-    [ fmt_s "group"; fmt_s "|G|"; fmt_s "|G/N|"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok"; fmt_s "sec" ];
-  let run_dihedral n d =
-    let inst = Instances.dihedral_rotation ~n ~d in
-    let res, sec =
-      time_it (fun () -> Normal_hsp.solve rng inst.Instances.group inst.Instances.hiding)
-    in
+    [ fmt_s "group"; fmt_s "|G|"; fmt_s "|G/N|"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok" ];
+  (* one row: the solve's f-queries against a classical baseline of
+     [classical] queries *)
+  let solve_row name (inst : _ Instances.t) size classical =
+    let g = inst.Instances.group in
+    let res = Normal_hsp.solve rng g inst.Instances.hiding in
     let c, _ = Hiding.total_queries inst.Instances.hiding in
-    let ok =
-      Group.subgroup_equal inst.Instances.group res.Normal_hsp.generators
-        inst.Instances.hidden_gens
-    in
+    let ok = Group.subgroup_equal g res.Normal_hsp.generators inst.Instances.hidden_gens in
+    row
+      [ fmt_s name; fmt_i size; fmt_i res.Normal_hsp.quotient_order; fmt_i c; fmt_i classical;
+        fmt_s (string_of_bool ok) ]
+  in
+  let run_dihedral n d =
     let inst2 = Instances.dihedral_rotation ~n ~d in
     ignore (Classical.brute_force inst2.Instances.group inst2.Instances.hiding);
-    let c_base, _ = Hiding.total_queries inst2.Instances.hiding in
-    row
-      [ fmt_s (Printf.sprintf "D_%d/s^%d" n d); fmt_i (2 * n);
-        fmt_i res.Normal_hsp.quotient_order; fmt_i c; fmt_i c_base;
-        fmt_s (string_of_bool ok); fmt_f sec ]
+    solve_row (Printf.sprintf "D_%d/s^%d" n d) (Instances.dihedral_rotation ~n ~d) (2 * n)
+      (fst (Hiding.total_queries inst2.Instances.hiding))
   in
   (* growing group, fixed quotient: queries should stay flat *)
   List.iter (fun n -> run_dihedral n 2) [ 12; 24; 48; 96; 192 ];
   (* fixed group, growing quotient: queries should grow with |G/N| *)
   List.iter (fun d -> run_dihedral 96 d) [ 2; 4; 8; 16 ];
   (* permutation groups *)
-  let inst = Instances.perm_normal_klein () in
-  let res, sec =
-    time_it (fun () -> Normal_hsp.solve rng inst.Instances.group inst.Instances.hiding)
-  in
-  let c, _ = Hiding.total_queries inst.Instances.hiding in
-  let ok =
-    Group.subgroup_equal inst.Instances.group res.Normal_hsp.generators
-      inst.Instances.hidden_gens
-  in
-  row
-    [ fmt_s "S4/V4"; fmt_i 24; fmt_i res.Normal_hsp.quotient_order; fmt_i c; fmt_i 25;
-      fmt_s (string_of_bool ok); fmt_f sec ];
+  solve_row "S4/V4" (Instances.perm_normal_klein ()) 24 25;
   let s4 = Perm.symmetric 4 in
-  let a4_inst = Instances.make ~name:"A4" s4 (Group.elements (Perm.alternating 4)) in
-  let res, sec =
-    time_it (fun () -> Normal_hsp.solve rng s4 a4_inst.Instances.hiding)
-  in
-  let c, _ = Hiding.total_queries a4_inst.Instances.hiding in
-  let ok = Group.subgroup_equal s4 res.Normal_hsp.generators a4_inst.Instances.hidden_gens in
-  row
-    [ fmt_s "S4/A4"; fmt_i 24; fmt_i res.Normal_hsp.quotient_order; fmt_i c; fmt_i 25;
-      fmt_s (string_of_bool ok); fmt_f sec ];
+  solve_row "S4/A4" (Instances.make ~name:"A4" s4 (Group.elements (Perm.alternating 4))) 24 25;
   (* solvable metacyclic groups: Frobenius and affine translations *)
-  let metacyclic name inst size =
-    let res, sec =
-      time_it (fun () -> Normal_hsp.solve rng inst.Instances.group inst.Instances.hiding)
-    in
-    let c, _ = Hiding.total_queries inst.Instances.hiding in
-    let ok =
-      Group.subgroup_equal inst.Instances.group res.Normal_hsp.generators
-        inst.Instances.hidden_gens
-    in
-    row
-      [ fmt_s name; fmt_i size; fmt_i res.Normal_hsp.quotient_order; fmt_i c; fmt_i (size + 1);
-        fmt_s (string_of_bool ok); fmt_f sec ]
-  in
+  let metacyclic name inst size = solve_row name inst size (size + 1) in
   metacyclic "F21/Z7" (Instances.frobenius_translations ~p:7 ~q:3) 21;
   metacyclic "F55/Z11" (Instances.frobenius_translations ~p:11 ~q:5) 55;
   metacyclic "F253/Z23" (Instances.frobenius_translations ~p:23 ~q:11) 253;
@@ -358,116 +263,76 @@ let e3 () =
 (* E4: small commutator subgroup (Theorem 11 / Corollary 12)          *)
 (* ------------------------------------------------------------------ *)
 
-let e4 () =
+let e4 rng =
   header "E4: HSP in extra-special H_p (Cor 12) — cost poly(input + p), classical p^3"
-    [ fmt_s "p"; fmt_s "|G|"; fmt_s "|G'|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "p"; fmt_s "|G|"; fmt_s "|G'|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok" ];
+  (* [solve solver inst] returns [solver]'s result on [inst], its
+     classical and quantum queries, and the row's ok cell *)
+  let solve solver (inst : _ Instances.t) =
+    let res = solver rng inst.Instances.group inst.Instances.hiding in
+    let c, q = Hiding.total_queries inst.Instances.hiding in
+    let ok =
+      Group.subgroup_equal inst.Instances.group res.Small_commutator.generators
+        inst.Instances.hidden_gens
+    in
+    (res, c, q, fmt_s (string_of_bool ok))
+  in
   List.iter
     (fun p ->
-      let inst = Instances.heisenberg_random rng ~p ~m:1 in
-      let res, sec =
-        time_it (fun () ->
-            Small_commutator.solve rng inst.Instances.group inst.Instances.hiding)
-      in
-      let c, q = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal inst.Instances.group res.Small_commutator.generators
-          inst.Instances.hidden_gens
-      in
+      let res, c, q, ok = solve Small_commutator.solve (Instances.heisenberg_random rng ~p ~m:1) in
       row
         [ fmt_i p; fmt_i (p * p * p); fmt_i res.Small_commutator.commutator_order;
-          fmt_i q; fmt_i c; fmt_i (p * p * p); fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_i q; fmt_i c; fmt_i (p * p * p); ok ])
     [ 2; 3; 5; 7; 11 ];
   header "E4b: ablation — direct Abelian sampling vs the literal Theorem-8 route"
-    [ fmt_s "p"; fmt_s "route"; fmt_s "q-class"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "p"; fmt_s "route"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun p ->
-      let inst = Instances.heisenberg_random rng ~p ~m:1 in
-      let res, sec =
-        time_it (fun () ->
-            Small_commutator.solve rng inst.Instances.group inst.Instances.hiding)
-      in
-      let c, _ = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal inst.Instances.group res.Small_commutator.generators
-          inst.Instances.hidden_gens
-      in
-      row [ fmt_i p; fmt_s "abelian"; fmt_i c; fmt_s (string_of_bool ok); fmt_f sec ];
-      let inst = Instances.heisenberg_random rng ~p ~m:1 in
-      let res, sec =
-        time_it (fun () ->
-            Small_commutator.solve_via_theorem8 rng inst.Instances.group inst.Instances.hiding)
-      in
-      let c, _ = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal inst.Instances.group res.Small_commutator.generators
-          inst.Instances.hidden_gens
-      in
-      row [ fmt_i p; fmt_s "thm8"; fmt_i c; fmt_s (string_of_bool ok); fmt_f sec ])
+      List.iter
+        (fun (route, solver) ->
+          let _, c, _, ok = solve solver (Instances.heisenberg_random rng ~p ~m:1) in
+          row [ fmt_i p; fmt_s route; fmt_i c; ok ])
+        [ ("abelian", Small_commutator.solve); ("thm8", Small_commutator.solve_via_theorem8) ])
     [ 3; 5 ];
   header "E4c: dicyclic Q_4n — |G'| = n grows with the group (no separation, still correct)"
-    [ fmt_s "n"; fmt_s "|G|"; fmt_s "|G'|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "n"; fmt_s "|G|"; fmt_s "|G'|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun n ->
-      let inst = Instances.dicyclic_random rng ~n in
-      let res, sec =
-        time_it (fun () ->
-            Small_commutator.solve rng inst.Instances.group inst.Instances.hiding)
-      in
-      let c, q = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal inst.Instances.group res.Small_commutator.generators
-          inst.Instances.hidden_gens
-      in
+      let res, c, q, ok = solve Small_commutator.solve (Instances.dicyclic_random rng ~n) in
       row
         [ fmt_i n; fmt_i (4 * n); fmt_i res.Small_commutator.commutator_order; fmt_i q;
-          fmt_i c; fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_i c; ok ])
     [ 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
 (* E5: Theorem 13 general case — wreath products, vs Rötteler–Beth    *)
 (* ------------------------------------------------------------------ *)
 
-let e5 () =
+let e5 rng =
   header "E5: HSP in Z_2^k wr Z_2 (Thm 13 general) vs Rötteler–Beth vs classical"
-    [ fmt_s "k"; fmt_s "|G|"; fmt_s "algo"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "k"; fmt_s "|G|"; fmt_s "algo"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun k ->
       let order = 1 lsl ((2 * k) + 1) in
       let inst = Instances.wreath_random rng ~k in
-      let res, sec =
-        time_it (fun () ->
-            Elem_abelian2.solve_general rng inst.Instances.group
-              ~n_gens:(Wreath.base_gens k) inst.Instances.hiding)
+      (* each algorithm solves the same instance from reset counters *)
+      let algo name solve =
+        Hiding.reset inst.Instances.hiding;
+        let gens = solve () in
+        let c, q = Hiding.total_queries inst.Instances.hiding in
+        let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
+        row [ fmt_i k; fmt_i order; fmt_s name; fmt_i q; fmt_i c; fmt_s (string_of_bool ok) ]
       in
-      let c, q = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal inst.Instances.group res.Elem_abelian2.generators
-          inst.Instances.hidden_gens
-      in
-      row
-        [ fmt_i k; fmt_i order; fmt_s "thm13"; fmt_i q; fmt_i c;
-          fmt_s (string_of_bool ok); fmt_f sec ];
-      Hiding.reset inst.Instances.hiding;
-      let rb, sec =
-        time_it (fun () -> Roetteler_beth.solve rng ~k inst.Instances.hiding)
-      in
-      let c, q = Hiding.total_queries inst.Instances.hiding in
-      let ok = Group.subgroup_equal inst.Instances.group rb inst.Instances.hidden_gens in
-      row
-        [ fmt_i k; fmt_i order; fmt_s "RB"; fmt_i q; fmt_i c;
-          fmt_s (string_of_bool ok); fmt_f sec ];
-      Hiding.reset inst.Instances.hiding;
-      let bf, sec =
-        time_it (fun () -> Classical.brute_force inst.Instances.group inst.Instances.hiding)
-      in
-      let c, _ = Hiding.total_queries inst.Instances.hiding in
-      let ok = Group.subgroup_equal inst.Instances.group bf inst.Instances.hidden_gens in
-      row
-        [ fmt_i k; fmt_i order; fmt_s "classic"; fmt_i 0; fmt_i c;
-          fmt_s (string_of_bool ok); fmt_f sec ])
+      algo "thm13" (fun () ->
+          (Elem_abelian2.solve_general rng inst.Instances.group
+             ~n_gens:(Wreath.base_gens k) inst.Instances.hiding)
+            .Elem_abelian2.generators);
+      algo "RB" (fun () -> Roetteler_beth.solve rng ~k inst.Instances.hiding);
+      algo "classic" (fun () ->
+          Classical.brute_force inst.Instances.group inst.Instances.hiding))
     [ 2; 3; 4; 5 ];
   header "E5b: non-cyclic factor group — Z_2^4 x| V_4 (Thm 13 general, |G/N| = 4)"
-    [ fmt_s "|G|"; fmt_s "|G/N|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "|G|"; fmt_s "|G/N|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   let top =
     [ Perm.of_cycles 4 [ [ 0; 1 ]; [ 2; 3 ] ]; Perm.of_cycles 4 [ [ 0; 2 ]; [ 1; 3 ] ] ]
   in
@@ -476,32 +341,29 @@ let e5 () =
   for _ = 1 to 3 do
     let h_gens = Group.random_subgroup_gens rng g in
     let inst = Instances.make ~name:"Z2^4:V4" g h_gens in
-    let res, sec =
-      time_it (fun () -> Elem_abelian2.solve_general rng g ~n_gens inst.Instances.hiding)
-    in
+    let res = Elem_abelian2.solve_general rng g ~n_gens inst.Instances.hiding in
     let c, q = Hiding.total_queries inst.Instances.hiding in
     let ok =
       Group.subgroup_equal g res.Elem_abelian2.generators inst.Instances.hidden_gens
     in
     row
       [ fmt_i (Group.order g); fmt_i res.Elem_abelian2.quotient_order; fmt_i q; fmt_i c;
-        fmt_s (string_of_bool ok); fmt_f sec ]
+        fmt_s (string_of_bool ok) ]
   done
 
 (* ------------------------------------------------------------------ *)
 (* E6: Theorem 13 cyclic-factor case — Z_2^n x| Z_m                   *)
 (* ------------------------------------------------------------------ *)
 
-let e6 () =
+let e6 rng =
   header "E6: HSP in Z_2^n x| Z_m (Thm 13, cyclic factor) — |V| = O(log |G/N|)"
-    [ fmt_s "n"; fmt_s "m"; fmt_s "|G|"; fmt_s "|V|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "n"; fmt_s "m"; fmt_s "|G|"; fmt_s "|V|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun (n, m) ->
       let inst = Instances.semidirect_random rng ~n ~m in
-      let res, sec =
-        time_it (fun () ->
-            Elem_abelian2.solve_cyclic rng inst.Instances.group
-              ~n_gens:(Semidirect.base_gens ~n) inst.Instances.hiding)
+      let res =
+        Elem_abelian2.solve_cyclic rng inst.Instances.group
+          ~n_gens:(Semidirect.base_gens ~n) inst.Instances.hiding
       in
       let c, q = Hiding.total_queries inst.Instances.hiding in
       let ok =
@@ -510,11 +372,11 @@ let e6 () =
       in
       row
         [ fmt_i n; fmt_i m; fmt_i ((1 lsl n) * m); fmt_i res.Elem_abelian2.transversal_size;
-          fmt_i q; fmt_i c; fmt_s (string_of_bool ok); fmt_f sec ])
+          fmt_i q; fmt_i c; fmt_s (string_of_bool ok) ])
     [ (3, 3); (4, 2); (4, 4); (6, 2); (6, 3); (6, 6); (8, 2); (8, 4); (10, 2) ];
   (* the paper's own Section 6 matrix family *)
   header "E6b: Section 6 matrix groups over GF(2)"
-    [ fmt_s "k"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "k"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "ok" ];
   List.iter
     (fun (a, vs) ->
       let k = Array.length a in
@@ -522,15 +384,12 @@ let e6 () =
       let n_gens = Group.normal_closure g (Matrix_group.section6_normal_gens ~p:2 ~k vs) in
       let hidden = [ Matrix_group.section6_type_b ~p:2 ~k (Array.make k 1) ] in
       let inst = Instances.make ~name:"sec6" g hidden in
-      let res, sec =
-        time_it (fun () -> Elem_abelian2.solve_cyclic rng g ~n_gens inst.Instances.hiding)
-      in
+      let res = Elem_abelian2.solve_cyclic rng g ~n_gens inst.Instances.hiding in
       let _, q = Hiding.total_queries inst.Instances.hiding in
       let ok =
         Group.subgroup_equal g res.Elem_abelian2.generators inst.Instances.hidden_gens
       in
-      row
-        [ fmt_i k; fmt_i (Group.order g); fmt_i q; fmt_s (string_of_bool ok); fmt_f sec ])
+      row [ fmt_i k; fmt_i (Group.order g); fmt_i q; fmt_s (string_of_bool ok) ])
     [
       ([| [| 0; 1 |]; [| 1; 1 |] |], [ [| 1; 0 |]; [| 0; 1 |] ]);
       ( [| [| 0; 1; 0 |]; [| 0; 0; 1 |]; [| 1; 0; 0 |] |],
@@ -541,15 +400,15 @@ let e6 () =
 (* E7: Ettinger–Høyer contrast on dihedral groups                     *)
 (* ------------------------------------------------------------------ *)
 
-let e7 () =
+let e7 rng =
   header
     "E7: Ettinger-Hoyer on D_n — O(log n) queries but Theta(n) classical post-processing"
-    [ fmt_s "n"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "scanned"; fmt_s "classical"; fmt_s "ok"; fmt_s "sec" ];
+    [ fmt_s "n"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "scanned"; fmt_s "classical"; fmt_s "ok" ];
   List.iter
     (fun n ->
       let d = (n / 3) + 1 in
       let inst = Instances.dihedral_reflection ~n ~d in
-      let res, sec = time_it (fun () -> Ettinger_hoyer.solve rng ~n inst.Instances.hiding) in
+      let res = Ettinger_hoyer.solve rng ~n inst.Instances.hiding in
       let _, q = Hiding.total_queries inst.Instances.hiding in
       let inst2 = Instances.dihedral_reflection ~n ~d in
       ignore (Classical.brute_force inst2.Instances.group inst2.Instances.hiding);
@@ -558,29 +417,26 @@ let e7 () =
       | Some r ->
           row
             [ fmt_i n; fmt_i (2 * n); fmt_i q; fmt_i r.Ettinger_hoyer.candidates_scanned;
-              fmt_i c_base; fmt_s (string_of_bool (r.Ettinger_hoyer.slope = d)); fmt_f sec ]
-      | None ->
-          row [ fmt_i n; fmt_i (2 * n); fmt_i q; fmt_s "-"; fmt_i c_base; fmt_s "fail"; fmt_f sec ])
+              fmt_i c_base; fmt_s (string_of_bool (r.Ettinger_hoyer.slope = d)) ]
+      | None -> row [ fmt_i n; fmt_i (2 * n); fmt_i q; fmt_s "-"; fmt_i c_base; fmt_s "fail" ])
     [ 8; 16; 32; 64; 128; 256 ]
 
 (* ------------------------------------------------------------------ *)
 (* E8: constructive membership (Theorem 6)                            *)
 (* ------------------------------------------------------------------ *)
 
-let e8 () =
+let e8 rng =
   header "E8: constructive membership in Abelian subgroups (Thm 6)"
     [ fmt_s "ambient"; fmt_s "exponent"; fmt_s "expect"; fmt_s "member"; fmt_s "q-quant";
-      fmt_s "ok"; fmt_s "sec" ];
+      fmt_s "ok" ];
   let run name g hs target bound ~expect =
     let queries = Quantum.Query.create () in
-    let res, sec =
-      time_it (fun () -> Membership.express rng g ~hs target ~order_bound:bound ~queries)
-    in
+    let res = Membership.express rng g ~hs target ~order_bound:bound ~queries in
     let yes_no b = if b then "yes" else "no" in
     let member = Option.is_some res in
     row
       [ fmt_s name; fmt_i bound; fmt_s (yes_no expect); fmt_s (yes_no member);
-        fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool (member = expect)); fmt_f sec ]
+        fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool (member = expect)) ]
   in
   let z = Cyclic.product [| 12; 18 |] in
   (* 2 (2, 3) + 2 (0, 6) = (4, 18) = (4, 0) *)
@@ -599,29 +455,31 @@ let e8 () =
 (* E9: exhaustive correctness sweeps over full subgroup lattices      *)
 (* ------------------------------------------------------------------ *)
 
-let e9 () =
+(* Each sweep seeds its own stream, so E9 ignores the experiment's. *)
+let e9 _ =
   header
     "E9: exhaustive sweeps — every subgroup of each group solved by the applicable theorem"
-    [ fmt_s "group"; fmt_s "|G|"; fmt_s "thm"; fmt_s "#subs"; fmt_s "solved"; fmt_s "ok"; fmt_s "sec" ];
-  (* a sweep passes when it solves every subgroup it enumerates *)
-  let ok subs solved = fmt_s (string_of_bool (solved = subs)) in
+    [ fmt_s "group"; fmt_s "|G|"; fmt_s "thm"; fmt_s "#subs"; fmt_s "solved"; fmt_s "ok" ];
+  (* one row: [solve] tried on every subgroup in [subs]; the sweep
+     passes when it solves them all *)
+  let sweep name g thm subs solve =
+    let solved =
+      List.length
+        (List.filter
+           (fun h_elems ->
+             let inst = Instances.make ~name g h_elems in
+             Group.subgroup_equal g (solve inst.Instances.hiding) inst.Instances.hidden_gens)
+           subs)
+    in
+    let n = List.length subs in
+    row
+      [ fmt_s name; fmt_i (Group.order g); fmt_s thm; fmt_i n; fmt_i solved;
+        fmt_s (string_of_bool (solved = n)) ]
+  in
   let sweep_thm11 : 'a. string -> 'a Group.t -> unit =
    fun name g ->
     let r = Random.State.make [| Hashtbl.hash name |] in
-    let subs = Subgroup_lattice.all_subgroups g in
-    let solved = ref 0 in
-    let _, sec =
-      time_it (fun () ->
-          List.iter
-            (fun h_elems ->
-              let inst = Instances.make ~name g h_elems in
-              let gens = Small_commutator.solve_gens r g inst.Instances.hiding in
-              if Group.subgroup_equal g gens inst.Instances.hidden_gens then incr solved)
-            subs)
-    in
-    row
-      [ fmt_s name; fmt_i (Group.order g); fmt_s "11"; fmt_i (List.length subs);
-        fmt_i !solved; ok (List.length subs) !solved; fmt_f sec ]
+    sweep name g "11" (Subgroup_lattice.all_subgroups g) (Small_commutator.solve_gens r g)
   in
   sweep_thm11 "D_4" (Dihedral.group 4);
   sweep_thm11 "D_6" (Dihedral.group 6);
@@ -632,53 +490,24 @@ let e9 () =
   (* wreath k = 2 through Theorem 13 *)
   let r = Random.State.make [| 777 |] in
   let g = Wreath.group 2 in
-  let subs = Subgroup_lattice.all_subgroups g in
-  let solved = ref 0 in
-  let _, sec =
-    time_it (fun () ->
-        List.iter
-          (fun h_elems ->
-            let inst = Instances.make ~name:"w2" g h_elems in
-            let res =
-              Elem_abelian2.solve_general r g ~n_gens:(Wreath.base_gens 2)
-                inst.Instances.hiding
-            in
-            if Group.subgroup_equal g res.Elem_abelian2.generators inst.Instances.hidden_gens
-            then incr solved)
-          subs)
-  in
-  row
-    [ fmt_s "w(k=2)"; fmt_i 32; fmt_s "13"; fmt_i (List.length subs); fmt_i !solved;
-      ok (List.length subs) !solved; fmt_f sec ];
+  sweep "w(k=2)" g "13" (Subgroup_lattice.all_subgroups g) (fun hiding ->
+      (Elem_abelian2.solve_general r g ~n_gens:(Wreath.base_gens 2) hiding)
+        .Elem_abelian2.generators);
   (* normal subgroups of S_4 through Theorem 8 *)
   let r = Random.State.make [| 888 |] in
   let s4 = Perm.symmetric 4 in
-  let normals = Subgroup_lattice.normal_subgroups s4 in
-  let solved = ref 0 in
-  let _, sec =
-    time_it (fun () ->
-        List.iter
-          (fun n_elems ->
-            let inst = Instances.make ~name:"S4" s4 n_elems in
-            let res = Normal_hsp.solve r s4 inst.Instances.hiding in
-            if Group.subgroup_equal s4 res.Normal_hsp.generators inst.Instances.hidden_gens
-            then incr solved)
-          normals)
-  in
-  row
-    [ fmt_s "S_4 (nrm)"; fmt_i 24; fmt_s "8"; fmt_i (List.length normals); fmt_i !solved;
-      ok (List.length normals) !solved; fmt_f sec ]
+  sweep "S_4 (nrm)" s4 "8" (Subgroup_lattice.normal_subgroups s4) (fun hiding ->
+      (Normal_hsp.solve r s4 hiding).Normal_hsp.generators)
 
 (* ------------------------------------------------------------------ *)
 (* E10: dense vs sparse state-vector backends                         *)
 (* ------------------------------------------------------------------ *)
 
-let e10 () =
+let e10 rng =
   header
     "E10: dense vs sparse backend — planted Abelian HSP on Z_d1 x Z_d2, H = prod m_i Z_di"
-    [ fmt_s "dims"; fmt_s "|G|"; fmt_s "backend"; fmt_s "jobs"; fmt_s "q-quant";
-      fmt_s "gates"; fmt_s "dft-fib"; fmt_s "peak-sup"; fmt_s "peak-dns"; fmt_s "ok";
-      fmt_s "claim"; fmt_s "sec" ];
+    [ fmt_s "dims"; fmt_s "|G|"; fmt_s "backend"; fmt_s "q-quant"; fmt_s "gates"; fmt_s "dft-fib";
+      fmt_s "peak-sup"; fmt_s "peak-dns"; fmt_s "ok"; fmt_s "claim" ];
   let solve_planted ~dims ~moduli ~backend =
     let queries = Quantum.Query.create () in
     let draw =
@@ -687,12 +516,9 @@ let e10 () =
     in
     let in_h = Instances.quotient_mem ~moduli and f = Instances.quotient_oracle ~moduli in
     Quantum.Metrics.reset ();
-    let (gens, _), sec =
-      time_it (fun () ->
-          Abelian_hsp.solve_dims rng ~draw ~dims ~f ~quantum:queries ~verify:in_h ())
-    in
+    let gens, _ = Abelian_hsp.solve_dims rng ~draw ~dims ~f ~quantum:queries ~verify:in_h () in
     let ok = gens <> [] && List.for_all in_h gens in
-    (ok, Quantum.Query.count queries, sec, Quantum.Metrics.snapshot ())
+    (ok, Quantum.Query.count queries, Quantum.Metrics.snapshot ())
   in
   let total dims = Array.fold_left ( * ) 1 dims in
   let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
@@ -702,20 +528,18 @@ let e10 () =
         (fun backend ->
           if backend = Quantum.Backend.Dense && total dims > Quantum.Backend.Caps.dense_state then
             row
-              [ fmt_s (show dims); fmt_i (total dims); fmt_s "dense";
-                fmt_i (Quantum.Parallel.jobs ()); fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "-";
-                fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "(>cap)" ]
+              [ fmt_s (show dims); fmt_i (total dims); fmt_s "dense"; fmt_s "(>cap)"; fmt_s "-";
+                fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "-" ]
           else begin
-            let ok, q, sec, m = solve_planted ~dims ~moduli ~backend in
+            let ok, q, m = solve_planted ~dims ~moduli ~backend in
             let params = Analysis.Cost_check.params ~group_order:(total dims) () in
             row
               [ fmt_s (show dims); fmt_i (total dims);
-                fmt_s (Quantum.Backend.choice_to_string backend);
-                fmt_i (Quantum.Parallel.jobs ()); fmt_i q;
+                fmt_s (Quantum.Backend.choice_to_string backend); fmt_i q;
                 fmt_i (m.Quantum.Metrics.gate_apps + m.Quantum.Metrics.dft_apps);
                 fmt_i m.Quantum.Metrics.dft_fibres; fmt_i m.Quantum.Metrics.peak_support;
                 fmt_i m.Quantum.Metrics.peak_dense_alloc; fmt_s (string_of_bool ok);
-                fmt_s (claim_cell "3" ~params ~queries:q m); fmt_f sec ]
+                fmt_s (claim_cell "3" ~params ~queries:q m) ]
           end)
         [ Quantum.Backend.Dense; Quantum.Backend.Sparse ])
     [
@@ -725,21 +549,20 @@ let e10 () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* E11: multicore dense backend — domain-pool scaling + determinism   *)
+(* E11: multicore dense backend — determinism across job counts       *)
 (* ------------------------------------------------------------------ *)
 
 (* Each workload runs identically at jobs = 1, 2 and 4: a fresh RNG
    with the same seed, a ledger reset, and a digest over every sampled
    outcome.  The ok column asserts the determinism contract — digest
    AND ledger equal to the jobs=1 baseline — and a violation fails the
-   run exactly like a cost-claim violation.  The speedup column
-   reflects the machine's available cores; on a single-core host the
-   parallel rows cost pool overhead and speedup hovers at or below 1. *)
-let e11 () =
+   run exactly like a cost-claim violation.  The workloads seed their
+   own streams, so E11 ignores the experiment's; how the job count
+   moves their wall clock is bench/perf's to measure. *)
+let e11 _ =
   header
-    "E11: dense backend domain-pool scaling — bit-identical results required at every job count"
-    [ fmt_s "workload"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "digest"; fmt_s "ok";
-      fmt_s "speedup"; fmt_s "sec" ];
+    "E11: dense backend domain pool — bit-identical results required at every job count"
+    [ fmt_s "workload"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "digest"; fmt_s "ok" ];
   let counters (m : Quantum.Metrics.snapshot) =
     [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres; m.Quantum.Metrics.dft_apps;
       m.Quantum.Metrics.dft_fibres; m.Quantum.Metrics.basis_maps; m.Quantum.Metrics.oracle_ops;
@@ -747,22 +570,15 @@ let e11 () =
       m.Quantum.Metrics.peak_dense_alloc ]
   in
   let run_workload name total f =
-    let runs =
-      across ~counters ~seed:0xe11
-        ~diverged:(fun jobs ->
-          Printf.sprintf "E11 %s at jobs=%d diverges from the jobs=1 run" name jobs)
-        (fun rng -> time_it (fun () -> f rng))
-    in
-    match runs with
-    | [] -> ()
-    | (_, _, _, base_sec) :: _ ->
-        List.iter
-          (fun (jobs, digest, ok, sec) ->
-            row
-              [ fmt_s name; fmt_i total; fmt_i jobs;
-                fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
-                fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
-          runs
+    List.iter
+      (fun (jobs, digest, ok, ()) ->
+        row
+          [ fmt_s name; fmt_i total; fmt_i jobs; fmt_s (String.sub (Digest.to_hex digest) 0 8);
+            fmt_s (string_of_bool ok) ])
+      (across ~counters ~seed:0xe11
+         ~diverged:(fun jobs ->
+           Printf.sprintf "E11 %s at jobs=%d diverges from the jobs=1 run" name jobs)
+         (fun rng -> (f rng, ())))
   in
   (* (a) Coset-state Fourier sampling on two large cyclic wires: the
      QFT fast path (FFT over long fibres) plus full-register
@@ -828,17 +644,17 @@ let e11 () =
 (* ------------------------------------------------------------------ *)
 
 (* The sorted-segment sparse backend on a 2^20..2^26 instance ladder at
-   jobs = 1, 2 and 4.  The prep column is the sampler's one-time oracle
-   bucketing pass (first draw; sampler_preps stays at 1 however many
-   rounds follow); sec is the remaining rounds, the per-sample
-   O(|coset|) regime that the jobs column can scale.  As in E11, ok
-   asserts the determinism contract — digest AND ledger equal to the
-   jobs=1 baseline — and any divergence fails the run. *)
-let e12 () =
+   jobs = 1, 2 and 4.  The first draw pays the sampler's one-time
+   oracle bucketing pass (sampler_preps stays at 1 however many rounds
+   follow); the visits column counts the members each later round
+   touches, the per-sample O(|coset|) regime.  As in E11, ok asserts
+   the determinism contract — digest AND ledger equal to the jobs=1
+   baseline — and any divergence fails the run. *)
+let e12 _ =
   header
     "E12: sparse coset sampling ladder — O(|G|) prep shared across rounds, bit-identical at every job count"
     [ fmt_s "dims"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "support"; fmt_s "visits";
-      fmt_s "digest"; fmt_s "ok"; fmt_s "prep"; fmt_s "speedup"; fmt_s "sec" ];
+      fmt_s "digest"; fmt_s "ok" ];
   let counters (m : Quantum.Metrics.snapshot) =
     [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres; m.Quantum.Metrics.dft_apps;
       m.Quantum.Metrics.dft_fibres; m.Quantum.Metrics.basis_maps; m.Quantum.Metrics.oracle_ops;
@@ -847,52 +663,36 @@ let e12 () =
       m.Quantum.Metrics.sampler_preps; m.Quantum.Metrics.coset_visits ]
   in
   let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
-  let add_outcome buf o =
-    Array.iter
-      (fun v ->
-        Buffer.add_string buf (string_of_int v);
-        Buffer.add_char buf ',')
-      o
-  in
   List.iter
     (fun (dims, moduli, rounds) ->
       let total = Array.fold_left ( * ) 1 dims in
       let f x =
         Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli)
       in
-      let runs =
-        across ~counters ~seed:0xe12
-          ~diverged:(fun jobs ->
-            Printf.sprintf "E12 %s at jobs=%d diverges from the jobs=1 run" (show dims) jobs)
-          (fun rng ->
-            let queries = Quantum.Query.create () in
-            let draw =
-              Quantum.Coset_state.sampler ~backend:Quantum.Backend.Sparse ~dims ~f
-                ~queries ()
-            in
-            let buf = Buffer.create 256 in
-            (* the first draw pays the shared bucketing pass *)
-            let first, prep_sec = time_it (fun () -> draw rng) in
-            add_outcome buf first;
-            let (), sec =
-              time_it (fun () ->
-                  for _ = 1 to rounds do
-                    add_outcome buf (draw rng)
-                  done)
-            in
-            (Digest.string (Buffer.contents buf), (Quantum.Metrics.snapshot (), prep_sec, sec)))
-      in
-      match runs with
-      | [] -> ()
-      | (_, _, _, (_, _, base_sec)) :: _ ->
-          List.iter
-            (fun (jobs, digest, ok, (m, prep_sec, sec)) ->
-              row
-                [ fmt_s (show dims); fmt_i total; fmt_i jobs;
-                  fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.coset_visits;
-                  fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok);
-                  fmt_f prep_sec; fmt_f (base_sec /. Float.max 1e-9 sec); fmt_f sec ])
-            runs)
+      List.iter
+        (fun (jobs, digest, ok, m) ->
+          row
+            [ fmt_s (show dims); fmt_i total; fmt_i jobs;
+              fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.coset_visits;
+              fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok) ])
+        (across ~counters ~seed:0xe12
+           ~diverged:(fun jobs ->
+             Printf.sprintf "E12 %s at jobs=%d diverges from the jobs=1 run" (show dims) jobs)
+           (fun rng ->
+             let queries = Quantum.Query.create () in
+             let draw =
+               Quantum.Coset_state.sampler ~backend:Quantum.Backend.Sparse ~dims ~f ~queries ()
+             in
+             let buf = Buffer.create 256 in
+             (* the first draw pays the shared bucketing pass *)
+             for _ = 0 to rounds do
+               Array.iter
+                 (fun v ->
+                   Buffer.add_string buf (string_of_int v);
+                   Buffer.add_char buf ',')
+                 (draw rng)
+             done;
+             (Digest.string (Buffer.contents buf), Quantum.Metrics.snapshot ()))))
     [
       ([| 1024; 1024 |], [| 16; 16 |], 6);
       ([| 2048; 2048 |], [| 16; 16 |], 4);
@@ -902,38 +702,21 @@ let e12 () =
 
 (* ------------------------------------------------------------------ *)
 (* E13: symbolic coset-state backend (cryptographic group sizes).     *)
-(*   a. scaling ladder Z_2^k, k = 20..120 — a fresh sampler's build *)
-(*      plus first draw (prep ms) and the steady-state wall clock per *)
-(*      sample (us/smp), each the median of 11 interleaved passes,    *)
-(*      and the symbolic ledger counters (gated: 2 solves per sampler *)
-(*      built, 0 demotions, one rewrite, one draw and k DFT apps per  *)
-(*      sample); 111 outcomes per rung are checked to annihilate the  *)
-(*      hidden subgroup.                                              *)
+(*   a. scaling ladder Z_2^k, k = 20..120: each rung builds a fixed   *)
+(*      number of samplers and draws a fixed number of times from     *)
+(*      each; every outcome is checked to annihilate the hidden       *)
+(*      subgroup, and the symbolic ledger is gated exactly (2 solves  *)
+(*      per sampler built, 0 demotions, one rewrite, one draw and k   *)
+(*      DFT apps per sample).                                         *)
 (*   b. differential gate — symbolic vs dense Fourier-sample          *)
 (*      frequencies on small groups, two-sample chi-squared; any      *)
 (*      divergence is a claim violation (nonzero exit).               *)
 (*   c. one >= 2^100 instance per Theorem 3/6/8/11/13, solved through *)
 (*      the symbolic sampler and verified exactly by canonical-HNF    *)
 (*      subgroup equality.                                            *)
-(*   Each part draws from its own [part_rng] stream, so b's and c's   *)
-(*   cells do not move with the number of draws a's windows took.     *)
 (* ------------------------------------------------------------------ *)
 
-(* One E13a rung: the ledger it has charged, the draws kept for the
-   annihilator check, one build-plus-first-draw time per pass, and its
-   timed windows as (seconds, draws). *)
-type rung = {
-  k : int;
-  dims : int array;
-  gens : int array list;
-  ledger : int array;
-  mutable kept : int array list;
-  mutable preps : float list;
-  mutable timed : int;
-  mutable windows : (float * int) list;
-}
-
-let e13 () =
+let e13 rng =
   let module BS = Quantum.Backend_symbolic in
   let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   (* H = span{e_{2i} + e_{2i+1}} over Z_d^r: order d^(r/2), every coset
@@ -942,108 +725,54 @@ let e13 () =
     List.init (r / 2) (fun i ->
         Array.init r (fun j -> if j = (2 * i) || j = (2 * i) + 1 then 1 else 0))
   in
-  let rng = part_rng "e13a" in
+  let samplers = 4 and draws = 100 in
   header "E13a: symbolic backend scaling — Fourier sampling |x0 + H> in Z_2^k, |H| = 2^(k/2)"
-    [ fmt_s "|G|"; fmt_s "log2|H|"; fmt_s "prep ms"; fmt_s "timed"; fmt_s "us/smp";
-      fmt_s "rewrite"; fmt_s "draws"; fmt_s "solves"; fmt_s "demote"; fmt_s "sec" ];
-  (* The counters the ledger gate reads; [charged ledger f] adds what
-     [f] moves them by to [ledger]. *)
-  let gated (m : Quantum.Metrics.snapshot) =
+    [ fmt_s "|G|"; fmt_s "log2|H|"; fmt_s "rewrite"; fmt_s "draws"; fmt_s "DFTs"; fmt_s "solves";
+      fmt_s "demote"; fmt_s "ok" ];
+  (* the counters the ledger gate reads *)
+  let gated () =
+    let m = Quantum.Metrics.snapshot () in
     Quantum.Metrics.
       [| m.symbolic_solves; m.symbolic_demotions; m.symbolic_rewrites; m.symbolic_samples;
          m.dft_apps |]
   in
-  let charged ledger f =
-    let before = gated (Quantum.Metrics.snapshot ()) in
-    let x = f () in
-    let after = gated (Quantum.Metrics.snapshot ()) in
-    Array.iteri (fun i v -> ledger.(i) <- ledger.(i) + v - before.(i)) after;
-    x
-  in
-  (* [passes] rounds visit the rungs in turn.  On each visit, from a
-     freshly collected heap, the rung builds a fresh sampler and draws
-     once (the first draw also computes the memoised dual, one of the
-     sampler's two solves), timed as one prep; then it times a window
-     of at least 100 draws and 20 ms on that sampler.  A rung's prep ms
-     and us/smp are its median prep and median window.  Interleaving
-     spreads every rung over the whole run, so a slow or fast spell of
-     the machine moves a few visits of each rung, not one rung's whole
-     figure. *)
-  let passes = 11 in
-  let rungs =
-    List.map
-      (fun k ->
-        let dims = Array.make k 2 in
-        { k; dims; gens = pair_gens ~r:k; ledger = Array.make 5 0; kept = []; preps = [];
-          timed = 0; windows = [] })
-      [ 20; 40; 60; 80; 100; 120 ]
-  in
-  let median l = List.nth (List.sort Float.compare l) (passes / 2) in
-  for _ = 1 to passes do
-    List.iter
-      (fun r ->
-        Gc.full_major ();
-        let (draw, first), prep_sec =
-          charged r.ledger (fun () ->
-              time_it (fun () ->
-                  let queries = Quantum.Query.create () in
-                  let draw =
-                    Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic
-                      ~dims:r.dims ~subgroup:r.gens ~queries ()
-                  in
-                  (draw, draw rng)))
-        in
-        r.preps <- prep_sec :: r.preps;
-        r.kept <- first :: r.kept;
-        Gc.full_major ();
-        charged r.ledger (fun () ->
-            let t0 = Unix.gettimeofday () in
-            let n = ref 0 in
-            while !n < 100 || Unix.gettimeofday () -. t0 < 0.02 do
-              (* keep 100 window draws for the annihilator check;
-                 holding them all would grow the heap the collector
-                 scans *)
-              let y = draw rng in
-              if r.timed + !n < 100 then r.kept <- y :: r.kept;
-              incr n
-            done;
-            r.windows <- (Unix.gettimeofday () -. t0, !n) :: r.windows;
-            r.timed <- r.timed + !n))
-      rungs
-  done;
   List.iter
-    (fun { k; dims; gens; ledger; kept; preps; timed; windows } ->
-      let annihilates =
-        List.for_all
-          (fun y -> List.for_all (Quantum.Qft.character_is_trivial_on ~dims y) gens)
-          kept
-      in
-      if not annihilates then begin
-        incr failures;
-        Printf.printf "claim violation: E13a Z_2^%d symbolic sample outside the H-annihilator\n" k
-      end;
+    (fun k ->
+      let dims = Array.make k 2 and gens = pair_gens ~r:k in
+      let before = gated () in
+      let annihilates = ref true in
+      for _ = 1 to samplers do
+        let queries = Quantum.Query.create () in
+        let draw =
+          Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Symbolic ~dims
+            ~subgroup:gens ~queries ()
+        in
+        for _ = 1 to draws do
+          let y = draw rng in
+          if not (List.for_all (Quantum.Qft.character_is_trivial_on ~dims y) gens) then
+            annihilates := false
+        done
+      done;
+      let ledger = Array.map2 ( - ) (gated ()) before in
       (* One canonicalisation and one memoised dual per sampler built,
          one rewrite and one draw per sample: a per-round solve or a
          demotion is a cost regression.  The sweep still counts one
          DFT application per wire, so the ledger matches the amplitude
          backends'. *)
-      let n = timed + passes in
-      let want = [| 2 * passes; 0; n; n; k * n |] in
-      if not (Array.for_all2 Int.equal ledger want) then begin
-        incr failures;
+      let n = samplers * draws in
+      let ledger_ok = Array.for_all2 Int.equal ledger [| 2 * samplers; 0; n; n; k * n |] in
+      if not !annihilates then
+        Printf.printf "claim violation: E13a Z_2^%d symbolic sample outside the H-annihilator\n" k;
+      if not ledger_ok then
         Printf.printf
-          "claim violation: E13a Z_2^%d ledger %d solves / %d demotions / %d rewrites / %d \
-           draws / %d DFTs, want %d / 0 / %d / %d / %d\n"
-          k ledger.(0) ledger.(1) ledger.(2) ledger.(3) ledger.(4) (2 * passes) n n (k * n)
-      end;
-      let per_draw = List.map (fun (sec, m) -> 1e6 *. sec /. float_of_int m) windows in
+          "claim violation: E13a Z_2^%d ledger, want %d rewrites / %d draws / %d DFTs / %d \
+           solves / 0 demotions\n"
+          k n n (k * n) (2 * samplers);
       row
-        [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_f (1e3 *. median preps); fmt_i timed;
-          fmt_f (median per_draw); fmt_i ledger.(2); fmt_i ledger.(3);
-          fmt_i ledger.(0); fmt_i ledger.(1);
-          fmt_f (List.fold_left (fun acc (sec, _) -> acc +. sec) 0.0 windows) ])
-    rungs;
-  let rng = part_rng "e13b" in
+        [ fmt_s (Printf.sprintf "2^%d" k); fmt_i (k / 2); fmt_i ledger.(2); fmt_i ledger.(3);
+          fmt_i ledger.(4); fmt_i ledger.(0); fmt_i ledger.(1);
+          fmt_s (string_of_bool (!annihilates && ledger_ok)) ])
+    [ 20; 40; 60; 80; 100; 120 ];
   header "E13b: differential gate — symbolic vs dense sample frequencies (two-sample chi^2)"
     [ fmt_s "dims"; fmt_s "|G|"; fmt_s "n/side"; fmt_s "cells"; fmt_s "chi2"; fmt_s "thresh";
       fmt_s "ok" ];
@@ -1086,7 +815,6 @@ let e13 () =
   chi2_gate [| 4; 6; 8 |] [ [| 2; 0; 0 |]; [| 0; 3; 4 |] ] 4000;
   chi2_gate [| 2; 2; 2; 2; 2 |] [ [| 1; 1; 0; 0; 0 |]; [| 0; 0; 1; 1; 1 |] ] 4000;
   chi2_gate [| 9; 3; 5 |] [ [| 3; 1; 0 |] ] 4000;
-  let rng = part_rng "e13c" in
   let recover ~dims ~subgroup rounds =
     let queries = Quantum.Query.create () in
     let draw =
@@ -1094,27 +822,25 @@ let e13 () =
         ~subgroup ~queries ()
     in
     let ys = List.init rounds (fun _ -> draw rng) in
-    (ys, Quantum.Coset_state.annihilator_subgroup ~dims ys, Quantum.Query.count queries)
+    (Quantum.Coset_state.annihilator_subgroup ~dims ys, Quantum.Query.count queries)
   in
   header "E13c: theorem instances at >= 2^100 through the symbolic sampler"
-    [ fmt_s "instance"; fmt_s "thm"; fmt_s "log2|G|"; fmt_s "queries"; fmt_s "ok"; fmt_s "sec" ];
-  let emit name thm log2g queries ok sec =
+    [ fmt_s "instance"; fmt_s "thm"; fmt_s "log2|G|"; fmt_s "queries"; fmt_s "ok" ];
+  let emit name thm log2g queries ok =
     if not ok then
       Printf.printf "claim violation: E13c %s (Thm %s) failed exact verification\n" name thm;
-    row
-      [ fmt_s name; fmt_s thm; fmt_f log2g; fmt_i queries; fmt_s (string_of_bool ok);
-        fmt_f sec ]
+    row [ fmt_s name; fmt_s thm; fmt_f log2g; fmt_i queries; fmt_s (string_of_bool ok) ]
+  in
+  (* A planted subgroup recovered from [rounds] symbolic samples; ok is
+     canonical-HNF equality with the plant. *)
+  let planted name thm log2g ~dims gens rounds =
+    let rec_gens, q = recover ~dims ~subgroup:gens rounds in
+    emit name thm log2g q
+      (BS.Subgroup.equal (BS.Subgroup.of_gens ~dims gens) (BS.Subgroup.of_gens ~dims rec_gens))
   in
   (* Thm 3: Abelian HSP in Z_4^60 (|G| = 2^120), hidden H of order 2^60
      recovered as the annihilator of its Fourier samples. *)
-  (let r = 60 in
-   let dims = Array.make r 4 in
-   let gens = pair_gens ~r in
-   let (_, rec_gens, q), sec = time_it (fun () -> recover ~dims ~subgroup:gens (4 * r)) in
-   let ok =
-     BS.Subgroup.equal (BS.Subgroup.of_gens ~dims gens) (BS.Subgroup.of_gens ~dims rec_gens)
-   in
-   emit "Z_4^60" "3" 120.0 q ok sec);
+  planted "Z_4^60" "3" 120.0 ~dims:(Array.make 60 4) (pair_gens ~r:60) 240;
   (* Thm 6: constructive membership in A = Z_8^37 (|A| = 2^111).  The
      quantum register is only the rank-4 coefficient group Z_8^4: the
      relation lattice of (h1, h2, h3, x) is hidden there, its coset
@@ -1138,29 +864,23 @@ let e13 () =
        (fun v -> Array.map (fun c -> ((c mod l) + l) mod l) v)
        (Numtheory.Zmatrix.kernel_mod ~moduli:(Array.make n l) coeff_matrix)
    in
-   let run () =
-     let _, rec_gens, q = recover ~dims:dims4 ~subgroup:lattice 32 in
-     let basis = BS.Subgroup.basis (BS.Subgroup.of_gens ~dims:dims4 rec_gens) in
-     (* the relation (c1,c2,c3,-1) guarantees a basis row with a unit
-        last coefficient; solve it for x's coordinates. *)
-     let expressed =
-       Array.to_list basis
-       |> List.find_opt (fun a -> Numtheory.Arith.gcd a.(3) l = 1)
-       |> Option.map (fun a ->
-              let s = l - Numtheory.Arith.invmod a.(3) l in
-              Array.init n (fun j ->
-                  ((s * a.(0) * hs.(0).(j)) + (s * a.(1) * hs.(1).(j))
-                  + (s * a.(2) * hs.(2).(j)))
-                  mod l))
-     in
-     (expressed = Some x, q)
+   let rec_gens, q = recover ~dims:dims4 ~subgroup:lattice 32 in
+   let basis = BS.Subgroup.basis (BS.Subgroup.of_gens ~dims:dims4 rec_gens) in
+   (* the relation (c1,c2,c3,-1) guarantees a basis row with a unit
+      last coefficient; solve it for x's coordinates. *)
+   let expressed =
+     Array.to_list basis
+     |> List.find_opt (fun a -> Numtheory.Arith.gcd a.(3) l = 1)
+     |> Option.map (fun a ->
+            let s = l - Numtheory.Arith.invmod a.(3) l in
+            Array.init n (fun j ->
+                ((s * a.(0) * hs.(0).(j)) + (s * a.(1) * hs.(1).(j)) + (s * a.(2) * hs.(2).(j)))
+                mod l))
    in
-   let (ok, q), sec = time_it run in
-   emit "Z_8^37" "6" 111.0 q ok sec);
+   emit "Z_8^37" "6" 111.0 q (expressed = Some x));
   (* Thm 8: hidden normal subgroup as the kernel of a planted
      surjection Z_2^110 ->> Z_2^3 (|G| = 2^110, quotient order 8). *)
   (let n = 110 in
-   let dims = Array.make n 2 in
    let phi =
      Array.init 3 (fun i ->
          Array.init n (fun j -> if j < 3 then (if j = i then 1 else 0) else Random.State.int rng 2))
@@ -1170,51 +890,26 @@ let e13 () =
        (fun v -> Array.map (fun c -> ((c mod 2) + 2) mod 2) v)
        (Numtheory.Zmatrix.kernel_mod ~moduli:(Array.make 3 2) phi)
    in
-   let (_, rec_gens, q), sec = time_it (fun () -> recover ~dims ~subgroup:kernel 40) in
-   let ok =
-     BS.Subgroup.equal (BS.Subgroup.of_gens ~dims kernel)
-       (BS.Subgroup.of_gens ~dims rec_gens)
-   in
-   emit "ker(2^110->2^3)" "8" 110.0 q ok sec);
+   planted "ker(2^110->2^3)" "8" 110.0 ~dims:(Array.make n 2) kernel 40);
   (* Thm 11: G of order 2^101 with |G'| = 2 — elements (v, t) in
      Z_2^100 x Z_2 with a central commutator bit.  The hidden subgroup
-     contains G', so H/G' is hidden in G/G' ~ Z_2^100: solve that
-     Abelian instance symbolically, then one classical query confirms
-     the central lift. *)
-  (let r = 100 in
-   let dims = Array.make r 2 in
-   let hbar = pair_gens ~r in
-   let run () =
-     let _, rec_gens, q = recover ~dims ~subgroup:hbar (4 * r) in
-     let quotient_ok =
-       BS.Subgroup.equal (BS.Subgroup.of_gens ~dims hbar)
-         (BS.Subgroup.of_gens ~dims rec_gens)
-     in
-     (* classical lift query: G' <= H, so the central element's hiding
-        value collides with the identity's. *)
-     let hiding (_v, t) = if t = 0 || t = 1 then 0 else 1 in
-     let lift_ok = hiding (Array.make r 0, 1) = hiding (Array.make r 0, 0) in
-     (quotient_ok && lift_ok, q + 2)
-   in
-   let (ok, q), sec = time_it run in
-   emit "2^101,|G'|=2" "11" 101.0 q ok sec);
+     contains G', so H/G' is hidden in G/G' ~ Z_2^100.  The row solves
+     that Abelian instance symbolically and verifies H/G' only: no
+     oracle here answers a query on G itself, so the lift of H/G' back
+     to H is not exercised (Small_commutator does it at enumerable
+     sizes, E4). *)
+  planted "2^101,|G'|=2" "11" 101.0 ~dims:(Array.make 100 2) (pair_gens ~r:100) 400;
   (* Thm 13: G = Z_2^100 x| Z_2 probed through the register Z_2^101.
      The planted elementary-Abelian H is generated by 49 base pairs
      (fixed by the top involution) plus one reflection (w, 1); on the
      probe register it is an Abelian hidden subgroup of order 2^50. *)
   (let n = 100 in
-   let dims = Array.make (n + 1) 2 in
    let base =
      List.init 49 (fun i ->
          Array.init (n + 1) (fun j -> if j = (2 * i) || j = (2 * i) + 1 then 1 else 0))
    in
    let w = Array.init (n + 1) (fun j -> if j >= 98 then 1 else 0) in
-   let gens = w :: base in
-   let (_, rec_gens, q), sec = time_it (fun () -> recover ~dims ~subgroup:gens 420) in
-   let ok =
-     BS.Subgroup.equal (BS.Subgroup.of_gens ~dims gens) (BS.Subgroup.of_gens ~dims rec_gens)
-   in
-   emit "Z_2^100x|Z_2" "13" 101.0 q ok sec)
+   planted "Z_2^100x|Z_2" "13" 101.0 ~dims:(Array.make (n + 1) 2) (w :: base) 420)
 
 (* ------------------------------------------------------------------ *)
 (* E14: hsp_served traffic replay — cached, batched service layer     *)
@@ -1231,20 +926,22 @@ let e13 () =
    Gates, counted as claim violations: total sampler_preps after both
    mixed passes must equal the number of distinct amplitude oracles
    (the warm pass preps nothing), and warm throughput must be at least
-   5x the thrashed cold path.  Each row also reports the pass's cache
-   misses, gated exactly: the executor is serial and the cache holds
+   5x the thrashed cold path; that ratio is the one wall-clock reading
+   in this harness, and its row prints only the verdict (bench/perf's
+   served workload measures throughput and latency).  Each row also
+   reports the pass's cache misses, gated exactly: the executor is serial and the cache holds
    every oracle, so a cold mixed pass misses once per distinct oracle
    and a warm one never, however the threads happen to group requests
    into batches (a hit rate would move with that grouping); the
    thrashed slice misses on every request and the warm slice never. *)
 
-let e14 () =
+(* The workload seeds its own streams, so E14 ignores the experiment's. *)
+let e14 _ =
   let module Sv = Hsp_service.Service in
   let module Pr = Hsp_service.Protocol in
   let module Jv = Hsp_service.Jsonv in
-  header "E14: hsp_served traffic replay — throughput, latency, cache misses"
-    [ fmt_s "phase"; fmt_s "reqs"; fmt_s "thr"; fmt_s "req/s"; fmt_s "p50ms";
-      fmt_s "p99ms"; fmt_s "misses"; fmt_s "preps"; fmt_s "ok" ];
+  header "E14: hsp_served traffic replay — cache misses, preps, warm/cold gate"
+    [ fmt_s "phase"; fmt_s "reqs"; fmt_s "thr"; fmt_s "misses"; fmt_s "preps"; fmt_s "ok" ];
   (* 12 distinct amplitude instances and 6 symbolic ones (Z_2^r at
      r = 100..105, balanced split) — distinct dims give distinct cache
      fingerprints.  The sparse slice carries the cache's payoff: its
@@ -1284,26 +981,19 @@ let e14 () =
     done;
     a
   in
-  let percentile sorted p =
-    let n = Array.length sorted in
-    sorted.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
-  in
   (* [replay engine nthreads reqs] drives the full client path minus
      the socket: worker threads pull from a shared cursor and block in
      [Service.submit], so concurrent same-oracle requests really do
-     land in one executor batch. *)
+     land in one executor batch.  Returns the wall-clock seconds and
+     whether every reply was ok. *)
   let replay engine nthreads reqs =
-    let lat = Array.make (Array.length reqs) 0.0 in
     let okc = Atomic.make 0 in
     let next = Atomic.make 0 in
     let worker () =
       let rec loop () =
         let i = Atomic.fetch_and_add next 1 in
         if i < Array.length reqs then begin
-          let t0 = Unix.gettimeofday () in
-          let reply = Sv.submit engine reqs.(i) in
-          lat.(i) <- (Unix.gettimeofday () -. t0) *. 1000.;
-          (match Option.bind (Jv.member "ok" reply) Jv.to_bool_opt with
+          (match Option.bind (Jv.member "ok" (Sv.submit engine reqs.(i))) Jv.to_bool_opt with
           | Some true -> Atomic.incr okc
           | _ -> ());
           loop ()
@@ -1314,20 +1004,16 @@ let e14 () =
     let t0 = Unix.gettimeofday () in
     let threads = List.init nthreads (fun _ -> Thread.create worker ()) in
     List.iter Thread.join threads;
-    let wall = Unix.gettimeofday () -. t0 in
-    Array.sort compare lat;
-    (wall, lat, Atomic.get okc)
+    (Unix.gettimeofday () -. t0, Atomic.get okc = Array.length reqs)
   in
   let preps () = (Quantum.Metrics.snapshot ()).Quantum.Metrics.sampler_preps in
-  let emit phase nthreads (wall, lat, okc) ~misses ~want_misses ~preps =
-    let n = Array.length lat in
+  let emit phase nthreads reqs (_, replies_ok) ~misses ~want_misses ~preps =
     if misses <> want_misses then
       Printf.printf "claim violation: E14 %s cache misses = %d, want %d\n" phase misses
         want_misses;
     row
-      [ fmt_s phase; fmt_i n; fmt_i nthreads; fmt_f (float_of_int n /. wall);
-        fmt_f (percentile lat 0.50); fmt_f (percentile lat 0.99); fmt_i misses;
-        fmt_i preps; fmt_s (string_of_bool (okc = n && misses = want_misses)) ]
+      [ fmt_s phase; fmt_i (Array.length reqs); fmt_i nthreads; fmt_i misses; fmt_i preps;
+        fmt_s (string_of_bool (replies_ok && misses = want_misses)) ]
   in
   let miss_delta (before : Hsp_service.Cache.stats) (after : Hsp_service.Cache.stats) =
     after.Hsp_service.Cache.misses - before.Hsp_service.Cache.misses
@@ -1340,12 +1026,12 @@ let e14 () =
   let cold = replay engine 8 mixed in
   let s1 = Sv.cache_stats engine in
   let preps1 = preps () - preps0 in
-  emit "mixed-cold" 8 cold ~misses:(miss_delta s0 s1) ~want_misses:(List.length oracles)
+  emit "mixed-cold" 8 mixed cold ~misses:(miss_delta s0 s1) ~want_misses:(List.length oracles)
     ~preps:preps1;
   let warm = replay engine 8 mixed in
   let s2 = Sv.cache_stats engine in
   let preps2 = preps () - preps0 in
-  emit "mixed-warm" 8 warm ~misses:(miss_delta s1 s2) ~want_misses:0 ~preps:(preps2 - preps1);
+  emit "mixed-warm" 8 mixed warm ~misses:(miss_delta s1 s2) ~want_misses:0 ~preps:(preps2 - preps1);
   Sv.stop engine;
   if preps2 <> n_amp then begin
     incr failures;
@@ -1379,9 +1065,9 @@ let e14 () =
   Sv.start cold_engine;
   let c0 = Sv.cache_stats cold_engine in
   let pc0 = preps () in
-  let ((cold_wall, _, _) as coldr) = replay cold_engine 1 thrash_reqs in
+  let ((cold_wall, _) as coldr) = replay cold_engine 1 thrash_reqs in
   let c1 = Sv.cache_stats cold_engine in
-  emit "rep-cold" 1 coldr ~misses:(miss_delta c0 c1) ~want_misses:n_rep ~preps:(preps () - pc0);
+  emit "rep-cold" 1 thrash_reqs coldr ~misses:(miss_delta c0 c1) ~want_misses:n_rep ~preps:(preps () - pc0);
   Sv.stop cold_engine;
   let warm_engine = Sv.create ~seed:2026 () in
   Sv.start warm_engine;
@@ -1391,14 +1077,14 @@ let e14 () =
        { Pr.id = Jv.Null; req = Pr.Sample { inst = rep; count = 1; seed = Some 0 } });
   let w0 = Sv.cache_stats warm_engine in
   let pw0 = preps () in
-  let ((warm_wall, _, _) as warmr) = replay warm_engine 1 rep_reqs in
+  let ((warm_wall, _) as warmr) = replay warm_engine 1 rep_reqs in
   let w1 = Sv.cache_stats warm_engine in
-  emit "rep-warm" 1 warmr ~misses:(miss_delta w0 w1) ~want_misses:0 ~preps:(preps () - pw0);
+  emit "rep-warm" 1 rep_reqs warmr ~misses:(miss_delta w0 w1) ~want_misses:0 ~preps:(preps () - pw0);
   Sv.stop warm_engine;
   let speedup = cold_wall /. warm_wall in
   row
-    [ fmt_s "speedup"; fmt_i n_rep; fmt_i 1; fmt_s (Printf.sprintf "%.1fx" speedup);
-      fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s "-"; fmt_s (string_of_bool (speedup >= 5.0)) ];
+    [ fmt_s "speedup"; fmt_i n_rep; fmt_i 1; fmt_s "-"; fmt_s "-";
+      fmt_s (string_of_bool (speedup >= 5.0)) ];
   if speedup < 5.0 then
     Printf.printf
       "claim violation: E14 warm/cold throughput ratio %.2fx < 5x on the repeated-oracle workload\n"
@@ -1410,10 +1096,10 @@ let e14 () =
 (* a false ok cell or an OVER claim cell fails the run.               *)
 (* ------------------------------------------------------------------ *)
 
-let smoke () =
+let smoke rng =
   header "Smoke: one small instance per theorem (CI gate)"
-    [ fmt_s "instance"; fmt_s "algo"; fmt_s "thm"; fmt_s "jobs"; fmt_s "ok";
-      fmt_s "queries"; fmt_s "gates"; fmt_s "claim"; fmt_s "sec" ];
+    [ fmt_s "instance"; fmt_s "algo"; fmt_s "thm"; fmt_s "ok"; fmt_s "queries"; fmt_s "gates";
+      fmt_s "claim" ];
   (* The claim gate counts every oracle evaluation — classical plus
      quantum — since the theorems bound total query complexity and our
      Theorem-8/11 routes schedule some of the paper's quantum queries
@@ -1428,12 +1114,11 @@ let smoke () =
       in
       row
         [ fmt_s r.Runner.instance; fmt_s r.Runner.algorithm; fmt_s t.Runner.thm;
-          fmt_i (Quantum.Parallel.jobs ()); fmt_s (string_of_bool r.Runner.ok); fmt_i queries;
+          fmt_s (string_of_bool r.Runner.ok); fmt_i queries;
           fmt_i
             (r.Runner.metrics.Quantum.Metrics.gate_apps
             + r.Runner.metrics.Quantum.Metrics.dft_apps);
-          fmt_s (claim_cell t.Runner.thm ~params ~queries r.Runner.metrics);
-          fmt_f r.Runner.seconds ])
+          fmt_s (claim_cell t.Runner.thm ~params ~queries r.Runner.metrics) ])
     (Runner.theorem_runs rng)
 
 let () =
@@ -1447,10 +1132,10 @@ let () =
         (String.concat " " (List.map fst named));
       exit 2);
   Printf.printf "HSP benchmark harness — reproduces EXPERIMENTS.md (seed fixed)\n";
-  (match args with
-  | [] -> List.iter (fun (_, f) -> f ()) all
-  | selected -> List.iter (fun name -> (List.assoc name named) ()) selected);
-  if !tables <> [] then write_json ();
+  (* each experiment draws from its own stream, so a block prints the
+     same whatever ran before it *)
+  let run name = (List.assoc name named) (Random.State.make [| run_seed; Hashtbl.hash name |]) in
+  List.iter run (if args = [] then List.map fst all else args);
   if !failures > 0 then begin
     Printf.printf "FAILED: %d gate failure(s) — see the gate failure / claim violation lines\n"
       !failures;

@@ -14,8 +14,6 @@ let classify_failure = function
   | Invalid_argument msg -> Rejected msg
   | exn -> Crashed (Printexc.to_string exn)
 
-let failure_retryable = function Retryable _ -> true | Rejected _ | Crashed _ -> false
-
 let failure_to_string = function
   | Retryable msg -> "retryable: " ^ msg
   | Rejected msg -> "rejected: " ^ msg
@@ -24,30 +22,19 @@ let failure_to_string = function
 type report = {
   instance : string;
   algorithm : string;
-  backend : string;
   ok : bool;
   verified : bool;
   classical_queries : int;
   quantum_queries : int;
-  seconds : float;
   group_order : int;
   subgroup_order : int;
   metrics : Quantum.Metrics.snapshot;
 }
 
-let run ?backend ?(verify = true) ~algorithm (inst : 'a Instances.t) ~solver =
+let run ?(verify = true) ~algorithm (inst : 'a Instances.t) ~solver =
   Hiding.reset inst.Instances.hiding;
   Quantum.Metrics.reset ();
-  let backend =
-    Quantum.Backend.choice_to_string
-      (match backend with Some c -> c | None -> Quantum.Backend.default ())
-  in
-  (* Wall clock, not [Sys.time]: the solvers are single-threaded but we
-     want the number a user experiences, and CPU seconds silently
-     undercount any time spent blocked. *)
-  let t0 = Unix.gettimeofday () in
   let gens = solver inst in
-  let seconds = Unix.gettimeofday () -. t0 in
   let metrics = Quantum.Metrics.snapshot () in
   let classical_queries, quantum_queries = Hiding.total_queries inst.Instances.hiding in
   (* Ground-truth verification enumerates the group (Group.order /
@@ -60,12 +47,10 @@ let run ?backend ?(verify = true) ~algorithm (inst : 'a Instances.t) ~solver =
     {
       instance = inst.Instances.name;
       algorithm;
-      backend;
       ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens;
       verified = true;
       classical_queries;
       quantum_queries;
-      seconds;
       group_order = Group.order inst.Instances.group;
       subgroup_order = List.length (Group.closure inst.Instances.group inst.Instances.hidden_gens);
       metrics;
@@ -74,44 +59,14 @@ let run ?backend ?(verify = true) ~algorithm (inst : 'a Instances.t) ~solver =
     {
       instance = inst.Instances.name;
       algorithm;
-      backend;
       ok = true;
       verified = false;
       classical_queries;
       quantum_queries;
-      seconds;
       group_order = -1;
       subgroup_order = -1;
       metrics;
     }
-
-let ok_string r = if not r.verified then "n/a" else if r.ok then "ok" else "FAIL"
-let order_string n = if n < 0 then "-" else string_of_int n
-
-let pp_report fmt r =
-  Format.fprintf fmt
-    "%-28s %-18s %-6s %-5s |G|=%-7s |H|=%-5s q=%-6d c=%-8d g=%-6d sup=%-8d %.3fs"
-    r.instance r.algorithm r.backend (ok_string r) (order_string r.group_order)
-    (order_string r.subgroup_order) r.quantum_queries r.classical_queries
-    (r.metrics.Quantum.Metrics.gate_apps + r.metrics.Quantum.Metrics.dft_apps)
-    (max r.metrics.Quantum.Metrics.peak_support r.metrics.Quantum.Metrics.peak_dense_alloc)
-    r.seconds
-
-let pp_table fmt reports =
-  Format.fprintf fmt "@[<v>%-28s %-18s %-6s %-5s %-9s %-7s %-8s %-10s %-7s %-9s %s@,"
-    "instance" "algorithm" "bcknd" "ok" "|G|" "|H|" "quantum" "classical" "gates" "peak-sup"
-    "seconds";
-  List.iter
-    (fun r ->
-      Format.fprintf fmt "%-28s %-18s %-6s %-5s %-9s %-7s %-8d %-10d %-7d %-9d %.3f@,"
-        r.instance r.algorithm r.backend (ok_string r) (order_string r.group_order)
-        (order_string r.subgroup_order) r.quantum_queries r.classical_queries
-        (r.metrics.Quantum.Metrics.gate_apps + r.metrics.Quantum.Metrics.dft_apps)
-        (max r.metrics.Quantum.Metrics.peak_support
-           r.metrics.Quantum.Metrics.peak_dense_alloc)
-        r.seconds)
-    reports;
-  Format.fprintf fmt "@]"
 
 (* The one-instance-per-theorem set, shared by the bench smoke gate and
    the configuration-matrix test.  Instances are drawn from [rng] in
@@ -144,19 +99,15 @@ let solved ~thm ~order ?(quotient = 1) ?(commutator = 1) ?(nu = 1) ~algorithm in
 let closed_form ~thm ~order ~instance ~algorithm f =
   Quantum.Metrics.reset ();
   let queries = Quantum.Query.create () in
-  let t0 = Unix.gettimeofday () in
   let ok, answer = f queries in
-  let seconds = Unix.gettimeofday () -. t0 in
   let report =
     {
       instance;
       algorithm;
-      backend = Quantum.Backend.choice_to_string (Quantum.Backend.default ());
       ok;
       verified = true;
       classical_queries = 0;
       quantum_queries = Quantum.Query.count queries;
-      seconds;
       group_order = -1;
       subgroup_order = -1;
       metrics = Quantum.Metrics.snapshot ();

@@ -1,5 +1,5 @@
 (** Experiment driver: run a solver on an instance, verify the answer
-    against ground truth, and collect query/time/cost accounting. *)
+    against ground truth, and collect query and cost accounting. *)
 
 (** {2 Failure classification}
 
@@ -20,16 +20,12 @@ type failure =
 
 val classify_failure : exn -> failure
 
-val failure_retryable : failure -> bool
-(** [true] exactly for {!Retryable}. *)
-
 val failure_to_string : failure -> string
 (** ["retryable: ..."] / ["rejected: ..."] / ["crashed: ..."]. *)
 
 type report = {
   instance : string;
   algorithm : string;
-  backend : string;  (** simulation backend the solver ran under *)
   ok : bool;
       (** returned generators generate exactly the hidden subgroup;
           vacuously [true] when [verified = false] *)
@@ -38,7 +34,6 @@ type report = {
           {!run} was called with [~verify:false] *)
   classical_queries : int;
   quantum_queries : int;
-  seconds : float;
   group_order : int;
       (** [-1] when the group was not enumerated (unverified, or a
           closed-form check) *)
@@ -48,30 +43,20 @@ type report = {
 }
 
 val run :
-  ?backend:Quantum.Backend.choice ->
   ?verify:bool ->
   algorithm:string ->
   'a Instances.t ->
   solver:('a Instances.t -> 'a list) ->
   report
 (** Resets the instance's counters and the {!Quantum.Metrics} ledger,
-    times the solver (wall-clock seconds via [Unix.gettimeofday]), and
-    checks the result with {!Groups.Group.subgroup_equal}.  [backend]
-    is recorded in the report (the solver is expected to have been
-    built with the same choice); omitted, the session default is
-    recorded.
+    runs the solver, and checks the result with
+    {!Groups.Group.subgroup_equal}.
 
     Verification enumerates the group — [Group.order] and
     [Group.closure] are Theta(|G|) — which is exactly what the
     beyond-cap instances cannot afford; pass [~verify:false] (default
     [true]) to skip it.  The report then carries [verified = false],
-    [ok = true] vacuously, and [-1] for both orders, and the printers
-    render the ok column as ["n/a"]. *)
-
-val pp_report : Format.formatter -> report -> unit
-
-val pp_table : Format.formatter -> report list -> unit
-(** Aligned text table, one row per report. *)
+    [ok = true] vacuously, and [-1] for both orders. *)
 
 (** {2 One instance per theorem}
 

@@ -316,11 +316,7 @@ let test_portfolio () =
          (Elem_abelian2.solve_cyclic r i.Instances.group ~n_gens:(Semidirect.base_gens ~n:4)
             i.Instances.hiding)
            .Elem_abelian2.generators));
-  List.iter (fun rep -> checkb rep.Runner.algorithm true rep.Runner.ok) !reports;
-  (* the table pretty-printer does not raise *)
-  let buf = Buffer.create 256 in
-  Runner.pp_table (Format.formatter_of_buffer buf) !reports;
-  checkb "table rendered" true (Buffer.length buf > 0)
+  List.iter (fun rep -> checkb rep.Runner.algorithm true rep.Runner.ok) !reports
 
 let () =
   Alcotest.run "integration"
