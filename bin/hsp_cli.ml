@@ -13,8 +13,9 @@
 
    Every command prints the answer, the oracle-query accounting, and a
    correctness check against the planted ground truth.  A global
-   [--backend dense|sparse|symbolic|auto] flag selects the state
-   simulation backend (default: auto); [--jobs N] sets the parallel
+   [--backend dense|sparse|symbolic|auto] flag selects the
+   Fourier-sampling backend (auto, the default, leaves it to each
+   sampling route's rule); [--jobs N] sets the parallel
    kernels' worker-domain count (default: the HSP_JOBS environment
    variable, then 1 — results are identical at any value). *)
 
@@ -31,21 +32,15 @@ let seed_arg =
 let backend_arg =
   let backend_conv =
     Arg.conv
-      ( (fun s ->
-          match Quantum.Backend.choice_of_string s with
-          | Some c -> Ok c
-          | None ->
-              Error
-                (`Msg
-                  (Printf.sprintf "unknown backend %S (expected dense, sparse, symbolic or auto)" s))),
-        fun fmt c -> Format.pp_print_string fmt (Quantum.Backend.choice_to_string c) )
+      ( (fun s -> Result.map_error (fun msg -> `Msg msg) (Quantum.Backend.choice_of_string s)),
+        fun fmt c ->
+          Format.pp_print_string fmt
+            (match c with None -> "auto" | Some c -> Quantum.Backend.choice_to_string c) )
   in
   let doc =
-    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure; commands that expand an oracle sample on sparse under it) or $(b,auto) (the oracle route is dense up to 2^22 group elements, sparse beyond; the planted route of solve-abelian samples on sparse).      It picks the backend of the Fourier-sampling route; gate-level circuits always run on dense.      Defaults to $(b,auto)."
+    "State simulation backend: $(b,dense) (exact amplitude array, capped at 2^24 amplitudes),      $(b,sparse) (sorted segment of nonzero amplitudes, scales to 2^26 coset sampling and      beyond), $(b,symbolic) (amplitude-free coset-state algebra: exact sampling at      cryptographic group sizes such as Z_2^200, for the commands that accept subgroup      structure; commands that expand an oracle sample on sparse under it) or $(b,auto) (no      choice: the oracle route is dense up to 2^22 group elements and sparse beyond, and the      planted route of solve-abelian samples on symbolic).  It picks the backend of the      Fourier-sampling route; gate-level circuits always run on dense.  Defaults to $(b,auto)."
   in
-  Arg.(value & opt (some backend_conv) None & info [ "backend" ] ~doc)
-
-let set_backend = function None -> () | Some c -> Quantum.Backend.set_default c
+  Arg.(value & opt backend_conv None & info [ "backend" ] ~doc)
 
 (* Options shared by every subcommand: backend selection, the parallel
    job count, plus the two observability switches. *)
@@ -91,7 +86,7 @@ let common_arg =
   Term.(const make $ backend_arg $ jobs_arg $ trace_arg $ metrics_arg)
 
 let setup common =
-  set_backend common.backend;
+  Quantum.Backend.set_default common.backend;
   (match common.jobs with None -> () | Some j -> Quantum.Parallel.set_jobs j);
   Quantum.Metrics.reset ();
   if common.trace then begin
@@ -319,21 +314,16 @@ let abelian_cmd =
       | Some _ -> "");
     Printf.printf "hidden H = prod m_i Z_{d_i}, moduli (%s), |H| = %s\n" moduli_s
       (size_str h_order h_log2);
-    Printf.printf "backend         : %s\n"
-      (Quantum.Backend.choice_to_string (Quantum.Backend.default ()));
-    let queries = Quantum.Query.create () in
     (* The planted instance knows H, so the simulator is handed its
-       generators instead of an oracle to expand: symbolic rounds cost
-       O(r^2) however large the group (Z_2^200 in milliseconds), and
-       dense/sparse rounds enumerate one coset, O(|H|) instead of the
-       O(|G|) oracle expansion.  [Auto] samples on sparse.  Still one
-       quantum query per round. *)
-    let draw =
-      let backend =
-        match Quantum.Backend.default () with Quantum.Backend.Auto -> Quantum.Backend.Sparse | c -> c
-      in
-      Quantum.Coset_state.sampler_of_subgroup ~backend ~sub:truth ~queries ()
-    in
+       generators instead of an oracle to expand: symbolic rounds (the
+       planted route's choice when none is made) cost O(r^2) however
+       large the group (Z_2^200 in milliseconds), and dense/sparse
+       rounds enumerate one coset, O(|H|) instead of the O(|G|) oracle
+       expansion.  Still one quantum query per round. *)
+    let backend = Quantum.Coset_state.planted_backend () in
+    Printf.printf "backend         : %s\n" (Quantum.Backend.choice_to_string backend);
+    let queries = Quantum.Query.create () in
+    let draw = Quantum.Coset_state.sampler_of_subgroup ~backend ~sub:truth ~queries () in
     let in_h = Instances.quotient_mem ~moduli in
     let f = Instances.quotient_oracle ~moduli in
     let t0 = Unix.gettimeofday () in
@@ -368,12 +358,12 @@ let abelian_cmd =
     (Cmd.info "solve-abelian"
        ~doc:
          "Solve a planted Abelian HSP on Z_d1 x ... x Z_dr with hidden subgroup \
-          prod m_i Z_di.  With --backend sparse (or auto), group sizes far beyond the \
-          dense 2^24 amplitude cap are simulable, because coset states and their Fourier \
-          transforms have support |H| and |G|/|H| restricted to a small product grid.  \
-          With --backend symbolic the simulation is amplitude-free (closed-form coset \
-          algebra) and cryptographic sizes such as --dims 2^200 run in milliseconds per \
-          sample, exactly.")
+          prod m_i Z_di.  By default (or with --backend symbolic) the simulation is \
+          amplitude-free (closed-form coset algebra) and cryptographic sizes such as \
+          --dims 2^200 run in milliseconds per sample, exactly.  With --backend sparse, \
+          group sizes far beyond the dense 2^24 amplitude cap are simulable on amplitudes, \
+          because coset states and their Fourier transforms have support |H| and |G|/|H| \
+          restricted to a small product grid.")
     Term.(const run $ common_arg $ seed_arg $ dims_arg $ moduli_arg)
 
 let dicyclic_cmd =

@@ -2,7 +2,7 @@ open Groups
 
 type outcome = { rounds : int; characters : int array list }
 
-let solve_dims rng ?backend ?draw ~dims ~f ~quantum ?verify () =
+let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
   let verify =
     match verify with Some v -> v | None -> fun x -> Int.equal (f x) (f (Array.make (Array.length dims) 0))
   in
@@ -15,7 +15,7 @@ let solve_dims rng ?backend ?draw ~dims ~f ~quantum ?verify () =
   let draw =
     match draw with
     | Some d -> d
-    | None -> Quantum.Coset_state.sampler ?backend ~dims ~f ~queries:quantum ()
+    | None -> Quantum.Coset_state.sampler ~dims ~f ~queries:quantum ()
   in
   let rec go batches samples =
     if batches > max_batches then

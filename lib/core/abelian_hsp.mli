@@ -21,7 +21,6 @@ type outcome = {
 
 val solve_dims :
   Random.State.t ->
-  ?backend:Quantum.Backend.choice ->
   ?draw:(Random.State.t -> int array) ->
   dims:int array ->
   f:(int array -> int) ->
@@ -33,7 +32,8 @@ val solve_dims :
     tuples.  [verify] defaults to the membership test [f x = f 0].
     Returns generators of the hidden subgroup (as tuples).
 
-    [backend] selects the simulation backend for the default sampler.
+    The default sampler is {!Quantum.Coset_state.sampler}, on the
+    backend {!Quantum.Coset_state.oracle_backend} resolves.
     [draw] substitutes the Fourier-sampling round wholesale (e.g.
     {!Quantum.Coset_state.sampler_with_subgroup} for planted instances
     beyond the dense cap, where the O(|A|) oracle expansion of the

@@ -1,18 +1,17 @@
-type choice = Dense | Sparse | Symbolic | Auto
+type choice = Dense | Sparse | Symbolic
 
 let choice_of_string s =
   match String.lowercase_ascii s with
-  | "dense" -> Some Dense
-  | "sparse" -> Some Sparse
-  | "symbolic" -> Some Symbolic
-  | "auto" -> Some Auto
-  | _ -> None
+  | "dense" -> Ok (Some Dense)
+  | "sparse" -> Ok (Some Sparse)
+  | "symbolic" -> Ok (Some Symbolic)
+  | "auto" -> Ok None
+  | _ -> Error (Printf.sprintf "unknown backend %S (expected dense, sparse, symbolic or auto)" s)
 
 let choice_to_string = function
   | Dense -> "dense"
   | Sparse -> "sparse"
   | Symbolic -> "symbolic"
-  | Auto -> "auto"
 
 (* One home for every size-cap constant in the simulator.  Each cap
    bounds a different resource, so they are deliberately distinct
@@ -25,7 +24,7 @@ module Caps = struct
   let symbolic_materialise = 1 lsl 20
 end
 
-let current = Atomic.make Auto
+let current = Atomic.make None
 let default () = Atomic.get current
 let set_default c = Atomic.set current c
 

@@ -27,28 +27,34 @@
       (under {!Caps.symbolic_materialise}).
 
     A [choice] picks the backend of a sampling route: explicitly via
-    the [?backend] argument of {!State.of_indices}, {!State.of_coset}
-    and the {!Coset_state} samplers, or globally via {!set_default}
-    (the [hsp_cli --backend] flag).  Each route reads [Auto] its own
-    way: the oracle route through {!Coset_state.oracle_backend} (dense
-    up to {!Caps.coset_dense} group elements, sparse beyond), subgroup
-    structure ({!State.of_coset}) as symbolic, and a bare index segment
-    ({!State.of_indices}) as sparse.  The general constructors
+    the [?backend] argument of the {!Coset_state} samplers, or for the
+    session via {!set_default} (the [hsp_cli --backend] flag).  No
+    choice is [None]; ["auto"] parses to it.  Two rules resolve an
+    omitted backend, one per sampling route, and they are the only
+    readers of {!default}: {!Coset_state.oracle_backend} (explicit,
+    then the session default, then dense up to {!Caps.coset_dense}
+    group elements and sparse beyond; [Symbolic] means sparse there)
+    and {!Coset_state.planted_backend} (explicit, then the session
+    default, then symbolic).  The state constructors read neither:
+    {!State.of_indices} builds sparse and {!State.of_coset} symbolic
+    when [?backend] is omitted, and the general constructors
     ({!State.create}, {!State.uniform}, ...) always build dense. *)
 
-type choice = Dense | Sparse | Symbolic | Auto
+type choice = Dense | Sparse | Symbolic
 
-val choice_of_string : string -> choice option
-(** Parses ["dense"], ["sparse"], ["symbolic"], ["auto"]
-    (case-insensitive). *)
+val choice_of_string : string -> (choice option, string) result
+(** Parses ["dense"], ["sparse"] and ["symbolic"] to that backend and
+    ["auto"] to [None], no choice (case-insensitive); [Error] names
+    the accepted spellings. *)
 
 val choice_to_string : choice -> string
 
-val default : unit -> choice
-(** The session-wide default a sampling route uses when [?backend] is
-    omitted: [Auto] until {!set_default} overrides it. *)
+val default : unit -> choice option
+(** The session-wide backend for a sampling route whose [?backend] is
+    omitted: [None] until {!set_default} overrides it.  Read only by
+    {!Coset_state.oracle_backend} and {!Coset_state.planted_backend}. *)
 
-val set_default : choice -> unit
+val set_default : choice option -> unit
 
 (** Every size-cap constant in the simulator, in one place.  The caps
     bound different resources and so are deliberately different
@@ -66,8 +72,8 @@ module Caps : sig
       [Coset_state.sample_full] on the dense backend
       ({!Coset_state.max_group_size}): those paths materialise O(|A|)
       amplitudes {e and} O(|A|) bucket tables, so they stop well under
-      {!dense_state}.  Also the pivot of the oracle route's [Auto]
-      rule ({!Coset_state.oracle_backend}). *)
+      {!dense_state}.  Also the pivot of the oracle route's rule for
+      an omitted backend ({!Coset_state.oracle_backend}). *)
 
   val coset_sparse : int
   (** [2^26].  Group-size cap of [Coset_state.sampler] on the sparse

@@ -48,13 +48,12 @@ type prep = {
 
 let member members i = Int32.to_int (Bytes.get_int32_ne members (4 * i))
 
-(* The Fourier plans of a sampler whose states land on [choice], as
-   the state constructor resolves it: on the amplitude backends one
-   plan per distinct dimension, shared by every wire that has it; none
-   on a symbolic route. *)
+(* The Fourier plans of a sampler whose states land on [choice]: on
+   the amplitude backends one plan per distinct dimension, shared by
+   every wire that has it; none on a symbolic route. *)
 let plans_for choice dims =
   match choice with
-  | Backend.Symbolic | Backend.Auto -> None
+  | Backend.Symbolic -> None
   | Backend.Dense | Backend.Sparse ->
       let built = ref [] in
       Some
@@ -81,15 +80,26 @@ module Ids = Hashtbl.Make (struct
     h lxor (h lsr 29)
 end)
 
-(* The oracle route's one backend rule.  Its states are index
-   segments, so it lands on dense or sparse only, and [Auto] pivots on
-   the dense route's own cap: every group [Auto] sends to dense is one
-   the dense route accepts. *)
+(* The two backend rules, one per sampling route, and the only readers
+   of the session default: an explicit backend wins, then the session
+   default, then the route's own fallback.
+
+   The oracle route's states are index segments, so it lands on dense
+   or sparse only, and with no choice at all it pivots on the dense
+   route's own cap: every group it sends to dense is one the dense
+   route accepts. *)
 let oracle_backend ?backend ~total () =
-  match (match backend with Some c -> c | None -> Backend.default ()) with
-  | Backend.Dense -> Backend.Dense
-  | Backend.Sparse | Backend.Symbolic -> Backend.Sparse
-  | Backend.Auto -> if total <= max_group_size then Backend.Dense else Backend.Sparse
+  match (match backend with Some _ -> backend | None -> Backend.default ()) with
+  | Some Backend.Dense -> Backend.Dense
+  | Some (Backend.Sparse | Backend.Symbolic) -> Backend.Sparse
+  | None -> if total <= max_group_size then Backend.Dense else Backend.Sparse
+
+(* The planted route is handed subgroup structure, which is the opt-in
+   to symbolic: with no choice at all it samples there, at any size. *)
+let planted_backend ?backend () =
+  match (match backend with Some _ -> backend | None -> Backend.default ()) with
+  | Some c -> c
+  | None -> Backend.Symbolic
 
 let prep ?backend ~dims ~f () =
   let total = Backend.total_of dims in
@@ -255,16 +265,12 @@ let sampler_of_subgroup ?backend ~sub ~queries () =
      requests (canonicalisation paid once per oracle).  Dense/sparse
      choices enumerate the coset (State.of_coset, capped at
      Backend.Caps.coset_sparse members) and run the amplitude pipeline
-     instead: the planted-instance path of the CLI and the benches, and
-     the differential oracles the chi-squared gate compares against. *)
+     instead: the planted-instance path of [solve-abelian --backend
+     dense|sparse] and the benches, and the differential oracles the
+     chi-squared gate compares against. *)
   let module Sub = Backend_symbolic.Subgroup in
   let dims = Sub.dims sub in
-  let choice =
-    match backend with
-    | Some c -> c
-    | None -> (
-        match Backend.default () with Backend.Auto -> Backend.Symbolic | c -> c)
-  in
+  let choice = planted_backend ?backend () in
   let visits =
     match (choice, Sub.order_int sub) with
     | (Backend.Dense | Backend.Sparse), Some n -> n
@@ -286,7 +292,7 @@ let sampler_with_subgroup ?backend ~dims ~subgroup ~queries () =
   in
   sampler_of_subgroup ?backend ~sub ~queries ()
 
-let sampler_state_valued ?backend ~dims ~f ~queries () =
+let sampler_state_valued ~dims ~f ~queries () =
   (* Reduce the state-valued oracle to the tag case by canonicalising
      each returned vector to a bucket id: the promise (equal within a
      coset, orthogonal across) makes near-equality a safe test.
@@ -332,7 +338,7 @@ let sampler_state_valued ?backend ~dims ~f ~queries () =
         bucket := (id, v) :: !bucket;
         id
   in
-  sampler ?backend ~dims ~f:tag_of ~queries ()
+  sampler ~dims ~f:tag_of ~queries ()
 
 let sample_full rng ~dims ~f ~queries () =
   Query.tick queries;

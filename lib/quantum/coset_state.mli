@@ -49,10 +49,10 @@
     superposition.  The classical expansion of that superposition by
     the simulator is *not* charged to the algorithm.
 
-    Every sampler takes an optional [?backend]; omitted, the
-    session default ({!Backend.default}) applies.  The oracle route
-    resolves it with {!oracle_backend}, the planted route as
-    {!sampler_with_subgroup} says. *)
+    The samplers of both routes take an optional [?backend], and each
+    route resolves it with its one rule: {!oracle_backend} and
+    {!planted_backend}.  They are the only readers of the session
+    default ({!Backend.default}). *)
 
 val max_group_size : int
 (** Group-size cap of {!sampler} / {!sample_full} on the dense backend:
@@ -68,16 +68,21 @@ val max_group_size_sparse : int
 val oracle_backend : ?backend:Backend.choice -> total:int -> unit -> Backend.choice
 (** The backend the oracle route ({!prep}, {!sampler}, and the
     [hsp_served] amplitude route) builds its states on, for a group of
-    order [total]:
-    - omitted: the session default, then as below;
-    - [Auto]: [Dense] iff [total <= ]{!max_group_size} (2^22), else
-      [Sparse] — so [Auto] never picks a backend whose cap then
-      rejects the group;
-    - [Symbolic]: [Sparse] (an oracle's buckets carry no subgroup
-      structure; pass the subgroup to {!sampler_with_subgroup} to
-      sample symbolically);
-    - [Dense] and [Sparse] as given.
-    Caps are not checked here; {!prep} checks them. *)
+    order [total].  The explicit [?backend] wins, then the session
+    default ({!Backend.default}); with neither, [Dense] iff
+    [total <= ]{!max_group_size} (2^22), else [Sparse], so no choice
+    never picks a backend whose cap then rejects the group.  [Dense]
+    and [Sparse] are taken as given, and [Symbolic] means [Sparse] (an
+    oracle's buckets carry no subgroup structure; pass the subgroup to
+    {!sampler_with_subgroup} to sample symbolically).  Caps are not
+    checked here; {!prep} checks them. *)
+
+val planted_backend : ?backend:Backend.choice -> unit -> Backend.choice
+(** The backend the planted route ({!sampler_with_subgroup},
+    {!sampler_of_subgroup}) builds its states on: the explicit
+    [?backend], then the session default ({!Backend.default}), then
+    [Symbolic] — the caller handing over subgroup structure is the
+    opt-in to the amplitude-free backend. *)
 
 val sampler :
   ?backend:Backend.choice ->
@@ -178,9 +183,9 @@ val sampler_with_subgroup :
     [A = Z_{d_1} x ... x Z_{d_r}] of arbitrary order.  The subgroup is
     canonicalised once per sampler and its annihilator solve is
     memoised, so rounds contain no normal-form work (ledger:
-    [symbolic_solves] stays at 2 per oracle).  An omitted/[Auto]
-    backend means symbolic here (supplying subgroup structure is the
-    opt-in); explicit [Dense]/[Sparse] enumerate the coset (at most
+    [symbolic_solves] stays at 2 per oracle).  {!planted_backend}
+    resolves the backend, symbolic when none is chosen;
+    [Dense]/[Sparse] enumerate the coset (at most
     {!Backend.Caps.coset_sparse} members; ledger: [coset_visits]) and
     run the amplitude pipeline, with the same outcomes and RNG draws as
     any other enumeration of that coset.  Unless the backend is
@@ -217,7 +222,6 @@ val sample_full :
     exactly one quantum query). *)
 
 val sampler_state_valued :
-  ?backend:Backend.choice ->
   dims:int array ->
   f:(int array -> Linalg.Cvec.t) ->
   queries:Query.t ->

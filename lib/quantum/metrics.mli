@@ -80,7 +80,7 @@ type snapshot = {
           symbolic backend: subgroup canonicalisation and annihilator
           (dual) solves *)
   symbolic_demotions : int;
-      (** symbolic states materialised into the sparse backend because
+      (** symbolic states materialised into the dense backend because
           an amplitude-level operation was requested (see
           [Backend.Caps.symbolic_materialise]) *)
   phases : (string * float) list;
@@ -135,7 +135,7 @@ val record_symbolic_solve : unit -> unit
     annihilator solve) in the symbolic backend. *)
 
 val record_symbolic_demotion : unit -> unit
-(** One symbolic state materialised into the sparse backend. *)
+(** One symbolic state materialised into the dense backend. *)
 
 (** {2 Structured trace events} *)
 

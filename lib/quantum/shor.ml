@@ -19,12 +19,12 @@ let verified_period f r =
   && Int.equal (f r) (f 0)
   && List.for_all (fun p -> not (Int.equal (f (r / p)) (f 0))) (Primes.prime_divisors r)
 
-let period_finding ?backend rng ~f ~period_bound ~queries ~max_rounds =
+let period_finding rng ~f ~period_bound ~queries ~max_rounds =
   if period_bound < 1 then invalid_arg "Shor.period_finding: bound < 1";
   let q = register_size period_bound in
   (* One coset sampler over Z_Q per call: f is tabulated into its coset
      buckets once, and each round builds one coset state off them. *)
-  let draw = Coset_state.sampler ?backend ~dims:[| q |] ~f:(fun k -> f k.(0)) ~queries () in
+  let draw = Coset_state.sampler ~dims:[| q |] ~f:(fun k -> f k.(0)) ~queries () in
   let rec go rounds acc =
     if rounds >= max_rounds then None
     else begin
@@ -49,8 +49,8 @@ let period_finding ?backend rng ~f ~period_bound ~queries ~max_rounds =
   in
   if verified_period f 1 then Some 1 else go 0 1
 
-let find_order ?backend rng ~pow ~order_bound ~queries =
-  period_finding ?backend rng ~f:pow ~period_bound:order_bound ~queries ~max_rounds:40
+let find_order rng ~pow ~order_bound ~queries =
+  period_finding rng ~f:pow ~period_bound:order_bound ~queries ~max_rounds:40
 
 let factor rng n =
   if n < 4 then invalid_arg "Shor.factor: n < 4";

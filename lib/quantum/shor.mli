@@ -9,7 +9,6 @@
     measured outcome is post-processed with continued fractions. *)
 
 val period_finding :
-  ?backend:Backend.choice ->
   Random.State.t ->
   f:(int -> int) ->
   period_bound:int ->
@@ -23,7 +22,6 @@ val period_finding :
     divisors, or gives up after [max_rounds]. *)
 
 val find_order :
-  ?backend:Backend.choice ->
   Random.State.t -> pow:(int -> int) -> order_bound:int -> queries:Query.t -> int option
 (** Order of a group element [x] presented by its power map
     [pow k = canonical tag of x^k] ([pow] must satisfy the periodicity

@@ -29,9 +29,9 @@ let uniform dims = dense (Backend_dense.uniform dims)
    every other choice. *)
 let of_indices ?backend dims idxs =
   Metrics.record_state_created ();
-  match (match backend with Some c -> c | None -> Backend.default ()) with
-  | Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
-  | Backend.Sparse | Backend.Symbolic | Backend.Auto -> Sparse (Backend_sparse.of_indices dims idxs)
+  match backend with
+  | Some Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
+  | Some (Backend.Sparse | Backend.Symbolic) | None -> Sparse (Backend_sparse.of_indices dims idxs)
 
 (* The index segment of the coset [rep + H], ascending with no sort.
    The HNF basis is upper triangular with h_ii | d_i, so once wires
@@ -77,14 +77,14 @@ let coset_indices sub ~rep =
   go 0 0;
   idxs
 
-let of_coset ?backend sub ~rep =
+let of_coset ?(backend = Backend.Symbolic) sub ~rep =
   Metrics.record_state_created ();
-  match (match backend with Some c -> c | None -> Backend.default ()) with
+  match backend with
   | Backend.Dense ->
       Dense (Backend_dense.of_indices (Backend_symbolic.Subgroup.dims sub) (coset_indices sub ~rep))
   | Backend.Sparse ->
       Sparse (Backend_sparse.of_indices (Backend_symbolic.Subgroup.dims sub) (coset_indices sub ~rep))
-  | Backend.Symbolic | Backend.Auto -> Symbolic (Backend_symbolic.of_coset sub rep)
+  | Backend.Symbolic -> Symbolic (Backend_symbolic.of_coset sub rep)
 
 let dims = function
   | Dense d -> Backend_dense.dims d

@@ -21,9 +21,11 @@
 
     Each input kind has one home.  The general constructors
     ({!create}, {!of_basis}, {!of_amplitudes}, {!uniform}) build dense.
-    Index segments ({!of_indices}) land on dense or sparse, subgroup
-    structure ({!of_coset}) on any backend, symbolic by default;
-    [?backend] and {!Backend.default} pick among them.  There is no
+    Index segments ({!of_indices}) land on dense or sparse, sparse by
+    default; subgroup structure ({!of_coset}) on any backend, symbolic
+    by default.  Only [?backend] picks among them: the session default
+    is resolved by the sampling routes ({!Coset_state.oracle_backend},
+    {!Coset_state.planted_backend}), never here.  There is no
     conversion call: a state changes representation only when a
     symbolic state demotes.
 
@@ -39,8 +41,7 @@
 type t
 
 val backend : t -> Backend.choice
-(** The concrete backend holding this state ([Dense], [Sparse] or
-    [Symbolic], never [Auto]). *)
+(** The concrete backend holding this state. *)
 
 val create : int array -> t
 (** [create dims] is the dense all-zeros basis state [|0,...,0>].
@@ -60,11 +61,10 @@ val of_indices : ?backend:Backend.choice -> int array -> int array -> t
     and in range.  The oracle route's constructor
     ({!Coset_state.sampler_of_prep}): the sparse backend adopts the
     array as its sorted segment directly — O(|idxs|), no sort, no
-    hashing, no per-entry boxing.  [Dense] builds dense; every other
-    choice, [Auto] and [Symbolic] included, builds sparse (an index
-    segment carries no subgroup structure; symbolic states come from
-    {!of_coset}).  The session default applies when [?backend] is
-    omitted.
+    hashing, no per-entry boxing.  [Dense] builds dense; [Sparse],
+    [Symbolic] and an omitted [?backend] build sparse (an index segment
+    carries no subgroup structure; symbolic states come from
+    {!of_coset}).
     @raise Invalid_argument on an empty, unsorted or out-of-range
     index array. *)
 
@@ -72,8 +72,8 @@ val of_coset : ?backend:Backend.choice -> Backend_symbolic.Subgroup.t -> rep:int
 (** [of_coset sub ~rep] is the uniform coset state [|rep + H>] — the
     entry point of the symbolic sampling pipeline
     ({!Coset_state.sampler_with_subgroup}).  Defaults to the symbolic
-    backend (under [Auto] too: the caller handing us subgroup structure
-    {e is} the opt-in); explicit [Dense]/[Sparse] enumerate the coset
+    backend (the caller handing us subgroup structure {e is} the
+    opt-in); explicit [Dense]/[Sparse] enumerate the coset
     into its sorted index segment and adopt it as {!of_indices} would.
     @raise Invalid_argument on [Dense]/[Sparse] when [|H|] exceeds
     {!Backend.Caps.coset_sparse}, the cap of the oracle route's index

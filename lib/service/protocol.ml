@@ -98,10 +98,7 @@ let instance_of_json obj =
     | Some v -> (
         match Jsonv.to_string_opt v with
         | None -> Error "field \"backend\" must be a string"
-        | Some s -> (
-            match Quantum.Backend.choice_of_string s with
-            | Some c -> Ok (Some c)
-            | None -> Error (Printf.sprintf "unknown backend %S" s)))
+        | Some s -> Quantum.Backend.choice_of_string s)
   in
   Ok { dims; moduli; backend }
 

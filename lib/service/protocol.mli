@@ -27,8 +27,8 @@ type instance = {
   dims : int array;
   moduli : int array;
   backend : Quantum.Backend.choice option;
-      (** [None] = route automatically (symbolic when the total
-          dimension is unformable or beyond the sparse cap) *)
+      (** [None] — omitted, [null] or ["auto"] — routes by size
+          ({!Service.route}) *)
 }
 
 type request =

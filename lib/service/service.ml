@@ -87,12 +87,11 @@ let route (inst : Protocol.instance) =
   let total = Quantum.Backend.total_of_opt inst.dims in
   match (inst.backend, total) with
   | Some Quantum.Backend.Symbolic, _ -> Ok Sym
-  | (None | Some Quantum.Backend.Auto), None -> Ok Sym
-  | (None | Some Quantum.Backend.Auto), Some tot
-    when tot > Quantum.Backend.Caps.coset_sparse ->
-      Ok Sym
-  | (None | Some Quantum.Backend.Auto), Some tot ->
-      Ok (Amp (Quantum.Coset_state.oracle_backend ?backend:inst.backend ~total:tot ()))
+  | None, _ -> (
+      match total with
+      | Some tot when tot <= Quantum.Backend.Caps.coset_sparse ->
+          Ok (Amp (Quantum.Coset_state.oracle_backend ~total:tot ()))
+      | _ -> Ok Sym)
   | Some c, Some _ -> Ok (Amp c)  (* size caps enforced by the prep itself *)
   | Some c, None ->
       Error

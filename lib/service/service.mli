@@ -57,12 +57,12 @@ type route = Sym | Amp of Quantum.Backend.choice
 val route : Protocol.instance -> (route, string) result
 (** Resolve the execution route: an explicit backend wins ([Symbolic]
     is the planted route, [Dense]/[Sparse] the oracle route as given).
-    Omitted or [Auto]: symbolic exactly when the total dimension is
-    unformable or beyond {!Quantum.Backend.Caps.coset_sparse};
-    otherwise the oracle route on
-    {!Quantum.Coset_state.oracle_backend}'s choice, so [Amp] is never
-    a backend whose cap rejects the group.  [Error] when an explicit
-    amplitude backend cannot form the register at all. *)
+    Omitted ([None]): the oracle route while the total dimension is at
+    most {!Quantum.Backend.Caps.coset_sparse}, on the backend
+    {!Quantum.Coset_state.oracle_backend} resolves, so [Amp] is never
+    a backend whose cap rejects the group; symbolic beyond it or when
+    the total dimension overflows.  [Error] when an explicit amplitude
+    backend cannot form the register at all. *)
 
 val fingerprint : Protocol.instance -> route -> string
 (** Cache key: hex digest over route + canonical dims/moduli. *)

@@ -655,22 +655,6 @@ let test_presentation_verified_by_toddcoxeter () =
   check_tc_order (Wreath.group 2)
 
 (* ------------------------------------------------------------------ *)
-(* Black-box instrumentation                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_blackbox_counters () =
-  let g, c = Blackbox.instrument (Dihedral.group 6) in
-  ignore (g.Group.mul g.Group.id g.Group.id);
-  ignore (g.Group.inv g.Group.id);
-  ignore (g.Group.equal g.Group.id g.Group.id);
-  checki "mul" 1 c.Blackbox.mul;
-  checki "inv" 1 c.Blackbox.inv;
-  checki "eq" 1 c.Blackbox.eq;
-  checki "total" 3 (Blackbox.total c);
-  Blackbox.reset c;
-  checki "reset" 0 (Blackbox.total c)
-
-(* ------------------------------------------------------------------ *)
 (* QCheck properties                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -785,6 +769,5 @@ let () =
           Alcotest.test_case "presentations verified" `Slow
             test_presentation_verified_by_toddcoxeter;
         ] );
-      ("blackbox", [ Alcotest.test_case "counters" `Quick test_blackbox_counters ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_props);
     ]

@@ -15,7 +15,7 @@ let checki = Alcotest.(check int)
    backend, whatever the previous test left behind. *)
 let setup () =
   Metrics.reset ();
-  Backend.set_default Backend.Auto
+  Backend.set_default None
 
 let rng () = Random.State.make [| 42 |]
 
@@ -200,7 +200,7 @@ let test_sampler_cost_ledger () =
 
 (* The sparse backend lifts the sampler's group-size cap from 2^22 to
    2^26: a 2^23 group is refused on the dense path but samples fine on
-   the sparse one, which is also where [Auto] sends it. *)
+   the sparse one, which is also where an omitted backend sends it. *)
 let test_sampler_sparse_cap_lifted () =
   setup ();
   checki "dense cap" (1 lsl 22) Coset_state.max_group_size;
@@ -215,7 +215,7 @@ let test_sampler_sparse_cap_lifted () =
         Coset_state.sampler ~backend:Backend.Dense ~dims ~f ~queries ()
       in
       ());
-  checkb "Auto resolves 2^23 to sparse" true
+  checkb "omitted backend resolves 2^23 to sparse" true
     (Coset_state.prep_backend (Coset_state.prep ~dims ~f ()) = Backend.Sparse);
   let draw = Coset_state.sampler ~backend:Backend.Sparse ~dims ~f ~queries () in
   let r = rng () in

@@ -433,13 +433,13 @@ let test_coset_sampler_size_guard () =
         (Coset_state.sampler ~dims:(Array.make 27 2) ~f:(fun _ -> 0) ~queries () rng))
 
 (* The oracle route picks its backend in one place
-   (Coset_state.oracle_backend), so [Auto] never hands a group to a
+   (Coset_state.oracle_backend), so no choice never hands a group to a
    backend whose cap then rejects it: 2^23 lies between the dense
    route's cap (2^22) and the dense state cap (2^24), and must land on
    sparse.  A symbolic choice means sparse on this route.  Neither
    prep may run the oracle before its first draw. *)
 let test_oracle_route_backend () =
-  Backend.set_default Backend.Auto;
+  Backend.set_default None;
   let dims = [| 4096; 2048 |] in
   let evals = ref 0 in
   let f x =
@@ -449,22 +449,39 @@ let test_oracle_route_backend () =
   let preps_before = (Metrics.snapshot ()).Metrics.sampler_preps in
   let backend_of ?backend () = Coset_state.prep_backend (Coset_state.prep ?backend ~dims ~f ()) in
   checkb "omitted, 2^23: sparse" true (backend_of () = Backend.Sparse);
-  checkb "Auto, 2^23: sparse" true (backend_of ~backend:Backend.Auto () = Backend.Sparse);
   checkb "Symbolic, 2^23: sparse" true (backend_of ~backend:Backend.Symbolic () = Backend.Sparse);
-  Backend.set_default Backend.Symbolic;
+  Backend.set_default (Some Backend.Symbolic);
   let under_symbolic = backend_of () in
-  Backend.set_default Backend.Auto;
+  let pick ?backend total = Coset_state.oracle_backend ?backend ~total () in
+  Backend.set_default (Some Backend.Dense);
+  let under_dense = pick (1 lsl 23) and explicit = pick ~backend:Backend.Sparse 4 in
+  Backend.set_default None;
   checkb "symbolic session default: sparse" true (under_symbolic = Backend.Sparse);
+  checkb "session default before size" true (under_dense = Backend.Dense);
+  checkb "explicit before session default" true (explicit = Backend.Sparse);
   checki "no oracle evaluation before a draw" 0 !evals;
   checki "no prep pass before a draw" preps_before (Metrics.snapshot ()).Metrics.sampler_preps;
-  let pick ?backend total = Coset_state.oracle_backend ?backend ~total () in
-  checkb "Auto at the dense cap: dense" true (pick ~backend:Backend.Auto (1 lsl 22) = Backend.Dense);
-  checkb "Auto past it: sparse" true (pick ~backend:Backend.Auto ((1 lsl 22) + 1) = Backend.Sparse);
+  checkb "omitted at the dense cap: dense" true (pick (1 lsl 22) = Backend.Dense);
+  checkb "omitted past it: sparse" true (pick ((1 lsl 22) + 1) = Backend.Sparse);
   checkb "Dense as given" true (pick ~backend:Backend.Dense (1 lsl 23) = Backend.Dense);
   checkb "Sparse as given" true (pick ~backend:Backend.Sparse 4 = Backend.Sparse);
   Alcotest.check_raises "explicit dense past its cap is still refused"
     (Invalid_argument "Coset_state: group too large for state-vector simulation") (fun () ->
       ignore (Coset_state.prep ~backend:Backend.Dense ~dims ~f ()))
+
+(* The planted route's rule: explicit, then the session default, then
+   symbolic. *)
+let test_planted_route_backend () =
+  let pick ?backend () = Coset_state.planted_backend ?backend () in
+  Backend.set_default None;
+  let omitted = pick () and dense = pick ~backend:Backend.Dense () in
+  Backend.set_default (Some Backend.Sparse);
+  let under_sparse = pick () and explicit = pick ~backend:Backend.Symbolic () in
+  Backend.set_default None;
+  checkb "omitted: symbolic" true (omitted = Backend.Symbolic);
+  checkb "Dense as given" true (dense = Backend.Dense);
+  checkb "session default before symbolic" true (under_sparse = Backend.Sparse);
+  checkb "explicit before session default" true (explicit = Backend.Symbolic)
 
 let test_coset_draw_law () =
   List.iter
@@ -914,8 +931,9 @@ let () =
           Alcotest.test_case "empty samples" `Quick test_annihilator_empty_samples;
           Alcotest.test_case "gate-level simon" `Quick test_gate_level_simon;
           Alcotest.test_case "size guard" `Quick test_coset_sampler_size_guard;
-          Alcotest.test_case "oracle route backend (Auto past 2^22)" `Quick
+          Alcotest.test_case "oracle route backend (omitted past 2^22)" `Quick
             test_oracle_route_backend;
+          Alcotest.test_case "planted route backend" `Quick test_planted_route_backend;
           Alcotest.test_case "state-valued oracle (lemma 9)" `Quick test_state_valued_sampler;
           Alcotest.test_case "coset draw law (chi-squared)" `Quick test_coset_draw_law;
           Alcotest.test_case "subgroup sampler exact law" `Quick test_subgroup_sampler_law;

@@ -16,7 +16,7 @@ let checki = Alcotest.(check int)
 
 let setup () =
   Metrics.reset ();
-  Backend.set_default Backend.Auto
+  Backend.set_default None
 
 let rng () = Random.State.make [| 42 |]
 
@@ -202,7 +202,6 @@ let test_route_omitted_backend () =
   in
   let omitted = route_of (inst None) and sparse = route_of (inst (Some Backend.Sparse)) in
   checkb "omitted backend routes Amp Sparse" true (omitted = Service.Amp Backend.Sparse);
-  checkb "Auto routes Amp Sparse" true (route_of (inst (Some Backend.Auto)) = Service.Amp Backend.Sparse);
   Alcotest.(check string)
     "same artifact as the explicit-sparse request"
     (Service.fingerprint (inst (Some Backend.Sparse)) sparse)
@@ -549,6 +548,36 @@ let test_protocol_parsing () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage must not parse"
 
+(* ["backend":"auto"] is the omitted backend, not a backend of its own:
+   it parses to the same instance and takes the same route at every
+   size — dense, sparse past the dense sampler's cap, symbolic past an
+   int. *)
+let test_auto_backend_is_omitted () =
+  setup ();
+  let parse json =
+    match Protocol.parse_request json with
+    | Ok { req = Protocol.Sample { inst; _ }; _ } -> inst
+    | Ok _ -> Alcotest.fail "parsed as wrong op"
+    | Error msg -> Alcotest.failf "parse failed: %s" msg
+  in
+  List.iter
+    (fun (dims, moduli, expected) ->
+      let body = Printf.sprintf {|"op":"sample","dims":%s,"moduli":%s|} dims moduli in
+      let omitted = parse ("{" ^ body ^ "}") in
+      let auto = parse ("{" ^ body ^ {|,"backend":"auto"}|}) in
+      checkb (dims ^ ": same instance") true (auto = omitted);
+      checkb (dims ^ ": no backend") true (auto.Protocol.backend = None);
+      match (Service.route omitted, Service.route auto) with
+      | Ok a, Ok b ->
+          checkb (dims ^ ": same route") true (a = b);
+          checkb (dims ^ ": expected route") true (b = expected)
+      | _ -> Alcotest.failf "%s: route failed" dims)
+    [
+      ("[8,8]", "[4,2]", Service.Amp Backend.Dense);
+      ("[4096,2048]", "[64,32]", Service.Amp Backend.Sparse);
+      ({|["2^200"]|}, {|["2^100","1^100"]|}, Service.Sym);
+    ]
+
 let test_jsonv_roundtrip () =
   let v =
     Jsonv.Obj
@@ -728,6 +757,7 @@ let () =
       ( "wire",
         [
           Alcotest.test_case "request parsing" `Quick test_protocol_parsing;
+          Alcotest.test_case "auto backend parses as omitted" `Quick test_auto_backend_is_omitted;
           Alcotest.test_case "jsonv roundtrip" `Quick test_jsonv_roundtrip;
           Alcotest.test_case "jsonv depth cap" `Quick test_jsonv_depth_cap;
           QCheck_alcotest.to_alcotest jsonv_float_roundtrip;
