@@ -17,6 +17,9 @@ let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
     | Some d -> d
     | None -> Quantum.Coset_state.sampler ~dims ~f ~queries:quantum ()
   in
+  (* The span of every sample drawn so far: a batch that fails
+     verification adds only its successor's samples to it. *)
+  let span = Numtheory.Zmatrix.hnf_span ~dims in
   let rec go batches samples =
     if batches > max_batches then
       invalid_arg "Abelian_hsp.solve_dims: sampling failed to converge (is f a hiding function?)";
@@ -24,7 +27,8 @@ let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
     let samples = samples @ fresh in
     let gens =
       Quantum.Metrics.phase "classical" (fun () ->
-          Quantum.Coset_state.annihilator_subgroup ~dims samples)
+          List.iter (fun y -> ignore (Numtheory.Zmatrix.hnf_insert span y)) fresh;
+          Quantum.Coset_state.annihilator_gens (Numtheory.Zmatrix.hnf_freeze span))
     in
     if List.for_all verify gens then begin
       Log.debug (fun m ->

@@ -30,7 +30,9 @@ val solve_dims :
   int array list * outcome
 (** Solve over [Z_dims(0) x ...] given the hiding function on exponent
     tuples.  [verify] defaults to the membership test [f x = f 0].
-    Returns generators of the hidden subgroup (as tuples).
+    Returns generators of the hidden subgroup (as tuples).  The samples
+    go into one {!Numtheory.Zmatrix.span} per solve, so a batch that
+    fails verification adds only the next batch's samples.
 
     The default sampler is {!Quantum.Coset_state.sampler}, on the
     backend {!Quantum.Coset_state.oracle_backend} resolves.

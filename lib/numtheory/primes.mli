@@ -12,6 +12,11 @@ val is_prime : int -> bool
 (** Deterministic Miller–Rabin, valid for all [int] inputs (uses the
     known deterministic witness set for 64-bit integers). *)
 
+val mulmod : int -> int -> int -> int
+(** [mulmod a b m] is [a * b] reduced into [[0, m)], for any [a], [b]
+    and [1 <= m <= 2^61], without overflow: the plain product for
+    [m <= 2^31], Russian-peasant addition beyond. *)
+
 val factorize : int -> (int * int) list
 (** [factorize n] for [n >= 1] is the prime factorisation
     [(p1, e1); ...] with [p1 < p2 < ...] and [n = prod pi^ei].

@@ -261,82 +261,13 @@ let wrap v d = if v >= d || v <= -d then Arith.emod v d else if v < 0 then v + d
    only below. *)
 let wrap_sub v d = if v > -d then v + (d land (v asr 62)) else Arith.emod v d
 
-let hnf_basis ~dims gens =
-  check_dims dims;
-  let r = Array.length dims in
-  List.iter
-    (fun g -> if Array.length g <> r then invalid_arg "Zmatrix.hnf_basis: generator arity")
-    gens;
-  (* Invariant: every entry right of the current column lies in
-     [0, d_j), so a row operation [a_j - q * b_j] is below [d_j] and
-     [wrap_sub] re-reduces it; a zero [b_j] leaves [a_j] as it was. *)
-  let nonzero_from row lo =
-    let rec go j = j < r && (row.(j) <> 0 || go (j + 1)) in
-    go lo
-  in
-  let active = ref [] in
-  List.iter
-    (fun g ->
-      let row = Array.mapi (fun j x -> wrap x dims.(j)) g in
-      if nonzero_from row 0 then active := row :: !active)
-    gens;
-  let basis = Array.make r [||] in
-  for c = 0 to r - 1 do
-    (* Fresh diag generator: guarantees a pivot exists and h_cc | d_c.
-       Column-c entries stay nonnegative through Euclid below. *)
-    let pivot = ref (Array.init r (fun j -> if j = c then dims.(c) else 0)) in
-    let rest = ref [] in
-    List.iter
-      (fun row ->
-        if row.(c) = 0 then rest := row :: !rest
-        else begin
-          (* Euclid on column c between the accumulated pivot and row;
-             a step with quotient 0 is only the swap. *)
-          let a = ref !pivot and b = ref row in
-          while !b.(c) <> 0 do
-            let a' = !a and b' = !b in
-            let q = a'.(c) / b'.(c) in
-            if q <> 0 then begin
-              a'.(c) <- a'.(c) - (q * b'.(c));
-              for j = c + 1 to r - 1 do
-                a'.(j) <- wrap_sub (a'.(j) - (q * b'.(j))) dims.(j)
-              done
-            end;
-            a := b';
-            b := a'
-          done;
-          pivot := !a;
-          if nonzero_from !b (c + 1) then rest := !b :: !rest
-        end)
-      !active;
-    basis.(c) <- !pivot;
-    active := !rest
-  done;
-  (* Canonicalise: above-diagonal entries into [0, h_cc).  Entries
-     right of column c are re-reduced mod the dims (a legal step, as
-     above); left unreduced they can grow by a factor of ~d per column
-     and overflow at large r. *)
-  for c = 1 to r - 1 do
-    let pc = basis.(c) in
-    let h = pc.(c) in
-    for i = 0 to c - 1 do
-      let bi = basis.(i) in
-      if bi.(c) >= h then begin
-        let q = bi.(c) / h in
-        bi.(c) <- bi.(c) - (q * h);
-        for j = c + 1 to r - 1 do
-          bi.(j) <- wrap_sub (bi.(j) - (q * pc.(j))) dims.(j)
-        done
-      end
-    done
-  done;
-  basis
-
 (* A checked basis with each row's nonzero columns right of the
    diagonal recorded once, so the per-call steps below walk only those
    entries.  [counts.(i) = dims.(i) / h_ii] is row i's coefficient
    range. *)
 type hnf = { hdims : int array; rows : t; nz : int array array; counts : int array }
+
+let counts_of ~dims basis = Array.mapi (fun i d -> d / basis.(i).(i)) dims
 
 let hnf_prepare ~dims basis =
   check_dims dims;
@@ -365,7 +296,169 @@ let hnf_prepare ~dims basis =
         Array.of_list !cols)
       basis
   in
-  { hdims = dims; rows = basis; nz; counts = Array.mapi (fun i d -> d / basis.(i).(i)) dims }
+  { hdims = dims; rows = basis; nz; counts = counts_of ~dims basis }
+
+(* --- The span: a canonical basis grown one generator at a time ------ *)
+
+(* The rows are always the canonical HNF of the generators inserted so
+   far, with [nz] as [hnf_prepare] records it.  An insert walks the
+   new row left to right.  At column c a residue that is a multiple of
+   h_cc is cancelled along row c's nonzero list, so a member costs
+   O(r + nnz) and changes nothing.  Any other residue changes the
+   pivot: Euclid between row c and the residue leaves the new row c
+   (pivot gcd(h_cc, residue), which still divides d_c) and a remainder
+   that is zero at c and carries on to the later columns.
+
+   After a pivot change only two kinds of row can hold an entry out of
+   range: the changed row itself, right of its diagonal, and a row
+   i < c whose entry at c is at or above the new h_cc.  [from.(i)]
+   marks such a row with the first column to re-reduce (r when the row
+   is clean).  Once the residue is through, the marked rows are
+   re-reduced bottom-up, each against rows below it that are already
+   canonical again.  Every unmarked row is still the canonical row of
+   the larger lattice: a lattice element with the same pivot and every
+   entry in range, which is unique.  Entries stay reduced mod the dims
+   throughout, as the soundness note above allows.
+
+   [owned.(i)] says row i's array belongs to the span alone.
+   [hnf_freeze] hands the row arrays out and clears every flag, and the
+   span copies a row before it writes to it again, so a frozen [hnf]
+   never sees mutation. *)
+type span = {
+  sdims : int array;
+  srows : t;
+  snz : int array array;
+  owned : bool array;
+  from : int array;  (* r for a clean row *)
+  buf : int array;  (* scratch for a rebuilt nonzero list *)
+}
+
+let hnf_span ~dims =
+  check_dims dims;
+  let r = Array.length dims in
+  {
+    sdims = dims;
+    srows = Array.init r (fun i -> Array.init r (fun j -> if i = j then dims.(i) else 0));
+    snz = Array.make r [||];
+    owned = Array.make r true;
+    from = Array.make r r;
+    buf = Array.make r 0;
+  }
+
+let own sp i =
+  if not sp.owned.(i) then begin
+    sp.srows.(i) <- Array.copy sp.srows.(i);
+    sp.owned.(i) <- true
+  end;
+  sp.srows.(i)
+
+(* Re-reduce row i from column [lo] on, against the canonical rows
+   below it, and rebuild its nonzero list: entries left of [lo] are
+   unchanged and in range, so their part of the old list stands. *)
+let canonicalise_row sp i lo =
+  let dims = sp.sdims and rows = sp.srows and buf = sp.buf in
+  let r = Array.length dims in
+  let row = own sp i in
+  let old = sp.snz.(i) in
+  let n = ref 0 in
+  while !n < Array.length old && old.(!n) < lo do
+    buf.(!n) <- old.(!n);
+    incr n
+  done;
+  for c = lo to r - 1 do
+    let x = row.(c) in
+    if x <> 0 then begin
+      let pc = rows.(c) in
+      let h = pc.(c) in
+      if x >= h then begin
+        let q = x / h in
+        row.(c) <- x - (q * h);
+        let nz = sp.snz.(c) in
+        for k = 0 to Array.length nz - 1 do
+          let j = nz.(k) in
+          row.(j) <- wrap_sub (row.(j) - (q * pc.(j))) dims.(j)
+        done
+      end;
+      if row.(c) <> 0 then begin
+        buf.(!n) <- c;
+        incr n
+      end
+    end
+  done;
+  sp.snz.(i) <- Array.sub buf 0 !n
+
+let hnf_insert sp x =
+  let dims = sp.sdims and rows = sp.srows in
+  let r = Array.length dims in
+  if Array.length x <> r then invalid_arg "Zmatrix.hnf_insert: generator arity";
+  let t = ref (Array.make r 0) in
+  for j = 0 to r - 1 do
+    !t.(j) <- wrap x.(j) dims.(j)
+  done;
+  let grew = ref false in
+  for c = 0 to r - 1 do
+    let v = !t in
+    let tc = v.(c) in
+    if tc <> 0 then begin
+      let row = rows.(c) in
+      let h = row.(c) in
+      if h = 1 || tc mod h = 0 then begin
+        let q = if h = 1 then tc else tc / h in
+        v.(c) <- 0;
+        let nz = sp.snz.(c) in
+        for k = 0 to Array.length nz - 1 do
+          let j = nz.(k) in
+          v.(j) <- wrap_sub (v.(j) - (q * row.(j))) dims.(j)
+        done
+      end
+      else begin
+        (* Euclid on column c; a step with quotient 0 is only the
+           swap.  Both rows are the span's own, so it works in place. *)
+        let a = ref (own sp c) and b = ref v in
+        while !b.(c) <> 0 do
+          let a' = !a and b' = !b in
+          let q = a'.(c) / b'.(c) in
+          if q <> 0 then begin
+            a'.(c) <- a'.(c) - (q * b'.(c));
+            for j = c + 1 to r - 1 do
+              a'.(j) <- wrap_sub (a'.(j) - (q * b'.(j))) dims.(j)
+            done
+          end;
+          a := b';
+          b := a'
+        done;
+        rows.(c) <- !a;
+        t := !b;
+        grew := true;
+        let g = !a.(c) in
+        sp.from.(c) <- c + 1;
+        for i = 0 to c - 1 do
+          if rows.(i).(c) >= g && c < sp.from.(i) then sp.from.(i) <- c
+        done
+      end
+    end
+  done;
+  if !grew then
+    for i = r - 1 downto 0 do
+      let lo = sp.from.(i) in
+      if lo < r then begin
+        sp.from.(i) <- r;
+        canonicalise_row sp i lo
+      end
+    done;
+  !grew
+
+let hnf_freeze sp =
+  Array.fill sp.owned 0 (Array.length sp.owned) false;
+  let rows = Array.copy sp.srows in
+  { hdims = sp.sdims; rows; nz = Array.copy sp.snz; counts = counts_of ~dims:sp.sdims rows }
+
+let hnf_of_gens ~dims gens =
+  let sp = hnf_span ~dims in
+  List.iter (fun g -> ignore (hnf_insert sp g)) gens;
+  hnf_freeze sp
+
+let hnf_basis ~dims gens = (hnf_of_gens ~dims gens).rows
 
 let hnf_dims p = p.hdims
 let hnf_rows p = p.rows
@@ -474,32 +567,42 @@ let hnf_dual p =
      because the annihilator projects onto the trailing coordinates as
      the annihilator of the trailing rows.  y_j is the least positive
      j-th coordinate of an annihilator element vanishing beyond j, so
-     the y^(j) generate the annihilator; [hnf_basis] canonicalises
-     them.  Every S_k is kept reduced mod l, so entries stay below
-     [l * max dims]. *)
-  let gens =
-    List.init r (fun j ->
-        let y = Array.make r 0 in
-        let s = Array.make r 0 in
-        let set k v =
-          y.(k) <- v;
-          let w = l / dims.(k) in
-          for i = 0 to k - 1 do
-            let b = basis.(i).(k) in
-            if b <> 0 then s.(i) <- (s.(i) + (Arith.emod (b * v) dims.(k) * w)) mod l
-          done
-        in
-        set j (dims.(j) / basis.(j).(j));
-        for k = j - 1 downto 0 do
-          let g = basis.(k).(k) * (l / dims.(k)) in
-          let need = Arith.emod (-s.(k)) l in
-          if need mod g <> 0 then invalid_arg "Zmatrix.hnf_dual: not an HNF subgroup basis";
-          let v = need / g in
-          if v <> 0 then set k v
-        done;
-        y)
-  in
-  hnf_basis ~dims gens
+     the y^(j) generate the annihilator, and a fresh span
+     canonicalises them.  Every S_k is kept reduced mod l, so entries
+     stay below [l * max dims]. *)
+  let w = Array.map (fun d -> l / d) dims in
+  (* above.(k): the rows i < k with a nonzero entry in column k, so a
+     coordinate update walks only the S_i it changes, and an S_k that
+     is still 0 needs y_k = 0 with no division *)
+  let above = Array.make r [] in
+  for i = r - 1 downto 0 do
+    Array.iter (fun k -> above.(k) <- i :: above.(k)) p.nz.(i)
+  done;
+  let sp = hnf_span ~dims in
+  let y = Array.make r 0 and s = Array.make r 0 in
+  for j = 0 to r - 1 do
+    Array.fill y 0 (j + 1) 0;
+    Array.fill s 0 (j + 1) 0;
+    let set k v =
+      y.(k) <- v;
+      List.iter
+        (fun i ->
+          let x = s.(i) + (basis.(i).(k) * v mod dims.(k) * w.(k)) in
+          s.(i) <- (if x >= l then x - l else x))
+        above.(k)
+    in
+    set j (dims.(j) / basis.(j).(j));
+    for k = j - 1 downto 0 do
+      if s.(k) <> 0 then begin
+        let g = basis.(k).(k) * w.(k) in
+        let need = l - s.(k) in
+        if need mod g <> 0 then invalid_arg "Zmatrix.hnf_dual: not an HNF subgroup basis";
+        set k (need / g)
+      end
+    done;
+    ignore (hnf_insert sp y)
+  done;
+  hnf_freeze sp
 
 let solve_mod ~moduli a b =
   let r = rows a and c = cols a in

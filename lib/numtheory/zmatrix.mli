@@ -70,22 +70,17 @@ val solve_mod : moduli:int array -> t -> int array -> int array option
     [a_j - q * b_j] with [a_j] in [[0, d)] and [q * b_j >= 0] is below
     [d], so whenever it lies above [-d] a compare-and-add brings it back
     into range.  Division happens only for the quotients (one per
-    Euclid step, and one per canonicalised entry [b_ic >= h_cc]), for
-    an update at or below [-d], and for a generator or input entry
-    outside [[0, d)]; a step whose quotient is 0 does no row work. *)
-
-val hnf_basis : dims:int array -> int array list -> t
-(** [hnf_basis ~dims gens] is the canonical HNF basis ([r x r]) of the
-    subgroup of [Z_{d_0} x ... x Z_{d_{r-1}}] generated by [gens].
-    [gens = []] yields the trivial subgroup ([diag dims]).
-    @raise Invalid_argument on a dimension [< 1] or a generator of the
-    wrong arity. *)
+    Euclid step, one per canonicalised entry [b_ic >= h_cc], and one
+    per inserted residue tested against a pivot other than 1), for an
+    update at or below [-d], and for a generator or input entry outside
+    [[0, d)]; a step whose quotient is 0 does no row work. *)
 
 type hnf
-(** A prepared HNF basis: a basis checked once against its dims, with
-    each row's nonzero columns right of the diagonal recorded.  Every
-    step below takes one, so the check runs once per subgroup rather
-    than once per call, and [hnf_reduce], [hnf_mem] and [hnf_sample]
+(** A prepared HNF basis: a canonical basis, checked once against its
+    dims ({!hnf_prepare}) or built canonical ({!hnf_freeze}), with each
+    row's nonzero columns right of the diagonal recorded.  Every step
+    below takes one, so the check runs once per subgroup rather than
+    once per call, and [hnf_reduce], [hnf_mem] and [hnf_sample]
     touch only a row's nonzero entries: a row with [k] of them costs
     O(k), not O(r). *)
 
@@ -96,9 +91,53 @@ val hnf_prepare : dims:int array -> t -> hnf
     copied; it must not be mutated afterwards.
     @raise Invalid_argument on any other matrix or a dimension [< 1]. *)
 
+type span
+(** A mutable subgroup under construction, local to one caller: a
+    canonical basis that generators are inserted into one at a time.
+    It starts at the trivial subgroup ([diag dims]).  Invariants after
+    every insert: the rows are the canonical HNF basis of the subgroup
+    generated so far (upper triangular, [h_ii | dims.(i)], every entry
+    above the diagonal in [[0, h_jj)]), and each row's nonzero columns
+    right of the diagonal are recorded, as {!hnf_prepare} records them. *)
+
+val hnf_span : dims:int array -> span
+(** The trivial subgroup of [Z_{d_0} x ... x Z_{d_{r-1}}]; O(r^2).
+    @raise Invalid_argument on a dimension [< 1]. *)
+
+val hnf_insert : span -> int array -> bool
+(** [hnf_insert sp x] adds [x] (coordinates taken modulo [dims]) to the
+    generators, and says whether the subgroup grew.  The row is reduced
+    along the basis rows' nonzero lists, so a member costs
+    O(r + nnz) and changes nothing.  A residue that is not a multiple
+    of the pivot at its column runs Euclid there (O(r) per step), and
+    then only the rows that change can have left out of range are
+    re-reduced: the changed rows right of their diagonal, and rows
+    above a changed pivot whose entry in its column is at or above the
+    new pivot.  The result is independent of insertion order.
+    @raise Invalid_argument on a generator of the wrong arity. *)
+
+val hnf_freeze : span -> hnf
+(** The prepared basis of the span's current subgroup, with no second
+    check; O(r).  The [hnf] is immutable: the span copies a row before
+    it next writes to it, so inserts after a freeze leave every frozen
+    basis as it was. *)
+
+val hnf_of_gens : dims:int array -> int array list -> hnf
+(** The prepared basis of the subgroup generated by [gens]: every
+    generator inserted into a fresh {!hnf_span}, then frozen. *)
+
+val hnf_basis : dims:int array -> int array list -> t
+(** [hnf_basis ~dims gens] is the canonical HNF basis ([r x r]) of the
+    subgroup of [Z_{d_0} x ... x Z_{d_{r-1}}] generated by [gens]: the
+    rows of {!hnf_of_gens}.  [gens = []] yields the trivial subgroup
+    ([diag dims]).
+    @raise Invalid_argument on a dimension [< 1] or a generator of the
+    wrong arity. *)
+
 val hnf_dims : hnf -> int array
 val hnf_rows : hnf -> t
-(** The dims and the basis [hnf_prepare] was given. *)
+(** The dims and the basis rows: the matrix [hnf_prepare] was given,
+    or the span's rows at {!hnf_freeze}.  Not to be mutated. *)
 
 val hnf_order_log2 : hnf -> float
 (** log2 of the subgroup order — exact in structure, float in value, so
@@ -129,11 +168,11 @@ val hnf_elements : hnf -> int array list
     @raise Invalid_argument if the order overflows an [int]; callers
     should bound it via {!hnf_order_int} first. *)
 
-val hnf_dual : hnf -> t
+val hnf_dual : hnf -> hnf
 (** The annihilator subgroup
     [{ y : sum_i y_i x_i / dims.(i) in Z  for all subgroup x }], i.e.
-    the characters trivial on the subgroup, as a canonical HNF basis.
-    [|H| * |H^dual| = prod dims]; the dual of the dual is [H].
+    the characters trivial on the subgroup, as a prepared canonical
+    basis.  [|H| * |H^dual| = prod dims]; the dual of the dual is [H].
     One back-substitution along the triangular basis per coordinate
-    (arithmetic mod [lcm dims]) gives [r] generators, which
-    {!hnf_basis} canonicalises: O(r^3), no Smith normal form. *)
+    (arithmetic mod [lcm dims]) gives [r] generators, which are
+    inserted into a fresh {!hnf_span}: no Smith normal form. *)

@@ -39,8 +39,7 @@ module Subgroup = struct
            sample. *)
   }
 
-  let of_basis ~dims basis =
-    let hnf = Zm.hnf_prepare ~dims basis in
+  let of_hnf hnf =
     {
       hnf;
       order_log2 = Zm.hnf_order_log2 hnf;
@@ -50,7 +49,7 @@ module Subgroup = struct
 
   let of_gens ~dims gens =
     Metrics.record_symbolic_solve ();
-    of_basis ~dims (Zm.hnf_basis ~dims gens)
+    of_hnf (Zm.hnf_of_gens ~dims gens)
 
   let trivial dims = of_gens ~dims []
   let full dims = of_gens ~dims (List.init (Array.length dims) (fun i ->
@@ -82,7 +81,7 @@ module Subgroup = struct
     | Some d -> d
     | None ->
         Metrics.record_symbolic_solve ();
-        let d = of_basis ~dims:(dims s) (Zm.hnf_dual s.hnf) in
+        let d = of_hnf (Zm.hnf_dual s.hnf) in
         d.dual_memo <- Some s;
         s.dual_memo <- Some d;
         d

@@ -377,12 +377,15 @@ let sample_full rng ~dims ~f ~queries () =
   in
   outcome
 
-let annihilator_subgroup ~dims ys =
-  (* The samples generate a subgroup Y; its annihilator is the dual of
-     Y's canonical HNF basis.  The basis rows come out reduced, and a
-     row is zero mod dims only on a d_i = h_ii wire, where it is just
-     d_i e_i. *)
+let annihilator_gens basis =
+  (* The annihilator of the samples' span is its dual.  The dual's
+     rows come out reduced, and a row is zero mod dims only on a
+     d_i = h_ii wire, where it is just d_i e_i. *)
   let module Zm = Numtheory.Zmatrix in
-  Zm.hnf_dual (Zm.hnf_prepare ~dims (Zm.hnf_basis ~dims ys))
+  let dual = Zm.hnf_dual basis in
+  let dims = Zm.hnf_dims dual in
+  Zm.hnf_rows dual
   |> Array.to_list
   |> List.filter (fun g -> not (Array.for_all2 (fun x d -> x mod d = 0) g dims))
+
+let annihilator_subgroup ~dims ys = annihilator_gens (Numtheory.Zmatrix.hnf_of_gens ~dims ys)

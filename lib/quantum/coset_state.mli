@@ -239,10 +239,16 @@ val sampler_state_valued :
     scan over all cosets seen; the memo is mutex-guarded and safe under
     concurrent draws. *)
 
-val annihilator_subgroup : dims:int array -> int array list -> int array list
-(** [annihilator_subgroup ~dims ys] recovers generators of
-    [H = { x : chi_y(x) = 1 for all sampled y }] — the classical
+val annihilator_gens : Numtheory.Zmatrix.hnf -> int array list
+(** [annihilator_gens y] recovers generators of
+    [H = { x : chi_y(x) = 1 for all y in Y }] from a prepared basis of
+    the subgroup [Y] the sampled characters span — the classical
     post-processing of Fourier sampling.  The generators are the
-    nonzero rows of {!Numtheory.Zmatrix.hnf_dual} of the samples' HNF
-    basis: a canonical generating set, reduced mod [dims], so equal
-    subgroups give equal lists. *)
+    nonzero rows of {!Numtheory.Zmatrix.hnf_dual}: a canonical
+    generating set, reduced mod the dims, so equal subgroups give
+    equal lists. *)
+
+val annihilator_subgroup : dims:int array -> int array list -> int array list
+(** [annihilator_subgroup ~dims ys] is {!annihilator_gens} of the
+    subgroup the samples [ys] generate
+    ({!Numtheory.Zmatrix.hnf_of_gens}). *)

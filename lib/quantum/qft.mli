@@ -21,4 +21,6 @@ val character : dims:int array -> int array -> int array -> Linalg.Cx.t
 
 val character_is_trivial_on : dims:int array -> int array -> int array -> bool
 (** [character_is_trivial_on ~dims y h] tests [chi_y(h) = 1] exactly
-    (integer arithmetic, no floats). *)
+    (integer arithmetic, no floats): each [y_i h_i] is reduced mod
+    [d_i] first, and the pairing is summed mod [lcm dims].
+    @raise Invalid_argument if [lcm dims] exceeds [2^61]. *)

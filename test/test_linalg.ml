@@ -295,7 +295,7 @@ let rank rows =
 (* The annihilator of the span: the GF(2) kernel of the rows. *)
 let kernel rows =
   let dims = z2 (Array.length (List.hd rows)) in
-  Z.hnf_elements (Z.hnf_prepare ~dims (Z.hnf_dual (Z.hnf_prepare ~dims (span rows))))
+  Z.hnf_elements (Z.hnf_dual (Z.hnf_prepare ~dims (span rows)))
 
 let dot a b = Array.fold_left ( + ) 0 (Array.map2 ( * ) a b) land 1
 
@@ -369,7 +369,7 @@ let qcheck_props =
       (fun (a, b, c) ->
         (* (a + b).c = a.c + b.c: c annihilates <a, b> iff it annihilates both *)
         let prep = Z.hnf_prepare ~dims:(z2 5) in
-        let ann rows = Z.hnf_mem (prep (Z.hnf_dual (prep (span rows)))) c in
+        let ann rows = Z.hnf_mem (Z.hnf_dual (prep (span rows))) c in
         ann [ a; b ] = (ann [ a ] && ann [ b ]));
     Test.make ~name:"fft plan: inverse . forward = id" ~count:200
       (make Gen.(pair (int_range 1 300) int))

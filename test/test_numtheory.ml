@@ -440,7 +440,7 @@ let test_hnf_dual () =
     in
     let b = Zmatrix.hnf_basis ~dims gens in
     let pb = Zmatrix.hnf_prepare ~dims b in
-    let d = Zmatrix.hnf_dual pb in
+    let d = Zmatrix.hnf_rows (Zmatrix.hnf_dual pb) in
     let pd = Zmatrix.hnf_prepare ~dims d in
     (* |H| * |H^perp| = |G| *)
     let total = Array.fold_left ( * ) 1 dims in
@@ -459,7 +459,7 @@ let test_hnf_dual () =
           (Zmatrix.hnf_elements pd))
       (Zmatrix.hnf_elements pb);
     (* dual of dual is the original (canonical forms are equal) *)
-    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual pd) b)
+    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_rows (Zmatrix.hnf_dual pd)) b)
   done
 
 let test_hnf_large () =
@@ -472,7 +472,7 @@ let test_hnf_large () =
   checkb "order int overflows" true (Zmatrix.hnf_order_int pb = None);
   checkb "generator member" true (Zmatrix.hnf_mem pb (List.hd gens));
   checkb "non-member" false (Zmatrix.hnf_mem pb (Array.init 200 (fun j -> if j = 0 then 1 else 0)));
-  let d = Zmatrix.hnf_dual pb in
+  let d = Zmatrix.hnf_rows (Zmatrix.hnf_dual pb) in
   let pd = Zmatrix.hnf_prepare ~dims d in
   checkb "dual order log2 = 100" true (Float.abs (Zmatrix.hnf_order_log2 pd -. 100.) < 1e-9)
 
@@ -505,7 +505,7 @@ let test_hnf_large_mixed () =
     checkb "basis closed" true !closed;
     checkb "entries reduced" true !reduced;
     checkb "idempotent" true (Zmatrix.equal (Zmatrix.hnf_basis ~dims (Array.to_list b)) b);
-    let d = Zmatrix.hnf_dual pb in
+    let d = Zmatrix.hnf_rows (Zmatrix.hnf_dual pb) in
     let pd = Zmatrix.hnf_prepare ~dims d in
     let l = Array.fold_left Arith.lcm 1 dims in
     let pairing y h =
@@ -519,7 +519,7 @@ let test_hnf_large_mixed () =
     checkb "order product" true
       (Float.abs (Zmatrix.hnf_order_log2 pb +. Zmatrix.hnf_order_log2 pd -. log2_total)
        < 1e-6);
-    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_dual pd) b)
+    checkb "dual involutive" true (Zmatrix.equal (Zmatrix.hnf_rows (Zmatrix.hnf_dual pd)) b)
   done
 
 (* Bit-identity pin for the HNF steps.  A fixed corpus of random

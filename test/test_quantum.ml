@@ -292,6 +292,25 @@ let test_character_trivial () =
   checkb "exact integer case" true (Qft.character_is_trivial_on ~dims [| 2; 0 |] [| 2; 0 |]);
   checkb "nontrivial" false (Qft.character_is_trivial_on ~dims [| 1; 0 |] [| 2; 0 |])
 
+(* Pairings whose unreduced terms y_i h_i (lcm / d_i) pass int63. *)
+let test_character_trivial_large () =
+  (* y_0 h_0 / d_0 = 2^29 (2^30 - 2) / 2^30 = 2^29 - 1, an integer, at
+     an lcm just under 2^61 *)
+  let y = [| 1 lsl 29; 0 |] and h = [| (1 lsl 30) - 2; 0 |] in
+  checkb "integer pairing, lcm near 2^61" true
+    (Qft.character_is_trivial_on ~dims:[| 1 lsl 30; 2147483629 |] y h);
+  checkb "same pairing, small lcm" true (Qft.character_is_trivial_on ~dims:[| 1 lsl 30; 3 |] y h);
+  checkb "nontrivial, lcm near 2^61" false
+    (Qft.character_is_trivial_on ~dims:[| 1 lsl 30; 2147483629 |] [| 1 lsl 29; 0 |] [| 1; 0 |]);
+  (* lcm = 65537 * 65539 * 65543 * 65551 > 2^64: no verdict, not a wrong
+     one for the zero character (65537, 0, 0, 0) *)
+  let dims = [| 65537; 65539; 65543; 65551 |] in
+  match Qft.character_is_trivial_on ~dims [| 65537; 0; 0; 0 |] [| 1; 1; 1; 1 |] with
+  | _ -> Alcotest.fail "lcm past 2^61 gave a verdict"
+  | exception Invalid_argument msg ->
+      checkb "error names the bound" true
+        (String.length msg >= 4 && String.sub msg (String.length msg - 4) 4 = "2^61")
+
 let test_character_matches_float () =
   let dims = [| 4; 3 |] in
   for yi = 0 to 11 do
@@ -827,7 +846,7 @@ let test_gate_level_simon () =
   let z2 = Array.make n 2 in
   let kernel =
     Numtheory.Zmatrix.(
-      hnf_elements (hnf_prepare ~dims:z2 (hnf_dual (hnf_prepare ~dims:z2 (hnf_basis ~dims:z2 samples)))))
+      hnf_elements (hnf_dual (hnf_prepare ~dims:z2 (hnf_basis ~dims:z2 samples))))
   in
   checkb "mask recovered" true
     (List.sort compare kernel = List.sort compare [ Array.make n 0; s ])
@@ -921,6 +940,7 @@ let () =
         [
           Alcotest.test_case "forward/backward" `Quick test_qft_forward_backward;
           Alcotest.test_case "character trivial" `Quick test_character_trivial;
+          Alcotest.test_case "character trivial past int63" `Quick test_character_trivial_large;
           Alcotest.test_case "character float consistency" `Quick test_character_matches_float;
         ] );
       ( "coset",

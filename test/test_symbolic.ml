@@ -183,6 +183,74 @@ let qcheck_sample_vs_reference =
           x = y && Random.State.bits a = Random.State.bits b)
         (List.init 20 Fun.id))
 
+(* The streaming span ([Zmatrix.hnf_insert]) over shaped dims up to
+   2^31 - 1.  Each property draws its own vectors from a seed fixed by
+   the case. *)
+let case_rng (dims, gens) = Random.State.make [| List.length gens; Array.fold_left ( + ) 0 dims |]
+
+let shuffle st l =
+  let a = Array.of_list l in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  done;
+  Array.to_list a
+
+let qcheck_span_order_free =
+  QCheck.Test.make ~name:"span: insertion order gives one basis" ~count:300
+    (QCheck.make ~print:print_dims_gens gen_shaped_dims_gens)
+    (fun ((dims, gens) as case) ->
+      let st = case_rng case in
+      let basis = Numtheory.Zmatrix.hnf_basis ~dims gens in
+      List.for_all
+        (fun order -> Numtheory.Zmatrix.equal (Numtheory.Zmatrix.hnf_basis ~dims order) basis)
+        [ List.rev gens; shuffle st gens; shuffle st gens; shuffle st gens ])
+
+(* A member (a subgroup element shifted by multiples of the dims)
+   reports no growth and leaves the rows as they were; an arbitrary
+   vector reports growth exactly when it is not a member. *)
+let qcheck_span_member =
+  QCheck.Test.make ~name:"span: a member reports no growth" ~count:300
+    (QCheck.make ~print:print_dims_gens gen_shaped_dims_gens)
+    (fun ((dims, gens) as case) ->
+      let module Zm = Numtheory.Zmatrix in
+      let st = case_rng case in
+      let sp = Zm.hnf_span ~dims in
+      List.iter (fun g -> ignore (Zm.hnf_insert sp g)) gens;
+      let p = Zm.hnf_freeze sp in
+      let rows = Zm.copy (Zm.hnf_rows p) in
+      let members_ok =
+        List.for_all
+          (fun _ ->
+            let m = Array.mapi (fun i x -> x + (dims.(i) * (Random.State.int st 5 - 2))) (Zm.hnf_sample st p) in
+            (not (Zm.hnf_insert sp m)) && Zm.equal (Zm.hnf_rows (Zm.hnf_freeze sp)) rows)
+          (List.init 10 Fun.id)
+      in
+      let x = Array.map (fun d -> Random.State.full_int st d) dims in
+      members_ok && Zm.hnf_insert sp x = not (Zm.hnf_mem p x))
+
+(* Freezing after every insert: each frozen basis is exactly what
+   [hnf_prepare] makes of its rows (nonzero lists and counts included),
+   and stays so while later inserts grow the span. *)
+let qcheck_span_freeze =
+  QCheck.Test.make ~name:"span: frozen = hnf_prepare of its rows" ~count:300
+    (QCheck.make ~print:print_dims_gens gen_shaped_dims_gens)
+    (fun (dims, gens) ->
+      let module Zm = Numtheory.Zmatrix in
+      let sp = Zm.hnf_span ~dims in
+      let frozen =
+        List.map
+          (fun g ->
+            ignore (Zm.hnf_insert sp g);
+            let p = Zm.hnf_freeze sp in
+            let q = Zm.hnf_prepare ~dims (Zm.copy (Zm.hnf_rows p)) in
+            (p, q))
+          gens
+      in
+      List.for_all (fun (p, q) -> p = q) frozen)
+
 let test_reduce_coset_invariant () =
   (* reduce is a canonical coset label: idempotent, and constant on
      x + H for every h in H.  Large ranks included, where the
@@ -763,5 +831,8 @@ let () =
             qcheck_reduce_vs_reference;
             qcheck_sample_vs_reference;
             qcheck_annihilator_vs_snf;
+            qcheck_span_order_free;
+            qcheck_span_member;
+            qcheck_span_freeze;
           ] );
     ]
