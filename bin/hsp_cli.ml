@@ -515,11 +515,6 @@ let order_cmd =
     Term.(const run $ common_arg $ seed_arg $ modulus_arg $ base_arg)
 
 let () =
-  (* HSP_DEBUG=1 turns on solver-internal debug logging *)
-  if Sys.getenv_opt "HSP_DEBUG" <> None then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.Src.set_level Hsp.Log.src (Some Logs.Debug)
-  end;
   let doc = "Quantum algorithms for non-Abelian hidden subgroup problems (simulated)." in
   let info = Cmd.info "hsp" ~version:"1.0.0" ~doc in
   exit

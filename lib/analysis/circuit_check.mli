@@ -28,6 +28,7 @@ type report = {
   max_arity : int;  (** widest gate, in wires *)
 }
 
+(* hsp-lint: allow unused-export *)
 val check : ?eps:float -> Quantum.Circuit.t -> (report, violation list) result
 (** All violations are collected, not just the first.  [eps] is the
     unitarity tolerance (default [1e-9]). *)

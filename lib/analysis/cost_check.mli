@@ -28,7 +28,7 @@ val params :
   ?quotient_order:int -> ?commutator_order:int -> ?nu:int -> group_order:int -> unit -> params
 (** Optional fields default to [1]. *)
 
-val log2_ceil : int -> int
+val log2_ceil : int -> int (* hsp-lint: allow unused-export *)
 (** [max 1 (ceil (log2 n))] — every budget is a polynomial in this. *)
 
 type claim = {
@@ -41,10 +41,6 @@ type claim = {
   gates : params -> int;  (** gate + DFT application budget *)
 }
 
-val claims : claim list
-(** The full table; see DESIGN.md "Static verification" for the
-    polynomial of each row. *)
-
 val find : string -> claim option
 (** Look up a claim by bench label. *)
 
@@ -56,8 +52,6 @@ type verdict = {
   gates_budget : int;
   ok : bool;
 }
-
-val check : claim -> params -> queries:int -> gates:int -> verdict
 
 val check_snapshot :
   claim -> params -> queries:int -> Quantum.Metrics.snapshot -> verdict

@@ -405,6 +405,13 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let rec files_with suffix path =
+  if Sys.is_directory path then
+    Sys.readdir path |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun entry -> files_with suffix (Filename.concat path entry))
+  else if Filename.check_suffix path suffix then [ path ]
+  else []
+
 let lint_file ?config path =
   let config = match config with Some c -> c | None -> config_for_path path in
   lint_source config ~file:path (read_file path)

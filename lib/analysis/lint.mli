@@ -44,6 +44,11 @@
       [print_*] family, unless {!config.allow_print} (set for [bin/],
       [bench/], [test/] and [examples/]): libraries must log through
       [Logs] or return values, not write to the simulator's stdout.
+    - [unused-export] — a [val] in a [lib/**/*.mli] that no other unit
+      in [lib], [bin], [bench] or [examples] references; references
+      from [test/] do not count.  Checked by {!Unused_export} on the
+      typed trees dune builds, not by this Parsetree pass; the
+      allowlist comment goes in the [.mli].
 
     A finding on line [L] is suppressed by an allowlist comment
     [(* hsp-lint: allow <rule> [<rule> ...] *)] (or [allow all]) on
@@ -58,8 +63,8 @@ type rule =
   | Obj_magic
   | Print_stdout
 
-val rule_name : rule -> string
-val rule_of_name : string -> rule option
+val rule_name : rule -> string (* hsp-lint: allow unused-export *)
+val rule_of_name : string -> rule option (* hsp-lint: allow unused-export *)
 
 type finding = { file : string; line : int; rule : rule; detail : string }
 
@@ -68,11 +73,12 @@ type config = {
   allow_print : bool;  (** drop the [print-stdout] rule *)
 }
 
-val config_for_path : string -> config
+val config_for_path : string -> config (* hsp-lint: allow unused-export *)
 (** [check_poly] under [lib/group], [lib/core], [lib/quantum] and
     [lib/linalg]; [allow_print] under [bin/], [bench/], [test/] and
     [examples/]. *)
 
+(* hsp-lint: allow unused-export *)
 val lint_source : config -> file:string -> string -> finding list
 (** Parse and lint one compilation unit given as a string.
     @raise Failure if the source does not parse. *)
@@ -85,7 +91,7 @@ val pp_finding : Format.formatter -> finding -> unit
 (** {2 Shared infrastructure}
 
     The allowlist-comment scan and file reader are reused by
-    {!Race_check}, whose rules use the same
+    {!Race_check} and {!Unused_export}, whose rules use the same
     [(* hsp-lint: allow <rule> *)] syntax. *)
 
 type allowlist
@@ -99,3 +105,8 @@ val allow_suppressed : allowlist -> line:int -> rule:string -> bool
     above. *)
 
 val read_file : string -> string
+
+val files_with : string -> string -> string list
+(** [files_with suffix path]: [path] itself if it ends in [suffix],
+    else every such file under the directory [path], in sorted
+    order. *)

@@ -61,8 +61,8 @@ type rule =
   | Unbalanced_lock
   | Blocking_under_lock
 
-val rule_name : rule -> string
-val rule_of_name : string -> rule option
+val rule_name : rule -> string (* hsp-lint: allow unused-export *)
+val rule_of_name : string -> rule option (* hsp-lint: allow unused-export *)
 
 type finding = { file : string; line : int; rule : rule; detail : string }
 
@@ -75,11 +75,12 @@ type config = {
   check_blocking : bool;  (** enforce [blocking-under-lock] *)
 }
 
-val config_for_path : string -> config
+val config_for_path : string -> config (* hsp-lint: allow unused-export *)
 (** [check_globals] under [lib/quantum], [lib/core] and [lib/service];
     [check_blocking] under [lib/service]; the kernel rules and the lock
     rule everywhere. *)
 
+(* hsp-lint: allow unused-export *)
 val lint_source : config -> file:string -> string -> finding list
 (** Parse and lint one compilation unit given as a string.  Findings
     are sorted by line.

@@ -9,14 +9,3 @@ open Groups
 val brute_force : 'a Group.t -> 'a Hiding.t -> 'a list
 (** [H = { x : f x = f 1 }] by scanning the enumerated group: exactly
     [|G| + 1] classical queries.  Returns a reduced generating set. *)
-
-val brute_force_order : 'a Group.t -> 'a -> int
-(** Classical element-order computation by iterated multiplication
-    ([O(order)] group operations) — the baseline for Shor order
-    finding. *)
-
-val deterministic_query_lower_bound : int -> int
-(** [|G| / 2]: any classical algorithm distinguishing the trivial
-    subgroup from an order-2 subgroup must see a collision; with
-    fewer than |G|/2 queries in the worst case none occurs.  Used for
-    the bench report only. *)

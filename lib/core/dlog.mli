@@ -11,8 +11,3 @@ val discrete_log :
   Random.State.t -> p:int -> g:int -> h:int -> int option
 (** The least [l >= 0] with [g^l = h mod p], or [None] if [h] is
     outside [<g>].  [p] must be prime. *)
-
-val discrete_log_in_group :
-  Random.State.t -> 'a Groups.Group.t -> base:'a -> 'a -> order:int -> int option
-(** Same, for an element of a black-box group with unique encoding:
-    [base] of the given order, target in [<base>]. *)

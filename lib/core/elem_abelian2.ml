@@ -6,8 +6,6 @@ type 'a result = {
   quotient_order : int;
 }
 
-let hidden_cap_n rng g ~n_gens hiding = Abelian_hsp.solve_on_subgroup rng g n_gens hiding
-
 let check_elementary_2 dec =
   if Array.exists (fun d -> d <> 2) dec.Abelian.dims then
     invalid_arg "Elem_abelian2: N is not an elementary Abelian 2-group"

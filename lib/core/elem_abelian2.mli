@@ -33,6 +33,3 @@ val solve_general : Random.State.t -> 'a Group.t -> n_gens:'a list -> 'a Hiding.
 
 val solve_cyclic : Random.State.t -> 'a Group.t -> n_gens:'a list -> 'a Hiding.t -> 'a result
 (** Requires [G/N] cyclic; fully polynomial. *)
-
-val hidden_cap_n : Random.State.t -> 'a Group.t -> n_gens:'a list -> 'a Hiding.t -> 'a list
-(** [H ∩ N] via the Abelian HSP on [N] (exposed for tests). *)

@@ -32,6 +32,7 @@ val heisenberg_random : Random.State.t -> p:int -> m:int -> Extraspecial.elt t
 (** Random hidden subgroup of the extra-special group [H_p(m)]
     (Corollary 12). *)
 
+(* hsp-lint: allow unused-export *)
 val heisenberg_center : p:int -> m:int -> Extraspecial.elt t
 (** The center [G' = Z(G)] as hidden subgroup. *)
 
@@ -39,7 +40,7 @@ val wreath_random : Random.State.t -> k:int -> Wreath.elt t
 (** Random hidden subgroup of [Z_2^k wr Z_2] (Theorem 13 /
     Rötteler–Beth). *)
 
-val wreath_diagonal : k:int -> Wreath.elt t
+val wreath_diagonal : k:int -> Wreath.elt t (* hsp-lint: allow unused-export *)
 (** The classic wreath instance: hidden [{1, (w, w, 1)}]-style
     involution pairing the two halves (here with [w = 0]: the bare
     swap). *)
@@ -53,7 +54,7 @@ val dicyclic_random : Random.State.t -> n:int -> Dicyclic.elt t
 (** Random hidden subgroup of the dicyclic group [Q_{4n}]
     (|G'| = n: the Theorem 11 sweep family). *)
 
-val dicyclic_center : n:int -> Dicyclic.elt t
+val dicyclic_center : n:int -> Dicyclic.elt t (* hsp-lint: allow unused-export *)
 (** The order-2 center of [Q_{4n}] as hidden subgroup. *)
 
 val frobenius_translations : p:int -> q:int -> Metacyclic.elt t
@@ -68,6 +69,7 @@ val perm_normal_klein : unit -> Perm.elt t
 (** The Klein four-group hidden inside [S_4] — a hidden normal
     subgroup of a permutation group (Theorem 8's showcase). *)
 
+(* hsp-lint: allow unused-export *)
 val random_subgroup : Random.State.t -> name:string -> 'a Group.t -> 'a t
 (** Uniformly pick a few elements and hide their closure. *)
 

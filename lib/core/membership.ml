@@ -33,11 +33,6 @@ let power_map_oracle (g : 'a Group.t) xs =
     Array.iteri (fun i ai -> acc := g.Group.mul !acc (Group.pow g xs.(i) ai)) a;
     intern (g.Group.repr !acc)
 
-let kernel_of_power_map rng (g : 'a Group.t) xs ~orders ~queries =
-  let f = power_map_oracle g xs in
-  let gens, _ = Abelian_hsp.solve_dims rng ~dims:orders ~f ~quantum:queries () in
-  gens
-
 let express rng (g : 'a Group.t) ~hs x ~order_bound ~queries =
   if not (check_commuting g (x :: hs)) then
     invalid_arg "Membership.express: elements do not pairwise commute";

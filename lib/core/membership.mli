@@ -37,15 +37,3 @@ val express :
     @raise Invalid_argument if the [hs] do not pairwise commute or do
     not commute with... (they need not commute with [x]; only pairwise
     commutativity of [hs @ [x]] is required, as in the paper). *)
-
-val kernel_of_power_map :
-  Random.State.t ->
-  'a Group.t ->
-  'a list ->
-  orders:int array ->
-  queries:Quantum.Query.t ->
-  int array list
-(** Generators of [{ a : prod xs_i^{a_i} = 1 }] in
-    [Z_orders(0) x ...] — the relation lattice of commuting elements,
-    by the same Fourier sampling.  Exposed for reuse (presentations of
-    Abelian groups, Theorem 10). *)

@@ -36,12 +36,8 @@ let order_mod_hidden rng (g : 'a Group.t) (hiding : 'a Hiding.t) x ~bound =
   let pow k = hiding.Hiding.raw (Group.pow g x k) in
   find_period rng pow ~bound ~queries:hiding.Hiding.quantum
 
-let order_mod_generated rng (g : 'a Group.t) n_gens x ~bound ~queries =
-  let n_elems = Group.closure g n_gens in
-  let proj = Group.quotient_map g n_elems in
-  let intern = interner () in
-  let pow k = intern (g.Group.repr (proj (Group.pow g x k))) in
-  find_period rng pow ~bound ~queries
+let order_mod_generated rng g n_gens x ~bound ~queries =
+  order rng (Quotient.group_mod_generated g n_gens) x ~bound ~queries
 
 let order_mod_generated_watrous rng (g : 'a Group.t) n_gens x ~queries =
   (* Theorem 10, literally: the hiding function maps k to the quantum

@@ -26,6 +26,7 @@ val order :
     @raise Not_converged if sampling does not converge (bad bound or
     unlucky draws; retryable). *)
 
+(* hsp-lint: allow unused-export *)
 val order_mod_hidden :
   Random.State.t -> 'a Group.t -> 'a Hiding.t -> 'a -> bound:int -> int
 (** Order of [xN] in [G/N] where [N] is the subgroup hidden by [f]:
@@ -39,6 +40,7 @@ val order_mod_generated :
     [k -> |x^k N>], with the coset superposition stood in for by a
     canonical label). *)
 
+(* hsp-lint: allow unused-export *)
 val order_mod_generated_watrous :
   Random.State.t -> 'a Group.t -> 'a list -> 'a -> queries:Quantum.Query.t -> int
 (** Theorem 10 taken literally: the hiding function returns the

@@ -42,6 +42,7 @@ type report = {
       (** simulator cost ledger accumulated during the solve *)
 }
 
+(* hsp-lint: allow unused-export *)
 val run :
   ?verify:bool ->
   algorithm:string ->

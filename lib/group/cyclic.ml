@@ -28,13 +28,7 @@ let product dims =
     ~repr:(fun a -> String.concat "," (List.map string_of_int (Array.to_list a)))
     ~generators
 
-let zn n = product [| n |]
 let boolean_cube n = product (Array.make n 2)
-
-let dims_of g =
-  match Hashtbl.find_opt registry g.Group.name with
-  | Some dims -> dims
-  | None -> invalid_arg "Cyclic.dims_of: not a Cyclic group"
 
 let of_int dims k =
   let r = Array.length dims in

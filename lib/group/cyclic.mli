@@ -5,9 +5,6 @@
 
 type elt = int array
 
-val zn : int -> elt Group.t
-(** The cyclic group [Z_n]. *)
-
 val product : int array -> elt Group.t
 (** [product dims] is [Z_dims(0) x ... ], generated by the unit
     vectors. *)
@@ -15,12 +12,8 @@ val product : int array -> elt Group.t
 val boolean_cube : int -> elt Group.t
 (** [Z_2^n], Simon's group. *)
 
-val dims_of : elt Group.t -> int array
-(** Recovers the factor dimensions from a group built by this module.
-    @raise Invalid_argument on foreign groups. *)
-
-val of_int : int array -> int -> elt
+val of_int : int array -> int -> elt (* hsp-lint: allow unused-export *)
 (** Mixed-radix decode (wire 0 most significant), matching
     [Quantum.State.decode]. *)
 
-val to_int : int array -> elt -> int
+val to_int : int array -> elt -> int (* hsp-lint: allow unused-export *)

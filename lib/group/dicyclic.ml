@@ -27,6 +27,4 @@ let group n =
     ~repr:(fun x -> Printf.sprintf "%d.%d" x.j x.e)
     ~generators:[ { j = 1; e = 0 }; { j = 0; e = 1 } ]
 
-let a_gen _n = { j = 1; e = 0 }
-let b_gen _n = { j = 0; e = 1 }
 let central_involution n = { j = n; e = 0 }

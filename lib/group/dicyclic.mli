@@ -12,8 +12,5 @@ type elt = { j : int; e : int }
 val group : int -> elt Group.t
 (** [group n] is [Q_{4n}]; requires [n >= 1]. *)
 
-val a_gen : int -> elt
-val b_gen : int -> elt
-
 val central_involution : int -> elt
 (** [a^n], the unique involution, generating the center for [n >= 2]. *)

@@ -19,7 +19,7 @@ val group : p:int -> m:int -> elt Group.t
 val center_gen : p:int -> m:int -> elt
 (** The generator [(0, 0, 1)] of [G' = Z(G)]. *)
 
-val of_tuple : p:int -> m:int -> int array -> elt
+val of_tuple : p:int -> m:int -> int array -> elt (* hsp-lint: allow unused-export *)
 (** Flat [2m+1] exponent tuple [(a..., b..., c)]. *)
 
-val to_tuple : elt -> int array
+val to_tuple : elt -> int array (* hsp-lint: allow unused-export *)

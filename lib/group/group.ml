@@ -60,7 +60,6 @@ let element_order g x =
 let closure g xs = fst (closure_with_table g xs)
 let closure_set g xs = snd (closure_with_table g xs)
 let mem g table x = Hashtbl.mem table (g.repr x)
-let subgroup_mem g gens x = mem g (closure_set g gens) x
 
 let normal_closure g xs =
   (* Grow the subgroup; whenever a conjugate of a member by a group
@@ -107,44 +106,6 @@ let centralizer g xs =
 
 let center g = centralizer g g.generators
 
-let normalizer g h_elements =
-  let h_table = Hashtbl.create 64 in
-  List.iter (fun x -> Hashtbl.replace h_table (g.repr x) ()) h_elements;
-  List.filter
-    (fun x ->
-      List.for_all (fun h -> Hashtbl.mem h_table (g.repr (conjugate g ~by:x h))) h_elements)
-    (elements g)
-
-let conjugacy_classes g =
-  let all = elements g in
-  let assigned = Hashtbl.create 64 in
-  List.filter_map
-    (fun x ->
-      if Hashtbl.mem assigned (g.repr x) then None
-      else begin
-        let members = Hashtbl.create 8 in
-        List.iter
-          (fun y ->
-            let c = conjugate g ~by:y x in
-            let key = g.repr c in
-            if not (Hashtbl.mem members key) then Hashtbl.replace members key c)
-          all;
-        let cls = Hashtbl.fold (fun _ c acc -> c :: acc) members [] in
-        List.iter (fun c -> Hashtbl.replace assigned (g.repr c) ()) cls;
-        Some cls
-      end)
-    all
-
-let is_simple g =
-  let all = elements g in
-  let n = List.length all in
-  n > 1
-  && List.for_all
-       (fun x ->
-         if g.equal x g.id then true
-         else List.length (normal_closure g [ x ]) = n)
-       all
-
 let commutator_subgroup g =
   let comms =
     List.concat_map (fun x -> List.map (fun y -> commutator g x y) g.generators) g.generators
@@ -170,38 +131,9 @@ let is_solvable g =
   | last :: _ -> List.length last = 1
   | [] -> assert false
 
-let coset_reps g h_elements =
-  let h_table = Hashtbl.create 64 in
-  List.iter (fun h -> Hashtbl.replace h_table (g.repr h) ()) h_elements;
-  let seen = Hashtbl.create 64 in
-  let reps = ref [] in
-  List.iter
-    (fun x ->
-      (* coset key: representative-independent label = the repr-least
-         element of x H *)
-      let label =
-        List.fold_left
-          (fun best h ->
-            let k = g.repr (g.mul x h) in
-            match best with Some b when b <= k -> best | _ -> Some k)
-          None h_elements
-      in
-      match label with
-      | None -> ()
-      | Some l ->
-          if not (Hashtbl.mem seen l) then begin
-            Hashtbl.add seen l ();
-            reps := x :: !reps
-          end)
-    (elements g);
-  let reps = List.rev !reps in
-  (* put the identity's coset first, represented by the identity *)
-  let in_h x = Hashtbl.mem h_table (g.repr x) in
-  g.id :: List.filter (fun r -> not (in_h r)) reps
-
 (* Canonical projection onto coset representatives (BFS-least member
    of each coset). *)
-let quotient_projection g n_elements =
+let quotient_map g n_elements =
   let canon : (string, 'a) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun x ->
@@ -217,10 +149,8 @@ let quotient_projection g n_elements =
     (elements g);
   fun x -> Hashtbl.find canon (g.repr x)
 
-let quotient_map g n_elements = quotient_projection g n_elements
-
 let quotient g n_elements =
-  let proj = quotient_projection g n_elements in
+  let proj = quotient_map g n_elements in
   {
     name = g.name ^ "/N";
     mul = (fun a b -> proj (g.mul a b));
@@ -230,22 +160,6 @@ let quotient g n_elements =
     repr = (fun a -> g.repr (proj a));
     generators = List.map proj g.generators;
   }
-
-let direct_product ga gb =
-  {
-    name = ga.name ^ "x" ^ gb.name;
-    mul = (fun (a1, b1) (a2, b2) -> (ga.mul a1 a2, gb.mul b1 b2));
-    inv = (fun (a, b) -> (ga.inv a, gb.inv b));
-    id = (ga.id, gb.id);
-    equal = (fun (a1, b1) (a2, b2) -> ga.equal a1 a2 && gb.equal b1 b2);
-    repr = (fun (a, b) -> ga.repr a ^ "|" ^ gb.repr b);
-    generators =
-      List.map (fun a -> (a, gb.id)) ga.generators
-      @ List.map (fun b -> (ga.id, b)) gb.generators;
-  }
-
-let abelianization g = quotient g (commutator_subgroup g)
-let is_perfect g = List.length (commutator_subgroup g) = order g
 
 let sylow_subgroup g p =
   let n = order g in
@@ -326,14 +240,6 @@ let composition_series g =
   in
   walk series
 
-let composition_factors g =
-  let series = composition_series g in
-  let rec go = function
-    | a :: (b :: _ as rest) -> (List.length a / List.length b) :: go rest
-    | _ -> []
-  in
-  go series
-
 let random_element rng g =
   let all = Array.of_list (elements g) in
   all.(Random.State.int rng (Array.length all))
@@ -341,6 +247,3 @@ let random_element rng g =
 let random_subgroup_gens rng ?(max_gens = 3) g =
   let k = 1 + Random.State.int rng max_gens in
   List.init k (fun _ -> random_element rng g)
-
-let exponent_of g =
-  List.fold_left (fun acc x -> Numtheory.Arith.lcm acc (element_order g x)) 1 (elements g)

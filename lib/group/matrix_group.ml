@@ -131,8 +131,3 @@ let section6_group ~p ~a vs =
   group ~name:(Printf.sprintf "Sec6(k=%d,GF(%d))" k p) ~p ~dim:(k + 1) gens
 
 let section6_normal_gens ~p ~k vs = List.map (fun v -> section6_type_b ~p ~k v) vs
-
-let gl_order ~p ~dim =
-  let pn = Arith.pow p dim in
-  let rec go i acc = if i = dim then acc else go (i + 1) (acc * (pn - Arith.pow p i)) in
-  go 0 1

@@ -10,20 +10,17 @@
 
 type elt = int array array
 
-val identity : int -> elt
-val mul : int -> elt -> elt -> elt
-val inv : int -> elt -> elt
+val identity : int -> elt (* hsp-lint: allow unused-export *)
+val mul : int -> elt -> elt -> elt (* hsp-lint: allow unused-export *)
+val inv : int -> elt -> elt (* hsp-lint: allow unused-export *)
 (** Inverse by Gauss–Jordan over GF(p).
     @raise Invalid_argument if singular. *)
 
-val det : int -> elt -> int
-val is_invertible : int -> elt -> bool
+val det : int -> elt -> int (* hsp-lint: allow unused-export *)
+val is_invertible : int -> elt -> bool (* hsp-lint: allow unused-export *)
 
+(* hsp-lint: allow unused-export *)
 val group : ?name:string -> p:int -> dim:int -> elt list -> elt Group.t
-
-val section6_type_a : p:int -> a:elt -> elt
-(** Embed an invertible [k x k] matrix [a] as the [(k+1) x (k+1)]
-    block matrix [\[a 0; 0 1\]] — the paper's type (a). *)
 
 val section6_type_b : p:int -> k:int -> int array -> elt
 (** [section6_type_b ~p ~k v] is the transvection-like matrix
@@ -41,6 +38,3 @@ val section6_normal_gens : p:int -> k:int -> int array list -> elt list
     [N] *closed under the action of [a]*: callers should pass the same
     vectors as to {!section6_group}; the normal closure is computed by
     the HSP driver when needed. *)
-
-val gl_order : p:int -> dim:int -> int
-(** |GL(dim, p)| — used to bound element orders. *)

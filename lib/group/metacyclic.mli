@@ -11,13 +11,13 @@
 
 type elt = { a : int; b : int }
 
-val group : n:int -> m:int -> k:int -> elt Group.t
+val group : n:int -> m:int -> k:int -> elt Group.t (* hsp-lint: allow unused-export *)
 (** @raise Invalid_argument if [gcd(k, n) <> 1] or [k^m <> 1 mod n]. *)
 
 val base_gen : elt
 (** [(1, 0)], generating the normal cyclic base. *)
 
-val top_gen : elt
+val top_gen : elt (* hsp-lint: allow unused-export *)
 (** [(0, 1)]. *)
 
 val frobenius : p:int -> q:int -> elt Group.t

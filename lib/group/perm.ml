@@ -64,10 +64,6 @@ let to_cycles p =
   done;
   List.sort (List.compare Int.compare) !cycles
 
-let parity p =
-  let moved = List.fold_left (fun acc c -> acc + List.length c - 1) 0 (to_cycles p) in
-  moved land 1
-
 let repr p = String.concat "," (List.map string_of_int (Array.to_list p))
 
 let group ?name n generators =

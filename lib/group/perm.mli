@@ -24,17 +24,9 @@ val to_cycles : elt -> int list list
 (** Non-trivial cycles, each starting at its least point, sorted. *)
 
 val is_valid : elt -> bool
-val parity : elt -> int
-(** 0 for even, 1 for odd. *)
-
-val group : ?name:string -> int -> elt list -> elt Group.t
-(** Permutation group of degree [n] with the given generators. *)
 
 val symmetric : int -> elt Group.t
 (** S_n, generated by a transposition and an n-cycle. *)
 
 val alternating : int -> elt Group.t
 (** A_n, generated by 3-cycles. *)
-
-val cyclic_shift : int -> elt
-(** The n-cycle (0 1 2 ... n-1). *)

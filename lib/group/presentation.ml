@@ -52,11 +52,3 @@ let check_relators g t =
   List.for_all
     (fun r -> g.Group.equal (Word.eval g g.Group.generators r) g.Group.id)
     t.relators
-
-let relator_count t = List.length t.relators
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>presentation on %d generators, %d relators@," t.ngens
-    (List.length t.relators);
-  List.iter (fun r -> Format.fprintf fmt "  %a@," Word.pp r) t.relators;
-  Format.fprintf fmt "@]"

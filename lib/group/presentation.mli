@@ -20,9 +20,5 @@ val of_group : 'a Group.t -> t * ('a -> Word.t)
     the spanning-tree word map (each element expressed as a word in
     the generators).  Requires [g] enumerable. *)
 
-val check_relators : 'a Group.t -> t -> bool
+val check_relators : 'a Group.t -> t -> bool (* hsp-lint: allow unused-export *)
 (** Do all relators evaluate to the identity on [g]'s generators? *)
-
-val relator_count : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -18,7 +18,7 @@ val group : action:int array array -> m:int -> elt Group.t
 val base_gens : n:int -> elt list
 (** Generators of the normal subgroup [N = Z_2^n x {0}]. *)
 
-val top_gen : n:int -> elt
+val top_gen : n:int -> elt (* hsp-lint: allow unused-export *)
 (** The generator [(0, 1)] of the cyclic factor. *)
 
 val cyclic_action : int -> int array array

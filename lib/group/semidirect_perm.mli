@@ -19,5 +19,5 @@ val group : n:int -> top:Perm.elt list -> elt Group.t
 val base_gens : n:int -> elt list
 (** Generators of [N = Z_2^n]. *)
 
-val lift_perm : n:int -> Perm.elt -> elt
+val lift_perm : n:int -> Perm.elt -> elt (* hsp-lint: allow unused-export *)
 (** [(0, sigma)]. *)

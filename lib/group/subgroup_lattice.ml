@@ -29,7 +29,5 @@ let all_subgroups ?(max_subgroups = 10_000) (g : 'a Group.t) =
   Hashtbl.fold (fun _ s acc -> s :: acc) found []
   |> List.sort (fun a b -> Int.compare (List.length a) (List.length b))
 
-let count g = List.length (all_subgroups g)
-
 let normal_subgroups g =
   List.filter (fun s -> Group.is_normal g s) (all_subgroups g)

@@ -14,7 +14,5 @@ val all_subgroups : ?max_subgroups:int -> 'a Group.t -> 'a list list
     @raise Invalid_argument if more than [max_subgroups] (default
     10_000) are found. *)
 
-val count : 'a Group.t -> int
-
 val normal_subgroups : 'a Group.t -> 'a list list
 (** The normal ones only. *)

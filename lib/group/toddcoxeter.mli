@@ -15,6 +15,7 @@
 exception Overflow
 (** Raised when the live coset count exceeds [max_cosets]. *)
 
+(* hsp-lint: allow unused-export *)
 val enumerate :
   ngens:int -> relators:Word.t list -> subgroup:Word.t list -> max_cosets:int -> int
 (** Number of cosets of the subgroup generated by [subgroup] in the
@@ -22,5 +23,6 @@ val enumerate :
     finite and at most [max_cosets] cosets are needed (raises
     {!Overflow} otherwise). *)
 
+(* hsp-lint: allow unused-export *)
 val order_of_presentation : Presentation.t -> max_cosets:int -> int
 (** Index of the trivial subgroup: the order of the presented group. *)

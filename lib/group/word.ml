@@ -1,10 +1,6 @@
 type t = int list
 
-let identity = []
 let inverse w = List.rev_map (fun k -> -k) w
-let concat a b = a @ b
-let gen i = [ i + 1 ]
-let gen_inv i = [ -(i + 1) ]
 
 let reduce w =
   let push acc k =
@@ -20,13 +16,6 @@ let eval g gens w =
       let x = arr.(abs k - 1) in
       g.Group.mul acc (if k > 0 then x else g.Group.inv x))
     g.Group.id w
-
-let pp fmt w =
-  Format.fprintf fmt "[%s]"
-    (String.concat " "
-       (List.map
-          (fun k -> if k > 0 then Printf.sprintf "g%d" (k - 1) else Printf.sprintf "g%d^-1" (-k - 1))
-          w))
 
 module Slp = struct
   type instr = Gen of int | Mul_inv of int * int

@@ -10,13 +10,7 @@
 
 type t = int list
 
-val identity : t
 val inverse : t -> t
-val concat : t -> t -> t
-val gen : int -> t
-(** [gen i] is the one-letter word for generator [i] (0-based). *)
-
-val gen_inv : int -> t
 
 val reduce : t -> t
 (** Free reduction: cancel adjacent [x x^-1] pairs. *)
@@ -24,8 +18,6 @@ val reduce : t -> t
 val eval : 'a Group.t -> 'a list -> t -> 'a
 (** [eval g gens w] multiplies out [w] over the element list [gens]
     (0-based indexing into the list). *)
-
-val pp : Format.formatter -> t -> unit
 
 (** Straight-line programs: sequences of definitions, each either a
     generator or a product [x_j * x_k^-1] of earlier lines (the form

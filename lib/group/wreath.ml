@@ -44,5 +44,3 @@ let of_tuple k t =
     v = Array.init k (fun i -> t.(k + i) land 1);
     s = t.(2 * k) land 1;
   }
-
-let to_tuple x = Array.concat [ x.u; x.v; [| x.s |] ]

@@ -21,7 +21,5 @@ val base_gens : int -> elt list
 val swap_elt : int -> elt
 (** The top swap [(0, 0, 1)]. *)
 
-val of_tuple : int -> int array -> elt
+val of_tuple : int -> int array -> elt (* hsp-lint: allow unused-export *)
 (** Flat [2k+1] bit tuple [(u..., v..., s)]. *)
-
-val to_tuple : elt -> int array

@@ -1,6 +1,5 @@
 type t = Cx.t array array
 
-let make r c = Array.init r (fun _ -> Array.make c Cx.zero)
 let init r c f = Array.init r (fun i -> Array.init c (fun j -> f i j))
 let identity n = init n n (fun i j -> if i = j then Cx.one else Cx.zero)
 let rows m = Array.length m
@@ -71,9 +70,6 @@ let kron a b =
   init (ra * rb) (ca * cb) (fun i j ->
       Cx.mul a.(i / rb).(j / cb) b.(i mod rb).(j mod cb))
 
-let scale c m = Array.map (Array.map (Cx.mul c)) m
-let add a b = Array.mapi (fun i row -> Array.mapi (fun j x -> Cx.add x b.(i).(j)) row) a
-
 let approx_equal ?(eps = 1e-9) a b =
   Int.equal (rows a) (rows b)
   && Int.equal (cols a) (cols b)
@@ -103,8 +99,3 @@ let permutation n pi =
     seen.(p) <- true
   done;
   init n n (fun i j -> if pi j = i then Cx.one else Cx.zero)
-
-let pp fmt m =
-  Format.fprintf fmt "@[<v>";
-  Array.iter (fun row -> Format.fprintf fmt "%a@," Cvec.pp row) m;
-  Format.fprintf fmt "@]"

@@ -3,15 +3,12 @@
 type t = Cx.t array array
 (** Row-major square or rectangular matrix. *)
 
-val make : int -> int -> t
-(** Zero matrix [rows x cols]. *)
-
 val init : int -> int -> (int -> int -> Cx.t) -> t
-val identity : int -> t
+val identity : int -> t (* hsp-lint: allow unused-export *)
 val rows : t -> int
 val cols : t -> int
-val mul : t -> t -> t
-val apply : t -> Cvec.t -> Cvec.t
+val mul : t -> t -> t (* hsp-lint: allow unused-export *)
+val apply : t -> Cvec.t -> Cvec.t (* hsp-lint: allow unused-export *)
 val adjoint : t -> t
 
 val planes : t -> float array * float array
@@ -34,12 +31,10 @@ val apply_planes :
     entries).  The output planes must be distinct from the inputs.
     @raise Invalid_argument on plane dimension mismatch. *)
 
-val kron : t -> t -> t
+val kron : t -> t -> t (* hsp-lint: allow unused-export *)
 (** Kronecker (tensor) product. *)
 
-val scale : Cx.t -> t -> t
-val add : t -> t -> t
-val approx_equal : ?eps:float -> t -> t -> bool
+val approx_equal : ?eps:float -> t -> t -> bool (* hsp-lint: allow unused-export *)
 
 val is_unitary : ?eps:float -> t -> bool
 (** [m* m = I] within tolerance; false for non-square matrices. *)
@@ -49,8 +44,6 @@ val dft : int -> t
     [dft n].(j).(k) = exp(2 pi i j k / n) / sqrt n.  This is the QFT
     over the cyclic group [Z_n]. *)
 
-val permutation : int -> (int -> int) -> t
+val permutation : int -> (int -> int) -> t (* hsp-lint: allow unused-export *)
 (** [permutation n pi] maps [|k>] to [|pi k>]; [pi] must be a bijection
     on [0..n-1] (checked). *)
-
-val pp : Format.formatter -> t -> unit

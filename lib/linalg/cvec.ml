@@ -8,11 +8,7 @@ let basis dim k =
   v.(k) <- Cx.one;
   v
 
-let copy = Array.copy
 let dim = Array.length
-let add a b = Array.mapi (fun i x -> Cx.add x b.(i)) a
-let sub a b = Array.mapi (fun i x -> Cx.sub x b.(i)) a
-let scale c v = Array.map (Cx.mul c) v
 
 let dot a b =
   if not (Int.equal (dim a) (dim b)) then invalid_arg "Cvec.dot: dimension mismatch";
@@ -30,7 +26,6 @@ let norm v = sqrt (norm2 v)
    "what counts as a zero vector" and "close enough to unit norm to
    skip rescaling" cannot drift apart between representations. *)
 let zero_norm_floor = 1e-150
-let unit_norm_tol = 1e-15
 
 let normalize v =
   let n = norm v in
@@ -88,12 +83,3 @@ let approx_equal ?(eps = 1e-9) a b =
        done;
        !ok
      end
-
-let pp fmt v =
-  Format.fprintf fmt "[@[";
-  Array.iteri
-    (fun k z ->
-      if k > 0 then Format.fprintf fmt ";@ ";
-      Cx.pp fmt z)
-    v;
-  Format.fprintf fmt "@]]"

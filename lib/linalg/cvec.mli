@@ -5,22 +5,15 @@ type t = Cx.t array
 val make : int -> t
 (** Zero vector of the given dimension. *)
 
-val basis : int -> int -> t
+val basis : int -> int -> t (* hsp-lint: allow unused-export *)
 (** [basis dim k] is the computational basis vector [|k>]. *)
 
-val copy : t -> t
 val dim : t -> int
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : Cx.t -> t -> t
-val dot : t -> t -> Cx.t
+val dot : t -> t -> Cx.t (* hsp-lint: allow unused-export *)
 (** Hermitian inner product, conjugate-linear in the first argument. *)
 
-val norm2 : t -> float
-(** Squared 2-norm. *)
-
-val norm : t -> float
-val normalize : t -> t
+val norm : t -> float (* hsp-lint: allow unused-export *)
+val normalize : t -> t (* hsp-lint: allow unused-export *)
 (** @raise Invalid_argument on the zero vector. *)
 
 val zero_norm_floor : float
@@ -29,13 +22,7 @@ val zero_norm_floor : float
     Far below any amplitude a simulation produces; it only guards
     against dividing by a true zero. *)
 
-val unit_norm_tol : float
-(** A norm within this distance of [1.0] is close enough to unit that
-    rescaling would only inject rounding noise; normalisation
-    fast-paths may skip the scale. *)
-
 val approx_equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 (** {2 Split-plane layout}
 

@@ -6,14 +6,11 @@ let i = Complex.i
 let re x = { Complex.re = x; im = 0.0 }
 let make re im = { Complex.re; im }
 let add = Complex.add
-let sub = Complex.sub
 let mul = Complex.mul
-let div = Complex.div
 let neg = Complex.neg
 let conj = Complex.conj
 let scale s z = { Complex.re = s *. z.Complex.re; im = s *. z.Complex.im }
 let norm2 = Complex.norm2
-let abs = Complex.norm
 let polar r theta = { Complex.re = r *. cos theta; im = r *. sin theta }
 
 let root_of_unity n k =
@@ -30,5 +27,3 @@ let root_of_unity n k =
 let approx_equal ?(eps = 1e-9) a b =
   Float.abs (a.Complex.re -. b.Complex.re) <= eps
   && Float.abs (a.Complex.im -. b.Complex.im) <= eps
-
-let pp fmt z = Format.fprintf fmt "%.6g%+.6gi" z.Complex.re z.Complex.im

@@ -8,27 +8,18 @@ type t = Complex.t
 
 val zero : t
 val one : t
-val i : t
 val re : float -> t
 val make : float -> float -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val mul : t -> t -> t
-val div : t -> t -> t
 val neg : t -> t
 val conj : t -> t
 val scale : float -> t -> t
 val norm2 : t -> float
 (** Squared modulus. *)
 
-val abs : t -> float
-val polar : float -> float -> t
-(** [polar r theta]. *)
-
 val root_of_unity : int -> int -> t
 (** [root_of_unity n k] is [exp(2 pi i k / n)] for [n >= 1]. *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
 (** Componentwise comparison with tolerance (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

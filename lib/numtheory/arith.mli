@@ -31,20 +31,20 @@ val emod : int -> int -> int
 (** Euclidean remainder: [emod a m] lies in [\[0, m)] for [m >= 1],
     regardless of the sign of [a]. *)
 
-val crt : (int * int) list -> int * int
+val crt : (int * int) list -> int * int (* hsp-lint: allow unused-export *)
 (** [crt \[(r1, m1); (r2, m2); ...\]] solves the simultaneous
     congruences [x = ri mod mi], returning [(x, m)] where [m] is the
     lcm of the moduli and [x] in [\[0, m)] is the unique solution.
     Moduli need not be coprime.
     @raise Not_found if the system is inconsistent. *)
 
-val isqrt : int -> int
+val isqrt : int -> int (* hsp-lint: allow unused-export *)
 (** Integer square root: greatest [r] with [r*r <= n], for [n >= 0]. *)
 
 val ilog2 : int -> int
 (** [ilog2 n] is the floor of log2 for [n >= 1]. *)
 
-val divisors : int -> int list
+val divisors : int -> int list (* hsp-lint: allow unused-export *)
 (** All positive divisors of [n >= 1], ascending. *)
 
 val multiplicative_order : int -> int -> int

@@ -5,7 +5,7 @@
     a convergent of [c/Q].  This module implements the expansion and the
     convergent enumeration used by that post-processing. *)
 
-val expand : int -> int -> int list
+val expand : int -> int -> int list (* hsp-lint: allow unused-export *)
 (** [expand p q] is the continued-fraction expansion [\[a0; a1; ...\]]
     of [p/q] for [q >= 1], with the convention that the expansion of 0
     is [\[0\]]. *)
@@ -14,6 +14,7 @@ val convergents : int -> int -> (int * int) list
 (** [convergents p q] lists the convergents [(h, k)] (in lowest terms,
     [k >= 1]) of [p/q], in order of increasing denominator. *)
 
+(* hsp-lint: allow unused-export *)
 val best_denominator_bounded : int -> int -> int -> (int * int) option
 (** [best_denominator_bounded p q bound] is the convergent of [p/q]
     with the largest denominator [<= bound], if any. *)

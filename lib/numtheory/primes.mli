@@ -5,7 +5,7 @@
     test suite's reference answers) need deterministic factorisation
     for the small moduli the simulator can hold. *)
 
-val sieve : int -> int array
+val sieve : int -> int array (* hsp-lint: allow unused-export *)
 (** [sieve n] is the ascending array of primes [<= n]. *)
 
 val is_prime : int -> bool
@@ -26,9 +26,10 @@ val factorize : int -> (int * int) list
 val prime_divisors : int -> int list
 (** Distinct prime divisors, ascending. *)
 
-val euler_phi : int -> int
+val euler_phi : int -> int (* hsp-lint: allow unused-export *)
 (** Euler totient via factorisation. *)
 
+(* hsp-lint: allow unused-export *)
 val random_prime : Random.State.t -> lo:int -> hi:int -> int
 (** A uniformly random prime in [\[lo, hi\]].
     @raise Invalid_argument if the interval contains no prime. *)

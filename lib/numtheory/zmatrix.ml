@@ -1,6 +1,5 @@
 type t = int array array
 
-let make r c v = Array.init r (fun _ -> Array.make c v)
 let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1 else 0))
 let copy a = Array.map Array.copy a
 let rows a = Array.length a
@@ -17,10 +16,6 @@ let mul a b =
           done;
           !s))
 
-let transpose a =
-  let r = rows a and c = cols a in
-  Array.init c (fun j -> Array.init r (fun i -> a.(i).(j)))
-
 let equal a b =
   rows a = rows b && cols a = cols b
   && begin
@@ -32,16 +27,6 @@ let equal a b =
        done;
        !ok
      end
-
-let pp fmt a =
-  Format.fprintf fmt "@[<v>";
-  Array.iter
-    (fun row ->
-      Format.fprintf fmt "[";
-      Array.iteri (fun j x -> if j > 0 then Format.fprintf fmt " %d" x else Format.fprintf fmt "%d" x) row;
-      Format.fprintf fmt "]@,")
-    a;
-  Format.fprintf fmt "@]"
 
 let apply a x =
   let r = rows a and c = cols a in

@@ -11,29 +11,22 @@ type t = int array array
 (** Row-major, rectangular: [m.(i).(j)] is row [i], column [j].
     The empty matrix with [r] rows and 0 columns is [Array.make r [||]]. *)
 
-val make : int -> int -> int -> t
-val identity : int -> t
-val copy : t -> t
-val rows : t -> int
-val cols : t -> int
-val mul : t -> t -> t
-val transpose : t -> t
+val mul : t -> t -> t (* hsp-lint: allow unused-export *)
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
-val apply : t -> int array -> int array
+val apply : t -> int array -> int array (* hsp-lint: allow unused-export *)
 (** [apply a x] is the matrix-vector product [a * x]. *)
 
-val snf : t -> t * t * t
+val snf : t -> t * t * t (* hsp-lint: allow unused-export *)
 (** [snf a] is [(u, d, v)] with [u * a * v = d], [u] and [v] unimodular
     and [d] diagonal with non-negative entries satisfying
     [d.(i).(i)] divides [d.(i+1).(i+1)]. *)
 
-val diagonal_of_snf : t -> int array
+val diagonal_of_snf : t -> int array (* hsp-lint: allow unused-export *)
 (** The diagonal of a (rectangular) diagonal matrix, length
     [min rows cols]. *)
 
-val kernel : t -> int array list
+val kernel : t -> int array list (* hsp-lint: allow unused-export *)
 (** A basis of the integer kernel [{ x : a * x = 0 }]. *)
 
 val kernel_mod : moduli:int array -> t -> int array list
@@ -44,9 +37,10 @@ val kernel_mod : moduli:int array -> t -> int array list
     [Z^cols]; callers typically reduce coordinates modulo their own
     component orders. *)
 
-val solve : t -> int array -> int array option
+val solve : t -> int array -> int array option (* hsp-lint: allow unused-export *)
 (** [solve a b] finds some integer solution of [a * x = b], or [None]. *)
 
+(* hsp-lint: allow unused-export *)
 val solve_mod : moduli:int array -> t -> int array -> int array option
 (** [solve_mod ~moduli a b] finds [x] with
     [(a * x).(i) = b.(i) mod moduli.(i)] for all rows [i], or [None]. *)
@@ -84,7 +78,7 @@ type hnf
     touch only a row's nonzero entries: a row with [k] of them costs
     O(k), not O(r). *)
 
-val hnf_prepare : dims:int array -> t -> hnf
+val hnf_prepare : dims:int array -> t -> hnf (* hsp-lint: allow unused-export *)
 (** Check and prepare a canonical basis (as {!hnf_basis} returns):
     [r x r], zero below the diagonal, [h_ii >= 1] dividing [dims.(i)],
     and every above-diagonal [h_ij] in [[0, h_jj)].  The basis is not

@@ -69,16 +69,14 @@ module Caps : sig
 
   val coset_dense : int
   (** [2^22].  Group-size cap of [Coset_state.sampler] /
-      [Coset_state.sample_full] on the dense backend
-      ({!Coset_state.max_group_size}): those paths materialise O(|A|)
+      [Coset_state.sample_full] on the dense backend: those paths materialise O(|A|)
       amplitudes {e and} O(|A|) bucket tables, so they stop well under
       {!dense_state}.  Also the pivot of the oracle route's rule for
       an omitted backend ({!Coset_state.oracle_backend}). *)
 
   val coset_sparse : int
   (** [2^26].  Group-size cap of [Coset_state.sampler] on the sparse
-      backend ({!Coset_state.max_group_size_sparse}): the
-      amplitudes stay O(|coset|), so the bound is only the flat
+      backend: the amplitudes stay O(|coset|), so the bound is only the flat
       bucket tables of the shared O(|A|) prep pass.  Also the most
       members [State.of_coset] enumerates on dense or sparse, the
       planted route of [Coset_state.sampler_with_subgroup]: its coset

@@ -79,7 +79,6 @@ let of_indices dims idxs =
 
 let dims t = Array.copy t.dims
 let num_wires t = Array.length t.dims
-let total_dim t = Array.length t.re
 
 let support_size t =
   let n = ref 0 in
@@ -416,8 +415,3 @@ let approx_equal ?(eps = 1e-9) a b =
     then ok := false
   done;
   !ok
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>state over dims [%s]@,%a@]"
-    (String.concat "; " (Array.to_list (Array.map string_of_int t.dims)))
-    Cvec.pp (amplitudes t)

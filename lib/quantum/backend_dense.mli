@@ -40,7 +40,6 @@ val of_indices : int array -> int array -> t
 
 val dims : t -> int array
 val num_wires : t -> int
-val total_dim : t -> int
 
 val support_size : t -> int
 (** Number of nonzero amplitudes. *)
@@ -89,4 +88,3 @@ val measure_all : Random.State.t -> t -> int array
 
 val norm : t -> float
 val approx_equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -147,7 +147,6 @@ let of_indices ?planes dims idxs =
 
 let dims t = Array.copy t.dims
 let num_wires t = Array.length t.dims
-let total_dim t = t.total
 let support_size t = t.n
 
 let amplitudes t =
@@ -571,12 +570,3 @@ let approx_equal ?(eps = 1e-9) a b =
        done;
        !ok
      end
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>sparse state over dims [%s], %d/%d nonzero@,"
-    (String.concat "; " (Array.to_list (Array.map string_of_int t.dims)))
-    t.n t.total;
-  for e = 0 to t.n - 1 do
-    Format.fprintf fmt "%d: %a@," t.idx.(e) Cx.pp (Cx.make t.re.(e) t.im.(e))
-  done;
-  Format.fprintf fmt "@]"

@@ -42,7 +42,6 @@ val of_indices : ?planes:float array * float array -> int array -> int array -> 
 
 val dims : t -> int array
 val num_wires : t -> int
-val total_dim : t -> int
 val support_size : t -> int
 val amplitudes : t -> Linalg.Cvec.t
 val amp_at : t -> int -> Linalg.Cx.t
@@ -66,11 +65,8 @@ val measure_all : Random.State.t -> t -> int array
 
 val norm : t -> float
 
-val prune_eps : float
+val prune_eps : float (* hsp-lint: allow unused-export *)
 (** The pruning threshold, [1e-12]: an amplitude of modulus at most
     this is dropped. *)
 
 val approx_equal : ?eps:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit
-(** Prints the nonzero entries in index order (intended for small
-    supports). *)

@@ -100,7 +100,6 @@ let num_wires st = Array.length (dims st)
 let support_size st =
   match Subgroup.order_int st.sub with Some n -> n | None -> max_int
 
-let subgroup st = st.sub
 let norm _ = 1.0
 
 (* chi_p(x) = prod_i omega_{d_i}^{p_i * x_i} *)
@@ -238,10 +237,3 @@ let approx_equal ?(eps = 1e-9) a b =
   let probe = a.rep :: List.map (fun row -> Array.init (Array.length da) (fun i ->
       (a.rep.(i) + row.(i)) mod da.(i))) (Array.to_list (Subgroup.basis a.sub)) in
   List.for_all (fun x -> Cx.approx_equal ~eps (amp_at_tuple a x) (amp_at_tuple b x)) probe
-
-let pp fmt st =
-  let dims = dims st in
-  Format.fprintf fmt "@[<v>symbolic coset state over [%s]@,  log2|H| = %.2f, rep = [%s]@]"
-    (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
-    (Subgroup.order_log2 st.sub)
-    (String.concat ";" (Array.to_list (Array.map string_of_int st.rep)))

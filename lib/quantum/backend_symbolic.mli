@@ -102,8 +102,6 @@ val num_wires : t -> int
 val support_size : t -> int
 (** [|H|], clamped to [max_int] when it overflows. *)
 
-val subgroup : t -> Subgroup.t
-
 (** {2 Operations} *)
 
 val fourier : t -> inverse:bool -> t
@@ -130,7 +128,6 @@ val norm : t -> float
 
 (** {2 Amplitude views (small states only)} *)
 
-val amp_at_tuple : t -> int array -> Linalg.Cx.t
 val amp_at : t -> int -> Linalg.Cx.t
 
 val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
@@ -149,5 +146,3 @@ val approx_equal : ?eps:float -> t -> t -> bool
     representative and each basis-row offset — which pins the full
     amplitude function, since characters agreeing on generators agree
     on the subgroup. *)
-
-val pp : Format.formatter -> t -> unit

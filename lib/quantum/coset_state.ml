@@ -1,8 +1,5 @@
 open Linalg
 
-let max_group_size = Backend.Caps.coset_dense
-let max_group_size_sparse = Backend.Caps.coset_sparse
-
 let check_total ~cap total =
   if total > cap then
     invalid_arg "Coset_state: group too large for state-vector simulation";
@@ -10,7 +7,7 @@ let check_total ~cap total =
 
 (* Dense-path size check: [sample_full] materialises O(|A|) dense
    data. *)
-let total_of dims = check_total ~cap:max_group_size (Array.fold_left ( * ) 1 dims)
+let total_of dims = check_total ~cap:Backend.Caps.coset_dense (Array.fold_left ( * ) 1 dims)
 
 (* ------------------------------------------------------------------ *)
 (* First-class sampler prep                                            *)
@@ -92,7 +89,7 @@ let oracle_backend ?backend ~total () =
   match (match backend with Some _ -> backend | None -> Backend.default ()) with
   | Some Backend.Dense -> Backend.Dense
   | Some (Backend.Sparse | Backend.Symbolic) -> Backend.Sparse
-  | None -> if total <= max_group_size then Backend.Dense else Backend.Sparse
+  | None -> if total <= Backend.Caps.coset_dense then Backend.Dense else Backend.Sparse
 
 (* The planted route is handed subgroup structure, which is the opt-in
    to symbolic: with no choice at all it samples there, at any size. *)
@@ -107,7 +104,7 @@ let prep ?backend ~dims ~f () =
      on the sparse backend, so the cap is the flat-array bound for the
      bucket tables, not the dense amplitude ceiling. *)
   let resolved = oracle_backend ?backend ~total () in
-  let cap = match resolved with Backend.Sparse -> max_group_size_sparse | _ -> max_group_size in
+  let cap = match resolved with Backend.Sparse -> Backend.Caps.coset_sparse | _ -> Backend.Caps.coset_dense in
   let total = check_total ~cap total in
   let dims = Array.copy dims in
   let ptables =

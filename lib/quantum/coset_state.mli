@@ -22,8 +22,8 @@
       the group into cosets (ledger: [sampler_preps]) — after which
       every sample costs O(|coset|) construction off its pre-sorted
       bucket (ledger: [coset_visits]) plus the Fourier/measure work.
-      Capped at {!max_group_size} (2^22) on the dense backend, where
-      amplitudes are materialised in full, and {!max_group_size_sparse}
+      Capped at {!Backend.Caps.coset_dense} (2^22) on the dense backend, where
+      amplitudes are materialised in full, and {!Backend.Caps.coset_sparse}
       (2^26) on the sparse one, where only the bucket tables are
       O(|A|).  Its states are index segments, so it runs on dense or
       sparse only; {!oracle_backend} is its one backend rule.
@@ -34,7 +34,7 @@
       closed form, O(r^2) per sample with no cap of any kind, so groups
       of order 2^100 and far beyond sample in microseconds.  Explicit
       dense/sparse backends enumerate the coset instead
-      ({!State.of_coset}, at most {!max_group_size_sparse} members, no
+      ({!State.of_coset}, at most {!Backend.Caps.coset_sparse} members, no
       O(|A|) pass), which simulates groups far beyond the oracle
       route's caps when cosets and their Fourier supports are small,
       and serves as the differential oracle for the symbolic
@@ -43,7 +43,7 @@
     {!sample_full} is the reference implementation on the full tensor
     product, used by tests to validate {!sampler}; it runs the dense
     backend's gates, oracle and partial measurement, O(|A|) throughout,
-    capped at {!max_group_size}.
+    capped at {!Backend.Caps.coset_dense}.
 
     Each call costs one oracle query: the oracle is evaluated once in
     superposition.  The classical expansion of that superposition by
@@ -54,23 +54,12 @@
     {!planted_backend}.  They are the only readers of the session
     default ({!Backend.default}). *)
 
-val max_group_size : int
-(** Group-size cap of {!sampler} / {!sample_full} on the dense backend:
-    these paths materialise O(|A|) amplitudes.  Alias of
-    {!Backend.Caps.coset_dense} (2^22). *)
-
-val max_group_size_sparse : int
-(** Group-size cap of {!sampler} on the sparse backend: the
-    amplitudes stay O(|coset|), so the bound is only the flat bucket
-    tables of the shared prep pass.  Alias of
-    {!Backend.Caps.coset_sparse} (2^26). *)
-
 val oracle_backend : ?backend:Backend.choice -> total:int -> unit -> Backend.choice
 (** The backend the oracle route ({!prep}, {!sampler}, and the
     [hsp_served] amplitude route) builds its states on, for a group of
     order [total].  The explicit [?backend] wins, then the session
     default ({!Backend.default}); with neither, [Dense] iff
-    [total <= ]{!max_group_size} (2^22), else [Sparse], so no choice
+    [total <= ]{!Backend.Caps.coset_dense} (2^22), else [Sparse], so no choice
     never picks a backend whose cap then rejects the group.  [Dense]
     and [Sparse] are taken as given, and [Symbolic] means [Sparse] (an
     oracle's buckets carry no subgroup structure; pass the subgroup to
@@ -126,7 +115,7 @@ val prep :
   prep
 (** Build the prep for [f] over [A = Z_{d_1} x ... x Z_{d_r}].  The
     backend is {!oracle_backend}'s; size caps are enforced here
-    ({!max_group_size} dense, {!max_group_size_sparse} sparse); the
+    ({!Backend.Caps.coset_dense} dense, {!Backend.Caps.coset_sparse} sparse); the
     bucketing pass runs
     lazily, charged to the ["sample-prep"] phase and the
     [sampler_preps] ledger counter exactly once. *)
@@ -138,14 +127,14 @@ val prep_force : prep -> unit
     one per distinct wire dimension, which every sampler of the prep
     then reuses. *)
 
-val prep_backend : prep -> Backend.choice
+val prep_backend : prep -> Backend.choice (* hsp-lint: allow unused-export *)
 (** The resolved backend: [Dense] or [Sparse]. *)
 
-val prep_cosets : prep -> int
+val prep_cosets : prep -> int (* hsp-lint: allow unused-export *)
 (** Number of distinct cosets (oracle values) found; forces the
     tables. *)
 
-val prep_buckets : prep -> int array * int array
+val prep_buckets : prep -> int array * int array (* hsp-lint: allow unused-export *)
 (** [(starts, members)], copies of the CSR bucket tables: coset [c]
     holds the encoded indices [members.(starts.(c)) .. members.(starts.(c+1) - 1)],
     increasing; cosets are numbered in order of their first element.
@@ -206,6 +195,7 @@ val sampler_of_subgroup :
     here performs no normal-form work at all.  Dims are taken from the
     subgroup; backend semantics are as in {!sampler_with_subgroup}. *)
 
+(* hsp-lint: allow unused-export *)
 val sample_full :
   Random.State.t ->
   dims:int array ->

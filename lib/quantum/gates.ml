@@ -5,11 +5,7 @@ let h =
   [| [| Cx.re s; Cx.re s |]; [| Cx.re s; Cx.re (-.s) |] |]
 
 let x = [| [| Cx.zero; Cx.one |]; [| Cx.one; Cx.zero |] |]
-let y = [| [| Cx.zero; Cx.neg Cx.i |]; [| Cx.i; Cx.zero |] |]
 let z = [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.neg Cx.one |] |]
-let s = [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.i |] |]
-let t = [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.polar 1.0 (Float.pi /. 4.0) |] |]
-let phase theta = [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.polar 1.0 theta |] |]
 let rk k = [| [| Cx.one; Cx.zero |]; [| Cx.zero; Cx.root_of_unity (1 lsl k) 1 |] |]
 
 let controlled u =
@@ -18,8 +14,6 @@ let controlled u =
       if i < d && j < d then if i = j then Cx.one else Cx.zero
       else if i >= d && j >= d then u.(i - d).(j - d)
       else Cx.zero)
-
-let cnot = controlled x
 
 let swap =
   Cmat.init 4 4 (fun i j ->

@@ -5,14 +5,8 @@
 val h : Linalg.Cmat.t
 (** Hadamard. *)
 
-val x : Linalg.Cmat.t
-val y : Linalg.Cmat.t
-val z : Linalg.Cmat.t
-val s : Linalg.Cmat.t
-val t : Linalg.Cmat.t
-
-val phase : float -> Linalg.Cmat.t
-(** [phase theta] = diag(1, e^{i theta}). *)
+val x : Linalg.Cmat.t (* hsp-lint: allow unused-export *)
+val z : Linalg.Cmat.t (* hsp-lint: allow unused-export *)
 
 val rk : int -> Linalg.Cmat.t
 (** [rk k] = diag(1, e^{2 pi i / 2^k}), the QFT rotation. *)
@@ -21,5 +15,4 @@ val controlled : Linalg.Cmat.t -> Linalg.Cmat.t
 (** [controlled u] for a [d x d] unitary is the [2d x 2d] unitary
     applying [u] when the (most significant) control qubit is 1. *)
 
-val cnot : Linalg.Cmat.t
 val swap : Linalg.Cmat.t

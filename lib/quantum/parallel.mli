@@ -35,7 +35,7 @@
 
 val max_jobs : int
 
-val jobs : unit -> int
+val jobs : unit -> int (* hsp-lint: allow unused-export *)
 (** The session-wide job count: {!set_jobs} if called, else [HSP_JOBS],
     else 1.
     @raise Invalid_argument on a malformed or out-of-range [HSP_JOBS]
@@ -44,7 +44,7 @@ val jobs : unit -> int
 val set_jobs : int -> unit
 (** @raise Invalid_argument outside [1 .. max_jobs]. *)
 
-val parse_jobs : string -> int
+val parse_jobs : string -> int (* hsp-lint: allow unused-export *)
 (** Validate an [HSP_JOBS]-style value ({!jobs} applies it to the
     environment variable).
     @raise Invalid_argument unless the trimmed string is an integer in
@@ -52,10 +52,10 @@ val parse_jobs : string -> int
 
 type sched = Fifo | Shuffle  (** chunk execution order within a region *)
 
-val sched : unit -> sched
+val sched : unit -> sched (* hsp-lint: allow unused-export *)
 (** The session-wide scheduler: {!set_sched} if called, else [Fifo]. *)
 
-val set_sched : sched -> unit
+val set_sched : sched -> unit (* hsp-lint: allow unused-export *)
 
 val parallel_for : ?chunks:int -> int -> int -> (int -> int -> unit) -> unit
 (** [parallel_for lo hi body] runs [body clo chi] over contiguous

@@ -11,9 +11,10 @@ val forward : ?plans:Linalg.Fft.plan array -> State.t -> wires:int list -> State
     {!State.fourier} sweep.  [plans.(w)], when given, is the prebuilt
     plan of wire [w]'s dimension. *)
 
-val backward : State.t -> wires:int list -> State.t
+val backward : State.t -> wires:int list -> State.t (* hsp-lint: allow unused-export *)
 (** Inverse QFT on each listed wire, as one {!State.fourier} sweep. *)
 
+(* hsp-lint: allow unused-export *)
 val character : dims:int array -> int array -> int array -> Linalg.Cx.t
 (** [character ~dims y x] is the value at [x] of the character indexed
     by [y] of the group [Z_dims(0) x ...]:

@@ -96,11 +96,6 @@ let num_wires = function
   | Sparse s -> Backend_sparse.num_wires s
   | Symbolic s -> Backend_symbolic.num_wires s
 
-let total_dim = function
-  | Dense d -> Backend_dense.total_dim d
-  | Sparse s -> Backend_sparse.total_dim s
-  | Symbolic s -> Backend.total_of (Backend_symbolic.dims s)
-
 let support_size = function
   | Dense d -> Backend_dense.support_size d
   | Sparse s -> Backend_sparse.support_size s
@@ -248,8 +243,3 @@ let approx_equal ?(eps = 1e-9) a b =
       iter_nonzero a (fun i z -> if not (Cx.approx_equal ~eps z (amp_at b i)) then ok := false);
       iter_nonzero b (fun i z -> if not (Cx.approx_equal ~eps z (amp_at a i)) then ok := false);
       !ok
-
-let pp fmt = function
-  | Dense d -> Backend_dense.pp fmt d
-  | Sparse s -> Backend_sparse.pp fmt s
-  | Symbolic s -> Backend_symbolic.pp fmt s

@@ -40,7 +40,7 @@
 
 type t
 
-val backend : t -> Backend.choice
+val backend : t -> Backend.choice (* hsp-lint: allow unused-export *)
 (** The concrete backend holding this state. *)
 
 val create : int array -> t
@@ -51,7 +51,7 @@ val create : int array -> t
 val of_basis : int array -> int array -> t
 (** [of_basis dims x] is the dense basis state [|x>]. *)
 
-val of_amplitudes : int array -> Linalg.Cvec.t -> t
+val of_amplitudes : int array -> Linalg.Cvec.t -> t (* hsp-lint: allow unused-export *)
 (** Wraps (a copy of) a full amplitude vector in a dense state;
     normalises. *)
 
@@ -82,10 +82,6 @@ val of_coset : ?backend:Backend.choice -> Backend_symbolic.Subgroup.t -> rep:int
 val dims : t -> int array
 val num_wires : t -> int
 
-val total_dim : t -> int
-(** @raise Invalid_argument on a symbolic state whose total dimension
-    overflows the integer range. *)
-
 val support_size : t -> int
 (** Number of nonzero amplitudes currently stored (for the dense
     backend, the count of nonzero entries; for a symbolic state, the
@@ -97,10 +93,11 @@ val amplitudes : t -> Linalg.Cvec.t
     @raise Invalid_argument beyond {!Backend.Caps.dense_state}; use
     {!amp_at} / {!iter_nonzero} there. *)
 
-val amp_at : t -> int -> Linalg.Cx.t
+val amp_at : t -> int -> Linalg.Cx.t (* hsp-lint: allow unused-export *)
 (** Amplitude at a mixed-radix basis index, any backend, any size
     (symbolic: a membership test plus a character evaluation). *)
 
+(* hsp-lint: allow unused-export *)
 val iter_nonzero : t -> (int -> Linalg.Cx.t -> unit) -> unit
 (** Iterate over the stored nonzero amplitudes (unspecified order;
     symbolic states enumerate their coset, capped at
@@ -126,6 +123,7 @@ val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
     order, most significant first).  The matrix dimension must be the
     product of the wires' dimensions. *)
 
+(* hsp-lint: allow unused-export *)
 val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
 (** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
     fibre on the amplitude backends ({!Linalg.Fft}: straight-line for
@@ -168,7 +166,7 @@ val apply_oracle_add : t -> in_wires:int list -> out_wire:int -> f:(int array ->
     the output wire's dimension and [x] ranges over the values of
     [in_wires]. *)
 
-val probabilities : t -> wires:int list -> float array
+val probabilities : t -> wires:int list -> float array (* hsp-lint: allow unused-export *)
 (** Marginal outcome distribution of measuring the listed wires, as a
     dense array indexed by the mixed-radix encoding of the outcome over
     those wires' dimensions. *)
@@ -188,10 +186,8 @@ val measure_all : Random.State.t -> t -> int array
     state draws one populated index off its segment.  Ticks
     [measurements] once. *)
 
-val norm : t -> float
+val norm : t -> float (* hsp-lint: allow unused-export *)
 
-val approx_equal : ?eps:float -> t -> t -> bool
+val approx_equal : ?eps:float -> t -> t -> bool (* hsp-lint: allow unused-export *)
 (** Amplitude-wise comparison; works across backends (used by the
     dense/sparse/symbolic equivalence test suite). *)
-
-val pp : Format.formatter -> t -> unit

@@ -143,13 +143,6 @@ let find_or_add c key build =
 
 let mem c key = locked c @@ fun () -> Hashtbl.mem c.table key
 
-let clear c =
-  locked c @@ fun () ->
-  Hashtbl.reset c.table;
-  c.mru <- None;
-  c.lru <- None;
-  c.cur_bytes <- 0
-
 let stats c =
   locked c @@ fun () ->
   {

@@ -24,11 +24,11 @@ val create :
 (** [create ~bytes_of ()] — defaults: 64 entries, 256 MiB.
     @raise Invalid_argument if either budget is < 1. *)
 
-val find : ('k, 'v) t -> 'k -> 'v option
+val find : ('k, 'v) t -> 'k -> 'v option (* hsp-lint: allow unused-export *)
 (** Lookup; a hit refreshes the entry's recency and ticks [hits],
     a miss ticks [misses]. *)
 
-val add : ('k, 'v) t -> 'k -> 'v -> unit
+val add : ('k, 'v) t -> 'k -> 'v -> unit (* hsp-lint: allow unused-export *)
 (** Insert (replacing any previous binding) as most-recently-used,
     then evict LRU entries until the budgets hold. *)
 
@@ -39,8 +39,5 @@ val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v * bool
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Membership test without touching recency or hit/miss counters. *)
-
-val clear : ('k, 'v) t -> unit
-(** Drop every entry (statistics counters are preserved). *)
 
 val stats : ('k, 'v) t -> stats

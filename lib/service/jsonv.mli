@@ -22,7 +22,7 @@ val to_string : t -> string
 (** Compact (single-line) serialisation; strings are escaped per RFC
     8259. *)
 
-val max_depth : int
+val max_depth : int (* hsp-lint: allow unused-export *)
 (** Deepest array/object nesting {!of_string} accepts (512). *)
 
 val of_string : string -> (t, string) result

@@ -50,14 +50,9 @@ type envelope = { id : Jsonv.t; req : request }
     (probabilistic convergence failure). *)
 type error_kind = Malformed | Rejected | Retryable | Crashed
 
-val kind_to_string : error_kind -> string
-val retryable : error_kind -> bool
-
 val parse_request : string -> (envelope, string) result
 (** Decode one frame payload.  Never raises; the error string is
     client-facing (it becomes a [Malformed] reply). *)
-
-val request_of_json : Jsonv.t -> (envelope, string) result
 
 val ok_response : id:Jsonv.t -> (string * Jsonv.t) list -> Jsonv.t
 (** [{"id":..,"ok":true, ...fields}] *)

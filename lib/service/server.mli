@@ -10,19 +10,13 @@
 
 type t
 
-val listen : socket_path:string -> Service.t -> t
-(** Bind the socket (unlinking any stale file), start the engine's
-    executor, and return without accepting yet.  Sets SIGPIPE to
-    ignored for the whole process, so a client that hangs up before
-    its reply costs only its own connection (the write fails with
-    EPIPE) instead of killing the daemon. *)
-
-val accept_loop : t -> unit
-(** Serve until a [shutdown] request; joins connection threads, stops
-    the engine and removes the socket file before returning. *)
-
 val run : socket_path:string -> Service.t -> unit
-(** [listen] + [accept_loop] — the daemon main. *)
+(** The daemon main.  Binds the socket (unlinking any stale file),
+    starts the engine's executor and serves until a [shutdown] request;
+    then joins connection threads, stops the engine and removes the
+    socket file.  Sets SIGPIPE to ignored for the whole process, so a
+    client that hangs up before its reply costs only its own connection
+    (the write fails with EPIPE) instead of killing the daemon. *)
 
 val run_in_background : socket_path:string -> Service.t -> Thread.t
 (** Same, with the accept loop on its own thread (tests, smoke runs);

@@ -43,18 +43,16 @@ val submit : t -> Protocol.envelope -> Jsonv.t
 
 val cache_stats : t -> Cache.stats
 
-val pending : t -> int
+val pending : t -> int (* hsp-lint: allow unused-export *)
 (** Jobs currently queued and not yet drained by the executor.  Tests
     use this to stage a deterministic batch: enqueue from N threads
     {e before} {!start}, wait for [pending] to reach N, then start. *)
 
 (** {2 Exposed for tests and the E14 bench} *)
 
-val validate : Protocol.instance -> (unit, string) result
-
 type route = Sym | Amp of Quantum.Backend.choice
 
-val route : Protocol.instance -> (route, string) result
+val route : Protocol.instance -> (route, string) result (* hsp-lint: allow unused-export *)
 (** Resolve the execution route: an explicit backend wins ([Symbolic]
     is the planted route, [Dense]/[Sparse] the oracle route as given).
     Omitted ([None]): the oracle route while the total dimension is at
@@ -64,12 +62,5 @@ val route : Protocol.instance -> (route, string) result
     the total dimension overflows.  [Error] when an explicit amplitude
     backend cannot form the register at all. *)
 
-val fingerprint : Protocol.instance -> route -> string
+val fingerprint : Protocol.instance -> route -> string (* hsp-lint: allow unused-export *)
 (** Cache key: hex digest over route + canonical dims/moduli. *)
-
-val metrics_delta :
-  Quantum.Metrics.snapshot -> Quantum.Metrics.snapshot -> (string * Jsonv.t) list
-(** Per-field difference (after - before) of the fields that changed:
-    ints for counters, floats for [sec_*] phase entries (seconds, to
-    the microsecond).  Zero fields are omitted; an absent field means
-    0. *)

@@ -163,10 +163,13 @@ let test_claim_table_labels () =
     [ "3"; "4"; "6"; "8"; "11"; "13g"; "13c" ];
   checkb "unknown label" true (Cost_check.find "99" = None)
 
+(* A ledger snapshot whose gate usage (gate_apps + dft_apps) is [g]. *)
+let gates_used g = { (Quantum.Metrics.snapshot ()) with gate_apps = g - 1; dft_apps = 1 }
+
 let test_claim_within_budget () =
   let claim = Option.get (Cost_check.find "3") in
   let p = Cost_check.params ~group_order:16 () in
-  let v = Cost_check.check claim p ~queries:14 ~gates:48 in
+  let v = Cost_check.check_snapshot claim p ~queries:14 (gates_used 48) in
   checkb "ok" true v.Cost_check.ok;
   checkb "cell ok" true (String.equal (Cost_check.cell v) "ok")
 
@@ -174,11 +177,11 @@ let test_claim_violated () =
   let claim = Option.get (Cost_check.find "3") in
   let p = Cost_check.params ~group_order:16 () in
   (* a Theta(|G|)-query regression must trip the poly(log |G|) budget *)
-  let v = Cost_check.check claim p ~queries:(16 * 16) ~gates:48 in
+  let v = Cost_check.check_snapshot claim p ~queries:(16 * 16) (gates_used 48) in
   checkb "not ok" false v.Cost_check.ok;
   checkb "cell says OVER" true
     (String.length (Cost_check.cell v) >= 4 && String.sub (Cost_check.cell v) 0 4 = "OVER");
-  let v = Cost_check.check claim p ~queries:1 ~gates:1_000_000 in
+  let v = Cost_check.check_snapshot claim p ~queries:1 (gates_used 1_000_000) in
   checkb "gate overflow also trips" false v.Cost_check.ok
 
 let test_claim_budgets_monotone () =
@@ -488,6 +491,97 @@ let test_rc_rule_names_roundtrip () =
       Race_check.Blocking_under_lock;
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Unused_export: the rule's core on synthetic typed trees            *)
+(* ------------------------------------------------------------------ *)
+
+(* Sources are typed in-process against a stand-in for the wrapped
+   library [numtheory], whose [Zmatrix] exports [hnf_sample] and [snf]. *)
+let typed src =
+  Compmisc.init_path ();
+  let str, _, _, _, _ =
+    Typemod.type_structure (Compmisc.initial_env ())
+      (Parse.implementation (Lexing.from_string src))
+  in
+  str
+
+let numtheory =
+  "module Numtheory = struct module Zmatrix = struct let hnf_sample x = x let snf x = x end \
+   end\n"
+
+let zm_mli = "val hnf_sample : int -> int\n\nval snf : int -> int\n"
+
+let zm_exports =
+  List.map
+    (fun (name, line) ->
+      let file = "lib/numtheory/zmatrix.mli" in
+      { Unused_export.lib = "Numtheory"; unit = "Zmatrix"; name; file; line })
+    [ ("hnf_sample", 1); ("snf", 3) ]
+
+let unused ?(mli = zm_mli) units =
+  let refs =
+    List.concat_map
+      (fun (src, code) ->
+        List.map
+          (fun path -> { Unused_export.src; path })
+          (Unused_export.refs_of_structure (typed (numtheory ^ code))))
+      units
+  in
+  Unused_export.findings ~exports:zm_exports ~refs ~mli_source:(fun _ -> mli)
+  |> List.map (fun (e : Unused_export.export) -> e.name)
+
+let check_unused name expected units =
+  Alcotest.(check (list string)) name expected (unused units)
+
+let test_ue_alias () =
+  check_unused "module alias" [ "snf" ]
+    [ ("lib/quantum/backend_symbolic.ml", "module Zm = Numtheory.Zmatrix\nlet f = Zm.hnf_sample") ];
+  check_unused "alias of an alias" [ "hnf_sample" ]
+    [ ("bin/cli.ml", "module N = Numtheory\nmodule Zm = N.Zmatrix\nlet f = Zm.snf") ];
+  check_unused "let module" [ "hnf_sample" ]
+    [ ("bench/main.ml", "let f x = let module Z = Numtheory.Zmatrix in Z.snf x") ]
+
+let test_ue_open () =
+  check_unused "open" [ "hnf_sample" ]
+    [ ("examples/ex.ml", "open Numtheory\nlet f = Zmatrix.snf") ];
+  check_unused "local open" [ "snf" ]
+    [ ("lib/core/x.ml", "let f x = Numtheory.Zmatrix.(hnf_sample x)") ]
+
+let test_ue_self_and_test_refs () =
+  check_unused "self-reference" [ "hnf_sample"; "snf" ]
+    [ ("lib/numtheory/zmatrix.ml", "let g = Numtheory.Zmatrix.snf") ];
+  check_unused "test-only reference" [ "hnf_sample"; "snf" ]
+    [
+      ( "test/test_numtheory.ml",
+        "let g = Numtheory.Zmatrix.snf\nlet h = Numtheory.Zmatrix.hnf_sample" );
+    ];
+  check_unused "sibling unit in the same library" [ "hnf_sample" ]
+    [ ("lib/numtheory/arith.ml", "let g = Numtheory.Zmatrix.snf") ]
+
+let test_ue_mangled_names () =
+  check_unused "library unit name" [ "hnf_sample" ]
+    [
+      ( "lib/quantum/qft.ml",
+        "module Numtheory__Zmatrix = struct let snf x = x end\nlet f = Numtheory__Zmatrix.snf" );
+    ];
+  let paths =
+    Unused_export.refs_of_structure
+      (typed
+         "module Dune__exe__Hsp_cli = struct let main () = () end\n\
+          let () = Dune__exe__Hsp_cli.main ()")
+  in
+  checkb "executable unit name" true (List.mem [ "Hsp_cli"; "main" ] paths)
+
+let test_ue_allowlist () =
+  (* zm_exports puts hnf_sample on line 1 and snf on line 3 *)
+  let allow = "(* hsp-lint: allow unused-export *)" in
+  Alcotest.(check (list string)) "line L" [ "snf" ]
+    (unused ~mli:("val hnf_sample : int -> int " ^ allow ^ "\n\nval snf : int -> int\n") []);
+  Alcotest.(check (list string)) "line L-1, and not line L+1" [ "hnf_sample" ]
+    (unused ~mli:("val hnf_sample : int -> int\n" ^ allow ^ "\nval snf : int -> int\n") []);
+  Alcotest.(check (list string)) "another rule does not suppress" [ "hnf_sample"; "snf" ]
+    (unused ~mli:("(* hsp-lint: allow poly-eq *)\n" ^ zm_mli) [])
+
 let () =
   Alcotest.run "analysis"
     [
@@ -544,5 +638,13 @@ let () =
           Alcotest.test_case "blocking-under-lock" `Quick test_rc_blocking_under_lock;
           Alcotest.test_case "config for path" `Quick test_rc_config_for_path;
           Alcotest.test_case "rule names roundtrip" `Quick test_rc_rule_names_roundtrip;
+        ] );
+      ( "unused_export",
+        [
+          Alcotest.test_case "module alias" `Quick test_ue_alias;
+          Alcotest.test_case "open" `Quick test_ue_open;
+          Alcotest.test_case "self and test references" `Quick test_ue_self_and_test_refs;
+          Alcotest.test_case "mangled unit names" `Quick test_ue_mangled_names;
+          Alcotest.test_case "allowlist" `Quick test_ue_allowlist;
         ] );
     ]

@@ -459,7 +459,7 @@ let test_of_indices () =
   checkb "default backend is sparse" true
     (State.backend (State.of_indices dims idxs) = Backend.Sparse);
   checki "support" 4 (State.support_size s);
-  checkb "uniform amplitude" true (Float.abs (Cx.abs (State.amp_at s 7) -. 0.5) < 1e-12);
+  checkb "uniform amplitude" true (Float.abs (Complex.norm (State.amp_at s 7) -. 0.5) < 1e-12);
   checkb "unit norm" true (Float.abs (State.norm s -. 1.0) < 1e-12);
   List.iter
     (fun backend ->
@@ -477,7 +477,7 @@ let test_of_indices () =
   let st = State.of_indices big_dims big in
   checki "big support" 1000 (State.support_size st);
   checkb "big amp" true
-    (Float.abs (Cx.abs (State.amp_at st 7) -. (1.0 /. sqrt 1000.0)) < 1e-12)
+    (Float.abs (Complex.norm (State.amp_at st 7) -. (1.0 /. sqrt 1000.0)) < 1e-12)
 
 let test_sparse_pruning () =
   (* Destructive interference must shrink the table: DFT then inverse
@@ -489,7 +489,7 @@ let test_sparse_pruning () =
   checki "full support mid-flight" 64 (State.support_size st);
   let st = State.apply_dft st ~wire:0 ~inverse:true in
   checki "pruned back to a point" 1 (State.support_size st);
-  checkb "right point" true (Cx.abs (State.amp_at st 17) > 0.999)
+  checkb "right point" true (Complex.norm (State.amp_at st 17) > 0.999)
 
 (* ------------------------------------------------------------------ *)
 (* The sparse contract: the Fourier pipeline only                     *)

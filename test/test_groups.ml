@@ -37,8 +37,6 @@ let sample_of g k =
 let test_perm_basics () =
   let p = Perm.of_cycles 5 [ [ 0; 1; 2 ] ] in
   checki "image" 1 p.(0);
-  checki "parity 3cycle" 0 (Perm.parity p);
-  checki "parity transposition" 1 (Perm.parity (Perm.of_cycles 5 [ [ 0; 1 ] ]));
   Alcotest.(check (list (list int))) "to_cycles" [ [ 0; 1; 2 ] ] (Perm.to_cycles p);
   checkb "inverse" true (Perm.compose p (Perm.inverse p) = Perm.identity 5)
 
@@ -61,7 +59,7 @@ let test_perm_axioms () =
   check_axioms g (sample_of g 4)
 
 let test_cyclic_orders () =
-  checki "Z_12" 12 (Group.order (Cyclic.zn 12));
+  checki "Z_12" 12 (Group.order (Cyclic.product [| 12 |]));
   checki "Z_2^5" 32 (Group.order (Cyclic.boolean_cube 5));
   checki "Z4xZ6" 24 (Group.order (Cyclic.product [| 4; 6 |]))
 
@@ -85,7 +83,7 @@ let test_dihedral_structure () =
   (* t s t^-1 = s^-1 *)
   let s = Dihedral.rotation n 1 and t = Dihedral.reflection n 0 in
   checkb "conjugation relation" true
-    (g.Group.equal (Group.conjugate g ~by:t s) (g.Group.inv s));
+    (g.Group.equal (g.Group.mul (g.Group.mul t s) (g.Group.inv t)) (g.Group.inv s));
   (* reflections are involutions *)
   for r = 0 to n - 1 do
     checki "reflection order" 2 (Group.element_order g (Dihedral.reflection n r))
@@ -104,7 +102,6 @@ let test_matrix_group_gl () =
   let g = Matrix_group.group ~p ~dim:2 [ a; b; c ] in
   check_axioms g (sample_of g 4);
   (* |GL(2,3)| = 48; our generators generate all of it *)
-  checki "gl order formula" 48 (Matrix_group.gl_order ~p:3 ~dim:2);
   checki "generated" 48 (Group.order g)
 
 let test_matrix_inverse_random () =
@@ -180,7 +177,7 @@ let test_wreath_structure () =
   (* swap conjugates the two halves *)
   let s = Wreath.swap_elt k in
   let x = List.nth base 0 in
-  let y = Group.conjugate g ~by:s x in
+  let y = g.Group.mul (g.Group.mul s x) (g.Group.inv s) in
   checkb "swap action" true (g.Group.equal y (List.nth base k))
 
 let test_semidirect_structure () =
@@ -211,7 +208,6 @@ let test_dicyclic_structure () =
       checki "order" (4 * n) (Group.order g);
       check_axioms g (sample_of g 4);
       checki "commutator" n (List.length (Group.commutator_subgroup g));
-      checki "b order" 4 (Group.element_order g (Dicyclic.b_gen n));
       checki "central involution order" 2
         (Group.element_order g (Dicyclic.central_involution n));
       checkb "solvable" true (Group.is_solvable g))
@@ -257,29 +253,6 @@ let test_semidirect_perm_structure () =
   let w = Semidirect_perm.group ~n:(2 * k) ~top:[ swap ] in
   checki "wreath order" (1 lsl ((2 * k) + 1)) (Group.order w)
 
-let test_normalizer_conjugacy_abelianization () =
-  let g = Perm.symmetric 4 in
-  (* normalizer of a Sylow 3-subgroup of S_4 has order 6 *)
-  let syl3 = Group.sylow_subgroup g 3 in
-  checki "N(Syl_3)" 6 (List.length (Group.normalizer g syl3));
-  (* normalizer of a normal subgroup is everything *)
-  let v4 = Group.normal_closure g [ Perm.of_cycles 4 [ [ 0; 1 ]; [ 2; 3 ] ] ] in
-  checki "N(V_4) = S_4" 24 (List.length (Group.normalizer g v4));
-  (* conjugacy classes of S_4: sizes 1, 6, 8, 6, 3 *)
-  let classes = Group.conjugacy_classes g in
-  Alcotest.(check (list int)) "class sizes" [ 1; 3; 6; 6; 8 ]
-    (List.sort compare (List.map List.length classes));
-  (* abelianization of S_4 is Z_2; of Q_8 is Z_2 x Z_2 *)
-  checki "S_4^ab" 2 (Group.order (Group.abelianization g));
-  checki "Q_8^ab" 4 (Group.order (Group.abelianization (Dicyclic.group 2)));
-  checkb "A_5 simple" true (Group.is_simple (Perm.alternating 5));
-  checkb "A_4 not simple" false (Group.is_simple (Perm.alternating 4));
-  checkb "Z_7 simple" true (Group.is_simple (Cyclic.zn 7));
-  checkb "Z_6 not simple" false (Group.is_simple (Cyclic.zn 6));
-  checkb "trivial not simple" false (Group.is_simple (Cyclic.zn 1));
-  checkb "S_5 not perfect" false (Group.is_perfect (Perm.symmetric 5));
-  checkb "A_5 perfect" true (Group.is_perfect (Perm.alternating 5))
-
 let test_semidirect_rejects_bad_action () =
   Alcotest.check_raises "action order"
     (Invalid_argument "Semidirect.group: action^m <> I") (fun () ->
@@ -299,7 +272,7 @@ let test_pow () =
 
 let test_element_order () =
   let g = Perm.symmetric 5 in
-  checki "5-cycle" 5 (Group.element_order g (Perm.cyclic_shift 5));
+  checki "5-cycle" 5 (Group.element_order g (Perm.of_cycles 5 [ [ 0; 1; 2; 3; 4 ] ]));
   checki "identity" 1 (Group.element_order g (Perm.identity 5));
   checki "2+3 cycle type" 6
     (Group.element_order g (Perm.of_cycles 5 [ [ 0; 1 ]; [ 2; 3; 4 ] ]))
@@ -312,7 +285,9 @@ let test_closure_subgroup () =
   in
   checki "klein four" 4 (List.length v4);
   checkb "mem" true
-    (Group.subgroup_mem g [ Perm.cyclic_shift 4 ] (Perm.of_cycles 4 [ [ 0; 2 ]; [ 1; 3 ] ]))
+    (List.exists
+       (g.Group.equal (Perm.of_cycles 4 [ [ 0; 2 ]; [ 1; 3 ] ]))
+       (Group.closure g [ Perm.of_cycles 4 [ [ 0; 1; 2; 3 ] ] ]))
 
 let test_normal_closure () =
   let g = Perm.symmetric 4 in
@@ -330,10 +305,7 @@ let test_center_centralizer () =
   checki "Z(S_4)" 1 (List.length (Group.center (Perm.symmetric 4)));
   checki "Z(D_4)" 2 (List.length (Group.center (Dihedral.group 4)));
   checki "Z(D_5)" 1 (List.length (Group.center (Dihedral.group 5)));
-  checki "Z(abelian) = G" 12 (List.length (Group.center (Cyclic.product [| 12 |])));
-  let g = Dihedral.group 6 in
-  let c = Group.centralizer g [ Dihedral.rotation 6 1 ] in
-  checki "centralizer of rotation = rotations" 6 (List.length c)
+  checki "Z(abelian) = G" 12 (List.length (Group.center (Cyclic.product [| 12 |])))
 
 let test_commutator_subgroup () =
   checki "S_4' = A_4" 12 (List.length (Group.commutator_subgroup (Perm.symmetric 4)));
@@ -346,17 +318,7 @@ let test_derived_series_solvability () =
   checkb "S_5 not solvable" false (Group.is_solvable (Perm.symmetric 5));
   checkb "A_5 not solvable" false (Group.is_solvable (Perm.alternating 5));
   checkb "D_12 solvable" true (Group.is_solvable (Dihedral.group 12));
-  checkb "H_3 solvable" true (Group.is_solvable (Extraspecial.group ~p:3 ~m:1));
-  let series = Group.derived_series (Perm.symmetric 4) in
-  Alcotest.(check (list int)) "S4 derived lengths" [ 24; 12; 4; 1 ]
-    (List.map List.length series)
-
-let test_coset_reps () =
-  let g = Dihedral.group 6 in
-  let rotations = Group.closure g [ Dihedral.rotation 6 1 ] in
-  let reps = Group.coset_reps g rotations in
-  checki "two cosets" 2 (List.length reps);
-  checkb "id first" true (g.Group.equal (List.hd reps) g.Group.id)
+  checkb "H_3 solvable" true (Group.is_solvable (Extraspecial.group ~p:3 ~m:1))
 
 let test_quotient () =
   let g = Dihedral.group 8 in
@@ -379,11 +341,6 @@ let test_quotient_map_hom () =
     checkb "projection multiplicative" true
       (g.Group.equal (proj (g.Group.mul (proj x) (proj y))) (proj (g.Group.mul x y)))
   done
-
-let test_direct_product () =
-  let g = Group.direct_product (Dihedral.group 3) (Cyclic.zn 4) in
-  checki "order" 24 (Group.order g);
-  check_axioms g (sample_of g 4)
 
 let test_sylow () =
   let s4 = Perm.symmetric 4 in
@@ -409,14 +366,22 @@ let test_sylow_is_subgroup () =
       done)
     [ 2; 3 ]
 
+(* Orders of the composition factors: quotients of consecutive terms. *)
+let composition_factors g =
+  let rec go = function
+    | a :: (b :: _ as rest) -> (List.length a / List.length b) :: go rest
+    | _ -> []
+  in
+  go (Group.composition_series g)
+
 let test_composition_series () =
   let s4 = Perm.symmetric 4 in
-  let factors = Group.composition_factors s4 in
+  let factors = composition_factors s4 in
   Alcotest.(check (list int)) "S4 factors sorted" [ 2; 2; 2; 3 ] (List.sort compare factors);
   checki "product = |G|" 24 (List.fold_left ( * ) 1 factors);
   let h3 = Extraspecial.group ~p:3 ~m:1 in
   Alcotest.(check (list int)) "H3 factors" [ 3; 3; 3 ]
-    (List.sort compare (Group.composition_factors h3));
+    (List.sort compare (composition_factors h3));
   Alcotest.check_raises "non-solvable"
     (Invalid_argument "Group.composition_series: not solvable") (fun () ->
       ignore (Group.composition_series (Perm.symmetric 5)))
@@ -436,18 +401,16 @@ let test_composition_series_structure () =
   in
   steps sizes
 
-let test_exponent () =
-  checki "exp S_4" 12 (Group.exponent_of (Perm.symmetric 4));
-  checki "exp Z4xZ6" 12 (Group.exponent_of (Cyclic.product [| 4; 6 |]))
+let subgroup_count g = List.length (Subgroup_lattice.all_subgroups g)
 
 let test_subgroup_lattice_counts () =
   (* classical subgroup counts *)
-  checki "Z_12 has 6 subgroups" 6 (Subgroup_lattice.count (Cyclic.zn 12));
-  checki "Q_8 has 6 subgroups" 6 (Subgroup_lattice.count (Dicyclic.group 2));
-  checki "S_3 has 6 subgroups" 6 (Subgroup_lattice.count (Perm.symmetric 3));
-  checki "D_4 has 10 subgroups" 10 (Subgroup_lattice.count (Dihedral.group 4));
-  checki "S_4 has 30 subgroups" 30 (Subgroup_lattice.count (Perm.symmetric 4));
-  checki "V_4 has 5 subgroups" 5 (Subgroup_lattice.count (Cyclic.boolean_cube 2))
+  checki "Z_12 has 6 subgroups" 6 (subgroup_count (Cyclic.product [| 12 |]));
+  checki "Q_8 has 6 subgroups" 6 (subgroup_count (Dicyclic.group 2));
+  checki "S_3 has 6 subgroups" 6 (subgroup_count (Perm.symmetric 3));
+  checki "D_4 has 10 subgroups" 10 (subgroup_count (Dihedral.group 4));
+  checki "S_4 has 30 subgroups" 30 (subgroup_count (Perm.symmetric 4));
+  checki "V_4 has 5 subgroups" 5 (subgroup_count (Cyclic.boolean_cube 2))
 
 let test_subgroup_lattice_properties () =
   let g = Dihedral.group 6 in
@@ -464,7 +427,7 @@ let test_subgroup_lattice_properties () =
     subs;
   (* every normal subgroup of Q_8 (all subgroups of Q_8 are normal) *)
   let q8 = Dicyclic.group 2 in
-  checki "Q_8: all subgroups normal" (Subgroup_lattice.count q8)
+  checki "Q_8: all subgroups normal" (subgroup_count q8)
     (List.length (Subgroup_lattice.normal_subgroups q8));
   (* in S_3: exactly 3 of the 6 are normal (1, A_3, S_3, and... 1, <(123)>, S_3) *)
   checki "S_3 normal subgroups" 3
@@ -493,7 +456,7 @@ let test_abelian_decompose_cyclic_products () =
     [ [| 12 |]; [| 2; 2; 2 |]; [| 4; 6 |]; [| 8; 9; 5 |]; [| 1 |] ]
 
 let test_abelian_decompose_invariants () =
-  let dec = Abelian.decompose (Cyclic.zn 12) in
+  let dec = Abelian.decompose (Cyclic.product [| 12 |]) in
   Alcotest.(check (list int)) "invariants of Z12" [ 3; 4 ]
     (List.sort compare (Array.to_list dec.Abelian.dims))
 
@@ -548,7 +511,7 @@ let test_word_inverse () =
   let gens = g.Group.generators in
   let w = [ 1; 2; 1; -2 ] in
   checkb "w w^-1 = id" true
-    (g.Group.equal (Word.eval g gens (Word.concat w (Word.inverse w))) g.Group.id)
+    (g.Group.equal (Word.eval g gens (w @ Word.inverse w)) g.Group.id)
 
 let test_slp_eval () =
   let g = Dihedral.group 7 in
@@ -718,8 +681,6 @@ let () =
           Alcotest.test_case "dicyclic" `Quick test_dicyclic_structure;
           Alcotest.test_case "semidirect-perm" `Quick test_semidirect_perm_structure;
           Alcotest.test_case "metacyclic" `Quick test_metacyclic_structure;
-          Alcotest.test_case "normalizer/conjugacy/abelianization" `Quick
-            test_normalizer_conjugacy_abelianization;
           Alcotest.test_case "semidirect guard" `Quick test_semidirect_rejects_bad_action;
         ] );
       ( "algorithms",
@@ -731,15 +692,12 @@ let () =
           Alcotest.test_case "center/centralizer" `Quick test_center_centralizer;
           Alcotest.test_case "commutator subgroup" `Quick test_commutator_subgroup;
           Alcotest.test_case "derived series" `Quick test_derived_series_solvability;
-          Alcotest.test_case "coset reps" `Quick test_coset_reps;
           Alcotest.test_case "quotient" `Quick test_quotient;
           Alcotest.test_case "quotient map" `Quick test_quotient_map_hom;
-          Alcotest.test_case "direct product" `Quick test_direct_product;
           Alcotest.test_case "sylow" `Quick test_sylow;
           Alcotest.test_case "sylow closure" `Quick test_sylow_is_subgroup;
           Alcotest.test_case "composition series" `Quick test_composition_series;
           Alcotest.test_case "series structure" `Quick test_composition_series_structure;
-          Alcotest.test_case "exponent" `Quick test_exponent;
           Alcotest.test_case "subgroup lattice counts" `Quick test_subgroup_lattice_counts;
           Alcotest.test_case "subgroup lattice properties" `Quick
             test_subgroup_lattice_properties;

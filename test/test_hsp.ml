@@ -44,7 +44,7 @@ let test_hiding_distinct_across_cosets () =
   done
 
 let test_hiding_counters () =
-  let g = Cyclic.zn 6 in
+  let g = Cyclic.product [| 6 |] in
   let hiding = Hiding.of_subgroup g [ [| 3 |] ] in
   ignore (Hiding.eval hiding [| 2 |]);
   ignore (Hiding.eval hiding [| 4 |]);
@@ -55,7 +55,7 @@ let test_hiding_counters () =
   checki "reset" 0 (fst (Hiding.total_queries hiding))
 
 let test_hiding_map_domain () =
-  let g = Cyclic.zn 12 in
+  let g = Cyclic.product [| 12 |] in
   let hiding = Hiding.of_subgroup g [ [| 4 |] ] in
   let lifted = Hiding.map_domain (fun k -> [| k mod 12 |]) hiding in
   checki "composed" (hiding.Hiding.raw [| 5 |]) (lifted.Hiding.raw 17)
@@ -155,7 +155,7 @@ let test_membership_in_cyclic_product () =
 
 let test_membership_identity () =
   let r = rng () in
-  let g = Cyclic.zn 10 in
+  let g = Cyclic.product [| 10 |] in
   let queries = Quantum.Query.create () in
   match Membership.express r g ~hs:[ [| 2 |] ] [| 0 |] ~order_bound:10 ~queries with
   | Some w -> checkb "trivial exponents work" true (w.Membership.exponents = [| 0 |])
@@ -243,54 +243,63 @@ let test_order_mod_generated () =
 
 let test_order_mod_generated_watrous () =
   (* the literal Theorem-10 implementation (coset-superposition
-     states) agrees with the coset-label implementation *)
+     states) agrees with the coset-label implementation on every
+     element of Z_3^3 x| Z_3 modulo its base *)
   let r = rng () in
   let g = Semidirect.group ~action:(Semidirect.cyclic_action 3) ~m:3 in
   let n_gens = Semidirect.base_gens ~n:3 in
+  let bound = Group.order g in
   let queries = Quantum.Query.create () in
-  checki "top order (watrous)" 3
-    (Order_finding.order_mod_generated_watrous r g n_gens (Semidirect.top_gen ~n:3) ~queries);
-  checki "base trivial (watrous)" 1
-    (Order_finding.order_mod_generated_watrous r g n_gens (List.hd n_gens) ~queries);
-  (* product of base and top element: order mod N still 3 *)
-  let mixed = g.Group.mul (List.hd n_gens) (Semidirect.top_gen ~n:3) in
-  checki "mixed (watrous)" 3
-    (Order_finding.order_mod_generated_watrous r g n_gens mixed ~queries);
+  let orders =
+    List.map
+      (fun x ->
+        let labels = Order_finding.order_mod_generated r g n_gens x ~bound ~queries in
+        let watrous = Order_finding.order_mod_generated_watrous r g n_gens x ~queries in
+        checki "watrous = coset labels" labels watrous;
+        watrous)
+      (Group.elements g)
+  in
+  Alcotest.(check (list int)) "orders seen" [ 1; 3 ] (List.sort_uniq Int.compare orders);
   checkb "queries charged" true (Quantum.Query.count queries > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Beals–Babai task list (Corollary 5)                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Each regime runs the generic algorithms on the group (Theorem 6) or
+   on the quotient view: Quotient.group_mod for a hidden normal
+   subgroup (Theorem 7), Quotient.group_mod_generated for one given by
+   generators (Theorem 10). *)
+
 let test_beals_babai_unique_encoding () =
   let r = rng () in
-  let bb = Beals_babai.of_group (Dihedral.group 10) in
-  checki "order" 20 (Beals_babai.order bb);
-  checki "nu solvable" 1 (Beals_babai.nu bb);
-  checki "element order" 10 (Beals_babai.element_order r bb (Dihedral.rotation 10 1));
-  checkb "member" true (Beals_babai.membership bb (Dihedral.reflection 10 3));
-  checki "center" 2 (List.length (Beals_babai.center bb));
-  checki "sylow 5" 5 (List.length (Beals_babai.sylow_subgroup bb 5));
-  let series = Beals_babai.composition_series bb in
+  let g = Dihedral.group 10 in
+  checki "order" 20 (Group.order g);
+  checkb "nu solvable" true (Group.is_solvable g);
+  let queries = Quantum.Query.create () in
+  checki "element order" 10
+    (Order_finding.order r g (Dihedral.rotation 10 1) ~bound:(Group.order g) ~queries);
+  checkb "member" true
+    (Group.mem g (Group.closure_set g (Group.elements g)) (Dihedral.reflection 10 3));
+  checki "center" 2 (List.length (Group.center g));
+  checki "sylow 5" 5 (List.length (Group.sylow_subgroup g 5));
+  let series = Group.composition_series g in
   checki "series head" 20 (List.length (List.hd series));
   (* constructive membership: word evaluates back to the element *)
-  let g = Beals_babai.group bb in
+  let pres, word_of = Presentation.of_group g in
   let x = Dihedral.reflection 10 7 in
-  (match Beals_babai.constructive_membership bb x with
-  | Some w -> checkb "word valid" true (g.Group.equal (Word.eval g g.Group.generators w) x)
-  | None -> Alcotest.fail "member not expressed");
+  checkb "word valid" true (g.Group.equal (Word.eval g g.Group.generators (word_of x)) x);
   (* presentation is verified by Todd-Coxeter *)
-  let pres = Beals_babai.presentation bb in
   checki "presented order" 20 (Toddcoxeter.order_of_presentation pres ~max_cosets:200)
 
 let test_beals_babai_hidden_quotient () =
   (* Theorem 7 regime: D_12 with hidden <s^3>; the quotient D_12/<s^3>
      has order 6 *)
   let inst = Instances.dihedral_rotation ~n:12 ~d:3 in
-  let bb = Beals_babai.of_hidden_quotient inst.Instances.group inst.Instances.hiding in
-  checki "quotient order" 6 (Beals_babai.order bb);
-  checkb "quotient solvable, nu = 1" true (Beals_babai.nu bb = 1);
-  let pres = Beals_babai.presentation bb in
+  let q = Quotient.group_mod inst.Instances.group inst.Instances.hiding in
+  checki "quotient order" 6 (Group.order q);
+  checkb "quotient solvable, nu = 1" true (Group.is_solvable q);
+  let pres, _ = Presentation.of_group q in
   checki "presented quotient order" 6 (Toddcoxeter.order_of_presentation pres ~max_cosets:100);
   (* queries were charged to the hiding function *)
   let c, _ = Hiding.total_queries inst.Instances.hiding in
@@ -298,18 +307,18 @@ let test_beals_babai_hidden_quotient () =
 
 let test_beals_babai_nu_nonsolvable () =
   (* for non-solvable groups the enumerable-scale bound is |G| *)
-  let bb = Beals_babai.of_group (Perm.alternating 5) in
-  checki "nu(A_5)" 60 (Beals_babai.nu bb);
+  let g = Perm.alternating 5 in
+  checkb "A_5 not solvable" false (Group.is_solvable g);
+  checki "nu(A_5) = |A_5|" 60 (Group.order g);
   Alcotest.check_raises "composition series refuses"
     (Invalid_argument "Group.composition_series: not solvable") (fun () ->
-      ignore (Beals_babai.composition_series bb))
+      ignore (Group.composition_series g))
 
 let test_beals_babai_generated_quotient () =
   (* Theorem 10 regime: wreath product modulo its base *)
-  let g = Wreath.group 2 in
-  let bb = Beals_babai.of_generated_quotient g (Wreath.base_gens 2) in
-  checki "G/N order" 2 (Beals_babai.order bb);
-  checki "sylow of quotient" 2 (List.length (Beals_babai.sylow_subgroup bb 2))
+  let q = Quotient.group_mod_generated (Wreath.group 2) (Wreath.base_gens 2) in
+  checki "G/N order" 2 (Group.order q);
+  checki "sylow of quotient" 2 (List.length (Group.sylow_subgroup q 2))
 
 (* ------------------------------------------------------------------ *)
 (* Hidden normal subgroup (Theorem 8)                                 *)

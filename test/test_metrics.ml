@@ -203,8 +203,6 @@ let test_sampler_cost_ledger () =
    the sparse one, which is also where an omitted backend sends it. *)
 let test_sampler_sparse_cap_lifted () =
   setup ();
-  checki "dense cap" (1 lsl 22) Coset_state.max_group_size;
-  checki "sparse cap" (1 lsl 26) Coset_state.max_group_size_sparse;
   let dims = [| 4096; 2048 |] (* 2^23: over the dense cap, under sparse *) in
   let moduli = [| 64; 64 |] in
   let f x = Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in

@@ -134,7 +134,7 @@ let random_unitary rng d =
     | 0 -> Cmat.dft d
     | 1 ->
         Cmat.init d d (fun i j ->
-            if i = j then Cx.polar 1.0 (Random.State.float rng 6.28318) else Cx.zero)
+            if i = j then Complex.polar 1.0 (Random.State.float rng 6.28318) else Cx.zero)
     | _ ->
         let shift = Random.State.int rng d in
         Cmat.permutation d (fun k -> (k + shift) mod d)

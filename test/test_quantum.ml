@@ -185,9 +185,8 @@ let test_gates_unitary () =
   List.iter
     (fun (name, g) -> checkb name true (Cmat.is_unitary g))
     [
-      ("h", Gates.h); ("x", Gates.x); ("y", Gates.y); ("z", Gates.z);
-      ("s", Gates.s); ("t", Gates.t); ("cnot", Gates.cnot); ("swap", Gates.swap);
-      ("rk 3", Gates.rk 3); ("phase", Gates.phase 0.7);
+      ("h", Gates.h); ("x", Gates.x); ("z", Gates.z); ("swap", Gates.swap);
+      ("rk 3", Gates.rk 3);
       ("controlled dft3", Gates.controlled (Cmat.dft 3));
     ]
 
@@ -219,7 +218,7 @@ let test_approximate_qft_close () =
   let max_err = ref 0.0 in
   for i = 0 to 15 do
     for j = 0 to 15 do
-      let d = Cx.abs (Cx.sub exact.(i).(j) approx.(i).(j)) in
+      let d = Complex.norm (Complex.sub exact.(i).(j) approx.(i).(j)) in
       if d > !max_err then max_err := d
     done
   done;

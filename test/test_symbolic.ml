@@ -220,7 +220,7 @@ let qcheck_span_member =
       let sp = Zm.hnf_span ~dims in
       List.iter (fun g -> ignore (Zm.hnf_insert sp g)) gens;
       let p = Zm.hnf_freeze sp in
-      let rows = Zm.copy (Zm.hnf_rows p) in
+      let rows = Array.map Array.copy (Zm.hnf_rows p) in
       let members_ok =
         List.for_all
           (fun _ ->
@@ -245,7 +245,7 @@ let qcheck_span_freeze =
           (fun g ->
             ignore (Zm.hnf_insert sp g);
             let p = Zm.hnf_freeze sp in
-            let q = Zm.hnf_prepare ~dims (Zm.copy (Zm.hnf_rows p)) in
+            let q = Zm.hnf_prepare ~dims (Array.map Array.copy (Zm.hnf_rows p)) in
             (p, q))
           gens
       in
