@@ -83,18 +83,18 @@ let claim_cell label ~params ~queries metrics =
 
 (* The determinism gate E11 and E12 share: run [f] once per job count
    (1, 2, 4), each from a fresh RNG seeded [seed] and a reset ledger.  A
-   run is ok when its digest and its ledger [counters] equal the jobs=1
+   run is ok when its digest and every ledger counter equal the jobs=1
    run's; otherwise [diverged jobs] explains it and the caller's ok cell
    fails.  Returns (jobs, digest, ok, result) per job count, and leaves
    the pool at one job. *)
-let across ~counters ~seed ~diverged f =
+let across ~seed ~diverged f =
   let runs =
     List.map
       (fun jobs ->
         Quantum.Parallel.set_jobs jobs;
         Quantum.Metrics.reset ();
         let digest, result = f (Random.State.make [| seed |]) in
-        (jobs, digest, counters (Quantum.Metrics.snapshot ()), result))
+        (jobs, digest, Quantum.Metrics.counters (Quantum.Metrics.snapshot ()), result))
       [ 1; 2; 4 ]
   in
   Quantum.Parallel.set_jobs 1;
@@ -103,7 +103,7 @@ let across ~counters ~seed ~diverged f =
   | (_, base_digest, base_counters, _) :: _ ->
       List.map
         (fun (jobs, digest, cs, result) ->
-          let ok = String.equal digest base_digest && List.for_all2 Int.equal cs base_counters in
+          let ok = String.equal digest base_digest && cs = base_counters in
           if not ok then Printf.printf "claim violation: %s\n" (diverged jobs);
           (jobs, digest, ok, result))
         runs
@@ -563,19 +563,13 @@ let e11 _ =
   header
     "E11: dense backend domain pool — bit-identical results required at every job count"
     [ fmt_s "workload"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "digest"; fmt_s "ok" ];
-  let counters (m : Quantum.Metrics.snapshot) =
-    [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres; m.Quantum.Metrics.dft_apps;
-      m.Quantum.Metrics.dft_fibres; m.Quantum.Metrics.basis_maps; m.Quantum.Metrics.oracle_ops;
-      m.Quantum.Metrics.measurements; m.Quantum.Metrics.states_created;
-      m.Quantum.Metrics.peak_dense_alloc ]
-  in
   let run_workload name total f =
     List.iter
       (fun (jobs, digest, ok, ()) ->
         row
           [ fmt_s name; fmt_i total; fmt_i jobs; fmt_s (String.sub (Digest.to_hex digest) 0 8);
             fmt_s (string_of_bool ok) ])
-      (across ~counters ~seed:0xe11
+      (across ~seed:0xe11
          ~diverged:(fun jobs ->
            Printf.sprintf "E11 %s at jobs=%d diverges from the jobs=1 run" name jobs)
          (fun rng -> (f rng, ())))
@@ -655,13 +649,6 @@ let e12 _ =
     "E12: sparse coset sampling ladder — O(|G|) prep shared across rounds, bit-identical at every job count"
     [ fmt_s "dims"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "support"; fmt_s "visits";
       fmt_s "digest"; fmt_s "ok" ];
-  let counters (m : Quantum.Metrics.snapshot) =
-    [ m.Quantum.Metrics.gate_apps; m.Quantum.Metrics.gate_fibres; m.Quantum.Metrics.dft_apps;
-      m.Quantum.Metrics.dft_fibres; m.Quantum.Metrics.basis_maps; m.Quantum.Metrics.oracle_ops;
-      m.Quantum.Metrics.measurements; m.Quantum.Metrics.states_created;
-      m.Quantum.Metrics.peak_support; m.Quantum.Metrics.pruned_amps;
-      m.Quantum.Metrics.sampler_preps; m.Quantum.Metrics.coset_visits ]
-  in
   let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   List.iter
     (fun (dims, moduli, rounds) ->
@@ -675,7 +662,7 @@ let e12 _ =
             [ fmt_s (show dims); fmt_i total; fmt_i jobs;
               fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.coset_visits;
               fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok) ])
-        (across ~counters ~seed:0xe12
+        (across ~seed:0xe12
            ~diverged:(fun jobs ->
              Printf.sprintf "E12 %s at jobs=%d diverges from the jobs=1 run" (show dims) jobs)
            (fun rng ->

@@ -301,9 +301,7 @@ let abelian_cmd =
        HNF form.  This is what the symbolic sampler consumes, what the
        order reports come from, and what the recovered generators are
        checked against — at any size, no enumeration anywhere. *)
-    let truth =
-      Quantum.Backend_symbolic.Subgroup.of_gens ~dims (Instances.quotient_gens ~dims ~moduli)
-    in
+    let truth = Instances.quotient_subgroup ~dims ~moduli in
     let h_log2 = Quantum.Backend_symbolic.Subgroup.order_log2 truth in
     let h_order = Quantum.Backend_symbolic.Subgroup.order_int truth in
     let show a = String.concat "," (List.map string_of_int (Array.to_list a)) in
@@ -324,35 +322,18 @@ let abelian_cmd =
     Printf.printf "backend         : %s\n" (Quantum.Backend.choice_to_string backend);
     let queries = Quantum.Query.create () in
     let draw = Quantum.Coset_state.sampler_of_subgroup ~backend ~sub:truth ~queries () in
-    let in_h = Instances.quotient_mem ~moduli in
-    let f = Instances.quotient_oracle ~moduli in
-    let t0 = Unix.gettimeofday () in
-    let gens, outcome =
-      Abelian_hsp.solve_dims rng ~draw ~dims ~f ~quantum:queries ~verify:in_h ()
-    in
-    let seconds = Unix.gettimeofday () -. t0 in
-    let n_gens = List.length gens in
+    let res = Abelian_hsp.solve_quotient rng ~truth ~draw ~dims ~moduli ~quantum:queries () in
+    let n_gens = List.length res.Abelian_hsp.gens in
     List.iteri
       (fun i g ->
         if i < 8 then Printf.printf "generator: (%s)\n" (show g)
         else if i = 8 then Printf.printf "... (%d more generators)\n" (n_gens - 8))
-      gens;
-    (* Ground truth is known in closed form: the recovered generators
-       must lie in H (checked by [verify] already) and generate all of
-       it.  Canonical-HNF equality decides "generates exactly H" in
-       O(r^2) at any size — no closure enumeration, so the check also
-       runs (and is exact) at Z_2^200. *)
-    let ok =
-      List.for_all in_h gens
-      && Quantum.Backend_symbolic.Subgroup.equal
-           (Quantum.Backend_symbolic.Subgroup.of_gens ~dims gens)
-           truth
-    in
-    Printf.printf "rounds          : %d\n" outcome.Abelian_hsp.rounds;
+      res.Abelian_hsp.gens;
+    Printf.printf "rounds          : %d\n" res.Abelian_hsp.rounds;
     Printf.printf "quantum queries : %d\n" (Quantum.Query.count queries);
-    Printf.printf "seconds         : %.3f\n" seconds;
-    Printf.printf "correct         : %b\n" ok;
-    if ok then 0 else 1
+    Printf.printf "seconds         : %.3f\n" res.Abelian_hsp.seconds;
+    Printf.printf "correct         : %b\n" res.Abelian_hsp.ok;
+    if res.Abelian_hsp.ok then 0 else 1
   in
   Cmd.v
     (Cmd.info "solve-abelian"

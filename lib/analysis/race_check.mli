@@ -34,7 +34,7 @@
       Lambda bodies are skipped (their state is created per call).  A
       mutex-guarded table is suppressed with an allow comment naming
       the lock, e.g. [(* hsp-lint: allow domain-unsafe-global —
-      guarded by phase_lock *)].
+      guarded by qlock *)].
     - [unbalanced-lock] — [Mutex.lock m] not immediately followed by a
       [Fun.protect ~finally:(fun () -> Mutex.unlock m)] continuation,
       and not expressed as [Mutex.protect].  A raised exception leaves

@@ -26,7 +26,7 @@ let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
     let fresh = List.init batch (fun _ -> draw rng) in
     let samples = samples @ fresh in
     let gens =
-      Quantum.Metrics.phase "classical" (fun () ->
+      Quantum.Metrics.phase Classical (fun () ->
           List.iter (fun y -> ignore (Numtheory.Zmatrix.hnf_insert span y)) fresh;
           Quantum.Coset_state.annihilator_gens (Numtheory.Zmatrix.hnf_freeze span))
     in
@@ -44,8 +44,10 @@ let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
   in
   go 1 []
 
-let solve rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
-  let dec = Abelian.decompose g in
+(* Every solve over a black-box Abelian group starts from a
+   decomposition; the caller picks which, since the element order it
+   fixes decides the draws. *)
+let solve_decomposed rng (g : 'a Group.t) (hiding : 'a Hiding.t) dec =
   let dims = dec.Abelian.dims in
   if Array.length dims = 0 then []
   else begin
@@ -55,13 +57,32 @@ let solve rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
     List.map dec.Abelian.of_exponents gens
   end
 
-let solve_on_subgroup rng (g : 'a Group.t) n_gens (hiding : 'a Hiding.t) =
-  let dec = Abelian.decompose_subgroup g n_gens in
-  let dims = dec.Abelian.dims in
-  if Array.length dims = 0 then []
-  else begin
-    let f tuple = hiding.Hiding.raw (dec.Abelian.of_exponents tuple) in
-    let verify tuple = Hiding.in_hidden_subgroup g hiding (dec.Abelian.of_exponents tuple) in
-    let gens, _ = solve_dims rng ~dims ~f ~quantum:hiding.Hiding.quantum ~verify () in
-    List.map dec.Abelian.of_exponents gens
-  end
+let solve rng g hiding = solve_decomposed rng g hiding (Abelian.decompose g)
+
+let solve_on_subgroup rng g n_gens hiding =
+  solve_decomposed rng g hiding (Abelian.decompose_subgroup g n_gens)
+
+type quotient_solve = {
+  gens : int array list;
+  rounds : int;
+  seconds : float;
+  recovered : Quantum.Backend_symbolic.Subgroup.t;
+  ok : bool;
+}
+
+let solve_quotient rng ?truth ~draw ~dims ~moduli ~quantum () =
+  let in_h = Instances.quotient_mem ~moduli in
+  let t0 = Unix.gettimeofday () in
+  let gens, outcome =
+    solve_dims rng ~draw ~dims ~f:(Instances.quotient_oracle ~moduli) ~quantum ~verify:in_h ()
+  in
+  let seconds = Unix.gettimeofday () -. t0 in
+  (* Ground truth is the planted subgroup in closed form; canonical-HNF
+     equality decides "generates exactly H" in O(r^2) at any size, with
+     no closure enumeration. *)
+  let truth =
+    match truth with Some t -> t | None -> Instances.quotient_subgroup ~dims ~moduli
+  in
+  let recovered = Quantum.Backend_symbolic.Subgroup.of_gens ~dims gens in
+  let ok = List.for_all in_h gens && Quantum.Backend_symbolic.Subgroup.equal truth recovered in
+  { gens; rounds = outcome.rounds; seconds; recovered; ok }

@@ -53,3 +53,28 @@ val solve_on_subgroup : Random.State.t -> 'a Group.t -> 'a list -> 'a Hiding.t -
 (** Solve the HSP for the restriction of the hiding function to the
     Abelian subgroup generated by the given elements (used by
     Theorem 13 to compute [H ∩ N]). *)
+
+(** The planted quotient instance of {!Instances.quotient_gens}, solved
+    and checked against its ground truth. *)
+type quotient_solve = {
+  gens : int array list;  (** recovered generators, as tuples *)
+  rounds : int;  (** Fourier-sampling rounds performed *)
+  seconds : float;  (** wall clock of the solve, not of the check *)
+  recovered : Quantum.Backend_symbolic.Subgroup.t;  (** the span of [gens] *)
+  ok : bool;  (** [gens] lie in [H] and generate exactly [H] *)
+}
+
+val solve_quotient :
+  Random.State.t ->
+  ?truth:Quantum.Backend_symbolic.Subgroup.t ->
+  draw:(Random.State.t -> int array) ->
+  dims:int array ->
+  moduli:int array ->
+  quantum:Quantum.Query.t ->
+  unit ->
+  quotient_solve
+(** {!solve_dims} on [H = prod m_i Z_{d_i}] with {!Instances.quotient_oracle}
+    and verification by {!Instances.quotient_mem}, then canonical-HNF
+    equality against [truth] ({!Instances.quotient_subgroup}, built
+    here when not given).  Exact at any size: nothing is
+    enumerated. *)

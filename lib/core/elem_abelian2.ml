@@ -36,18 +36,14 @@ let probe rng (g : 'a Group.t) (hiding : 'a Hiding.t) dec z =
       else None)
     gens
 
-let assemble rng (g : 'a Group.t) (hiding : 'a Hiding.t) dec transversal =
-  let h_cap_n_gens =
-    Abelian_hsp.solve_on_subgroup rng g
-      (Array.to_list dec.Abelian.basis)
-      hiding
-  in
+let assemble rng (g : 'a Group.t) (hiding : 'a Hiding.t) ~n_gens dec transversal =
+  let h_cap_n_gens = Abelian_hsp.solve_on_subgroup rng g n_gens hiding in
   let collected =
     List.filter_map
       (fun z -> if g.Group.equal z g.Group.id then None else probe rng g hiding dec z)
       transversal
   in
-  Quantum.Metrics.phase "classical" (fun () ->
+  Quantum.Metrics.phase Classical (fun () ->
       Normal_hsp.generating_subset g (h_cap_n_gens @ collected))
 
 let solve_general rng (g : 'a Group.t) ~n_gens (hiding : 'a Hiding.t) =
@@ -79,7 +75,9 @@ let solve_general rng (g : 'a Group.t) ~n_gens (hiding : 'a Hiding.t) =
   done;
   let transversal = !v in
   Log.debug (fun m -> m "theorem 13 (general): transversal size %d" (List.length transversal));
-  let generators = assemble rng g hiding dec transversal in
+  let generators =
+    assemble rng g hiding ~n_gens:(Array.to_list dec.Abelian.basis) dec transversal
+  in
   {
     generators;
     transversal_size = List.length transversal;
@@ -120,5 +118,7 @@ let solve_cyclic rng (g : 'a Group.t) ~n_gens (hiding : 'a Hiding.t) =
   in
   Log.debug (fun m' ->
       m' "theorem 13 (cyclic): |G/N| = %d, transversal size %d" m (List.length transversal));
-  let generators = assemble rng g hiding dec transversal in
+  let generators =
+    assemble rng g hiding ~n_gens:(Array.to_list dec.Abelian.basis) dec transversal
+  in
   { generators; transversal_size = List.length transversal; quotient_order = m }

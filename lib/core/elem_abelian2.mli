@@ -33,3 +33,18 @@ val solve_general : Random.State.t -> 'a Group.t -> n_gens:'a list -> 'a Hiding.
 
 val solve_cyclic : Random.State.t -> 'a Group.t -> n_gens:'a list -> 'a Hiding.t -> 'a result
 (** Requires [G/N] cyclic; fully polynomial. *)
+
+val assemble :
+  Random.State.t ->
+  'a Group.t ->
+  'a Hiding.t ->
+  n_gens:'a list ->
+  'a Abelian.t ->
+  'a list ->
+  'a list
+(** [assemble rng g hiding ~n_gens dec v]: the shared last step of
+    both solvers.  Solves [H ∩ N] on the subgroup [n_gens] generate,
+    probes each [z] in [v \ {1}] over [dec] (a decomposition of [N]),
+    and returns generators of [H].  The solvers above pass [dec]'s own
+    basis as [n_gens]; {!Roetteler_beth} passes [N]'s given generators
+    and [v = {1, swap}]. *)

@@ -43,7 +43,7 @@ let solve rng ~n (hiding : Dihedral.elt Hiding.t) =
          to the parity flip), so the maximiser can be tied; verify
          every near-maximal candidate with O(1) classical queries. *)
       let lls =
-        Quantum.Metrics.phase "classical" (fun () ->
+        Quantum.Metrics.phase Classical (fun () ->
             Array.init n (fun d' -> log_likelihood n samples d'))
       in
       let best_ll = Array.fold_left max neg_infinity lls in

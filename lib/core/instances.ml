@@ -124,6 +124,9 @@ let quotient_gens ~dims ~moduli =
   let r = Array.length dims in
   List.init r (fun i -> Array.init r (fun j -> if i = j then moduli.(i) mod dims.(i) else 0))
 
+let quotient_subgroup ~dims ~moduli =
+  Quantum.Backend_symbolic.Subgroup.of_gens ~dims (quotient_gens ~dims ~moduli)
+
 let quotient_oracle ~moduli x =
   Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli)
 

@@ -89,6 +89,10 @@ val quotient_violation : dims:int array -> moduli:int array -> string option
 val quotient_gens : dims:int array -> moduli:int array -> int array list
 (** The generators [m_i e_i] of [H] (each reduced mod [d_i]). *)
 
+val quotient_subgroup : dims:int array -> moduli:int array -> Quantum.Backend_symbolic.Subgroup.t
+(** [H] in canonical HNF form: what the symbolic sampler consumes and
+    what recovered generators are checked against, at any size. *)
+
 val quotient_oracle : moduli:int array -> int array -> int
 (** [f x]: the residues [x_i mod m_i], encoded mixed-radix over
     [moduli]. *)

@@ -39,10 +39,10 @@ let solve rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
       m "normal HSP: |G/N| = %d, %d relators" quotient_order
         (List.length presentation.Presentation.relators));
   let closure =
-    Quantum.Metrics.phase "classical" (fun () -> Group.normal_closure g relator_images)
+    Quantum.Metrics.phase Classical (fun () -> Group.normal_closure g relator_images)
   in
   let generators =
-    Quantum.Metrics.phase "classical" (fun () -> generating_subset g closure)
+    Quantum.Metrics.phase Classical (fun () -> generating_subset g closure)
   in
   Log.debug (fun m -> m "normal HSP: |N| = %d, %d generators" (List.length closure) (List.length generators));
   {

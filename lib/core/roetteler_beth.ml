@@ -3,34 +3,7 @@ open Groups
 let solve rng ~k (hiding : Wreath.elt Hiding.t) =
   let g = Wreath.group k in
   let n_gens = Wreath.base_gens k in
-  let dec = Abelian.decompose_subgroup g n_gens in
   (* |G/N| = 2: the transversal is {1, swap}; H ∩ N and one probe of
      the swap coset determine H. *)
-  let h_cap_n = Abelian_hsp.solve_on_subgroup rng g n_gens hiding in
-  let f1 = Hiding.eval hiding g.Group.id in
-  let swap_witness =
-    let n_dims = dec.Abelian.dims in
-    let dims = Array.append [| 2 |] n_dims in
-    let z = Wreath.swap_elt k in
-    let elem_of tuple =
-      let x = dec.Abelian.of_exponents (Array.sub tuple 1 (Array.length n_dims)) in
-      if tuple.(0) = 0 then x else g.Group.mul x z
-    in
-    let f tuple = hiding.Hiding.raw (elem_of tuple) in
-    let verify tuple = Hiding.eval hiding (elem_of tuple) = f1 in
-    let gens, _ =
-      Abelian_hsp.solve_dims rng ~dims ~f ~quantum:hiding.Hiding.quantum ~verify ()
-    in
-    List.find_map
-      (fun tuple ->
-        if tuple.(0) = 1 then begin
-          let u = dec.Abelian.of_exponents (Array.sub tuple 1 (Array.length n_dims)) in
-          let h = g.Group.mul u z in
-          if Hiding.eval hiding h = f1 then Some h else None
-        end
-        else None)
-      gens
-  in
-  let collected = match swap_witness with Some h -> [ h ] | None -> [] in
-  Quantum.Metrics.phase "classical" (fun () ->
-      Normal_hsp.generating_subset g (h_cap_n @ collected))
+  Elem_abelian2.assemble rng g hiding ~n_gens (Abelian.decompose_subgroup g n_gens)
+    [ g.Group.id; Wreath.swap_elt k ]

@@ -72,7 +72,7 @@ let solve rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
      with G' itself. *)
   let hg'_generators = coset_gens @ Normal_hsp.generating_subset g g'_elems in
   let generators =
-    Quantum.Metrics.phase "classical" (fun () -> finish rng g hiding g'_elems hg'_generators)
+    Quantum.Metrics.phase Classical (fun () -> finish rng g hiding g'_elems hg'_generators)
   in
   { generators; commutator_order; hg'_generators }
 
@@ -92,6 +92,6 @@ let solve_via_theorem8 rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
   let normal = Normal_hsp.solve rng g capital_hiding in
   let hg'_generators = normal.Normal_hsp.generators in
   let generators =
-    Quantum.Metrics.phase "classical" (fun () -> finish rng g hiding g'_elems hg'_generators)
+    Quantum.Metrics.phase Classical (fun () -> finish rng g hiding g'_elems hg'_generators)
   in
   { generators; commutator_order; hg'_generators }

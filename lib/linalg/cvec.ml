@@ -10,27 +10,11 @@ let basis dim k =
 
 let dim = Array.length
 
-let dot a b =
-  if not (Int.equal (dim a) (dim b)) then invalid_arg "Cvec.dot: dimension mismatch";
-  let acc = ref Cx.zero in
-  for k = 0 to dim a - 1 do
-    acc := Cx.add !acc (Cx.mul (Cx.conj a.(k)) b.(k))
-  done;
-  !acc
-
-let norm2 v = Array.fold_left (fun acc z -> acc +. Cx.norm2 z) 0.0 v
-let norm v = sqrt (norm2 v)
-
 (* Shared normalisation tolerances — the single definition used by
    every normalise entry point (here and in the simulator backends), so
    "what counts as a zero vector" and "close enough to unit norm to
    skip rescaling" cannot drift apart between representations. *)
 let zero_norm_floor = 1e-150
-
-let normalize v =
-  let n = norm v in
-  if n < zero_norm_floor then invalid_arg "Cvec.normalize: zero vector";
-  Array.map (Cx.scale (1.0 /. n)) v
 
 (* ------------------------------------------------------------------ *)
 (* Split-plane layout: a complex vector as two unboxed float arrays.  *)

@@ -9,13 +9,6 @@ val basis : int -> int -> t (* hsp-lint: allow unused-export *)
 (** [basis dim k] is the computational basis vector [|k>]. *)
 
 val dim : t -> int
-val dot : t -> t -> Cx.t (* hsp-lint: allow unused-export *)
-(** Hermitian inner product, conjugate-linear in the first argument. *)
-
-val norm : t -> float (* hsp-lint: allow unused-export *)
-val normalize : t -> t (* hsp-lint: allow unused-export *)
-(** @raise Invalid_argument on the zero vector. *)
-
 val zero_norm_floor : float
 (** Norms below this are treated as an (unnormalisable) zero vector by
     every normalise entry point — here and in the simulator backends.

@@ -26,7 +26,7 @@ type t = { dims : int array; re : float array; im : float array }
 let total_of dims =
   let total = Backend.total_of dims in
   if total > Backend.Caps.dense_state then invalid_arg "State: register too large to simulate";
-  Metrics.record_dense_alloc total;
+  Metrics.raise_to Peak_dense_alloc total;
   total
 
 let create dims =
@@ -161,7 +161,7 @@ let apply_wires t ~wires m =
     done;
     sub_offsets.(s) <- !off
   done;
-  Metrics.add_gate_fibres rest_total;
+  Metrics.add Gate_fibres rest_total;
   let m_re, m_im = Cmat.planes m in
   let total = Array.length t.re in
   let out_re = Array.make total 0.0 and out_im = Array.make total 0.0 in
@@ -207,7 +207,7 @@ let dft_in_place ?plan ~dims re im ~wire ~inverse =
   let total = Array.length re in
   (* Every length-d fibre of the register is transformed, populated or
      not: total/d fibres — the dense cost the sparse backend avoids. *)
-  Metrics.add_dft_fibres (total / d);
+  Metrics.add Dft_fibres (total / d);
   (* Block b holds the [str] interleaved fibres at offsets
      [b * str * d + k * str + l]: exactly Fft.exec's lane layout, so the
      wire is transformed in place, one call per (block, lane range).

@@ -47,7 +47,7 @@ let eps2 = 1e-24
 
 (* Sample the support high-water mark after an operation settles. *)
 let noted t =
-  Metrics.record_support t.n;
+  Metrics.raise_to Peak_support t.n;
   t
 
 (* ------------------------------------------------------------------ *)
@@ -464,7 +464,7 @@ let dft_blocks t ~wire ~plan ~inverse =
         done;
         (out, !fibres, !pruned))
   in
-  Metrics.add_pruned (Array.fold_left (fun acc (_, _, p) -> acc + p) 0 parts);
+  Metrics.add Pruned_amps (Array.fold_left (fun acc (_, _, p) -> acc + p) 0 parts);
   ( noted (concat_chunks t (Array.map (fun (out, _, _) -> out) parts)),
     Array.fold_left (fun acc (_, f, _) -> acc + f) 0 parts )
 
@@ -473,7 +473,7 @@ let apply_dft ?plan t ~wire ~inverse =
   let st, fibres = dft_blocks t ~wire ~plan ~inverse in
   (* Only populated fibres are transformed — the count the dense
      backend's total/d upper-bounds. *)
-  Metrics.add_dft_fibres fibres;
+  Metrics.add Dft_fibres fibres;
   st
 
 (* ------------------------------------------------------------------ *)

@@ -48,7 +48,7 @@ module Subgroup = struct
     }
 
   let of_gens ~dims gens =
-    Metrics.record_symbolic_solve ();
+    Metrics.tick Symbolic_solves;
     of_hnf (Zm.hnf_of_gens ~dims gens)
 
   let trivial dims = of_gens ~dims []
@@ -63,7 +63,7 @@ module Subgroup = struct
   let reduce s x = Zm.hnf_reduce s.hnf x
 
   let sample rng s =
-    Metrics.record_symbolic_sample ();
+    Metrics.tick Symbolic_samples;
     Zm.hnf_sample rng s.hnf
 
   let elements s =
@@ -80,7 +80,7 @@ module Subgroup = struct
     match s.dual_memo with
     | Some d -> d
     | None ->
-        Metrics.record_symbolic_solve ();
+        Metrics.tick Symbolic_solves;
         let d = of_hnf (Zm.hnf_dual s.hnf) in
         d.dual_memo <- Some s;
         s.dual_memo <- Some d;
@@ -161,7 +161,7 @@ let iter_nonzero st f =
 
 (* Materialise into the dense backend. *)
 let demote st =
-  Metrics.record_symbolic_demotion ();
+  Metrics.tick Symbolic_demotions;
   let dims = dims st in
   let r = Array.length dims in
   let entries =
@@ -183,7 +183,7 @@ let fourier st ~inverse =
   let dims = dims st in
   let dual = Subgroup.dual st.sub in
   let c = st.rep and p = st.phase in
-  Metrics.record_symbolic_rewrite ();
+  Metrics.tick Symbolic_rewrites;
   let gphase = Cx.mul st.gphase (character ~dims p c) in
   if not inverse then
     (* F: support -p + H^perp, amplitude chi_c(y) *)

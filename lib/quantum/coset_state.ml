@@ -109,8 +109,8 @@ let prep ?backend ~dims ~f () =
   let dims = Array.copy dims in
   let ptables =
     lazy
-      ( Metrics.phase "sample-prep" @@ fun () ->
-        Metrics.record_sampler_prep ();
+      ( Metrics.phase Sample_prep @@ fun () ->
+        Metrics.tick Sampler_preps;
         (* pass 1 tags every element with its coset id (int32, dropped
            once the buckets are filled); pass 2 counting-sorts.  A digit
            odometer walks the register in index order, so pass 1 calls
@@ -216,9 +216,9 @@ let coset_at starts x =
    fields on every route. *)
 let round ~queries ~wires ~plans ~build rng =
   Query.tick queries;
-  let st, coset_log2 = Metrics.phase "sample-prep" (fun () -> build rng) in
-  let st = Metrics.phase "fourier" (fun () -> Qft.forward ?plans st ~wires) in
-  let outcome = Metrics.phase "measure" (fun () -> State.measure_all rng st) in
+  let st, coset_log2 = Metrics.phase Sample_prep (fun () -> build rng) in
+  let st = Metrics.phase Fourier (fun () -> Qft.forward ?plans st ~wires) in
+  let outcome = Metrics.phase Measure (fun () -> State.measure_all rng st) in
   if Metrics.tracing () then
     Metrics.trace "coset-round"
       [
@@ -238,7 +238,7 @@ let sampler_of_prep p ~queries () rng =
     let c = coset_at starts (Random.State.full_int rng p.ptotal) in
     let lo = starts.(c) in
     let count = starts.(c + 1) - lo in
-    Metrics.add_coset_visits count;
+    Metrics.add Coset_visits count;
     let idxs = Array.make count 0 in
     for i = 0 to count - 1 do
       idxs.(i) <- member members (lo + i)
@@ -276,7 +276,7 @@ let sampler_of_subgroup ?backend ~sub ~queries () =
   let coset_log2 = Sub.order_log2 sub in
   let build rng =
     let x0 = Array.map (fun d -> Random.State.full_int rng d) dims in
-    if visits > 0 then Metrics.add_coset_visits visits;
+    if visits > 0 then Metrics.add Coset_visits visits;
     (State.of_coset ~backend:choice sub ~rep:x0, coset_log2)
   in
   round ~queries ~wires:(List.init (Array.length dims) Fun.id) ~plans:(plans_for choice dims)
@@ -284,7 +284,7 @@ let sampler_of_subgroup ?backend ~sub ~queries () =
 
 let sampler_with_subgroup ?backend ~dims ~subgroup ~queries () =
   let sub =
-    Metrics.phase "sample-prep" @@ fun () ->
+    Metrics.phase Sample_prep @@ fun () ->
     Backend_symbolic.Subgroup.of_gens ~dims subgroup
   in
   sampler_of_subgroup ?backend ~sub ~queries ()
@@ -358,7 +358,7 @@ let sample_full rng ~dims ~f ~queries () =
             Hashtbl.add values v k;
             k)
   in
-  Metrics.add_classical_evals total;
+  Metrics.add Classical_evals total;
   let out_dim = max 1 (Hashtbl.length values) in
   let n = Array.length dims in
   let group_wires = List.init n (fun i -> i) in
@@ -368,9 +368,9 @@ let sample_full rng ~dims ~f ~queries () =
     State.apply_oracle_add st ~in_wires:group_wires ~out_wire:n
       ~f:(fun x -> tags.(State.encode dims x))
   in
-  let st = Metrics.phase "fourier" (fun () -> Qft.forward st ~wires:group_wires) in
+  let st = Metrics.phase Fourier (fun () -> Qft.forward st ~wires:group_wires) in
   let outcome, _ =
-    Metrics.phase "measure" (fun () -> State.measure rng st ~wires:group_wires)
+    Metrics.phase Measure (fun () -> State.measure rng st ~wires:group_wires)
   in
   outcome
 

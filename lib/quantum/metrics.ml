@@ -1,11 +1,93 @@
 (* Global cost ledger for the simulator.
 
+   One table of atomic integers holds every counter and, per phase, its
+   accumulated nanoseconds and call count.  [tick], [add], [raise_to]
+   and [phase] are the only writers; [reset], [snapshot], [counters]
+   and [pp] iterate the table, so a counter is a constructor, a slot, a
+   name and its snapshot field, and no reader lists the counters.
+
    Per-call counters (gates, DFTs, basis maps, oracle ops, measurements,
    states created) are ticked by the {!State} dispatcher, so a dense and
-   a sparse run of the same sampling pipeline report identical values; the
-   work/allocation statistics (fibre counts, peak support, pruned
+   a sparse run of the same sampling pipeline report identical values;
+   the work/allocation statistics (fibre counts, peak support, pruned
    amplitudes, peak dense allocation) are recorded inside the backends
    and are exactly where the two representations differ. *)
+
+type counter =
+  | Gate_apps
+  | Gate_fibres
+  | Dft_apps
+  | Dft_fibres
+  | Basis_maps
+  | Oracle_ops
+  | Measurements
+  | States_created
+  | Peak_support
+  | Pruned_amps
+  | Peak_dense_alloc
+  | Sampler_preps
+  | Coset_visits
+  | Classical_evals
+  | Symbolic_rewrites
+  | Symbolic_samples
+  | Symbolic_solves
+  | Symbolic_demotions
+
+type phase = Sample_prep | Fourier | Measure | Classical
+
+(* Slots in declaration order; [counter_names] and [phase_names] are
+   indexed by the same slot. *)
+let counter_slot = function
+  | Gate_apps -> 0
+  | Gate_fibres -> 1
+  | Dft_apps -> 2
+  | Dft_fibres -> 3
+  | Basis_maps -> 4
+  | Oracle_ops -> 5
+  | Measurements -> 6
+  | States_created -> 7
+  | Peak_support -> 8
+  | Pruned_amps -> 9
+  | Peak_dense_alloc -> 10
+  | Sampler_preps -> 11
+  | Coset_visits -> 12
+  | Classical_evals -> 13
+  | Symbolic_rewrites -> 14
+  | Symbolic_samples -> 15
+  | Symbolic_solves -> 16
+  | Symbolic_demotions -> 17
+
+let counter_names =
+  [| "gate_apps"; "gate_fibres"; "dft_apps"; "dft_fibres"; "basis_maps"; "oracle_ops";
+     "measurements"; "states_created"; "peak_support"; "pruned_amps"; "peak_dense_alloc";
+     "sampler_preps"; "coset_visits"; "classical_evals"; "symbolic_rewrites";
+     "symbolic_samples"; "symbolic_solves"; "symbolic_demotions" |]
+
+let phase_slot = function Sample_prep -> 0 | Fourier -> 1 | Measure -> 2 | Classical -> 3
+let phase_names = [| "sample-prep"; "fourier"; "measure"; "classical" |]
+let n_counters = Array.length counter_names
+
+(* The phase in slot [i] keeps its nanoseconds at [n_counters + 2i]
+   and its call count right after. *)
+let phase_base i = n_counters + (2 * i)
+
+(* Atomic cells: the dense backend's kernels run on a domain pool (see
+   {!Parallel}) and the service times phases on its executor thread
+   while request threads snapshot, so every cell tolerates concurrent
+   access without a lock. *)
+let table = Array.init (phase_base (Array.length phase_names)) (fun _ -> Atomic.make 0)
+
+let tick c = ignore (Atomic.fetch_and_add table.(counter_slot c) 1)
+let add c n = ignore (Atomic.fetch_and_add table.(counter_slot c) n)
+
+(* Monotone high-water mark via compare-and-set. *)
+let rec raise_cell cell v =
+  let cur = Atomic.get cell in
+  if v > cur && not (Atomic.compare_and_set cell cur v) then raise_cell cell v
+
+let raise_to c v = raise_cell table.(counter_slot c) v
+
+let reset () = Array.iter (fun cell -> Atomic.set cell 0) table
 
 type snapshot = {
   gate_apps : int;
@@ -27,120 +109,39 @@ type snapshot = {
   symbolic_solves : int;
   symbolic_demotions : int;
   phases : (string * float) list;
+  counts : int array;
 }
 
-(* Atomic counters: the dense backend's kernels run on a domain pool
-   (see {!Parallel}), so the ledger must tolerate concurrent ticks.
-   The provided kernels only tick counters outside parallel regions,
-   but atomics make the ledger safe for any backend code and cost
-   nothing measurable at per-operation granularity. *)
-let gate_apps = Atomic.make 0
-let gate_fibres = Atomic.make 0
-let dft_apps = Atomic.make 0
-let dft_fibres = Atomic.make 0
-let basis_maps = Atomic.make 0
-let oracle_ops = Atomic.make 0
-let measurements = Atomic.make 0
-let states_created = Atomic.make 0
-let peak_support = Atomic.make 0
-let pruned_amps = Atomic.make 0
-let peak_dense_alloc = Atomic.make 0
-let sampler_preps = Atomic.make 0
-let coset_visits = Atomic.make 0
-let classical_evals = Atomic.make 0
-let symbolic_rewrites = Atomic.make 0
-let symbolic_samples = Atomic.make 0
-let symbolic_solves = Atomic.make 0
-let symbolic_demotions = Atomic.make 0
-
-let tick c = ignore (Atomic.fetch_and_add c 1)
-let add c n = ignore (Atomic.fetch_and_add c n)
-
-(* Monotone high-water mark via compare-and-set. *)
-let rec raise_to c v =
-  let cur = Atomic.get c in
-  if v > cur && not (Atomic.compare_and_set c cur v) then raise_to c v
-
-(* Accumulated wall-clock seconds per phase name, in first-seen order.
-   Phases are timed on the service's executor thread while snapshot /
-   reset run on request threads, so the table sits behind phase_lock. *)
-let phase_lock = Mutex.create ()
-
-(* hsp-lint: allow domain-unsafe-global — guarded by phase_lock *)
-let phase_order : string list ref = ref []
-
-(* hsp-lint: allow domain-unsafe-global — guarded by phase_lock *)
-let phase_seconds : (string, float) Hashtbl.t = Hashtbl.create 8
-
-let reset () =
-  Atomic.set gate_apps 0;
-  Atomic.set gate_fibres 0;
-  Atomic.set dft_apps 0;
-  Atomic.set dft_fibres 0;
-  Atomic.set basis_maps 0;
-  Atomic.set oracle_ops 0;
-  Atomic.set measurements 0;
-  Atomic.set states_created 0;
-  Atomic.set peak_support 0;
-  Atomic.set pruned_amps 0;
-  Atomic.set peak_dense_alloc 0;
-  Atomic.set sampler_preps 0;
-  Atomic.set coset_visits 0;
-  Atomic.set classical_evals 0;
-  Atomic.set symbolic_rewrites 0;
-  Atomic.set symbolic_samples 0;
-  Atomic.set symbolic_solves 0;
-  Atomic.set symbolic_demotions 0;
-  Mutex.protect phase_lock (fun () ->
-      phase_order := [];
-      Hashtbl.reset phase_seconds)
-
 let snapshot () =
+  let v = Array.map Atomic.get table in
+  let c k = v.(counter_slot k) in
   {
-    gate_apps = Atomic.get gate_apps;
-    gate_fibres = Atomic.get gate_fibres;
-    dft_apps = Atomic.get dft_apps;
-    dft_fibres = Atomic.get dft_fibres;
-    basis_maps = Atomic.get basis_maps;
-    oracle_ops = Atomic.get oracle_ops;
-    measurements = Atomic.get measurements;
-    states_created = Atomic.get states_created;
-    peak_support = Atomic.get peak_support;
-    pruned_amps = Atomic.get pruned_amps;
-    peak_dense_alloc = Atomic.get peak_dense_alloc;
-    sampler_preps = Atomic.get sampler_preps;
-    coset_visits = Atomic.get coset_visits;
-    classical_evals = Atomic.get classical_evals;
-    symbolic_rewrites = Atomic.get symbolic_rewrites;
-    symbolic_samples = Atomic.get symbolic_samples;
-    symbolic_solves = Atomic.get symbolic_solves;
-    symbolic_demotions = Atomic.get symbolic_demotions;
+    gate_apps = c Gate_apps;
+    gate_fibres = c Gate_fibres;
+    dft_apps = c Dft_apps;
+    dft_fibres = c Dft_fibres;
+    basis_maps = c Basis_maps;
+    oracle_ops = c Oracle_ops;
+    measurements = c Measurements;
+    states_created = c States_created;
+    peak_support = c Peak_support;
+    pruned_amps = c Pruned_amps;
+    peak_dense_alloc = c Peak_dense_alloc;
+    sampler_preps = c Sampler_preps;
+    coset_visits = c Coset_visits;
+    classical_evals = c Classical_evals;
+    symbolic_rewrites = c Symbolic_rewrites;
+    symbolic_samples = c Symbolic_samples;
+    symbolic_solves = c Symbolic_solves;
+    symbolic_demotions = c Symbolic_demotions;
     phases =
-      Mutex.protect phase_lock (fun () ->
-          List.rev_map
-            (fun name ->
-              (name, Option.value ~default:0.0 (Hashtbl.find_opt phase_seconds name)))
-            !phase_order);
+      List.filter_map
+        (fun i ->
+          let ns = v.(phase_base i) and calls = v.(phase_base i + 1) in
+          if calls > 0 then Some (phase_names.(i), float_of_int ns /. 1e9) else None)
+        (List.init (Array.length phase_names) Fun.id);
+    counts = Array.sub v 0 n_counters;
   }
-
-let record_gate () = tick gate_apps
-let add_gate_fibres n = add gate_fibres n
-let add_dft_apps n = add dft_apps n
-let add_dft_fibres n = add dft_fibres n
-let record_basis_map () = tick basis_maps
-let record_oracle () = tick oracle_ops
-let record_measurement () = tick measurements
-let record_state_created () = tick states_created
-let record_support s = raise_to peak_support s
-let add_pruned n = if n > 0 then add pruned_amps n
-let record_dense_alloc total = raise_to peak_dense_alloc total
-let record_sampler_prep () = tick sampler_preps
-let add_coset_visits n = add coset_visits n
-let add_classical_evals n = add classical_evals n
-let record_symbolic_rewrite () = tick symbolic_rewrites
-let record_symbolic_sample () = tick symbolic_samples
-let record_symbolic_solve () = tick symbolic_solves
-let record_symbolic_demotion () = tick symbolic_demotions
 
 (* ------------------------------------------------------------------ *)
 (* Structured trace events                                             *)
@@ -159,20 +160,19 @@ let trace event fields = match Atomic.get tracer with None -> () | Some f -> f e
 
 (* The trace event, with its formatted seconds field, is built only
    when a tracer is installed: a solver round makes three phase calls,
-   and the untraced ones pay the clock reads and the table update. *)
-let phase name f =
+   and the untraced ones pay the clock reads and two atomic adds. *)
+let phase p f =
   let t0 = Unix.gettimeofday () in
   let charge () =
     let dt = Unix.gettimeofday () -. t0 in
-    Mutex.protect phase_lock (fun () ->
-        match Hashtbl.find_opt phase_seconds name with
-        | None ->
-            phase_order := name :: !phase_order;
-            Hashtbl.replace phase_seconds name dt
-        | Some acc -> Hashtbl.replace phase_seconds name (acc +. dt));
+    let base = phase_base (phase_slot p) in
+    ignore (Atomic.fetch_and_add table.(base) (int_of_float (dt *. 1e9)));
+    ignore (Atomic.fetch_and_add table.(base + 1) 1);
     match Atomic.get tracer with
     | None -> ()
-    | Some emit -> emit "phase" [ ("name", name); ("seconds", Printf.sprintf "%.6f" dt) ]
+    | Some emit ->
+        emit "phase"
+          [ ("name", phase_names.(phase_slot p)); ("seconds", Printf.sprintf "%.6f" dt) ]
   in
   Fun.protect ~finally:charge f
 
@@ -180,47 +180,10 @@ let phase name f =
 (* Rendering                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let counters s =
-  [
-    ("gate_apps", s.gate_apps);
-    ("gate_fibres", s.gate_fibres);
-    ("dft_apps", s.dft_apps);
-    ("dft_fibres", s.dft_fibres);
-    ("basis_maps", s.basis_maps);
-    ("oracle_ops", s.oracle_ops);
-    ("measurements", s.measurements);
-    ("states_created", s.states_created);
-    ("peak_support", s.peak_support);
-    ("pruned_amps", s.pruned_amps);
-    ("peak_dense_alloc", s.peak_dense_alloc);
-    ("sampler_preps", s.sampler_preps);
-    ("coset_visits", s.coset_visits);
-    ("classical_evals", s.classical_evals);
-    ("symbolic_rewrites", s.symbolic_rewrites);
-    ("symbolic_samples", s.symbolic_samples);
-    ("symbolic_solves", s.symbolic_solves);
-    ("symbolic_demotions", s.symbolic_demotions);
-  ]
+let counters s = List.init n_counters (fun i -> (counter_names.(i), s.counts.(i)))
 
 let pp fmt s =
   Format.fprintf fmt "@[<v>cost ledger@,";
-  Format.fprintf fmt "  gate applications : %d (%d fibres)@," s.gate_apps s.gate_fibres;
-  Format.fprintf fmt "  DFT applications  : %d (%d fibres)@," s.dft_apps s.dft_fibres;
-  Format.fprintf fmt "  basis-map ops     : %d@," s.basis_maps;
-  Format.fprintf fmt "  oracle ops        : %d@," s.oracle_ops;
-  Format.fprintf fmt "  measurements      : %d@," s.measurements;
-  Format.fprintf fmt "  states created    : %d@," s.states_created;
-  Format.fprintf fmt "  peak sparse support : %d@," s.peak_support;
-  Format.fprintf fmt "  pruned amplitudes : %d@," s.pruned_amps;
-  Format.fprintf fmt "  peak dense alloc  : %d@," s.peak_dense_alloc;
-  Format.fprintf fmt "  sampler prep passes : %d@," s.sampler_preps;
-  Format.fprintf fmt "  coset members visited : %d@," s.coset_visits;
-  Format.fprintf fmt "  classical oracle evals : %d@," s.classical_evals;
-  Format.fprintf fmt "  symbolic DFT rewrites : %d@," s.symbolic_rewrites;
-  Format.fprintf fmt "  symbolic subgroup draws : %d@," s.symbolic_samples;
-  Format.fprintf fmt "  symbolic normal-form solves : %d@," s.symbolic_solves;
-  Format.fprintf fmt "  symbolic demotions  : %d@," s.symbolic_demotions;
-  List.iter
-    (fun (name, sec) -> Format.fprintf fmt "  phase %-11s : %.6fs@," name sec)
-    s.phases;
+  List.iter (fun (name, v) -> Format.fprintf fmt "  %-18s : %d@," name v) (counters s);
+  List.iter (fun (name, sec) -> Format.fprintf fmt "  phase %-12s : %.6fs@," name sec) s.phases;
   Format.fprintf fmt "@]"

@@ -3,7 +3,8 @@
     The paper's theorems are complexity claims, so the reproduction
     lives or dies on trustworthy cost accounting: wall clock and oracle
     queries alone cannot show {e where} an algorithm spends its gates
-    and support.  This module keeps one global mutable ledger:
+    and support.  This module keeps one global ledger: a table of
+    atomic integers indexed by two variants, {!counter} and {!phase}.
 
     - {e per-call counters} — gate ({!State.apply_wires}, one per gate
       of a {!Circuit.run}) and DFT ({!State.apply_dft}, one per wire of
@@ -20,22 +21,56 @@
       members visited per round, classical evaluations outside a
       query, and the symbolic backend's rewrites, draws, normal-form
       solves and demotions.
-    - {e per-phase timers} — accumulated wall-clock seconds labelled by
-      phase ("sample-prep", "fourier", "measure", "classical"), wrapped
-      around the samplers and the solvers' classical post-processing.
+    - {e per-phase timers} — accumulated wall-clock nanoseconds and
+      call counts per {!phase} ("sample-prep", "fourier", "measure",
+      "classical"), wrapped around the samplers and the solvers'
+      classical post-processing.
+
+    {!tick}, {!add}, {!raise_to} and {!phase} are the only writers;
+    {!reset}, {!snapshot}, {!counters} and {!pp} iterate the whole
+    table: a new counter is a constructor, a slot, a name and its
+    snapshot field, and every reader lists it with no further code.
 
     The ledger is global and reset per experiment ({!reset}; done by
     [Runner.run] and the CLI).  Counter updates are unconditional — a
     handful of integer increments per {e operation}, not per amplitude —
-    so the overhead is unobservable next to the state-vector work.  The
-    counters are [Atomic.t], so ticks are safe from any domain (the
-    dense backend runs its kernels on the {!Parallel} pool); peaks are
-    raised with a compare-and-set loop.  Ledger values are therefore
-    independent of the job count.
+    so the overhead is unobservable next to the state-vector work.
+    Every cell is an [Atomic.t], so ticks and phase charges are safe
+    from any domain or thread (the dense backend runs its kernels on
+    the {!Parallel} pool; the service times phases on its executor
+    while request threads snapshot); peaks are raised with a
+    compare-and-set loop.  Ledger values are therefore independent of
+    the job count.
 
     Optionally, a {!tracer} receives structured trace events (phase
     completions, per-round sampler events); [hsp_cli --trace] installs a
     [Logs]-based one. *)
+
+(** The counters, in the order {!counters} and {!pp} list them; each
+    one's name there is its snapshot field's name. *)
+type counter =
+  | Gate_apps
+  | Gate_fibres
+  | Dft_apps
+  | Dft_fibres
+  | Basis_maps
+  | Oracle_ops
+  | Measurements
+  | States_created
+  | Peak_support
+  | Pruned_amps
+  | Peak_dense_alloc
+  | Sampler_preps
+  | Coset_visits
+  | Classical_evals
+  | Symbolic_rewrites
+  | Symbolic_samples
+  | Symbolic_solves
+  | Symbolic_demotions
+
+(** Timed phases, named ["sample-prep"], ["fourier"], ["measure"] and
+    ["classical"] in [snapshot.phases]. *)
+type phase = Sample_prep | Fourier | Measure | Classical
 
 type snapshot = {
   gate_apps : int;  (** [State.apply_wires] / [apply_wire] calls *)
@@ -84,58 +119,27 @@ type snapshot = {
           an amplitude-level operation was requested (see
           [Backend.Caps.symbolic_materialise]) *)
   phases : (string * float) list;
-      (** accumulated wall-clock seconds per phase, first-seen order *)
+      (** accumulated wall-clock seconds per phase entered at least
+          once (even for no measurable time), in declaration order *)
+  counts : int array;  (** every counter, in declaration order ({!counters} reads it) *)
 }
 
 val reset : unit -> unit
+(** Zero every counter and phase. *)
+
 val snapshot : unit -> snapshot
 
-(** {2 Recording — called by [State] and the backends} *)
+(** {2 Recording — called by [State], the backends and the samplers} *)
 
-val record_gate : unit -> unit
-val add_gate_fibres : int -> unit
-val add_dft_apps : int -> unit
-(** Count DFT applications: one per wire transformed, so a whole
-    sweep adds its wire count with one atomic add. *)
+val tick : counter -> unit
+(** Add one. *)
 
-val add_dft_fibres : int -> unit
-val record_basis_map : unit -> unit
-val record_oracle : unit -> unit
-val record_measurement : unit -> unit
-val record_state_created : unit -> unit
+val add : counter -> int -> unit
+(** Add [n]: a kernel or sweep adds its total once per call. *)
 
-val record_support : int -> unit
-(** Raise the peak-support high-water mark (sparse backend, after every
-    operation). *)
-
-val add_pruned : int -> unit
-(** Count amplitudes a sparse kernel dropped below its pruning
-    threshold; kernels add one total per call. *)
-
-val record_dense_alloc : int -> unit
-
-val record_sampler_prep : unit -> unit
-(** One shared O(|G|) bucketing pass in [Coset_state.sampler]. *)
-
-val add_coset_visits : int -> unit
-(** Coset members visited while building one sampled coset state. *)
-
-val add_classical_evals : int -> unit
-(** Classical oracle evaluations performed by the simulator outside a
-    quantum query (see the [classical_evals] field). *)
-
-val record_symbolic_rewrite : unit -> unit
-(** One closed-form DFT rewrite in [Backend_symbolic]. *)
-
-val record_symbolic_sample : unit -> unit
-(** One uniform subgroup-element draw (symbolic measurement). *)
-
-val record_symbolic_solve : unit -> unit
-(** One HNF/SNF normal-form computation (subgroup canonicalisation or
-    annihilator solve) in the symbolic backend. *)
-
-val record_symbolic_demotion : unit -> unit
-(** One symbolic state materialised into the dense backend. *)
+val raise_to : counter -> int -> unit
+(** Raise a high-water mark ([Peak_support], [Peak_dense_alloc]) to
+    at least [n]. *)
 
 (** {2 Structured trace events} *)
 
@@ -153,9 +157,9 @@ val trace : string -> (string * string) list -> unit
 
 (** {2 Per-phase wall-clock timer} *)
 
-val phase : string -> (unit -> 'a) -> 'a
-(** [phase name f] runs [f] and adds the elapsed wall-clock seconds to
-    the ledger under [name] (even when [f] raises).  Only when a tracer
+val phase : phase -> (unit -> 'a) -> 'a
+(** [phase p f] runs [f] and adds the elapsed wall-clock time and one
+    call to the ledger under [p] (even when [f] raises).  Only when a tracer
     is installed does it format and emit a ["phase"] trace event (name
     and seconds fields); untraced, a call allocates a few words.
     Phases at the same level simply accumulate; nesting is allowed but
@@ -165,8 +169,9 @@ val phase : string -> (unit -> 'a) -> 'a
 (** {2 Rendering} *)
 
 val counters : snapshot -> (string * int) list
-(** Every integer counter by field name, in a fixed order (the phase
+(** Every counter by field name, in declaration order (the phase
     times are [snapshot.phases]). *)
 
 val pp : Format.formatter -> snapshot -> unit
-(** Human-readable ledger (the [--metrics] output). *)
+(** Human-readable ledger (the [--metrics] output): one
+    [name : value] line per counter, then one per phase entered. *)

@@ -16,7 +16,7 @@ let decode = Backend.decode
 (* The general constructors build dense: it is the only backend that
    runs every operation. *)
 let dense d =
-  Metrics.record_state_created ();
+  Metrics.tick States_created;
   Dense d
 
 let create dims = dense (Backend_dense.create dims)
@@ -28,7 +28,7 @@ let uniform dims = dense (Backend_dense.uniform dims)
    structure: it lands on dense only when asked, and on sparse under
    every other choice. *)
 let of_indices ?backend dims idxs =
-  Metrics.record_state_created ();
+  Metrics.tick States_created;
   match backend with
   | Some Backend.Dense -> Dense (Backend_dense.of_indices dims idxs)
   | Some (Backend.Sparse | Backend.Symbolic) | None -> Sparse (Backend_sparse.of_indices dims idxs)
@@ -78,7 +78,7 @@ let coset_indices sub ~rep =
   idxs
 
 let of_coset ?(backend = Backend.Symbolic) sub ~rep =
-  Metrics.record_state_created ();
+  Metrics.tick States_created;
   match backend with
   | Backend.Dense ->
       Dense (Backend_dense.of_indices (Backend_symbolic.Subgroup.dims sub) (coset_indices sub ~rep))
@@ -142,7 +142,7 @@ let tensor a b =
 
 let gate op t ~wires m =
   let d = dense_operand op t in
-  Metrics.record_gate ();
+  Metrics.tick Gate_apps;
   Dense (Backend_dense.apply_wires d ~wires m)
 
 let apply_wires t ~wires m = gate "apply_wires" t ~wires m
@@ -150,7 +150,7 @@ let apply_wire t ~wire m = gate "apply_wire" t ~wires:[ wire ] m
 
 (* A single-wire DFT has no symbolic closed form: demote first. *)
 let apply_dft ?plan t ~wire ~inverse =
-  Metrics.add_dft_apps 1;
+  Metrics.add Dft_apps 1;
   match t with
   | Dense d -> Dense (Backend_dense.apply_dft ?plan d ~wire ~inverse)
   | Sparse s -> Sparse (Backend_sparse.apply_dft ?plan s ~wire ~inverse)
@@ -177,7 +177,7 @@ let permutes_register n wires =
    permutation of its wires takes the closed-form rewrite; any other
    sweep demotes it once and runs the dense sweep. *)
 let fourier ?plans t ~wires ~inverse =
-  Metrics.add_dft_apps (List.length wires);
+  Metrics.add Dft_apps (List.length wires);
   match t with
   | _ when wires = [] -> t
   | Dense d -> Dense (Backend_dense.fourier ?plans d ~wires ~inverse)
@@ -194,12 +194,12 @@ let fourier ?plans t ~wires ~inverse =
 
 let apply_basis_map t f =
   let d = dense_operand "apply_basis_map" t in
-  Metrics.record_basis_map ();
+  Metrics.tick Basis_maps;
   Dense (Backend_dense.apply_basis_map d f)
 
 let apply_oracle_add t ~in_wires ~out_wire ~f =
   let d = dense_operand "apply_oracle_add" t in
-  Metrics.record_oracle ();
+  Metrics.tick Oracle_ops;
   Dense (Backend_dense.apply_oracle_add d ~in_wires ~out_wire ~f)
 
 let probabilities t ~wires = Backend_dense.probabilities (dense_operand "probabilities" t) ~wires
@@ -207,17 +207,17 @@ let probabilities t ~wires = Backend_dense.probabilities (dense_operand "probabi
 let measure rng t ~wires =
   match t with
   | Symbolic s when Backend_symbolic.can_measure s ~wires ->
-      Metrics.record_measurement ();
+      Metrics.tick Measurements;
       let outcome, post = Backend_symbolic.measure rng s ~wires in
       (outcome, Symbolic post)
   | _ ->
       let d = dense_operand "measure" t in
-      Metrics.record_measurement ();
+      Metrics.tick Measurements;
       let outcome, post = Backend_dense.measure rng d ~wires in
       (outcome, Dense post)
 
 let measure_all rng t =
-  Metrics.record_measurement ();
+  Metrics.tick Measurements;
   match t with
   | Dense d -> Backend_dense.measure_all rng d
   | Sparse s -> Backend_sparse.measure_all rng s

@@ -100,6 +100,12 @@ let route (inst : Protocol.instance) =
             symbolic"
            (Quantum.Backend.choice_to_string c))
 
+(* Every instance-carrying op is admitted the same way: validated, then
+   routed; either failure is the request's [Rejected] reply. *)
+let admit ~id inst =
+  Result.map_error (Protocol.error_response ~id Protocol.Rejected)
+    (Result.bind (validate inst) (fun () -> route inst))
+
 let route_to_string = function
   | Sym -> "symbolic"
   | Amp c -> Quantum.Backend.choice_to_string c
@@ -118,17 +124,16 @@ let fingerprint (inst : Protocol.instance) rt =
 
 (* The planted quotient instance: H = <m_i e_i>, hidden by
    f(x) = (x_i mod m_i). *)
-let sub_gens (inst : Protocol.instance) =
-  Hsp.Instances.quotient_gens ~dims:inst.dims ~moduli:inst.moduli
+let truth (inst : Protocol.instance) =
+  Hsp.Instances.quotient_subgroup ~dims:inst.dims ~moduli:inst.moduli
 
 let oracle (inst : Protocol.instance) = Hsp.Instances.quotient_oracle ~moduli:inst.moduli
-let in_h (inst : Protocol.instance) = Hsp.Instances.quotient_mem ~moduli:inst.moduli
 
 let artifact_for t (inst : Protocol.instance) rt =
   let key = fingerprint inst rt in
   let build () =
     match rt with
-    | Sym -> Subgroup (Quantum.Backend_symbolic.Subgroup.of_gens ~dims:inst.dims (sub_gens inst))
+    | Sym -> Subgroup (truth inst)
     | Amp c ->
         let p = Quantum.Coset_state.prep ~backend:c ~dims:inst.dims ~f:(oracle inst) () in
         (* force now: the artifact must be immediately shareable and its
@@ -248,30 +253,21 @@ let exec_solve t (inst : Protocol.instance) rt ~seed ~id =
   let queries = Quantum.Query.create () in
   let draw = sampler_of_artifact artifact ~queries in
   let rng = rng_for t seed in
-  let t0 = Unix.gettimeofday () in
-  let gens, outcome =
-    Hsp.Abelian_hsp.solve_dims rng ~dims:inst.dims ~f:(oracle inst) ~draw ~quantum:queries
-      ~verify:(in_h inst) ()
-  in
-  let seconds = Unix.gettimeofday () -. t0 in
-  (* Ground truth is the planted subgroup in closed form; canonical-HNF
-     equality decides "generates exactly H" in O(r^2) at any size. *)
-  let truth = Quantum.Backend_symbolic.Subgroup.of_gens ~dims:inst.dims (sub_gens inst) in
-  let recovered = Quantum.Backend_symbolic.Subgroup.of_gens ~dims:inst.dims gens in
-  let ok =
-    List.for_all (in_h inst) gens
-    && Quantum.Backend_symbolic.Subgroup.equal truth recovered
+  let res =
+    Hsp.Abelian_hsp.solve_quotient rng ~draw ~dims:inst.dims ~moduli:inst.moduli
+      ~quantum:queries ()
   in
   let after = Quantum.Metrics.snapshot () in
   Protocol.ok_response ~id
     [
       ("op", Jsonv.String "solve");
-      ("generators", Jsonv.List (List.map json_of_outcome gens));
-      ("rounds", Jsonv.Int outcome.Hsp.Abelian_hsp.rounds);
-      ("verified", Jsonv.Bool ok);
-      ("subgroup_log2", Jsonv.Float (Quantum.Backend_symbolic.Subgroup.order_log2 recovered));
+      ("generators", Jsonv.List (List.map json_of_outcome res.Hsp.Abelian_hsp.gens));
+      ("rounds", Jsonv.Int res.Hsp.Abelian_hsp.rounds);
+      ("verified", Jsonv.Bool res.Hsp.Abelian_hsp.ok);
+      ( "subgroup_log2",
+        Jsonv.Float (Quantum.Backend_symbolic.Subgroup.order_log2 res.Hsp.Abelian_hsp.recovered) );
       ("quantum_queries", Jsonv.Int (Quantum.Query.count queries));
-      ("seconds", Jsonv.Float seconds);
+      ("seconds", Jsonv.Float res.Hsp.Abelian_hsp.seconds);
       ("cache", cache_json ~key ~hit);
       ("metrics", Jsonv.Obj (metrics_delta before after));
     ]
@@ -283,7 +279,6 @@ let exec_check t (inst : Protocol.instance) rt ~id =
     Array.fold_left (fun acc d -> acc +. (log (float_of_int d) /. log 2.)) 0. a
   in
   let key = fingerprint inst rt in
-  let truth = Quantum.Backend_symbolic.Subgroup.of_gens ~dims:inst.dims (sub_gens inst) in
   Protocol.ok_response ~id
     [
       ("op", Jsonv.String "check-circuit");
@@ -291,7 +286,7 @@ let exec_check t (inst : Protocol.instance) rt ~id =
       ("wires", Jsonv.Int (Array.length inst.dims));
       ("total_dim", (match total with Some tot -> Jsonv.Int tot | None -> Jsonv.Null));
       ("log2_dim", Jsonv.Float (log2_of inst.dims));
-      ("subgroup_log2", Jsonv.Float (Quantum.Backend_symbolic.Subgroup.order_log2 truth));
+      ("subgroup_log2", Jsonv.Float (Quantum.Backend_symbolic.Subgroup.order_log2 (truth inst)));
       ( "dense_capped",
         Jsonv.Bool
           (match total with
@@ -348,19 +343,9 @@ let exec_one t job =
     | Protocol.Shutdown ->
         Protocol.ok_response ~id [ ("op", Jsonv.String "shutdown"); ("stopping", Jsonv.Bool true) ]
     | Protocol.Check_circuit { inst } -> (
-        match validate inst with
-        | Error msg -> Protocol.error_response ~id Protocol.Rejected msg
-        | Ok () -> (
-            match route inst with
-            | Error msg -> Protocol.error_response ~id Protocol.Rejected msg
-            | Ok rt -> exec_check t inst rt ~id))
+        match admit ~id inst with Error reply -> reply | Ok rt -> exec_check t inst rt ~id)
     | Protocol.Solve { inst; seed } -> (
-        match validate inst with
-        | Error msg -> Protocol.error_response ~id Protocol.Rejected msg
-        | Ok () -> (
-            match route inst with
-            | Error msg -> Protocol.error_response ~id Protocol.Rejected msg
-            | Ok rt -> exec_solve t inst rt ~seed ~id))
+        match admit ~id inst with Error reply -> reply | Ok rt -> exec_solve t inst rt ~seed ~id)
     | Protocol.Sample _ -> assert false  (* handled by exec_batch *)
   in
   finish job reply
@@ -378,24 +363,17 @@ let exec_batch t jobs =
     (fun job ->
       match job.env.Protocol.req with
       | Protocol.Sample { inst; count; seed } -> (
-          match validate inst with
-          | Error msg ->
-              finish job
-                (Protocol.error_response ~id:job.env.Protocol.id Protocol.Rejected msg)
-          | Ok () -> (
-              match route inst with
-              | Error msg ->
-                  finish job
-                    (Protocol.error_response ~id:job.env.Protocol.id Protocol.Rejected msg)
-              | Ok rt -> (
-                  let key = fingerprint inst rt in
-                  match Hashtbl.find_opt samples key with
-                  | Some group ->
-                      let i, r, members = !group in
-                      group := (i, r, (job, count, seed) :: members)
-                  | None ->
-                      Hashtbl.add samples key (ref (inst, rt, [ (job, count, seed) ]));
-                      order := key :: !order)))
+          match admit ~id:job.env.Protocol.id inst with
+          | Error reply -> finish job reply
+          | Ok rt -> (
+              let key = fingerprint inst rt in
+              match Hashtbl.find_opt samples key with
+              | Some group ->
+                  let i, r, members = !group in
+                  group := (i, r, (job, count, seed) :: members)
+              | None ->
+                  Hashtbl.add samples key (ref (inst, rt, [ (job, count, seed) ]));
+                  order := key :: !order))
       | _ -> others := job :: !others)
     jobs;
   List.iter

@@ -32,27 +32,6 @@ let test_cx_arith () =
   checkb "norm2" true (Float.abs (Cx.norm2 a -. 5.0) < 1e-12)
 
 (* ------------------------------------------------------------------ *)
-(* Cvec                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_cvec_basis_dot () =
-  let e0 = Cvec.basis 4 0 and e2 = Cvec.basis 4 2 in
-  checkb "orthogonal" true (Cx.approx_equal (Cvec.dot e0 e2) Cx.zero);
-  checkb "unit" true (Cx.approx_equal (Cvec.dot e2 e2) Cx.one)
-
-let test_cvec_normalize () =
-  let v = [| Cx.re 3.0; Cx.re 4.0 |] in
-  let n = Cvec.normalize v in
-  checkb "unit norm" true (Float.abs (Cvec.norm n -. 1.0) < 1e-12);
-  Alcotest.check_raises "zero vector" (Invalid_argument "Cvec.normalize: zero vector")
-    (fun () -> ignore (Cvec.normalize (Cvec.make 3)))
-
-let test_cvec_dot_conjugate_linear () =
-  let v = [| Cx.make 1.0 1.0; Cx.re 2.0 |] and w = [| Complex.i; Cx.make 0.5 0.5 |] in
-  let d1 = Cvec.dot v w and d2 = Cvec.dot w v in
-  checkb "hermitian symmetry" true (Cx.approx_equal d1 (Cx.conj d2))
-
-(* ------------------------------------------------------------------ *)
 (* Cmat                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -394,12 +373,6 @@ let () =
         [
           Alcotest.test_case "roots of unity" `Quick test_cx_roots_of_unity;
           Alcotest.test_case "arithmetic" `Quick test_cx_arith;
-        ] );
-      ( "cvec",
-        [
-          Alcotest.test_case "basis/dot" `Quick test_cvec_basis_dot;
-          Alcotest.test_case "normalize" `Quick test_cvec_normalize;
-          Alcotest.test_case "hermitian dot" `Quick test_cvec_dot_conjugate_linear;
         ] );
       ( "cmat",
         [

@@ -120,16 +120,81 @@ let test_fibre_accounting () =
 
 let test_phase_timer_accumulates () =
   setup ();
-  let x = Metrics.phase "classical" (fun () -> 41 + 1) in
+  let x = Metrics.phase Classical (fun () -> 41 + 1) in
   checki "phase returns the body's value" 42 x;
-  ignore (Metrics.phase "classical" (fun () -> ()));
+  ignore (Metrics.phase Classical (fun () -> ()));
   let m = Metrics.snapshot () in
   checkb "phase seconds recorded once per name" true
     (match m.Metrics.phases with [ ("classical", s) ] -> s >= 0.0 | _ -> false);
   (* timer charges the phase even when the body raises *)
-  (try Metrics.phase "classical" (fun () -> failwith "boom") with Failure _ -> ());
+  (try Metrics.phase Classical (fun () -> failwith "boom") with Failure _ -> ());
   let m = Metrics.snapshot () in
   checkb "raising body still charged" true (List.mem_assoc "classical" m.Metrics.phases)
+
+(* The ledger is one table indexed by the two variants: every reader
+   must list each counter once, under a distinct name, in declaration
+   order, every phase entered at least once, and sum concurrent
+   updates exactly.  Counter k (0-based,
+   declaration order) is ticked k+1 times, so a slot mix-up between the
+   variant, the names, the record builder or [counters] shows as a
+   wrong value at a named position. *)
+let all_counters =
+  Metrics.
+    [ Gate_apps; Gate_fibres; Dft_apps; Dft_fibres; Basis_maps; Oracle_ops; Measurements;
+      States_created; Peak_support; Pruned_amps; Peak_dense_alloc; Sampler_preps;
+      Coset_visits; Classical_evals; Symbolic_rewrites; Symbolic_samples; Symbolic_solves;
+      Symbolic_demotions ]
+
+let all_phases = Metrics.[ Sample_prep; Fourier; Measure; Classical ]
+
+let distinct names = List.length (List.sort_uniq String.compare names) = List.length names
+
+let test_ledger_table () =
+  setup ();
+  List.iteri (fun k c -> Metrics.add c (k + 1)) all_counters;
+  let m = Metrics.snapshot () in
+  let listed = Metrics.counters m in
+  checki "every counter listed once" (List.length all_counters) (List.length listed);
+  checkb "counter names distinct" true (distinct (List.map fst listed));
+  checkb "counters in declaration order" true
+    (List.map snd listed = List.init (List.length all_counters) (fun k -> k + 1));
+  checkb "record fields match their slots" true
+    (List.map (fun name -> List.assoc name listed)
+       [ "gate_apps"; "dft_fibres"; "states_created"; "peak_dense_alloc"; "symbolic_demotions" ]
+    = [ m.Metrics.gate_apps; m.Metrics.dft_fibres; m.Metrics.states_created;
+        m.Metrics.peak_dense_alloc; m.Metrics.symbolic_demotions ]);
+  checkb "no phase listed before one is entered" true (m.Metrics.phases = []);
+  Metrics.phase Classical (fun () -> ());
+  checkb "a zero-length phase is listed" true
+    (List.mem_assoc "classical" (Metrics.snapshot ()).Metrics.phases);
+  List.iter (fun p -> Metrics.phase p (fun () -> ())) (List.rev all_phases);
+  let names = List.map fst (Metrics.snapshot ()).Metrics.phases in
+  checkb "phases in declaration order" true
+    (names = [ "sample-prep"; "fourier"; "measure"; "classical" ]);
+  checkb "counter and phase names distinct" true (distinct (names @ List.map fst listed));
+  Metrics.raise_to Peak_support 5;
+  checki "raise_to lowers nothing" 9 (Metrics.snapshot ()).Metrics.peak_support;
+  Metrics.reset ();
+  let m = Metrics.snapshot () in
+  checkb "reset zeroes every counter" true (List.for_all (fun (_, v) -> v = 0) (Metrics.counters m));
+  checkb "reset zeroes every phase" true (m.Metrics.phases = []);
+  (* Four domains tick, add and time phases at once: with no lock in
+     the ledger, exact sums hold only if every cell update is atomic. *)
+  let n = 20_000 in
+  let work () =
+    for i = 1 to n do
+      Metrics.tick Oracle_ops;
+      Metrics.add Coset_visits 3;
+      Metrics.raise_to Peak_support i;
+      if i mod 100 = 0 then Metrics.phase Measure (fun () -> ())
+    done
+  in
+  List.iter Domain.join (List.init 4 (fun _ -> Domain.spawn work));
+  let m = Metrics.snapshot () in
+  checki "ticks sum exactly" (4 * n) m.Metrics.oracle_ops;
+  checki "adds sum exactly" (4 * 3 * n) m.Metrics.coset_visits;
+  checki "high-water mark" n m.Metrics.peak_support;
+  checkb "phase charged from every domain" true (List.mem_assoc "measure" m.Metrics.phases)
 
 (* Every solver round makes three phase calls, so with no tracer
    installed the timer must not build the trace event: formatting its
@@ -138,11 +203,11 @@ let test_phase_untraced_allocation () =
   setup ();
   Metrics.set_tracer None;
   let body () = () in
-  Metrics.phase "measure" body;
+  Metrics.phase Measure body;
   let calls = 10_000 in
   let before = Gc.minor_words () in
   for _ = 1 to calls do
-    Metrics.phase "measure" body
+    Metrics.phase Measure body
   done;
   let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
   checkb (Printf.sprintf "untraced phase allocates %.1f <= 32 minor words" per_call) true
@@ -153,7 +218,7 @@ let test_tracer_receives_events () =
   let events = ref [] in
   Metrics.set_tracer (Some (fun name fields -> events := (name, fields) :: !events));
   checkb "tracing on" true (Metrics.tracing ());
-  ignore (Metrics.phase "fourier" (fun () -> ()));
+  ignore (Metrics.phase Fourier (fun () -> ()));
   Metrics.set_tracer None;
   checkb "tracing off" false (Metrics.tracing ());
   checkb "phase event emitted with name field" true
@@ -302,6 +367,7 @@ let () =
             test_counts_identical_across_backends;
           Alcotest.test_case "fibre accounting differs by design" `Quick
             test_fibre_accounting;
+          Alcotest.test_case "one table: names, order, reset, domains" `Quick test_ledger_table;
           Alcotest.test_case "phase timer" `Quick test_phase_timer_accumulates;
           Alcotest.test_case "untraced phase allocation" `Quick test_phase_untraced_allocation;
           Alcotest.test_case "tracer events" `Quick test_tracer_receives_events;
