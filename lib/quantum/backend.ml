@@ -46,11 +46,11 @@ let total_of_opt dims =
 let encode dims x =
   if Array.length x <> Array.length dims then invalid_arg "State.encode: arity mismatch";
   let idx = ref 0 in
-  Array.iteri
-    (fun i xi ->
-      if xi < 0 || xi >= dims.(i) then invalid_arg "State.encode: value out of range";
-      idx := (!idx * dims.(i)) + xi)
-    x;
+  for i = 0 to Array.length x - 1 do
+    let xi = x.(i) in
+    if xi < 0 || xi >= dims.(i) then invalid_arg "State.encode: value out of range";
+    idx := (!idx * dims.(i)) + xi
+  done;
   !idx
 
 let decode dims idx =

@@ -64,18 +64,86 @@ let plans_for choice dims =
                  p)
            dims)
 
-(* Coset ids keyed by oracle value.  The hash is a multiply-xorshift
-   in OCaml rather than the generic C hash: the prep pass does one
-   lookup per group element. *)
-module Ids = Hashtbl.Make (struct
-  type t = int
+(* Coset ids keyed by oracle value, by open addressing: linear probing
+   over a power-of-two capacity, doubled when more than half full.  A
+   slot is empty when its [ids] entry is -1, never by a reserved key:
+   an oracle value may be any int, [min_int] and negatives included.
+   [sizes] counts, per slot, the elements its coset has had so far, so
+   the tag pass also yields every coset's size. *)
+module Ids = struct
+  type t = {
+    mutable keys : int array;
+    mutable ids : int array;
+    mutable sizes : int array;
+    mutable shift : int;  (* Sys.int_size - log2 (capacity) *)
+    mutable count : int;
+  }
 
-  let equal = Int.equal
+  let create ~bits =
+    let cap = 1 lsl bits in
+    {
+      keys = Array.make cap 0;
+      ids = Array.make cap (-1);
+      sizes = Array.make cap 0;
+      shift = Sys.int_size - bits;
+      count = 0;
+    }
 
-  let hash x =
-    let h = x * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 29)
-end)
+  let rec probe tbl t i =
+    if tbl.ids.(i) < 0 || Int.equal tbl.keys.(i) t then i
+    else probe tbl t ((i + 1) land (Array.length tbl.ids - 1))
+
+  (* The slot holding [t], or the empty one where it goes.  The home
+     slot is Fibonacci hashing: the top bits of the key times an odd
+     constant, which depend on every bit of the key. *)
+  let slot tbl t = probe tbl t ((t * 0x9E3779B97F4A7C1) lsr tbl.shift)
+
+  let grow tbl =
+    let { keys; ids; sizes; _ } = tbl in
+    let cap = 2 * Array.length ids in
+    tbl.keys <- Array.make cap 0;
+    tbl.ids <- Array.make cap (-1);
+    tbl.sizes <- Array.make cap 0;
+    tbl.shift <- tbl.shift - 1;
+    for s = 0 to Array.length ids - 1 do
+      if ids.(s) >= 0 then begin
+        let i = slot tbl keys.(s) in
+        tbl.keys.(i) <- keys.(s);
+        tbl.ids.(i) <- ids.(s);
+        tbl.sizes.(i) <- sizes.(s)
+      end
+    done
+
+  (* The id of tag [t], counting one more element of its coset; a tag
+     not seen before takes the next id, so ids follow first
+     occurrence. *)
+  let tag tbl t =
+    let i = slot tbl t in
+    let id = tbl.ids.(i) in
+    if id >= 0 then begin
+      tbl.sizes.(i) <- tbl.sizes.(i) + 1;
+      id
+    end
+    else begin
+      let id = tbl.count in
+      tbl.keys.(i) <- t;
+      tbl.ids.(i) <- id;
+      tbl.sizes.(i) <- 1;
+      tbl.count <- id + 1;
+      if 2 * tbl.count > Array.length tbl.ids then grow tbl;
+      id
+    end
+
+  (* [starts] of the CSR tables: the prefix sums of the coset sizes in
+     id order. *)
+  let starts tbl =
+    let starts = Array.make (tbl.count + 1) 0 in
+    Array.iteri (fun s id -> if id >= 0 then starts.(id + 1) <- tbl.sizes.(s)) tbl.ids;
+    for c = 0 to tbl.count - 1 do
+      starts.(c + 1) <- starts.(c + 1) + starts.(c)
+    done;
+    starts
+end
 
 (* The two backend rules, one per sampling route, and the only readers
    of the session default: an explicit backend wins, then the session
@@ -112,25 +180,17 @@ let prep ?backend ~dims ~f () =
       ( Metrics.phase Sample_prep @@ fun () ->
         Metrics.tick Sampler_preps;
         (* pass 1 tags every element with its coset id (int32, dropped
-           once the buckets are filled); pass 2 counting-sorts.  A digit
-           odometer walks the register in index order, so pass 1 calls
-           [f] on the points State.decode would give, in the same
-           order, without a division per element. *)
-        let ids = Ids.create 64 in
+           once the buckets are filled) and counts each coset's size;
+           pass 2 counting-sorts.  A digit odometer walks the register
+           in index order, so pass 1 calls [f] on the points
+           State.decode would give, in the same order, each in a fresh
+           tuple, without a division per element. *)
+        let ids = Ids.create ~bits:6 in
         let tag_id = Bytes.create (4 * total) in
         let r = Array.length dims in
         let x = Array.make r 0 in
         for idx = 0 to total - 1 do
-          let t = f (Array.copy x) in
-          let id =
-            match Ids.find_opt ids t with
-            | Some id -> id
-            | None ->
-                let id = Ids.length ids in
-                Ids.add ids t id;
-                id
-          in
-          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int id);
+          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int (Ids.tag ids (f (Array.copy x))));
           (* advance the odometer, least significant wire last *)
           let w = ref (r - 1) in
           while !w >= 0 && x.(!w) = dims.(!w) - 1 do
@@ -139,15 +199,8 @@ let prep ?backend ~dims ~f () =
           done;
           if !w >= 0 then x.(!w) <- x.(!w) + 1
         done;
-        let k = Ids.length ids in
-        let starts = Array.make (k + 1) 0 in
-        for idx = 0 to total - 1 do
-          let id = member tag_id idx in
-          starts.(id + 1) <- starts.(id + 1) + 1
-        done;
-        for c = 0 to k - 1 do
-          starts.(c + 1) <- starts.(c + 1) + starts.(c)
-        done;
+        let k = ids.Ids.count in
+        let starts = Ids.starts ids in
         let fill = Array.sub starts 0 k in
         let members = Bytes.create (4 * total) in
         (* ascending idx: every bucket comes out sorted, ready to be
@@ -174,7 +227,6 @@ let prep_buckets p =
   (Array.copy starts, Array.init (Bytes.length members / 4) (member members))
 
 let prep_backend p = p.pbackend
-let prep_cosets p = Array.length (Lazy.force p.ptables).starts - 1
 
 let prep_bytes p =
   (* Heap footprint in bytes of the prep's tables plus a small fixed

@@ -130,10 +130,6 @@ val prep_force : prep -> unit
 val prep_backend : prep -> Backend.choice (* hsp-lint: allow unused-export *)
 (** The resolved backend: [Dense] or [Sparse]. *)
 
-val prep_cosets : prep -> int (* hsp-lint: allow unused-export *)
-(** Number of distinct cosets (oracle values) found; forces the
-    tables. *)
-
 val prep_buckets : prep -> int array * int array (* hsp-lint: allow unused-export *)
 (** [(starts, members)], copies of the CSR bucket tables: coset [c]
     holds the encoded indices [members.(starts.(c)) .. members.(starts.(c+1) - 1)],

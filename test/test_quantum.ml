@@ -17,7 +17,16 @@ let test_encode_decode () =
   for idx = 0 to 23 do
     checki "roundtrip" idx (State.encode dims (State.decode dims idx))
   done;
-  checki "mixed radix" ((2 * 8) + (1 * 4) + 3) (State.encode dims [| 2; 1; 3 |])
+  checki "mixed radix" ((2 * 8) + (1 * 4) + 3) (State.encode dims [| 2; 1; 3 |]);
+  let raises msg x =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () -> ignore (State.encode dims x))
+  in
+  raises "State.encode: arity mismatch" [| 2; 1 |];
+  raises "State.encode: arity mismatch" [| 2; 1; 3; 0 |];
+  raises "State.encode: value out of range" [| 2; 2; 3 |];
+  raises "State.encode: value out of range" [| 0; 0; 4 |];
+  raises "State.encode: value out of range" [| 0; -1; 0 |];
+  raises "State.encode: value out of range" [| min_int; 0; 0 |]
 
 let test_create_norm () =
   let st = State.create [| 2; 3 |] in
@@ -568,7 +577,8 @@ let test_prep_bytes () =
       let f x = State.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli) in
       let p = Coset_state.prep ~backend ~dims ~f () in
       Coset_state.prep_force p;
-      checki "cosets" (Array.fold_left ( * ) 1 moduli) (Coset_state.prep_cosets p);
+      let starts, _ = Coset_state.prep_buckets p in
+      checki "cosets" (Array.fold_left ( * ) 1 moduli) (Array.length starts - 1);
       let heap = Sys.word_size / 8 * Obj.reachable_words (Obj.repr p) in
       let reported = Coset_state.prep_bytes p in
       let ratio = float_of_int reported /. float_of_int heap in
@@ -739,6 +749,20 @@ let test_prep_tables_match_decode_loop () =
     @ [
         ("Z_1xZ_5xZ_1", [| 1; 5; 1 |], fun x -> x.(1) mod 5);
         ("Z_3xZ_1xZ_4", [| 3; 1; 4 |], fun x -> (7 * x.(0)) + (x.(2) mod 2));
+        (* injective: 4096 cosets, so the id table grows several times *)
+        ("Z_64xZ_64 injective", [| 64; 64 |], fun x -> (64 * x.(0)) + x.(1));
+        (* 1024 cosets met first in rows 0..15 and met again in every
+           later row, so an entry a growth lost would show *)
+        ("Z_64xZ_64 rows mod 16", [| 64; 64 |], fun x -> (64 * (x.(0) mod 16)) + x.(1));
+        (* the extreme ints as tags: no key can mark an empty slot *)
+        ( "Z_4xZ_3 extreme tags",
+          [| 4; 3 |],
+          fun x -> [| min_int; max_int; -1; 0 |].((x.(0) + x.(1)) mod 4) );
+        (* tags equal modulo 2^40, negatives included: a hash that read
+           only the low bits would send them all to one probe chain *)
+        ( "Z_32xZ_32 tags = 5 mod 2^40",
+          [| 32; 32 |],
+          fun x -> (((x.(0) * 7) + (x.(1) mod 4) - 60) lsl 40) + 5 );
       ]
   in
   List.iter
