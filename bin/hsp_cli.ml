@@ -113,16 +113,16 @@ let finish common f =
     Format.printf "%a@." Quantum.Metrics.pp (Quantum.Metrics.snapshot ());
   code
 
-let report inst gens =
-  let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
-  let c, q = Hiding.total_queries inst.Instances.hiding in
-  Printf.printf "group order     : %d\n" (Group.order inst.Instances.group);
-  Printf.printf "subgroup order  : %d\n"
-    (List.length (Group.closure inst.Instances.group inst.Instances.hidden_gens));
-  Printf.printf "quantum queries : %d\n" q;
-  Printf.printf "classical queries: %d\n" c;
-  Printf.printf "correct         : %b\n" ok;
-  if ok then 0 else 1
+(* Run [solver] on [inst] through Runner.run, which checks its answer
+   against the planted subgroup, and print the report. *)
+let solve ~algorithm inst solver =
+  let r = Runner.run ~algorithm inst ~solver in
+  Printf.printf "group order     : %d\n" r.Runner.group_order;
+  Printf.printf "subgroup order  : %d\n" r.Runner.subgroup_order;
+  Printf.printf "quantum queries : %d\n" r.Runner.quantum_queries;
+  Printf.printf "classical queries: %d\n" r.Runner.classical_queries;
+  Printf.printf "correct         : %b\n" r.Runner.ok;
+  if r.Runner.ok then 0 else 1
 
 let simon_cmd =
   let n_arg =
@@ -140,14 +140,14 @@ let simon_cmd =
     in
     let n = if String.length mask = n then n else String.length mask in
     Printf.printf "Simon's problem on Z_2^%d, mask %s\n" n mask;
-    let inst = Instances.simon ~n ~mask:mask_bits in
-    let gens = Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding in
-    List.iter
-      (fun g ->
-        Printf.printf "generator: %s\n"
-          (String.concat "" (List.map string_of_int (Array.to_list g))))
-      gens;
-    report inst gens
+    solve ~algorithm:"abelian" (Instances.simon ~n ~mask:mask_bits) (fun i ->
+        let gens = Abelian_hsp.solve rng i.Instances.group i.Instances.hiding in
+        List.iter
+          (fun g ->
+            Printf.printf "generator: %s\n"
+              (String.concat "" (List.map string_of_int (Array.to_list g))))
+          gens;
+        gens)
   in
   Cmd.v
     (Cmd.info "solve-simon" ~doc:"Solve Simon's problem (Abelian HSP on Z_2^n).")
@@ -163,10 +163,10 @@ let dihedral_cmd =
     finish common @@ fun () ->
     let rng = rng_of_seed seed in
     Printf.printf "Hidden normal subgroup <s^%d> of D_%d (Theorem 8)\n" d n;
-    let inst = Instances.dihedral_rotation ~n ~d in
-    let res = Normal_hsp.solve rng inst.Instances.group inst.Instances.hiding in
-    Printf.printf "factor group order: %d\n" res.Normal_hsp.quotient_order;
-    report inst res.Normal_hsp.generators
+    solve ~algorithm:"normal" (Instances.dihedral_rotation ~n ~d) (fun i ->
+        let res = Normal_hsp.solve rng i.Instances.group i.Instances.hiding in
+        Printf.printf "factor group order: %d\n" res.Normal_hsp.quotient_order;
+        res.Normal_hsp.generators)
   in
   Cmd.v
     (Cmd.info "solve-dihedral" ~doc:"Find a hidden normal rotation subgroup of D_n (Theorem 8).")
@@ -179,10 +179,10 @@ let heisenberg_cmd =
     finish common @@ fun () ->
     let rng = rng_of_seed seed in
     Printf.printf "HSP in the extra-special group H_%d (Theorem 11 / Corollary 12)\n" p;
-    let inst = Instances.heisenberg_random rng ~p ~m:1 in
-    let res = Small_commutator.solve rng inst.Instances.group inst.Instances.hiding in
-    Printf.printf "|G'| = %d\n" res.Small_commutator.commutator_order;
-    report inst res.Small_commutator.generators
+    solve ~algorithm:"commutator" (Instances.heisenberg_random rng ~p ~m:1) (fun i ->
+        let res = Small_commutator.solve rng i.Instances.group i.Instances.hiding in
+        Printf.printf "|G'| = %d\n" res.Small_commutator.commutator_order;
+        res.Small_commutator.generators)
   in
   Cmd.v
     (Cmd.info "solve-heisenberg" ~doc:"Solve a random HSP instance in an extra-special p-group.")
@@ -195,13 +195,13 @@ let wreath_cmd =
     finish common @@ fun () ->
     let rng = rng_of_seed seed in
     Printf.printf "HSP in Z_2^%d wr Z_2 (Theorem 13, general case)\n" k;
-    let inst = Instances.wreath_random rng ~k in
-    let res =
-      Elem_abelian2.solve_general rng inst.Instances.group ~n_gens:(Wreath.base_gens k)
-        inst.Instances.hiding
-    in
-    Printf.printf "transversal size: %d\n" res.Elem_abelian2.transversal_size;
-    report inst res.Elem_abelian2.generators
+    solve ~algorithm:"thm13-general" (Instances.wreath_random rng ~k) (fun i ->
+        let res =
+          Elem_abelian2.solve_general rng i.Instances.group ~n_gens:(Wreath.base_gens k)
+            i.Instances.hiding
+        in
+        Printf.printf "transversal size: %d\n" res.Elem_abelian2.transversal_size;
+        res.Elem_abelian2.generators)
   in
   Cmd.v
     (Cmd.info "solve-wreath" ~doc:"Solve a random HSP instance in a wreath product (Theorem 13).")
@@ -215,14 +215,14 @@ let semidirect_cmd =
     finish common @@ fun () ->
     let rng = rng_of_seed seed in
     Printf.printf "HSP in Z_2^%d x| Z_%d (Theorem 13, cyclic factor)\n" n m;
-    let inst = Instances.semidirect_random rng ~n ~m in
-    let res =
-      Elem_abelian2.solve_cyclic rng inst.Instances.group ~n_gens:(Semidirect.base_gens ~n)
-        inst.Instances.hiding
-    in
-    Printf.printf "transversal size: %d (|G/N| = %d)\n" res.Elem_abelian2.transversal_size
-      res.Elem_abelian2.quotient_order;
-    report inst res.Elem_abelian2.generators
+    solve ~algorithm:"thm13-cyclic" (Instances.semidirect_random rng ~n ~m) (fun i ->
+        let res =
+          Elem_abelian2.solve_cyclic rng i.Instances.group ~n_gens:(Semidirect.base_gens ~n)
+            i.Instances.hiding
+        in
+        Printf.printf "transversal size: %d (|G/N| = %d)\n" res.Elem_abelian2.transversal_size
+          res.Elem_abelian2.quotient_order;
+        res.Elem_abelian2.generators)
   in
   Cmd.v
     (Cmd.info "solve-semidirect"
@@ -250,26 +250,15 @@ let abelian_cmd =
              The $(b,b^k) repeat syntax of --dims works here too.")
   in
   let parse_ints label s =
-    try
-      let parts = String.split_on_char ',' s in
-      if parts = [] then invalid_arg label;
-      (* "b^k" expands to k copies of b, so cryptographic shapes like
-         2^200 stay readable on the command line. *)
-      let expand t =
-        let t = String.trim t in
-        match String.index_opt t '^' with
-        | None -> [ int_of_string t ]
-        | Some i ->
-            let b = int_of_string (String.sub t 0 i) in
-            let k = int_of_string (String.sub t (i + 1) (String.length t - i - 1)) in
-            if k < 0 || k > 100_000 then failwith "repeat count out of range";
-            List.init k (fun _ -> b)
-      in
-      Array.of_list (List.concat_map expand parts)
-    with _ ->
-      invalid_arg
-        (Printf.sprintf
-           "%s: expected comma-separated integers (b^k repeats b k times), got %S" label s)
+    let expand t =
+      match Instances.expand_repeat t with
+      | Ok xs -> xs
+      | Error _ ->
+          invalid_arg
+            (Printf.sprintf
+               "%s: expected comma-separated integers (b^k repeats b k times), got %S" label s)
+    in
+    Array.of_list (List.concat_map expand (String.split_on_char ',' s))
   in
   let run common seed dims_s moduli_s =
     setup common;
@@ -354,9 +343,9 @@ let dicyclic_cmd =
     finish common @@ fun () ->
     let rng = rng_of_seed seed in
     Printf.printf "HSP in the dicyclic group Q_%d (Theorem 11; |G'| = %d)\n" (4 * n) n;
-    let inst = Instances.dicyclic_random rng ~n in
-    let res = Small_commutator.solve rng inst.Instances.group inst.Instances.hiding in
-    report inst res.Small_commutator.generators
+    solve ~algorithm:"commutator" (Instances.dicyclic_random rng ~n) (fun i ->
+        (Small_commutator.solve rng i.Instances.group i.Instances.hiding)
+          .Small_commutator.generators)
   in
   Cmd.v
     (Cmd.info "solve-dicyclic" ~doc:"Solve a random HSP instance in a dicyclic group (Theorem 11).")
@@ -371,10 +360,10 @@ let frobenius_cmd =
     let rng = rng_of_seed seed in
     Printf.printf "Hidden translation subgroup of the Frobenius group Z_%d x| Z_%d (Theorem 8)\n"
       p q;
-    let inst = Instances.frobenius_translations ~p ~q in
-    let res = Normal_hsp.solve rng inst.Instances.group inst.Instances.hiding in
-    Printf.printf "factor group order: %d\n" res.Normal_hsp.quotient_order;
-    report inst res.Normal_hsp.generators
+    solve ~algorithm:"normal" (Instances.frobenius_translations ~p ~q) (fun i ->
+        let res = Normal_hsp.solve rng i.Instances.group i.Instances.hiding in
+        Printf.printf "factor group order: %d\n" res.Normal_hsp.quotient_order;
+        res.Normal_hsp.generators)
   in
   Cmd.v
     (Cmd.info "solve-frobenius"

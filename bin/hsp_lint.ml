@@ -6,9 +6,10 @@
    Walks the given roots for .ml files and applies each source pass's
    per-path rule configuration (value-semantics rules from Lint, the
    concurrency rules from Race_check), then runs the unused-export pass
-   on every directory root.  That pass reads dune's typed trees, so the
-   driver runs from the build directory (_build/default) after
-   `dune build @check`.  Prints every finding and exits 1 if there are
+   on every directory root: a val no consumer references, or an
+   allowlisted one that nothing references, test/ included.  That pass
+   reads dune's typed trees, so the driver runs from the build
+   directory (_build/default) after `dune build @check`.  Prints every finding and exits 1 if there are
    any.  Run by `dune runtest` via the root dune rule. *)
 
 let () =

@@ -16,16 +16,6 @@ let rule_name = function
   | Obj_magic -> "obj-magic"
   | Print_stdout -> "print-stdout"
 
-let rule_of_name = function
-  | "poly-compare" -> Some Poly_compare
-  | "poly-eq" -> Some Poly_eq
-  | "poly-membership" -> Some Poly_membership
-  | "struct-eq" -> Some Struct_eq
-  | "float-eq" -> Some Float_eq
-  | "obj-magic" -> Some Obj_magic
-  | "print-stdout" -> Some Print_stdout
-  | _ -> None
-
 type finding = { file : string; line : int; rule : rule; detail : string }
 
 type config = { check_poly : bool; allow_print : bool }

@@ -48,7 +48,9 @@
       in [lib], [bin], [bench] or [examples] references; references
       from [test/] do not count.  Checked by {!Unused_export} on the
       typed trees dune builds, not by this Parsetree pass; the
-      allowlist comment goes in the [.mli].
+      allowlist comment goes in the [.mli], and an allowlisted [val]
+      that no other unit references at all, [test/] included, is a
+      finding too.
 
     A finding on line [L] is suppressed by an allowlist comment
     [(* hsp-lint: allow <rule> [<rule> ...] *)] (or [allow all]) on
@@ -64,7 +66,6 @@ type rule =
   | Print_stdout
 
 val rule_name : rule -> string (* hsp-lint: allow unused-export *)
-val rule_of_name : string -> rule option (* hsp-lint: allow unused-export *)
 
 type finding = { file : string; line : int; rule : rule; detail : string }
 

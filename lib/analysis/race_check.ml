@@ -17,14 +17,6 @@ let rule_name = function
   | Unbalanced_lock -> "unbalanced-lock"
   | Blocking_under_lock -> "blocking-under-lock"
 
-let rule_of_name = function
-  | "race-capture" -> Some Race_capture
-  | "jobs-dependent-chunks" -> Some Jobs_dependent_chunks
-  | "domain-unsafe-global" -> Some Domain_unsafe_global
-  | "unbalanced-lock" -> Some Unbalanced_lock
-  | "blocking-under-lock" -> Some Blocking_under_lock
-  | _ -> None
-
 type finding = { file : string; line : int; rule : rule; detail : string }
 
 type config = {

@@ -61,9 +61,6 @@ type rule =
   | Unbalanced_lock
   | Blocking_under_lock
 
-val rule_name : rule -> string (* hsp-lint: allow unused-export *)
-val rule_of_name : string -> rule option (* hsp-lint: allow unused-export *)
-
 type finding = { file : string; line : int; rule : rule; detail : string }
 
 type config = {

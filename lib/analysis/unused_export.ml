@@ -80,20 +80,25 @@ let names_export (e : export) path =
   | [ l; u; v ] -> String.equal l e.lib && String.equal u e.unit && String.equal v e.name
   | _ -> false
 
+type finding = { export : export; allowlisted : bool }
+
 let findings ~exports ~refs ~mli_source =
-  let used = Hashtbl.create 256 in
+  (* [used]: referenced from a consumer directory; [referenced]: from
+     anywhere, test/ included.  Both exclude the export's own unit. *)
+  let used = Hashtbl.create 256 and referenced = Hashtbl.create 256 in
   let by_key = Hashtbl.create 256 in
   List.iter (fun (e : export) -> Hashtbl.replace by_key (e.unit, e.name) e) exports;
   List.iter
     (fun r ->
-      if List.exists (String.equal (top_dir r.src)) consumer_dirs then
-        match List.rev r.path with
-        | v :: u :: _ -> (
-            match Hashtbl.find_opt by_key (u, v) with
-            | Some e when names_export e r.path && not (same_unit e r.src) ->
+      match List.rev r.path with
+      | v :: u :: _ -> (
+          match Hashtbl.find_opt by_key (u, v) with
+          | Some e when names_export e r.path && not (same_unit e r.src) ->
+              Hashtbl.replace referenced (u, v) ();
+              if List.exists (String.equal (top_dir r.src)) consumer_dirs then
                 Hashtbl.replace used (u, v) ()
-            | _ -> ())
-        | _ -> ())
+          | _ -> ())
+      | _ -> ())
     refs;
   let allowlists = Hashtbl.create 64 in
   let allowed (e : export) =
@@ -107,8 +112,13 @@ let findings ~exports ~refs ~mli_source =
     in
     Lint.allow_suppressed tbl ~line:e.line ~rule:"unused-export"
   in
-  List.filter
-    (fun (e : export) -> (not (Hashtbl.mem used (e.unit, e.name))) && not (allowed e))
+  List.filter_map
+    (fun (e : export) ->
+      let key = (e.unit, e.name) in
+      if Hashtbl.mem used key then None
+      else if not (allowed e) then Some { export = e; allowlisted = false }
+      else if Hashtbl.mem referenced key then None
+      else Some { export = e; allowlisted = true })
     exports
 
 (* ------------------------------------------------------------------ *)
@@ -153,9 +163,10 @@ let check ~lib =
       let refs_under d =
         if Sys.file_exists d then List.concat_map refs_of_cmt (Lint.files_with ".cmt" d) else []
       in
-      let refs = List.concat_map refs_under consumer_dirs in
+      let refs = List.concat_map refs_under ("test" :: consumer_dirs) in
       findings ~exports ~refs ~mli_source:Lint.read_file
 
-let pp_finding fmt (e : export) =
-  Format.fprintf fmt "%s:%d: [unused-export] %s.%s has no reference outside its own unit and test/"
-    e.file e.line e.unit e.name
+let pp_finding fmt { export = e; allowlisted } =
+  Format.fprintf fmt "%s:%d: [unused-export] %s.%s %s" e.file e.line e.unit e.name
+    (if allowlisted then "is allowlisted but no other unit references it, test/ included"
+     else "has no reference outside its own unit and test/")

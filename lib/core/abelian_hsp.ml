@@ -1,6 +1,6 @@
 open Groups
 
-type outcome = { rounds : int; characters : int array list }
+type outcome = { rounds : int }
 
 let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
   let verify =
@@ -20,11 +20,10 @@ let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
   (* The span of every sample drawn so far: a batch that fails
      verification adds only its successor's samples to it. *)
   let span = Numtheory.Zmatrix.hnf_span ~dims in
-  let rec go batches samples =
+  let rec go batches =
     if batches > max_batches then
       invalid_arg "Abelian_hsp.solve_dims: sampling failed to converge (is f a hiding function?)";
     let fresh = List.init batch (fun _ -> draw rng) in
-    let samples = samples @ fresh in
     let gens =
       Quantum.Metrics.phase Classical (fun () ->
           List.iter (fun y -> ignore (Numtheory.Zmatrix.hnf_insert span y)) fresh;
@@ -32,17 +31,17 @@ let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
     in
     if List.for_all verify gens then begin
       Log.debug (fun m ->
-          m "abelian HSP solved: %d samples, %d generators" (List.length samples)
+          m "abelian HSP solved: %d samples, %d generators" (batches * batch)
             (List.length gens));
-      (gens, { rounds = batches * batch; characters = samples })
+      (gens, { rounds = batches * batch })
     end
     else begin
       Log.debug (fun m ->
           m "abelian HSP batch %d failed verification; resampling" batches);
-      go (batches + 1) samples
+      go (batches + 1)
     end
   in
-  go 1 []
+  go 1
 
 (* Every solve over a black-box Abelian group starts from a
    decomposition; the caller picks which, since the element order it

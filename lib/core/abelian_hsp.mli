@@ -14,10 +14,7 @@ open Groups
     is classically checked to lie in [H], so the output generates
     exactly [H] whenever it validates. *)
 
-type outcome = {
-  rounds : int;  (** Fourier-sampling rounds performed *)
-  characters : int array list;  (** the sampled characters *)
-}
+type outcome = { rounds : int  (** Fourier-sampling rounds performed *) }
 
 val solve_dims :
   Random.State.t ->

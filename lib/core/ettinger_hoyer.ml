@@ -1,10 +1,6 @@
 open Groups
 
-type result = {
-  slope : int;
-  samples : (int * int) list;
-  candidates_scanned : int;
-}
+type result = { slope : int; candidates_scanned : int }
 
 (* log-likelihood of slope d' given samples drawn from
    P(y,b) ∝ cos^2(pi (d y / n + b / 2)). *)
@@ -56,7 +52,7 @@ let solve rng ~n (hiding : Dihedral.elt Hiding.t) =
           (fun d' -> Int.equal (Hiding.eval hiding (Dihedral.reflection n d')) f1)
           candidates
       with
-      | Some d' -> Some { slope = d'; samples; candidates_scanned = scanned }
+      | Some d' -> Some { slope = d'; candidates_scanned = scanned }
       | None -> go (retries + 1) samples scanned
     end
   in

@@ -14,7 +14,6 @@ open Groups
 
 type result = {
   slope : int;  (** the recovered reflection position [d] *)
-  samples : (int * int) list;  (** measured [(y, b)] pairs *)
   candidates_scanned : int;  (** post-processing work: [n] per scan *)
 }
 

@@ -39,7 +39,6 @@ let of_subgroup (g : 'a Group.t) gens =
       | Some l -> l
       | None -> invalid_arg "Hiding.of_subgroup: element outside the group")
 
-let map_domain phi t = { t with raw = (fun x -> t.raw (phi x)) }
 let total_queries t = (!(t.classical), Quantum.Query.count t.quantum)
 
 let reset t =

@@ -38,10 +38,6 @@ val of_subgroup : 'a Group.t -> 'a list -> 'a t
 val of_fun : ('a -> int) -> 'a t
 (** Wrap an arbitrary coset-invariant function. *)
 
-val map_domain : ('b -> 'a) -> 'a t -> 'b t (* hsp-lint: allow unused-export *)
-(** Precompose: [map_domain g f] hides the preimage subgroup; shares
-    the counters of [f]. *)
-
 val total_queries : 'a t -> int * int
 (** [(classical, quantum)]. *)
 

@@ -107,6 +107,16 @@ let perm_normal_klein () =
 let random_subgroup rng ~name g =
   make ~name g (Group.random_subgroup_gens rng g)
 
+let expand_repeat s =
+  let int t = int_of_string_opt (String.trim t) in
+  match String.index_opt s '^' with
+  | None -> ( match int s with Some n -> Ok [ n ] | None -> Error `Malformed)
+  | Some i -> (
+      match (int (String.sub s 0 i), int (String.sub s (i + 1) (String.length s - i - 1))) with
+      | Some b, Some k when k >= 0 && k <= 100_000 -> Ok (List.init k (fun _ -> b))
+      | Some _, Some _ -> Error `Repeat_out_of_range
+      | _ -> Error `Malformed)
+
 (* The planted quotient instance: H = prod m_i Z_{d_i} in
    Z_{d_1} x ... x Z_{d_r}, hidden by f(x) = (x_i mod m_i)_i. *)
 let quotient_violation ~dims ~moduli =

@@ -81,6 +81,12 @@ val random_subgroup : Random.State.t -> name:string -> 'a Group.t -> 'a t
     the [hsp_served] daemon and the bench harness plant.  [dims] and
     [moduli] have equal length. *)
 
+val expand_repeat : string -> (int list, [ `Malformed | `Repeat_out_of_range ]) result
+(** One entry of a [dims] or [moduli] list as the CLI and the daemon
+    read it: ["b"] is [\[b\]] and ["b^k"] is [k] copies of [b], so
+    shapes such as [Z_2^200] stay readable.  Blanks around [b] and [k]
+    are ignored; [k] must lie in [\[0, 100_000\]]. *)
+
 val quotient_violation : dims:int array -> moduli:int array -> string option
 (** [None] when [1 <= m_i] and [m_i | d_i] for every [i]; otherwise
     the first violation, as

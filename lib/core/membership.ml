@@ -1,7 +1,7 @@
 open Groups
 open Numtheory
 
-type witness = { exponents : int array; orders : int array }
+type witness = { exponents : int array }
 
 let check_commuting (g : 'a Group.t) xs =
   let rec pairs = function
@@ -76,6 +76,6 @@ let express rng (g : 'a Group.t) ~hs x ~order_bound ~queries =
         (fun acc h e -> g.Group.mul acc (Group.pow g h e))
         g.Group.id hs (Array.to_list exps)
     in
-    if g.Group.equal candidate x then Some { exponents = exps; orders }
+    if g.Group.equal candidate x then Some { exponents = exps }
     else None
   end

@@ -19,7 +19,6 @@ open Groups
 
 type witness = {
   exponents : int array;  (** [g = prod h_i ^ exponents.(i)] *)
-  orders : int array;  (** the computed orders [s_1 ... s_r] *)
 }
 
 val express :

@@ -42,7 +42,6 @@ type report = {
       (** simulator cost ledger accumulated during the solve *)
 }
 
-(* hsp-lint: allow unused-export *)
 val run :
   ?verify:bool ->
   algorithm:string ->

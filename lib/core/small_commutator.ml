@@ -1,10 +1,6 @@
 open Groups
 
-type 'a result = {
-  generators : 'a list;
-  commutator_order : int;
-  hg'_generators : 'a list;
-}
+type 'a result = { generators : 'a list; commutator_order : int }
 
 (* F(x) = the value set of f on the coset xG', canonically encoded.
    Each evaluation queries f |G'| times, as in the paper. *)
@@ -74,7 +70,7 @@ let solve rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
   let generators =
     Quantum.Metrics.phase Classical (fun () -> finish rng g hiding g'_elems hg'_generators)
   in
-  { generators; commutator_order; hg'_generators }
+  { generators; commutator_order }
 
 let solve_gens rng g hiding = (solve rng g hiding).generators
 
@@ -94,4 +90,4 @@ let solve_via_theorem8 rng (g : 'a Group.t) (hiding : 'a Hiding.t) =
   let generators =
     Quantum.Metrics.phase Classical (fun () -> finish rng g hiding g'_elems hg'_generators)
   in
-  { generators; commutator_order; hg'_generators }
+  { generators; commutator_order }

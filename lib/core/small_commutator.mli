@@ -20,7 +20,6 @@ open Groups
 type 'a result = {
   generators : 'a list;  (** generators of [H] *)
   commutator_order : int;  (** [|G'|] *)
-  hg'_generators : 'a list;
 }
 
 val solve : Random.State.t -> 'a Group.t -> 'a Hiding.t -> 'a result

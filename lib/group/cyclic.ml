@@ -29,18 +29,3 @@ let product dims =
     ~generators
 
 let boolean_cube n = product (Array.make n 2)
-
-let of_int dims k =
-  let r = Array.length dims in
-  let x = Array.make r 0 in
-  let rem = ref k in
-  for i = r - 1 downto 0 do
-    x.(i) <- !rem mod dims.(i);
-    rem := !rem / dims.(i)
-  done;
-  x
-
-let to_int dims x =
-  let acc = ref 0 in
-  Array.iteri (fun i xi -> acc := (!acc * dims.(i)) + xi) x;
-  !acc

@@ -11,9 +11,3 @@ val product : int array -> elt Group.t
 
 val boolean_cube : int -> elt Group.t
 (** [Z_2^n], Simon's group. *)
-
-val of_int : int array -> int -> elt (* hsp-lint: allow unused-export *)
-(** Mixed-radix decode (wire 0 most significant), matching
-    [Quantum.State.decode]. *)
-
-val to_int : int array -> elt -> int (* hsp-lint: allow unused-export *)

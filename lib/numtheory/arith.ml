@@ -59,34 +59,10 @@ let crt congruences =
   | [] -> (0, 1)
   | c :: cs -> List.fold_left merge c cs
 
-let isqrt n =
-  if n < 0 then invalid_arg "Arith.isqrt: negative";
-  if n = 0 then 0
-  else
-    let rec refine x =
-      let y = (x + (n / x)) / 2 in
-      if y >= x then x else refine y
-    in
-    let x0 = int_of_float (sqrt (float_of_int n)) + 1 in
-    refine x0
-
 let ilog2 n =
   if n < 1 then invalid_arg "Arith.ilog2: n < 1";
   let rec go acc n = if n = 1 then acc else go (acc + 1) (n asr 1) in
   go 0 n
-
-let divisors n =
-  if n < 1 then invalid_arg "Arith.divisors: n < 1";
-  let small = ref [] and large = ref [] in
-  let d = ref 1 in
-  while !d * !d <= n do
-    if n mod !d = 0 then begin
-      small := !d :: !small;
-      if !d <> n / !d then large := (n / !d) :: !large
-    end;
-    incr d
-  done;
-  List.rev_append !small !large
 
 let multiplicative_order a m =
   if gcd a m <> 1 then invalid_arg "Arith.multiplicative_order: gcd <> 1";

@@ -38,14 +38,8 @@ val crt : (int * int) list -> int * int (* hsp-lint: allow unused-export *)
     Moduli need not be coprime.
     @raise Not_found if the system is inconsistent. *)
 
-val isqrt : int -> int (* hsp-lint: allow unused-export *)
-(** Integer square root: greatest [r] with [r*r <= n], for [n >= 0]. *)
-
 val ilog2 : int -> int
 (** [ilog2 n] is the floor of log2 for [n >= 1]. *)
-
-val divisors : int -> int list (* hsp-lint: allow unused-export *)
-(** All positive divisors of [n >= 1], ascending. *)
 
 val multiplicative_order : int -> int -> int
 (** [multiplicative_order a m] is the least [k >= 1] with

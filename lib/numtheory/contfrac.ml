@@ -18,7 +18,3 @@ let convergents p q =
         go rest h h1 k k1 ((h, k) :: acc)
   in
   go quotients 1 0 0 1 []
-
-let best_denominator_bounded p q bound =
-  let within = List.filter (fun (_, k) -> k <= bound) (convergents p q) in
-  match List.rev within with [] -> None | c :: _ -> Some c

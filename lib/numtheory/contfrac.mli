@@ -13,8 +13,3 @@ val expand : int -> int -> int list (* hsp-lint: allow unused-export *)
 val convergents : int -> int -> (int * int) list
 (** [convergents p q] lists the convergents [(h, k)] (in lowest terms,
     [k >= 1]) of [p/q], in order of increasing denominator. *)
-
-(* hsp-lint: allow unused-export *)
-val best_denominator_bounded : int -> int -> int -> (int * int) option
-(** [best_denominator_bounded p q bound] is the convergent of [p/q]
-    with the largest denominator [<= bound], if any. *)

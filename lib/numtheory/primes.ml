@@ -141,21 +141,3 @@ let prime_divisors n = List.map fst (factorize n)
 
 let euler_phi n =
   List.fold_left (fun acc (p, _) -> acc / p * (p - 1)) n (factorize n)
-
-let random_prime rng ~lo ~hi =
-  if lo > hi then invalid_arg "Primes.random_prime: empty interval";
-  let exists = ref false in
-  (try
-     for k = lo to hi do
-       if is_prime k then begin
-         exists := true;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  if not !exists then invalid_arg "Primes.random_prime: no prime in interval";
-  let rec draw () =
-    let k = lo + Random.State.int rng (hi - lo + 1) in
-    if is_prime k then k else draw ()
-  in
-  draw ()

@@ -28,8 +28,3 @@ val prime_divisors : int -> int list
 
 val euler_phi : int -> int (* hsp-lint: allow unused-export *)
 (** Euler totient via factorisation. *)
-
-(* hsp-lint: allow unused-export *)
-val random_prime : Random.State.t -> lo:int -> hi:int -> int
-(** A uniformly random prime in [\[lo, hi\]].
-    @raise Invalid_argument if the interval contains no prime. *)

@@ -28,16 +28,6 @@ let equal a b =
        !ok
      end
 
-let apply a x =
-  let r = rows a and c = cols a in
-  if Array.length x <> c then invalid_arg "Zmatrix.apply: dimension mismatch";
-  Array.init r (fun i ->
-      let s = ref 0 in
-      for j = 0 to c - 1 do
-        s := !s + (a.(i).(j) * x.(j))
-      done;
-      !s)
-
 (* --- Smith normal form ------------------------------------------------ *)
 
 (* Elementary operations applied simultaneously to [d] and the
@@ -195,24 +185,6 @@ let kernel_mod ~moduli a =
             if j < c then a.(i).(j) else if j - c = i then moduli.(i) else 0))
   in
   kernel b |> List.map (fun x -> Array.sub x 0 c)
-
-let solve a b =
-  let r = rows a and c = cols a in
-  if Array.length b <> r then invalid_arg "Zmatrix.solve: dimension mismatch";
-  let u, d, v = snf a in
-  let ub = apply u b in
-  let diag = diagonal_of_snf d in
-  let z = Array.make c 0 in
-  let ok = ref true in
-  for i = 0 to r - 1 do
-    let di = if i < Array.length diag then diag.(i) else 0 in
-    if di = 0 then begin
-      if ub.(i) <> 0 then ok := false
-    end
-    else if ub.(i) mod di <> 0 then ok := false
-    else if i < c then z.(i) <- ub.(i) / di
-  done;
-  if !ok then Some (apply v z) else None
 
 (* --- Hermite normal form of finite-Abelian-group subgroups ------------ *)
 
@@ -588,16 +560,3 @@ let hnf_dual p =
     ignore (hnf_insert sp y)
   done;
   hnf_freeze sp
-
-let solve_mod ~moduli a b =
-  let r = rows a and c = cols a in
-  if Array.length moduli <> r || Array.length b <> r then
-    invalid_arg "Zmatrix.solve_mod: dimension mismatch";
-  let a' =
-    Array.init r (fun i ->
-        Array.init (c + r) (fun j ->
-            if j < c then a.(i).(j) else if j - c = i then moduli.(i) else 0))
-  in
-  match solve a' b with
-  | None -> None
-  | Some x -> Some (Array.sub x 0 c)

@@ -14,9 +14,6 @@ type t = int array array
 val mul : t -> t -> t (* hsp-lint: allow unused-export *)
 val equal : t -> t -> bool
 
-val apply : t -> int array -> int array (* hsp-lint: allow unused-export *)
-(** [apply a x] is the matrix-vector product [a * x]. *)
-
 val snf : t -> t * t * t (* hsp-lint: allow unused-export *)
 (** [snf a] is [(u, d, v)] with [u * a * v = d], [u] and [v] unimodular
     and [d] diagonal with non-negative entries satisfying
@@ -36,14 +33,6 @@ val kernel_mod : moduli:int array -> t -> int array list
     The returned vectors generate the solution set as a subgroup of
     [Z^cols]; callers typically reduce coordinates modulo their own
     component orders. *)
-
-val solve : t -> int array -> int array option (* hsp-lint: allow unused-export *)
-(** [solve a b] finds some integer solution of [a * x = b], or [None]. *)
-
-(* hsp-lint: allow unused-export *)
-val solve_mod : moduli:int array -> t -> int array -> int array option
-(** [solve_mod ~moduli a b] finds [x] with
-    [(a * x).(i) = b.(i) mod moduli.(i)] for all rows [i], or [None]. *)
 
 (** {2 Hermite-normal-form subgroup calculus}
 

@@ -9,9 +9,9 @@ open Linalg
    into disjoint index ranges for the {!Parallel} domain pool.
 
    The DFT needs no gather: a wire of stride s is blocks of s
-   interleaved fibres, which is Fft.exec's lane layout, so apply_dft
-   copies the planes once and transforms the wire in place, one exec
-   per (block, lane range); fourier copies once for a whole sweep.
+   interleaved fibres, which is Fft.exec's lane layout, so fourier
+   copies the planes once per sweep and transforms each wire in place,
+   one exec per (block, lane range).
 
    Determinism contract (enforced by test_parallel.ml): every kernel is
    bit-for-bit identical at every job count.  Elementwise/fibre kernels
@@ -236,13 +236,8 @@ let dft_in_place ?plan ~dims re im ~wire ~inverse =
         end
       done)
 
-let apply_dft ?plan t ~wire ~inverse =
-  let re = Array.copy t.re and im = Array.copy t.im in
-  dft_in_place ?plan ~dims:t.dims re im ~wire ~inverse;
-  { t with re; im }
-
 (* A whole sweep on one copy of the planes: each wire in the caller's
-   order, the same in-place kernel as [apply_dft]. *)
+   order. *)
 let fourier ?plans t ~wires ~inverse =
   let re = Array.copy t.re and im = Array.copy t.im in
   List.iter

@@ -58,16 +58,12 @@ val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
 (** The unitary on the listed wires, most significant first; ticks
     [gate_fibres] once per fibre (the rest-index count). *)
 
-val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
-(** The DFT on one wire, in place on one fresh copy of the planes.
-    [?plan] is a prebuilt {!Linalg.Fft.plan} of the wire's dimension,
-    so a caller transforming many states of one shape builds it once;
-    omitted, the call builds its own. *)
-
 val fourier : ?plans:Linalg.Fft.plan array -> t -> wires:int list -> inverse:bool -> t
-(** [apply_dft] on each listed wire in order, on one copy of the planes
-    instead of one per wire: bit-identical to the per-wire fold.
-    [plans.(w)], when given, is wire [w]'s plan. *)
+(** The DFT on each listed wire in order, in place on one fresh copy of
+    the planes: bit-identical to the fold of single-wire sweeps.
+    [plans.(w)], when given, is a prebuilt {!Linalg.Fft.plan} of wire
+    [w]'s dimension, so a caller transforming many states of one shape
+    builds it once; omitted, each wire builds its own. *)
 
 val apply_basis_map : t -> (int array -> int array) -> t
 (** @raise Invalid_argument unless the map is a bijection of the

@@ -7,7 +7,7 @@
     atomic integers indexed by two variants, {!counter} and {!phase}.
 
     - {e per-call counters} — gate ({!State.apply_wires}, one per gate
-      of a {!Circuit.run}) and DFT ({!State.apply_dft}, one per wire of
+      of a {!Circuit.run}) and DFT (one per listed wire of
       {!State.fourier}) applications, basis-map and oracle ops,
       measurements, states created.  Ticked by the {!State} dispatcher,
       so dense and sparse runs of the same sampling pipeline report
@@ -76,8 +76,8 @@ type snapshot = {
   gate_apps : int;  (** [State.apply_wires] / [apply_wire] calls *)
   gate_fibres : int;  (** fibres transformed by those calls *)
   dft_apps : int;
-      (** single-wire DFTs: one per [State.apply_dft] call and one per
-          listed wire of a [State.fourier] sweep, on every backend *)
+      (** single-wire DFTs: one per listed wire of a [State.fourier]
+          sweep, on every backend *)
   dft_fibres : int;
       (** length-[d] fibres Fourier-transformed: total_dim/d per call on
           the dense backend, populated fibres only on the sparse one *)

@@ -148,14 +148,6 @@ let gate op t ~wires m =
 let apply_wires t ~wires m = gate "apply_wires" t ~wires m
 let apply_wire t ~wire m = gate "apply_wire" t ~wires:[ wire ] m
 
-(* A single-wire DFT has no symbolic closed form: demote first. *)
-let apply_dft ?plan t ~wire ~inverse =
-  Metrics.add Dft_apps 1;
-  match t with
-  | Dense d -> Dense (Backend_dense.apply_dft ?plan d ~wire ~inverse)
-  | Sparse s -> Sparse (Backend_sparse.apply_dft ?plan s ~wire ~inverse)
-  | Symbolic s -> Dense (Backend_dense.apply_dft ?plan (Backend_symbolic.demote s) ~wire ~inverse)
-
 (* Whether [wires] lists each wire of an [n]-wire register exactly
    once: O(n), no sort. *)
 let permutes_register n wires =

@@ -10,8 +10,7 @@
       of every amplitude-level operation;
     - sparse — a sorted segment of the nonzero amplitudes only
       ({!Backend_sparse}), running the Fourier-sampling pipeline alone:
-      {!of_indices} / {!of_coset}, {!fourier} (or {!apply_dft}) and
-      {!measure_all}, at a cost that scales with the support, beyond
+      {!of_indices} / {!of_coset}, {!fourier} and {!measure_all}, at a cost that scales with the support, beyond
       the dense cap;
     - symbolic — no amplitudes at all ({!Backend_symbolic}): a
       phase-decorated coset state [(subgroup HNF basis, representative,
@@ -123,37 +122,28 @@ val apply_wires : t -> wires:int list -> Linalg.Cmat.t -> t
     order, most significant first).  The matrix dimension must be the
     product of the wires' dimensions. *)
 
-(* hsp-lint: allow unused-export *)
-val apply_dft : ?plan:Linalg.Fft.plan -> t -> wire:int -> inverse:bool -> t
-(** The DFT {!Linalg.Cmat.dft} on one wire, in O(d log d) per populated
-    fibre on the amplitude backends ({!Linalg.Fft}: straight-line for
-    [d <= 5], radix-2, a direct sum for other small [d], or Bluestein;
-    the dense backend transforms the wire in place, many fibres per
-    call, on one fresh copy of the planes).  [?plan] is a prebuilt plan
-    of the wire's dimension; omitted, the call builds one.  A single
-    wire has no symbolic closed form, so a symbolic state demotes to
-    the dense backend first (ledger: [symbolic_demotions]); sweep the
-    whole register with {!fourier} to stay symbolic.  Ticks [dft_apps]
-    once. *)
-
 val fourier : ?plans:Linalg.Fft.plan array -> t -> wires:int list -> inverse:bool -> t
-(** One Fourier sweep: the DFT on each listed wire, in the listed order
-    ({!Qft.forward} and {!Qft.backward} are one call each).
-    [plans.(w)], when given, is the prebuilt plan of wire [w]'s
-    dimension; the coset samplers keep one plan per wire dimension, so
-    their rounds never rebuild one.  Ticks [dft_apps] once per listed
-    wire on every backend.
-    - Dense: one copy of the planes, then every wire in place with
-      {!apply_dft}'s kernel — bit-identical to folding {!apply_dft}
+(** One Fourier sweep: the DFT {!Linalg.Cmat.dft} on each listed wire,
+    in the listed order ({!Qft.forward} and {!Qft.backward} are one
+    call each), in O(d log d) per populated fibre on the amplitude
+    backends ({!Linalg.Fft}: straight-line for [d <= 5], radix-2, a
+    direct sum for other small [d], or Bluestein).  [plans.(w)], when
+    given, is the prebuilt plan of wire [w]'s dimension; omitted, each
+    wire builds one.  The coset samplers keep one plan per wire
+    dimension, so their rounds never rebuild one.  Ticks [dft_apps]
+    once per listed wire on every backend.
+    - Dense: one copy of the planes, then every wire in place, many
+      fibres per call — bit-identical to folding single-wire sweeps
       over the wires, at one plane copy per sweep instead of per wire.
-    - Sparse: the fold of {!apply_dft} over the wires.
+    - Sparse: the fold of {!Backend_sparse.apply_dft} over the wires.
     - Symbolic: when [wires] is a permutation of the whole register
       (checked in O(r), no sort), the closed-form rewrite
       [(H, c, p) -> (H^perp, -p, c)] ({!Backend_symbolic.fourier}, one
       [symbolic_rewrites] tick) — a full {!Qft.forward} costs one
       memoised annihilator solve however large the group.  Any other
-      sweep (a strict subset, a repeated wire) demotes once to the
-      dense backend and runs the dense sweep.
+      sweep (a strict subset such as a single wire, a repeated wire)
+      demotes once to the dense backend (ledger: [symbolic_demotions])
+      and runs the dense sweep.
     An empty [wires] returns the state unchanged. *)
 
 val apply_basis_map : t -> (int array -> int array) -> t

@@ -46,26 +46,16 @@ let retryable = function Retryable -> true | Malformed | Rejected | Crashed -> f
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-(* "b^k" expands to k copies of b (mirrors hsp_cli --dims), so
+(* "b^k" expands to k copies of b (as hsp_cli --dims does), so
    cryptographic register shapes stay readable on the wire. *)
 let expand_entry v =
   match (v : Jsonv.t) with
   | Jsonv.Int n -> Ok [ n ]
   | Jsonv.String s -> (
-      match String.index_opt s '^' with
-      | None -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n -> Ok [ n ]
-          | None -> Error (Printf.sprintf "bad dimension entry %S" s))
-      | Some i -> (
-          let b = int_of_string_opt (String.trim (String.sub s 0 i)) in
-          let k =
-            int_of_string_opt (String.trim (String.sub s (i + 1) (String.length s - i - 1)))
-          in
-          match (b, k) with
-          | Some b, Some k when k >= 0 && k <= 100_000 -> Ok (List.init k (fun _ -> b))
-          | Some _, Some _ -> Error "repeat count out of range"
-          | _ -> Error (Printf.sprintf "bad dimension entry %S" s)))
+      match Hsp.Instances.expand_repeat s with
+      | Ok xs -> Ok xs
+      | Error `Repeat_out_of_range -> Error "repeat count out of range"
+      | Error `Malformed -> Error (Printf.sprintf "bad dimension entry %S" s))
   | _ -> Error "dimension entries must be ints or \"b^k\" strings"
 
 let int_array_field obj name =

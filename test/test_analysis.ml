@@ -323,16 +323,6 @@ let test_lint_config_for_path () =
   let c = Lint.config_for_path "bench/main.ml" in
   checkb "bench: print ok" true c.Lint.allow_print
 
-let test_lint_rule_names_roundtrip () =
-  List.iter
-    (fun r ->
-      match Lint.rule_of_name (Lint.rule_name r) with
-      | Some r' -> checkb "roundtrip" true (r = r')
-      | None -> Alcotest.failf "rule name %s does not parse" (Lint.rule_name r))
-    [
-      Lint.Poly_compare; Lint.Poly_eq; Lint.Poly_membership; Lint.Struct_eq; Lint.Float_eq;
-      Lint.Obj_magic; Lint.Print_stdout;
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Race_check: inline-snippet unit tests                              *)
@@ -479,17 +469,6 @@ let test_rc_config_for_path () =
   checkb "group: globals off" false c.Race_check.check_globals;
   checkb "group: locks on" true c.Race_check.check_locks
 
-let test_rc_rule_names_roundtrip () =
-  List.iter
-    (fun r ->
-      match Race_check.rule_of_name (Race_check.rule_name r) with
-      | Some r' -> checkb "roundtrip" true (r = r')
-      | None -> Alcotest.failf "rule name %s does not parse" (Race_check.rule_name r))
-    [
-      Race_check.Race_capture; Race_check.Jobs_dependent_chunks;
-      Race_check.Domain_unsafe_global; Race_check.Unbalanced_lock;
-      Race_check.Blocking_under_lock;
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* Unused_export: the rule's core on synthetic typed trees            *)
@@ -518,7 +497,7 @@ let zm_exports =
       { Unused_export.lib = "Numtheory"; unit = "Zmatrix"; name; file; line })
     [ ("hnf_sample", 1); ("snf", 3) ]
 
-let unused ?(mli = zm_mli) units =
+let ue_findings ?(mli = zm_mli) units =
   let refs =
     List.concat_map
       (fun (src, code) ->
@@ -528,7 +507,9 @@ let unused ?(mli = zm_mli) units =
       units
   in
   Unused_export.findings ~exports:zm_exports ~refs ~mli_source:(fun _ -> mli)
-  |> List.map (fun (e : Unused_export.export) -> e.name)
+
+let unused ?mli units =
+  List.map (fun (f : Unused_export.finding) -> f.export.name) (ue_findings ?mli units)
 
 let check_unused name expected units =
   Alcotest.(check (list string)) name expected (unused units)
@@ -572,15 +553,38 @@ let test_ue_mangled_names () =
   in
   checkb "executable unit name" true (List.mem [ "Hsp_cli"; "main" ] paths)
 
+let allow_ue = "(* hsp-lint: allow unused-export *)"
+
+(* A test references both exports, so an allowlisted one is not stale. *)
+let tested =
+  [ ("test/test_numtheory.ml", "let g = Numtheory.Zmatrix.snf\nlet h = Numtheory.Zmatrix.hnf_sample") ]
+
 let test_ue_allowlist () =
   (* zm_exports puts hnf_sample on line 1 and snf on line 3 *)
-  let allow = "(* hsp-lint: allow unused-export *)" in
   Alcotest.(check (list string)) "line L" [ "snf" ]
-    (unused ~mli:("val hnf_sample : int -> int " ^ allow ^ "\n\nval snf : int -> int\n") []);
+    (unused ~mli:("val hnf_sample : int -> int " ^ allow_ue ^ "\n\nval snf : int -> int\n") tested);
   Alcotest.(check (list string)) "line L-1, and not line L+1" [ "hnf_sample" ]
-    (unused ~mli:("val hnf_sample : int -> int\n" ^ allow ^ "\nval snf : int -> int\n") []);
+    (unused ~mli:("val hnf_sample : int -> int\n" ^ allow_ue ^ "\nval snf : int -> int\n") tested);
   Alcotest.(check (list string)) "another rule does not suppress" [ "hnf_sample"; "snf" ]
-    (unused ~mli:("(* hsp-lint: allow poly-eq *)\n" ^ zm_mli) [])
+    (unused ~mli:("(* hsp-lint: allow poly-eq *)\n" ^ zm_mli) tested)
+
+(* An allowlisted val stays quiet while some other unit, a test
+   included, references it; with no such reference the entry is stale
+   and a finding of its own. *)
+let test_ue_stale_allowlist () =
+  let mli = "val hnf_sample : int -> int " ^ allow_ue ^ "\n\nval snf : int -> int " ^ allow_ue ^ "\n" in
+  Alcotest.(check (list string)) "test/ reference keeps the entry quiet" [] (unused ~mli tested);
+  let found =
+    ue_findings ~mli
+      [
+        ("test/test_numtheory.ml", "let g = Numtheory.Zmatrix.snf");
+        ("lib/numtheory/zmatrix.ml", "let h = Numtheory.Zmatrix.hnf_sample");
+      ]
+  in
+  Alcotest.(check (list string)) "no reference but its own unit's: a finding" [ "hnf_sample" ]
+    (List.map (fun (f : Unused_export.finding) -> f.export.name) found);
+  checkb "reported as a stale entry" true
+    (List.for_all (fun (f : Unused_export.finding) -> f.allowlisted) found)
 
 let () =
   Alcotest.run "analysis"
@@ -627,7 +631,6 @@ let () =
           Alcotest.test_case "allowlist" `Quick test_lint_allowlist;
           Alcotest.test_case "finding location" `Quick test_lint_finding_location;
           Alcotest.test_case "config for path" `Quick test_lint_config_for_path;
-          Alcotest.test_case "rule names roundtrip" `Quick test_lint_rule_names_roundtrip;
         ] );
       ( "race_check",
         [
@@ -637,7 +640,6 @@ let () =
           Alcotest.test_case "unbalanced-lock" `Quick test_rc_unbalanced_lock;
           Alcotest.test_case "blocking-under-lock" `Quick test_rc_blocking_under_lock;
           Alcotest.test_case "config for path" `Quick test_rc_config_for_path;
-          Alcotest.test_case "rule names roundtrip" `Quick test_rc_rule_names_roundtrip;
         ] );
       ( "unused_export",
         [
@@ -646,5 +648,6 @@ let () =
           Alcotest.test_case "self and test references" `Quick test_ue_self_and_test_refs;
           Alcotest.test_case "mangled unit names" `Quick test_ue_mangled_names;
           Alcotest.test_case "allowlist" `Quick test_ue_allowlist;
+          Alcotest.test_case "stale allowlist entry" `Quick test_ue_stale_allowlist;
         ] );
     ]

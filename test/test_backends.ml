@@ -58,7 +58,7 @@ let run_both rng =
   List.fold_left
     (fun (d, s) _ ->
       let wire = Random.State.int rng (Array.length dims) and inverse = Random.State.bool rng in
-      (Backend_dense.apply_dft d ~wire ~inverse, Backend_sparse.apply_dft s ~wire ~inverse))
+      (Backend_dense.fourier d ~wires:[ wire ] ~inverse, Backend_sparse.apply_dft s ~wire ~inverse))
     (dense, sparse) (List.init 6 Fun.id)
 
 let agree (dense, sparse) =
@@ -250,7 +250,7 @@ let kernel_matches ~large seed =
         (match dense_in with
         | None -> ()
         | Some dn ->
-            let want = Backend_dense.amplitudes (Backend_dense.apply_dft dn ~wire ~inverse) in
+            let want = Backend_dense.amplitudes (Backend_dense.fourier dn ~wires:[ wire ] ~inverse) in
             if not (Cvec.approx_equal ~eps:1e-9 want (Backend_sparse.amplitudes got)) then
               fail "%s: sparse differs from dense" name);
         (seg, fibres, pruned))
@@ -301,7 +301,7 @@ let test_dense_dft_matches_sparse () =
         (fun wire d ->
           List.iter
             (fun inverse ->
-              let a = Backend_dense.amplitudes (Backend_dense.apply_dft dn ~wire ~inverse) in
+              let a = Backend_dense.amplitudes (Backend_dense.fourier dn ~wires:[ wire ] ~inverse) in
               let b = Backend_sparse.amplitudes (Backend_sparse.apply_dft sp ~wire ~inverse) in
               if not (Cvec.approx_equal ~eps:1e-12 a b) then
                 Alcotest.failf "dims [%s] wire %d inverse %b: dense differs from sparse" name wire
@@ -485,9 +485,9 @@ let test_sparse_pruning () =
      single entry (up to the pruning epsilon). *)
   let dims = [| 64 |] in
   let st = State.of_indices ~backend:Backend.Sparse dims [| 17 |] in
-  let st = State.apply_dft st ~wire:0 ~inverse:false in
+  let st = State.fourier st ~wires:[ 0 ] ~inverse:false in
   checki "full support mid-flight" 64 (State.support_size st);
-  let st = State.apply_dft st ~wire:0 ~inverse:true in
+  let st = State.fourier st ~wires:[ 0 ] ~inverse:true in
   checki "pruned back to a point" 1 (State.support_size st);
   checkb "right point" true (Complex.norm (State.amp_at st 17) > 0.999)
 
@@ -522,9 +522,9 @@ let test_sparse_refuses_amplitude_ops () =
   refused "probabilities" (fun () -> State.probabilities sp ~wires:[ 0 ]);
   refused "measure" (fun () -> State.measure rng sp ~wires:[ 0 ]);
   refused "measure" (fun () -> State.measure rng sp ~wires:[ 0; 1 ]);
-  let swept = Qft.forward sp ~wires:[ 0; 1 ] and one = State.apply_dft sp ~wire:1 ~inverse:true in
+  let swept = Qft.forward sp ~wires:[ 0; 1 ] and one = State.fourier sp ~wires:[ 1 ] ~inverse:true in
   checkb "fourier stays sparse" true (State.backend swept = Backend.Sparse);
-  checkb "apply_dft stays sparse" true (State.backend one = Backend.Sparse);
+  checkb "single-wire sweep stays sparse" true (State.backend one = Backend.Sparse);
   checkb "fourier agrees with dense" true
     (State.approx_equal ~eps:1e-12 swept (Qft.forward dn ~wires:[ 0; 1 ]));
   checkb "amplitudes export" true

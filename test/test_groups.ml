@@ -68,11 +68,6 @@ let test_cyclic_axioms () =
   check_axioms g (sample_of g 4);
   checkb "abelian" true (Group.is_abelian g)
 
-let test_cyclic_encoding () =
-  let dims = [| 4; 3 |] in
-  for k = 0 to 11 do
-    checki "roundtrip" k (Cyclic.to_int dims (Cyclic.of_int dims k))
-  done
 
 let test_dihedral_structure () =
   let n = 9 in
@@ -668,7 +663,6 @@ let () =
           Alcotest.test_case "perm axioms" `Quick test_perm_axioms;
           Alcotest.test_case "cyclic orders" `Quick test_cyclic_orders;
           Alcotest.test_case "cyclic axioms" `Quick test_cyclic_axioms;
-          Alcotest.test_case "cyclic encoding" `Quick test_cyclic_encoding;
           Alcotest.test_case "dihedral" `Quick test_dihedral_structure;
           Alcotest.test_case "matrix GL" `Quick test_matrix_group_gl;
           Alcotest.test_case "matrix inverse" `Quick test_matrix_inverse_random;

@@ -54,11 +54,6 @@ let test_hiding_counters () =
   Hiding.reset hiding;
   checki "reset" 0 (fst (Hiding.total_queries hiding))
 
-let test_hiding_map_domain () =
-  let g = Cyclic.product [| 12 |] in
-  let hiding = Hiding.of_subgroup g [ [| 4 |] ] in
-  let lifted = Hiding.map_domain (fun k -> [| k mod 12 |]) hiding in
-  checki "composed" (hiding.Hiding.raw [| 5 |]) (lifted.Hiding.raw 17)
 
 (* ------------------------------------------------------------------ *)
 (* Abelian HSP                                                        *)
@@ -739,7 +734,7 @@ let qcheck_props =
       (int_range 2 10)
       (fun n ->
         let r = Random.State.make [| n; 55 |] in
-        let divisors = Numtheory.Arith.divisors n in
+        let divisors = List.filter (fun m -> n mod m = 0) (List.init n succ) in
         let d = List.nth divisors (Random.State.int r (List.length divisors)) in
         let inst = Instances.dihedral_rotation ~n ~d in
         let res = Normal_hsp.solve r inst.Instances.group inst.Instances.hiding in
@@ -793,7 +788,6 @@ let () =
           Alcotest.test_case "constant on cosets" `Quick test_hiding_constant_on_cosets;
           Alcotest.test_case "distinct across cosets" `Quick test_hiding_distinct_across_cosets;
           Alcotest.test_case "counters" `Quick test_hiding_counters;
-          Alcotest.test_case "map domain" `Quick test_hiding_map_domain;
         ] );
       ( "abelian-hsp",
         [

@@ -290,25 +290,6 @@ let test_gf2_in_span () =
   checkb "not in span" false (mem (v [ 1; 0; 0 ]));
   checkb "zero in span" true (mem (v [ 0; 0; 0 ]))
 
-let test_gf2_solve () =
-  (* x with sum_i x_i rows_i = b over GF(2): the rows are the columns *)
-  let solve rows b =
-    let cols =
-      Array.init (Array.length b) (fun j -> Array.of_list (List.map (fun r -> r.(j)) rows))
-    in
-    Z.solve_mod ~moduli:(z2 (Array.length b)) cols b
-  in
-  let rows = [ v [ 1; 1; 0 ]; v [ 0; 1; 1 ]; v [ 1; 0; 0 ] ] in
-  let b = v [ 0; 1; 0 ] in
-  (match solve rows b with
-  | Some x ->
-      let acc = Array.make 3 0 in
-      List.iteri
-        (fun i r -> Array.iteri (fun j rj -> acc.(j) <- (acc.(j) + (x.(i) * rj)) land 1) r)
-        rows;
-      checkb "combination" true (acc = b)
-  | None -> Alcotest.fail "solvable");
-  checkb "unsolvable" true (solve [ v [ 1; 1 ] ] (v [ 1; 0 ]) = None)
 
 let test_gf2_kernel () =
   let rows = [ v [ 1; 1; 0; 0 ]; v [ 0; 0; 1; 1 ] ] in
@@ -394,7 +375,6 @@ let () =
         [
           Alcotest.test_case "rref/rank" `Quick test_gf2_rref_rank;
           Alcotest.test_case "in_span" `Quick test_gf2_in_span;
-          Alcotest.test_case "solve" `Quick test_gf2_solve;
           Alcotest.test_case "kernel" `Quick test_gf2_kernel;
           Alcotest.test_case "rank-nullity" `Quick test_gf2_kernel_dimension_theorem;
           Alcotest.test_case "double complement" `Quick test_gf2_double_complement;

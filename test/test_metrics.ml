@@ -66,7 +66,7 @@ let run_circuit ~gates backend =
   let dims = [| 4; 3; 2 |] in
   let sub = Backend_symbolic.Subgroup.full dims in
   let st = State.of_coset ~backend sub ~rep:[| 0; 0; 0 |] in
-  let st = State.apply_dft st ~wire:0 ~inverse:false in
+  let st = State.fourier st ~wires:[ 0 ] ~inverse:false in
   let st =
     if not gates then st
     else
@@ -109,12 +109,12 @@ let test_fibre_accounting () =
   (* dense DFT transforms every fibre; sparse only the populated ones:
      a basis state has exactly one populated fibre. *)
   let st = State.of_basis [| 8; 4 |] [| 0; 0 |] in
-  ignore (State.apply_dft st ~wire:0 ~inverse:false);
+  ignore (State.fourier st ~wires:[ 0 ] ~inverse:false);
   let dense = Metrics.snapshot () in
   checki "dense transforms total/d fibres" 4 dense.Metrics.dft_fibres;
   Metrics.reset ();
   let st = State.of_indices ~backend:Backend.Sparse [| 8; 4 |] [| 0 |] in
-  ignore (State.apply_dft st ~wire:0 ~inverse:false);
+  ignore (State.fourier st ~wires:[ 0 ] ~inverse:false);
   let sparse = Metrics.snapshot () in
   checki "sparse transforms populated fibres only" 1 sparse.Metrics.dft_fibres
 

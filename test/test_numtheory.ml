@@ -66,12 +66,6 @@ let test_crt () =
   Alcotest.check_raises "crt inconsistent" Not_found (fun () ->
       ignore (Arith.crt [ (1, 4); (2, 6) ]))
 
-let test_isqrt () =
-  check "isqrt 0" 0 (Arith.isqrt 0);
-  check "isqrt 15" 3 (Arith.isqrt 15);
-  check "isqrt 16" 4 (Arith.isqrt 16);
-  check "isqrt 17" 4 (Arith.isqrt 17);
-  check "isqrt big" 1000000 (Arith.isqrt 1000000000000)
 
 let test_ilog2 () =
   check "ilog2 1" 0 (Arith.ilog2 1);
@@ -79,10 +73,6 @@ let test_ilog2 () =
   check "ilog2 3" 1 (Arith.ilog2 3);
   check "ilog2 1024" 10 (Arith.ilog2 1024)
 
-let test_divisors () =
-  Alcotest.(check (list int)) "divisors 12" [ 1; 2; 3; 4; 6; 12 ] (Arith.divisors 12);
-  Alcotest.(check (list int)) "divisors 1" [ 1 ] (Arith.divisors 1);
-  Alcotest.(check (list int)) "divisors prime" [ 1; 13 ] (Arith.divisors 13)
 
 let test_multiplicative_order () =
   check "ord 2 mod 7" 3 (Arith.multiplicative_order 2 7);
@@ -142,16 +132,6 @@ let test_euler_phi () =
   check "phi 97" 96 (Primes.euler_phi 97);
   check "phi 100" 40 (Primes.euler_phi 100)
 
-let test_random_prime () =
-  let rng = Random.State.make [| 3 |] in
-  for _ = 1 to 50 do
-    let p = Primes.random_prime rng ~lo:100 ~hi:200 in
-    checkb "in range" true (p >= 100 && p <= 200);
-    checkb "prime" true (Primes.is_prime p)
-  done;
-  Alcotest.check_raises "empty interval"
-    (Invalid_argument "Primes.random_prime: no prime in interval") (fun () ->
-      ignore (Primes.random_prime rng ~lo:24 ~hi:28))
 
 (* ------------------------------------------------------------------ *)
 (* Continued fractions                                                *)
@@ -182,13 +162,6 @@ let test_convergents_quality () =
       checkb "quality" true (err < 1.0 /. float_of_int (k * k)))
     (Contfrac.convergents p q)
 
-let test_best_denominator () =
-  (match Contfrac.best_denominator_bounded 1365 4096 36 with
-  | Some (h, k) ->
-      check "h" 1 h;
-      check "k" 3 k
-  | None -> Alcotest.fail "expected convergent");
-  checkb "none for 0 bound" true (Contfrac.best_denominator_bounded 1 3 0 = None)
 
 (* ------------------------------------------------------------------ *)
 (* Zmatrix / Smith normal form                                        *)
@@ -250,8 +223,9 @@ let test_kernel () =
     let ker = Zmatrix.kernel a in
     List.iter
       (fun x ->
-        let y = Zmatrix.apply a x in
-        Array.iter (fun v -> check "a x = 0" 0 v) y;
+        Array.iter
+          (fun row -> check "a x = 0" 0 (Array.fold_left ( + ) 0 (Array.map2 ( * ) row x)))
+          a;
         checkb "nonzero basis" true (Array.exists (fun v -> v <> 0) x))
       ker
   done
@@ -297,33 +271,8 @@ let test_kernel_mod () =
   check "same cardinality" (Hashtbl.length solutions) (Hashtbl.length gen_set);
   Hashtbl.iter (fun k () -> checkb "member" true (Hashtbl.mem solutions k)) gen_set
 
-let test_solve () =
-  let a = [| [| 2; 0 |]; [| 0; 3 |] |] in
-  (match Zmatrix.solve a [| 4; 9 |] with
-  | Some x -> Alcotest.(check (array int)) "solution" [| 2; 3 |] x
-  | None -> Alcotest.fail "expected solution");
-  checkb "no solution" true (Zmatrix.solve a [| 1; 0 |] = None)
 
-let test_solve_random () =
-  let rng = Random.State.make [| 31 |] in
-  for _ = 1 to 100 do
-    let r = 1 + Random.State.int rng 3 and c = 1 + Random.State.int rng 3 in
-    let a = random_matrix rng r c 6 in
-    let x0 = Array.init c (fun _ -> Random.State.int rng 11 - 5) in
-    let b = Zmatrix.apply a x0 in
-    match Zmatrix.solve a b with
-    | Some x -> Alcotest.(check (array int)) "a x = b" b (Zmatrix.apply a x)
-    | None -> Alcotest.fail "solvable system reported unsolvable"
-  done
 
-let test_solve_mod () =
-  (* 3x = 6 mod 9 has solution x = 2 *)
-  let a = [| [| 3 |] |] in
-  (match Zmatrix.solve_mod ~moduli:[| 9 |] a [| 6 |] with
-  | Some x -> check "residual" 0 (Arith.emod ((3 * x.(0)) - 6) 9)
-  | None -> Alcotest.fail "expected solution");
-  (* 3x = 1 mod 9 has none *)
-  checkb "no sol" true (Zmatrix.solve_mod ~moduli:[| 9 |] a [| 1 |] = None)
 
 (* ------------------------------------------------------------------ *)
 (* HNF subgroup calculus                                              *)
@@ -611,9 +560,6 @@ let qcheck_props =
       (fun (a, m) ->
         QCheck.assume (Arith.gcd a m = 1);
         a * Arith.invmod a m mod m = 1 mod m);
-    Test.make ~name:"isqrt bounds" ~count:500 (int_range 0 1000000) (fun n ->
-        let r = Arith.isqrt n in
-        (r * r <= n) && ((r + 1) * (r + 1) > n));
     Test.make ~name:"crt solves congruences" ~count:300
       (pair (pair (int_range 0 100) (int_range 1 30)) (pair (int_range 0 100) (int_range 1 30)))
       (fun ((r1, m1), (r2, m2)) ->
@@ -646,9 +592,7 @@ let () =
           Alcotest.test_case "emod" `Quick test_emod;
           Alcotest.test_case "invmod" `Quick test_invmod;
           Alcotest.test_case "crt" `Quick test_crt;
-          Alcotest.test_case "isqrt" `Quick test_isqrt;
           Alcotest.test_case "ilog2" `Quick test_ilog2;
-          Alcotest.test_case "divisors" `Quick test_divisors;
           Alcotest.test_case "multiplicative order" `Quick test_multiplicative_order;
         ] );
       ( "primes",
@@ -659,14 +603,12 @@ let () =
           Alcotest.test_case "factorize known" `Quick test_factorize;
           Alcotest.test_case "factorize roundtrip" `Quick test_factorize_roundtrip;
           Alcotest.test_case "euler phi" `Quick test_euler_phi;
-          Alcotest.test_case "random prime" `Quick test_random_prime;
         ] );
       ( "contfrac",
         [
           Alcotest.test_case "expand" `Quick test_expand;
           Alcotest.test_case "last convergent exact" `Quick test_convergents_last_exact;
           Alcotest.test_case "convergent quality" `Quick test_convergents_quality;
-          Alcotest.test_case "best denominator" `Quick test_best_denominator;
         ] );
       ( "zmatrix",
         [
@@ -676,9 +618,6 @@ let () =
           Alcotest.test_case "kernel" `Quick test_kernel;
           Alcotest.test_case "kernel dimension" `Quick test_kernel_dimension;
           Alcotest.test_case "kernel mod" `Quick test_kernel_mod;
-          Alcotest.test_case "solve" `Quick test_solve;
-          Alcotest.test_case "solve random" `Quick test_solve_random;
-          Alcotest.test_case "solve mod" `Quick test_solve_mod;
         ] );
       ( "hnf",
         [

@@ -168,7 +168,7 @@ let random_op rng dims =
 
 let apply_op dims st = function
   | Wire_unitary (w, m) -> State.apply_wire st ~wire:w m
-  | Dft (w, inv) -> State.apply_dft st ~wire:w ~inverse:inv
+  | Dft (w, inv) -> State.fourier st ~wires:[ w ] ~inverse:inv
   | Shift_map c ->
       State.apply_basis_map st (fun x -> Array.mapi (fun i xi -> (xi + c.(i)) mod dims.(i)) x)
   | Oracle_add (ins, out) ->
@@ -227,7 +227,7 @@ let fourier_of_seed seed =
 let run_fourier ~backend ~jobs (dims, idxs, dfts) =
   with_jobs jobs (fun () ->
       List.fold_left
-        (fun st (wire, inverse) -> State.apply_dft st ~wire ~inverse)
+        (fun st (wire, inverse) -> State.fourier st ~wires:[ wire ] ~inverse)
         (State.of_indices ~backend dims idxs)
         dfts)
 
@@ -386,7 +386,7 @@ let test_probabilities_bit_identical () =
     random_entries rng dims
   in
   let st = of_entries dims entries in
-  let st = State.apply_dft st ~wire:0 ~inverse:false in
+  let st = State.fourier st ~wires:[ 0 ] ~inverse:false in
   let probs jobs = with_jobs jobs (fun () -> State.probabilities st ~wires:[ 0; 2 ]) in
   let base = probs 1 in
   List.iter
@@ -420,7 +420,7 @@ let test_dense_dft_bit_identical () =
         (fun wire _ ->
           List.iter
             (fun inverse ->
-              let run () = State.apply_dft st ~wire ~inverse in
+              let run () = State.fourier st ~wires:[ wire ] ~inverse in
               let base = with_jobs 1 run in
               List.iter
                 (fun j ->
@@ -440,7 +440,7 @@ let test_dense_dft_bit_identical () =
         (fun inverse ->
           let fold =
             with_jobs 1 (fun () ->
-                List.fold_left (fun st wire -> State.apply_dft st ~wire ~inverse) st wires)
+                List.fold_left (fun st wire -> State.fourier st ~wires:[ wire ] ~inverse) st wires)
           in
           let sweep () =
             if inverse then Qft.backward st ~wires else Qft.forward st ~wires

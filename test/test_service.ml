@@ -534,6 +534,12 @@ let test_protocol_parsing () =
       checki "count" 2 count
   | Ok _ -> Alcotest.fail "parsed as wrong op"
   | Error msg -> Alcotest.failf "parse failed: %s" msg);
+  List.iter
+    (fun (entry, want) ->
+      match Protocol.parse_request (Printf.sprintf {|{"op":"sample","dims":[%S]}|} entry) with
+      | Error msg -> Alcotest.(check string) (entry ^ " rejected") want msg
+      | Ok _ -> Alcotest.failf "dims entry %S must not parse" entry)
+    [ ("2^100001", "repeat count out of range"); ("x^2", {|bad dimension entry "x^2"|}) ];
   (match Protocol.parse_request {|{"op":"sample","dims":[4]}|} with
   | Ok { req = Protocol.Sample { inst; _ }; _ } ->
       checkb "missing moduli means trivial H = A" true (inst.Protocol.moduli = [| 4 |])

@@ -477,11 +477,11 @@ let test_mid_sweep_demotion () =
   checkb "completed sweep agrees" true (State.approx_equal ~eps:1e-9 sym'' den'');
   checkb "completed sweep = one full sweep" true
     (State.approx_equal ~eps:1e-9 sym'' (Qft.forward sym ~wires:(all_wires dims)));
-  let one = State.apply_dft sym ~wire:1 ~inverse:false in
+  let one = State.fourier sym ~wires:[ 1 ] ~inverse:false in
   checki "per-wire DFT demotes" 2 (Metrics.snapshot ()).Metrics.symbolic_demotions;
   checkb "per-wire DFT on dense" true (State.backend one = Backend.Dense);
   checkb "per-wire DFT agrees" true
-    (State.approx_equal ~eps:1e-9 one (State.apply_dft den ~wire:1 ~inverse:false))
+    (State.approx_equal ~eps:1e-9 one (State.fourier den ~wires:[ 1 ] ~inverse:false))
 
 (* ------------------------------------------------------------------ *)
 (* Measurement law                                                     *)
