@@ -236,8 +236,11 @@ let abelian_cmd =
       & opt string "8192,8192"
       & info [ "dims" ]
           ~doc:
-            "Comma-separated cyclic factors: the group is Z_d1 x ... x Z_dr.  A factor \
-             written $(b,b^k) expands to k copies of b, so --dims 2^200 is Z_2^200.")
+            (Printf.sprintf
+               "Comma-separated cyclic factors: the group is Z_d1 x ... x Z_dr.  A factor \
+                written $(b,b^k) expands to k copies of b, so --dims 2^200 is Z_2^200; \
+                r is at most %d."
+               Instances.max_wires))
   in
   let moduli_arg =
     Arg.(
@@ -251,14 +254,14 @@ let abelian_cmd =
   in
   let parse_ints label s =
     let expand t =
-      match Instances.expand_repeat t with
-      | Ok xs -> xs
-      | Error _ ->
-          invalid_arg
-            (Printf.sprintf
-               "%s: expected comma-separated integers (b^k repeats b k times), got %S" label s)
+      Result.map_error
+        (fun _ ->
+          Printf.sprintf "expected comma-separated integers (b^k repeats b k times), got %S" s)
+        (Instances.expand_repeat t)
     in
-    Array.of_list (List.concat_map expand (String.split_on_char ',' s))
+    match Instances.expand_field expand (String.split_on_char ',' s) with
+    | Ok a -> a
+    | Error msg -> invalid_arg (label ^ ": " ^ msg)
   in
   let run common seed dims_s moduli_s =
     setup common;

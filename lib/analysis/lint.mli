@@ -1,16 +1,22 @@
-(** [hsp_lint]: a source-level pass over the OCaml sources using
-    [compiler-libs]' Parsetree.
+(** [hsp_lint]'s rules: one source pass over the OCaml sources using
+    [compiler-libs]' Parsetree, and the [unused-export] rule, which
+    {!Unused_export} checks on dune's typed trees.
 
-    Rules (names as written in allowlist comments):
+    {2 Value semantics}
+
+    The paper's groups are black boxes: elements are handled only
+    through the group's own operations, so structural equality on
+    them is a bug waiting for a non-canonical representative.
 
     - [poly-compare] — unqualified [compare], [Stdlib.compare] or
-      [Hashtbl.hash].  Only checked where {!config.check_poly} is set
-      (the driver sets it for [lib/group], [lib/core], [lib/quantum]
-      and [lib/linalg], whose values are group elements, words, states
-      and dimension vectors: polymorphic comparison silently diverges
-      from the modules' own [equal]/[compare] on non-canonical
-      representatives, and walks whole arrays where a typed scalar
-      compare was intended).
+      [Hashtbl.hash], or an applied [=]/[<>] between an array element
+      ([a.(i)]) and a plain identifier, field or element.  Scope:
+      [lib/group], [lib/core], [lib/quantum], [lib/linalg],
+      [lib/analysis] and [lib/service], whose values are group
+      elements, words, states and dimension vectors: polymorphic
+      comparison silently diverges from the modules' own
+      [equal]/[compare] on non-canonical representatives, and walks
+      whole arrays where a typed scalar compare was intended.
     - [poly-eq] — [( = )], [( <> )], [( == )] or [( != )] passed as a
       function value (e.g. [~equal:( = )]).  Same scope as
       [poly-compare].
@@ -20,10 +26,8 @@
       combinator ([List.exists], [List.find(_opt)], [List.for_all],
       [List.filter], [Array.exists], ...) whose predicate is an
       equality section [(( = ) x)] or a lambda whose body is a single
-      [=]/[<>] with no literal operand.  The containers in the checked
-      directories hold group elements, [int array] tuples and oracle
-      tags, where the baked-in structural equality diverges from the
-      modules' own [equal] on non-canonical representatives — use the
+      [=]/[<>] with no literal operand.  The containers in scope hold
+      group elements, [int array] tuples and oracle tags — use the
       element type's equality ([List.exists (Int.equal k) xs], a typed
       [equal] inside the predicate) instead.  Literal keys
       ([List.mem "all" rules]) and literal-guard lambdas
@@ -41,20 +45,70 @@
       tolerance bug in a numerical simulator.
     - [obj-magic] — any use of [Obj.magic], anywhere.
     - [print-stdout] — [Printf.printf], [Format.printf] and the
-      [print_*] family, unless {!config.allow_print} (set for [bin/],
-      [bench/], [test/] and [examples/]): libraries must log through
-      [Logs] or return values, not write to the simulator's stdout.
+      [print_*] family, anywhere but [bin/], [bench/], [test/] and
+      [examples/]: libraries must log through [Logs] or return values,
+      not write to the simulator's stdout.
+
+    {2 Concurrency}
+
+    Two invariants the type system cannot see: the {b determinism
+    contract} of [Quantum.Parallel] (chunk geometry fixed by the
+    workload alone, kernel closures write only chunk-local or
+    per-chunk state — see [parallel.mli]) and the {b lock discipline}
+    of [lib/service] (exception-safe unlock everywhere, heavy work
+    built outside the lock and published under it).
+
+    - [race-capture] — a closure passed to [Parallel.parallel_for],
+      [map_chunks] or [run_chunked] whose body assigns a captured
+      [ref] ([:=], [incr], [decr]) or a captured record's mutable field
+      ([<-]), anywhere.  Bindings introduced {e inside} the closure
+      (its parameters, [let]s, [match] cases, [for] indices) are
+      chunk-local and fine; array-element writes ([a.(i) <- v]) are
+      the kernels' disjoint-index output contract and are not flagged.
+      Cross-chunk accumulation must go through [Atomic], a per-chunk
+      slot combined after the join, or [map_chunks]' ordered results.
+    - [jobs-dependent-chunks] — a [~chunks:] argument expression that
+      mentions [Parallel.jobs], [getenv]-style lookups, the literal
+      ["HSP_JOBS"], or a name let-bound in the enclosing function to
+      such an expression (followed through chains of [let]s),
+      anywhere.  Chunk counts must be a function of the workload
+      geometry only, or chunk boundaries — and therefore ordered
+      floating-point reductions — change with the machine's job count.
+    - [domain-unsafe-global] — a module-level [let] in [lib/quantum],
+      [lib/core] or [lib/service] whose value allocates mutable state
+      ([ref], [Hashtbl.create], [Queue.create], [Buffer.create], ...)
+      that is neither [Atomic.t] nor guarded by a module-local mutex.
+      Lambda bodies are skipped (their state is created per call).  A
+      mutex-guarded table is suppressed with an allow comment naming
+      the lock, e.g. [(* hsp-lint: allow domain-unsafe-global —
+      guarded by qlock *)].
+    - [unbalanced-lock] — [Mutex.lock m] not immediately followed by a
+      [Fun.protect ~finally:(fun () -> Mutex.unlock m)] continuation,
+      and not expressed as [Mutex.protect], anywhere.  A raised
+      exception leaves the executor or cache wedged; the two
+      sanctioned shapes are the only ones this pass can prove
+      exception-safe.
+    - [blocking-under-lock] — a blocking call ([Unix.read]/[write]/
+      [accept]/[sleepf]/..., [Thread.delay]/[join], [Protocol.*_frame],
+      or a [Coset_state.prep]/[sampler*]-class heavy entry point) made
+      lexically inside a region that holds a lock: the function
+      argument of [Mutex.protect] / [Cache.locked] / [with_lock], or
+      the protected continuation of a sanctioned lock/[Fun.protect]
+      pair.  Scope: [lib/service], whose cache was specifically
+      designed to build entries outside the lock.
+
+    {2 Exports}
+
     - [unused-export] — a [val] in a [lib/**/*.mli] that no other unit
       in [lib], [bin], [bench] or [examples] references; references
-      from [test/] do not count.  Checked by {!Unused_export} on the
-      typed trees dune builds, not by this Parsetree pass; the
-      allowlist comment goes in the [.mli], and an allowlisted [val]
-      that no other unit references at all, [test/] included, is a
-      finding too.
+      from [test/] do not count.  The allowlist comment goes in the
+      [.mli], and an allowlisted [val] that no other unit references at
+      all, [test/] included, is a finding too.
 
-    A finding on line [L] is suppressed by an allowlist comment
-    [(* hsp-lint: allow <rule> [<rule> ...] *)] (or [allow all]) on
-    line [L] or [L-1]. *)
+    A rule's scope is matched against the path a source is linted
+    under, anywhere in that path.  A finding on line [L] is suppressed
+    by an allowlist comment [(* hsp-lint: allow <rule> [<rule> ...] *)]
+    (or [allow all]) on line [L] or [L-1]. *)
 
 type rule =
   | Poly_compare
@@ -64,50 +118,34 @@ type rule =
   | Float_eq
   | Obj_magic
   | Print_stdout
-
-val rule_name : rule -> string (* hsp-lint: allow unused-export *)
+  | Race_capture
+  | Jobs_dependent_chunks
+  | Domain_unsafe_global
+  | Unbalanced_lock
+  | Blocking_under_lock
+  | Unused_export
 
 type finding = { file : string; line : int; rule : rule; detail : string }
 
-type config = {
-  check_poly : bool;  (** enforce [poly-compare] / [poly-eq] *)
-  allow_print : bool;  (** drop the [print-stdout] rule *)
-}
-
-val config_for_path : string -> config (* hsp-lint: allow unused-export *)
-(** [check_poly] under [lib/group], [lib/core], [lib/quantum] and
-    [lib/linalg]; [allow_print] under [bin/], [bench/], [test/] and
-    [examples/]. *)
-
 (* hsp-lint: allow unused-export *)
-val lint_source : config -> file:string -> string -> finding list
-(** Parse and lint one compilation unit given as a string.
+val lint_source : file:string -> string -> finding list
+(** Parse one compilation unit given as a string and apply every
+    Parsetree rule whose scope covers [file].  Findings come in line
+    order, the value-semantics rules' before the concurrency rules'.
     @raise Failure if the source does not parse. *)
 
-val lint_file : ?config:config -> string -> finding list
-(** Reads the file; [config] defaults to {!config_for_path}. *)
+val lint_file : string -> finding list
+(** [lint_source] on the file's contents, under its own path. *)
 
-val pp_finding : Format.formatter -> finding -> unit
-
-(** {2 Shared infrastructure}
-
-    The allowlist-comment scan and file reader are reused by
-    {!Race_check} and {!Unused_export}, whose rules use the same
-    [(* hsp-lint: allow <rule> *)] syntax. *)
-
-type allowlist
-
-val allowlist : string -> allowlist
-(** Scan a source string for [hsp-lint: allow] comments. *)
-
-val allow_suppressed : allowlist -> line:int -> rule:string -> bool
-(** Whether [rule] (by its printed name, or via ["all"]) is suppressed
-    on [line] — the comment may sit on the line itself or the one
-    above. *)
-
-val read_file : string -> string
+val allowed : string -> line:int -> rule -> bool
+(** [allowed src ~line rule]: whether an allowlist comment in [src]
+    suppresses [rule] on [line].  Applied to [src] alone, it scans the
+    source once. *)
 
 val files_with : string -> string -> string list
 (** [files_with suffix path]: [path] itself if it ends in [suffix],
     else every such file under the directory [path], in sorted
     order. *)
+
+val pp_finding : Format.formatter -> finding -> unit
+(** [file:line: [rule] detail]. *)

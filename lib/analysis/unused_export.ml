@@ -80,8 +80,6 @@ let names_export (e : export) path =
   | [ l; u; v ] -> String.equal l e.lib && String.equal u e.unit && String.equal v e.name
   | _ -> false
 
-type finding = { export : export; allowlisted : bool }
-
 let findings ~exports ~refs ~mli_source =
   (* [used]: referenced from a consumer directory; [referenced]: from
      anywhere, test/ included.  Both exclude the export's own unit. *)
@@ -102,23 +100,32 @@ let findings ~exports ~refs ~mli_source =
     refs;
   let allowlists = Hashtbl.create 64 in
   let allowed (e : export) =
-    let tbl =
+    let allowed_in =
       match Hashtbl.find_opt allowlists e.file with
-      | Some t -> t
+      | Some a -> a
       | None ->
-          let t = Lint.allowlist (mli_source e.file) in
-          Hashtbl.replace allowlists e.file t;
-          t
+          let a = Lint.allowed (mli_source e.file) in
+          Hashtbl.replace allowlists e.file a;
+          a
     in
-    Lint.allow_suppressed tbl ~line:e.line ~rule:"unused-export"
+    allowed_in ~line:e.line Lint.Unused_export
+  in
+  let finding (e : export) what =
+    {
+      Lint.file = e.file;
+      line = e.line;
+      rule = Unused_export;
+      detail = Printf.sprintf "%s.%s %s" e.unit e.name what;
+    }
   in
   List.filter_map
     (fun (e : export) ->
       let key = (e.unit, e.name) in
       if Hashtbl.mem used key then None
-      else if not (allowed e) then Some { export = e; allowlisted = false }
+      else if not (allowed e) then
+        Some (finding e "has no reference outside its own unit and test/")
       else if Hashtbl.mem referenced key then None
-      else Some { export = e; allowlisted = true })
+      else Some (finding e "is allowlisted but no other unit references it, test/ included"))
     exports
 
 (* ------------------------------------------------------------------ *)
@@ -164,9 +171,5 @@ let check ~lib =
         if Sys.file_exists d then List.concat_map refs_of_cmt (Lint.files_with ".cmt" d) else []
       in
       let refs = List.concat_map refs_under ("test" :: consumer_dirs) in
-      findings ~exports ~refs ~mli_source:Lint.read_file
-
-let pp_finding fmt { export = e; allowlisted } =
-  Format.fprintf fmt "%s:%d: [unused-export] %s.%s %s" e.file e.line e.unit e.name
-    (if allowlisted then "is allowlisted but no other unit references it, test/ included"
-     else "has no reference outside its own unit and test/")
+      findings ~exports ~refs ~mli_source:(fun f ->
+          In_channel.with_open_bin f In_channel.input_all)

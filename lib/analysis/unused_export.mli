@@ -35,25 +35,16 @@ val refs_of_structure : Typedtree.structure -> string list list
     ([Hsp__Abelian_hsp] → [Abelian_hsp], [dune__exe__Hsp_cli] →
     [Hsp_cli]). *)
 
-type finding = {
-  export : export;
-  allowlisted : bool;
-      (** [false]: no consumer references the [val]; [true]: it is
-          allowlisted, but no unit references it, [test/] included *)
-}
-
 (* hsp-lint: allow unused-export *)
 val findings :
-  exports:export list -> refs:reference list -> mli_source:(string -> string) -> finding list
+  exports:export list -> refs:reference list -> mli_source:(string -> string) -> Lint.finding list
 (** Only references from a unit other than the export's own count.
     An export no reference from a consumer directory names is a
     finding unless allowlisted in its [.mli] ([mli_source] reads it);
     an allowlisted one is a finding when no reference names it at
-    all. *)
+    all, with a detail saying so. *)
 
-val check : lib:string -> finding list
+val check : lib:string -> Lint.finding list
 (** Run from the build root: the findings for the [.cmti] files under
     [lib], allowlist applied.
     @raise Failure if [lib] has [.mli] files but no [.cmti]. *)
-
-val pp_finding : Format.formatter -> finding -> unit

@@ -117,10 +117,25 @@ let expand_repeat s =
       | Some _, Some _ -> Error `Repeat_out_of_range
       | _ -> Error `Malformed)
 
+let max_wires = 1024
+let too_many_wires = Printf.sprintf "more than %d cyclic factors (the wire bound)" max_wires
+
+let expand_field expand entries =
+  let rec go wires acc = function
+    | [] -> Ok (Array.of_list (List.concat (List.rev acc)))
+    | e :: rest -> (
+        match expand e with
+        | Error _ as err -> err
+        | Ok xs ->
+            let wires = wires + List.length xs in
+            if wires > max_wires then Error too_many_wires else go wires (xs :: acc) rest)
+  in
+  go 0 [] entries
+
 (* The planted quotient instance: H = prod m_i Z_{d_i} in
    Z_{d_1} x ... x Z_{d_r}, hidden by f(x) = (x_i mod m_i)_i. *)
 let quotient_violation ~dims ~moduli =
-  let bad = ref None in
+  let bad = ref (if Array.length dims > max_wires then Some too_many_wires else None) in
   Array.iteri
     (fun i m ->
       if !bad = None && (m < 1 || dims.(i) < 1 || dims.(i) mod m <> 0) then

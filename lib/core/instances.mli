@@ -81,15 +81,29 @@ val random_subgroup : Random.State.t -> name:string -> 'a Group.t -> 'a t
     the [hsp_served] daemon and the bench harness plant.  [dims] and
     [moduli] have equal length. *)
 
+val max_wires : int
+(** [1024]: the most cyclic factors [r] an instance may name, five
+    times the largest register any test, example or README uses
+    ([r = 200]).  It keeps {!quotient_gens}' [r x r] generators at a
+    megaword. *)
+
 val expand_repeat : string -> (int list, [ `Malformed | `Repeat_out_of_range ]) result
 (** One entry of a [dims] or [moduli] list as the CLI and the daemon
     read it: ["b"] is [\[b\]] and ["b^k"] is [k] copies of [b], so
     shapes such as [Z_2^200] stay readable.  Blanks around [b] and [k]
     are ignored; [k] must lie in [\[0, 100_000\]]. *)
 
+val expand_field :
+  ('a -> (int list, string) result) -> 'a list -> (int array, string) result
+(** A whole [dims] or [moduli] list, expanded entry by entry.  The
+    first entry that fails, or that takes the field past {!max_wires}
+    factors, stops the expansion with an error; the latter's names the
+    bound. *)
+
 val quotient_violation : dims:int array -> moduli:int array -> string option
-(** [None] when [1 <= m_i] and [m_i | d_i] for every [i]; otherwise
-    the first violation, as
+(** [None] when [r <= max_wires], [1 <= m_i] and [m_i | d_i] for every
+    [i]; otherwise the first violation, as the one {!expand_field}
+    reports past the bound or as
     ["need 1 <= m_i and m_i | d_i (got m=.., d=..)"]. *)
 
 val quotient_gens : dims:int array -> moduli:int array -> int array list

@@ -64,14 +64,7 @@ let int_array_field obj name =
   | Some v -> (
       match Jsonv.to_list_opt v with
       | None -> Error (Printf.sprintf "field %S must be an array" name)
-      | Some items ->
-          let rec go acc = function
-            | [] -> Ok (Array.of_list (List.concat (List.rev acc)))
-            | e :: rest ->
-                let* xs = expand_entry e in
-                go (xs :: acc) rest
-          in
-          go [] items)
+      | Some items -> Hsp.Instances.expand_field expand_entry items)
 
 let instance_of_json obj =
   let* dims = int_array_field obj "dims" in

@@ -207,11 +207,12 @@ let test_log2_ceil () =
 (* Lint: inline-snippet unit tests                                    *)
 (* ------------------------------------------------------------------ *)
 
-let strict = { Lint.check_poly = true; allow_print = false }
-let lenient = { Lint.check_poly = false; allow_print = true }
+(* A snippet's scope is its path: [strict] is under every value rule,
+   [lenient] (a binary) under only the rules that hold everywhere. *)
+let strict = "lib/group/snippet.ml"
+let lenient = "bin/snippet.ml"
 
-let rules_of cfg src =
-  List.map (fun f -> f.Lint.rule) (Lint.lint_source cfg ~file:"snippet.ml" src)
+let rules_of file src = List.map (fun f -> f.Lint.rule) (Lint.lint_source ~file src)
 
 let test_lint_poly_compare () =
   checkb "bare compare" true (List.mem Lint.Poly_compare (rules_of strict "let f a b = compare a b"));
@@ -301,174 +302,182 @@ let test_lint_allowlist () =
        (rules_of strict "(* hsp-lint: allow float-eq *)\nlet f a b = compare a b"))
 
 let test_lint_finding_location () =
-  match Lint.lint_source strict ~file:"loc.ml" "let a = 1\nlet f a b = compare a b" with
+  match Lint.lint_source ~file:"lib/group/loc.ml" "let a = 1\nlet f a b = compare a b" with
   | [ f ] ->
       checki "line" 2 f.Lint.line;
-      Alcotest.(check string) "file" "loc.ml" f.Lint.file;
-      Alcotest.(check string) "rule name" "poly-compare" (Lint.rule_name f.Lint.rule)
+      Alcotest.(check string) "file" "lib/group/loc.ml" f.Lint.file;
+      Alcotest.(check string) "rule name, printed"
+        "lib/group/loc.ml:2: [poly-compare] polymorphic compare on structured data"
+        (Format.asprintf "%a" Lint.pp_finding f)
   | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
 
-let test_lint_config_for_path () =
-  let c = Lint.config_for_path "lib/group/perm.ml" in
-  checkb "group: poly on" true c.Lint.check_poly;
-  checkb "group: print off" false c.Lint.allow_print;
-  let c = Lint.config_for_path "lib/core/runner.ml" in
-  checkb "core: poly on" true c.Lint.check_poly;
-  let c = Lint.config_for_path "lib/linalg/cmat.ml" in
-  checkb "linalg: poly on" true c.Lint.check_poly;
-  let c = Lint.config_for_path "lib/quantum/backend_dense.ml" in
-  checkb "quantum: poly on" true c.Lint.check_poly;
-  let c = Lint.config_for_path "lib/numtheory/gf2.ml" in
-  checkb "numtheory: poly off" false c.Lint.check_poly;
-  let c = Lint.config_for_path "bench/main.ml" in
-  checkb "bench: print ok" true c.Lint.allow_print
+(* One snippet per Parsetree rule and a path it fires under; for a rule
+   with a limited scope, a path where the same snippet is silent. *)
+let scope_cases =
+  [
+    (Lint.Poly_compare, "let f a b = compare a b", "lib/core/x.ml", Some "lib/numtheory/x.ml");
+    (Lint.Poly_eq, "let f xs = List.mem ( = ) xs", "lib/linalg/x.ml", Some "bench/main.ml");
+    (Lint.Poly_membership, "let f k xs = List.mem k xs", "lib/analysis/x.ml", Some "examples/x.ml");
+    (Lint.Struct_eq, "let f a b = a.dims = b.dims", "lib/service/x.ml", Some "bin/x.ml");
+    (Lint.Float_eq, "let f x = x = 1.0", "test/x.ml", None);
+    (Lint.Obj_magic, "let f x = Obj.magic x", "bin/x.ml", None);
+    ( Lint.Print_stdout,
+      "let f () = print_endline \"x\"",
+      "lib/numtheory/x.ml",
+      Some "examples/x.ml" );
+    ( Lint.Race_capture,
+      "let f n = let hits = ref 0 in Parallel.parallel_for 0 n (fun _ _ -> incr hits)",
+      "examples/x.ml",
+      None );
+    ( Lint.Jobs_dependent_chunks,
+      "let f n body = Parallel.map_chunks ~chunks:(jobs ()) 0 n body",
+      "bench/main.ml",
+      None );
+    (Lint.Domain_unsafe_global, "let counter = ref 0", "lib/quantum/x.ml", Some "lib/group/x.ml");
+    (Lint.Unbalanced_lock, "let f m = Mutex.lock m", "bin/x.ml", None);
+    ( Lint.Blocking_under_lock,
+      "let f m fd buf = Mutex.protect m (fun () -> Unix.read fd buf 0 4)",
+      "lib/service/x.ml",
+      Some "lib/quantum/x.ml" );
+  ]
 
+let test_lint_scope_table () =
+  checki "every Parsetree rule" 12
+    (List.length (List.sort_uniq compare (List.map (fun (r, _, _, _) -> r) scope_cases)));
+  let fires rule file src = List.mem rule (rules_of file src) in
+  List.iter
+    (fun (rule, src, inside, outside) ->
+      checkb (Printf.sprintf "%s fires under %s" src inside) true (fires rule inside src);
+      Option.iter
+        (fun out -> checkb (Printf.sprintf "%s silent under %s" src out) false (fires rule out src))
+        outside)
+    scope_cases
 
 (* ------------------------------------------------------------------ *)
-(* Race_check: inline-snippet unit tests                              *)
+(* Concurrency rules: inline-snippet unit tests                      *)
 (* ------------------------------------------------------------------ *)
 
-let rc_all =
-  {
-    Race_check.check_parallel = true;
-    check_globals = true;
-    check_locks = true;
-    check_blocking = true;
-  }
-
-let rc_lib = { rc_all with Race_check.check_globals = false; check_blocking = false }
-
-let rc_rules_of cfg src =
-  List.map (fun f -> f.Race_check.rule) (Race_check.lint_source cfg ~file:"snippet.ml" src)
+(* [rc_all] is under every concurrency rule, [rc_lib] outside the
+   scopes of domain-unsafe-global and blocking-under-lock. *)
+let rc_all = "lib/service/snippet.ml"
+let rc_lib = "lib/numtheory/snippet.ml"
 
 let test_rc_race_capture () =
   checkb "captured ref" true
-    (List.mem Race_check.Race_capture
-       (rc_rules_of rc_lib
+    (List.mem Lint.Race_capture
+       (rules_of rc_lib
           "let f n = let acc = ref 0 in Parallel.parallel_for 0 n (fun lo hi -> acc := !acc + hi - lo)"));
   checkb "captured incr" true
-    (List.mem Race_check.Race_capture
-       (rc_rules_of rc_lib
+    (List.mem Lint.Race_capture
+       (rules_of rc_lib
           "let f n = let hits = ref 0 in Parallel.parallel_for 0 n (fun _ _ -> incr hits)"));
   checkb "captured mutable field" true
-    (List.mem Race_check.Race_capture
-       (rc_rules_of rc_lib
+    (List.mem Lint.Race_capture
+       (rules_of rc_lib
           "let f t n = Parallel.parallel_for 0 n (fun _ hi -> t.total <- hi)"));
   checkb "closure-local ref ok" true
-    (rc_rules_of rc_lib
+    (rules_of rc_lib
        "let f n = Parallel.parallel_for 0 n (fun lo hi -> let i = ref lo in while !i < hi do incr i done)"
     = []);
   checkb "let-bound record ok" true
-    (rc_rules_of rc_lib
+    (rules_of rc_lib
        "let f n = Parallel.parallel_for 0 n (fun lo _ -> let t = make () in t.total <- lo)"
     = []);
   checkb "array slot ok" true
-    (rc_rules_of rc_lib "let f out n = Parallel.parallel_for 0 n (fun lo _ -> out.(lo) <- lo)"
+    (rules_of rc_lib "let f out n = Parallel.parallel_for 0 n (fun lo _ -> out.(lo) <- lo)"
     = []);
   checkb "map_chunks checked" true
-    (List.mem Race_check.Race_capture
-       (rc_rules_of rc_lib
+    (List.mem Lint.Race_capture
+       (rules_of rc_lib
           "let f n = let s = ref 0 in Parallel.map_chunks ~chunks:4 0 n (fun lo _ -> s := lo)"));
   checkb "atomic ok" true
-    (rc_rules_of rc_lib
+    (rules_of rc_lib
        "let f a n = Parallel.parallel_for 0 n (fun _ _ -> Atomic.incr a)"
     = [])
 
 let test_rc_jobs_dependent_chunks () =
   checkb "Parallel.jobs in ~chunks" true
-    (List.mem Race_check.Jobs_dependent_chunks
-       (rc_rules_of rc_lib
+    (List.mem Lint.Jobs_dependent_chunks
+       (rules_of rc_lib
           "let f n body = Parallel.parallel_for ~chunks:(4 * Parallel.jobs ()) 0 n body"));
   checkb "bare jobs in ~chunks" true
-    (List.mem Race_check.Jobs_dependent_chunks
-       (rc_rules_of rc_lib "let f n body = Parallel.map_chunks ~chunks:(jobs ()) 0 n body"));
+    (List.mem Lint.Jobs_dependent_chunks
+       (rules_of rc_lib "let f n body = Parallel.map_chunks ~chunks:(jobs ()) 0 n body"));
   checkb "HSP_JOBS getenv in ~chunks" true
-    (List.mem Race_check.Jobs_dependent_chunks
-       (rc_rules_of rc_lib
+    (List.mem Lint.Jobs_dependent_chunks
+       (rules_of rc_lib
           "let f n body = Parallel.parallel_for ~chunks:(int_of_string (Sys.getenv \"HSP_JOBS\")) 0 n body"));
   checkb "let-bound jobs-dependent count" true
-    (List.mem Race_check.Jobs_dependent_chunks
-       (rc_rules_of rc_lib
+    (List.mem Lint.Jobs_dependent_chunks
+       (rules_of rc_lib
           "let f total body = let n = if Parallel.jobs () = 1 then 1 else 8 in \
            Parallel.parallel_for ~chunks:n 0 total body"));
   checkb "let chain from jobs" true
-    (List.mem Race_check.Jobs_dependent_chunks
-       (rc_rules_of rc_lib
+    (List.mem Lint.Jobs_dependent_chunks
+       (rules_of rc_lib
           "let f total body = let j = Parallel.jobs () in let c = 2 * j in \
            Parallel.parallel_for ~chunks:c 0 total body"));
   checkb "shadowed by a fixed count ok" true
-    (rc_rules_of rc_lib
+    (rules_of rc_lib
        "let f total body = let n = Parallel.jobs () in let n = 8 in \
         Parallel.parallel_for ~chunks:n 0 total body"
     = []);
   checkb "let-bound workload count ok" true
-    (rc_rules_of rc_lib
+    (rules_of rc_lib
        "let f total body = let n = total / 4096 in Parallel.parallel_for ~chunks:n 0 total body"
     = []);
   checkb "workload-fixed chunks ok" true
-    (rc_rules_of rc_lib "let f n body = Parallel.parallel_for ~chunks:(n / 4096) 0 n body"
+    (rules_of rc_lib "let f n body = Parallel.parallel_for ~chunks:(n / 4096) 0 n body"
     = []);
   checkb "reduction_chunks ok" true
-    (rc_rules_of rc_lib
+    (rules_of rc_lib
        "let f n body = Parallel.map_chunks ~chunks:(Parallel.reduction_chunks ~slot_words:2 n) 0 n body"
     = [])
 
 let test_rc_domain_unsafe_global () =
   checkb "top-level ref" true
-    (List.mem Race_check.Domain_unsafe_global (rc_rules_of rc_all "let counter = ref 0"));
+    (List.mem Lint.Domain_unsafe_global (rules_of rc_all "let counter = ref 0"));
   checkb "top-level hashtbl" true
-    (List.mem Race_check.Domain_unsafe_global
-       (rc_rules_of rc_all "let memo : (int, int) Hashtbl.t = Hashtbl.create 8"));
-  checkb "atomic ok" true (rc_rules_of rc_all "let counter = Atomic.make 0" = []);
+    (List.mem Lint.Domain_unsafe_global
+       (rules_of rc_all "let memo : (int, int) Hashtbl.t = Hashtbl.create 8"));
+  checkb "atomic ok" true (rules_of rc_all "let counter = Atomic.make 0" = []);
   checkb "lambda body ok" true
-    (rc_rules_of rc_all "let fresh () = let t = Hashtbl.create 8 in t" = []);
-  checkb "scoped off" true (rc_rules_of rc_lib "let counter = ref 0" = []);
+    (rules_of rc_all "let fresh () = let t = Hashtbl.create 8 in t" = []);
+  checkb "scoped off" true (rules_of rc_lib "let counter = ref 0" = []);
   checkb "allow comment" true
-    (rc_rules_of rc_all
+    (rules_of rc_all
        "(* hsp-lint: allow domain-unsafe-global -- guarded by the_lock *)\nlet memo = Hashtbl.create 8"
     = [])
 
 let test_rc_unbalanced_lock () =
   checkb "bare lock/unlock" true
-    (List.mem Race_check.Unbalanced_lock
-       (rc_rules_of rc_all "let f m x = Mutex.lock m; x.n <- x.n + 1; Mutex.unlock m"));
+    (List.mem Lint.Unbalanced_lock
+       (rules_of rc_all "let f m x = Mutex.lock m; x.n <- x.n + 1; Mutex.unlock m"));
   checkb "lock without unlock" true
-    (List.mem Race_check.Unbalanced_lock (rc_rules_of rc_all "let f m = Mutex.lock m"));
+    (List.mem Lint.Unbalanced_lock (rules_of rc_all "let f m = Mutex.lock m"));
   checkb "Mutex.protect ok" true
-    (rc_rules_of rc_all "let f m x = Mutex.protect m (fun () -> x.n <- x.n + 1)" = []);
+    (rules_of rc_all "let f m x = Mutex.protect m (fun () -> x.n <- x.n + 1)" = []);
   checkb "lock + Fun.protect ok" true
-    (rc_rules_of rc_all
+    (rules_of rc_all
        "let f m g = Mutex.lock m; Fun.protect ~finally:(fun () -> Mutex.unlock m) g"
     = [])
 
 let test_rc_blocking_under_lock () =
   checkb "Unix.read under Mutex.protect" true
-    (List.mem Race_check.Blocking_under_lock
-       (rc_rules_of rc_all
+    (List.mem Lint.Blocking_under_lock
+       (rules_of rc_all
           "let f m fd buf = Mutex.protect m (fun () -> Unix.read fd buf 0 4)"));
   checkb "sampler prep under locked" true
-    (List.mem Race_check.Blocking_under_lock
-       (rc_rules_of rc_all
+    (List.mem Lint.Blocking_under_lock
+       (rules_of rc_all
           "let f c oracle = locked c (fun () -> Coset_state.sampler_with_subgroup oracle)"));
   checkb "build outside lock ok" true
-    (rc_rules_of rc_all
+    (rules_of rc_all
        "let f m fd buf = let n = Unix.read fd buf 0 4 in Mutex.protect m (fun () -> n)"
     = []);
   checkb "scoped off" true
-    (rc_rules_of rc_lib "let f m fd buf = Mutex.protect m (fun () -> Unix.read fd buf 0 4)"
+    (rules_of rc_lib "let f m fd buf = Mutex.protect m (fun () -> Unix.read fd buf 0 4)"
     = [])
-
-let test_rc_config_for_path () =
-  let c = Race_check.config_for_path "lib/quantum/parallel.ml" in
-  checkb "quantum: globals on" true c.Race_check.check_globals;
-  checkb "quantum: blocking off" false c.Race_check.check_blocking;
-  let c = Race_check.config_for_path "lib/service/cache.ml" in
-  checkb "service: globals on" true c.Race_check.check_globals;
-  checkb "service: blocking on" true c.Race_check.check_blocking;
-  let c = Race_check.config_for_path "lib/group/perm.ml" in
-  checkb "group: globals off" false c.Race_check.check_globals;
-  checkb "group: locks on" true c.Race_check.check_locks
-
 
 (* ------------------------------------------------------------------ *)
 (* Unused_export: the rule's core on synthetic typed trees            *)
@@ -508,8 +517,11 @@ let ue_findings ?(mli = zm_mli) units =
   in
   Unused_export.findings ~exports:zm_exports ~refs ~mli_source:(fun _ -> mli)
 
-let unused ?mli units =
-  List.map (fun (f : Unused_export.finding) -> f.export.name) (ue_findings ?mli units)
+(* The exported name a finding is on, by its line in [zm_mli]. *)
+let name_of (f : Lint.finding) =
+  (List.find (fun (e : Unused_export.export) -> e.line = f.line) zm_exports).name
+
+let unused ?mli units = List.map name_of (ue_findings ?mli units)
 
 let check_unused name expected units =
   Alcotest.(check (list string)) name expected (unused units)
@@ -582,9 +594,13 @@ let test_ue_stale_allowlist () =
       ]
   in
   Alcotest.(check (list string)) "no reference but its own unit's: a finding" [ "hnf_sample" ]
-    (List.map (fun (f : Unused_export.finding) -> f.export.name) found);
+    (List.map name_of found);
   checkb "reported as a stale entry" true
-    (List.for_all (fun (f : Unused_export.finding) -> f.allowlisted) found)
+    (List.for_all
+       (fun (f : Lint.finding) ->
+         f.detail
+         = "Zmatrix.hnf_sample is allowlisted but no other unit references it, test/ included")
+       found)
 
 let () =
   Alcotest.run "analysis"
@@ -630,7 +646,7 @@ let () =
           Alcotest.test_case "print-stdout" `Quick test_lint_print_stdout;
           Alcotest.test_case "allowlist" `Quick test_lint_allowlist;
           Alcotest.test_case "finding location" `Quick test_lint_finding_location;
-          Alcotest.test_case "config for path" `Quick test_lint_config_for_path;
+          Alcotest.test_case "scope table" `Quick test_lint_scope_table;
         ] );
       ( "race_check",
         [
@@ -639,7 +655,6 @@ let () =
           Alcotest.test_case "domain-unsafe-global" `Quick test_rc_domain_unsafe_global;
           Alcotest.test_case "unbalanced-lock" `Quick test_rc_unbalanced_lock;
           Alcotest.test_case "blocking-under-lock" `Quick test_rc_blocking_under_lock;
-          Alcotest.test_case "config for path" `Quick test_rc_config_for_path;
         ] );
       ( "unused_export",
         [

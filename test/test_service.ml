@@ -330,6 +330,16 @@ let test_solve_and_errors_typed () =
     (match Jsonv.member "error" bad2 with
     | Some err -> Jsonv.member "kind" err = Some (Jsonv.String "rejected")
     | None -> false);
+  (* one factor past the wire bound -> rejected before any r x r work *)
+  let r = Hsp.Instances.max_wires + 1 in
+  let bad3 = Service.submit t (sample_req (Array.make r 2) (Array.make r 1) None) in
+  checkb "past the wire bound rejected" true
+    (match Jsonv.member "error" bad3 with
+    | Some err ->
+        Jsonv.member "kind" err = Some (Jsonv.String "rejected")
+        && Jsonv.member "message" err
+           = Some (Jsonv.String "more than 1024 cyclic factors (the wire bound)")
+    | None -> false);
   Service.stop t
 
 (* A cyclic factor past 2^30 routes symbolic and solves; the daemon
@@ -540,6 +550,30 @@ let test_protocol_parsing () =
       | Error msg -> Alcotest.(check string) (entry ^ " rejected") want msg
       | Ok _ -> Alcotest.failf "dims entry %S must not parse" entry)
     [ ("2^100001", "repeat count out of range"); ("x^2", {|bad dimension entry "x^2"|}) ];
+  (* The field is bounded as a whole: entries each within the repeat
+     range stop the expansion once they pass the wire bound. *)
+  List.iter
+    (fun (what, entries) ->
+      let json =
+        Printf.sprintf {|{"op":"sample","dims":[%s]}|}
+          (String.concat "," (List.map (Printf.sprintf "%S") entries))
+      in
+      match Protocol.parse_request json with
+      | Error msg ->
+          Alcotest.(check string) what "more than 1024 cyclic factors (the wire bound)" msg
+      | Ok _ -> Alcotest.failf "%s must not parse" what)
+    [
+      ("twenty 1^100000 entries", List.init 20 (fun _ -> "1^100000"));
+      ("2^1000 then 2^25", [ "2^1000"; "2^25" ]);
+    ];
+  (match Protocol.parse_request {|{"op":"sample","dims":["2^1000","2^24"]}|} with
+  | Ok { req = Protocol.Sample { inst; _ }; _ } ->
+      checki "a field at the bound parses" Hsp.Instances.max_wires (Array.length inst.Protocol.dims)
+  | _ -> Alcotest.fail "a field at the wire bound must parse");
+  let at r = Hsp.Instances.quotient_violation ~dims:(Array.make r 2) ~moduli:(Array.make r 1) in
+  checkb "quotient_violation at the bound" true (at Hsp.Instances.max_wires = None);
+  checkb "quotient_violation past the bound names it" true
+    (at (Hsp.Instances.max_wires + 1) = Some "more than 1024 cyclic factors (the wire bound)");
   (match Protocol.parse_request {|{"op":"sample","dims":[4]}|} with
   | Ok { req = Protocol.Sample { inst; _ }; _ } ->
       checkb "missing moduli means trivial H = A" true (inst.Protocol.moduli = [| 4 |])
