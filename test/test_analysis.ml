@@ -353,6 +353,21 @@ let test_lint_scope_table () =
         outside)
     scope_cases
 
+(* The value-semantics and print scopes at the paths the lint covers,
+   asked through [lint_source]: a rule is on under a path when its
+   snippet fires there. *)
+let test_lint_config_for_path () =
+  let fires rule file src = List.mem rule (rules_of file src) in
+  let poly file = fires Lint.Poly_compare file "let f a b = compare a b" in
+  let print file = fires Lint.Print_stdout file "let f () = print_endline \"x\"" in
+  checkb "group: poly on" true (poly "lib/group/perm.ml");
+  checkb "group: print off" true (print "lib/group/perm.ml");
+  checkb "core: poly on" true (poly "lib/core/runner.ml");
+  checkb "linalg: poly on" true (poly "lib/linalg/cmat.ml");
+  checkb "quantum: poly on" true (poly "lib/quantum/backend_dense.ml");
+  checkb "numtheory: poly off" false (poly "lib/numtheory/gf2.ml");
+  checkb "bench: print ok" false (print "bench/main.ml")
+
 (* ------------------------------------------------------------------ *)
 (* Concurrency rules: inline-snippet unit tests                      *)
 (* ------------------------------------------------------------------ *)
@@ -361,6 +376,24 @@ let test_lint_scope_table () =
    scopes of domain-unsafe-global and blocking-under-lock. *)
 let rc_all = "lib/service/snippet.ml"
 let rc_lib = "lib/numtheory/snippet.ml"
+
+(* The concurrency scopes at the paths the lint covers: globals are
+   checked in quantum and service, blocking calls only in service, lock
+   balance everywhere. *)
+let test_rc_config_for_path () =
+  let fires rule file src = List.mem rule (rules_of file src) in
+  let globals file = fires Lint.Domain_unsafe_global file "let counter = ref 0" in
+  let blocking file =
+    fires Lint.Blocking_under_lock file
+      "let f m fd buf = Mutex.protect m (fun () -> Unix.read fd buf 0 4)"
+  in
+  let locks file = fires Lint.Unbalanced_lock file "let f m = Mutex.lock m" in
+  checkb "quantum: globals on" true (globals "lib/quantum/parallel.ml");
+  checkb "quantum: blocking off" false (blocking "lib/quantum/parallel.ml");
+  checkb "service: globals on" true (globals "lib/service/cache.ml");
+  checkb "service: blocking on" true (blocking "lib/service/cache.ml");
+  checkb "group: globals off" false (globals "lib/group/perm.ml");
+  checkb "group: locks on" true (locks "lib/group/perm.ml")
 
 let test_rc_race_capture () =
   checkb "captured ref" true
@@ -646,11 +679,13 @@ let () =
           Alcotest.test_case "print-stdout" `Quick test_lint_print_stdout;
           Alcotest.test_case "allowlist" `Quick test_lint_allowlist;
           Alcotest.test_case "finding location" `Quick test_lint_finding_location;
+          Alcotest.test_case "config for path" `Quick test_lint_config_for_path;
           Alcotest.test_case "scope table" `Quick test_lint_scope_table;
         ] );
       ( "race_check",
         [
           Alcotest.test_case "race-capture" `Quick test_rc_race_capture;
+          Alcotest.test_case "config for path" `Quick test_rc_config_for_path;
           Alcotest.test_case "jobs-dependent-chunks" `Quick test_rc_jobs_dependent_chunks;
           Alcotest.test_case "domain-unsafe-global" `Quick test_rc_domain_unsafe_global;
           Alcotest.test_case "unbalanced-lock" `Quick test_rc_unbalanced_lock;
