@@ -18,6 +18,11 @@
    diffed by `dune runtest`; an intended change goes through
    `dune promote`.
 
+   smoke and E1–E9 solve through Runner, as the CLI does: a row's |G|,
+   query and ok cells come from the report Runner.run (or
+   Runner.closed_form) returns, so every solve is checked in one place.
+   E1c's ablation, E2b/E2c and E10–E14 keep their own checks.
+
    The harness is its own gate: it exits 1 if any row's ok cell reads
    false (or fail) or its claim cell reads OVER, or if a check with no
    cell of its own fails, and 2 on an unknown experiment name, before
@@ -68,6 +73,15 @@ let row cells =
 let fmt_i = Printf.sprintf "%8d"
 let fmt_s = Printf.sprintf "%8s"
 let fmt_f = Printf.sprintf "%8.3f"
+let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims))
+let total dims = Array.fold_left ( * ) 1 dims
+
+(* A digest over sampled outcomes, in order: each value then a comma. *)
+let outcome_digest outcomes =
+  Digest.string
+    (String.concat ""
+       (List.concat_map (fun o -> List.map (fun v -> string_of_int v ^ ",") (Array.to_list o))
+          outcomes))
 
 (* Cost-claim cell (Analysis.Cost_check): every smoke and E10 row is
    checked against its theorem's query/gate budget; an OVER cell fails
@@ -108,41 +122,59 @@ let across ~seed ~diverged f =
           (jobs, digest, ok, result))
         runs
 
+(* Cells from a Runner report; ok means the answer generates exactly H. *)
+let order_cell r = fmt_i r.Runner.group_order
+let quantum_cell r = fmt_i r.Runner.quantum_queries
+let classical_cell r = fmt_i r.Runner.classical_queries
+
+(* ok when every report behind the row is: a solve, and its baseline *)
+let ok_cell reports = fmt_s (string_of_bool (List.for_all (fun r -> r.Runner.ok) reports))
+
+(* The report of [solve] on [inst] and the solver's own result, whose
+   fields fill a row's extra columns; [gens] reads the answer from it. *)
+let keep ~algorithm inst solve gens =
+  let kept = ref None in
+  let report =
+    Runner.run ~algorithm inst ~solver:(fun i ->
+        let res = solve i in
+        kept := Some res;
+        gens res)
+  in
+  (report, Option.get !kept)
+
+(* The classical baseline: scan the whole group, |G| + 1 queries. *)
+let brute_force i = Classical.brute_force i.Instances.group i.Instances.hiding
+let baseline inst = Runner.run ~algorithm:"classical" inst ~solver:brute_force
+
 (* ------------------------------------------------------------------ *)
 (* E1: Abelian HSP (Theorem 3 / Lemma 9) — Simon instances            *)
 (* ------------------------------------------------------------------ *)
 
 let e1 rng =
+  let abelian i = Abelian_hsp.solve rng i.Instances.group i.Instances.hiding in
   header "E1: Abelian HSP on Z_2^n (Simon) — quantum O(n) queries vs classical Theta(2^n)"
     [ fmt_s "n"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok" ];
   List.iter
     (fun n ->
-      let mask = Array.init n (fun i -> if i mod 3 = 0 then 1 else 0) in
-      let inst = Instances.simon ~n ~mask in
-      let gens = Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding in
-      let c, q = Hiding.total_queries inst.Instances.hiding in
-      let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
-      (* classical baseline on a fresh instance *)
-      let inst2 = Instances.simon ~n ~mask in
-      ignore (Classical.brute_force inst2.Instances.group inst2.Instances.hiding);
-      let c_base, _ = Hiding.total_queries inst2.Instances.hiding in
-      row [ fmt_i n; fmt_i (1 lsl n); fmt_i q; fmt_i c; fmt_i c_base; fmt_s (string_of_bool ok) ])
+      let inst = Instances.simon ~n ~mask:(Array.init n (fun i -> if i mod 3 = 0 then 1 else 0)) in
+      let r = Runner.run ~algorithm:"abelian" inst ~solver:abelian in
+      let c = baseline inst in
+      row
+        [ fmt_i n; order_cell r; quantum_cell r; classical_cell r; classical_cell c;
+          ok_cell [ r; c ] ])
     [ 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
   header "E1b: Abelian HSP on mixed cyclic products"
     [ fmt_s "group"; fmt_s "|G|"; fmt_s "q-quant"; fmt_s "ok" ];
   List.iter
     (fun dims ->
       let inst = Instances.abelian_random rng ~dims in
-      let gens = Abelian_hsp.solve rng inst.Instances.group inst.Instances.hiding in
-      let _, q = Hiding.total_queries inst.Instances.hiding in
-      let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
-      row
-        [ fmt_s (String.concat "x" (List.map string_of_int (Array.to_list dims)));
-          fmt_i (Array.fold_left ( * ) 1 dims); fmt_i q; fmt_s (string_of_bool ok) ])
+      let r = Runner.run ~algorithm:"abelian" inst ~solver:abelian in
+      row [ fmt_s (show dims); order_cell r; quantum_cell r; ok_cell [ r ] ])
     [ [| 16 |]; [| 4; 6 |]; [| 9; 8 |]; [| 5; 5; 4 |]; [| 2; 3; 4; 5 |] ];
   (* ablation: how many Fourier-sampling rounds does exact recovery
      need?  (The Las Vegas solver verifies and resamples; this shows
-     why its first batch of ~log|G| rounds almost always suffices.) *)
+     why its first batch of ~log|G| rounds almost always suffices.)
+     Not a solve, so it checks its own recoveries. *)
   header "E1c: ablation — recovery rate vs number of sampling rounds (Simon n=6, 50 trials)"
     [ fmt_s "rounds"; fmt_s "recovered"; fmt_s "rate" ];
   let n = 6 in
@@ -178,23 +210,19 @@ let e2 rng =
     [ fmt_s "N"; fmt_s "elt"; fmt_s "order"; fmt_s "queries"; fmt_s "ok" ];
   List.iter
     (fun (n, a) ->
-      let queries = Quantum.Query.create () in
-      let o =
-        Quantum.Shor.find_order rng
-          ~pow:(fun k -> Numtheory.Arith.powmod a k n)
-          ~order_bound:n ~queries
-      in
-      (* a^order = 1 (mod N), and no smaller power is *)
-      let ok =
-        match o with
-        | Some o -> Numtheory.Arith.powmod a o n = 1 && o = brute_order a n
-        | None -> false
+      let r, o =
+        Runner.closed_form ~instance:(Printf.sprintf "ord(%d mod %d)" a n) ~algorithm:"shor"
+          (fun queries ->
+            let pow k = Numtheory.Arith.powmod a k n in
+            let o = Quantum.Shor.find_order rng ~pow ~order_bound:n ~queries in
+            (* the least k > 0 with a^k = 1 (mod N) *)
+            (o = Some (brute_order a n), o))
       in
       row
-        [ fmt_i n; fmt_i a;
-          fmt_s (match o with Some o -> string_of_int o | None -> "fail");
-          fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool ok) ])
+        [ fmt_i n; fmt_i a; fmt_s (Option.fold ~none:"fail" ~some:string_of_int o);
+          quantum_cell r; ok_cell [ r ] ])
     [ (15, 2); (25, 2); (77, 3); (123, 2); (255, 2); (501, 5) ];
+  (* E2b and E2c count no queries: their checks stay in the rows *)
   header "E2b: factoring via order finding" [ fmt_s "N"; fmt_s "factors"; fmt_s "ok" ];
   List.iter
     (fun n ->
@@ -226,38 +254,35 @@ let e3 rng =
   header
     "E3: hidden normal subgroup (Thm 8) — f-queries scale with |G/N|, classical with |G|"
     [ fmt_s "group"; fmt_s "|G|"; fmt_s "|G/N|"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok" ];
-  (* one row: the solve's f-queries against a classical baseline of
-     [classical] queries *)
-  let solve_row name (inst : _ Instances.t) size classical =
-    let g = inst.Instances.group in
-    let res = Normal_hsp.solve rng g inst.Instances.hiding in
-    let c, _ = Hiding.total_queries inst.Instances.hiding in
-    let ok = Group.subgroup_equal g res.Normal_hsp.generators inst.Instances.hidden_gens in
+  (* one row: the solve's f-queries against the classical baseline's *)
+  let solve_row name inst =
+    let r, res =
+      keep ~algorithm:"normal" inst
+        (fun i -> Normal_hsp.solve rng i.Instances.group i.Instances.hiding)
+        (fun res -> res.Normal_hsp.generators)
+    in
+    let c = baseline inst in
     row
-      [ fmt_s name; fmt_i size; fmt_i res.Normal_hsp.quotient_order; fmt_i c; fmt_i classical;
-        fmt_s (string_of_bool ok) ]
+      [ fmt_s name; order_cell r; fmt_i res.Normal_hsp.quotient_order; classical_cell r;
+        classical_cell c; ok_cell [ r; c ] ]
   in
   let run_dihedral n d =
-    let inst2 = Instances.dihedral_rotation ~n ~d in
-    ignore (Classical.brute_force inst2.Instances.group inst2.Instances.hiding);
-    solve_row (Printf.sprintf "D_%d/s^%d" n d) (Instances.dihedral_rotation ~n ~d) (2 * n)
-      (fst (Hiding.total_queries inst2.Instances.hiding))
+    solve_row (Printf.sprintf "D_%d/s^%d" n d) (Instances.dihedral_rotation ~n ~d)
   in
   (* growing group, fixed quotient: queries should stay flat *)
   List.iter (fun n -> run_dihedral n 2) [ 12; 24; 48; 96; 192 ];
   (* fixed group, growing quotient: queries should grow with |G/N| *)
   List.iter (fun d -> run_dihedral 96 d) [ 2; 4; 8; 16 ];
   (* permutation groups *)
-  solve_row "S4/V4" (Instances.perm_normal_klein ()) 24 25;
+  solve_row "S4/V4" (Instances.perm_normal_klein ());
   let s4 = Perm.symmetric 4 in
-  solve_row "S4/A4" (Instances.make ~name:"A4" s4 (Group.elements (Perm.alternating 4))) 24 25;
+  solve_row "S4/A4" (Instances.make ~name:"A4" s4 (Group.elements (Perm.alternating 4)));
   (* solvable metacyclic groups: Frobenius and affine translations *)
-  let metacyclic name inst size = solve_row name inst size (size + 1) in
-  metacyclic "F21/Z7" (Instances.frobenius_translations ~p:7 ~q:3) 21;
-  metacyclic "F55/Z11" (Instances.frobenius_translations ~p:11 ~q:5) 55;
-  metacyclic "F253/Z23" (Instances.frobenius_translations ~p:23 ~q:11) 253;
-  metacyclic "AGL5/Z5" (Instances.affine_translations ~p:5) 20;
-  metacyclic "AGL13/Z13" (Instances.affine_translations ~p:13) 156
+  solve_row "F21/Z7" (Instances.frobenius_translations ~p:7 ~q:3);
+  solve_row "F55/Z11" (Instances.frobenius_translations ~p:11 ~q:5);
+  solve_row "F253/Z23" (Instances.frobenius_translations ~p:23 ~q:11);
+  solve_row "AGL5/Z5" (Instances.affine_translations ~p:5);
+  solve_row "AGL13/Z13" (Instances.affine_translations ~p:13)
 
 (* ------------------------------------------------------------------ *)
 (* E4: small commutator subgroup (Theorem 11 / Corollary 12)          *)
@@ -266,23 +291,18 @@ let e3 rng =
 let e4 rng =
   header "E4: HSP in extra-special H_p (Cor 12) — cost poly(input + p), classical p^3"
     [ fmt_s "p"; fmt_s "|G|"; fmt_s "|G'|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "classical"; fmt_s "ok" ];
-  (* [solve solver inst] returns [solver]'s result on [inst], its
-     classical and quantum queries, and the row's ok cell *)
-  let solve solver (inst : _ Instances.t) =
-    let res = solver rng inst.Instances.group inst.Instances.hiding in
-    let c, q = Hiding.total_queries inst.Instances.hiding in
-    let ok =
-      Group.subgroup_equal inst.Instances.group res.Small_commutator.generators
-        inst.Instances.hidden_gens
-    in
-    (res, c, q, fmt_s (string_of_bool ok))
+  let solve solver inst =
+    keep ~algorithm:"commutator" inst
+      (fun i -> solver rng i.Instances.group i.Instances.hiding)
+      (fun res -> res.Small_commutator.generators)
   in
+  (* the classical column is |G| = p^3 *)
   List.iter
     (fun p ->
-      let res, c, q, ok = solve Small_commutator.solve (Instances.heisenberg_random rng ~p ~m:1) in
+      let r, res = solve Small_commutator.solve (Instances.heisenberg_random rng ~p ~m:1) in
       row
-        [ fmt_i p; fmt_i (p * p * p); fmt_i res.Small_commutator.commutator_order;
-          fmt_i q; fmt_i c; fmt_i (p * p * p); ok ])
+        [ fmt_i p; order_cell r; fmt_i res.Small_commutator.commutator_order; quantum_cell r;
+          classical_cell r; order_cell r; ok_cell [ r ] ])
     [ 2; 3; 5; 7; 11 ];
   header "E4b: ablation — direct Abelian sampling vs the literal Theorem-8 route"
     [ fmt_s "p"; fmt_s "route"; fmt_s "q-class"; fmt_s "ok" ];
@@ -290,18 +310,18 @@ let e4 rng =
     (fun p ->
       List.iter
         (fun (route, solver) ->
-          let _, c, _, ok = solve solver (Instances.heisenberg_random rng ~p ~m:1) in
-          row [ fmt_i p; fmt_s route; fmt_i c; ok ])
+          let r, _ = solve solver (Instances.heisenberg_random rng ~p ~m:1) in
+          row [ fmt_i p; fmt_s route; classical_cell r; ok_cell [ r ] ])
         [ ("abelian", Small_commutator.solve); ("thm8", Small_commutator.solve_via_theorem8) ])
     [ 3; 5 ];
   header "E4c: dicyclic Q_4n — |G'| = n grows with the group (no separation, still correct)"
     [ fmt_s "n"; fmt_s "|G|"; fmt_s "|G'|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun n ->
-      let res, c, q, ok = solve Small_commutator.solve (Instances.dicyclic_random rng ~n) in
+      let r, res = solve Small_commutator.solve (Instances.dicyclic_random rng ~n) in
       row
-        [ fmt_i n; fmt_i (4 * n); fmt_i res.Small_commutator.commutator_order; fmt_i q;
-          fmt_i c; ok ])
+        [ fmt_i n; order_cell r; fmt_i res.Small_commutator.commutator_order; quantum_cell r;
+          classical_cell r; ok_cell [ r ] ])
     [ 2; 4; 8; 16; 32 ]
 
 (* ------------------------------------------------------------------ *)
@@ -313,42 +333,35 @@ let e5 rng =
     [ fmt_s "k"; fmt_s "|G|"; fmt_s "algo"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun k ->
-      let order = 1 lsl ((2 * k) + 1) in
       let inst = Instances.wreath_random rng ~k in
-      (* each algorithm solves the same instance from reset counters *)
-      let algo name solve =
-        Hiding.reset inst.Instances.hiding;
-        let gens = solve () in
-        let c, q = Hiding.total_queries inst.Instances.hiding in
-        let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
-        row [ fmt_i k; fmt_i order; fmt_s name; fmt_i q; fmt_i c; fmt_s (string_of_bool ok) ]
-      in
-      algo "thm13" (fun () ->
-          (Elem_abelian2.solve_general rng inst.Instances.group
-             ~n_gens:(Wreath.base_gens k) inst.Instances.hiding)
-            .Elem_abelian2.generators);
-      algo "RB" (fun () -> Roetteler_beth.solve rng ~k inst.Instances.hiding);
-      algo "classic" (fun () ->
-          Classical.brute_force inst.Instances.group inst.Instances.hiding))
+      (* each algorithm solves the same instance; Runner resets its
+         counters *)
+      List.iter
+        (fun (algorithm, solver) ->
+          let r = Runner.run ~algorithm inst ~solver in
+          row
+            [ fmt_i k; order_cell r; fmt_s algorithm; quantum_cell r; classical_cell r;
+              ok_cell [ r ] ])
+        [ ( "thm13",
+            fun i ->
+              (Elem_abelian2.solve_general rng i.Instances.group ~n_gens:(Wreath.base_gens k)
+                 i.Instances.hiding)
+                .Elem_abelian2.generators );
+          ("RB", fun i -> Roetteler_beth.solve rng ~k i.Instances.hiding);
+          ("classic", brute_force) ])
     [ 2; 3; 4; 5 ];
   header "E5b: non-cyclic factor group — Z_2^4 x| V_4 (Thm 13 general, |G/N| = 4)"
     [ fmt_s "|G|"; fmt_s "|G/N|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
-  let top =
-    [ Perm.of_cycles 4 [ [ 0; 1 ]; [ 2; 3 ] ]; Perm.of_cycles 4 [ [ 0; 2 ]; [ 1; 3 ] ] ]
-  in
+  let top = [ Perm.of_cycles 4 [ [ 0; 1 ]; [ 2; 3 ] ]; Perm.of_cycles 4 [ [ 0; 2 ]; [ 1; 3 ] ] ] in
   let g = Semidirect_perm.group ~n:4 ~top in
   let n_gens = Semidirect_perm.base_gens ~n:4 in
   for _ = 1 to 3 do
-    let h_gens = Group.random_subgroup_gens rng g in
-    let inst = Instances.make ~name:"Z2^4:V4" g h_gens in
-    let res = Elem_abelian2.solve_general rng g ~n_gens inst.Instances.hiding in
-    let c, q = Hiding.total_queries inst.Instances.hiding in
-    let ok =
-      Group.subgroup_equal g res.Elem_abelian2.generators inst.Instances.hidden_gens
-    in
+    let inst = Instances.make ~name:"Z2^4:V4" g (Group.random_subgroup_gens rng g) in
+    let solve i = Elem_abelian2.solve_general rng g ~n_gens i.Instances.hiding in
+    let r, res = keep ~algorithm:"thm13-general" inst solve (fun x -> x.Elem_abelian2.generators) in
     row
-      [ fmt_i (Group.order g); fmt_i res.Elem_abelian2.quotient_order; fmt_i q; fmt_i c;
-        fmt_s (string_of_bool ok) ]
+      [ order_cell r; fmt_i res.Elem_abelian2.quotient_order; quantum_cell r; classical_cell r;
+        ok_cell [ r ] ]
   done
 
 (* ------------------------------------------------------------------ *)
@@ -356,23 +369,19 @@ let e5 rng =
 (* ------------------------------------------------------------------ *)
 
 let e6 rng =
+  let solve inst n_gens =
+    keep ~algorithm:"thm13-cyclic" inst
+      (fun i -> Elem_abelian2.solve_cyclic rng i.Instances.group ~n_gens i.Instances.hiding)
+      (fun res -> res.Elem_abelian2.generators)
+  in
   header "E6: HSP in Z_2^n x| Z_m (Thm 13, cyclic factor) — |V| = O(log |G/N|)"
     [ fmt_s "n"; fmt_s "m"; fmt_s "|G|"; fmt_s "|V|"; fmt_s "q-quant"; fmt_s "q-class"; fmt_s "ok" ];
   List.iter
     (fun (n, m) ->
-      let inst = Instances.semidirect_random rng ~n ~m in
-      let res =
-        Elem_abelian2.solve_cyclic rng inst.Instances.group
-          ~n_gens:(Semidirect.base_gens ~n) inst.Instances.hiding
-      in
-      let c, q = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal inst.Instances.group res.Elem_abelian2.generators
-          inst.Instances.hidden_gens
-      in
+      let r, res = solve (Instances.semidirect_random rng ~n ~m) (Semidirect.base_gens ~n) in
       row
-        [ fmt_i n; fmt_i m; fmt_i ((1 lsl n) * m); fmt_i res.Elem_abelian2.transversal_size;
-          fmt_i q; fmt_i c; fmt_s (string_of_bool ok) ])
+        [ fmt_i n; fmt_i m; order_cell r; fmt_i res.Elem_abelian2.transversal_size;
+          quantum_cell r; classical_cell r; ok_cell [ r ] ])
     [ (3, 3); (4, 2); (4, 4); (6, 2); (6, 3); (6, 6); (8, 2); (8, 4); (10, 2) ];
   (* the paper's own Section 6 matrix family *)
   header "E6b: Section 6 matrix groups over GF(2)"
@@ -383,13 +392,8 @@ let e6 rng =
       let g = Matrix_group.section6_group ~p:2 ~a vs in
       let n_gens = Group.normal_closure g (Matrix_group.section6_normal_gens ~p:2 ~k vs) in
       let hidden = [ Matrix_group.section6_type_b ~p:2 ~k (Array.make k 1) ] in
-      let inst = Instances.make ~name:"sec6" g hidden in
-      let res = Elem_abelian2.solve_cyclic rng g ~n_gens inst.Instances.hiding in
-      let _, q = Hiding.total_queries inst.Instances.hiding in
-      let ok =
-        Group.subgroup_equal g res.Elem_abelian2.generators inst.Instances.hidden_gens
-      in
-      row [ fmt_i k; fmt_i (Group.order g); fmt_i q; fmt_s (string_of_bool ok) ])
+      let r, _ = solve (Instances.make ~name:"sec6" g hidden) n_gens in
+      row [ fmt_i k; order_cell r; quantum_cell r; ok_cell [ r ] ])
     [
       ([| [| 0; 1 |]; [| 1; 1 |] |], [ [| 1; 0 |]; [| 0; 1 |] ]);
       ( [| [| 0; 1; 0 |]; [| 0; 0; 1 |]; [| 1; 0; 0 |] |],
@@ -408,17 +412,19 @@ let e7 rng =
     (fun n ->
       let d = (n / 3) + 1 in
       let inst = Instances.dihedral_reflection ~n ~d in
-      let res = Ettinger_hoyer.solve rng ~n inst.Instances.hiding in
-      let _, q = Hiding.total_queries inst.Instances.hiding in
-      let inst2 = Instances.dihedral_reflection ~n ~d in
-      ignore (Classical.brute_force inst2.Instances.group inst2.Instances.hiding);
-      let c_base, _ = Hiding.total_queries inst2.Instances.hiding in
-      match res with
-      | Some r ->
-          row
-            [ fmt_i n; fmt_i (2 * n); fmt_i q; fmt_i r.Ettinger_hoyer.candidates_scanned;
-              fmt_i c_base; fmt_s (string_of_bool (r.Ettinger_hoyer.slope = d)) ]
-      | None -> row [ fmt_i n; fmt_i (2 * n); fmt_i q; fmt_s "-"; fmt_i c_base; fmt_s "fail" ])
+      (* the answer {1, s^slope t} is H exactly when slope = d *)
+      let r, res =
+        keep ~algorithm:"ettinger-hoyer" inst
+          (fun i -> Ettinger_hoyer.solve rng ~n i.Instances.hiding)
+          (Option.fold ~none:[] ~some:(fun x -> [ Dihedral.reflection n x.Ettinger_hoyer.slope ]))
+      in
+      let c = baseline inst in
+      let scanned, ok =
+        match res with
+        | Some x -> (fmt_i x.Ettinger_hoyer.candidates_scanned, ok_cell [ r; c ])
+        | None -> (fmt_s "-", fmt_s "fail")
+      in
+      row [ fmt_i n; order_cell r; quantum_cell r; scanned; classical_cell c; ok ])
     [ 8; 16; 32; 64; 128; 256 ]
 
 (* ------------------------------------------------------------------ *)
@@ -430,13 +436,17 @@ let e8 rng =
     [ fmt_s "ambient"; fmt_s "exponent"; fmt_s "expect"; fmt_s "member"; fmt_s "q-quant";
       fmt_s "ok" ];
   let run name g hs target bound ~expect =
-    let queries = Quantum.Query.create () in
-    let res = Membership.express rng g ~hs target ~order_bound:bound ~queries in
+    let r, member =
+      Runner.closed_form ~instance:name ~algorithm:"membership" (fun queries ->
+          let member =
+            Option.is_some (Membership.express rng g ~hs target ~order_bound:bound ~queries)
+          in
+          (member = expect, member))
+    in
     let yes_no b = if b then "yes" else "no" in
-    let member = Option.is_some res in
     row
-      [ fmt_s name; fmt_i bound; fmt_s (yes_no expect); fmt_s (yes_no member);
-        fmt_i (Quantum.Query.count queries); fmt_s (string_of_bool (member = expect)) ]
+      [ fmt_s name; fmt_i bound; fmt_s (yes_no expect); fmt_s (yes_no member); quantum_cell r;
+        ok_cell [ r ] ]
   in
   let z = Cyclic.product [| 12; 18 |] in
   (* 2 (2, 3) + 2 (0, 6) = (4, 18) = (4, 0) *)
@@ -463,18 +473,17 @@ let e9 _ =
   (* one row: [solve] tried on every subgroup in [subs]; the sweep
      passes when it solves them all *)
   let sweep name g thm subs solve =
-    let solved =
-      List.length
-        (List.filter
-           (fun h_elems ->
-             let inst = Instances.make ~name g h_elems in
-             Group.subgroup_equal g (solve inst.Instances.hiding) inst.Instances.hidden_gens)
-           subs)
+    let reports =
+      List.map
+        (fun h_elems ->
+          Runner.run ~algorithm:thm (Instances.make ~name g h_elems) ~solver:(fun i ->
+              solve i.Instances.hiding))
+        subs
     in
-    let n = List.length subs in
+    let solved = List.length (List.filter (fun r -> r.Runner.ok) reports) in
     row
-      [ fmt_s name; fmt_i (Group.order g); fmt_s thm; fmt_i n; fmt_i solved;
-        fmt_s (string_of_bool (solved = n)) ]
+      [ fmt_s name; order_cell (List.hd reports); fmt_s thm; fmt_i (List.length subs);
+        fmt_i solved; ok_cell reports ]
   in
   let sweep_thm11 : 'a. string -> 'a Group.t -> unit =
    fun name g ->
@@ -524,8 +533,6 @@ let e10 rng =
     let ok = hnf gens = hnf (Instances.quotient_gens ~dims ~moduli) in
     (ok, Quantum.Query.count queries, m)
   in
-  let total dims = Array.fold_left ( * ) 1 dims in
-  let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   List.iter
     (fun (dims, moduli) ->
       List.iter
@@ -581,26 +588,15 @@ let e11 _ =
   (* (a) Coset-state Fourier sampling on two large cyclic wires: the
      QFT fast path (FFT over long fibres) plus full-register
      measurement on growing dense registers (2^18, 2^20, 2^22). *)
-  let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   List.iter
     (fun (dims, moduli, rounds) ->
-      run_workload (show dims)
-        (Array.fold_left ( * ) 1 dims)
-        (fun rng ->
+      run_workload (show dims) (total dims) (fun rng ->
           let queries = Quantum.Query.create () in
           let draw =
             Quantum.Coset_state.sampler_with_subgroup ~backend:Quantum.Backend.Dense ~dims
               ~subgroup:(Instances.quotient_gens ~dims ~moduli) ~queries ()
           in
-          let buf = Buffer.create 256 in
-          for _ = 1 to rounds do
-            Array.iter
-              (fun v ->
-                Buffer.add_string buf (string_of_int v);
-                Buffer.add_char buf ',')
-              (draw rng)
-          done;
-          Digest.string (Buffer.contents buf)))
+          outcome_digest (List.init rounds (fun _ -> draw rng))))
     [
       ([| 512; 512 |], [| 16; 32 |], 6);
       ([| 1024; 1024 |], [| 32; 32 |], 4);
@@ -611,9 +607,7 @@ let e11 _ =
      an oracle write and a basis shift — the kernels workload (a)'s
      FFT path does not touch. *)
   let dims = Array.make 10 4 in
-  run_workload "4^10-wires"
-    (Array.fold_left ( * ) 1 dims)
-    (fun rng ->
+  run_workload "4^10-wires" (total dims) (fun rng ->
       let st = ref (Quantum.State.uniform dims) in
       let n = Array.length dims in
       for w = 0 to n - 1 do
@@ -625,17 +619,11 @@ let e11 _ =
       st :=
         Quantum.State.apply_basis_map !st (fun x ->
             Array.mapi (fun i xi -> (xi + i) mod dims.(i)) x);
-      let buf = Buffer.create 256 in
-      for _ = 1 to 3 do
-        let outcome, post = Quantum.State.measure rng !st ~wires:[ 0; 3; 7 ] in
-        st := post;
-        Array.iter
-          (fun v ->
-            Buffer.add_string buf (string_of_int v);
-            Buffer.add_char buf ',')
-          outcome
-      done;
-      Digest.string (Buffer.contents buf))
+      outcome_digest
+        (List.init 3 (fun _ ->
+             let outcome, post = Quantum.State.measure rng !st ~wires:[ 0; 3; 7 ] in
+             st := post;
+             outcome)))
 
 (* ------------------------------------------------------------------ *)
 (* E12: sparse coset sampling — shared O(|G|) prep, O(|coset|) rounds *)
@@ -653,17 +641,15 @@ let e12 _ =
     "E12: sparse coset sampling ladder — O(|G|) prep shared across rounds, bit-identical at every job count"
     [ fmt_s "dims"; fmt_s "|G|"; fmt_s "jobs"; fmt_s "support"; fmt_s "visits";
       fmt_s "digest"; fmt_s "ok" ];
-  let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   List.iter
     (fun (dims, moduli, rounds) ->
-      let total = Array.fold_left ( * ) 1 dims in
       let f x =
         Quantum.Backend.encode moduli (Array.map2 (fun xi m -> xi mod m) x moduli)
       in
       List.iter
         (fun (jobs, digest, ok, m) ->
           row
-            [ fmt_s (show dims); fmt_i total; fmt_i jobs;
+            [ fmt_s (show dims); fmt_i (total dims); fmt_i jobs;
               fmt_i m.Quantum.Metrics.peak_support; fmt_i m.Quantum.Metrics.coset_visits;
               fmt_s (String.sub (Digest.to_hex digest) 0 8); fmt_s (string_of_bool ok) ])
         (across ~seed:0xe12
@@ -674,16 +660,9 @@ let e12 _ =
              let draw =
                Quantum.Coset_state.sampler ~backend:Quantum.Backend.Sparse ~dims ~f ~queries ()
              in
-             let buf = Buffer.create 256 in
              (* the first draw pays the shared bucketing pass *)
-             for _ = 0 to rounds do
-               Array.iter
-                 (fun v ->
-                   Buffer.add_string buf (string_of_int v);
-                   Buffer.add_char buf ',')
-                 (draw rng)
-             done;
-             (Digest.string (Buffer.contents buf), Quantum.Metrics.snapshot ()))))
+             let d = outcome_digest (List.init (rounds + 1) (fun _ -> draw rng)) in
+             (d, Quantum.Metrics.snapshot ()))))
     [
       ([| 1024; 1024 |], [| 16; 16 |], 6);
       ([| 2048; 2048 |], [| 16; 16 |], 4);
@@ -709,7 +688,6 @@ let e12 _ =
 
 let e13 rng =
   let module BS = Quantum.Backend_symbolic in
-  let show dims = String.concat "x" (List.map string_of_int (Array.to_list dims)) in
   (* H = span{e_{2i} + e_{2i+1}} over Z_d^r: order d^(r/2), every coset
      proper, the same planted family the symbolic tests use. *)
   let pair_gens ~r =
@@ -800,7 +778,7 @@ let e13 rng =
       Printf.printf "claim violation: E13b symbolic/dense divergence chi2=%.2f > %.2f on %s\n"
         !stat thresh (show dims);
     row
-      [ fmt_s (show dims); fmt_i (Array.fold_left ( * ) 1 dims); fmt_i n; fmt_i ncells;
+      [ fmt_s (show dims); fmt_i (total dims); fmt_i n; fmt_i ncells;
         fmt_f !stat; fmt_f thresh; fmt_s (string_of_bool ok) ]
   in
   chi2_gate [| 4; 6; 8 |] [ [| 2; 0; 0 |]; [| 0; 3; 4 |] ] 4000;

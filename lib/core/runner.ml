@@ -23,7 +23,6 @@ type report = {
   instance : string;
   algorithm : string;
   ok : bool;
-  verified : bool;
   classical_queries : int;
   quantum_queries : int;
   group_order : int;
@@ -31,42 +30,42 @@ type report = {
   metrics : Quantum.Metrics.snapshot;
 }
 
-let run ?(verify = true) ~algorithm (inst : 'a Instances.t) ~solver =
+let run ~algorithm (inst : 'a Instances.t) ~solver =
   Hiding.reset inst.Instances.hiding;
   Quantum.Metrics.reset ();
   let gens = solver inst in
   let metrics = Quantum.Metrics.snapshot () in
   let classical_queries, quantum_queries = Hiding.total_queries inst.Instances.hiding in
-  (* Ground-truth verification enumerates the group (Group.order /
-     Group.closure are Theta(|G|)), so it must be skippable for
-     instances run beyond the dense cap precisely because |G| is
-     huge.  An unverified report says so explicitly rather than
-     pretending: ok stays vacuously true, verified = false, and the
-     orders are marked absent. *)
-  if verify then
+  {
+    instance = inst.Instances.name;
+    algorithm;
+    ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens;
+    classical_queries;
+    quantum_queries;
+    group_order = Group.order inst.Instances.group;
+    subgroup_order = List.length (Group.closure inst.Instances.group inst.Instances.hidden_gens);
+    metrics;
+  }
+
+(* Solvers with no Instances wrapper (order finding, membership): the
+   check is closed-form and the report carries no enumerated orders. *)
+let closed_form ~instance ~algorithm f =
+  Quantum.Metrics.reset ();
+  let queries = Quantum.Query.create () in
+  let ok, answer = f queries in
+  let report =
     {
-      instance = inst.Instances.name;
+      instance;
       algorithm;
-      ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens;
-      verified = true;
-      classical_queries;
-      quantum_queries;
-      group_order = Group.order inst.Instances.group;
-      subgroup_order = List.length (Group.closure inst.Instances.group inst.Instances.hidden_gens);
-      metrics;
-    }
-  else
-    {
-      instance = inst.Instances.name;
-      algorithm;
-      ok = true;
-      verified = false;
-      classical_queries;
-      quantum_queries;
+      ok;
+      classical_queries = 0;
+      quantum_queries = Quantum.Query.count queries;
       group_order = -1;
       subgroup_order = -1;
-      metrics;
+      metrics = Quantum.Metrics.snapshot ();
     }
+  in
+  (report, answer)
 
 (* The one-instance-per-theorem set, shared by the bench smoke gate and
    the configuration-matrix test.  Instances are drawn from [rng] in
@@ -94,25 +93,9 @@ let solved ~thm ~order ?(quotient = 1) ?(commutator = 1) ?(nu = 1) ~algorithm in
   in
   { thm; order; quotient; commutator; nu; report; answer = !answer }
 
-(* Theorems 4 and 6 have no Instances wrapper: their checks are
-   closed-form and their reports carry no enumerated orders. *)
-let closed_form ~thm ~order ~instance ~algorithm f =
-  Quantum.Metrics.reset ();
-  let queries = Quantum.Query.create () in
-  let ok, answer = f queries in
-  let report =
-    {
-      instance;
-      algorithm;
-      ok;
-      verified = true;
-      classical_queries = 0;
-      quantum_queries = Quantum.Query.count queries;
-      group_order = -1;
-      subgroup_order = -1;
-      metrics = Quantum.Metrics.snapshot ();
-    }
-  in
+(* Theorems 4 and 6 go through [closed_form]. *)
+let closed ~thm ~order ~instance ~algorithm f =
+  let report, answer = closed_form ~instance ~algorithm f in
   { thm; order; quotient = 1; commutator = 1; nu = 1; report; answer }
 
 let theorem_runs rng =
@@ -146,7 +129,7 @@ let theorem_runs rng =
           .Elem_abelian2.generators)
   in
   let t4 =
-    closed_form ~thm:"4" ~order:15 ~instance:"ord(2 mod 15)" ~algorithm:"shor" (fun queries ->
+    closed ~thm:"4" ~order:15 ~instance:"ord(2 mod 15)" ~algorithm:"shor" (fun queries ->
         let o =
           Quantum.Shor.find_order rng
             ~pow:(fun k -> Numtheory.Arith.powmod 2 k 15)
@@ -155,7 +138,7 @@ let theorem_runs rng =
         (o = Some 4, match o with Some r -> string_of_int r | None -> "none"))
   in
   let t6 =
-    closed_form ~thm:"6" ~order:36 ~instance:"Z12xZ18" ~algorithm:"membership" (fun queries ->
+    closed ~thm:"6" ~order:36 ~instance:"Z12xZ18" ~algorithm:"membership" (fun queries ->
         let z = Cyclic.product [| 12; 18 |] in
         match
           Membership.express rng z ~hs:[ [| 2; 3 |]; [| 0; 6 |] ] [| 4; 0 |] ~order_bound:36

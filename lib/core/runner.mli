@@ -27,36 +27,30 @@ type report = {
   instance : string;
   algorithm : string;
   ok : bool;
-      (** returned generators generate exactly the hidden subgroup;
-          vacuously [true] when [verified = false] *)
-  verified : bool;
-      (** whether ground-truth verification actually ran; [false] when
-          {!run} was called with [~verify:false] *)
+      (** returned generators generate exactly the hidden subgroup; for
+          a {!closed_form} check, its verdict *)
   classical_queries : int;
   quantum_queries : int;
-  group_order : int;
-      (** [-1] when the group was not enumerated (unverified, or a
-          closed-form check) *)
-  subgroup_order : int;  (** [-1] when the group was not enumerated *)
+  group_order : int;  (** [-1] for a {!closed_form} check *)
+  subgroup_order : int;  (** [-1] for a {!closed_form} check *)
   metrics : Quantum.Metrics.snapshot;
       (** simulator cost ledger accumulated during the solve *)
 }
 
-val run :
-  ?verify:bool ->
-  algorithm:string ->
-  'a Instances.t ->
-  solver:('a Instances.t -> 'a list) ->
-  report
+val run : algorithm:string -> 'a Instances.t -> solver:('a Instances.t -> 'a list) -> report
 (** Resets the instance's counters and the {!Quantum.Metrics} ledger,
     runs the solver, and checks the result with
-    {!Groups.Group.subgroup_equal}.
+    {!Groups.Group.subgroup_equal}.  The check and both orders
+    enumerate the group ([Group.order] and [Group.closure] are
+    Theta(|G|)), so [run] is for instances that can be enumerated. *)
 
-    Verification enumerates the group — [Group.order] and
-    [Group.closure] are Theta(|G|) — which is exactly what the
-    beyond-cap instances cannot afford; pass [~verify:false] (default
-    [true]) to skip it.  The report then carries [verified = false],
-    [ok = true] vacuously, and [-1] for both orders. *)
+val closed_form :
+  instance:string -> algorithm:string -> (Quantum.Query.t -> bool * 'r) -> report * 'r
+(** For solvers with no {!Instances} wrapper (order finding,
+    constructive membership): resets the {!Quantum.Metrics} ledger and
+    runs [f] on a fresh query counter.  [f] returns its closed-form
+    verdict, which becomes [ok], and its answer, returned alongside the
+    report.  The queries are all quantum and both orders are [-1]. *)
 
 (** {2 One instance per theorem}
 
@@ -73,9 +67,8 @@ type theorem_run = {
   commutator : int;  (** |G'|; [1] when not applicable *)
   nu : int;  (** nu(G/N) *)
   report : report;
-      (** for Theorems 4 and 6, [ok] is the closed-form check (order 4;
-          an expression exists), the queries are all quantum, and both
-          orders are [-1] *)
+      (** for Theorems 4 and 6, a {!closed_form} report: [ok] is the
+          check (order 4; an expression exists) *)
   answer : string;
       (** the solver's answer rendered canonically (generators by the
           group's [repr], the order, or the membership exponents), so

@@ -74,6 +74,9 @@ let listen ~socket_path service =
     conn_threads = [];
   }
 
+(* seconds the accept loop waits before retrying after EMFILE/ENFILE *)
+let accept_backoff = 0.01
+
 let accept_loop server =
   let rec loop () =
     let accepting = Mutex.protect server.slock (fun () -> server.accepting) in
@@ -88,6 +91,12 @@ let accept_loop server =
           (* listener shut down by a shutdown request *)
           ()
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
+      | exception Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE), _, _) ->
+          (* out of descriptors: back-pressure, not the end of the
+             daemon.  The pending connection stays queued on the
+             listener; retry once a connection has closed. *)
+          Thread.delay accept_backoff;
+          loop ()
     end
   in
   loop ();

@@ -5,8 +5,11 @@
     malformed frames get a [malformed] reply on the live connection,
     solver exceptions come back classified, and only EOF or transport
     errors (a client gone before its reply included) close a
-    connection.  A [shutdown] request is acknowledged, then the accept
-    loop drains connections and stops the engine. *)
+    connection.  Running out of descriptors ([EMFILE] / [ENFILE] from
+    [accept]) is back-pressure: the accept loop waits briefly and
+    retries, and the pending client is served once a descriptor is
+    free.  A [shutdown] request is acknowledged, then the accept loop
+    drains connections and stops the engine. *)
 
 type t
 

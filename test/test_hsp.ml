@@ -705,7 +705,12 @@ let test_runner_report () =
   checkb "ok" true report.Runner.ok;
   checki "group order" 16 report.Runner.group_order;
   checki "subgroup order" 2 report.Runner.subgroup_order;
-  checkb "counted" true (report.Runner.quantum_queries > 0)
+  checkb "counted" true (report.Runner.quantum_queries > 0);
+  (* the gate can fail: a solver that answers the trivial subgroup is
+     wrong here, since |H| = 2 *)
+  let wrong = Runner.run ~algorithm:"trivial" inst ~solver:(fun _ -> []) in
+  checkb "wrong answer fails" false wrong.Runner.ok;
+  checki "subgroup order of the wrong run" 2 wrong.Runner.subgroup_order
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                  *)

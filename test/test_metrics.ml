@@ -1,8 +1,8 @@
 (* Cost-ledger observability and correctness-fix regressions.
 
    Covers the metrics ledger ({!Quantum.Metrics}), the discrete-sampler
-   fallback fix, query-counter reset semantics across {!Hsp.Runner.run}
-   invocations, and the [verify:false] report marker. *)
+   fallback fix, and query-counter reset semantics across
+   {!Hsp.Runner.run} invocations. *)
 
 open Hsp
 open Quantum
@@ -335,23 +335,6 @@ let test_hiding_reset_zeroes () =
   let c, q = Hiding.total_queries inst.Instances.hiding in
   checkb "reset zeroes both counters" true (c = 0 && q = 0)
 
-(* ------------------------------------------------------------------ *)
-(* Runner verification marker                                         *)
-(* ------------------------------------------------------------------ *)
-
-let test_runner_verify_flag () =
-  setup ();
-  let inst = Instances.simon ~n:3 ~mask:[| 0; 1; 1 |] in
-  let verified = Runner.run ~algorithm:"abelian" inst ~solver:solve_simon in
-  checkb "default verifies" true verified.Runner.verified;
-  checki "group order computed" 8 verified.Runner.group_order;
-  let skipped = Runner.run ~verify:false ~algorithm:"abelian" inst ~solver:solve_simon in
-  checkb "verify:false marks the report" false skipped.Runner.verified;
-  checkb "ok vacuously true, orders absent" true
-    (skipped.Runner.ok && skipped.Runner.group_order = -1
-   && skipped.Runner.subgroup_order = -1);
-  checkb "queries still accounted" true (skipped.Runner.quantum_queries > 0)
-
 let () =
   Alcotest.run "metrics"
     [
@@ -383,6 +366,4 @@ let () =
             test_runner_resets_counters_between_runs;
           Alcotest.test_case "hiding reset zeroes" `Quick test_hiding_reset_zeroes;
         ] );
-      ( "runner",
-        [ Alcotest.test_case "verify flag and n/a marker" `Quick test_runner_verify_flag ] );
     ]
