@@ -296,13 +296,14 @@ let e4 rng =
       (fun i -> solver rng i.Instances.group i.Instances.hiding)
       (fun res -> res.Small_commutator.generators)
   in
-  (* the classical column is |G| = p^3 *)
   List.iter
     (fun p ->
-      let r, res = solve Small_commutator.solve (Instances.heisenberg_random rng ~p ~m:1) in
+      let inst = Instances.heisenberg_random rng ~p ~m:1 in
+      let r, res = solve Small_commutator.solve inst in
+      let c = baseline inst in
       row
         [ fmt_i p; order_cell r; fmt_i res.Small_commutator.commutator_order; quantum_cell r;
-          classical_cell r; order_cell r; ok_cell [ r ] ])
+          classical_cell r; classical_cell c; ok_cell [ r; c ] ])
     [ 2; 3; 5; 7; 11 ];
   header "E4b: ablation — direct Abelian sampling vs the literal Theorem-8 route"
     [ fmt_s "p"; fmt_s "route"; fmt_s "q-class"; fmt_s "ok" ];
@@ -881,7 +882,7 @@ let e13 rng =
    planted "Z_2^100x|Z_2" "13" 101.0 ~dims:(Array.make (n + 1) 2) (w :: base) 420)
 
 (* ------------------------------------------------------------------ *)
-(* E14: hsp_served traffic replay — cached, batched service layer     *)
+(* E14: hsp_served traffic replay — cached service layer              *)
 (* ------------------------------------------------------------------ *)
 
 (* Engine-level replay (no socket): a seeded mixed workload over 18
@@ -898,11 +899,11 @@ let e13 rng =
    5x the thrashed cold path; that ratio is the one wall-clock reading
    in this harness, and its row prints only the verdict (bench/perf's
    served workload measures throughput and latency).  Each row also
-   reports the pass's cache misses, gated exactly: the executor is serial and the cache holds
-   every oracle, so a cold mixed pass misses once per distinct oracle
-   and a warm one never, however the threads happen to group requests
-   into batches (a hit rate would move with that grouping); the
-   thrashed slice misses on every request and the warm slice never. *)
+   reports the pass's cache misses, gated exactly: the executor runs
+   one request at a time and the cache holds every oracle, so a cold
+   mixed pass misses once per distinct oracle and a warm one never,
+   however the threads' requests interleave; the thrashed slice misses
+   on every request and the warm slice never. *)
 
 (* The workload seeds its own streams, so E14 ignores the experiment's. *)
 let e14 _ =
@@ -952,8 +953,8 @@ let e14 _ =
   in
   (* [replay engine nthreads reqs] drives the full client path minus
      the socket: worker threads pull from a shared cursor and block in
-     [Service.submit], so concurrent same-oracle requests really do
-     land in one executor batch.  Returns the wall-clock seconds and
+     [Service.submit], so same-oracle requests really do queue behind
+     one another's cold prep.  Returns the wall-clock seconds and
      whether every reply was ok. *)
   let replay engine nthreads reqs =
     let okc = Atomic.make 0 in
@@ -1008,10 +1009,10 @@ let e14 _ =
       "claim violation: E14 sampler_preps = %d after warm replay, want %d (one per distinct amplitude oracle)\n"
       preps2 n_amp
   end;
-  (* Repeated-oracle slice.  Same engine machinery both sides; one
-     thread, so no batch ever hides a prep.  Thrashing a 1-entry cache
-     between two same-shaped oracles is the uncached path: every
-     request rebuilds its O(|A|) buckets. *)
+  (* Repeated-oracle slice.  Same engine machinery both sides, one
+     thread each.  Thrashing a 1-entry cache between two same-shaped
+     oracles is the uncached path: every request rebuilds its O(|A|)
+     buckets. *)
   let rep =
     { Pr.dims = [| 8192; 128 |]; moduli = [| 64; 16 |];
       backend = Some Quantum.Backend.Sparse }

@@ -7,8 +7,8 @@
    [serve] runs the daemon on a Unix socket speaking the
    length-prefixed JSON protocol of lib/service: solve / sample /
    check-circuit / stats / shutdown, with prep artifacts (CSR coset
-   buckets, canonicalised HNF subgroups) cached across requests and
-   concurrent sample requests batched against the same prep.  [client]
+   buckets, canonicalised HNF subgroups) cached across requests, so
+   every request on an oracle after the first reuses its prep.  [client]
    sends one request and prints the reply.  [smoke] hosts a daemon on a
    temporary socket and drives the CI scenario against it: one request
    per backend route including a 2^120 symbolic instance, cache-hit
@@ -265,7 +265,7 @@ let smoke_cmd =
   Cmd.v info Term.(const run $ jobs_arg)
 
 let main =
-  let doc = "cached, batched HSP sampling and solving as a daemon" in
+  let doc = "HSP sampling and solving as a daemon, with a shared prep cache" in
   let info = Cmd.info "hsp_served" ~version:"%%VERSION%%" ~doc in
   Cmd.group info [ serve_cmd; client_cmd; smoke_cmd ]
 

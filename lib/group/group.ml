@@ -244,6 +244,6 @@ let random_element rng g =
   let all = Array.of_list (elements g) in
   all.(Random.State.int rng (Array.length all))
 
-let random_subgroup_gens rng ?(max_gens = 3) g =
-  let k = 1 + Random.State.int rng max_gens in
+let random_subgroup_gens rng g =
+  let k = 1 + Random.State.int rng 3 in
   List.init k (fun _ -> random_element rng g)

@@ -105,7 +105,7 @@ val composition_series : 'a t -> 'a list list (* hsp-lint: allow unused-export *
 val random_element : Random.State.t -> 'a t -> 'a (* hsp-lint: allow unused-export *)
 (** Uniform over the enumerated group. *)
 
-val random_subgroup_gens : Random.State.t -> ?max_gens:int -> 'a t -> 'a list
-(** A few uniform random elements — generators of a random subgroup
-    (distribution is whatever the closure of uniform picks gives;
-    useful for tests). *)
+val random_subgroup_gens : Random.State.t -> 'a t -> 'a list
+(** One to three uniform random elements — generators of a random
+    subgroup (distribution is whatever the closure of uniform picks
+    gives; useful for tests). *)

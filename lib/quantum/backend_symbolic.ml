@@ -114,21 +114,12 @@ let character ~dims p x =
     dims;
   !acc
 
-let of_coset ?(phase = [||]) ?(gphase = Cx.one) sub rep =
-  let dims = Subgroup.dims sub in
-  let r = Array.length dims in
+let of_coset sub rep =
+  let r = Array.length (Subgroup.dims sub) in
   if Array.length rep <> r then invalid_arg "Backend_symbolic: representative arity";
-  let phase =
-    if Array.length phase = 0 then Array.make r 0
-    else if Array.length phase <> r then invalid_arg "Backend_symbolic: phase arity"
-    else Array.init r (fun i -> Numtheory.Arith.emod phase.(i) dims.(i))
-  in
-  (* Canonicalising the representative absorbs a character value into
-     the global phase: moving c to c' = c - h multiplies every
-     amplitude by chi_p(c - c')... it does not — chi_p is evaluated at
-     absolute x, so the stored rep only selects the coset.  Reduction
-     is purely for equality of representations. *)
-  { sub; rep = Subgroup.reduce sub rep; phase; gphase }
+  (* chi_p is evaluated at absolute x, so the stored rep only selects
+     the coset: reducing it is purely for equality of representations. *)
+  { sub; rep = Subgroup.reduce sub rep; phase = Array.make r 0; gphase = Cx.one }
 
 let of_basis dims x =
   Array.iteri

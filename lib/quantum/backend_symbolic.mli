@@ -88,11 +88,11 @@ type t
 
 (** {2 Constructors} *)
 
-val of_coset : ?phase:int array -> ?gphase:Linalg.Cx.t -> Subgroup.t -> int array -> t
-(** [of_coset sub rep] is the uniform superposition over [rep + H] —
-    the state [Coset_state.sampler_with_subgroup] feeds to the Fourier
-    pass.  [phase] decorates amplitude [x] with [chi_phase(x)]
-    (default: none). *)
+val of_coset : Subgroup.t -> int array -> t
+(** [of_coset sub rep] is the uniform superposition over [rep + H],
+    with no character phase — the state
+    [Coset_state.sampler_with_subgroup] feeds to the Fourier pass.
+    Phased states arise only from {!fourier}. *)
 
 (** {2 Structure access} *)
 

@@ -352,9 +352,10 @@ let sampler_state_valued ~dims ~f ~queries () =
      identically; orthogonal vectors almost always differ in support
      and land in different buckets, and the rare same-support
      orthogonal pair is resolved by an approx-equality scan within the
-     (tiny) bucket.  The table is mutex-guarded: the service layer
-     batches concurrent requests over one sampler, so the memo must
-     tolerate racing evaluations. *)
+     (tiny) bucket.  The prep's tagging pass calls [tag_of] once per
+     element from one thread, so the table's mutex is never contended
+     today; it is a guard that keeps the memo consistent should that
+     pass ever be split across parallel chunks. *)
   let lock = Mutex.create () in
   let next_id = ref 0 in
   let buckets : (int list, (int * Cvec.t) list ref) Hashtbl.t = Hashtbl.create 64 in

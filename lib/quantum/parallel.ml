@@ -259,9 +259,10 @@ let map_chunks ~chunks lo hi body =
     Array.map (function Some r -> r | None -> assert false) results
   end
 
-let reduction_chunks ?(max_chunks = 64) ~slot_words total =
+let reduction_chunks ~slot_words total =
   (* Fixed by the workload geometry alone (never by the job count), so
-     ordered reductions are schedule-invariant; capped so the per-chunk
-     partial buffers stay within ~8M words (64 MB) total. *)
+     ordered reductions are schedule-invariant; at most 64 chunks, and
+     capped so the per-chunk partial buffers stay within ~8M words
+     (64 MB) total. *)
   let by_mem = max 1 ((1 lsl 23) / max 1 slot_words) in
-  max 1 (min (min max_chunks by_mem) total)
+  max 1 (min (min 64 by_mem) total)

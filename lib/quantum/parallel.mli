@@ -72,12 +72,12 @@ val map_chunks : chunks:int -> int -> int -> (int -> int -> 'a) -> 'a array
     (hence schedule-invariant) reductions.  Pass a [~chunks] that does
     not depend on the job count — see {!reduction_chunks}. *)
 
-val reduction_chunks : ?max_chunks:int -> slot_words:int -> int -> int
+val reduction_chunks : slot_words:int -> int -> int
 (** [reduction_chunks ~slot_words total] is a chunk count for reducing
     over [total] indices with a per-chunk partial buffer of
     [slot_words] words: fixed by the workload geometry alone (never the
-    job count), capped at [?max_chunks] (default 64) and by a bound on
-    total partial-buffer memory. *)
+    job count), capped at 64 and by a bound on total partial-buffer
+    memory. *)
 
 val chunk_bound : lo:int -> hi:int -> nchunks:int -> int -> int
 (** [chunk_bound ~lo ~hi ~nchunks c] is the lower boundary of chunk [c]

@@ -1,24 +1,21 @@
 (* The hsp_served engine: request execution over a shared artifact
-   cache, with batching and per-request cost accounting.
+   cache, with per-request cost accounting.
 
-   Quantum work is serialised through ONE executor thread; connection
-   threads only parse frames and block on their job's condition
-   variable.  Serial execution is what makes two things exact:
-
-   - per-request ledger export: the global Metrics ledger is
-     snapshotted around each unit of work, so a request's delta is
-     attributable to it alone;
-   - batching: the executor drains everything queued at once and
-     groups sample requests by artifact fingerprint, so N concurrent
-     requests against the same oracle share one cache lookup and —
-     on a cold cache — exactly one O(|A|) prep pass (ledger:
-     sampler_preps counts distinct oracles, never requests).
+   Quantum work is serialised through ONE executor thread that takes
+   jobs one at a time in arrival order; connection threads only parse
+   frames and block on their job's condition variable.  Serial
+   execution is what makes the per-request ledger export exact: the
+   global Metrics ledger is snapshotted around each request, so its
+   delta is attributable to it alone.
 
    Cached artifacts are the expensive preps of lib/quantum: CSR
    coset buckets (Coset_state.prep) for amplitude backends,
    canonicalised HNF subgroups with their memoised annihilator solves
-   (Backend_symbolic.Subgroup.t) for the symbolic route.  The check op
-   reads the cache but never fills it. *)
+   (Backend_symbolic.Subgroup.t) for the symbolic route.  The cache is
+   the one place preps are shared: the first request on a cold oracle
+   pays its O(|A|) prep and every later one hits, so the ledger's
+   sampler_preps counts distinct oracles, never requests.  The check
+   op reads the cache but never fills it. *)
 
 type artifact =
   | Buckets of Quantum.Coset_state.prep
@@ -42,8 +39,6 @@ type t = {
   mutable stopping : bool;
   mutable executor : Thread.t option;
   mutable served : int;
-  mutable batched_groups : int;  (* sample groups executed with >1 member *)
-  mutable batched_requests : int;  (* requests that rode in such a group *)
 }
 
 let create ?(cache_entries = 64) ?(cache_bytes = 256 * 1024 * 1024) ?(seed = 0) () =
@@ -64,8 +59,6 @@ let create ?(cache_entries = 64) ?(cache_bytes = 256 * 1024 * 1024) ?(seed = 0) 
       stopping = false;
       executor = None;
       served = 0;
-      batched_groups = 0;
-      batched_requests = 0;
     }
   in
   t
@@ -205,72 +198,43 @@ let classified_error ~id exn =
 
 let with_classified_errors ~id f = try f () with exn -> classified_error ~id exn
 
-(* One group of sample requests sharing a fingerprint: one artifact
-   fetch (one prep on a cold cache), then each member draws its own
-   outcomes with its own query counter and RNG.  The first member's
-   ledger window opens before the fetch, so a cold prep is charged to
-   the reply that triggered it, as [exec_solve] charges its own. *)
-let exec_sample_group t (inst : Protocol.instance) rt jobs =
-  let n = List.length jobs in
-  if n > 1 then begin
-    t.batched_groups <- t.batched_groups + 1;
-    t.batched_requests <- t.batched_requests + n
-  end;
-  let first_before = Quantum.Metrics.snapshot () in
-  match artifact_for t inst rt with
-  | exception exn ->
-      List.iter
-        (fun (job, _, _) -> job.reply <- Some (classified_error ~id:job.env.Protocol.id exn))
-        jobs
-  | key, artifact, hit ->
-      List.iteri
-        (fun i (job, count, seed) ->
-          let id = job.env.Protocol.id in
-          job.reply <-
-            Some
-              (with_classified_errors ~id @@ fun () ->
-               let before = if i = 0 then first_before else Quantum.Metrics.snapshot () in
-               let queries = Quantum.Query.create () in
-               let draw = sampler_of_artifact artifact ~queries in
-               let rng = rng_for t seed in
-               let outcomes = List.init count (fun _ -> draw rng) in
-               let after = Quantum.Metrics.snapshot () in
-               Protocol.ok_response ~id
-                 [
-                   ("op", Jsonv.String "sample");
-                   ("outcomes", Jsonv.List (List.map json_of_outcome outcomes));
-                   ("quantum_queries", Jsonv.Int (Quantum.Query.count queries));
-                   ("cache", cache_json ~key ~hit);
-                   ("batched", Jsonv.Int n);
-                   ("metrics", Jsonv.Obj (metrics_delta before after));
-                 ]))
-        jobs
-
-let exec_solve t (inst : Protocol.instance) rt ~seed ~id =
+(* Sample and solve: fetch the artifact (one prep on a cold cache),
+   then draw with the request's own query counter and RNG.  The ledger
+   window opens before the fetch, so a cold prep is charged to the
+   reply that triggered it.  [body] returns the op's own fields. *)
+let exec_sampling t (inst : Protocol.instance) rt ~seed ~id ~op body =
   with_classified_errors ~id @@ fun () ->
   let before = Quantum.Metrics.snapshot () in
   let key, artifact, hit = artifact_for t inst rt in
   let queries = Quantum.Query.create () in
-  let draw = sampler_of_artifact artifact ~queries in
-  let rng = rng_for t seed in
+  let fields = body ~draw:(sampler_of_artifact artifact ~queries) ~rng:(rng_for t seed) ~queries in
+  let after = Quantum.Metrics.snapshot () in
+  Protocol.ok_response ~id
+    ((("op", Jsonv.String op) :: fields)
+    @ [
+        ("quantum_queries", Jsonv.Int (Quantum.Query.count queries));
+        ("cache", cache_json ~key ~hit);
+        ("metrics", Jsonv.Obj (metrics_delta before after));
+      ])
+
+let exec_sample t inst rt ~count ~seed ~id =
+  exec_sampling t inst rt ~seed ~id ~op:"sample" @@ fun ~draw ~rng ~queries:_ ->
+  [ ("outcomes", Jsonv.List (List.init count (fun _ -> json_of_outcome (draw rng)))) ]
+
+let exec_solve t (inst : Protocol.instance) rt ~seed ~id =
+  exec_sampling t inst rt ~seed ~id ~op:"solve" @@ fun ~draw ~rng ~queries ->
   let res =
     Hsp.Abelian_hsp.solve_quotient rng ~draw ~dims:inst.dims ~moduli:inst.moduli
       ~quantum:queries ()
   in
-  let after = Quantum.Metrics.snapshot () in
-  Protocol.ok_response ~id
-    [
-      ("op", Jsonv.String "solve");
-      ("generators", Jsonv.List (List.map json_of_outcome res.Hsp.Abelian_hsp.gens));
-      ("rounds", Jsonv.Int res.Hsp.Abelian_hsp.rounds);
-      ("verified", Jsonv.Bool res.Hsp.Abelian_hsp.ok);
-      ( "subgroup_log2",
-        Jsonv.Float (Quantum.Backend_symbolic.Subgroup.order_log2 res.Hsp.Abelian_hsp.recovered) );
-      ("quantum_queries", Jsonv.Int (Quantum.Query.count queries));
-      ("seconds", Jsonv.Float res.Hsp.Abelian_hsp.seconds);
-      ("cache", cache_json ~key ~hit);
-      ("metrics", Jsonv.Obj (metrics_delta before after));
-    ]
+  [
+    ("generators", Jsonv.List (List.map json_of_outcome res.Hsp.Abelian_hsp.gens));
+    ("rounds", Jsonv.Int res.Hsp.Abelian_hsp.rounds);
+    ("verified", Jsonv.Bool res.Hsp.Abelian_hsp.ok);
+    ( "subgroup_log2",
+      Jsonv.Float (Quantum.Backend_symbolic.Subgroup.order_log2 res.Hsp.Abelian_hsp.recovered) );
+    ("seconds", Jsonv.Float res.Hsp.Abelian_hsp.seconds);
+  ]
 
 let exec_check t (inst : Protocol.instance) rt ~id =
   with_classified_errors ~id @@ fun () ->
@@ -317,8 +281,6 @@ let exec_stats t ~id =
             ("bytes", Jsonv.Int s.Cache.bytes);
           ] );
       ("served", Jsonv.Int t.served);
-      ("batched_groups", Jsonv.Int t.batched_groups);
-      ("batched_requests", Jsonv.Int t.batched_requests);
       ( "ledger",
         Jsonv.Obj
           (List.map (fun (k, v) -> (k, Jsonv.Int v)) (Quantum.Metrics.counters ledger)
@@ -337,81 +299,36 @@ let finish job reply =
 
 let exec_one t job =
   let id = job.env.Protocol.id in
+  let admitted inst exec = match admit ~id inst with Error reply -> reply | Ok rt -> exec rt in
   let reply =
     match job.env.Protocol.req with
     | Protocol.Stats -> exec_stats t ~id
     | Protocol.Shutdown ->
         Protocol.ok_response ~id [ ("op", Jsonv.String "shutdown"); ("stopping", Jsonv.Bool true) ]
-    | Protocol.Check_circuit { inst } -> (
-        match admit ~id inst with Error reply -> reply | Ok rt -> exec_check t inst rt ~id)
-    | Protocol.Solve { inst; seed } -> (
-        match admit ~id inst with Error reply -> reply | Ok rt -> exec_solve t inst rt ~seed ~id)
-    | Protocol.Sample _ -> assert false  (* handled by exec_batch *)
+    | Protocol.Check_circuit { inst } -> admitted inst (fun rt -> exec_check t inst rt ~id)
+    | Protocol.Solve { inst; seed } -> admitted inst (fun rt -> exec_solve t inst rt ~seed ~id)
+    | Protocol.Sample { inst; count; seed } ->
+        admitted inst (fun rt -> exec_sample t inst rt ~count ~seed ~id)
   in
   finish job reply
 
-(* Drain-and-group: everything queued at wake-up time is one batch.
-   Sample jobs are grouped by fingerprint and each group executed as a
-   unit; other ops run in arrival order after. *)
-let exec_batch t jobs =
-  let samples : (string, (Protocol.instance * route * (job * int * int option) list) ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let others = ref [] in
-  let order = ref [] in
-  List.iter
-    (fun job ->
-      match job.env.Protocol.req with
-      | Protocol.Sample { inst; count; seed } -> (
-          match admit ~id:job.env.Protocol.id inst with
-          | Error reply -> finish job reply
-          | Ok rt -> (
-              let key = fingerprint inst rt in
-              match Hashtbl.find_opt samples key with
-              | Some group ->
-                  let i, r, members = !group in
-                  group := (i, r, (job, count, seed) :: members)
-              | None ->
-                  Hashtbl.add samples key (ref (inst, rt, [ (job, count, seed) ]));
-                  order := key :: !order))
-      | _ -> others := job :: !others)
-    jobs;
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt samples key with
-      | None -> ()
-      | Some group ->
-          let inst, rt, members = !group in
-          let members = List.rev members in
-          exec_sample_group t inst rt members;
-          List.iter
-            (fun (job, _, _) ->
-              match job.reply with
-              | Some reply -> finish job reply
-              | None ->
-                  finish job
-                    (Protocol.error_response ~id:job.env.Protocol.id Protocol.Crashed
-                       "internal: sample group produced no reply"))
-            members)
-    (List.rev !order);
-  List.iter (exec_one t) (List.rev !others)
-
+(* One job at a time, in arrival order.  After [stop] the loop still
+   runs everything queued before it, then exits on the empty queue. *)
 let executor_loop t =
   let rec loop () =
-    let jobs, stop_after =
+    let next =
       Mutex.protect t.qlock (fun () ->
           while Queue.is_empty t.queue && not t.stopping do
             Condition.wait t.qcond t.qlock
           done;
-          let drained = ref [] in
-          while not (Queue.is_empty t.queue) do
-            drained := Queue.pop t.queue :: !drained
-          done;
-          (List.rev !drained, t.stopping))
+          Queue.take_opt t.queue)
     in
-    t.served <- t.served + List.length jobs;
-    exec_batch t jobs;
-    if not stop_after then loop ()
+    match next with
+    | None -> ()
+    | Some job ->
+        t.served <- t.served + 1;
+        exec_one t job;
+        loop ()
   in
   loop ()
 

@@ -1,20 +1,19 @@
 (** The [hsp_served] engine: request execution over a shared artifact
-    cache, with batching and per-request cost accounting.
+    cache, with per-request cost accounting.
 
-    {b Serial executor.}  All quantum work runs on one executor thread;
-    connection threads enqueue a job and block.  That serialisation is
-    what makes the per-request {!Quantum.Metrics} delta exact (the
-    ledger is global) and lets the executor {e batch}: every job queued
-    at wake-up time is drained at once, sample requests are grouped by
-    artifact fingerprint, and each group shares one cache lookup — on a
-    cold cache, exactly one O(|A|) prep pass for the whole group.
+    {b Serial executor.}  All quantum work runs on one executor thread,
+    which takes jobs one at a time in arrival order; connection threads
+    enqueue a job and block.  That serialisation is what makes the
+    per-request {!Quantum.Metrics} delta exact (the ledger is global).
 
     {b Cache.}  Artifacts are the expensive halves of the two sampler
     families: CSR coset buckets ({!Quantum.Coset_state.prep}) for
     dense/sparse instances, canonicalised HNF subgroups with memoised
     annihilator solves ({!Quantum.Backend_symbolic.Subgroup.t}) for the
     symbolic route.  Keys are digests of the canonical instance
-    serialisation plus the resolved route.  Consequently the ledger's
+    serialisation plus the resolved route.  The cache is the one place
+    preps are shared: on a cold oracle the first request pays the
+    O(|A|) prep and every later one hits, so the ledger's
     [sampler_preps] counts {e distinct oracles}, not requests.
 
     {b Errors.}  Nothing escapes as an exception: solver failures are
@@ -28,24 +27,24 @@ type t
 val create : ?cache_entries:int -> ?cache_bytes:int -> ?seed:int -> unit -> t
 (** Engine with an artifact cache of the given budgets (defaults: 64
     entries, 256 MiB) and a deterministic base RNG.  Call {!start} (or
-    {!Server.listen}) before submitting. *)
+    {!Server.run}) before submitting. *)
 
 val start : t -> unit
 (** Start the executor thread (idempotent). *)
 
 val stop : t -> unit
-(** Drain queued jobs, stop and join the executor.  Subsequent
-    {!submit}s are rejected. *)
+(** Run every job queued so far, then stop and join the executor.
+    Subsequent {!submit}s are rejected. *)
 
 val submit : t -> Protocol.envelope -> Jsonv.t
-(** Execute one request, blocking until its reply.  Thread-safe; calls
-    from many threads are what the batching path exists for. *)
+(** Execute one request, blocking until its reply.  Thread-safe: calls
+    from many threads queue and run one at a time. *)
 
 val cache_stats : t -> Cache.stats
 
 val pending : t -> int (* hsp-lint: allow unused-export *)
-(** Jobs currently queued and not yet drained by the executor.  Tests
-    use this to stage a deterministic batch: enqueue from N threads
+(** Jobs currently queued and not yet taken by the executor.  Tests
+    use this to queue a known set of requests: submit from N threads
     {e before} {!start}, wait for [pending] to reach N, then start. *)
 
 (** {2 Exposed for tests and the E14 bench} *)

@@ -1,7 +1,7 @@
 (* Service-layer coverage: the overflow/accounting bugfixes in
-   Coset_state, the LRU artifact cache, fingerprinting, batching
-   against one cached prep, per-request error containment over a real
-   socket, and batched-vs-sequential distribution equality.
+   Coset_state, the LRU artifact cache, fingerprinting, queued
+   requests sharing one cached prep, per-request error containment
+   over a real socket, and engine-vs-sequential distribution equality.
 
    The uncapped-sampler regressions (Z_2^200 construction, beyond-cap
    end-to-end rounds, sample_full's classical_evals accounting, the
@@ -208,7 +208,7 @@ let test_route_omitted_backend () =
     (Service.fingerprint (inst None) omitted)
 
 (* ------------------------------------------------------------------ *)
-(* Engine: batching, sampler_preps = 1 per oracle, ledger deltas       *)
+(* Engine: shared prep, sampler_preps = 1 per oracle, ledger deltas    *)
 (* ------------------------------------------------------------------ *)
 
 let sample_req ?seed ?(count = 8) dims moduli backend : Protocol.envelope =
@@ -226,11 +226,11 @@ let reply_int path reply =
 
 let reply_ok reply = Jsonv.member "ok" reply = Some (Jsonv.Bool true)
 
-let test_batched_requests_share_one_prep () =
+let test_queued_requests_share_one_prep () =
   setup ();
   let t = Service.create ~seed:1 () in
-  (* stage the batch BEFORE starting the executor: all 8 jobs are
-     queued, then drained in one sweep and grouped by fingerprint *)
+  (* queue all 8 jobs BEFORE starting the executor: the first pays the
+     cold prep, the other 7 find it in the cache *)
   let replies = Array.make 8 Jsonv.Null in
   let threads =
     List.init 8 (fun i ->
@@ -243,12 +243,12 @@ let test_batched_requests_share_one_prep () =
   wait_staged 8;
   Service.start t;
   List.iter Thread.join threads;
-  Array.iter (fun r -> checkb "batched sample ok" true (reply_ok r)) replies;
-  Array.iter
-    (fun r -> checki "whole batch in one group" 8 (Option.get (reply_int [ "batched" ] r)))
-    replies;
+  Array.iter (fun r -> checkb "queued sample ok" true (reply_ok r)) replies;
   checki "one prep for 8 requests on one oracle" 1
     (Metrics.snapshot ()).Metrics.sampler_preps;
+  let s = Service.cache_stats t in
+  checki "one cache miss" 1 s.Cache.misses;
+  checki "seven cache hits" 7 s.Cache.hits;
   (* a second oracle adds exactly one more prep *)
   let r2 = Service.submit t (sample_req [| 16 |] [| 4 |] None) in
   checkb "second oracle ok" true (reply_ok r2);
@@ -362,7 +362,7 @@ let test_large_cyclic_factor_solves () =
   Service.stop t
 
 (* ------------------------------------------------------------------ *)
-(* Batched vs sequential: same distribution (chi-squared, as in E13)   *)
+(* Engine vs sequential: same distribution (chi-squared, as in E13)    *)
 (* ------------------------------------------------------------------ *)
 
 let chi2_two_sample tally_a tally_b =
@@ -379,11 +379,11 @@ let chi2_two_sample tally_a tally_b =
     keys;
   (!stat, !cells)
 
-let test_batched_vs_sequential_distribution () =
+let test_engine_vs_sequential_distribution () =
   setup ();
   let dims = [| 8; 8 |] and moduli = [| 4; 2 |] in
   let per_thread = 600 and n_threads = 5 in
-  (* batched: concurrent engine requests against one cached prep *)
+  (* engine: concurrent requests against one cached prep *)
   let t = Service.create ~seed:11 () in
   let replies = Array.make n_threads Jsonv.Null in
   let threads =
@@ -399,10 +399,10 @@ let test_batched_vs_sequential_distribution () =
   Service.start t;
   List.iter Thread.join threads;
   Service.stop t;
-  let batched = Hashtbl.create 64 in
+  let engine = Hashtbl.create 64 in
   Array.iter
     (fun r ->
-      checkb "batched request ok" true (reply_ok r);
+      checkb "engine request ok" true (reply_ok r);
       match Jsonv.member "outcomes" r with
       | Some (Jsonv.List l) ->
           List.iter
@@ -410,8 +410,8 @@ let test_batched_vs_sequential_distribution () =
               match o with
               | Jsonv.List [ Jsonv.Int a; Jsonv.Int b ] ->
                   let k = (a * 8) + b in
-                  Hashtbl.replace batched k
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt batched k))
+                  Hashtbl.replace engine k
+                    (1 + Option.value ~default:0 (Hashtbl.find_opt engine k))
               | _ -> Alcotest.fail "bad outcome shape")
             l
       | _ -> Alcotest.fail "no outcomes")
@@ -428,8 +428,8 @@ let test_batched_vs_sequential_distribution () =
     Hashtbl.replace sequential k
       (1 + Option.value ~default:0 (Hashtbl.find_opt sequential k))
   done;
-  checki "same outcome support" (Hashtbl.length sequential) (Hashtbl.length batched);
-  let stat, cells = chi2_two_sample batched sequential in
+  checki "same outcome support" (Hashtbl.length sequential) (Hashtbl.length engine);
+  let stat, cells = chi2_two_sample engine sequential in
   let df = float_of_int (max 1 (cells - 1)) in
   let threshold = df +. (6.0 *. sqrt (2.0 *. df)) +. 10.0 in
   if stat > threshold then
@@ -782,14 +782,14 @@ let () =
         ] );
       ( "engine",
         [
-          Alcotest.test_case "8 batched requests, 1 prep" `Quick
-            test_batched_requests_share_one_prep;
+          Alcotest.test_case "8 queued requests, 1 prep" `Quick
+            test_queued_requests_share_one_prep;
           Alcotest.test_case "per-request ledger deltas" `Quick
             test_per_request_metrics_delta;
           Alcotest.test_case "typed solve + error replies" `Quick
             test_solve_and_errors_typed;
-          Alcotest.test_case "batched = sequential distribution" `Slow
-            test_batched_vs_sequential_distribution;
+          Alcotest.test_case "engine = sequential distribution" `Slow
+            test_engine_vs_sequential_distribution;
           Alcotest.test_case "cyclic factor past 2^30 solves" `Quick
             test_large_cyclic_factor_solves;
         ] );
