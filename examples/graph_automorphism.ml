@@ -68,7 +68,9 @@ let run rng name n edges =
     (List.length (Group.closure g found))
     q c n
     (List.length (Group.elements (Perm.alternating n)));
-  Printf.printf "  agrees with brute force: %b\n\n" (Group.subgroup_equal g found truth)
+  let agrees = Group.subgroup_equal g found truth in
+  Printf.printf "  agrees with brute force: %b\n\n" agrees;
+  if not agrees then exit 1
 
 let () =
   let rng = Random.State.make [| 1234 |] in

@@ -38,7 +38,8 @@ let run rng p =
     Group.subgroup_equal instance.Instances.group result.Small_commutator.generators
       instance.Instances.hidden_gens
   in
-  Printf.printf "  correct: %b\n\n" ok
+  Printf.printf "  correct: %b\n\n" ok;
+  if not ok then exit 1
 
 let () =
   let rng = Random.State.make [| 2026 |] in
@@ -50,6 +51,9 @@ let () =
   let b =
     Small_commutator.solve_via_theorem8 rng instance.Instances.group instance.Instances.hiding
   in
-  Printf.printf "Abelian-sampling route and Theorem-8 route agree: %b\n"
-    (Group.subgroup_equal instance.Instances.group a.Small_commutator.generators
-       b.Small_commutator.generators)
+  let agree =
+    Group.subgroup_equal instance.Instances.group a.Small_commutator.generators
+      b.Small_commutator.generators
+  in
+  Printf.printf "Abelian-sampling route and Theorem-8 route agree: %b\n" agree;
+  if not agree then exit 1

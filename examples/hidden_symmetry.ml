@@ -37,7 +37,8 @@ let dihedral_demo rng n d =
     Group.subgroup_equal instance.Instances.group result.Normal_hsp.generators
       instance.Instances.hidden_gens
   in
-  Printf.printf "  correct: %b\n\n" ok
+  Printf.printf "  correct: %b\n\n" ok;
+  if not ok then exit 1
 
 let klein_demo rng =
   Printf.printf "S_4 (order 24), hidden Klein four-group V_4\n";
@@ -63,7 +64,8 @@ let klein_demo rng =
     Group.subgroup_equal instance.Instances.group result.Normal_hsp.generators
       instance.Instances.hidden_gens
   in
-  Printf.printf "  correct: %b\n" ok
+  Printf.printf "  correct: %b\n" ok;
+  if not ok then exit 1
 
 let () =
   let rng = Random.State.make [| 7 |] in

@@ -43,4 +43,5 @@ let () =
   let ok =
     Group.subgroup_equal instance.Instances.group generators instance.Instances.hidden_gens
   in
-  Printf.printf "\nverified against ground truth: %s\n" (if ok then "CORRECT" else "WRONG")
+  Printf.printf "\nverified against ground truth: %s\n" (if ok then "CORRECT" else "WRONG");
+  if not ok then exit 1

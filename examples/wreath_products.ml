@@ -17,7 +17,8 @@ open Hsp
 let verdict inst gens =
   let ok = Group.subgroup_equal inst.Instances.group gens inst.Instances.hidden_gens in
   let c, q = Hiding.total_queries inst.Instances.hiding in
-  Printf.printf "  queries: %d quantum, %d classical | correct: %b\n\n" q c ok
+  Printf.printf "  queries: %d quantum, %d classical | correct: %b\n\n" q c ok;
+  if not ok then exit 1
 
 let wreath_demo rng k =
   Printf.printf "Z_2^%d wr Z_2 (order %d), random hidden subgroup\n" k (1 lsl ((2 * k) + 1));
@@ -32,8 +33,9 @@ let wreath_demo rng k =
   (* prior work: Rötteler–Beth's algorithm, as subsumed by Theorem 13 *)
   Hiding.reset inst.Instances.hiding;
   let rb = Roetteler_beth.solve rng ~k inst.Instances.hiding in
-  Printf.printf "  Rötteler–Beth specialisation agrees: %b\n\n"
-    (Group.subgroup_equal inst.Instances.group rb inst.Instances.hidden_gens)
+  let agrees = Group.subgroup_equal inst.Instances.group rb inst.Instances.hidden_gens in
+  Printf.printf "  Rötteler–Beth specialisation agrees: %b\n\n" agrees;
+  if not agrees then exit 1
 
 let semidirect_demo rng n m =
   Printf.printf "Z_2^%d x| Z_%d (order %d), cyclic factor — fully polynomial case\n" n m

@@ -3,24 +3,31 @@ module Zm = Numtheory.Zmatrix
 
 (* Symbolic coset-state backend.
 
-   A state is not an amplitude array but the closed-form description
+   A state is not an amplitude array but one of two closed forms over
+   A = Z_{d_0} x ... x Z_{d_{r-1}}, on a subgroup H (canonical HNF
+   basis, see Zmatrix):
 
-     |psi> = gphase / sqrt|H| * sum_{x in c + H} chi_p(x) |x>
+     coset state   |c + H>  =  1/sqrt|H| * sum_{x in c + H} |x>
+     phased state  |H, p>   =  1/sqrt|H| * sum_{y in H} chi_p(y) |y>
 
-   over A = Z_{d_0} x ... x Z_{d_{r-1}}: a subgroup H (canonical HNF
-   basis, see Zmatrix), a coset representative c, a character vector p
-   with chi_p(x) = prod_i omega_{d_i}^{p_i x_i}, and a unit global
-   phase.  Every state the paper's samplers prepare has this shape, and
-   the shape is closed under the full-register Abelian DFT:
+   with chi_p(y) = prod_i omega_{d_i}^{p_i y_i}.  The full-register
+   Abelian DFT (omega^{+xy} convention) swaps the two:
 
-     F |psi>  =  gphase * chi_c(p) / sqrt|H^perp|
-                   * sum_{y in -p + H^perp} chi_c(y) |y>
+     F |c + H>  =  |H^perp, c>        F^-1 |c + H>  =  |H^perp, -c>
+     F |H, p>   =  |-p + H^perp>      F^-1 |H, p>   =  |p + H^perp>
 
-   (forward transform, omega^{+xy} convention; the inverse sends
-   (H, c, p) to (H^perp, reduce(p), -c) with the same phase factor).
-   So a Fourier pass is one subgroup-annihilator solve and an O(r)
-   relabel — nothing scales with |H|, |A| or the support, and no
-   total-dimension integer is ever formed.
+   The general form gphase/sqrt|H| sum_{x in c+H} chi_p(x)|x> is never
+   needed: every state starts as a coset (of_coset, or a basis state),
+   and the DFT alternates between the shape with p = 0 and the one with
+   c = 0, so the global phase chi_p(c) it would pick up is always 1.
+   So a Fourier pass is a memoised annihilator and no arithmetic at all
+   (a negation for F^-1 of a coset, F of a phased state) — nothing
+   scales with |H|, |A| or the support, and no total-dimension integer
+   is ever formed.
+
+   A coset state keeps the representative it was given (brought into
+   range); the canonical one, Subgroup.reduce c, is computed where it
+   is read, so a draw is the one the reduced representative gives.
 
    The rewrite is a whole-register operation ({!fourier}): State's
    Fourier sweep applies it when the swept wires are a permutation of
@@ -87,12 +94,12 @@ module Subgroup = struct
         d
 end
 
-type t = {
-  sub : Subgroup.t;
-  rep : int array;  (* canonical: Subgroup.reduce applied *)
-  phase : int array;  (* p, componentwise in [0, dims.(i)) *)
-  gphase : Cx.t;
-}
+(* A coset's [c] is in range but any point of it; a phased state's [p]
+   is in range and read only through chi_p on H, so any p + H^perp
+   serves. *)
+type shape = Coset of int array | Phased of int array
+
+type t = { sub : Subgroup.t; shape : shape }
 
 let dims st = Subgroup.dims st.sub
 let num_wires st = Array.length (dims st)
@@ -114,74 +121,79 @@ let character ~dims p x =
     dims;
   !acc
 
+(* The canonical representative of the support: what every outcome and
+   comparison reads, so a coset state draws what the reduced
+   representative gives whatever point of the coset it was built from.
+   A phased state's support is H itself. *)
+let canonical_rep st =
+  match st.shape with
+  | Coset c -> Subgroup.reduce st.sub c
+  | Phased _ -> Array.make (num_wires st) 0
+
 let of_coset sub rep =
-  let r = Array.length (Subgroup.dims sub) in
-  if Array.length rep <> r then invalid_arg "Backend_symbolic: representative arity";
-  (* chi_p is evaluated at absolute x, so the stored rep only selects
-     the coset: reducing it is purely for equality of representations. *)
-  { sub; rep = Subgroup.reduce sub rep; phase = Array.make r 0; gphase = Cx.one }
+  let dims = Subgroup.dims sub in
+  if Array.length rep <> Array.length dims then
+    invalid_arg "Backend_symbolic: representative arity";
+  let in_range = Array.for_all2 (fun v d -> v >= 0 && v < d) rep dims in
+  let rep = if in_range then rep else Array.mapi (fun i v -> Numtheory.Arith.emod v dims.(i)) rep in
+  { sub; shape = Coset rep }
 
 let of_basis dims x =
   Array.iteri
     (fun i xi ->
       if xi < 0 || xi >= dims.(i) then invalid_arg "Backend_symbolic.of_basis: value out of range")
     x;
-  of_coset (Subgroup.trivial dims) x
+  { sub = Subgroup.trivial dims; shape = Coset x }
 
-let amp_at_tuple st x =
+(* The amplitude at [x], given the canonical representative [rep]. *)
+let amp_at_tuple st ~rep x =
   let dims = dims st in
-  let diff = Array.init (Array.length dims) (fun i -> x.(i) - st.rep.(i)) in
+  let diff = Array.init (Array.length dims) (fun i -> x.(i) - rep.(i)) in
   if not (Subgroup.mem st.sub diff) then Cx.zero
   else
     let inv_sqrt = exp (-.0.5 *. Subgroup.order_log2 st.sub *. log 2.0) in
-    Cx.scale inv_sqrt (Cx.mul st.gphase (character ~dims st.phase x))
+    match st.shape with
+    | Coset _ -> Cx.re inv_sqrt
+    | Phased p -> Cx.scale inv_sqrt (character ~dims p x)
 
-let amp_at st idx = amp_at_tuple st (Backend.decode (dims st) idx)
+let amp_at st idx = amp_at_tuple st ~rep:(canonical_rep st) (Backend.decode (dims st) idx)
+
+(* The points rep + h of the support, in the order of
+   [Subgroup.elements]. *)
+let support st ~rep =
+  let dims = dims st in
+  List.map
+    (fun h -> Array.init (Array.length dims) (fun i -> (rep.(i) + h.(i)) mod dims.(i)))
+    (Subgroup.elements st.sub)
 
 let iter_nonzero st f =
-  let dims = dims st in
-  let entries =
-    List.map
-      (fun h ->
-        let x = Array.init (Array.length dims) (fun i -> (st.rep.(i) + h.(i)) mod dims.(i)) in
-        (Backend.encode dims x, x))
-      (Subgroup.elements st.sub)
-  in
+  let dims = dims st and rep = canonical_rep st in
+  let entries = List.map (fun x -> (Backend.encode dims x, x)) (support st ~rep) in
   let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
-  List.iter (fun (idx, x) -> f idx (amp_at_tuple st x)) entries
+  List.iter (fun (idx, x) -> f idx (amp_at_tuple st ~rep x)) entries
 
 (* Materialise into the dense backend. *)
 let demote st =
   Metrics.tick Symbolic_demotions;
   let dims = dims st in
-  let r = Array.length dims in
-  let entries =
-    List.rev_map
-      (fun h ->
-        let x = Array.init r (fun i -> (st.rep.(i) + h.(i)) mod dims.(i)) in
-        (x, Cx.mul st.gphase (character ~dims st.phase x)))
-      (Subgroup.elements st.sub)
+  let amp =
+    match st.shape with Coset _ -> fun _ -> Cx.one | Phased p -> character ~dims p
   in
-  Backend_dense.of_support dims entries
+  Backend_dense.of_support dims
+    (List.rev_map (fun x -> (x, amp x)) (support st ~rep:(canonical_rep st)))
 
 (* Negation in Z_d of an entry already in [0, d). *)
 let neg_in_range dims v = Array.mapi (fun i x -> if x = 0 then 0 else dims.(i) - x) v
 
-(* The closed-form rewrite of the whole-register DFT.  [rep] and
-   [phase] are already in range, so the relabel needs no reduction
-   beyond the new representative's. *)
+(* The closed-form rewrite of the whole-register DFT: the memoised
+   annihilator, and the coset's representative or the phase, negated
+   where the direction asks. *)
 let fourier st ~inverse =
-  let dims = dims st in
   let dual = Subgroup.dual st.sub in
-  let c = st.rep and p = st.phase in
   Metrics.tick Symbolic_rewrites;
-  let gphase = Cx.mul st.gphase (character ~dims p c) in
-  if not inverse then
-    (* F: support -p + H^perp, amplitude chi_c(y) *)
-    { sub = dual; rep = Subgroup.reduce dual (neg_in_range dims p); phase = c; gphase }
-  else
-    (* F^-1: support p + H^perp, amplitude chi_{-c}(y) *)
-    { sub = dual; rep = Subgroup.reduce dual p; phase = neg_in_range dims c; gphase }
+  match st.shape with
+  | Coset c -> { sub = dual; shape = Phased (if inverse then neg_in_range (dims st) c else c) }
+  | Phased p -> { sub = dual; shape = Coset (if inverse then p else neg_in_range (dims st) p) }
 
 let can_measure st ~wires =
   let n = num_wires st in
@@ -189,15 +201,20 @@ let can_measure st ~wires =
   List.iter (fun w -> if w >= 0 && w < n then seen.(w) <- true) wires;
   Array.for_all Fun.id seen
 
-(* A uniform point of the coset: rep + h for one uniform h in H.  Both
-   terms lie in [0, d), so one compare-and-subtract reduces the sum. *)
+(* A uniform point of the support: one uniform h in H, plus the
+   canonical representative on a coset.  Both terms lie in [0, d), so
+   one compare-and-subtract reduces the sum. *)
 let draw rng st =
-  let h = Subgroup.sample rng st.sub in
-  Array.mapi
-    (fun i d ->
-      let v = st.rep.(i) + h.(i) in
-      if v >= d then v - d else v)
-    (dims st)
+  match st.shape with
+  | Phased _ -> Subgroup.sample rng st.sub
+  | Coset c ->
+      let c = Subgroup.reduce st.sub c in
+      let h = Subgroup.sample rng st.sub in
+      Array.mapi
+        (fun i d ->
+          let v = c.(i) + h.(i) in
+          if v >= d then v - d else v)
+        (dims st)
 
 let measure rng st ~wires =
   if not (can_measure st ~wires) then
@@ -214,17 +231,21 @@ let measure rng st ~wires =
 let measure_all rng st = draw rng st
 
 let approx_equal ?(eps = 1e-9) a b =
-  (* Representation-level comparison up to global phase is subtle
-     (phase vectors are only canonical modulo the annihilator), so
-     compare the few amplitudes that can differ: same coset, same
-     subgroup, and equal amplitudes at the generators' offsets.  Used
-     by tests on small states; large states compare via Subgroup.equal
-     and the phase parameters directly. *)
+  (* Representation-level comparison is subtle (a phase is only
+     canonical modulo the annihilator), so compare the few amplitudes
+     that can differ: same subgroup, same canonical representative,
+     and equal amplitudes there and at each basis row's offset, which
+     pins every character on the subgroup.  Used by tests on small
+     states. *)
   Backend.dims_equal (dims a) (dims b)
   && Subgroup.equal a.sub b.sub
-  && Backend.dims_equal a.rep b.rep
+  &&
+  let ra = canonical_rep a and rb = canonical_rep b in
+  Backend.dims_equal ra rb
   &&
   let da = dims a in
-  let probe = a.rep :: List.map (fun row -> Array.init (Array.length da) (fun i ->
-      (a.rep.(i) + row.(i)) mod da.(i))) (Array.to_list (Subgroup.basis a.sub)) in
-  List.for_all (fun x -> Cx.approx_equal ~eps (amp_at_tuple a x) (amp_at_tuple b x)) probe
+  let probe = ra :: List.map (fun row -> Array.init (Array.length da) (fun i ->
+      (ra.(i) + row.(i)) mod da.(i))) (Array.to_list (Subgroup.basis a.sub)) in
+  List.for_all
+    (fun x -> Cx.approx_equal ~eps (amp_at_tuple a ~rep:ra x) (amp_at_tuple b ~rep:rb x))
+    probe

@@ -304,12 +304,14 @@ let sampler ?backend ~dims ~f ~queries () =
 
 let sampler_of_subgroup ?backend ~sub ~queries () =
   (* The cryptographic-scale path over an already-canonicalised
-     subgroup: one round is O(r^2) end to end on the symbolic backend —
-     coset state by representative, full Fourier sweep by the
-     closed-form rewrite, measurement by uniform annihilator sampling.
-     Z_2^200 is as cheap as Z_2^2; there is no group-size cap anywhere.
-     The annihilator solve is memoised inside [sub], so the per-sample
-     work contains no normal-form computation at all — and because
+     subgroup: one round is O(r^2) end to end on the symbolic backend,
+     and pays for two draws and nothing else — the x0 draw (kept as
+     the coset's representative, never reduced), an O(1) Fourier
+     sweep to the phased annihilator state, and one uniform
+     annihilator sample as the outcome.  Z_2^200 is as cheap as Z_2^2;
+     there is no group-size cap anywhere.  The annihilator solve is
+     memoised inside [sub], so the per-sample work contains no
+     normal-form computation at all — and because
      [sub] is a first-class value, the service layer caches it across
      requests (canonicalisation paid once per oracle).  Dense/sparse
      choices enumerate the coset (State.of_coset, capped at

@@ -160,21 +160,28 @@ let trace event fields = match Atomic.get tracer with None -> () | Some f -> f e
 
 (* The trace event, with its formatted seconds field, is built only
    when a tracer is installed: a solver round makes three phase calls,
-   and the untraced ones pay the clock reads and two atomic adds. *)
+   and the untraced ones pay the clock reads, two atomic adds and the
+   box of [t0] (2 words) — no closure, no [Fun.protect]. *)
+let charge p t0 =
+  let dt = Unix.gettimeofday () -. t0 in
+  let base = phase_base (phase_slot p) in
+  ignore (Atomic.fetch_and_add table.(base) (int_of_float (dt *. 1e9)));
+  ignore (Atomic.fetch_and_add table.(base + 1) 1);
+  match Atomic.get tracer with
+  | None -> ()
+  | Some emit ->
+      emit "phase" [ ("name", phase_names.(phase_slot p)); ("seconds", Printf.sprintf "%.6f" dt) ]
+
 let phase p f =
   let t0 = Unix.gettimeofday () in
-  let charge () =
-    let dt = Unix.gettimeofday () -. t0 in
-    let base = phase_base (phase_slot p) in
-    ignore (Atomic.fetch_and_add table.(base) (int_of_float (dt *. 1e9)));
-    ignore (Atomic.fetch_and_add table.(base + 1) 1);
-    match Atomic.get tracer with
-    | None -> ()
-    | Some emit ->
-        emit "phase"
-          [ ("name", phase_names.(phase_slot p)); ("seconds", Printf.sprintf "%.6f" dt) ]
-  in
-  Fun.protect ~finally:charge f
+  match f () with
+  | v ->
+      charge p t0;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      charge p t0;
+      Printexc.raise_with_backtrace e bt
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

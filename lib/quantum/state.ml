@@ -170,19 +170,19 @@ let permutes_register n wires =
    sweep demotes it once and runs the dense sweep. *)
 let fourier ?plans t ~wires ~inverse =
   Metrics.add Dft_apps (List.length wires);
-  match t with
-  | _ when wires = [] -> t
-  | Dense d -> Dense (Backend_dense.fourier ?plans d ~wires ~inverse)
-  | Sparse s ->
+  match (t, wires) with
+  | _, [] -> t
+  | Dense d, _ -> Dense (Backend_dense.fourier ?plans d ~wires ~inverse)
+  | Sparse s, _ ->
       Sparse
         (List.fold_left
            (fun s wire ->
              let plan = Option.map (fun p -> p.(wire)) plans in
              Backend_sparse.apply_dft ?plan s ~wire ~inverse)
            s wires)
-  | Symbolic s when permutes_register (Backend_symbolic.num_wires s) wires ->
+  | Symbolic s, _ when permutes_register (Backend_symbolic.num_wires s) wires ->
       Symbolic (Backend_symbolic.fourier s ~inverse)
-  | Symbolic s -> Dense (Backend_dense.fourier ?plans (Backend_symbolic.demote s) ~wires ~inverse)
+  | Symbolic s, _ -> Dense (Backend_dense.fourier ?plans (Backend_symbolic.demote s) ~wires ~inverse)
 
 let apply_basis_map t f =
   let d = dense_operand "apply_basis_map" t in

@@ -138,9 +138,10 @@ val fourier : ?plans:Linalg.Fft.plan array -> t -> wires:int list -> inverse:boo
     - Sparse: the fold of {!Backend_sparse.apply_dft} over the wires.
     - Symbolic: when [wires] is a permutation of the whole register
       (checked in O(r), no sort), the closed-form rewrite
-      [(H, c, p) -> (H^perp, -p, c)] ({!Backend_symbolic.fourier}, one
-      [symbolic_rewrites] tick) — a full {!Qft.forward} costs one
-      memoised annihilator solve however large the group.  Any other
+      [|c+H> -> |H^perp, c>], [|H, p> -> |-p + H^perp>]
+      ({!Backend_symbolic.fourier}, one [symbolic_rewrites] tick) — a
+      full {!Qft.forward} costs one memoised annihilator solve however
+      large the group.  Any other
       sweep (a strict subset such as a single wire, a repeated wire)
       demotes once to the dense backend (ledger: [symbolic_demotions])
       and runs the dense sweep.

@@ -714,6 +714,68 @@ let test_symbolic_seed_pin () =
   Alcotest.(check string) "symbolic digest" "634fda6a70013bea08dd180144702f5c"
     (symbolic_pin_digest ())
 
+(* Digest of [State.measure] (in a shuffled wire order) and
+   [State.measure_all] outcomes on symbolic states that the sampler
+   never builds: coset states from representatives anywhere in
+   [-3d, 3d), their forward and backward images, and forward∘forward,
+   whose phase is nonzero; plus a measure_all of each measured
+   post-state, and the next RNG word.  A draw from a coset's raw
+   representative instead of its canonical one keeps the law uniform,
+   so only a pin on the outcomes sees it. *)
+let symbolic_states_pin_digest () =
+  let gen_rng = Random.State.make [| 0x5b; 0x57 |] in
+  let random_gens ~dims ~count =
+    List.init count (fun _ -> Array.map (fun d -> Random.State.int gen_rng d) dims)
+  in
+  let shapes =
+    [
+      ("Z_2^64", Array.make 64 2, 24);
+      ("Z_3^40", Array.make 40 3, 15);
+      ("Z_4xZ_6xZ_8xZ_12xZ_9", [| 4; 6; 8; 12; 9 |], 2);
+      ("Z_36xZ_120xZ_1", [| 36; 120; 1 |], 1);
+    ]
+  in
+  let rng = Random.State.make [| 0x5eed; 0x57 |] in
+  let buf = Buffer.create 65536 in
+  let add_outcome x =
+    Array.iter (fun v -> Buffer.add_string buf (string_of_int v ^ ",")) x;
+    Buffer.add_char buf ';'
+  in
+  List.iter
+    (fun (name, dims, count) ->
+      let r = Array.length dims in
+      let sub = Backend_symbolic.Subgroup.of_gens ~dims (random_gens ~dims ~count) in
+      let all = List.init r Fun.id in
+      Buffer.add_string buf name;
+      for _ = 1 to 12 do
+        let rep = Array.map (fun d -> Random.State.int gen_rng (6 * d) - (3 * d)) dims in
+        let coset = State.of_coset ~backend:Backend.Symbolic sub ~rep in
+        let fwd = Qft.forward coset ~wires:all in
+        let states =
+          [ coset; fwd; Qft.backward coset ~wires:(List.rev all); Qft.forward fwd ~wires:all ]
+        in
+        List.iter
+          (fun st ->
+            add_outcome (State.measure_all rng st);
+            let wires =
+              List.map snd
+                (List.sort compare (List.map (fun w -> (Random.State.bits gen_rng, w)) all))
+            in
+            let x, post = State.measure rng st ~wires in
+            add_outcome x;
+            add_outcome (State.measure_all rng post))
+          states
+      done)
+    shapes;
+  Buffer.add_string buf (string_of_int (Random.State.bits rng));
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Recorded before the lazy Fourier rewrite landed: a coset state that
+   keeps its representative unreduced must draw exactly what the
+   canonical one drew. *)
+let test_symbolic_states_pin () =
+  Alcotest.(check string) "symbolic states digest" "18897894f60e4a70ff71532623fe428f" (symbolic_states_pin_digest ())
+
 (* The bucket tables as the State.decode loop built them before the
    odometer pass: ids in order of first appearance, buckets ascending. *)
 let decode_loop_buckets ~dims ~f =
@@ -983,6 +1045,7 @@ let () =
           Alcotest.test_case "prep_bytes = heap footprint" `Quick test_prep_bytes;
           Alcotest.test_case "same-seed pin (sampler_of_prep)" `Quick test_same_seed_pin;
           Alcotest.test_case "same-seed pin (symbolic sampler)" `Quick test_symbolic_seed_pin;
+          Alcotest.test_case "same-seed pin (symbolic states)" `Quick test_symbolic_states_pin;
           Alcotest.test_case "prep tables = decode loop" `Quick test_prep_tables_match_decode_loop;
           Alcotest.test_case "full_int stream pin" `Quick test_full_int_stream_pin;
         ] );

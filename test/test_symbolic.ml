@@ -1,5 +1,6 @@
 (* Tests for the symbolic coset-state backend and the subgroup-level
-   sampling pipeline: closed-form DFT rewrite vs the dense backend,
+   sampling pipeline: closed-form DFT rewrite vs the dense backend and
+   vs the eager rewrite it replaced, a planted round's allocation,
    whole-register sweeps and partial-sweep demotion, index segments
    landing on sparse, demotion equivalence, the
    measure_all fast path, annihilator_subgroup against the Smith
@@ -388,6 +389,181 @@ let test_partial_sweep_demotion_random () =
     if wires <> [] then
       checkb "partial sweep demoted to dense" true (State.backend sym = Backend.Dense)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Lazy rewrite vs the eager reference                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The eager rewrite the backend ran before it went lazy, kept as the
+   reference: every state carries its canonical representative and a
+   phase vector, and each sweep pays the global phase, the relabel and
+   a reduced representative. *)
+module Eager = struct
+  module Sub = Backend_symbolic.Subgroup
+  module Cx = Linalg.Cx
+
+  type t = { sub : Sub.t; rep : int array; phase : int array; gphase : Cx.t }
+
+  let dims st = Sub.dims st.sub
+
+  let character ~dims p x =
+    let acc = ref Cx.one in
+    Array.iteri
+      (fun i d ->
+        if p.(i) <> 0 && x.(i) <> 0 then begin
+          let e = Numtheory.Arith.emod (p.(i) * x.(i)) d in
+          if e <> 0 then acc := Cx.mul !acc (Cx.root_of_unity d e)
+        end)
+      dims;
+    !acc
+
+  let of_coset sub rep =
+    { sub; rep = Sub.reduce sub rep; phase = Array.make (Array.length rep) 0; gphase = Cx.one }
+
+  let amp_at_tuple st x =
+    let dims = dims st in
+    let diff = Array.init (Array.length dims) (fun i -> x.(i) - st.rep.(i)) in
+    if not (Sub.mem st.sub diff) then Cx.zero
+    else
+      let inv_sqrt = exp (-.0.5 *. Sub.order_log2 st.sub *. log 2.0) in
+      Cx.scale inv_sqrt (Cx.mul st.gphase (character ~dims st.phase x))
+
+  let amp_at st idx = amp_at_tuple st (State.decode (dims st) idx)
+
+  let iter_nonzero st f =
+    let dims = dims st in
+    let entries =
+      List.map
+        (fun h ->
+          let x = Array.init (Array.length dims) (fun i -> (st.rep.(i) + h.(i)) mod dims.(i)) in
+          (State.encode dims x, x))
+        (Sub.elements st.sub)
+    in
+    let entries = List.sort (fun (a, _) (b, _) -> Int.compare a b) entries in
+    List.iter (fun (idx, x) -> f idx (amp_at_tuple st x)) entries
+
+  let demote st =
+    let dims = dims st in
+    let r = Array.length dims in
+    let entries =
+      List.rev_map
+        (fun h ->
+          let x = Array.init r (fun i -> (st.rep.(i) + h.(i)) mod dims.(i)) in
+          (x, Cx.mul st.gphase (character ~dims st.phase x)))
+        (Sub.elements st.sub)
+    in
+    Backend_dense.of_support dims entries
+
+  let neg_in_range dims v = Array.mapi (fun i x -> if x = 0 then 0 else dims.(i) - x) v
+
+  let fourier st ~inverse =
+    let dims = dims st in
+    let dual = Sub.dual st.sub in
+    let c = st.rep and p = st.phase in
+    let gphase = Cx.mul st.gphase (character ~dims p c) in
+    if not inverse then { sub = dual; rep = Sub.reduce dual (neg_in_range dims p); phase = c; gphase }
+    else { sub = dual; rep = Sub.reduce dual p; phase = neg_in_range dims c; gphase }
+
+  let approx_equal ?(eps = 1e-9) a b =
+    Sub.equal a.sub b.sub
+    && a.rep = b.rep
+    &&
+    let da = dims a in
+    let probe =
+      a.rep
+      :: List.map
+           (fun row -> Array.init (Array.length da) (fun i -> (a.rep.(i) + row.(i)) mod da.(i)))
+           (Array.to_list (Sub.basis a.sub))
+    in
+    List.for_all (fun x -> Cx.approx_equal ~eps (amp_at_tuple a x) (amp_at_tuple b x)) probe
+end
+
+(* A coset state pushed through 1-4 whole-register sweeps, each in a
+   random direction and wire order, three ways: the lazy backend, the
+   eager reference and dense.  Every amplitude, the demoted vector, the
+   iter_nonzero order and the approx_equal verdict against a second
+   chain (from the same coset by another representative, or from a
+   random one) must agree. *)
+let qcheck_lazy_vs_eager =
+  let open QCheck in
+  let gen_case =
+    let open Gen in
+    let* r = int_range 1 3 in
+    let* dims = array_repeat r (oneofl [ 2; 3; 4; 6 ]) in
+    let* k = int_range 0 2 in
+    let* gens = list_repeat k (array_size (return r) (int_bound 5)) in
+    let gens = List.map (fun g -> Array.mapi (fun i v -> v mod dims.(i)) g) gens in
+    let point = array_size (return r) (int_range (-20) 20) in
+    let* rep = point in
+    let* same_coset = bool in
+    let* coefs = list_repeat k (int_range (-3) 3) in
+    let* wraps = array_size (return r) (int_range (-2) 2) in
+    let* other = point in
+    let rep2 =
+      if same_coset then
+        Array.mapi
+          (fun i v ->
+            List.fold_left2 (fun acc g a -> acc + (a * g.(i))) (v + (wraps.(i) * dims.(i))) gens coefs)
+          rep
+      else other
+    in
+    let* sweeps = list_size (int_range 1 4) (pair bool (shuffle_l (List.init r Fun.id))) in
+    return (dims, gens, rep, rep2, sweeps)
+  in
+  let print (dims, gens, rep, rep2, sweeps) =
+    let arr a = "[" ^ String.concat ";" (Array.to_list (Array.map string_of_int a)) ^ "]" in
+    Printf.sprintf "%s rep=%s rep2=%s sweeps=%s" (print_dims_gens (dims, gens)) (arr rep) (arr rep2)
+      (String.concat " "
+         (List.map
+            (fun (inv, ws) -> (if inv then "B" else "F") ^ arr (Array.of_list ws))
+            sweeps))
+  in
+  Test.make ~name:"lazy rewrite = eager reference = dense" ~count:300 (make ~print gen_case)
+    (fun (dims, gens, rep, rep2, sweeps) ->
+      let sub = Backend_symbolic.Subgroup.of_gens ~dims gens in
+      let sweep st (inverse, wires) =
+        if inverse then Qft.backward st ~wires else Qft.forward st ~wires
+      in
+      let chain backend rep = List.fold_left sweep (State.of_coset ~backend sub ~rep) sweeps in
+      let eager rep =
+        List.fold_left
+          (fun st (inverse, _) -> Eager.fourier st ~inverse)
+          (Eager.of_coset sub rep) sweeps
+      in
+      let lz = chain Backend.Symbolic rep and den = chain Backend.Dense rep in
+      let eg = eager rep in
+      let close a b = Linalg.Cx.approx_equal ~eps:1e-9 a b in
+      let total = Array.fold_left ( * ) 1 dims in
+      let nonzeros iter =
+        let acc = ref [] in
+        iter (fun i z -> acc := (i, z) :: !acc);
+        List.rev !acc
+      in
+      let lz_nz = nonzeros (State.iter_nonzero lz) and eg_nz = nonzeros (Eager.iter_nonzero eg) in
+      let demoted = State.amplitudes lz
+      and eg_demoted = Backend_dense.amplitudes (Eager.demote eg)
+      and den_amps = State.amplitudes den in
+      let verdicts =
+        [
+          State.approx_equal lz (chain Backend.Symbolic rep2);
+          Eager.approx_equal eg (eager rep2);
+          State.approx_equal den (chain Backend.Dense rep2);
+        ]
+      in
+      State.backend lz = Backend.Symbolic
+      && List.for_all
+           (fun idx ->
+             let z = State.amp_at lz idx in
+             close z (Eager.amp_at eg idx) && close z (State.amp_at den idx))
+           (List.init total Fun.id)
+      && List.for_all2
+           (fun a b -> close a b)
+           (Array.to_list demoted) (Array.to_list eg_demoted)
+      && List.for_all2 (fun a b -> close a b) (Array.to_list demoted) (Array.to_list den_amps)
+      && List.map fst lz_nz = List.map fst eg_nz
+      && List.for_all2 (fun (_, a) (_, b) -> close a b) lz_nz eg_nz
+      && List.for_all (fun v -> v = List.hd verdicts) verdicts
+      && State.approx_equal lz den)
 
 (* ------------------------------------------------------------------ *)
 (* Index segments never build symbolic states                         *)
@@ -781,6 +957,30 @@ let test_large_group_sampling () =
   checkb "order log2" true
     (Float.abs (Backend_symbolic.Subgroup.order_log2 planted -. 60.0) < 1e-9)
 
+(* A planted round at Z_2^64 pays for its two draws (the x0 draw and
+   one [hnf_sample], 65 words each) plus a fixed overhead of boxes,
+   closures and the state records: 198 words.  The eager rewrite, which
+   reduced x0 and built and reduced a zero representative, allocated
+   566. *)
+let test_planted_round_allocation () =
+  Metrics.set_tracer None;
+  let dims = Array.make 64 2 in
+  let st = rng () in
+  let draw =
+    Coset_state.sampler_with_subgroup ~backend:Backend.Symbolic ~dims
+      ~subgroup:(random_gens st ~dims ~count:32) ~queries:(Query.create ()) ()
+  in
+  (* the first round solves and memoises the annihilator *)
+  ignore (draw st);
+  let rounds = 2000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to rounds do
+    ignore (draw st)
+  done;
+  let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
+  checkb (Printf.sprintf "a round allocates %.1f <= 264 minor words" per_round) true
+    (per_round <= 264.0)
+
 let () =
   Alcotest.run "symbolic"
     [
@@ -823,11 +1023,13 @@ let () =
       ( "scale",
         [
           Alcotest.test_case "Z_4^60 recovery" `Quick test_large_group_sampling;
+          Alcotest.test_case "planted round allocation" `Quick test_planted_round_allocation;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             qcheck_differential;
+            qcheck_lazy_vs_eager;
             qcheck_reduce_vs_reference;
             qcheck_sample_vs_reference;
             qcheck_annihilator_vs_snf;
