@@ -4,7 +4,11 @@ type outcome = { rounds : int }
 
 let solve_dims rng ?draw ~dims ~f ~quantum ?verify () =
   let verify =
-    match verify with Some v -> v | None -> fun x -> Int.equal (f x) (f (Array.make (Array.length dims) 0))
+    match verify with
+    | Some v -> v
+    | None ->
+        let f0 = f (Array.make (Array.length dims) 0) in
+        fun x -> Int.equal (f x) f0
   in
   (* log2 |A| + slack samples per batch: each sample halves the kernel
      in expectation, so one batch almost always suffices. *)

@@ -26,7 +26,10 @@ val solve_dims :
   unit ->
   int array list * outcome
 (** Solve over [Z_dims(0) x ...] given the hiding function on exponent
-    tuples.  [verify] defaults to the membership test [f x = f 0].
+    tuples; [f] must not retain its argument, which the default
+    sampler lends it ({!Quantum.Coset_state.sampler}).  [verify]
+    defaults to the membership test [f x = f 0], with [f 0] evaluated
+    once per solve.
     Returns generators of the hidden subgroup (as tuples).  The samples
     go into one {!Numtheory.Zmatrix.span} per solve, so a batch that
     fails verification adds only the next batch's samples.

@@ -183,14 +183,16 @@ let prep ?backend ~dims ~f () =
            once the buckets are filled) and counts each coset's size;
            pass 2 counting-sorts.  A digit odometer walks the register
            in index order, so pass 1 calls [f] on the points
-           State.decode would give, in the same order, each in a fresh
-           tuple, without a division per element. *)
+           State.decode would give, in the same order, without a
+           division per element.  [f] borrows the odometer's own array
+           for the call (it must not retain it), so no element
+           allocates a tuple. *)
         let ids = Ids.create ~bits:6 in
         let tag_id = Bytes.create (4 * total) in
         let r = Array.length dims in
         let x = Array.make r 0 in
         for idx = 0 to total - 1 do
-          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int (Ids.tag ids (f (Array.copy x))));
+          Bytes.set_int32_ne tag_id (4 * idx) (Int32.of_int (Ids.tag ids (f x)));
           (* advance the odometer, least significant wire last *)
           let w = ref (r - 1) in
           while !w >= 0 && x.(!w) = dims.(!w) - 1 do

@@ -84,10 +84,11 @@ val sampler :
     character index [y] (an element of [A] read as a character via
     {!Qft.character}).  [f] must be constant on the cosets of some
     subgroup [H <= A] and distinct across cosets; the result is then
-    uniform on the annihilator [H^perp].  The (deterministic) oracle is
-    evaluated over the group once, on the first round, and its coset
-    buckets are reused: every round costs one quantum query and
-    O(|coset|) construction.  Equivalent to
+    uniform on the annihilator [H^perp].  [f] must not retain its
+    argument: the tuple is borrowed for the call ({!prep}).  The
+    (deterministic) oracle is evaluated over the group once, on the
+    first round, and its coset buckets are reused: every round costs
+    one quantum query and O(|coset|) construction.  Equivalent to
     [sampler_of_prep (prep ?backend ~dims ~f ()) ~queries ()]. *)
 
 (** {2 First-class sampler prep}
@@ -114,9 +115,11 @@ val prep :
   unit ->
   prep
 (** Build the prep for [f] over [A = Z_{d_1} x ... x Z_{d_r}].  The
-    backend is {!oracle_backend}'s; size caps are enforced here
-    ({!Backend.Caps.coset_dense} dense, {!Backend.Caps.coset_sparse} sparse); the
-    bucketing pass runs
+    bucketing pass calls [f] once per element in index order, on one
+    tuple it mutates between calls, so [f] must not retain its
+    argument (copy it to keep it).  The backend is {!oracle_backend}'s;
+    size caps are enforced here ({!Backend.Caps.coset_dense} dense,
+    {!Backend.Caps.coset_sparse} sparse); the bucketing pass runs
     lazily, charged to the ["sample-prep"] phase and the
     [sampler_preps] ledger counter exactly once. *)
 
@@ -219,11 +222,12 @@ val sampler_state_valued :
     subgroup and orthogonal across cosets, instead of a classical
     tag.  The Fourier-sampling outcome distribution is identical to
     the tag case: measuring the state register projects onto one
-    coset.  Vectors are bucketed by exact-up-to-epsilon equality
-    (cosets are promised either equal or orthogonal), keyed by support
-    signature so each evaluation costs one hash probe rather than a
-    scan over all cosets seen; the memo is mutex-guarded and safe under
-    concurrent draws. *)
+    coset.  [f] must not retain its argument, as in {!prep}.  Vectors
+    are bucketed by exact-up-to-epsilon equality (cosets are promised
+    either equal or orthogonal), keyed by support signature so each
+    evaluation costs one hash probe rather than a scan over all cosets
+    seen; the memo is mutex-guarded and safe under concurrent
+    draws. *)
 
 val annihilator_gens : Numtheory.Zmatrix.hnf -> int array list
 (** [annihilator_gens y] recovers generators of

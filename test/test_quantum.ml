@@ -829,11 +829,11 @@ let test_prep_tables_match_decode_loop () =
   in
   List.iter
     (fun (name, dims, f) ->
-      (* [f] keeps the tuples it is handed: same points, same order, and
-         each one its own (a shared, mutated tuple would show here) *)
+      (* [f] borrows each tuple for the call only, so it keeps a copy:
+         same points, same order *)
       let seen = ref [] in
       let f' x =
-        seen := x :: !seen;
+        seen := Array.copy x :: !seen;
         f x
       in
       let p = Coset_state.prep ~backend:Backend.Sparse ~dims ~f:f' () in
@@ -845,6 +845,21 @@ let test_prep_tables_match_decode_loop () =
       checkb (name ^ " f called in index order") true
         (List.rev !seen = List.init total (State.decode dims)))
     shapes
+
+(* The tagging pass hands [f] the odometer's own tuple, borrowed for
+   the call, so an oracle that allocates nothing makes the O(|A|) pass
+   allocate nothing per element: on Z_4^9 (262,144 elements) a copied
+   9-tuple would cost 10 minor words each. *)
+let test_prep_allocates_no_tuple () =
+  Metrics.set_tracer None;
+  let dims = Array.make 9 4 in
+  let f x = x.(0) + (4 * (x.(8) land 1)) in
+  let total = Array.fold_left ( * ) 1 dims in
+  let before = Gc.minor_words () in
+  Coset_state.prep_force (Coset_state.prep ~backend:Backend.Sparse ~dims ~f ());
+  let per_element = (Gc.minor_words () -. before) /. float_of_int total in
+  checkb (Printf.sprintf "prep allocates %.3f <= 0.1 minor words per element" per_element) true
+    (per_element <= 0.1)
 
 (* [Random.State.full_int] must replay [Random.State.int]'s stream for
    every bound below 2^30 — the digest was recorded from [int] — so
@@ -1047,6 +1062,7 @@ let () =
           Alcotest.test_case "same-seed pin (symbolic sampler)" `Quick test_symbolic_seed_pin;
           Alcotest.test_case "same-seed pin (symbolic states)" `Quick test_symbolic_states_pin;
           Alcotest.test_case "prep tables = decode loop" `Quick test_prep_tables_match_decode_loop;
+          Alcotest.test_case "prep allocates no tuple" `Quick test_prep_allocates_no_tuple;
           Alcotest.test_case "full_int stream pin" `Quick test_full_int_stream_pin;
         ] );
       ( "shor",
